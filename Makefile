@@ -28,7 +28,7 @@ vettool:
 bench:
 	set -o pipefail; \
 	{ $(GO) test -run - -bench 'BenchmarkEngineThroughput|BenchmarkEngineWarmCampaign' ./internal/sweep && \
-	  $(GO) test -run - -bench 'Range$$|StreamRange' ./internal/memsim && \
+	  $(GO) test -run - -bench 'Range$$' ./internal/memsim && \
 	  $(GO) test -run - -bench 'BenchmarkRunTraffic$$' ./internal/cloverleaf && \
 	  $(GO) test -run - -bench 'BenchmarkExpandBuffered$$|BenchmarkExpandStreaming$$' ./internal/sweepd && \
 	  $(GO) test -run - -bench 'BenchmarkStoreOpen' -timeout 25m ./internal/store && \

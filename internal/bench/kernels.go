@@ -191,9 +191,8 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 				bytes := int64(n) * 8
 				for _, base := range readBase {
 					addr := base + pos*8
-					for line := addr >> 6; line <= (addr+bytes-1)>>6; line++ {
-						h.Load(line)
-					}
+					lo := addr >> 6
+					h.AccessRange(lo, (addr+bytes-1)>>6-lo+1, memsim.AccessLoad)
 				}
 				for i, base := range writeBase {
 					addr := base + pos*8

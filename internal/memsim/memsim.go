@@ -8,21 +8,20 @@
 // Layer conditions (Sec. II-C), partial-line write-allocates and prefetch
 // overfetch are emergent properties of the simulation, not parameters.
 //
-// Hierarchy implements core.Backend, so the SpecI2M store engine of
-// internal/core drives it directly.
+// Hierarchy implements core.Backend and core.RangeBackend, so the
+// SpecI2M store engine of internal/core drives it directly.
 //
-// Two implementations of the semantics coexist: the per-line/batched
-// simulation in this file and range.go, and the analytic closed-form
-// tier in analytic.go that solves regular sequential runs in O(sets x
-// ways). Any change to eviction order, write-allocate policy, LRU
-// stamping or the claim semantics MUST be made in both — the
-// differential and fuzz suites (range_test.go, analytic_test.go)
-// compare them bit-for-bit and will catch a one-sided edit.
+// There is one simulation path: AccessRange replays a run of
+// consecutive same-kind accesses (range.go), and the per-line methods
+// are runs of one line. Its per-set bookkeeping (level.go) accelerates
+// the search only — presence filters, free-way and dirty masks, victim
+// queues, way prediction — and never changes which way a line lands in.
+// The differential and fuzz suites in range_test.go check it
+// bit-for-bit against the plain per-line oracle in oracle_test.go.
 package memsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cloversim/internal/machine"
 )
@@ -89,371 +88,8 @@ func (c Counts) WriteBytes() int64 { return c.MemWriteLines * 64 }
 // TotalBytes returns the total memory data volume in bytes.
 func (c Counts) TotalBytes() int64 { return (c.MemReadLines + c.MemWriteLines) * 64 }
 
-// level is one set-associative, write-back, LRU cache level.
-type level struct {
-	sets  int
-	ways  int
-	mask  int64 // sets-1 (sets is a power of two)
-	shift uint  // log2(sets), for the presence-filter tag hash
-	tags  []int64
-	dirty []bool
-	stamp []uint32
-	clock uint32
-	// pred and predWB are the way indices of the most recent demand and
-	// write-back hits — pure search-order hints (sequential streams hit
-	// the same way across consecutive sets), never semantic state. The
-	// write-back stream gets its own slot so the two interleaved
-	// streams do not thrash one predictor.
-	pred   int
-	predWB int
-	// filt holds one presence filter per set: the OR of 1<<(tag>>shift
-	// & 63) over (a superset of) the set's resident tags. A clear bit
-	// proves a line absent, letting the batched fast paths skip miss
-	// scans entirely; evictions leave stale bits (false positives) that
-	// the fast-path victim scans rebuild away. Like the predictors this
-	// is pure search acceleration, never semantic state.
-	filt []uint64
-	// vq caches, per set, the next few LRU victims computed during a
-	// full victim scan. An entry (way, stamp) is still the true victim
-	// iff that way's stamp is unchanged: stamps only grow, every
-	// mutation of a way reassigns its stamp, and the operations that
-	// empty a way without evicting (the claims) clear the set's queue
-	// explicitly. Only full sets are cached, so stamps are unique and
-	// the first-empty-way rule cannot be bypassed.
-	vq []victimQueue
-}
-
-// victimQueue caches up to 3 pre-validated future victims of one set.
-type victimQueue struct {
-	n   uint8
-	way [3]uint8
-	st  [3]uint32
-}
-
-// bit returns the presence-filter bit of a line: hashed from the bits
-// above the set index, which advance once per sweep through the sets
-// (the low bits are the set index itself and would alias every resident
-// tag of a set onto one filter bit).
-func (l *level) bit(line int64) uint64 {
-	return 1 << (uint64(line>>l.shift) & 63)
-}
-
-func newLevel(g machine.CacheGeom) *level {
-	sets := g.Sets()
-	if sets&(sets-1) != 0 {
-		// Round down to a power of two; keeps indexing cheap and is
-		// within a few percent of the modeled capacity.
-		p := 1
-		for p*2 <= sets {
-			p *= 2
-		}
-		sets = p
-	}
-	l := &level{
-		sets:  sets,
-		ways:  g.Ways,
-		mask:  int64(sets - 1),
-		shift: uint(bits.TrailingZeros(uint(sets))),
-		tags:  make([]int64, sets*g.Ways),
-		dirty: make([]bool, sets*g.Ways),
-		stamp: make([]uint32, sets*g.Ways),
-		filt:  make([]uint64, sets),
-		vq:    make([]victimQueue, sets),
-	}
-	for i := range l.tags {
-		l.tags[i] = -1
-	}
-	return l
-}
-
-// lookup probes for a line; on hit it refreshes LRU and returns the way
-// slot index, else -1.
-func (l *level) lookup(line int64) int {
-	set := int(line&l.mask) * l.ways
-	for w := 0; w < l.ways; w++ {
-		if l.tags[set+w] == line {
-			l.clock++
-			l.stamp[set+w] = l.clock
-			return set + w
-		}
-	}
-	return -1
-}
-
-// victim returns the slot of the LRU way in the line's set.
-func (l *level) victim(line int64) int {
-	set := int(line&l.mask) * l.ways
-	best := set
-	bestStamp := l.stamp[set]
-	for w := 1; w < l.ways; w++ {
-		if l.tags[set+w] == -1 {
-			return set + w
-		}
-		if l.stamp[set+w] < bestStamp {
-			bestStamp = l.stamp[set+w]
-			best = set + w
-		}
-	}
-	return best
-}
-
-// install places a line (possibly dirty), returning the evicted line and
-// whether it was dirty (evicted == -1 if the slot was empty).
-func (l *level) install(line int64, dirty bool) (evicted int64, evDirty bool) {
-	return l.installAt(l.victim(line), line, dirty)
-}
-
-// installAt places a line into a specific slot (as precomputed by probe),
-// with install's exact LRU clock behaviour. The presence filter picks up
-// the new tag here, on both the per-line and the batched path.
-func (l *level) installAt(slot int, line int64, dirty bool) (evicted int64, evDirty bool) {
-	evicted, evDirty = l.tags[slot], l.dirty[slot]
-	l.tags[slot] = line
-	l.dirty[slot] = dirty
-	l.clock++
-	l.stamp[slot] = l.clock
-	l.filt[int(line&l.mask)] |= l.bit(line)
-	return evicted, evDirty
-}
-
-// lookupFast is the batched-path lookup: identical semantics (hit
-// refreshes LRU exactly like lookup) but the hit is detected by a
-// predicted-way compare — lines of one sequential stream land on the
-// same way across consecutive sets — before falling back to the
-// unrolled tag scan. Since a line is installed only after a miss
-// confirmed its absence, tags are unique per set and the predicted-way
-// shortcut cannot change which slot a hit resolves to.
-func (l *level) lookupFast(line int64) (int, bool) {
-	si := int(line & l.mask)
-	set := si * l.ways
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	if p := l.pred; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
-		return set + p, true
-	}
-	if l.filt[si]&l.bit(line) == 0 {
-		return -1, false
-	}
-	if w := scanTags(tags, line); w >= 0 {
-		l.pred = w
-		l.clock++
-		l.stamp[set+w] = l.clock
-		return set + w, true
-	}
-	l.rebuild(si, tags)
-	return -1, false
-}
-
-// lookupWB is lookupFast on the write-back predictor slot: dirty
-// evictions of a sequential stream are themselves sequential, but lag
-// the demand stream, so they predict well only with their own slot.
-func (l *level) lookupWB(line int64) (int, bool) {
-	si := int(line & l.mask)
-	set := si * l.ways
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	if p := l.predWB; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
-		return set + p, true
-	}
-	if l.filt[si]&l.bit(line) == 0 {
-		return -1, false
-	}
-	if w := scanTags(tags, line); w >= 0 {
-		l.predWB = w
-		l.clock++
-		l.stamp[set+w] = l.clock
-		return set + w, true
-	}
-	l.rebuild(si, tags)
-	return -1, false
-}
-
-// lookupScan is lookupFast without the way prediction, for probes off
-// the sequential demand stream (prefetch candidates) whose interleaved
-// way patterns would only thrash the predictors. Candidate lines are
-// usually absent everywhere, so the filter skip carries this path.
-func (l *level) lookupScan(line int64) (int, bool) {
-	si := int(line & l.mask)
-	if l.filt[si]&l.bit(line) == 0 {
-		return -1, false
-	}
-	set := si * l.ways
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	if w := scanTags(tags, line); w >= 0 {
-		l.clock++
-		l.stamp[set+w] = l.clock
-		return set + w, true
-	}
-	l.rebuild(si, tags)
-	return -1, false
-}
-
-// probe is lookupFast fused with victim selection in a single pass over
-// the set, for the batched demand path where a miss always leads to an
-// install: on hit it behaves exactly like lookup and returns (slot,
-// true); on miss it returns (victimSlot, false) where victimSlot is the
-// slot victim() would pick, valid until something mutates this set.
-// probe is used for L1, whose few sets saturate any presence filter —
-// so unlike installFast it does not pay for filter rebuilds; the L1
-// filter is refreshed only by installAt accumulation and Flush resets.
-func (l *level) probe(line int64) (int, bool) {
-	set := int(line&l.mask) * l.ways
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	if p := l.pred; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
-		return set + p, true
-	}
-	stamps := l.stamp[set : set+len(tags)]
-	victim := 0
-	bestStamp := stamps[0]
-	empty := false
-	for w, t := range tags {
-		if t == line {
-			l.pred = w
-			l.clock++
-			stamps[w] = l.clock
-			return set + w, true
-		}
-		if w == 0 || empty {
-			continue
-		}
-		if t == -1 {
-			// victim() returns the first empty way (scanning w=1 up).
-			victim = w
-			empty = true
-		} else if s := stamps[w]; s < bestStamp {
-			bestStamp = s
-			victim = w
-		}
-	}
-	return set + victim, false
-}
-
-// scanTags returns the way holding line, or -1 (tag-only scan, unrolled
-// to keep branch overhead off the per-access critical path).
-func scanTags(tags []int64, line int64) int {
-	w := 0
-	for ; w+4 <= len(tags); w += 4 {
-		if tags[w] == line {
-			return w
-		}
-		if tags[w+1] == line {
-			return w + 1
-		}
-		if tags[w+2] == line {
-			return w + 2
-		}
-		if tags[w+3] == line {
-			return w + 3
-		}
-	}
-	for ; w < len(tags); w++ {
-		if tags[w] == line {
-			return w
-		}
-	}
-	return -1
-}
-
-// victimWay is victim()'s scan over presliced tags: the first empty way
-// past way 0, else the LRU way.
-func (l *level) victimWay(set int, tags []int64) int {
-	stamps := l.stamp[set : set+len(tags)]
-	best := 0
-	bestStamp := stamps[0]
-	for w := 1; w < len(tags); w++ {
-		if tags[w] == -1 {
-			return w
-		}
-		if stamps[w] < bestStamp {
-			bestStamp = stamps[w]
-			best = w
-		}
-	}
-	return best
-}
-
-// installFast is install accelerated by the per-set victim queue: a
-// cached future victim validates with one stamp compare; on a queue
-// miss the full scan runs and refills the queue with the following
-// victims (only when the set is full, preserving the first-empty rule).
-func (l *level) installFast(line int64, dirty bool) (evicted int64, evDirty bool) {
-	si := int(line & l.mask)
-	set := si * l.ways
-	if q := &l.vq[si]; q.n > 0 {
-		slot := set + int(q.way[0])
-		if l.stamp[slot] == q.st[0] {
-			q.n--
-			q.way[0], q.st[0] = q.way[1], q.st[1]
-			q.way[1], q.st[1] = q.way[2], q.st[2]
-			return l.installAt(slot, line, dirty)
-		}
-		q.n = 0
-	}
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	stamps := l.stamp[set : set+l.ways]
-	// Single pass: victim()'s exact semantics (first empty way past way
-	// 0 wins immediately) while collecting the 4 smallest stamps. Full
-	// sets have unique stamps (every one came from a clock increment),
-	// so the sorted order is unambiguous.
-	var w4 [4]uint8
-	var s4 [4]uint32
-	n := 0
-	for w := 0; w < len(tags); w++ {
-		if w > 0 && tags[w] == -1 {
-			return l.installAt(set+w, line, dirty)
-		}
-		s := stamps[w]
-		if n == 4 && s >= s4[3] {
-			continue
-		}
-		i := n
-		if i == 4 {
-			i = 3
-		}
-		for ; i > 0 && s < s4[i-1]; i-- {
-			w4[i], s4[i] = w4[i-1], s4[i-1]
-		}
-		w4[i], s4[i] = uint8(w), s
-		if n < 4 {
-			n++
-		}
-	}
-	if n > 1 {
-		q := &l.vq[si]
-		q.n = uint8(n - 1)
-		q.way[0], q.st[0] = w4[1], s4[1]
-		q.way[1], q.st[1] = w4[2], s4[2]
-		q.way[2], q.st[2] = w4[3], s4[3]
-	}
-	return l.installAt(set+int(w4[0]), line, dirty)
-}
-
-// vqClear invalidates the victim queue of line's set — required
-// whenever a way is emptied without a stamp reassignment (the claims),
-// since an empty way preempts the cached LRU order.
-func (l *level) vqClear(line int64) { l.vq[int(line&l.mask)].n = 0 }
-
-// rebuild replaces a set's presence filter with the OR over its
-// resident tags, shedding the stale bits evictions leave behind. Called
-// on a filter false positive (the filter said maybe-present, the scan
-// found nothing), so a saturated filter repairs itself exactly when it
-// starts costing wasted scans.
-func (l *level) rebuild(si int, tags []int64) {
-	var f uint64
-	for _, t := range tags {
-		if t != -1 {
-			f |= l.bit(t)
-		}
-	}
-	l.filt[si] = f
-}
-
 // Hierarchy is one core's cache hierarchy plus the memory controller
-// counters. It implements core.Backend.
+// counters.
 type Hierarchy struct {
 	l1, l2, l3 *level
 	c          Counts
@@ -465,17 +101,16 @@ type Hierarchy struct {
 	pfDist     int64
 	adjacentOn bool
 
-	// Analytic-tier state (see analytic.go).
-	amode  AnalyticMode
-	astats AnalyticStats
-	aMin   int64 // AnalyticAuto profitability threshold, in lines
-	aHuge  bool  // geometry outside the analytic tier's limits
+	lineLimit int64 // exclusive bound on the lines AccessRange accepts
 }
 
 const pfSlotCount = 16
 
 // New creates a hierarchy for the machine spec with prefetchers in their
-// default (spec) state.
+// default (spec) state. It panics on a cache level of more than 32 ways.
+// The hierarchy simulates lines from 0 up to a bound set by its smallest
+// cache (ways hold 32-bit keys of the bits above the set index): 2^38
+// lines, 16 TiB of addresses, for a 64-set L1.
 func New(spec *machine.Spec) *Hierarchy {
 	h := &Hierarchy{
 		l1:         newLevel(spec.L1),
@@ -489,7 +124,8 @@ func New(spec *machine.Spec) *Hierarchy {
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
-	h.analyticSetup()
+	// Leave room for the prefetchers, which reach past the demand line.
+	h.lineLimit = min(h.l1.maxLine(), h.l2.maxLine(), h.l3.maxLine()) - h.pfDist - 2
 	return h
 }
 
@@ -506,249 +142,54 @@ func (h *Hierarchy) PrefetchOn() bool { return h.pfOn }
 // Counts returns a snapshot of all counters.
 func (h *Hierarchy) Counts() Counts { return h.c }
 
-// installThrough pushes a line into l3, l2 and l1 (dirty at L1 if dirty),
-// propagating dirty evictions down to memory.
-func (h *Hierarchy) installThrough(line int64, dirty bool) {
-	if ev, d := h.l3.install(line, false); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-	h.installL2L1(line, dirty)
-}
+// Load implements core.Backend: a demand load, which may trigger the
+// prefetchers.
+func (h *Hierarchy) Load(line int64) { h.AccessRange(line, 1, AccessLoad) }
 
-// installL2L1 installs into L2 and L1 only.
-func (h *Hierarchy) installL2L1(line int64, dirty bool) {
-	if ev, d := h.l2.install(line, false); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
-		h.writebackToL2(ev)
-	}
-}
-
-// writebackToL2 handles a dirty eviction from L1.
-func (h *Hierarchy) writebackToL2(line int64) {
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-}
-
-// writebackToL3 handles a dirty eviction from L2.
-func (h *Hierarchy) writebackToL3(line int64) {
-	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l3.install(line, true); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-}
-
-// memFetch reads a line from memory (counting) and runs prefetch logic.
-// Prefetching only follows demand-load streams: store (RFO) streams are
-// handled by the write-allocate-evasion engine, and prefetching them would
-// defeat ItoM claims (the hardware suppresses this likewise).
-func (h *Hierarchy) memFetch(line int64, allowPF bool) {
-	h.c.MemReadLines++
-	if !allowPF {
-		return
-	}
-	if h.adjacentOn {
-		buddy := line ^ 1
-		if h.l3.lookup(buddy) < 0 && h.l2.lookup(buddy) < 0 {
-			h.c.MemReadLines++
-			h.c.PFLines++
-			if ev, d := h.l3.install(buddy, false); d && ev >= 0 {
-				h.c.MemWriteLines++
-			}
-		}
-	}
-	if h.pfOn {
-		h.prefetch(line)
-	}
-}
-
-// prefetch implements a simple L2 streamer: a miss that is sequential to
-// a previous miss arms a stream and pulls the next pfDist lines into L3.
-func (h *Hierarchy) prefetch(line int64) {
-	armed := false
-	for i := range h.pfSlots {
-		if h.pfSlots[i] == line-1 || h.pfSlots[i] == line-2 {
-			h.pfSlots[i] = line
-			armed = true
-			break
-		}
-	}
-	if !armed {
-		h.pfSlots[h.pfNext] = line
-		h.pfNext = (h.pfNext + 1) % pfSlotCount
-		return
-	}
-	for d := int64(1); d <= h.pfDist; d++ {
-		l := line + d
-		if h.l3.lookup(l) >= 0 || h.l2.lookup(l) >= 0 || h.l1.lookup(l) >= 0 {
-			continue
-		}
-		h.c.MemReadLines++
-		h.c.PFLines++
-		if ev, dd := h.l3.install(l, false); dd && ev >= 0 {
-			h.c.MemWriteLines++
-		}
-	}
-}
-
-// access is the shared load/RFO path.
-func (h *Hierarchy) access(line int64, dirty, allowPF bool) {
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.c.L1Hits++
-		if dirty {
-			h.l1.dirty[slot] = true
-		}
-		return
-	}
-	if h.l2.lookup(line) >= 0 {
-		h.c.L2Hits++
-		h.installToL1(line, dirty)
-		return
-	}
-	if h.l3.lookup(line) >= 0 {
-		h.c.L3Hits++
-		h.installL2L1(line, dirty)
-		return
-	}
-	h.memFetch(line, allowPF)
-	h.installThrough(line, dirty)
-}
-
-// installToL1 installs a line into L1 only (it already sits in L2).
-func (h *Hierarchy) installToL1(line int64, dirty bool) {
-	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
-		h.writebackToL2(ev)
-	}
-}
-
-// Load implements core.Backend.
-func (h *Hierarchy) Load(line int64) {
-	h.c.Loads++
-	h.access(line, false, true)
-}
-
-// RFO implements core.Backend.
-func (h *Hierarchy) RFO(line int64) {
-	h.c.RFOs++
-	h.access(line, true, false)
-}
+// RFO implements core.Backend: a read-for-ownership (write-allocate);
+// the line is fetched and installed dirty.
+func (h *Hierarchy) RFO(line int64) { h.AccessRange(line, 1, AccessRFO) }
 
 // ClaimI2M implements core.Backend: the line is claimed dirty at L3
 // without a memory read (SpecI2M ItoM transaction).
-func (h *Hierarchy) ClaimI2M(line int64) {
-	h.c.ItoMLines++
-	// Drop stale private copies so the dirty state lives at L3.
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
-	}
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.tags[slot] = -1
-		h.l2.dirty[slot] = false
-		h.l2.vqClear(line)
-	}
-	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l3.install(line, true); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-}
+func (h *Hierarchy) ClaimI2M(line int64) { h.AccessRange(line, 1, AccessClaimI2M) }
 
 // ClaimL2 implements core.Backend: the line is claimed dirty in the
 // private L2 without a memory read (A64FX cache-line zero). The write
 // reaches memory via the normal write-back path, and — unlike ItoM — the
 // data is immediately reusable from the private cache.
-func (h *Hierarchy) ClaimL2(line int64) {
-	h.c.ItoMLines++ // counted in the same evasion event class
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
-	}
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-}
+func (h *Hierarchy) ClaimL2(line int64) { h.AccessRange(line, 1, AccessClaimL2) }
 
 // WriteStreamed implements core.Backend: ARM write-streaming mode sends
 // the detected store stream straight to memory.
-func (h *Hierarchy) WriteStreamed(line int64) {
-	h.c.WSLines++
-	h.c.MemWriteLines++
-}
+func (h *Hierarchy) WriteStreamed(line int64) { h.AccessRange(line, 1, AccessWriteStreamed) }
 
 // WriteNT implements core.Backend: a direct (write-combined) memory write.
-func (h *Hierarchy) WriteNT(line int64) {
-	h.c.NTLines++
-	h.c.MemWriteLines++
-}
+func (h *Hierarchy) WriteNT(line int64) { h.AccessRange(line, 1, AccessWriteNT) }
 
 // WriteNTReverted implements core.Backend: the NT store was demoted to a
 // regular write-allocate store (read + eventual write-back).
-func (h *Hierarchy) WriteNTReverted(line int64) {
-	h.c.NTReverted++
-	h.c.RFOs++
-	h.access(line, true, false)
-}
+func (h *Hierarchy) WriteNTReverted(line int64) { h.AccessRange(line, 1, AccessWriteNTReverted) }
 
 // Flush writes back every dirty line and invalidates the hierarchy,
 // counting the write-backs. Use at region boundaries when residual dirty
 // state matters (small working sets).
 func (h *Hierarchy) Flush() {
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			if l.tags[i] >= 0 && l.dirty[i] {
-				h.c.MemWriteLines++
-			}
-			l.tags[i] = -1
-			l.dirty[i] = false
-			l.stamp[i] = 0
-		}
-		for i := range l.filt {
-			l.filt[i] = 0
-		}
-		for i := range l.vq {
-			l.vq[i] = victimQueue{}
-		}
-		l.clock = 0
+	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+		h.c.MemWriteLines += l.reset()
 	}
-	for i := range h.pfSlots {
-		h.pfSlots[i] = -1
-	}
+	h.resetPrefetch()
 }
 
 // Invalidate drops all cached state without counting write-backs.
 func (h *Hierarchy) Invalidate() {
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			l.tags[i] = -1
-			l.dirty[i] = false
-			l.stamp[i] = 0
-		}
-		for i := range l.filt {
-			l.filt[i] = 0
-		}
-		for i := range l.vq {
-			l.vq[i] = victimQueue{}
-		}
-		l.clock = 0
+	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+		l.reset()
 	}
+	h.resetPrefetch()
+}
+
+func (h *Hierarchy) resetPrefetch() {
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
@@ -756,15 +197,7 @@ func (h *Hierarchy) Invalidate() {
 
 // DirtyLines counts dirty lines currently cached (for tests).
 func (h *Hierarchy) DirtyLines() int {
-	n := 0
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			if l.tags[i] >= 0 && l.dirty[i] {
-				n++
-			}
-		}
-	}
-	return n
+	return h.l1.dirtyLines() + h.l2.dirtyLines() + h.l3.dirtyLines()
 }
 
 // String summarizes the hierarchy geometry.

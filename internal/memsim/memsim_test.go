@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -253,5 +255,43 @@ func TestRandomAccessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHierarchyFootprint caps the bytes New allocates per machine preset
+// at the figures of the two-implementation simulator this one replaced
+// (measured with Go 1.24 on amd64): the acceleration state must not
+// grow the hierarchy, which every worker holds one of per rank group.
+func TestHierarchyFootprint(t *testing.T) {
+	ceiling := map[string]uint64{
+		"icx":       671888,
+		"icx-snc0":  671888,
+		"spr8470":   938128,
+		"spr8470+s": 938128,
+		"spr8480":   939328,
+		"clx":       590736,
+		"n1":        341904,
+		"a64fx":     257936,
+	}
+	for _, spec := range machine.AllPresets() {
+		want, ok := ceiling[spec.Name]
+		if !ok {
+			t.Errorf("%s: no recorded footprint ceiling", spec.Name)
+			continue
+		}
+		// Anything else the process allocates meanwhile only adds to the
+		// delta, so the smallest of a few measurements is New's own.
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h := New(spec)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(h)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > want {
+			t.Errorf("%s: New allocates %d bytes, more than the %d-byte ceiling", spec.Name, got, want)
+		}
 	}
 }

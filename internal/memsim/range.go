@@ -1,5 +1,7 @@
 package memsim
 
+import "fmt"
+
 // AccessKind names one per-line hierarchy operation for batched replay.
 // The kinds mirror the core.Backend methods one-to-one.
 type AccessKind uint8
@@ -35,56 +37,43 @@ func (k AccessKind) String() string {
 }
 
 // AccessRange performs n accesses of one kind to the consecutive lines
-// start..start+n-1. It is semantically identical to calling the matching
-// per-line method (Load, RFO, ClaimI2M, ...) in a loop — cache state and
-// Counts are bit-identical, which the differential tests in
-// range_test.go and analytic_test.go enforce — but runs on two stacked
-// fast paths. Regular runs (see analytic.go) are solved in closed form,
-// O(sets x ways) regardless of length. Everything else runs on the
-// flattened simulation that exploits sequential-line locality: hits
-// resolve via a predicted-way compare (a stream lands on the same way
-// across consecutive sets), tag scans are unrolled, victim scans run
-// only when a line is actually installed, and per-access counters are
-// batched. Streaming loop nests spend most of their simulated accesses
-// here.
+// start..start+n-1, with exactly the cache state and Counts of n
+// per-line calls in order (the per-line methods are AccessRange runs of
+// one line). Per-access counters are batched, and the store-bypassing
+// kinds touch no cache state at all. A line outside the simulated range
+// (see New) is a caller bug and panics.
 func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	if n <= 0 {
 		return
 	}
+	if start < 0 || start > h.lineLimit-n {
+		panic(fmt.Sprintf("memsim: lines [%d, %d) outside the simulated range [0, %d)", start, start+n, h.lineLimit))
+	}
 	switch kind {
-	case AccessWriteNT:
-		// WriteNT touches no cache state: pure counter batch.
-		h.c.NTLines += n
-		h.c.MemWriteLines += n
-		return
-	case AccessWriteStreamed:
-		h.c.WSLines += n
-		h.c.MemWriteLines += n
-		return
 	case AccessLoad:
 		h.c.Loads += n
+		h.accessRange(start, n, false, true)
 	case AccessRFO:
 		h.c.RFOs += n
+		h.accessRange(start, n, true, false)
 	case AccessWriteNTReverted:
 		h.c.NTReverted += n
 		h.c.RFOs += n
-	}
-	if h.amode != AnalyticOff && h.tryAnalytic(start, n, kind) {
-		return
-	}
-	switch kind {
-	case AccessLoad:
-		h.accessRange(start, n, false, true)
-	case AccessRFO, AccessWriteNTReverted:
 		h.accessRange(start, n, true, false)
 	case AccessClaimI2M:
 		for line := start; line < start+n; line++ {
-			h.claimI2MFast(line)
+			h.claimI2M(line)
 		}
 	case AccessClaimL2:
 		for line := start; line < start+n; line++ {
-			h.claimL2Fast(line)
+			h.claimL2(line)
 		}
+	case AccessWriteNT:
+		h.c.NTLines += n
+		h.c.MemWriteLines += n
+	case AccessWriteStreamed:
+		h.c.WSLines += n
+		h.c.MemWriteLines += n
 	}
 }
 
@@ -108,137 +97,89 @@ func (h *Hierarchy) WriteNTRevertedRange(start, n int64) {
 	h.AccessRange(start, n, AccessWriteNTReverted)
 }
 
-// accessRange is the batched equivalent of n calls to access() on
-// consecutive lines (minus the Loads/RFOs counter, which the caller
-// batches). The L1 probe fuses hit detection with victim selection —
-// every L1 miss installs into L1, so the victim scan is never wasted;
-// the fused slot v1 stays valid on the hit paths because nothing below
-// mutates L1 before the install. On a full miss with active
-// prefetchers, memFetch may touch any level, so that case falls back
-// to the exact per-line miss sequence with victims recomputed.
+// accessRange runs n demand accesses (loads, or RFOs when dirty) on
+// consecutive lines. A miss fetches the line from the nearest level
+// holding it, installing it into every level above; dirty evictions
+// write back one level down. Only loads (allowPF) drive the prefetchers:
+// store streams are handled by the write-allocate-evasion engine, and
+// prefetching them would defeat ItoM claims (the hardware suppresses
+// this likewise).
 func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
-	fusedMiss := !allowPF || (!h.pfOn && !h.adjacentOn)
+	allowPF = allowPF && (h.pfOn || h.adjacentOn)
 	for line := start; line < start+n; line++ {
-		v1, hit := l1.probe(line)
-		if hit {
-			h.c.L1Hits++
-			if dirty {
-				l1.dirty[v1] = true
+		if l1.mayHold(line) {
+			if w := l1.find(line, &l1.pred); w >= 0 {
+				h.c.L1Hits++
+				if dirty {
+					l1.setDirty(line, w)
+				}
+				continue
 			}
-			continue
 		}
-		if _, hit := l2.lookupFast(line); hit {
+		if l2.mayHold(line) && l2.find(line, &l2.pred) >= 0 {
 			h.c.L2Hits++
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
-			}
-			continue
-		}
-		if _, hit := l3.lookupFast(line); hit {
-			h.c.L3Hits++
-			if ev, d := l2.installFast(line, false); d && ev >= 0 {
-				h.writebackToL3Fast(ev)
-			}
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
-			}
-			continue
-		}
-		if fusedMiss {
-			h.c.MemReadLines++
-			if ev, d := l3.installFast(line, false); d && ev >= 0 {
-				h.c.MemWriteLines++
-			}
-			if ev, d := l2.installFast(line, false); d && ev >= 0 {
-				h.writebackToL3Fast(ev)
-			}
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
-			}
-			continue
-		}
-		h.memFetchFast(line, allowPF)
-		h.installThroughFast(line, dirty)
-	}
-}
-
-// The Fast install/write-back/prefetch chain below mirrors the per-line
-// chain operation for operation — same probe order, same LRU clock
-// increments, same short-circuiting — swapping only the scan internals
-// (unrolled tag scans, presliced victim scans).
-
-// installToL1Fast is installToL1 on the fast chain.
-func (h *Hierarchy) installToL1Fast(line int64, dirty bool) {
-	if ev, d := h.l1.installFast(line, dirty); d && ev >= 0 {
-		h.writebackToL2Fast(ev)
-	}
-}
-
-// installL2L1Fast is installL2L1 on the fast chain.
-func (h *Hierarchy) installL2L1Fast(line int64, dirty bool) {
-	if ev, d := h.l2.installFast(line, false); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
-	}
-	h.installToL1Fast(line, dirty)
-}
-
-// installThroughFast is installThrough on the fast chain.
-func (h *Hierarchy) installThroughFast(line int64, dirty bool) {
-	if ev, d := h.l3.installFast(line, false); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-	h.installL2L1Fast(line, dirty)
-}
-
-// writebackToL2Fast is writebackToL2 on the fast chain.
-func (h *Hierarchy) writebackToL2Fast(line int64) {
-	if slot, hit := h.l2.lookupWB(line); hit {
-		h.l2.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l2.installFast(line, true); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
-	}
-}
-
-// writebackToL3Fast is writebackToL3 on the fast chain.
-func (h *Hierarchy) writebackToL3Fast(line int64) {
-	if slot, hit := h.l3.lookupWB(line); hit {
-		h.l3.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l3.installFast(line, true); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-}
-
-// memFetchFast is memFetch on the fast chain.
-func (h *Hierarchy) memFetchFast(line int64, allowPF bool) {
-	h.c.MemReadLines++
-	if !allowPF {
-		return
-	}
-	if h.adjacentOn {
-		buddy := line ^ 1
-		_, l3hit := h.l3.lookupScan(buddy)
-		if !l3hit {
-			if _, l2hit := h.l2.lookupScan(buddy); !l2hit {
+		} else {
+			if l3.mayHold(line) && l3.find(line, &l3.pred) >= 0 {
+				h.c.L3Hits++
+			} else {
 				h.c.MemReadLines++
-				h.c.PFLines++
-				if ev, d := h.l3.installFast(buddy, false); d && ev >= 0 {
+				if allowPF {
+					h.prefetch(line)
+				}
+				if _, d := l3.install(line, false); d {
 					h.c.MemWriteLines++
 				}
 			}
+			if ev, d := l2.install(line, false); d {
+				h.writebackToL3(ev)
+			}
 		}
-	}
-	if h.pfOn {
-		h.prefetchFast(line)
+		if ev, d := l1.install(line, dirty); d {
+			h.writebackToL2(ev)
+		}
 	}
 }
 
-// prefetchFast is prefetch on the fast chain.
-func (h *Hierarchy) prefetchFast(line int64) {
+// writebackToL2 handles a dirty eviction from L1.
+func (h *Hierarchy) writebackToL2(line int64) {
+	l2 := h.l2
+	if w := l2.lookup(line, &l2.predWB); w >= 0 {
+		l2.setDirty(line, w)
+		return
+	}
+	if ev, d := l2.install(line, true); d {
+		h.writebackToL3(ev)
+	}
+}
+
+// writebackToL3 handles a dirty eviction from L2.
+func (h *Hierarchy) writebackToL3(line int64) {
+	l3 := h.l3
+	if w := l3.lookup(line, &l3.predWB); w >= 0 {
+		l3.setDirty(line, w)
+		return
+	}
+	if _, d := l3.install(line, true); d {
+		h.c.MemWriteLines++
+	}
+}
+
+// prefetch runs the prefetchers on a demand-load memory miss. The
+// adjacent-line prefetcher fetches the line's 128-byte buddy. The L2
+// streamer arms on a miss sequential to a previous miss and pulls the
+// next pfDist lines into L3.
+func (h *Hierarchy) prefetch(line int64) {
+	l1, l2, l3 := h.l1, h.l2, h.l3
+	if h.adjacentOn {
+		buddy := line ^ 1
+		if l3.lookup(buddy, &l3.predPF) < 0 && l2.lookup(buddy, &l2.predPF) < 0 {
+			h.pfFetch(buddy)
+		}
+	}
+	if !h.pfOn {
+		return
+	}
 	armed := false
 	for i := range h.pfSlots {
 		if h.pfSlots[i] == line-1 || h.pfSlots[i] == line-2 {
@@ -252,60 +193,59 @@ func (h *Hierarchy) prefetchFast(line int64) {
 		h.pfNext = (h.pfNext + 1) % pfSlotCount
 		return
 	}
-	for d := int64(1); d <= h.pfDist; d++ {
-		l := line + d
-		if _, hit := h.l3.lookupScan(l); hit {
-			continue
-		}
-		if _, hit := h.l2.lookupScan(l); hit {
-			continue
-		}
-		if _, hit := h.l1.lookupScan(l); hit {
-			continue
-		}
-		h.c.MemReadLines++
-		h.c.PFLines++
-		if ev, dd := h.l3.installFast(l, false); dd && ev >= 0 {
-			h.c.MemWriteLines++
+	// Candidates already cached anywhere are skipped (lookup, with the
+	// filter test spelled out so it inlines).
+	for l := line + 1; l <= line+h.pfDist; l++ {
+		if (!l3.mayHold(l) || l3.find(l, &l3.predPF) < 0) &&
+			(!l2.mayHold(l) || l2.find(l, &l2.predPF) < 0) &&
+			(!l1.mayHold(l) || l1.find(l, &l1.predPF) < 0) {
+			h.pfFetch(l)
 		}
 	}
 }
 
-// claimI2MFast is ClaimI2M on the fast chain.
-func (h *Hierarchy) claimI2MFast(line int64) {
-	h.c.ItoMLines++
-	if slot, hit := h.l1.lookupScan(line); hit {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
-	}
-	if slot, hit := h.l2.lookupScan(line); hit {
-		h.l2.tags[slot] = -1
-		h.l2.dirty[slot] = false
-		h.l2.vqClear(line)
-	}
-	if slot, hit := h.l3.lookupFast(line); hit {
-		h.l3.dirty[slot] = true
-		return
-	}
-	if ev, d := h.l3.installFast(line, true); d && ev >= 0 {
+// pfFetch reads a prefetched line from memory into L3.
+func (h *Hierarchy) pfFetch(line int64) {
+	h.c.MemReadLines++
+	h.c.PFLines++
+	if _, d := h.l3.install(line, false); d {
 		h.c.MemWriteLines++
 	}
 }
 
-// claimL2Fast is ClaimL2 on the fast chain.
-func (h *Hierarchy) claimL2Fast(line int64) {
+// claimI2M claims a line dirty at L3 without a memory read, dropping
+// stale private copies so the dirty state lives at L3.
+func (h *Hierarchy) claimI2M(line int64) {
+	l1, l2, l3 := h.l1, h.l2, h.l3
 	h.c.ItoMLines++
-	if slot, hit := h.l1.lookupScan(line); hit {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
+	if w := l1.lookup(line, &l1.predPF); w >= 0 {
+		l1.drop(line, w)
 	}
-	if slot, hit := h.l2.lookupFast(line); hit {
-		h.l2.dirty[slot] = true
+	if w := l2.lookup(line, &l2.predPF); w >= 0 {
+		l2.drop(line, w)
+	}
+	if w := l3.lookup(line, &l3.pred); w >= 0 {
+		l3.setDirty(line, w)
 		return
 	}
-	if ev, d := h.l2.installFast(line, true); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
+	if _, d := l3.install(line, true); d {
+		h.c.MemWriteLines++
+	}
+}
+
+// claimL2 claims a line dirty in L2 without a memory read, dropping a
+// stale L1 copy.
+func (h *Hierarchy) claimL2(line int64) {
+	l1, l2 := h.l1, h.l2
+	h.c.ItoMLines++
+	if w := l1.lookup(line, &l1.predPF); w >= 0 {
+		l1.drop(line, w)
+	}
+	if w := l2.lookup(line, &l2.pred); w >= 0 {
+		l2.setDirty(line, w)
+		return
+	}
+	if ev, d := l2.install(line, true); d {
+		h.writebackToL3(ev)
 	}
 }

@@ -425,18 +425,19 @@ func unstartedErr(ctx context.Context, s Scenario, id string) error {
 // across concurrent campaigns, whose counts stay independent because
 // the counter lives in per-run state.
 func (e *Engine) progress(p *run, r Result) {
+	e.mu.Lock()
+	cb := e.Progress
+	e.mu.Unlock()
+	if cb != nil || p.progress != nil {
+		// Count under the callback lock, so callbacks see done rise by
+		// one each time.
+		e.progressMu.Lock()
+		defer e.progressMu.Unlock()
+	}
 	p.mu.Lock()
 	p.done++
 	done := p.done
 	p.mu.Unlock()
-	e.mu.Lock()
-	cb := e.Progress
-	e.mu.Unlock()
-	if cb == nil && p.progress == nil {
-		return
-	}
-	e.progressMu.Lock()
-	defer e.progressMu.Unlock()
 	if cb != nil {
 		cb(done, p.total, r)
 	}

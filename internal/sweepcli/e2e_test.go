@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"cloversim"
-	"cloversim/internal/memsim"
 	"cloversim/internal/sweep"
 )
 
@@ -229,40 +228,10 @@ func TestExitCodeOnUsageError(t *testing.T) {
 		{"-mesh", "bogus"},
 		{"-ranks", "x"},
 		{"-nosuchflag"},
-		{"-analytic", "fast"},
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args, cloversim.RunScenario); code != ExitUsage {
 			t.Errorf("args %v exit %d, want %d", args, code, ExitUsage)
-		}
-	}
-}
-
-// TestAnalyticFlagBothWays: the -analytic knob selects the memsim
-// implementation path, never the physics — a campaign forced onto the
-// analytic tier must produce byte-identical CSV and JSON to one forced
-// off it, end to end through the CLI.
-func TestAnalyticFlagBothWays(t *testing.T) {
-	defer func(prev memsim.AnalyticMode) { memsim.DefaultAnalytic = prev }(memsim.DefaultAnalytic)
-	var outs [2]string
-	for i, mode := range []string{"force", "off"} {
-		outs[i] = filepath.Join(t.TempDir(), mode)
-		args := append(e2eArgs(filepath.Join(t.TempDir(), "store-"+mode), outs[i]), "-analytic", mode)
-		if code, _, stderr := runCLI(t, args, cloversim.RunScenario); code != ExitOK {
-			t.Fatalf("-analytic %s exit %d, stderr:\n%s", mode, code, stderr)
-		}
-	}
-	for _, name := range []string{"campaign.csv", "campaign.json"} {
-		force, err := os.ReadFile(filepath.Join(outs[0], name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := os.ReadFile(filepath.Join(outs[1], name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(force, off) {
-			t.Errorf("%s diverges between -analytic force and -analytic off", name)
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"cloversim"
 	"cloversim/internal/dispatch"
 	"cloversim/internal/machine"
-	"cloversim/internal/memsim"
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 	"cloversim/internal/workload"
@@ -94,8 +93,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		quiet     = fs.Bool("q", false, "suppress per-scenario progress and the result table")
 		progress  = fs.Bool("progress", false, "live completion counter on stderr, updated as each scenario finishes (combines with -q for quiet-but-visible campaigns)")
 		stream    = fs.Bool("stream", false, "write campaign.csv and campaign.json incrementally as results complete, holding only out-of-order completions in memory; final bytes are identical to the buffered default")
-		analytic  = fs.String("analytic", "auto", "memsim analytic fast path: auto, off or force — all three simulate identical physics (golden-verified), so this never affects results or store keys")
-		astats    = fs.Bool("analytic-stats", false, "report memsim analytic-tier effectiveness (runs solved in O(1) vs per-reason simulation fallbacks) on stderr after the campaign")
 		compact   = fs.Bool("store-compact", false, "compact the -store directory (merge all segments into one, dropping stale and corrupt lines) and exit without running a campaign; requires exclusive ownership of the store")
 		adaptive  = fs.String("adaptive", "", "adaptive frontier search along this numeric axis (ranks, threads or mesh) instead of the exhaustive cross product; needs -target and at least two axis values as the bracketing seeds")
 		target    = fs.String("target", "", "frontier predicate for -adaptive: delta:<metric>:<modeA>/<modeB>, lt:<metric>:<value>, gt:<metric>:<value>, or model:<metric>:<analytic-metric>:<reltol>")
@@ -108,20 +105,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		}
 		return ExitUsage
 	}
-	amode, err := memsim.ParseAnalyticMode(*analytic)
-	if err != nil {
-		return usage(stderr, err)
-	}
-	// Pinned process-wide rather than threaded through the scenario
-	// config: the knob selects an implementation path, never physics,
-	// and must not perturb scenario hashes.
-	memsim.DefaultAnalytic = amode
-	if *astats {
-		// The counters are process-global; zero them so the report
-		// covers exactly this invocation.
-		memsim.ResetGlobalAnalyticStats()
-	}
-
 	if *compact {
 		// Maintenance mode: compact and exit. No campaign runs, so none
 		// of the grid flags apply; misuse without a store is a usage
@@ -164,6 +147,7 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		spec.Modes = splitList(*modes)
 	}
 	spec.Meshes = splitList(*mesh)
+	var err error
 	if spec.Ranks, err = intList(*ranks); err != nil {
 		return usage(stderr, err)
 	}
@@ -240,7 +224,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 			workersDesc: workersDesc,
 			stdout:      stdout, stderr: stderr,
 		})
-		reportAnalyticStats(stderr, *astats)
 		return code
 	}
 	if !*quiet {
@@ -337,7 +320,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	if *progress {
 		fmt.Fprintln(stderr) // terminate the carriage-returned line
 	}
-	reportAnalyticStats(stderr, *astats)
 
 	if streamClose != nil {
 		if err := streamClose(); err != nil {
