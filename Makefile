@@ -30,7 +30,7 @@ bench:
 	{ $(GO) test -run - -bench 'BenchmarkEngineThroughput|BenchmarkEngineWarmCampaign' ./internal/sweep && \
 	  $(GO) test -run - -bench 'Range$$' ./internal/memsim && \
 	  $(GO) test -run - -bench 'BenchmarkRunTraffic$$' ./internal/cloverleaf && \
-	  $(GO) test -run - -bench 'BenchmarkExpandBuffered$$|BenchmarkExpandStreaming$$' ./internal/sweepd && \
+	  $(GO) test -run - -bench 'BenchmarkExpandStreaming$$' ./internal/sweepd && \
 	  $(GO) test -run - -bench 'BenchmarkStoreOpen' -timeout 25m ./internal/store && \
 	  $(GO) test -run - -bench 'BenchmarkAdaptiveVsExhaustive' ./internal/search; } | tee /tmp/bench_raw.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > BENCH_sweep.json

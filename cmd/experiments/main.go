@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -85,7 +86,7 @@ func main() {
 	}
 
 	outs := make([]output, len(jobs))
-	_ = sweep.ForEach(*par, len(jobs), func(i int) error {
+	_ = sweep.ForEach(context.Background(), *par, len(jobs), func(i int) error {
 		o := opts
 		o.MachineName = jobs[i].machine
 		res, err := runExperiment(jobs[i].exp, o, *pfoff, *plot)

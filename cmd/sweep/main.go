@@ -33,14 +33,11 @@
 // like a local one. Fleets must run the same physics version as this
 // binary; mixed fleets are refused.
 //
-// -stream writes campaign.csv and campaign.json incrementally as
-// scenarios complete instead of buffering the whole campaign: rows
-// spill to disk in grid order and only out-of-order completions are
-// held in memory, while the final bytes stay identical to the
-// buffered default. -progress keeps a live completion counter on
-// stderr (updated per scenario, including failures); it combines with
-// -q for quiet-but-visible long campaigns. Under a fleet backend the
-// workers stream results back per cell over NDJSON, so -progress
+// campaign.csv and campaign.json are written once the campaign has
+// finished, in grid order. -progress keeps a live completion counter
+// on stderr (updated per scenario, including failures); it combines
+// with -q for quiet-but-visible long campaigns. Under a fleet backend
+// the workers stream results back per cell over NDJSON, so -progress
 // advances as remote cells finish rather than per chunk.
 //
 // Ctrl-C (SIGINT) or SIGTERM interrupts a campaign cleanly: running

@@ -30,18 +30,18 @@
 // cells and releases its simulation slots immediately, and
 // -expand-timeout (0 = off) bounds each request server-side.
 //
-// The daemon is also a fleet worker: POST /v1/expand accepts an
-// explicit scenario-key list (cells this store has never seen), and
-// /v1/healthz advertises the simulation capacity (-workers), in-flight
-// expand count, per-request cell cap (-max-cells) and physics version
-// that cmd/sweep's dispatch backend shards by. Point cmd/sweep
-// -workers at a set of sweepd addresses to run distributed campaigns.
+// The request form of POST /v1/expand fixes its response: a grid
+// answers the campaign JSON cmd/sweep writes, with completion and
+// durability status in headers; an explicit scenario-key list answers
+// NDJSON frames, each cell's result the moment it finalizes, closed by
+// a summary line carrying that status.
 //
-// Expand responses stream on request: "Accept: application/x-ndjson"
-// switches POST /v1/expand to NDJSON frames emitting each cell's
-// result the moment it finalizes, with a terminal summary line
-// carrying the completion and durability status that the buffered
-// mode reports in headers.
+// The daemon is also a fleet worker: the explicit form carries cells
+// this store has never seen, and /v1/healthz advertises the simulation
+// capacity (-workers), in-flight expand count, per-request cell cap
+// (-max-cells) and physics version that cmd/sweep's dispatch backend
+// shards by. Point cmd/sweep -workers at a set of sweepd addresses to
+// run distributed campaigns.
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests (up to -drain-timeout), then

@@ -1,6 +1,7 @@
 package cloversim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -119,7 +120,7 @@ func Figure2Scaling(o Options) ([]cloverleaf.ScalingPoint, *csvout.Table, error)
 
 	// Compute points in parallel (each is an independent model run).
 	pts := make([]cloverleaf.ScalingPoint, len(ranks))
-	err = sweep.ForEach(experimentWorkers, len(ranks), func(i int) error {
+	err = sweep.ForEach(context.Background(), experimentWorkers, len(ranks), func(i int) error {
 		n := ranks[i]
 		oo := to
 		oo.Ranks = n
@@ -188,7 +189,7 @@ func Figure3CodeBalance(o Options) ([]BalancePoint, *csvout.Table, error) {
 	ranks := o.rankList(spec.Cores())
 
 	pts := make([]BalancePoint, len(ranks))
-	err = sweep.ForEach(experimentWorkers, len(ranks), func(i int) error {
+	err = sweep.ForEach(context.Background(), experimentWorkers, len(ranks), func(i int) error {
 		oo := to
 		oo.Ranks = ranks[i]
 		res, err := cloverleaf.RunTraffic(oo)
@@ -286,7 +287,7 @@ func FigureStoreRatio(o Options) ([]StorePoint, *csvout.Table, error) {
 	}
 	cores := o.rankList(spec.Cores())
 	pts := make([]StorePoint, len(cores))
-	err = sweep.ForEach(experimentWorkers, len(cores), func(i int) error {
+	err = sweep.ForEach(context.Background(), experimentWorkers, len(cores), func(i int) error {
 		n := cores[i]
 		p := StorePoint{Cores: n}
 		for s := 1; s <= 3; s++ {
@@ -450,7 +451,7 @@ func FigureHaloCopy(o Options, withPFOff bool) ([]HaloPoint, *csvout.Table, erro
 		}
 	}
 	pts := make([]HaloPoint, len(jobs))
-	if err := sweep.ForEach(experimentWorkers, len(jobs), func(i int) error {
+	if err := sweep.ForEach(context.Background(), experimentWorkers, len(jobs), func(i int) error {
 		j := jobs[i]
 		r, err := bench.RunCopy(bench.CopyOptions{
 			Machine: spec, Cores: spec.Cores(), Elems: 1 << 18,

@@ -2,6 +2,7 @@ package cloversim
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +45,7 @@ func goldenGrid() sweep.Grid {
 // runGolden executes the canonical campaign and renders both emitters.
 func runGolden(t *testing.T) (csv, json []byte) {
 	t.Helper()
-	c := sweep.NewEngine(0).Run(goldenGrid(), RunScenario)
+	c := sweep.NewEngine(0, RunScenarioContext).Run(context.Background(), goldenGrid().Expand(), nil)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}

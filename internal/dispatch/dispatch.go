@@ -1,10 +1,12 @@
 // Package dispatch is the remote execution backend of the sweep
 // engine: it shards a campaign's cold cells across a fleet of sweepd
-// workers over the explicit-scenario form of POST /v1/expand.
+// workers over the explicit-scenario form of POST /v1/expand, which
+// answers NDJSON.
 //
-// The engine stays the host-side brain — memoizer, persistent store
+// A Fleet replaces the engine's local worker pool as its Backend. The
+// engine stays the host-side brain — memoizer, persistent store
 // probe/write-through, deduplication, deterministic grid ordering —
-// and hands dispatch one batch of scenarios that genuinely need
+// and hands the fleet one batch of scenarios that genuinely need
 // simulation. The fleet turns them into metrics:
 //
 //   - Capacity-weighted sharding. Each worker advertises its
@@ -34,17 +36,13 @@
 // through the engine's normal write-through, so a distributed campaign
 // is byte-identical to a local cold run and exactly as resumable.
 //
-// Chunks execute over the streaming NDJSON expand mode by default:
-// each cell reports the moment its frame arrives, so the engine's
-// progress (and any live emitters above it) see remote completions in
-// real time instead of at chunk granularity, and a mid-chunk worker
-// death costs only the cells whose frames never arrived — the surfaced
-// prefix is kept, not re-simulated. Workers predating the streaming
-// protocol are detected per response and served buffered,
-// transparently; Fleet.Buffered forces the buffered path fleet-wide.
-// Workers also advertise their per-request cell cap in healthz, and
-// chunks are clamped to it, so a big-capacity worker behind a small
-// -max-cells never sees its batches bounced with 400s.
+// Each cell of a chunk reports the moment its frame arrives, so the
+// engine's progress sees remote completions in real time instead of at
+// chunk granularity, and a mid-chunk worker death costs only the cells
+// whose frames never arrived — the surfaced prefix is kept, not
+// re-simulated. Workers also advertise their per-request cell cap in
+// healthz, and chunks are clamped to it, so a big-capacity worker
+// behind a small -max-cells never sees its batches bounced with 400s.
 package dispatch
 
 import (
@@ -96,13 +94,6 @@ type Fleet struct {
 	// it well above a worker's expected chunk latency: stealing too
 	// eagerly wastes simulation, never correctness.
 	StragglerAfter time.Duration
-	// Buffered forces the buffered expand protocol fleet-wide instead
-	// of the streaming default. Results then arrive at chunk
-	// granularity: no per-cell progress while a chunk is in flight, and
-	// a mid-chunk worker death loses the whole chunk's work. Mixed
-	// fleets never need this — a worker that cannot stream is detected
-	// per response and served buffered automatically.
-	Buffered bool
 
 	workers []*worker
 }
@@ -241,9 +232,7 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 			}
 		}
 	}
-	// handle finalizes one cell's wire result against the board. Shared
-	// by the buffered loop and the streaming callback, so the two
-	// protocols cannot diverge in retry/dedup semantics.
+	// handle finalizes one cell's wire result against the board.
 	handle := func(i int, r sweepd.ExecResult) {
 		switch {
 		case r.Unstarted:
@@ -271,39 +260,25 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 		for k, i := range batch {
 			sub[k] = scenarios[i]
 		}
-		var err error
-		if f.Buffered {
-			var results []sweepd.ExecResult
-			if results, err = w.client.ExecuteScenarios(ctx, sub); err == nil {
-				for k, r := range results {
-					handle(batch[k], r)
-				}
-			}
-		} else {
-			// Streaming: each cell finalizes the moment its frame
-			// arrives — the engine's progress sees remote completions in
-			// real time, and straggler accounting tracks cells, not
-			// chunks. surfaced remembers which cells were delivered so a
-			// mid-stream failure requeues only the rest.
-			surfaced := make([]bool, len(batch))
-			_, err = w.client.ExecuteScenariosStream(ctx, sub, func(k int, r sweepd.ExecResult) {
-				surfaced[k] = true
-				handle(batch[k], r)
-			})
-			if err != nil {
-				var rest []int
-				for k, i := range batch {
-					if !surfaced[k] {
-						rest = append(rest, i)
-					}
-				}
-				batch = rest
-			}
-		}
+		// Each cell finalizes the moment its frame arrives, so
+		// straggler accounting tracks cells, not chunks. surfaced
+		// remembers which cells were delivered so a mid-stream failure
+		// requeues only the rest.
+		surfaced := make([]bool, len(batch))
+		_, err := w.client.ExecuteScenarios(ctx, sub, func(k int, r sweepd.ExecResult) {
+			surfaced[k] = true
+			handle(batch[k], r)
+		})
 		if err != nil {
 			// Worker-level failure: exclude this worker for the rest of
 			// the batch, requeue its unaccounted cells for the survivors.
-			emit(b.workerFailed(wi, batch, f.maxAttempts(),
+			var rest []int
+			for k, i := range batch {
+				if !surfaced[k] {
+					rest = append(rest, i)
+				}
+			}
+			emit(b.workerFailed(wi, rest, f.maxAttempts(),
 				fmt.Errorf("dispatch: worker %s failed: %w", w.client.BaseURL, err)))
 			return
 		}

@@ -26,7 +26,7 @@ const testPhysics = "ptest"
 // testRunner simulates one scenario deterministically, with a value
 // chosen to exercise bit-exact transport (1/3 is not representable).
 func testRunner(sims *atomic.Int64) sweep.Runner {
-	return func(s sweep.Scenario) (sweep.Metrics, error) {
+	return func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		sims.Add(1)
 		var m sweep.Metrics
 		m.Add("v", float64(s.Ranks)/3.0)
@@ -52,7 +52,7 @@ func startWorker(t *testing.T, capacity int, physics string, wrap func(http.Hand
 		t.Fatal(err)
 	}
 	w := &fleetWorker{st: st}
-	srv := sweepd.New(st, sweep.IgnoreContext(testRunner(&w.sims)), capacity)
+	srv := sweepd.New(st, testRunner(&w.sims), capacity)
 	h := http.Handler(srv.Handler())
 	if wrap != nil {
 		h = wrap(h)
@@ -86,9 +86,7 @@ func newFleet(t *testing.T, physics string, ws ...*fleetWorker) *Fleet {
 }
 
 // runCampaign executes the scenarios through a real engine with the
-// fleet backend and a persistent client-side store, failing the test
-// if the local runner is ever invoked (cold cells must execute
-// remotely).
+// fleet backend and a persistent client-side store.
 func runCampaign(t *testing.T, f *Fleet, scs []sweep.Scenario) (sweep.Campaign, *store.Store) {
 	t.Helper()
 	clientStore, err := store.Open(filepath.Join(t.TempDir(), "client"), testPhysics)
@@ -96,18 +94,8 @@ func runCampaign(t *testing.T, f *Fleet, scs []sweep.Scenario) (sweep.Campaign, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { clientStore.Close() })
-	var localSims atomic.Int64
-	eng := sweep.NewEngine(0)
-	eng.Backend = f
-	eng.Cache = clientStore
-	c := eng.RunScenariosContext(context.Background(), scs, func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
-		localSims.Add(1)
-		return nil, errors.New("local runner must not execute under a fleet backend")
-	})
-	if n := localSims.Load(); n != 0 {
-		t.Errorf("local runner executed %d scenarios; the fleet backend must own execution", n)
-	}
-	return c, clientStore
+	eng := &sweep.Engine{Backend: f, Cache: clientStore}
+	return eng.Run(context.Background(), scs, nil), clientStore
 }
 
 // TestFleetExecutesCampaign: a healthy 3-worker fleet executes every
@@ -134,7 +122,7 @@ func TestFleetExecutesCampaign(t *testing.T) {
 	var ref atomic.Int64
 	runLocal := testRunner(&ref)
 	for i, r := range camp.Results {
-		want, _ := runLocal(scs[i])
+		want, _ := runLocal(context.Background(), scs[i])
 		if len(r.Metrics) != len(want) {
 			t.Fatalf("result %d: %d metrics, want %d", i, len(r.Metrics), len(want))
 		}
@@ -374,22 +362,24 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 			Unstarted bool   `json:"unstarted"`
 			Error     string `json:"error"`
 		}
-		out := struct {
-			Physics string `json:"physics"`
-			Results []res  `json:"results"`
-		}{Physics: physics}
+		var results []res
 		for _, key := range spec.Scenarios {
 			s, err := sweep.ParseKey(key)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			out.Results = append(out.Results, res{
+			results = append(results, res{
 				ID: s.ID(), Key: key, Unstarted: true,
 				Error: fmt.Sprintf("not started: %s", sweep.ErrUnstarted),
 			})
 		}
-		json.NewEncoder(w).Encode(out)
+		enc := json.NewEncoder(w)
+		enc.Encode(map[string]any{"stream": map[string]any{"physics": physics, "scenarios": len(results)}})
+		for _, r := range results {
+			enc.Encode(map[string]res{"result": r})
+		}
+		enc.Encode(map[string]any{"summary": map[string]int{"scenarios": len(results), "unstarted": len(results)}})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -477,17 +467,14 @@ func TestFleetCancellation(t *testing.T) {
 	f := newFleet(t, testPhysics, slow)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := sweep.NewEngine(0)
-	eng.Backend = f
+	eng := &sweep.Engine{Backend: f}
 	scs := scenarios(5)
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 		once.Do(func() { close(release) })
 	}()
-	camp := eng.RunScenariosContext(ctx, scs, sweep.IgnoreContext(func(sweep.Scenario) (sweep.Metrics, error) {
-		return nil, errors.New("local runner must not execute")
-	}))
+	camp := eng.Run(ctx, scs, nil)
 	if !camp.Interrupted() {
 		t.Fatal("cancelled fleet campaign does not read as interrupted")
 	}

@@ -16,12 +16,11 @@ import (
 	"cloversim/internal/sweepd"
 )
 
-// TestFleetStreamsPerCellProgress: with the streaming protocol, the
-// engine's progress sees a remote completion while the rest of its
-// chunk is still simulating. The last cell blocks worker-side until
-// the client-side engine has reported another cell of the SAME chunk —
-// under the buffered protocol that is a deadlock (bounded here by the
-// context timeout).
+// TestFleetStreamsPerCellProgress: the engine's progress sees a remote
+// completion while the rest of its chunk is still simulating. The last
+// cell blocks worker-side until the client-side engine has reported
+// another cell of the SAME chunk — with chunk-granular results that is
+// a deadlock (bounded here by the context timeout).
 func TestFleetStreamsPerCellProgress(t *testing.T) {
 	release := make(chan struct{})
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"), testPhysics)
@@ -50,20 +49,16 @@ func TestFleetStreamsPerCellProgress(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	eng := sweep.NewEngine(0)
-	eng.Backend = f
+	eng := &sweep.Engine{Backend: f}
 	var once atomic.Bool
-	eng.Progress = func(done, total int, r sweep.Result) {
+	c := eng.Run(ctx, scenarios(4), func(done, total int, r sweep.Result) {
 		if r.Scenario.Ranks != 4 && once.CompareAndSwap(false, true) {
 			close(release)
 		}
-	}
-	c := eng.RunScenariosContext(ctx, scenarios(4), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
-		return nil, errors.New("local runner must not execute under a fleet backend")
 	})
 	for _, r := range c.Results {
 		if r.Err != nil {
-			t.Fatalf("cell %s failed (buffered-granularity progress would deadlock here): %v", r.ID, r.Err)
+			t.Fatalf("cell %s failed (chunk-granular progress would deadlock here): %v", r.ID, r.Err)
 		}
 	}
 }
@@ -79,7 +74,7 @@ func TestFleetClampsChunksToWorkerMaxCells(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	var sims atomic.Int64
-	srv := sweepd.New(st, sweep.IgnoreContext(testRunner(&sims)), 8)
+	srv := sweepd.New(st, testRunner(&sims), 8)
 	srv.MaxCells = 2
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -100,28 +95,6 @@ func TestFleetClampsChunksToWorkerMaxCells(t *testing.T) {
 	}
 	if sims.Load() != int64(len(scs)) {
 		t.Errorf("%d simulations for %d cells", sims.Load(), len(scs))
-	}
-}
-
-// TestFleetBufferedOptOut: forcing the buffered protocol fleet-wide
-// still executes the campaign correctly — it is a granularity choice,
-// never a correctness one.
-func TestFleetBufferedOptOut(t *testing.T) {
-	w := startWorker(t, 4, testPhysics, nil)
-	f := newFleet(t, testPhysics, w)
-	f.Buffered = true
-	scs := scenarios(6)
-	c, _ := runCampaign(t, f, scs)
-	for i, r := range c.Results {
-		if r.Err != nil {
-			t.Fatalf("cell %s failed: %v", r.ID, r.Err)
-		}
-		if v, _ := r.Metrics.Get("v"); v != float64(scs[i].Ranks)/3.0 {
-			t.Errorf("cell %s v = %v, want bit-exact %v", r.ID, v, float64(scs[i].Ranks)/3.0)
-		}
-	}
-	if w.sims.Load() != int64(len(scs)) {
-		t.Errorf("%d simulations for %d cells", w.sims.Load(), len(scs))
 	}
 }
 

@@ -30,8 +30,7 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 				Axis:   AxisRanks,
 				Target: target,
 			}
-			out, err := plan.Run(context.Background(), sweep.NewEngine(4),
-				sweep.IgnoreContext(syntheticRunner(AxisRanks, thresholds, &cells)), nil)
+			out, err := plan.Run(context.Background(), sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &cells)), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -51,8 +50,8 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			eng := sweep.NewEngine(4)
-			c := eng.RunScenarios(scenarios, syntheticRunner(AxisRanks, thresholds, &cells))
+			eng := sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &cells))
+			c := eng.Run(context.Background(), scenarios, nil)
 			if err := c.Err(); err != nil {
 				b.Fatal(err)
 			}

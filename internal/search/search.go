@@ -11,9 +11,9 @@
 // and runs in deterministic *waves*: each round the pending probe
 // points of every track (the cross product of the non-axis grid
 // dimensions) are resolved into explicit scenarios and executed through
-// one Engine.RunScenariosContextProgress call — so the memoizer, the
-// tier-2 store write-through, local and fleet backends, streaming
-// progress and cancellation semantics all apply unchanged — and then
+// one Engine.Run call — so the memoizer, the tier-2 store
+// write-through, local and fleet backends, streaming progress and
+// cancellation semantics all apply unchanged — and then
 // only the intervals where the predicate changes sign, or where the
 // workload's cheap Analytic surrogate disagrees with simulation, are
 // bisected; everything else is pruned. Because refinement decisions are
@@ -323,16 +323,16 @@ func (p *Plan) Validate() error {
 }
 
 // Run executes the adaptive campaign: waves of explicit scenarios
-// through eng (whose memoizer, tier-2 cache, backend and progress
-// semantics apply unchanged), bisection between waves. The runner is
-// only consulted by local backends, exactly as in Engine.RunContext.
+// through eng (whose memoizer, tier-2 cache and backend apply
+// unchanged), bisection between waves. progress is each wave's engine
+// hook: it counts that wave's probes.
 //
 // Cancelling ctx stops the search at the current wave: classified
 // points stand, Outcome.Interrupted is set, and no error is returned
 // (mirroring the engine's partial-campaign contract). Probe failures —
 // scenario errors or predicate evaluation errors — abort refinement and
 // surface as the returned error alongside the partial outcome.
-func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, runner sweep.RunnerContext, progress func(done, total int, r sweep.Result)) (*Outcome, error) {
+func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, total int, r sweep.Result)) (*Outcome, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -389,7 +389,7 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, runner sweep.RunnerCo
 		for _, s := range batch {
 			visited[s.ID()] = true
 		}
-		camp := eng.RunScenariosContextProgress(ctx, batch, runner, progress)
+		camp := eng.Run(ctx, batch, progress)
 		if camp.CacheErr != nil {
 			cacheErrs = append(cacheErrs, camp.CacheErr)
 		}

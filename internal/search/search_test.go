@@ -16,7 +16,7 @@ import (
 // frontier: metric "m" is value - threshold(machine), so gt:m:0 flips
 // between threshold and threshold+1 on the refinement axis.
 func syntheticRunner(axis Axis, thresholds map[string]float64, sims *atomic.Int64) sweep.Runner {
-	return func(s sweep.Scenario) (sweep.Metrics, error) {
+	return func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		if sims != nil {
 			sims.Add(1)
 		}
@@ -32,15 +32,15 @@ func syntheticRunner(axis Axis, thresholds map[string]float64, sims *atomic.Int6
 }
 
 // exhaustiveFrontier classifies every integer axis value in [lo, hi]
-// through the runner and returns the flip intervals — the reference the
-// adaptive driver must reproduce.
-func exhaustiveFrontier(t *testing.T, eng *sweep.Engine, run sweep.Runner, base sweep.Scenario, axis Axis, lo, hi int, target Target) []Interval {
+// on eng and returns the flip intervals — the reference the adaptive
+// search must reproduce.
+func exhaustiveFrontier(t *testing.T, eng *sweep.Engine, base sweep.Scenario, axis Axis, lo, hi int, target Target) []Interval {
 	t.Helper()
 	var scenarios []sweep.Scenario
 	for v := lo; v <= hi; v++ {
 		scenarios = append(scenarios, apply(axis, base, Value{X: v}))
 	}
-	c := eng.RunScenarios(scenarios, run)
+	c := eng.Run(context.Background(), scenarios, nil)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +135,8 @@ func TestAdaptiveFindsExhaustiveFrontier(t *testing.T) {
 	var exhaustiveSims atomic.Int64
 	wantIntervals := map[string][]Interval{}
 	for _, mach := range []string{"icx", "spr8480"} {
-		eng := sweep.NewEngine(4)
-		run := syntheticRunner(AxisRanks, thresholds, &exhaustiveSims)
-		wantIntervals[mach] = exhaustiveFrontier(t, eng, run, sweep.Scenario{Machine: mach}, AxisRanks, lo, hi, target)
+		eng := sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &exhaustiveSims))
+		wantIntervals[mach] = exhaustiveFrontier(t, eng, sweep.Scenario{Machine: mach}, AxisRanks, lo, hi, target)
 		if len(wantIntervals[mach]) != 1 {
 			t.Fatalf("machine %s: exhaustive frontier has %d intervals, want 1", mach, len(wantIntervals[mach]))
 		}
@@ -149,8 +148,7 @@ func TestAdaptiveFindsExhaustiveFrontier(t *testing.T) {
 		Axis:   AxisRanks,
 		Target: target,
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(4),
-		sweep.IgnoreContext(syntheticRunner(AxisRanks, thresholds, &adaptiveSims)), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &adaptiveSims)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +200,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 			Axis:   AxisRanks,
 			Target: mustTarget(t, "gt:m:0"),
 		}
-		out, err := plan.Run(context.Background(), sweep.NewEngine(workers),
-			sweep.IgnoreContext(syntheticRunner(AxisRanks, thresholds, nil)), nil)
+		out, err := plan.Run(context.Background(), sweep.NewEngine(workers, syntheticRunner(AxisRanks, thresholds, nil)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +234,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 func TestDeltaTarget(t *testing.T) {
 	// baseline metric constant 1.5; nt metric = 1.0 for ranks <= 40,
 	// 2.0 above: nt beats baseline up to rank 40.
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		switch s.Mode.Name {
 		case "baseline":
@@ -254,16 +251,16 @@ func TestDeltaTarget(t *testing.T) {
 		return m, nil
 	}
 	var sims atomic.Int64
-	counting := func(s sweep.Scenario) (sweep.Metrics, error) {
+	counting := func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		sims.Add(1)
-		return run(s)
+		return run(ctx, s)
 	}
 	plan := &Plan{
 		Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 128}},
 		Axis:   AxisRanks,
 		Target: mustTarget(t, "delta:ratio:nt/baseline"),
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(4), sweep.IgnoreContext(counting), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(4, counting), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +287,7 @@ func TestDeltaTarget(t *testing.T) {
 
 // TestMeshAxis: mesh values refine componentwise and render as WxH.
 func TestMeshAxis(t *testing.T) {
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		// Flip when row length exceeds 1000 columns.
 		m.Add("m", float64(s.Mesh.X)-1000.5)
@@ -301,7 +298,7 @@ func TestMeshAxis(t *testing.T) {
 		Axis:   AxisMesh,
 		Target: mustTarget(t, "gt:m:0"),
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(2), sweep.IgnoreContext(run), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +322,7 @@ func TestMeshAxis(t *testing.T) {
 func TestSurrogateDisagreementRefines(t *testing.T) {
 	// Simulation: constant class (m always positive). Surrogate: agrees
 	// everywhere except at value 1 where it predicts the other class.
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		m.Add("m", 1.0)
 		return m, nil
@@ -348,7 +345,7 @@ func TestSurrogateDisagreementRefines(t *testing.T) {
 		if withSurrogate {
 			plan.Surrogate = surrogate
 		}
-		out, err := plan.Run(context.Background(), sweep.NewEngine(2), sweep.IgnoreContext(run), nil)
+		out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +379,7 @@ func TestSurrogateDisagreementRefines(t *testing.T) {
 func TestModelTarget(t *testing.T) {
 	// Simulated metric: value; analytic model: value up to 100, then
 	// stuck at 100 — divergence exceeds 10% once value > 111.
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		m.Add("m", float64(s.Ranks))
 		return m, nil
@@ -402,7 +399,7 @@ func TestModelTarget(t *testing.T) {
 		Target:    mustTarget(t, "model:m:am:0.1"),
 		Surrogate: surrogate,
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(2), sweep.IgnoreContext(run), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +418,13 @@ func TestModelTarget(t *testing.T) {
 func TestCacheSharing(t *testing.T) {
 	thresholds := map[string]float64{"icx": 37.5}
 	var sims atomic.Int64
-	eng := sweep.NewEngine(4)
+	eng := sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &sims))
 	plan := &Plan{
 		Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 256}},
 		Axis:   AxisRanks,
 		Target: mustTarget(t, "gt:m:0"),
 	}
-	runner := sweep.IgnoreContext(syntheticRunner(AxisRanks, thresholds, &sims))
-	first, err := plan.Run(context.Background(), eng, runner, nil)
+	first, err := plan.Run(context.Background(), eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +432,7 @@ func TestCacheSharing(t *testing.T) {
 	if cold == 0 {
 		t.Fatal("cold run simulated nothing")
 	}
-	second, err := plan.Run(context.Background(), eng, runner, nil)
+	second, err := plan.Run(context.Background(), eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +455,7 @@ func TestInterrupted(t *testing.T) {
 		Axis:   AxisRanks,
 		Target: mustTarget(t, "gt:m:0"),
 	}
-	out, err := plan.Run(ctx, sweep.NewEngine(2),
-		sweep.IgnoreContext(syntheticRunner(AxisRanks, map[string]float64{"icx": 10}, nil)), nil)
+	out, err := plan.Run(ctx, sweep.NewEngine(2, syntheticRunner(AxisRanks, map[string]float64{"icx": 10}, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +471,7 @@ func TestInterrupted(t *testing.T) {
 // the returned error alongside the partial outcome.
 func TestProbeFailure(t *testing.T) {
 	boom := errors.New("boom")
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		if s.Ranks == 64 {
 			return nil, boom
 		}
@@ -489,7 +484,7 @@ func TestProbeFailure(t *testing.T) {
 		Axis:   AxisRanks,
 		Target: mustTarget(t, "gt:m:0"),
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(2), sweep.IgnoreContext(run), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
 	if err == nil {
 		t.Fatal("probe failure did not surface as an error")
 	}
@@ -539,8 +534,7 @@ func TestEmittersRenderBothSections(t *testing.T) {
 		Axis:   AxisRanks,
 		Target: mustTarget(t, "gt:m:0"),
 	}
-	out, err := plan.Run(context.Background(), sweep.NewEngine(2),
-		sweep.IgnoreContext(syntheticRunner(AxisRanks, map[string]float64{"icx": 8.5}, nil)), nil)
+	out, err := plan.Run(context.Background(), sweep.NewEngine(2, syntheticRunner(AxisRanks, map[string]float64{"icx": 8.5}, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

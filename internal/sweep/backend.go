@@ -39,8 +39,7 @@ type Backend interface {
 }
 
 // LocalBackend executes scenarios on an in-process bounded worker
-// pool — the engine's historical execution strategy, now one
-// implementation of the Backend interface. Runner panics are isolated
+// pool; NewEngine installs it. Runner panics are isolated
 // into per-scenario errors; cancellation is observed at dispatch and
 // at the worker-slot acquire, so a cancelled batch stops starting new
 // scenarios while running ones complete.
@@ -49,15 +48,11 @@ type LocalBackend struct {
 	// GOMAXPROCS).
 	Workers int
 	// Run executes one scenario. It must be set.
-	Run RunnerContext
+	Run Runner
 }
 
 // Execute implements Backend.
 func (b *LocalBackend) Execute(ctx context.Context, scenarios []Scenario, report ReportFunc) {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting so a hand-rolled Backend caller cannot crash the pool
-		ctx = context.Background()
-	}
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -8,18 +8,20 @@ import (
 	"testing"
 )
 
-// TestLocalBackendIsDefault: an engine without an explicit Backend
-// must behave exactly as before the dispatch refactor — cold cells run
-// on the in-process pool via the per-call runner.
+// TestLocalBackendIsDefault: NewEngine runs cold cells on the
+// in-process pool via its runner.
 func TestLocalBackendIsDefault(t *testing.T) {
 	var runs atomic.Int64
-	eng := NewEngine(2)
-	c := eng.RunScenarios(testScenarios(4), func(s Scenario) (Metrics, error) {
+	eng := NewEngine(2, func(_ context.Context, s Scenario) (Metrics, error) {
 		runs.Add(1)
 		var m Metrics
 		m.Add("v", float64(s.Ranks))
 		return m, nil
 	})
+	if b, ok := eng.Backend.(*LocalBackend); !ok || b.Workers != 2 {
+		t.Fatalf("NewEngine backend = %#v, want a 2-worker LocalBackend", eng.Backend)
+	}
+	c := eng.Run(context.Background(), testScenarios(4), nil)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +57,14 @@ func (b *reportingBackend) Execute(_ context.Context, scs []Scenario, report Rep
 // out-of-range reports cannot corrupt the campaign.
 func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 	b := &reportingBackend{}
-	eng := NewEngine(0)
+	eng := NewEngine(0, func(context.Context, Scenario) (Metrics, error) {
+		t.Error("local runner executed after its backend was replaced")
+		return nil, nil
+	})
 	eng.Backend = b
 	scs := testScenarios(3)
 	scs = append(scs, scs[0]) // in-campaign duplicate: must not reach the backend
-	c := eng.RunScenarios(scs, func(Scenario) (Metrics, error) {
-		t.Error("per-call runner executed despite an explicit backend")
-		return nil, nil
-	})
+	c := eng.Run(context.Background(), scs, nil)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 	// A second campaign on the same engine is all-warm: the backend
 	// must not be consulted at all.
 	before := len(b.got)
-	if err := eng.RunScenarios(testScenarios(3), nil).Err(); err != nil {
+	if err := eng.Run(context.Background(), testScenarios(3), nil).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.got) != before {
@@ -93,9 +95,8 @@ func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 // the floor (a bug) must yield loud per-scenario failures, never
 // silently absent results.
 func TestEngineFinalizesUnreportedCells(t *testing.T) {
-	eng := NewEngine(0)
-	eng.Backend = &reportingBackend{skip: 2}
-	c := eng.RunScenarios(testScenarios(4), nil)
+	eng := &Engine{Backend: &reportingBackend{skip: 2}}
+	c := eng.Run(context.Background(), testScenarios(4), nil)
 	var failed int
 	for _, r := range c.Results {
 		if r.Err != nil {
@@ -117,9 +118,8 @@ func (panickyBackend) Execute(context.Context, []Scenario, ReportFunc) { panic("
 // TestEnginePanickingBackend: a backend panic is isolated into
 // per-scenario errors carrying the panic value.
 func TestEnginePanickingBackend(t *testing.T) {
-	eng := NewEngine(0)
-	eng.Backend = panickyBackend{}
-	c := eng.RunScenarios(testScenarios(2), nil)
+	eng := &Engine{Backend: panickyBackend{}}
+	c := eng.Run(context.Background(), testScenarios(2), nil)
 	for _, r := range c.Results {
 		if r.Err == nil || !strings.Contains(r.Err.Error(), "backend exploded") {
 			t.Errorf("result %s error %v, want the backend panic", r.ID, r.Err)
@@ -132,10 +132,8 @@ func TestEnginePanickingBackend(t *testing.T) {
 // like local ones.
 func TestEngineWritesBackendResultsThrough(t *testing.T) {
 	cache := newFakeCache()
-	eng := NewEngine(0)
-	eng.Backend = &reportingBackend{}
-	eng.Cache = cache
-	if err := eng.RunScenarios(testScenarios(3), nil).Err(); err != nil {
+	eng := &Engine{Backend: &reportingBackend{}, Cache: cache}
+	if err := eng.Run(context.Background(), testScenarios(3), nil).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if n := cache.puts.Load(); n != 3 {

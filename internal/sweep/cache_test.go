@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,15 +40,22 @@ func (c *fakeCache) Put(s Scenario, m Metrics) error {
 	return nil
 }
 
-func cacheGrid() Grid {
+func cacheGrid() []Scenario {
 	return Grid{
 		Machines: []string{"a", "b"},
 		Modes:    []Mode{{Name: "m1"}, {Name: "m2"}},
-	}
+	}.Expand()
+}
+
+// runCached executes the cache grid on a fresh engine over the cache.
+func runCached(cache Cache, run Runner) Campaign {
+	eng := NewEngine(0, run)
+	eng.Cache = cache
+	return eng.Run(context.Background(), cacheGrid(), nil)
 }
 
 func countingRunner(calls *atomic.Int64) Runner {
-	return func(s Scenario) (Metrics, error) {
+	return func(_ context.Context, s Scenario) (Metrics, error) {
 		calls.Add(1)
 		var m Metrics
 		m.Add("v", float64(len(s.Machine)+len(s.Mode.Name)))
@@ -62,7 +70,7 @@ func countingRunner(calls *atomic.Int64) Runner {
 func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 	cache := newFakeCache()
 	var cold atomic.Int64
-	c1 := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&cold))
+	c1 := runCached(cache, countingRunner(&cold))
 	if err := c1.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +82,7 @@ func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 	}
 
 	var warm atomic.Int64
-	c2 := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&warm))
+	c2 := runCached(cache, countingRunner(&warm))
 	if err := c2.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +111,12 @@ func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 // again.
 func TestMemoizerShadowsCacheTier(t *testing.T) {
 	cache := newFakeCache()
-	eng := &Engine{Cache: cache}
 	var calls atomic.Int64
-	eng.Run(cacheGrid(), countingRunner(&calls))
+	eng := NewEngine(0, countingRunner(&calls))
+	eng.Cache = cache
+	eng.Run(context.Background(), cacheGrid(), nil)
 	probes := cache.gets.Load()
-	eng.Run(cacheGrid(), countingRunner(&calls))
+	eng.Run(context.Background(), cacheGrid(), nil)
 	if calls.Load() != 4 {
 		t.Fatalf("re-run executed %d fresh scenarios, want 0 extra (4 total)", calls.Load())
 	}
@@ -123,7 +132,7 @@ func TestCachePutErrorsAggregate(t *testing.T) {
 	cache := newFakeCache()
 	cache.putErr = errors.New("disk full")
 	var calls atomic.Int64
-	c := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&calls))
+	c := runCached(cache, countingRunner(&calls))
 	if err := c.Err(); err != nil {
 		t.Fatalf("scenario results polluted by cache failure: %v", err)
 	}
@@ -137,7 +146,7 @@ func TestCachePutErrorsAggregate(t *testing.T) {
 func TestFailedScenariosNotPersisted(t *testing.T) {
 	cache := newFakeCache()
 	boom := errors.New("boom")
-	c := (&Engine{Cache: cache}).Run(cacheGrid(), func(s Scenario) (Metrics, error) {
+	c := runCached(cache, func(_ context.Context, s Scenario) (Metrics, error) {
 		if s.Machine == "a" {
 			return nil, boom
 		}
@@ -153,7 +162,7 @@ func TestFailedScenariosNotPersisted(t *testing.T) {
 	}
 	// The retry: failed scenarios re-execute, successes come warm.
 	var retries atomic.Int64
-	c2 := (&Engine{Cache: cache}).Run(cacheGrid(), func(s Scenario) (Metrics, error) {
+	c2 := runCached(cache, func(context.Context, Scenario) (Metrics, error) {
 		retries.Add(1)
 		var m Metrics
 		m.Add("v", 1)

@@ -72,12 +72,12 @@ func TestRunContextCancellationStopsScheduling(t *testing.T) {
 	}
 
 	cache := &countingCache{}
-	e := NewEngine(workers)
+	e := NewEngine(workers, runner)
 	e.Cache = cache
 	var progress atomic.Int64
 	doneSeen := make(map[int]bool)
 	var doneMu sync.Mutex
-	e.Progress = func(done, total int, r Result) {
+	hook := func(done, total int, r Result) {
 		progress.Add(1)
 		if total != 12 || done < 1 || done > 12 {
 			t.Errorf("bad progress counters done=%d total=%d", done, total)
@@ -91,7 +91,7 @@ func TestRunContextCancellationStopsScheduling(t *testing.T) {
 	}
 
 	campaign := make(chan Campaign, 1)
-	go func() { campaign <- e.RunContext(ctx, g, runner) }()
+	go func() { campaign <- e.Run(ctx, g.Expand(), hook) }()
 	<-started
 	<-started // both workers hold a scenario
 	cancel()
@@ -146,12 +146,12 @@ func TestRunContextPreCancelled(t *testing.T) {
 	cancel()
 	var invocations atomic.Int64
 	cache := &countingCache{}
-	e := NewEngine(4)
-	e.Cache = cache
-	c := e.RunContext(ctx, testGrid(), func(context.Context, Scenario) (Metrics, error) {
+	e := NewEngine(4, func(context.Context, Scenario) (Metrics, error) {
 		invocations.Add(1)
 		return nil, nil
 	})
+	e.Cache = cache
+	c := e.Run(ctx, testGrid().Expand(), nil)
 	if invocations.Load() != 0 {
 		t.Errorf("pre-cancelled campaign ran %d simulations, want 0", invocations.Load())
 	}
@@ -169,7 +169,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	c := NewEngine(2).RunContext(ctx, testGrid(), IgnoreContext(echoRunner))
+	c := NewEngine(2, echoRunner).Run(ctx, testGrid().Expand(), nil)
 	if len(c.Unstarted()) != 12 {
 		t.Fatalf("%d unstarted, want 12", len(c.Unstarted()))
 	}
@@ -185,13 +185,13 @@ func TestRunContextCancelDuringCacheProbe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cache := &cancellingCache{cancel: cancel}
-	e := NewEngine(2)
-	e.Cache = cache
 	var invocations atomic.Int64
-	c := e.RunContext(ctx, testGrid(), func(context.Context, Scenario) (Metrics, error) {
+	e := NewEngine(2, func(context.Context, Scenario) (Metrics, error) {
 		invocations.Add(1)
 		return nil, nil
 	})
+	e.Cache = cache
+	c := e.Run(ctx, testGrid().Expand(), nil)
 	if got := cache.gets.Load(); got != 1 {
 		t.Errorf("cache probed %d times after cancellation, want 1", got)
 	}
@@ -222,8 +222,8 @@ func (c *cancellingCache) Put(Scenario, Metrics) error { return nil }
 // for the shared-progress race: two campaigns running concurrently on
 // ONE engine (exactly what sweepd does across expand requests) must
 // each see their own monotonically complete done counts. Before the
-// per-run counter, RunScenarios reset the shared e.done on entry, so
-// a second campaign clobbered the first one's counts mid-flight.
+// per-run counter, a campaign reset the shared engine count on entry,
+// so a second campaign clobbered the first one's counts mid-flight.
 func TestConcurrentCampaignsIndependentProgress(t *testing.T) {
 	gridA := testGrid() // 12 scenarios, total identifies the campaign
 	gridB := Grid{      // 6 scenarios, disjoint IDs from gridA
@@ -232,24 +232,23 @@ func TestConcurrentCampaignsIndependentProgress(t *testing.T) {
 		Ranks:    []int{1, 2},
 		Seed:     7,
 	}
-	e := NewEngine(4)
+	e := NewEngine(4, func(ctx context.Context, s Scenario) (Metrics, error) {
+		time.Sleep(time.Millisecond) // force the campaigns to interleave
+		return echoRunner(ctx, s)
+	})
 	var mu sync.Mutex
 	seen := map[int][]int{} // total -> done values, in callback order
-	e.Progress = func(done, total int, r Result) {
+	hook := func(done, total int, r Result) {
 		mu.Lock()
 		seen[total] = append(seen[total], done)
 		mu.Unlock()
-	}
-	slow := func(s Scenario) (Metrics, error) {
-		time.Sleep(time.Millisecond) // force the campaigns to interleave
-		return echoRunner(s)
 	}
 	var wg sync.WaitGroup
 	for _, g := range []Grid{gridA, gridB} {
 		wg.Add(1)
 		go func(g Grid) {
 			defer wg.Done()
-			if c := e.Run(g, slow); len(c.Failed()) != 0 {
+			if c := e.Run(context.Background(), g.Expand(), hook); len(c.Failed()) != 0 {
 				t.Errorf("campaign failed: %v", c.Err())
 			}
 		}(g)

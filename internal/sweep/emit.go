@@ -65,9 +65,7 @@ type jsonMetric struct {
 	Bits  string   `json:"bits,omitempty"`
 }
 
-// toJSONMetric renders one metric in the campaign JSON form, shared by
-// the buffered JSONEmitter and the streaming JSONStream so the two
-// paths cannot drift.
+// toJSONMetric renders one metric in the campaign JSON form.
 func toJSONMetric(m Metric) jsonMetric {
 	jm := jsonMetric{Name: m.Name}
 	if v := m.Value; math.IsNaN(v) || math.IsInf(v, 0) {
@@ -121,10 +119,7 @@ func (e JSONEmitter) Emit(w io.Writer, c Campaign) error {
 	return enc.Encode(out)
 }
 
-// toJSONResult renders one result in the campaign JSON form — the
-// shared element encoding of the buffered and streaming JSON paths.
-// It carries no cache-provenance field: warm and cold campaigns must
-// encode byte-identically.
+// toJSONResult renders one result in the campaign JSON form.
 func toJSONResult(r Result) jsonResult {
 	jr := jsonResult{
 		ID:       r.ID,

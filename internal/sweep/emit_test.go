@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -23,7 +25,7 @@ func TestEmittersByteStable(t *testing.T) {
 	g := testGrid()
 	var wantCSV, wantJSON []byte
 	for _, workers := range []int{1, 4, 8, 1, 4, 8} {
-		c := NewEngine(workers).Run(g, echoRunner)
+		c := runGrid(workers, g, echoRunner)
 		csv := emitBytes(t, CSVEmitter{}, c)
 		js := emitBytes(t, JSONEmitter{Indent: true}, c)
 		if wantCSV == nil {
@@ -40,7 +42,7 @@ func TestEmittersByteStable(t *testing.T) {
 }
 
 func TestCSVShape(t *testing.T) {
-	c := NewEngine(2).Run(testGrid(), echoRunner)
+	c := runGrid(2, testGrid(), echoRunner)
 	lines := strings.Split(strings.TrimSpace(string(emitBytes(t, CSVEmitter{}, c))), "\n")
 	if len(lines) != 13 { // header + 12 scenarios
 		t.Fatalf("%d CSV lines, want 13", len(lines))
@@ -58,11 +60,11 @@ func TestCSVShape(t *testing.T) {
 }
 
 func TestJSONShapeAndErrors(t *testing.T) {
-	c := NewEngine(2).Run(testGrid(), func(s Scenario) (Metrics, error) {
+	c := runGrid(2, testGrid(), func(ctx context.Context, s Scenario) (Metrics, error) {
 		if s.Machine == "m2" {
 			return nil, errors.New("dead machine")
 		}
-		return echoRunner(s)
+		return echoRunner(ctx, s)
 	})
 	var out struct {
 		Scenarios int `json:"scenarios"`
@@ -94,8 +96,53 @@ func TestJSONShapeAndErrors(t *testing.T) {
 	}
 }
 
+// TestJSONEmitterNonFinite is the regression lock for the NaN bugfix:
+// a campaign containing NaN/Inf metrics — which the sweepd wire layer
+// deliberately supports via IEEE-754 bits — must emit (the old code
+// died with json: unsupported value), rendering non-finite values as a
+// null decimal mirror plus authoritative bits, while finite metrics
+// keep the historical {"name","value"} shape.
+func TestJSONEmitterNonFinite(t *testing.T) {
+	var m Metrics
+	m.Add("nan", math.NaN())
+	m.Add("ninf", math.Inf(-1))
+	m.Add("finite", 1.5)
+	s := Scenario{Machine: "m0", Mode: Mode{Name: "a"}, Seed: 1}
+	c := Campaign{Results: []Result{{Scenario: s, ID: s.ID(), Metrics: m}}}
+
+	out := emitBytes(t, JSONEmitter{Indent: true}, c)
+	var doc struct {
+		Results []struct {
+			Metrics []struct {
+				Name  string   `json:"name"`
+				Value *float64 `json:"value"`
+				Bits  string   `json:"bits"`
+			} `json:"metrics"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("emitted JSON does not parse: %v\n%s", err, out)
+	}
+	got := doc.Results[0].Metrics
+	if got[0].Value != nil || got[0].Bits == "" {
+		t.Errorf("NaN metric = %+v, want null value with bits", got[0])
+	}
+	if bits := got[1].Bits; bits != "fff0000000000000" {
+		t.Errorf("-Inf bits = %q, want fff0000000000000", bits)
+	}
+	if got[2].Value == nil || *got[2].Value != 1.5 || got[2].Bits != "" {
+		t.Errorf("finite metric = %+v, want plain value 1.5 without bits", got[2])
+	}
+	// Finite-only campaigns must keep their historical bytes: no bits
+	// field, value as a bare number.
+	finite := runGrid(1, testGrid(), echoRunner)
+	if out := emitBytes(t, JSONEmitter{Indent: true}, finite); bytes.Contains(out, []byte(`"bits"`)) {
+		t.Error("finite campaign emits bits fields; goldens would change")
+	}
+}
+
 func TestSummaryEmitter(t *testing.T) {
-	c := NewEngine(2).Run(testGrid(), echoRunner)
+	c := runGrid(2, testGrid(), echoRunner)
 	s := string(emitBytes(t, SummaryEmitter{Metric: "ranks"}, c))
 	if !strings.Contains(s, "12 scenarios") {
 		t.Errorf("summary missing counts: %q", s)

@@ -42,23 +42,12 @@ type Result struct {
 	Cached   bool
 }
 
-// Runner executes one scenario.
-type Runner func(Scenario) (Metrics, error)
-
-// RunnerContext is the cancellation-aware runner form: the engine
-// passes it the campaign context so a long-running simulation can
-// observe cancellation (returning early with ctx.Err() is fine — the
-// scenario is then a failure, not a cached result). Runners that
-// ignore the context keep the engine's coarser guarantee: running
-// cells complete, unstarted cells never start.
-type RunnerContext func(context.Context, Scenario) (Metrics, error)
-
-// IgnoreContext adapts a context-free Runner to the RunnerContext
-// form. The adapted runner is not interruptible mid-scenario;
-// cancellation still stops unstarted cells at dispatch.
-func IgnoreContext(run Runner) RunnerContext {
-	return func(_ context.Context, s Scenario) (Metrics, error) { return run(s) }
-}
+// Runner executes one scenario under the campaign context, so a
+// long-running simulation can observe cancellation (returning early
+// with ctx.Err() is fine — the scenario is then a failure, not a cached
+// result). Runners that ignore the context keep the engine's coarser
+// guarantee: running cells complete, unstarted cells never start.
+type Runner func(context.Context, Scenario) (Metrics, error)
 
 // ErrUnstarted marks a scenario a cancelled campaign never started:
 // its Result carries an error wrapping both ErrUnstarted and the
@@ -145,46 +134,32 @@ type Cache interface {
 }
 
 // Engine executes campaigns with per-scenario result caching. The
-// host side — grid expansion, deduplication, the in-memory memoizer,
-// the persistent second-tier cache, write-through, progress and
-// deterministic result ordering — always runs in-process; the
-// execution of cold cells is delegated to a pluggable Backend. The
-// zero value is usable: execution defaults to a LocalBackend over the
-// per-call runner, with Workers defaulting to runtime.GOMAXPROCS(0).
+// host side — deduplication, the in-memory memoizer, the persistent
+// second-tier cache, write-through, progress and deterministic result
+// ordering — always runs in-process; the execution of cold cells is
+// delegated to the Backend. Create with NewEngine.
 type Engine struct {
-	// Workers bounds concurrent scenario executions of the default
-	// local backend. It is ignored when Backend is set.
-	Workers int
-	// Backend, when set, executes the campaign's cold cells in place
-	// of the default in-process pool — e.g. a dispatch fleet sharding
-	// them across remote sweepd workers. The per-call runner is then
-	// unused. Results flow back through the same memoization,
-	// write-through and progress paths as local execution, so emitter
-	// output and store contents are identical either way.
+	// Backend executes the campaign's cold cells. NewEngine sets a
+	// LocalBackend; a dispatch fleet replaces it to shard the cells
+	// across remote sweepd workers. Results flow back through the same
+	// memoization, write-through and progress paths either way, so
+	// emitter output and store contents are identical.
 	Backend Backend
 	// Cache, when set, is the persistent second tier behind the
 	// in-memory memoizer: hits skip simulation entirely (Result.Cached),
 	// fresh successes are written through. Put errors do not fail
 	// scenarios; they aggregate into Campaign.CacheErr.
 	Cache Cache
-	// Progress, when set, is called once per finalized scenario (from
-	// worker goroutines, serialized by the engine, without holding the
-	// engine lock — calling back into the engine is safe). Completion
-	// order is nondeterministic; only emitter output is ordered.
-	Progress func(done, total int, r Result)
 
 	mu    sync.Mutex
 	cache map[string]Metrics // scenario ID -> successful metrics
-
-	progressMu sync.Mutex // serializes Progress callbacks
 }
 
-// run is the per-campaign state: its own done counter, so two
-// campaigns running concurrently on one engine (as sweepd does across
-// expand requests) report independent Progress(done, total) counts,
-// plus the campaign's own progress hook (RunScenariosContextProgress),
-// which lets concurrent campaigns on a shared engine stream their
-// completions to different consumers.
+// run is one campaign's progress state: its hook and done count, under
+// a lock of its own. Two campaigns on one engine (sweepd serving
+// concurrent expands) count independently, and a hook that blocks — a
+// streaming client that stopped reading — stalls only its own
+// campaign.
 type run struct {
 	mu       sync.Mutex
 	done     int
@@ -192,9 +167,24 @@ type run struct {
 	progress func(done, total int, r Result)
 }
 
-// NewEngine returns an engine with the given worker bound (<=0 means
-// GOMAXPROCS).
-func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
+// finalize counts one finalized scenario and fires the campaign's hook,
+// serialized so done rises by one per call, and outside the engine
+// lock so hooks may call back into the engine.
+func (p *run) finalize(r Result) {
+	if p.progress == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	p.progress(p.done, p.total, r)
+}
+
+// NewEngine returns an engine whose cold cells run on a LocalBackend:
+// run on at most workers goroutines (<=0 means GOMAXPROCS).
+func NewEngine(workers int, run Runner) *Engine {
+	return &Engine{Backend: &LocalBackend{Workers: workers, Run: run}}
+}
 
 // CacheSize reports how many scenario results the engine holds.
 func (e *Engine) CacheSize() int {
@@ -203,41 +193,17 @@ func (e *Engine) CacheSize() int {
 	return len(e.cache)
 }
 
-// Run expands the grid and executes it.
-func (e *Engine) Run(g Grid, run Runner) Campaign {
-	return e.RunContext(context.Background(), g, IgnoreContext(run))
-}
-
-// RunContext expands the grid and executes it under ctx: cancellation
-// stops scheduling cold cells (see RunScenariosContext).
-func (e *Engine) RunContext(ctx context.Context, g Grid, run RunnerContext) Campaign {
-	return e.RunScenariosContext(ctx, g.Expand(), run)
-}
-
-// RunScenarios executes an explicit scenario list without a
-// cancellation point (context.Background); see RunScenariosContext.
-func (e *Engine) RunScenarios(scenarios []Scenario, run Runner) Campaign {
-	return e.RunScenariosContext(context.Background(), scenarios, IgnoreContext(run))
-}
-
-// RunScenariosContextProgress is RunScenariosContext with a
-// per-campaign progress hook: progress is called once per finalized
-// scenario (serialized, after the engine-level Progress callback, with
-// the same no-engine-lock guarantee). Two campaigns sharing one engine
-// — sweepd serving concurrent expand requests — can each stream their
-// completions to their own response without racing on the engine-level
-// Progress field.
-func (e *Engine) RunScenariosContextProgress(ctx context.Context, scenarios []Scenario, runner RunnerContext, progress func(done, total int, r Result)) Campaign {
-	return e.runScenarios(ctx, scenarios, runner, progress)
-}
-
-// RunScenariosContext executes an explicit scenario list. Scenarios
-// run concurrently (bounded by Workers) but the returned results are
-// in input order. A scenario whose config hash was already executed —
-// in this campaign, a previous one on the same engine, or (when Cache
-// is set) any prior process that wrote the persistent store — is
-// served from cache; a scenario that fails is reported in its Result
-// without aborting the rest.
+// Run executes a campaign. Cold scenarios run concurrently on the
+// Backend but the returned results are in input order. A scenario whose
+// config hash was already executed — in this campaign, a previous one
+// on the same engine, or (when Cache is set) any prior process that
+// wrote the persistent store — is served from cache; a scenario that
+// fails is reported in its Result without aborting the rest.
+//
+// progress, when non-nil, is called once per finalized scenario, warm
+// hits, in-campaign duplicates and never-started cells included. Calls
+// come from worker goroutines in completion order, serialized per
+// campaign; only emitter output is ordered.
 //
 // Cancelling ctx stops the campaign scheduling new work — at the
 // dispatch loop, at the worker-slot acquire, and between second-tier
@@ -246,19 +212,7 @@ func (e *Engine) RunScenariosContextProgress(ctx context.Context, scenarios []Sc
 // usual), already-finalized results stand, and every never-started
 // scenario carries an error wrapping ErrUnstarted and ctx.Err(). The
 // campaign still contains one finalized Result per input scenario.
-func (e *Engine) RunScenariosContext(ctx context.Context, scenarios []Scenario, runner RunnerContext) Campaign {
-	return e.runScenarios(ctx, scenarios, runner, nil)
-}
-
-func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner RunnerContext, progress func(done, total int, r Result)) Campaign {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting for the context-free Run/RunScenarios forms
-		ctx = context.Background()
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func (e *Engine) Run(ctx context.Context, scenarios []Scenario, progress func(done, total int, r Result)) Campaign {
 	total := len(scenarios)
 	results := make([]Result, total)
 	prog := &run{total: total, progress: progress}
@@ -314,7 +268,7 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 		exec = cold
 	}
 	for _, i := range hits {
-		e.progress(prog, results[i])
+		prog.finalize(results[i])
 	}
 
 	var putMu sync.Mutex
@@ -365,13 +319,9 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 					putMu.Unlock()
 				}
 			}
-			e.progress(prog, r)
+			prog.finalize(r)
 		}
-		backend := e.Backend
-		if backend == nil {
-			backend = &LocalBackend{Workers: workers, Run: runner}
-		}
-		panicErr := executeSafe(ctx, backend, cold, report)
+		panicErr := executeSafe(ctx, e.Backend, cold, report)
 		// Finalize anything the backend failed to report: under a
 		// cancelled context that is normal (unstarted cells), otherwise
 		// it is a backend bug (or panic) that must surface as a
@@ -406,7 +356,7 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 		results[i].Metrics = results[j].Metrics
 		results[i].Err = results[j].Err
 		results[i].Cached = true
-		e.progress(prog, results[i])
+		prog.finalize(results[i])
 	}
 	return Campaign{Results: results, CacheErr: errors.Join(putErrs...)}
 }
@@ -417,33 +367,6 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 // context.DeadlineExceeded).
 func unstartedErr(ctx context.Context, s Scenario, id string) error {
 	return fmt.Errorf("sweep: scenario %s (%s) %w: %w", id, s.Label(), ErrUnstarted, ctx.Err())
-}
-
-// progress finalizes one scenario's done count and fires the Progress
-// callback outside the engine lock (so callbacks may use the engine)
-// but serialized, so terminal output does not interleave — including
-// across concurrent campaigns, whose counts stay independent because
-// the counter lives in per-run state.
-func (e *Engine) progress(p *run, r Result) {
-	e.mu.Lock()
-	cb := e.Progress
-	e.mu.Unlock()
-	if cb != nil || p.progress != nil {
-		// Count under the callback lock, so callbacks see done rise by
-		// one each time.
-		e.progressMu.Lock()
-		defer e.progressMu.Unlock()
-	}
-	p.mu.Lock()
-	p.done++
-	done := p.done
-	p.mu.Unlock()
-	if cb != nil {
-		cb(done, p.total, r)
-	}
-	if p.progress != nil {
-		p.progress(done, p.total, r)
-	}
 }
 
 // executeSafe runs one backend batch, isolating a backend panic into
@@ -461,7 +384,7 @@ func executeSafe(ctx context.Context, b Backend, scenarios []Scenario, report Re
 
 // runSafe isolates runner panics into per-scenario errors so one bad
 // scenario cannot kill the campaign.
-func runSafe(ctx context.Context, run RunnerContext, s Scenario) (m Metrics, err error) {
+func runSafe(ctx context.Context, run Runner, s Scenario) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, err = nil, fmt.Errorf("sweep: scenario %s (%s) panicked: %v", s.ID(), s.Label(), r)
@@ -472,22 +395,11 @@ func runSafe(ctx context.Context, run RunnerContext, s Scenario) (m Metrics, err
 
 // ForEach runs fn(0..n-1) on a bounded worker pool and returns the
 // lowest-index error (deterministic regardless of completion order).
-// It is the shared replacement for the ad-hoc WaitGroup+semaphore
-// loops the experiment drivers used to carry. It is the
-// context-free compatibility form of ForEachContext.
-func ForEach(workers, n int, fn func(int) error) error {
-	return ForEachContext(context.Background(), workers, n, fn)
-}
-
-// ForEachContext is ForEach under a context: cancellation stops
+// Cancellation stops
 // scheduling new tasks — running ones complete — and every task that
 // never started reports ctx's error, so the lowest-index-error
 // contract stays deterministic.
-func ForEachContext(ctx context.Context, workers, n int, fn func(int) error) error {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting for the context-free ForEach form
-		ctx = context.Background()
-	}
+func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

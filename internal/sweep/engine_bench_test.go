@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strconv"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // benchRunner does a small deterministic amount of arithmetic per
 // scenario so engine throughput measures dispatch overhead against
 // non-trivial (but cheap) work.
-func benchRunner(s Scenario) (Metrics, error) {
+func benchRunner(_ context.Context, s Scenario) (Metrics, error) {
 	acc := float64(s.Ranks)
 	for i := 0; i < 2048; i++ {
 		acc += 1.0 / float64(i+s.Threads+1)
@@ -32,7 +33,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Run("workers"+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := NewEngine(workers).RunScenarios(scenarios, benchRunner)
+				c := NewEngine(workers, benchRunner).Run(context.Background(), scenarios, nil)
 				if err := c.Err(); err != nil {
 					b.Fatal(err)
 				}
@@ -51,14 +52,14 @@ func BenchmarkEngineWarmCampaign(b *testing.B) {
 	for i := range scenarios {
 		scenarios[i] = Scenario{Machine: "m", Ranks: i + 1}
 	}
-	eng := NewEngine(8)
-	if err := eng.RunScenarios(scenarios, benchRunner).Err(); err != nil {
+	eng := NewEngine(8, benchRunner)
+	if err := eng.Run(context.Background(), scenarios, nil).Err(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := eng.RunScenarios(scenarios, benchRunner)
+		c := eng.Run(context.Background(), scenarios, nil)
 		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}

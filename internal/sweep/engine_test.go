@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testGrid is a 12-scenario grid whose runner output depends only on
@@ -20,7 +23,7 @@ func testGrid() Grid {
 }
 
 // echoRunner derives metrics purely from the scenario.
-func echoRunner(s Scenario) (Metrics, error) {
+func echoRunner(_ context.Context, s Scenario) (Metrics, error) {
 	var m Metrics
 	m.Add("ranks", float64(s.Ranks))
 	m.Add("machlen", float64(len(s.Machine)))
@@ -30,11 +33,16 @@ func echoRunner(s Scenario) (Metrics, error) {
 	return m, nil
 }
 
+// runGrid executes a grid on a fresh engine without a progress hook.
+func runGrid(workers int, g Grid, run Runner) Campaign {
+	return NewEngine(workers, run).Run(context.Background(), g.Expand(), nil)
+}
+
 func TestResultsInGridOrder(t *testing.T) {
 	g := testGrid()
 	want := g.Expand()
 	for _, workers := range []int{1, 4, 16} {
-		c := NewEngine(workers).Run(g, echoRunner)
+		c := runGrid(workers, g, echoRunner)
 		if len(c.Results) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(c.Results), len(want))
 		}
@@ -53,11 +61,11 @@ func TestResultsInGridOrder(t *testing.T) {
 func TestErrorIsolation(t *testing.T) {
 	g := testGrid()
 	boom := errors.New("boom")
-	c := NewEngine(4).Run(g, func(s Scenario) (Metrics, error) {
+	c := runGrid(4, g, func(ctx context.Context, s Scenario) (Metrics, error) {
 		if s.Machine == "m1" && s.Ranks == 2 {
 			return nil, boom
 		}
-		return echoRunner(s)
+		return echoRunner(ctx, s)
 	})
 	failed := c.Failed()
 	if len(failed) != 2 { // m1 x {a,b} x ranks=2
@@ -88,11 +96,11 @@ func TestErrorIsolation(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	g := Grid{Machines: []string{"ok", "bad"}}
-	c := NewEngine(2).Run(g, func(s Scenario) (Metrics, error) {
+	c := runGrid(2, g, func(ctx context.Context, s Scenario) (Metrics, error) {
 		if s.Machine == "bad" {
 			panic("kaboom")
 		}
-		return echoRunner(s)
+		return echoRunner(ctx, s)
 	})
 	if c.Results[0].Err != nil {
 		t.Errorf("healthy scenario failed: %v", c.Results[0].Err)
@@ -105,12 +113,11 @@ func TestPanicIsolation(t *testing.T) {
 func TestCacheHitsViaRunCounter(t *testing.T) {
 	g := testGrid()
 	var runs atomic.Int64
-	counting := func(s Scenario) (Metrics, error) {
+	e := NewEngine(4, func(ctx context.Context, s Scenario) (Metrics, error) {
 		runs.Add(1)
-		return echoRunner(s)
-	}
-	e := NewEngine(4)
-	c1 := e.Run(g, counting)
+		return echoRunner(ctx, s)
+	})
+	c1 := e.Run(context.Background(), g.Expand(), nil)
 	if got := runs.Load(); got != 12 {
 		t.Fatalf("first campaign executed %d scenarios, want 12", got)
 	}
@@ -118,7 +125,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		t.Fatalf("cache holds %d results, want 12", e.CacheSize())
 	}
 	// Same grid again: every scenario hash hits the cache.
-	c2 := e.Run(g, counting)
+	c2 := e.Run(context.Background(), g.Expand(), nil)
 	if got := runs.Load(); got != 12 {
 		t.Errorf("second campaign re-executed scenarios: counter %d, want 12", got)
 	}
@@ -131,7 +138,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		}
 	}
 	// A fresh scenario still executes.
-	e.Run(Grid{Machines: []string{"new"}}, counting)
+	e.Run(context.Background(), Grid{Machines: []string{"new"}}.Expand(), nil)
 	if got := runs.Load(); got != 13 {
 		t.Errorf("novel scenario should execute once, counter %d, want 13", got)
 	}
@@ -140,12 +147,12 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 func TestDuplicateScenariosDedupWithinCampaign(t *testing.T) {
 	s := Scenario{Machine: "m", Ranks: 4}
 	var runs atomic.Int64
-	c := NewEngine(4).RunScenarios([]Scenario{s, s, s}, func(Scenario) (Metrics, error) {
+	c := NewEngine(4, func(context.Context, Scenario) (Metrics, error) {
 		runs.Add(1)
 		var m Metrics
 		m.Add("v", 1)
 		return m, nil
-	})
+	}).Run(context.Background(), []Scenario{s, s, s}, nil)
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("duplicate hash executed %d times, want 1", got)
 	}
@@ -165,17 +172,16 @@ func TestDuplicateScenariosDedupWithinCampaign(t *testing.T) {
 func TestFailedScenariosAreNotCached(t *testing.T) {
 	g := Grid{Machines: []string{"flaky"}}
 	var runs atomic.Int64
-	runner := func(Scenario) (Metrics, error) {
+	e := NewEngine(1, func(context.Context, Scenario) (Metrics, error) {
 		if runs.Add(1) == 1 {
 			return nil, errors.New("transient")
 		}
 		return Metrics{{"v", 2}}, nil
-	}
-	e := NewEngine(1)
-	if err := e.Run(g, runner).Err(); err == nil {
+	})
+	if err := e.Run(context.Background(), g.Expand(), nil).Err(); err == nil {
 		t.Fatal("first campaign should fail")
 	}
-	c := e.Run(g, runner) // retry re-executes instead of caching the error
+	c := e.Run(context.Background(), g.Expand(), nil) // retry re-executes instead of caching the error
 	if err := c.Err(); err != nil {
 		t.Fatalf("retry did not re-execute: %v", err)
 	}
@@ -184,28 +190,93 @@ func TestFailedScenariosAreNotCached(t *testing.T) {
 	}
 }
 
+// TestProgressCallback: hooks run without the engine lock, so using
+// the engine from inside one must not deadlock.
 func TestProgressCallback(t *testing.T) {
-	g := testGrid()
 	var calls atomic.Int64
-	e := NewEngine(4)
-	e.Progress = func(done, total int, r Result) {
+	e := NewEngine(4, echoRunner)
+	e.Run(context.Background(), testGrid().Expand(), func(done, total int, r Result) {
 		calls.Add(1)
 		if total != 12 || done < 1 || done > 12 {
 			t.Errorf("bad progress counters done=%d total=%d", done, total)
 		}
-		// Callbacks run without the engine lock: using the engine from
-		// inside Progress must not deadlock.
 		_ = e.CacheSize()
-	}
-	e.Run(g, echoRunner)
+	})
 	if calls.Load() != 12 {
 		t.Errorf("progress fired %d times, want 12", calls.Load())
 	}
 }
 
+// TestRunScenariosContextProgress: the campaign's hook fires once per
+// scenario, serialized, with done rising by one each call.
+func TestRunScenariosContextProgress(t *testing.T) {
+	scenarios := testGrid().Expand()
+	seen := map[string]int{}
+	var calls, last int
+	c := NewEngine(3, echoRunner).Run(context.Background(), scenarios, func(done, total int, r Result) {
+		calls++
+		seen[r.ID]++
+		if total != len(scenarios) {
+			t.Errorf("total = %d, want %d", total, len(scenarios))
+		}
+		if done != last+1 {
+			t.Errorf("done jumped %d -> %d; progress must be serialized", last, done)
+		}
+		last = done
+	})
+	if len(c.Results) != len(scenarios) {
+		t.Fatalf("%d results", len(c.Results))
+	}
+	if calls != len(scenarios) {
+		t.Errorf("hook fired %d times, want %d", calls, len(scenarios))
+	}
+	for _, s := range scenarios {
+		if seen[s.ID()] == 0 {
+			t.Errorf("scenario %s never reached the hook", s.ID())
+		}
+	}
+}
+
+// TestBlockedHookStallsOnlyItsCampaign: a campaign whose hook blocks —
+// sweepd writing frames to an NDJSON client that stopped reading —
+// must not stall another campaign on the same engine.
+func TestBlockedHookStallsOnlyItsCampaign(t *testing.T) {
+	e := NewEngine(4, echoRunner)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		e.Run(context.Background(), testGrid().Expand(), func(int, int, Result) {
+			once.Do(func() { close(parked) })
+			<-release
+		})
+	}()
+	<-parked
+	defer func() {
+		close(release)
+		<-doneA
+	}()
+
+	doneB := make(chan Campaign, 1)
+	go func() {
+		b := Grid{Machines: []string{"x0", "x1", "x2"}, Seed: 7}.Expand()
+		doneB <- e.Run(context.Background(), b, func(int, int, Result) {})
+	}()
+	select {
+	case c := <-doneB:
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("campaign B stalled behind campaign A's blocked progress hook")
+	}
+}
+
 func TestForEach(t *testing.T) {
 	out := make([]int, 100)
-	if err := ForEach(7, len(out), func(i int) error {
+	ctx := context.Background()
+	if err := ForEach(ctx, 7, len(out), func(i int) error {
 		out[i] = i * i
 		return nil
 	}); err != nil {
@@ -217,7 +288,7 @@ func TestForEach(t *testing.T) {
 		}
 	}
 	// Lowest-index error wins deterministically.
-	err := ForEach(7, 10, func(i int) error {
+	err := ForEach(ctx, 7, 10, func(i int) error {
 		if i >= 3 {
 			return fmt.Errorf("err%d", i)
 		}
@@ -227,7 +298,7 @@ func TestForEach(t *testing.T) {
 		t.Errorf("ForEach error = %v, want err3", err)
 	}
 	// Panics become errors.
-	if err := ForEach(2, 2, func(i int) error { panic("eek") }); err == nil {
+	if err := ForEach(ctx, 2, 2, func(i int) error { panic("eek") }); err == nil {
 		t.Error("panic not surfaced")
 	}
 }

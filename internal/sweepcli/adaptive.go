@@ -29,7 +29,6 @@ type adaptiveRun struct {
 	modesSet     bool
 	eng          *sweep.Engine
 	store        *store.Store
-	runner       sweep.RunnerContext
 	out          string
 	quiet        bool
 	liveProgress bool
@@ -81,20 +80,22 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 		fmt.Fprintf(a.stdout, "sweep: adaptive %s search, target %s, %s\n", axis, target, a.workersDesc)
 		fmt.Fprintf(a.stdout, "sweep: %d tracks (%d machines x %d workloads), tol %d, max %d rounds\n",
 			tracks, len(grid.Machines), len(grid.Workloads), plan.Tol, plan.MaxRounds)
-		a.eng.Progress = func(done, total int, r sweep.Result) {
-			fmt.Fprintln(a.stdout, sweep.ProgressLine(done, total, r))
-		}
 	}
-	var perRun func(done, total int, r sweep.Result)
-	if a.liveProgress {
-		// The live counter resets per wave: each refinement round is
-		// its own engine campaign.
-		perRun = func(done, total int, r sweep.Result) {
-			fmt.Fprintf(a.stderr, "\rsweep: wave: %d/%d probes complete", done, total)
+	var hook func(done, total int, r sweep.Result)
+	if !a.quiet || a.liveProgress {
+		hook = func(done, total int, r sweep.Result) {
+			if !a.quiet {
+				fmt.Fprintln(a.stdout, sweep.ProgressLine(done, total, r))
+			}
+			if a.liveProgress {
+				// The live counter resets per wave: each refinement
+				// round is its own engine campaign.
+				fmt.Fprintf(a.stderr, "\rsweep: wave: %d/%d probes complete", done, total)
+			}
 		}
 	}
 
-	outcome, searchErr := plan.Run(ctx, a.eng, a.runner, perRun)
+	outcome, searchErr := plan.Run(ctx, a.eng, hook)
 	if a.liveProgress {
 		fmt.Fprintln(a.stderr)
 	}

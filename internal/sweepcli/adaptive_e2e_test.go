@@ -2,6 +2,7 @@ package sweepcli
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -41,7 +42,7 @@ func adaptiveArgs(storeDir, outDir string) []string {
 // suite can assert the exact bracket without paying for real memsim
 // runs per probe.
 func frontierRunner(n *atomic.Int64) sweep.Runner {
-	return func(s sweep.Scenario) (sweep.Metrics, error) {
+	return func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		if n != nil {
 			n.Add(1)
 		}
@@ -65,7 +66,7 @@ func startFrontierFleet(t *testing.T, n int) (string, []*atomic.Int64) {
 		}
 		count := &atomic.Int64{}
 		sims[i] = count
-		srv := sweepd.New(st, sweep.IgnoreContext(frontierRunner(count)), 2)
+		srv := sweepd.New(st, frontierRunner(count), 2)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); st.Close() })
 		urls[i] = ts.URL
@@ -180,7 +181,6 @@ func TestE2EAdaptiveUsageErrors(t *testing.T) {
 		{"-target", "gt:m:0"},                                      // no -adaptive
 		{"-adaptive", "seed", "-target", "gt:m:0"},                 // bad axis
 		{"-adaptive", "ranks", "-target", "sign:m"},                // bad predicate
-		{"-adaptive", "ranks", "-target", "gt:m:0", "-stream"},     // stream is exhaustive-only
 		{"-adaptive", "ranks", "-target", "gt:m:0", "-ranks", "4"}, // one seed cannot bracket
 		{"-adaptive", "ranks", "-target", "delta:m:nt/baseline", "-ranks", "1,8", "-modes", "baseline"}, // delta owns the modes
 	}
@@ -202,7 +202,7 @@ func TestE2EAdaptiveUsageErrors(t *testing.T) {
 // the CLI: nt beats baseline below rank 41, and the emitted frontier
 // brackets [40, 41] with the mode column carrying the pair.
 func TestE2EAdaptiveDeltaTarget(t *testing.T) {
-	run := func(s sweep.Scenario) (sweep.Metrics, error) {
+	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		switch s.Mode.Name {
 		case "baseline":

@@ -2,6 +2,7 @@ package sweepcli
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -42,9 +43,9 @@ func e2eArgs(storeDir, outDir string) []string {
 
 // countRunner wraps the production runner and counts real simulations.
 func countRunner(n *atomic.Int64) sweep.Runner {
-	return func(s sweep.Scenario) (sweep.Metrics, error) {
+	return func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		n.Add(1)
-		return cloversim.RunScenario(s)
+		return cloversim.RunScenarioContext(ctx, s)
 	}
 }
 
@@ -57,12 +58,12 @@ func normalize(out []byte, repl map[string]string) []byte {
 	return out
 }
 
-// runCLI executes the CLI in-process and returns exit code, stdout and
-// stderr.
+// runCLI executes the CLI in-process, uncancellable, and returns exit
+// code, stdout and stderr.
 func runCLI(t *testing.T, args []string, runner sweep.Runner) (int, []byte, []byte) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := MainWithRunner(args, &stdout, &stderr, runner)
+	code := MainWithRunnerContext(context.Background(), args, &stdout, &stderr, runner)
 	return code, stdout.Bytes(), stderr.Bytes()
 }
 
@@ -187,11 +188,11 @@ func TestE2EPartialResume(t *testing.T) {
 func TestExitCodeOnScenarioFailure(t *testing.T) {
 	outDir := filepath.Join(t.TempDir(), "out")
 	boom := errors.New("injected failure")
-	failing := func(s sweep.Scenario) (sweep.Metrics, error) {
+	failing := func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		if s.Mode.Name == "nt" {
 			return nil, boom
 		}
-		return cloversim.RunScenario(s)
+		return cloversim.RunScenarioContext(ctx, s)
 	}
 	args := append([]string{}, e2eArgs(filepath.Join(t.TempDir(), "store"), outDir)...)
 	code, _, stderr := runCLI(t, args, failing)
@@ -230,7 +231,7 @@ func TestExitCodeOnUsageError(t *testing.T) {
 		{"-nosuchflag"},
 	}
 	for _, args := range cases {
-		if code, _, _ := runCLI(t, args, cloversim.RunScenario); code != ExitUsage {
+		if code, _, _ := runCLI(t, args, cloversim.RunScenarioContext); code != ExitUsage {
 			t.Errorf("args %v exit %d, want %d", args, code, ExitUsage)
 		}
 	}
@@ -247,7 +248,7 @@ func TestExitCodeOnStoreWriteFailure(t *testing.T) {
 	if err := os.MkdirAll(storeDir, 0o555); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr := runCLI(t, e2eArgs(storeDir, filepath.Join(t.TempDir(), "out")), cloversim.RunScenario)
+	code, _, stderr := runCLI(t, e2eArgs(storeDir, filepath.Join(t.TempDir(), "out")), cloversim.RunScenarioContext)
 	if code != ExitRuntime {
 		t.Fatalf("exit %d with unwritable store, want %d; stderr:\n%s", code, ExitRuntime, stderr)
 	}

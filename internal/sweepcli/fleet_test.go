@@ -11,7 +11,6 @@ import (
 
 	"cloversim"
 	"cloversim/internal/store"
-	"cloversim/internal/sweep"
 	"cloversim/internal/sweepd"
 )
 
@@ -29,7 +28,7 @@ func startFleet(t *testing.T, n int) (string, []*atomic.Int64) {
 		}
 		count := &atomic.Int64{}
 		sims[i] = count
-		srv := sweepd.New(st, sweep.IgnoreContext(countRunner(count)), 2)
+		srv := sweepd.New(st, countRunner(count), 2)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); st.Close() })
 		urls[i] = ts.URL

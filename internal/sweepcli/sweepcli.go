@@ -62,19 +62,13 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	return MainWithRunnerContext(ctx, argv, stdout, stderr, cloversim.RunScenarioContext)
 }
 
-// MainWithRunner is Main with an injectable scenario runner — the seam
-// the e2e harness uses to prove a warm store performs zero simulation
-// work. No signal handling is installed; the campaign is
-// uncancellable.
-func MainWithRunner(argv []string, stdout, stderr io.Writer, runner sweep.Runner) int {
-	return MainWithRunnerContext(context.Background(), argv, stdout, stderr, sweep.IgnoreContext(runner))
-}
-
-// MainWithRunnerContext is the CLI core: campaign execution runs
-// under ctx, so cancelling it interrupts the sweep (exit code
-// ExitInterrupted, partial results emitted and persisted). Main wires
-// ctx to SIGINT/SIGTERM; tests drive cancellation directly.
-func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io.Writer, runner sweep.RunnerContext) int {
+// MainWithRunnerContext is the CLI core with an injectable scenario
+// runner — the seam the e2e harness uses to prove a warm store
+// performs zero simulation work. Campaign execution runs under ctx, so
+// cancelling it interrupts the sweep (exit code ExitInterrupted,
+// partial results emitted and persisted). Main wires ctx to
+// SIGINT/SIGTERM; tests drive cancellation directly.
+func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io.Writer, runner sweep.Runner) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -92,7 +86,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		plot      = fs.String("plot", "store_ratio", "metric for the ASCII summary chart (empty = first metric)")
 		quiet     = fs.Bool("q", false, "suppress per-scenario progress and the result table")
 		progress  = fs.Bool("progress", false, "live completion counter on stderr, updated as each scenario finishes (combines with -q for quiet-but-visible campaigns)")
-		stream    = fs.Bool("stream", false, "write campaign.csv and campaign.json incrementally as results complete, holding only out-of-order completions in memory; final bytes are identical to the buffered default")
 		compact   = fs.Bool("store-compact", false, "compact the -store directory (merge all segments into one, dropping stale and corrupt lines) and exit without running a campaign; requires exclusive ownership of the store")
 		adaptive  = fs.String("adaptive", "", "adaptive frontier search along this numeric axis (ranks, threads or mesh) instead of the exhaustive cross product; needs -target and at least two axis values as the bracketing seeds")
 		target    = fs.String("target", "", "frontier predicate for -adaptive: delta:<metric>:<modeA>/<modeB>, lt:<metric>:<value>, gt:<metric>:<value>, or model:<metric>:<analytic-metric>:<reltol>")
@@ -159,7 +152,7 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		return usage(stderr, err)
 	}
 
-	eng := sweep.NewEngine(localWorkers)
+	eng := sweep.NewEngine(localWorkers, runner)
 	// workersDesc names the execution backend in the startup banner.
 	workersDesc := func() string {
 		if nw := localWorkers; nw > 0 {
@@ -168,9 +161,10 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		return fmt.Sprintf("%d workers", runtime.GOMAXPROCS(0))
 	}()
 	if len(workerHosts) > 0 {
-		// Remote backend: shard this campaign's cold cells across the
-		// fleet. The memoizer, store probe/write-through and emitters
-		// are untouched — distributed output is byte-identical to local.
+		// Remote backend: the fleet replaces the local pool and shards
+		// this campaign's cold cells. The memoizer, store
+		// probe/write-through and emitters are untouched — distributed
+		// output is byte-identical to local.
 		fleet, err := dispatch.New(ctx, workerHosts, cloversim.PhysicsVersion)
 		if err != nil {
 			return runtimeErr(stderr, err)
@@ -212,14 +206,11 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		if *target == "" {
 			return usage(stderr, errors.New("-adaptive requires -target"))
 		}
-		if *stream {
-			return usage(stderr, errors.New("-stream applies to exhaustive campaigns; -adaptive has its own frontier emitters"))
-		}
 		code := runAdaptive(ctx, adaptiveRun{
 			grid: grid, axis: *adaptive, target: *target,
 			tol: *tol, maxRounds: *maxRounds,
 			modesSet: *modes != "all",
-			eng:      eng, store: st, runner: runner,
+			eng:      eng, store: st,
 			out: *out, quiet: *quiet, liveProgress: *progress,
 			workersDesc: workersDesc,
 			stdout:      stdout, stderr: stderr,
@@ -229,109 +220,43 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	if !*quiet {
 		fmt.Fprintf(stdout, "sweep: %d scenarios (%d machines x %d workloads x %d modes), %s\n",
 			grid.Size(), len(grid.Machines), len(grid.Workloads), len(grid.Modes), workersDesc)
-		eng.Progress = func(done, total int, r sweep.Result) {
-			fmt.Fprintln(stdout, sweep.ProgressLine(done, total, r))
-		}
 	}
-
-	// Per-campaign hooks (the live counter, the incremental emitters)
-	// ride the engine's serialized progress funnel, which fires exactly
-	// once per scenario — warm hits, in-campaign duplicates and
-	// never-started cells included — so the stream emitters always see
-	// a complete campaign.
-	scenarios := grid.Expand()
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return runtimeErr(stderr, err)
 	}
-	csvPath := filepath.Join(*out, "campaign.csv")
-	jsonPath := filepath.Join(*out, "campaign.json")
-	var hooks []func(done, total int, r sweep.Result)
-	if *progress {
-		// One carriage-returned line on stderr: stdout keeps its
-		// byte-stable contract, and -q campaigns stay observable.
+
+	// The hook fires once per scenario — warm hits, in-campaign
+	// duplicates and never-started cells included — in completion
+	// order. -q without -progress installs none.
+	var hook func(done, total int, r sweep.Result)
+	if !*quiet || *progress {
 		failed := 0
-		hooks = append(hooks, func(done, total int, r sweep.Result) {
-			if r.Err != nil && !errors.Is(r.Err, sweep.ErrUnstarted) {
-				failed++
+		hook = func(done, total int, r sweep.Result) {
+			if !*quiet {
+				fmt.Fprintln(stdout, sweep.ProgressLine(done, total, r))
 			}
-			fmt.Fprintf(stderr, "\rsweep: %d/%d scenarios complete (%d failed)", done, total, failed)
-		})
-	}
-	var streamErr error
-	var streamClose func() error
-	if *stream {
-		// Incremental artifacts: rows spill to disk in grid order as
-		// results finalize, the files assemble at Close, and the final
-		// bytes match the buffered emitters exactly. Memory holds only
-		// completions that arrived ahead of a still-running cell.
-		csvFile, err := os.Create(csvPath)
-		if err != nil {
-			return runtimeErr(stderr, err)
-		}
-		cs, err := sweep.NewCSVStream(csvFile, scenarios)
-		if err != nil {
-			csvFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		jsonFile, err := os.Create(jsonPath)
-		if err != nil {
-			cs.Close()
-			csvFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		js, err := sweep.NewJSONStream(jsonFile, scenarios, true)
-		if err != nil {
-			cs.Close()
-			csvFile.Close()
-			jsonFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		hooks = append(hooks, func(done, total int, r sweep.Result) {
-			if streamErr != nil {
-				return
-			}
-			if err := cs.Add(r); err != nil {
-				streamErr = err
-				return
-			}
-			if err := js.Add(r); err != nil {
-				streamErr = err
-			}
-		})
-		streamClose = func() error {
-			errs := streamErr
-			for _, close := range []func() error{cs.Close, csvFile.Close, js.Close, jsonFile.Close} {
-				if err := close(); err != nil {
-					errs = errors.Join(errs, err)
+			if *progress {
+				// One carriage-returned line on stderr: stdout keeps its
+				// byte-stable contract, and -q campaigns stay observable.
+				if r.Err != nil && !errors.Is(r.Err, sweep.ErrUnstarted) {
+					failed++
 				}
-			}
-			return errs
-		}
-	}
-	var perRun func(done, total int, r sweep.Result)
-	if len(hooks) > 0 {
-		perRun = func(done, total int, r sweep.Result) {
-			for _, h := range hooks {
-				h(done, total, r)
+				fmt.Fprintf(stderr, "\rsweep: %d/%d scenarios complete (%d failed)", done, total, failed)
 			}
 		}
 	}
-	c := eng.RunScenariosContextProgress(ctx, scenarios, runner, perRun)
+	c := eng.Run(ctx, grid.Expand(), hook)
 	if *progress {
 		fmt.Fprintln(stderr) // terminate the carriage-returned line
 	}
 
-	if streamClose != nil {
-		if err := streamClose(); err != nil {
-			return runtimeErr(stderr, err)
-		}
-	} else {
-		if err := emitFile(csvPath, sweep.CSVEmitter{}, c); err != nil {
-			return runtimeErr(stderr, err)
-		}
-		if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}, c); err != nil {
-			return runtimeErr(stderr, err)
-		}
+	csvPath := filepath.Join(*out, "campaign.csv")
+	jsonPath := filepath.Join(*out, "campaign.json")
+	if err := emitFile(csvPath, sweep.CSVEmitter{}, c); err != nil {
+		return runtimeErr(stderr, err)
+	}
+	if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}, c); err != nil {
+		return runtimeErr(stderr, err)
 	}
 
 	if !*quiet {

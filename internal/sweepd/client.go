@@ -53,12 +53,10 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// maxHealthzBytes bounds a healthz body; maxExpandBytes bounds a
-// buffered expand body and each individual frame of an NDJSON stream
-// (a stream's total size is whatever its batch legitimately needs —
-// bounding the whole stream at this limit silently truncated large
-// batches): maxCells results at a few KB each stay far below it, while
-// an endless body from a wedged worker must not balloon the
+// maxHealthzBytes bounds a healthz body; maxExpandBytes bounds each
+// frame of an expand stream (a stream's total size is whatever its
+// batch legitimately needs): one result frame stays far below it,
+// while an endless line from a wedged worker must not balloon the
 // dispatcher's memory. A package var so tests can exercise the
 // oversize path without generating 64 MiB.
 const maxHealthzBytes = int64(1 << 20)
@@ -158,83 +156,6 @@ type ExecResult struct {
 	Unstarted bool
 }
 
-// ExecuteScenarios posts the scenarios to the worker's /v1/expand in
-// explicit-key form and returns one result per scenario, in request
-// order. Metric values are reconstructed from their IEEE-754 bits, so
-// they are bit-exact with what the worker simulated. A transport
-// error, a non-200 status or a malformed/mismatched response is a
-// worker-level error (the whole batch is unaccounted for); per-cell
-// failures ride in the results.
-func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario) ([]ExecResult, error) {
-	resp, err := c.postExpand(ctx, scenarios, "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := c.readBody(resp.Body, maxExpandBytes, "expand response")
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sweepd client: %s: expand status %d: %s", c.BaseURL, resp.StatusCode, errorBody(body))
-	}
-	return c.decodeBufferedExpand(body, scenarios)
-}
-
-// postExpand posts the scenarios in explicit-key form, optionally
-// asking for a streaming response via the Accept header.
-func (c *Client) postExpand(ctx context.Context, scenarios []sweep.Scenario, accept string) (*http.Response, error) {
-	keys := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		keys[i] = s.Key()
-	}
-	reqBody, err := json.Marshal(GridSpec{Scenarios: keys})
-	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/expand", bytes.NewReader(reqBody))
-	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
-	}
-	return resp, nil
-}
-
-// decodeBufferedExpand parses a buffered explicit-form expand body and
-// checks it against the request: same physics, one result per
-// scenario, in request order.
-func (c *Client) decodeBufferedExpand(body []byte, scenarios []sweep.Scenario) ([]ExecResult, error) {
-	var er executeResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: bad expand response: %w", c.BaseURL, err)
-	}
-	if c.Physics != "" && er.Physics != c.Physics {
-		return nil, fmt.Errorf("sweepd client: %s: response simulated under physics %s, want %s", c.BaseURL, er.Physics, c.Physics)
-	}
-	if len(er.Results) != len(scenarios) {
-		return nil, fmt.Errorf("sweepd client: %s: %d results for %d scenarios", c.BaseURL, len(er.Results), len(scenarios))
-	}
-	out := make([]ExecResult, len(er.Results))
-	for i, r := range er.Results {
-		if want := scenarios[i].ID(); r.ID != want {
-			return nil, fmt.Errorf("sweepd client: %s: result %d is scenario %s, want %s", c.BaseURL, i, r.ID, want)
-		}
-		res, err := c.decodeExecResult(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // decodeExecResult converts one wire result into an ExecResult,
 // reconstructing metric values from their IEEE-754 bits — the bits
 // field is authoritative; the decimal mirror cannot carry NaN/Inf and
@@ -257,26 +178,39 @@ func (c *Client) decodeExecResult(r executeResult) (ExecResult, error) {
 	return res, nil
 }
 
-// ExecuteScenariosStream is ExecuteScenarios over the NDJSON expand
-// mode: onResult (when non-nil) fires for each cell the moment its
-// frame arrives — in completion order, not request order — and the
-// full request-ordered result slice is returned at the end, identical
-// to what ExecuteScenarios would have returned. A worker predating the
-// streaming protocol answers with a buffered body; the client detects
-// that by Content-Type and falls back transparently (onResult then
-// fires for every cell when the body arrives).
+// ExecuteScenarios posts the scenarios to the worker's /v1/expand in
+// explicit-key form and reads the NDJSON stream it answers with.
+// onResult (when non-nil) fires for each cell the moment its frame
+// arrives — in completion order, not request order — and the full
+// request-ordered result slice is returned at the end. Metric values
+// are reconstructed from their IEEE-754 bits, so they are bit-exact
+// with what the worker simulated.
 //
-// On a non-nil error the batch is unaccounted for, exactly as with
-// ExecuteScenarios — but onResult may already have fired for a prefix
-// of cells. Those results are valid (they carry bit-exact metrics the
-// worker really produced); callers tracking per-cell delivery can keep
-// them and re-dispatch only the rest. A stream that dies before its
-// terminal summary frame is reported as truncated, never silently
-// treated as complete.
-func (c *Client) ExecuteScenariosStream(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, r ExecResult)) ([]ExecResult, error) {
-	resp, err := c.postExpand(ctx, scenarios, "application/x-ndjson")
+// A transport error, a non-200 status or a malformed, mismatched or
+// truncated stream is a worker-level error: the batch is unaccounted
+// for. onResult may already have fired for a prefix of cells; those
+// results are valid (they carry bit-exact metrics the worker really
+// produced), so callers tracking per-cell delivery can keep them and
+// re-dispatch only the rest. A stream that dies before its terminal
+// summary frame is reported as truncated, never silently treated as
+// complete.
+func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, r ExecResult)) ([]ExecResult, error) {
+	keys := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		keys[i] = s.Key()
+	}
+	reqBody, err := json.Marshal(GridSpec{Scenarios: keys})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/expand", bytes.NewReader(reqBody))
+	if err != nil {
+		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -285,24 +219,6 @@ func (c *Client) ExecuteScenariosStream(ctx context.Context, scenarios []sweep.S
 			return nil, rerr
 		}
 		return nil, fmt.Errorf("sweepd client: %s: expand status %d: %s", c.BaseURL, resp.StatusCode, errorBody(body))
-	}
-	ct, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
-	if !strings.EqualFold(strings.TrimSpace(ct), "application/x-ndjson") {
-		// Pre-streaming worker: buffered response despite our Accept.
-		body, err := c.readBody(resp.Body, maxExpandBytes, "expand response")
-		if err != nil {
-			return nil, err
-		}
-		out, err := c.decodeBufferedExpand(body, scenarios)
-		if err != nil {
-			return nil, err
-		}
-		if onResult != nil {
-			for i, r := range out {
-				onResult(i, r)
-			}
-		}
-		return out, nil
 	}
 
 	// Results arrive in completion order; match each frame to the

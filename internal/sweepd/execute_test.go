@@ -54,7 +54,7 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	scs := execScenarios(4)
-	res, err := c.ExecuteScenarios(context.Background(), scs)
+	res, err := c.ExecuteScenarios(context.Background(), scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	}
 
 	// Warm repeat: served from the store, zero new simulations.
-	if _, err := c.ExecuteScenarios(context.Background(), scs); err != nil {
+	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sims.Load() != 4 {
@@ -105,7 +105,7 @@ func TestExpandExplicitNaNMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(1))
+	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(1), nil)
 	if err != nil {
 		t.Fatalf("NaN metrics broke the batch: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestExpandExplicitPerCellFailure(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(3))
+	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestHealthzCapacityAndInflight(t *testing.T) {
 	// Park one expand in the runner and observe it in healthz.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.ExecuteScenarios(context.Background(), execScenarios(1))
+		_, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil)
 		done <- err
 	}()
 	select {

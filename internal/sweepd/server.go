@@ -1,42 +1,41 @@
 // Package sweepd is the campaign result server behind cmd/sweepd: it
 // exposes one persistent content-addressed store (internal/store) to
 // many concurrent HTTP clients — listing stored scenarios, serving
-// results by config hash, and expanding whole campaign grids where
-// warm cells come straight from the store and cold cells are simulated
-// on a bounded worker pool and written through.
+// results by config hash, and expanding campaigns whose warm cells
+// come straight from the store while cold cells are simulated on a
+// bounded worker pool and written through.
 //
-// API (all JSON):
+// API:
 //
 //	GET  /v1/healthz           liveness, store occupancy, simulation capacity
 //	GET  /v1/scenarios         every stored record, deterministic key order
 //	GET  /v1/results/{id}      one record by scenario config hash
-//	POST /v1/expand            expand a grid: warm from store, simulate cold
+//	POST /v1/expand            run a campaign: warm from store, simulate cold
 //	GET  /v1/sync              stream records a peer is missing (replication)
 //	POST /v1/admin/compact     merge the store's segments into one
 //
-// An expand body is either a grid (axes by name, the cross product is
-// executed) or an explicit scenario list (canonical scenario keys, the
-// dispatch protocol's form — the worker executes cells it has never
-// seen). The grid form responds with the exact campaign JSON format
-// cmd/sweep writes to campaign.json, so clients can treat the daemon
-// as a remote sweep; the explicit form responds with a typed result
-// list carrying bit-exact IEEE-754 metric bits, so a dispatcher can
-// merge fleet results into a byte-identical campaign.
+// The form of an expand body alone fixes the encoding of its response:
+// explicit → NDJSON, grid → campaign JSON.
 //
-// Expand additionally has a streaming mode, negotiated with
-// "Accept: application/x-ndjson": the response is NDJSON — one JSON
-// object per line — emitting each cell's result (same exact-bits
-// encoding as the buffered explicit form) the moment it finalizes,
-// framed as a tagged union:
+// A grid (axes by name; the cross product is executed) answers the
+// campaign JSON cmd/sweep writes to campaign.json, so clients can treat
+// the daemon as a remote sweep. An X-Expand-Incomplete header flags a
+// campaign cut short, an X-Store-Error header results that were not
+// persisted.
+//
+// An explicit scenario list (canonical scenario keys, the dispatch
+// protocol's form) answers NDJSON, one JSON object per line, sending
+// each cell's result the moment it finalizes with its metrics as exact
+// IEEE-754 bits. The frames are a tagged union:
 //
 //	{"stream":{...}}    first line: physics + scenario count
 //	{"result":{...}}    one per cell, completion order
 //	{"summary":{...}}   last line: counts + incomplete/store status
 //
-// Because headers leave with the first flushed frame, the
-// X-Expand-Incomplete / X-Store-Error signals of the buffered mode
-// ride in the terminal summary frame instead. A stream that ends
-// without a summary line was truncated and must not be trusted.
+// Headers leave with the first frame, so the summary carries the
+// completion and durability status the grid form puts in headers. A
+// stream that ends without a summary line was truncated and must not
+// be trusted.
 //
 // Healthz reports the daemon's simulation capacity (worker slots), the
 // number of in-flight expand requests, and the physics version, so a
@@ -46,11 +45,12 @@
 // Expands are cancellation-correct: each runs under its request
 // context (plus the optional Server.ExpandTimeout deadline), so a
 // client that disconnects mid-expand stops the server scheduling that
-// grid's remaining cold cells and releases its global simulation
+// campaign's remaining cold cells and releases its global simulation
 // slots immediately; cells already simulating complete and are
 // written through, cells never started come back as errors wrapping
-// sweep.ErrUnstarted. The store is synced before a 200 response, so
-// results the client has been told about survive a daemon crash.
+// sweep.ErrUnstarted. The store is synced before the grid response and
+// before the summary frame, so results the client has been told are
+// durable survive a daemon crash.
 package sweepd
 
 import (
@@ -58,12 +58,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -121,7 +119,6 @@ type Server struct {
 
 	st       ResultStore
 	eng      *sweep.Engine
-	runner   sweep.RunnerContext
 	sem      chan struct{}
 	inflight atomic.Int64 // expand requests currently being served
 }
@@ -130,20 +127,18 @@ type Server struct {
 // cells; workers bounds simulation concurrency globally across all
 // in-flight expand requests (<= 0 means GOMAXPROCS). Results of cold
 // simulations are written through to the store.
-func New(st ResultStore, runner sweep.RunnerContext, workers int) *Server {
+func New(st ResultStore, runner sweep.Runner, workers int) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{st: st, sem: make(chan struct{}, workers)}
-	s.eng = sweep.NewEngine(workers)
-	s.eng.Cache = st
 	// The engine bounds workers per campaign; the semaphore bounds the
 	// whole daemon, so concurrent expand requests share one simulation
 	// budget instead of multiplying it. The acquire selects on the
 	// request context: a cell whose client already disconnected (or
 	// whose deadline passed) releases its claim on the global budget
 	// immediately instead of simulating into the void.
-	s.runner = func(ctx context.Context, sc sweep.Scenario) (sweep.Metrics, error) {
+	s.eng = sweep.NewEngine(workers, func(ctx context.Context, sc sweep.Scenario) (sweep.Metrics, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -156,7 +151,8 @@ func New(st ResultStore, runner sweep.RunnerContext, workers int) *Server {
 			return nil, fmt.Errorf("sweepd: simulation slot acquired after cancellation: %w: %w", sweep.ErrUnstarted, err)
 		}
 		return runner(ctx, sc)
-	}
+	})
+	s.eng.Cache = st
 	return s
 }
 
@@ -250,8 +246,8 @@ type jsonMetric struct {
 }
 
 // toJSONMetrics renders metrics in the shared wire form used by both
-// /v1/results and the explicit-expand response, so the two surfaces
-// cannot drift.
+// /v1/results and the explicit-expand result frames, so the two
+// surfaces cannot drift.
 func toJSONMetrics(ms sweep.Metrics) []jsonMetric {
 	out := make([]jsonMetric, 0, len(ms))
 	for _, m := range ms {
@@ -382,44 +378,59 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.ExpandTimeout)
 		defer cancel()
 	}
-	if acceptsNDJSON(r.Header.Get("Accept")) {
+	if explicit {
 		s.expandStream(w, ctx, scenarios)
 		return
 	}
-	c := s.eng.RunScenariosContext(ctx, scenarios, s.runner)
-	storeErr := s.persist(c)
+	c, sum := s.expand(ctx, scenarios, nil)
 	w.Header().Set("Content-Type", "application/json")
-	if storeErr != nil {
+	if sum.StoreError != "" {
 		// The campaign is correct — the durability loss is server-side.
 		// Discarding computed results would only force clients into a
-		// re-simulation loop, so serve them and flag the loss in a
-		// header (headers must precede the body).
-		s.logf("sweepd: POST /v1/expand: store: %v", storeErr)
-		w.Header().Set("X-Store-Error", "store writes failed; results not persisted")
+		// re-simulation loop, so serve them and flag the loss.
+		w.Header().Set("X-Store-Error", sum.StoreError)
 	}
-	if c.Interrupted() {
+	if sum.Incomplete != "" {
 		// Cancelled mid-grid (deadline hit, or client gone — then
 		// nobody reads this): the body is a partial campaign whose
-		// unstarted cells carry errors. Flag it so clients distinguish
-		// "incomplete" from "simulation failed". Keyed on the campaign,
-		// not ctx.Err(): a deadline that fires after the last cell
-		// finalized did not cost the client anything.
-		reason := "campaign cancelled"
-		if err := ctx.Err(); err != nil {
-			reason = err.Error()
-		}
-		w.Header().Set("X-Expand-Incomplete", reason)
+		// unstarted cells carry errors.
+		w.Header().Set("X-Expand-Incomplete", sum.Incomplete)
 	}
 	w.WriteHeader(http.StatusOK)
-	if explicit {
-		if err := encodeExecuteResponse(w, s.st.Physics(), c); err != nil {
-			s.logf("sweepd: POST /v1/expand: writing results: %v", err)
-		}
-		return
-	}
 	if err := (sweep.JSONEmitter{Indent: true}).Emit(w, c); err != nil {
 		s.logf("sweepd: POST /v1/expand: writing campaign: %v", err)
 	}
+}
+
+// expand is the core of both expand forms: it runs the campaign on the
+// shared engine (progress is the campaign's hook), persists it, and
+// reports its counts, completion and durability status.
+func (s *Server) expand(ctx context.Context, scenarios []sweep.Scenario, progress func(done, total int, r sweep.Result)) (sweep.Campaign, expandSummary) {
+	c := s.eng.Run(ctx, scenarios, progress)
+	sum := expandSummary{Scenarios: len(c.Results)}
+	for _, res := range c.Results {
+		switch {
+		case res.Err == nil:
+			sum.OK++
+		case errors.Is(res.Err, sweep.ErrUnstarted):
+			sum.Unstarted++
+		default:
+			sum.Failed++
+		}
+	}
+	if c.Interrupted() {
+		// Keyed on the campaign, not ctx.Err(): a deadline that fires
+		// after the last cell finalized did not cost the client anything.
+		sum.Incomplete = "campaign cancelled"
+		if err := ctx.Err(); err != nil {
+			sum.Incomplete = err.Error()
+		}
+	}
+	if err := s.persist(c); err != nil {
+		s.logf("sweepd: POST /v1/expand: store: %v", err)
+		sum.StoreError = "store writes failed; results not persisted"
+	}
+	return c, sum
 }
 
 // persist enforces durability before acknowledgement: a response
@@ -458,26 +469,12 @@ func (s *Server) persist(c sweep.Campaign) error {
 	return storeErr
 }
 
-// acceptsNDJSON reports whether an Accept header asks for the
-// streaming expand response. Deliberately an exact media-type match
-// per comma-separated entry: */* or application/* keep the buffered
-// default — streaming is opt-in, never inferred.
-func acceptsNDJSON(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt, _, _ := strings.Cut(part, ";")
-		if strings.EqualFold(strings.TrimSpace(mt), "application/x-ndjson") {
-			return true
-		}
-	}
-	return false
-}
-
-// streamFrame is one NDJSON line of a streaming expand: exactly one
+// streamFrame is one NDJSON line of an explicit expand: exactly one
 // of the fields is set, making each line self-describing.
 type streamFrame struct {
 	Stream  *streamHeader  `json:"stream,omitempty"`
 	Result  *executeResult `json:"result,omitempty"`
-	Summary *streamSummary `json:"summary,omitempty"`
+	Summary *expandSummary `json:"summary,omitempty"`
 }
 
 // streamHeader opens the stream before any cell has finished, letting
@@ -488,13 +485,12 @@ type streamHeader struct {
 	Scenarios int    `json:"scenarios"`
 }
 
-// streamSummary closes the stream. It carries what the buffered mode
-// puts in headers — headers left with the first flushed frame, so
-// completion and durability status can only ride here. ok + failed +
-// unstarted == scenarios; unstarted cells (cancelled before they ran)
-// are not failures. Incomplete and StoreError mirror the
+// expandSummary is an expand's outcome: the summary frame that closes
+// an explicit stream, and the source of the grid form's headers.
+// ok + failed + unstarted == scenarios; unstarted cells (cancelled
+// before they ran) are not failures. Incomplete and StoreError are the
 // X-Expand-Incomplete and X-Store-Error header values.
-type streamSummary struct {
+type expandSummary struct {
 	Scenarios  int    `json:"scenarios"`
 	OK         int    `json:"ok"`
 	Failed     int    `json:"failed"`
@@ -503,12 +499,12 @@ type streamSummary struct {
 	StoreError string `json:"store_error,omitempty"`
 }
 
-// expandStream serves one expand as NDJSON frames, emitting each cell
-// the moment the engine finalizes it. Results stream before the
-// durability repair can run, so — unlike the buffered mode — a frame
-// is not an acknowledgement of persistence; the summary's store_error
-// is. The engine serializes progress callbacks, so writeFrame needs no
-// lock of its own.
+// expandStream serves an explicit expand as NDJSON frames, emitting
+// each cell the moment the engine finalizes it. Results stream before
+// the durability repair can run, so a result frame is not an
+// acknowledgement of persistence; the summary's store_error is. The
+// engine serializes the campaign's hook, so writeFrame needs no lock of
+// its own.
 func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenarios []sweep.Scenario) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -541,53 +537,21 @@ func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenar
 		}
 	}
 	writeFrame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
-	c := s.eng.RunScenariosContextProgress(ctx, scenarios, s.runner,
-		func(done, total int, res sweep.Result) {
-			er := toExecuteResult(res)
-			writeFrame(streamFrame{Result: &er})
-		})
-	storeErr := s.persist(c)
-	sum := streamSummary{Scenarios: len(c.Results)}
-	for _, res := range c.Results {
-		switch {
-		case res.Err == nil:
-			sum.OK++
-		case errors.Is(res.Err, sweep.ErrUnstarted):
-			sum.Unstarted++
-		default:
-			sum.Failed++
-		}
-	}
-	if c.Interrupted() {
-		// Same keying as the buffered mode's X-Expand-Incomplete: on
-		// the campaign, not ctx.Err() — a deadline that fires after the
-		// last cell finalized did not cost the client anything.
-		reason := "campaign cancelled"
-		if err := ctx.Err(); err != nil {
-			reason = err.Error()
-		}
-		sum.Incomplete = reason
-	}
-	if storeErr != nil {
-		s.logf("sweepd: POST /v1/expand: store: %v", storeErr)
-		sum.StoreError = "store writes failed; results not persisted"
-	}
+	_, sum := s.expand(ctx, scenarios, func(done, total int, res sweep.Result) {
+		er := toExecuteResult(res)
+		writeFrame(streamFrame{Result: &er})
+	})
 	writeFrame(streamFrame{Summary: &sum})
 	if writeErr != nil {
 		s.logf("sweepd: POST /v1/expand: writing stream: %v", writeErr)
 	}
 }
 
-// executeResponse is the explicit-form expand response: one result per
-// requested scenario, in request order. Metric values carry their
-// IEEE-754 bits so the dispatcher's merged campaign is bit-exact with
-// a local run; Unstarted distinguishes cells this worker was cancelled
-// out of (re-dispatchable) from genuine simulation failures (final).
-type executeResponse struct {
-	Physics string          `json:"physics"`
-	Results []executeResult `json:"results"`
-}
-
+// executeResult is one cell of an explicit expand. Metric values carry
+// their IEEE-754 bits so the dispatcher's merged campaign is bit-exact
+// with a local run; Unstarted distinguishes cells this worker was
+// cancelled out of (re-dispatchable) from genuine simulation failures
+// (final).
 type executeResult struct {
 	ID        string       `json:"id"`
 	Key       string       `json:"key"`
@@ -597,8 +561,7 @@ type executeResult struct {
 }
 
 // toExecuteResult renders one finalized cell in the exact-bits wire
-// form — shared by the buffered explicit response and the streaming
-// result frames so the two encodings cannot drift.
+// form.
 func toExecuteResult(res sweep.Result) executeResult {
 	er := executeResult{ID: res.ID, Key: res.Scenario.Key()}
 	if res.Err != nil {
@@ -608,17 +571,4 @@ func toExecuteResult(res sweep.Result) executeResult {
 		er.Metrics = toJSONMetrics(res.Metrics)
 	}
 	return er
-}
-
-func encodeExecuteResponse(w io.Writer, physics string, c sweep.Campaign) error {
-	resp := executeResponse{
-		Physics: physics,
-		Results: make([]executeResult, 0, len(c.Results)),
-	}
-	for _, res := range c.Results {
-		resp.Results = append(resp.Results, toExecuteResult(res))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resp)
 }

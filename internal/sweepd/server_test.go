@@ -31,7 +31,7 @@ func openStore(t *testing.T) *store.Store {
 	return st
 }
 
-func startServer(t *testing.T, st ResultStore, runner sweep.RunnerContext, workers int) *httptest.Server {
+func startServer(t *testing.T, st ResultStore, runner sweep.Runner, workers int) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(New(st, runner, workers).Handler())
 	t.Cleanup(ts.Close)

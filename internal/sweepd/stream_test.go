@@ -1,8 +1,11 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -30,10 +33,11 @@ func streamTestRunner(_ context.Context, s sweep.Scenario) (sweep.Metrics, error
 	return m, nil
 }
 
-// TestExpandStreamRoundTrip: the NDJSON expand mode must deliver the
-// same results as the buffered mode — one per requested cell (dups
-// included), request-ordered in the returned slice, bit-exact metrics,
-// per-cell errors intact — with onResult firing exactly once per cell.
+// TestExpandStreamRoundTrip: an explicit expand delivers one result per
+// requested cell (dups included), request-ordered in the returned
+// slice, with bit-exact metrics and per-cell errors intact, and
+// onResult fires exactly once per cell. A warm repeat served from the
+// store agrees cell for cell.
 func TestExpandStreamRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
@@ -43,7 +47,7 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 	scs := execScenarios(4)
 	scs = append(scs, scs[0]) // duplicate cell: one frame per requested index
 	var fired atomic.Int64
-	streamed, err := c.ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) {
+	cold, err := c.ExecuteScenarios(context.Background(), scs, func(i int, r ExecResult) {
 		fired.Add(1)
 		if want := scs[i].ID(); r.ID != want {
 			t.Errorf("onResult index %d carries %s, want %s", i, r.ID, want)
@@ -55,15 +59,14 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 	if fired.Load() != int64(len(scs)) {
 		t.Errorf("onResult fired %d times for %d cells", fired.Load(), len(scs))
 	}
-	// The warm buffered repeat must agree cell for cell.
-	buffered, err := c.ExecuteScenarios(context.Background(), scs)
+	warm, err := c.ExecuteScenarios(context.Background(), scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range scs {
-		s, b := streamed[i], buffered[i]
+		s, b := cold[i], warm[i]
 		if s.ID != b.ID || s.Unstarted != b.Unstarted || (s.Err == nil) != (b.Err == nil) {
-			t.Fatalf("cell %d: stream %+v vs buffered %+v", i, s, b)
+			t.Fatalf("cell %d: cold %+v vs warm %+v", i, s, b)
 		}
 		if s.Err != nil {
 			if !strings.Contains(s.Err.Error(), "injected failure") {
@@ -72,13 +75,13 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 			continue
 		}
 		if len(s.Metrics) != len(b.Metrics) {
-			t.Fatalf("cell %d: %d streamed metrics vs %d buffered", i, len(s.Metrics), len(b.Metrics))
+			t.Fatalf("cell %d: %d cold metrics vs %d warm", i, len(s.Metrics), len(b.Metrics))
 		}
 		for j := range s.Metrics {
 			sb := math.Float64bits(s.Metrics[j].Value)
 			bb := math.Float64bits(b.Metrics[j].Value)
 			if s.Metrics[j].Name != b.Metrics[j].Name || sb != bb {
-				t.Errorf("cell %d metric %d: stream %s/%016x vs buffered %s/%016x",
+				t.Errorf("cell %d metric %d: cold %s/%016x vs warm %s/%016x",
 					i, j, s.Metrics[j].Name, sb, b.Metrics[j].Name, bb)
 			}
 		}
@@ -110,13 +113,13 @@ func TestExpandStreamIncremental(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var once atomic.Bool
-	res, err := NewClient(ts.URL).ExecuteScenariosStream(ctx, execScenarios(2), func(i int, r ExecResult) {
+	res, err := NewClient(ts.URL).ExecuteScenarios(ctx, execScenarios(2), func(i int, r ExecResult) {
 		if r.ID == execScenarios(1)[0].ID() && once.CompareAndSwap(false, true) {
 			close(firstSeen)
 		}
 	})
 	if err != nil {
-		t.Fatalf("streaming expand failed (buffered response would deadlock here): %v", err)
+		t.Fatalf("explicit expand failed (a buffered response would deadlock here): %v", err)
 	}
 	for i, r := range res {
 		if r.Err != nil {
@@ -125,28 +128,68 @@ func TestExpandStreamIncremental(t *testing.T) {
 	}
 }
 
-// TestExpandStreamBufferedFallback: a pre-streaming worker ignores the
-// Accept header and answers buffered JSON; the streaming client must
-// detect that by Content-Type and still deliver every cell.
-func TestExpandStreamBufferedFallback(t *testing.T) {
-	inner := New(execStore(t), streamTestRunner, 2).Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept") // the old server never saw this header
-		inner.ServeHTTP(w, r)
-	}))
+// TestExpandEncodingFollowsRequestForm pins the rule of /v1/expand:
+// the request form alone fixes the encoding. An explicit spec sent
+// without an Accept header gets NDJSON ending in a summary frame; a grid
+// spec that asks for NDJSON still gets campaign JSON.
+func TestExpandEncodingFollowsRequestForm(t *testing.T) {
+	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
+	post := func(spec GridSpec, accept string) (string, []byte) {
+		t.Helper()
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/expand", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("expand status %d: %s", resp.StatusCode, out)
+		}
+		return resp.Header.Get("Content-Type"), out
+	}
 
-	scs := execScenarios(3)
-	var fired int
-	res, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) { fired++ })
-	if err != nil {
-		t.Fatal(err)
+	scs := execScenarios(2)
+	ct, out := post(GridSpec{Scenarios: []string{scs[0].Key(), scs[1].Key()}}, "")
+	if ct != "application/x-ndjson" {
+		t.Errorf("explicit expand Content-Type %q, want application/x-ndjson", ct)
 	}
-	if fired != len(scs) {
-		t.Errorf("fallback fired onResult %d times for %d cells", fired, len(scs))
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var last streamFrame
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatalf("last line %q: %v", lines[len(lines)-1], err)
 	}
-	if res[0].Err != nil || res[1].Err != nil || res[2].Err == nil {
-		t.Errorf("fallback results wrong: %+v", res)
+	if last.Summary == nil || last.Summary.OK != 2 || last.Summary.Failed != 0 {
+		t.Errorf("explicit expand ends with %q, want a summary frame with 2 ok, 0 failed", lines[len(lines)-1])
+	}
+
+	grid := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
+		Modes: []string{"baseline"}, Ranks: []int{4}, Threads: []int{8}, Seed: 77}
+	ct, out = post(grid, "application/x-ndjson")
+	if ct != "application/json" {
+		t.Errorf("grid expand Content-Type %q, want application/json", ct)
+	}
+	var exp expandResponse
+	if err := json.Unmarshal(out, &exp); err != nil {
+		t.Fatalf("grid expand body is not campaign JSON: %v\n%s", err, out)
+	}
+	if exp.Scenarios != 1 || exp.Failed != 0 {
+		t.Errorf("grid expand: %d scenarios, %d failed; want 1/0", exp.Scenarios, exp.Failed)
 	}
 }
 
@@ -165,7 +208,7 @@ func TestExpandStreamTruncated(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var surfaced int
-	_, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) {
+	_, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), scs, func(i int, r ExecResult) {
 		surfaced++
 		if v, ok := r.Metrics.Get("v"); !ok || v != 1.0 {
 			t.Errorf("surfaced prefix cell carries v=%v, want 1", v)
@@ -186,7 +229,7 @@ func TestExpandStreamPhysicsMismatch(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	c.Physics = "other-physics"
-	if _, err := c.ExecuteScenariosStream(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "physics") {
+	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "physics") {
 		t.Fatalf("foreign-physics stream error = %v, want physics mismatch", err)
 	}
 }
@@ -211,7 +254,7 @@ func TestClientOversizedResponses(t *testing.T) {
 	old := maxExpandBytes
 	maxExpandBytes = 256
 	t.Cleanup(func() { maxExpandBytes = old })
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1)); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized expand error = %v, want explicit limit report", err)
 	}
 }
@@ -233,10 +276,10 @@ func TestMaxCellsConfigurable(t *testing.T) {
 	if h.MaxCells != 2 {
 		t.Errorf("healthz max_cells = %d, want 2", h.MaxCells)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(3)); err == nil || !strings.Contains(err.Error(), "limit 2") {
+	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(3), nil); err == nil || !strings.Contains(err.Error(), "limit 2") {
 		t.Errorf("3-cell expand against cap 2: err = %v, want limit rejection", err)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(2)); err != nil {
+	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(2), nil); err != nil {
 		t.Errorf("2-cell expand within cap failed: %v", err)
 	}
 }
@@ -258,7 +301,7 @@ func TestStreamTotalBeyondFrameCap(t *testing.T) {
 	c.Physics = execPhysics
 
 	scs := execScenarios(20)
-	out, err := c.ExecuteScenariosStream(context.Background(), scs, nil)
+	out, err := c.ExecuteScenarios(context.Background(), scs, nil)
 	if err != nil {
 		t.Fatalf("stream with total size beyond the per-frame cap failed: %v", err)
 	}
@@ -290,7 +333,7 @@ func TestStreamOversizedFrameRejected(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	c.Physics = execPhysics
-	if _, err := c.ExecuteScenariosStream(context.Background(), scs, nil); err == nil ||
+	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err == nil ||
 		!strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized frame error = %v, want explicit limit report", err)
 	}
@@ -310,11 +353,11 @@ func TestHealthzDefaultMaxCells(t *testing.T) {
 	}
 }
 
-// benchExpand measures one warm expand round trip (the store is
-// pre-populated, so the numbers isolate transport + encode/decode, not
-// simulation). ReportAllocs makes the buffered-vs-streaming memory
-// difference visible in B/op.
-func benchExpand(b *testing.B, n int, stream bool) {
+// BenchmarkExpandStreaming measures one warm explicit expand round
+// trip: the store is pre-populated, so the numbers isolate transport
+// and encode/decode, not simulation.
+func BenchmarkExpandStreaming(b *testing.B) {
+	const n = 512
 	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		m.Add("v", float64(s.Ranks)/3.0)
@@ -330,19 +373,13 @@ func benchExpand(b *testing.B, n int, stream bool) {
 	b.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	scs := execScenarios(n)
-	if _, err := c.ExecuteScenarios(context.Background(), scs); err != nil {
+	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res []ExecResult
-		var err error
-		if stream {
-			res, err = c.ExecuteScenariosStream(context.Background(), scs, func(int, ExecResult) {})
-		} else {
-			res, err = c.ExecuteScenarios(context.Background(), scs)
-		}
+		res, err := c.ExecuteScenarios(context.Background(), scs, func(int, ExecResult) {})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,6 +388,3 @@ func benchExpand(b *testing.B, n int, stream bool) {
 		}
 	}
 }
-
-func BenchmarkExpandBuffered(b *testing.B)  { benchExpand(b, 512, false) }
-func BenchmarkExpandStreaming(b *testing.B) { benchExpand(b, 512, true) }

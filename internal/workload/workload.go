@@ -13,7 +13,7 @@
 //
 // Adding a workload: implement Workload, call Register from an init
 // function, and it becomes addressable from cmd/sweep -workloads and
-// the root RunScenario runner.
+// the root RunScenarioContext runner.
 package workload
 
 import (

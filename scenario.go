@@ -23,21 +23,14 @@ import (
 // golden fixtures forces this constant into the review diff.
 const PhysicsVersion = "p1"
 
-// RunScenario executes one sweep scenario through the workload
+// RunScenarioContext executes one sweep scenario through the workload
 // registry: the scenario's workload (default: the CloverLeaf study)
-// resolved by name, with runner defaults applied for unset axes. It is
-// the Runner that cmd/sweep feeds to the sweep engine.
-func RunScenario(s sweep.Scenario) (sweep.Metrics, error) {
-	return workload.Run(s)
-}
-
-// RunScenarioContext is RunScenario in the engine's cancellation-aware
-// runner form: it refuses to start a simulation once ctx has ended
-// (the last check before the workload runs — the engine's own dispatch
-// and slot-acquire checks come earlier), but a simulation that has
-// already begun runs to completion so its result can be cached and
-// persisted. It is the RunnerContext that cmd/sweep and cmd/sweepd
-// feed to the sweep engine.
+// resolved by name, with runner defaults applied for unset axes. It
+// refuses to start a simulation once ctx has ended (the last check
+// before the workload runs — the engine's own dispatch and slot-acquire
+// checks come earlier), but a simulation that has already begun runs
+// to completion so its result can be cached and persisted. It is the
+// sweep.Runner that cmd/sweep and cmd/sweepd feed to the sweep engine.
 func RunScenarioContext(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		// Nothing simulated: carry the engine's distinguished unstarted

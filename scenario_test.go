@@ -36,7 +36,7 @@ func TestCampaignDeterministicOutput(t *testing.T) {
 	g := quickGrid()
 	var wantCSV, wantJSON []byte
 	for _, workers := range []int{1, 4, 0, 1} {
-		c := sweep.NewEngine(workers).Run(g, RunScenario)
+		c := sweep.NewEngine(workers, RunScenarioContext).Run(context.Background(), g.Expand(), nil)
 		if err := c.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestCampaignDeterministicOutput(t *testing.T) {
 func TestRunScenarioMetrics(t *testing.T) {
 	get := func(s sweep.Scenario, name string) float64 {
 		t.Helper()
-		m, err := RunScenario(s)
+		m, err := RunScenarioContext(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRunScenarioContextRefusesDeadContext(t *testing.T) {
 func TestRunScenarioErrorIsolation(t *testing.T) {
 	g := quickGrid()
 	g.Machines = append([]string{"no-such-machine"}, g.Machines...)
-	c := sweep.NewEngine(4).Run(g, RunScenario)
+	c := sweep.NewEngine(4, RunScenarioContext).Run(context.Background(), g.Expand(), nil)
 	failed := c.Failed()
 	if len(failed) != 2 { // bogus machine x 2 modes
 		t.Fatalf("%d failures, want 2", len(failed))
@@ -146,18 +146,17 @@ func TestRunScenarioErrorIsolation(t *testing.T) {
 // it has already run.
 func TestRunScenarioCaching(t *testing.T) {
 	var runs atomic.Int64
-	counted := func(s sweep.Scenario) (sweep.Metrics, error) {
+	e := sweep.NewEngine(4, func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		runs.Add(1)
-		return RunScenario(s)
-	}
-	e := sweep.NewEngine(4)
+		return RunScenarioContext(ctx, s)
+	})
 	g := quickGrid()
-	e.Run(g, counted)
+	e.Run(context.Background(), g.Expand(), nil)
 	first := runs.Load()
 	if first != int64(g.Size()) {
 		t.Fatalf("first campaign ran %d, want %d", first, g.Size())
 	}
-	c := e.Run(g, counted)
+	c := e.Run(context.Background(), g.Expand(), nil)
 	if runs.Load() != first {
 		t.Errorf("repeat campaign re-executed: %d runs", runs.Load())
 	}

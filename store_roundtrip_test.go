@@ -1,6 +1,7 @@
 package cloversim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // TestStoreRoundTripMatchesColdRun is the differential property behind
 // resumable campaigns: for EVERY registered workload under EVERY
-// write-allocate-evasion mode, writing a cold RunScenario result to
+// write-allocate-evasion mode, writing a cold RunScenarioContext result to
 // the persistent store, reopening the store from disk, and reading the
 // record back must reproduce the metrics bit-identically (names,
 // order, and IEEE-754 bit patterns). If this holds, a warm campaign
@@ -45,7 +46,7 @@ func TestStoreRoundTripMatchesColdRun(t *testing.T) {
 
 	cold := make(map[string]sweep.Metrics, len(scenarios))
 	for _, sc := range scenarios {
-		m, err := RunScenario(sc)
+		m, err := RunScenarioContext(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: cold run: %v", sc.Label(), err)
 		}
@@ -104,7 +105,7 @@ func TestStoreRoundTripMatchesColdRun(t *testing.T) {
 	// so the property above really is "store == simulation", not
 	// "store == one lucky sample".
 	for _, sc := range scenarios[:4] {
-		m, err := RunScenario(sc)
+		m, err := RunScenarioContext(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
