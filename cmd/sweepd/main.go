@@ -23,7 +23,7 @@
 // -sync-every via GET /v1/sync, converging to the peers' result sets
 // with no shared filesystem. Mixed-physics peers are refused on both
 // ends. POST /v1/admin/compact merges the store's segments into one
-// deduplicated, index-sidecar'd segment while the daemon runs.
+// deduplicated segment while the daemon runs.
 //
 // Expand requests are cancellation-correct: a client that disconnects
 // mid-expand stops the server scheduling that grid's remaining cold

@@ -33,9 +33,6 @@ func NewField(jlo, jhi, klo, khi int) *Field {
 	}
 }
 
-// Idx returns the flat index of (j,k).
-func (f *Field) Idx(j, k int) int { return (k-f.KLo)*f.row + (j - f.JLo) }
-
 // At returns the value at (j,k).
 func (f *Field) At(j, k int) float64 { return f.V[(k-f.KLo)*f.row+(j-f.JLo)] }
 

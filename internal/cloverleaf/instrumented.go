@@ -1,8 +1,6 @@
 package cloverleaf
 
 import (
-	"math"
-
 	"cloversim/internal/counters"
 	"cloversim/internal/machine"
 	"cloversim/internal/trace"
@@ -139,6 +137,3 @@ func (ir *InstrumentedRank) BalanceReport() map[string]float64 {
 	}
 	return out
 }
-
-// round is a helper kept for future fractional call schedules.
-func round(x float64) int { return int(math.Floor(x + 0.5)) }

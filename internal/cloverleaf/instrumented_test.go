@@ -79,9 +79,3 @@ func TestInstrumentedSpecI2MKnob(t *testing.T) {
 		t.Errorf("am07 moved with the knob: %.2f vs %.2f", bOn["am07"], bOff["am07"])
 	}
 }
-
-func TestRoundHelper(t *testing.T) {
-	if round(0.5) != 1 || round(0.49) != 0 || round(1.9) != 2 {
-		t.Fatal("round broken")
-	}
-}

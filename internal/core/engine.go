@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"cloversim/internal/machine"
+	"cloversim/internal/memsim"
 )
 
 // LineBytes is the cache-line size of all modeled machines.
@@ -31,31 +32,18 @@ const LineBytes = 64
 
 const fullMask = ^uint64(0)
 
-// Backend is the cache/memory hierarchy the store engine drives.
-// internal/memsim provides the canonical implementation.
+// Backend is the cache/memory hierarchy the store engine drives:
+// *memsim.Hierarchy, or a test fake. The engine retires store lines one
+// at a time — the run detector and the per-line evasion dice demand it
+// — but the resulting line operations come in long same-kind runs
+// (every line of a CLX row pays an RFO, every line of an NT row goes
+// out non-temporally), which the engine coalesces and hands over in
+// original order.
 type Backend interface {
-	// Load performs a demand load of the given cache line (line index =
-	// byte address / 64).
-	Load(line int64)
-	// RFO performs a read-for-ownership (write-allocate): the line is
-	// fetched and installed dirty.
-	RFO(line int64)
-	// ClaimI2M claims the line dirty at the L3 without any memory read
-	// and counts an ItoM event (Intel SpecI2M).
-	ClaimI2M(line int64)
-	// ClaimL2 claims the line dirty in the private L2 without a memory
-	// read (A64FX cache-line zero).
-	ClaimL2(line int64)
-	// WriteStreamed writes the line straight to memory, bypassing the
-	// hierarchy (ARM write-streaming mode; distinct from WriteNT only in
-	// accounting).
-	WriteStreamed(line int64)
-	// WriteNT writes a full or partial line directly to memory,
-	// bypassing the hierarchy.
-	WriteNT(line int64)
-	// WriteNTReverted accounts for an NT store that the hardware
-	// reverted into a regular write-allocate store.
-	WriteNTReverted(line int64)
+	// AccessRange performs n operations of one kind on the consecutive
+	// lines start..start+n-1 (line index = byte address / 64), exactly
+	// as n one-line operations in order would.
+	AccessRange(start, n int64, kind memsim.AccessKind)
 }
 
 // Context describes the run conditions of one loop execution on one core.
@@ -80,39 +68,6 @@ type Context struct {
 	PFOn bool
 }
 
-// RangeBackend is an optional Backend extension: a backend that can
-// replay a run of consecutive same-kind line operations in one batched
-// call (memsim.Hierarchy.AccessRange). The engine retires store lines
-// one at a time — the run detector and the per-line evasion dice demand
-// it — but the resulting backend operations come in long same-kind runs
-// (every line of a CLX row pays an RFO, every line of an NT row goes
-// out non-temporally), which the engine coalesces and hands over
-// batched, in original order, when the backend supports it. A batched
-// run must leave the backend exactly as the per-line calls would, so
-// coalescing never changes results; keeping runs maximal only saves
-// per-call overhead.
-type RangeBackend interface {
-	RFORange(start, n int64)
-	ClaimI2MRange(start, n int64)
-	ClaimL2Range(start, n int64)
-	WriteStreamedRange(start, n int64)
-	WriteNTRange(start, n int64)
-	WriteNTRevertedRange(start, n int64)
-}
-
-// pendKind tags the operation kind of the engine's pending run.
-type pendKind uint8
-
-const (
-	pendNone pendKind = iota
-	pendRFO
-	pendClaimI2M
-	pendClaimL2
-	pendWS
-	pendNT
-	pendNTRev
-)
-
 // streamState tracks the open store line of one write stream.
 type streamState struct {
 	line   int64  // currently open (partially filled) line index, or -1
@@ -122,7 +77,7 @@ type streamState struct {
 	nt     bool   // this stream uses non-temporal stores
 }
 
-// Stats counts store-path decisions (per engine since last ResetStats).
+// Stats counts store-path decisions over the engine's lifetime.
 type Stats struct {
 	FullLines    int64 // full-line stores retired
 	PartialLines int64 // partially written lines retired
@@ -135,7 +90,6 @@ type Stats struct {
 // StoreEngine models one core's store path.
 type StoreEngine struct {
 	be      Backend
-	rb      RangeBackend // non-nil when be supports batched runs
 	spec    *machine.Spec
 	ctx     Context
 	eff     float64 // cached evasion efficiency for ctx
@@ -149,38 +103,20 @@ type StoreEngine struct {
 	// flushed on any kind/contiguity break and at call boundaries
 	// (StoreRange returns with nothing pending, so interleaved direct
 	// backend traffic from the caller stays ordered).
-	pendKind  pendKind
+	pendKind  memsim.AccessKind
 	pendStart int64
 	pendN     int64
 }
 
 // NewStoreEngine creates a store engine over the backend for the machine.
 func NewStoreEngine(be Backend, spec *machine.Spec) *StoreEngine {
-	rb, _ := be.(RangeBackend)
-	return &StoreEngine{be: be, rb: rb, spec: spec, rng: 0x9e3779b97f4a7c15}
+	return &StoreEngine{be: be, spec: spec, rng: 0x9e3779b97f4a7c15}
 }
 
-// emit hands one backend line operation over: batched through the
-// pending run when the backend supports ranges, directly otherwise.
-func (e *StoreEngine) emit(kind pendKind, line int64) {
-	if e.rb == nil {
-		switch kind {
-		case pendRFO:
-			e.be.RFO(line)
-		case pendClaimI2M:
-			e.be.ClaimI2M(line)
-		case pendClaimL2:
-			e.be.ClaimL2(line)
-		case pendWS:
-			e.be.WriteStreamed(line)
-		case pendNT:
-			e.be.WriteNT(line)
-		case pendNTRev:
-			e.be.WriteNTReverted(line)
-		}
-		return
-	}
-	if kind == e.pendKind && line == e.pendStart+e.pendN {
+// emit queues one line operation: it extends the pending run, or hands
+// that run over and starts a new one.
+func (e *StoreEngine) emit(kind memsim.AccessKind, line int64) {
+	if e.pendN > 0 && kind == e.pendKind && line == e.pendStart+e.pendN {
 		e.pendN++
 		return
 	}
@@ -188,26 +124,13 @@ func (e *StoreEngine) emit(kind pendKind, line int64) {
 	e.pendKind, e.pendStart, e.pendN = kind, line, 1
 }
 
-// flushPending replays the pending run on the batched backend path.
+// flushPending hands the pending run to the backend.
 func (e *StoreEngine) flushPending() {
 	if e.pendN == 0 {
 		return
 	}
-	switch e.pendKind {
-	case pendRFO:
-		e.rb.RFORange(e.pendStart, e.pendN)
-	case pendClaimI2M:
-		e.rb.ClaimI2MRange(e.pendStart, e.pendN)
-	case pendClaimL2:
-		e.rb.ClaimL2Range(e.pendStart, e.pendN)
-	case pendWS:
-		e.rb.WriteStreamedRange(e.pendStart, e.pendN)
-	case pendNT:
-		e.rb.WriteNTRange(e.pendStart, e.pendN)
-	case pendNTRev:
-		e.rb.WriteNTRevertedRange(e.pendStart, e.pendN)
-	}
-	e.pendKind, e.pendStart, e.pendN = pendNone, 0, 0
+	e.be.AccessRange(e.pendStart, e.pendN, e.pendKind)
+	e.pendN = 0
 }
 
 // Seed reseeds the engine's deterministic PRNG.
@@ -256,9 +179,6 @@ func (e *StoreEngine) ConfigureStreams(n int, nt []bool) {
 
 // Stats returns the accumulated store-path statistics.
 func (e *StoreEngine) Stats() Stats { return e.stats }
-
-// ResetStats clears the statistics.
-func (e *StoreEngine) ResetStats() { e.stats = Stats{} }
 
 // xorshift64* PRNG; deterministic given Seed.
 func (e *StoreEngine) rand() float64 {
@@ -379,10 +299,10 @@ func (e *StoreEngine) retireFull(s *streamState) {
 	if s.nt {
 		if e.ntRev > 0 && e.rand() < e.ntRev {
 			e.stats.NTReverted++
-			e.emit(pendNTRev, line)
+			e.emit(memsim.AccessWriteNTReverted, line)
 		} else {
 			e.stats.NTLines++
-			e.emit(pendNT, line)
+			e.emit(memsim.AccessWriteNT, line)
 		}
 		s.runLen++ // NT streams keep their own run notion (harmless)
 		return
@@ -392,16 +312,16 @@ func (e *StoreEngine) retireFull(s *streamState) {
 		e.stats.Claimed++
 		switch e.spec.I2M.Mode {
 		case machine.EvasionWriteStream:
-			e.emit(pendWS, line)
+			e.emit(memsim.AccessWriteStreamed, line)
 		case machine.EvasionClaimZero:
-			e.emit(pendClaimL2, line)
+			e.emit(memsim.AccessClaimL2, line)
 		default:
-			e.emit(pendClaimI2M, line)
+			e.emit(memsim.AccessClaimI2M, line)
 		}
 		return
 	}
 	e.stats.RFOs++
-	e.emit(pendRFO, line)
+	e.emit(memsim.AccessRFO, line)
 }
 
 // retirePartial handles a line evicted from the store window while only
@@ -413,10 +333,10 @@ func (e *StoreEngine) retirePartial(s *streamState) {
 	if s.nt {
 		// Partial WC flush: masked write transactions, no ownership read.
 		e.stats.NTLines++
-		e.emit(pendNT, s.line)
+		e.emit(memsim.AccessWriteNT, s.line)
 	} else {
 		e.stats.RFOs++
-		e.emit(pendRFO, s.line)
+		e.emit(memsim.AccessRFO, s.line)
 	}
 	s.runLen = 0
 }

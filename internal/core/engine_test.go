@@ -4,20 +4,31 @@ import (
 	"testing"
 
 	"cloversim/internal/machine"
+	"cloversim/internal/memsim"
 )
 
 // fakeBackend records store-path decisions per line.
 type fakeBackend struct {
 	loads, rfos, claims, nts, reverts, l2claims, streamed []int64
+	runs                                                  int // AccessRange calls
 }
 
-func (f *fakeBackend) Load(line int64)            { f.loads = append(f.loads, line) }
-func (f *fakeBackend) RFO(line int64)             { f.rfos = append(f.rfos, line) }
-func (f *fakeBackend) ClaimI2M(line int64)        { f.claims = append(f.claims, line) }
-func (f *fakeBackend) ClaimL2(line int64)         { f.l2claims = append(f.l2claims, line) }
-func (f *fakeBackend) WriteStreamed(line int64)   { f.streamed = append(f.streamed, line) }
-func (f *fakeBackend) WriteNT(line int64)         { f.nts = append(f.nts, line) }
-func (f *fakeBackend) WriteNTReverted(line int64) { f.reverts = append(f.reverts, line) }
+// AccessRange records the run line by line under its kind.
+func (f *fakeBackend) AccessRange(start, n int64, kind memsim.AccessKind) {
+	lines := map[memsim.AccessKind]*[]int64{
+		memsim.AccessLoad:            &f.loads,
+		memsim.AccessRFO:             &f.rfos,
+		memsim.AccessClaimI2M:        &f.claims,
+		memsim.AccessClaimL2:         &f.l2claims,
+		memsim.AccessWriteStreamed:   &f.streamed,
+		memsim.AccessWriteNT:         &f.nts,
+		memsim.AccessWriteNTReverted: &f.reverts,
+	}[kind]
+	for line := start; line < start+n; line++ {
+		*lines = append(*lines, line)
+	}
+	f.runs++
+}
 
 func newEngine(t *testing.T, ctx Context) (*StoreEngine, *fakeBackend) {
 	t.Helper()

@@ -4,26 +4,14 @@ import (
 	"testing"
 
 	"cloversim/internal/machine"
-	"cloversim/internal/memsim"
 )
-
-// plainBackend wraps a Hierarchy but hides its RangeBackend methods, so
-// a StoreEngine over it takes the per-line path.
-type plainBackend struct{ h *memsim.Hierarchy }
-
-func (p plainBackend) Load(line int64)            { p.h.Load(line) }
-func (p plainBackend) RFO(line int64)             { p.h.RFO(line) }
-func (p plainBackend) ClaimI2M(line int64)        { p.h.ClaimI2M(line) }
-func (p plainBackend) ClaimL2(line int64)         { p.h.ClaimL2(line) }
-func (p plainBackend) WriteStreamed(line int64)   { p.h.WriteStreamed(line) }
-func (p plainBackend) WriteNT(line int64)         { p.h.WriteNT(line) }
-func (p plainBackend) WriteNTReverted(line int64) { p.h.WriteNTReverted(line) }
 
 // storeWorkout drives one engine through the store shapes the traffic
 // generators emit: long aligned rows, misaligned partial heads/tails,
 // bridged halo gaps, NT streams, and mid-row interleaving across
-// streams, with a context switch partway.
-func storeWorkout(e *StoreEngine, ctx Context, nt bool) {
+// streams, with a context switch partway. It calls check after every
+// StoreRange, SetContext and the closing CloseAll.
+func storeWorkout(e *StoreEngine, ctx Context, nt bool, check func()) {
 	e.Seed(0xd1ce)
 	e.ConfigureStreams(3, []bool{nt, false, nt})
 	e.SetContext(ctx)
@@ -36,21 +24,28 @@ func storeWorkout(e *StoreEngine, ctx Context, nt bool) {
 				addr += 24
 			}
 			e.StoreRange(s, addr, 1800)
+			check()
 			e.StoreRange(s, addr+1984, 2100)
+			check()
 		}
 	}
 	ctx2 := ctx
 	ctx2.Class = machine.ClassPureStore
 	e.SetContext(ctx2)
+	check()
 	e.StoreRange(0, base+(1<<21)+8, 64*37+17)
+	check()
 	e.CloseAll()
+	check()
 }
 
-// TestEngineRangeBackendDifferential: a StoreEngine over the batched
-// RangeBackend path must produce bit-identical hierarchy Counts to the
-// same engine over the per-line Backend path — the pending-run
-// coalescing may only group calls, never reorder or drop them.
-func TestEngineRangeBackendDifferential(t *testing.T) {
+// TestEngineHandsOverEveryRetiredLine: the engine coalesces retired
+// lines into runs, but no call returns with a run still pending. After
+// every StoreRange, SetContext and CloseAll the backend has received
+// exactly the lines Stats says were retired, kind by kind, so traffic
+// the caller sends the backend next (the demand loads of the following
+// row) stays ordered after them.
+func TestEngineHandsOverEveryRetiredLine(t *testing.T) {
 	for _, name := range machine.Names() {
 		spec, _ := machine.ByName(name)
 		for _, nt := range []bool{false, true} {
@@ -63,29 +58,21 @@ func TestEngineRangeBackendDifferential(t *testing.T) {
 				Eligible:      true,
 				PFOn:          true,
 			}
-			hPlain := memsim.New(spec)
-			ePlain := NewStoreEngine(plainBackend{hPlain}, spec)
-			storeWorkout(ePlain, ctx, nt)
-
-			hRange := memsim.New(spec)
-			eRange := NewStoreEngine(hRange, spec)
-			if eRange.rb == nil {
-				t.Fatal("memsim.Hierarchy must implement RangeBackend")
-			}
-			storeWorkout(eRange, ctx, nt)
-
-			if ePlain.Stats() != eRange.Stats() {
-				t.Fatalf("%s nt=%t: engine stats diverge: %+v vs %+v",
-					name, nt, eRange.Stats(), ePlain.Stats())
-			}
-			if hPlain.Counts() != hRange.Counts() {
-				t.Fatalf("%s nt=%t: hierarchy counts diverge\nbatched:  %+v\nper-line: %+v",
-					name, nt, hRange.Counts(), hPlain.Counts())
-			}
-			hPlain.Flush()
-			hRange.Flush()
-			if hPlain.Counts() != hRange.Counts() {
-				t.Fatalf("%s nt=%t: post-flush counts diverge (dirty state differs)", name, nt)
+			be := &fakeBackend{}
+			e := NewStoreEngine(be, spec)
+			storeWorkout(e, ctx, nt, func() {
+				t.Helper()
+				st := e.Stats()
+				received := len(be.rfos) + len(be.claims) + len(be.l2claims) + len(be.streamed) + len(be.nts) + len(be.reverts)
+				claimed := len(be.claims) + len(be.l2claims) + len(be.streamed)
+				if int64(received) != st.FullLines+st.PartialLines || int64(claimed) != st.Claimed ||
+					int64(len(be.rfos)) != st.RFOs || int64(len(be.nts)) != st.NTLines || int64(len(be.reverts)) != st.NTReverted {
+					t.Fatalf("%s nt=%t: backend received %d lines (%d rfo, %d claimed, %d nt, %d reverted), stats %+v",
+						name, nt, received, len(be.rfos), claimed, len(be.nts), len(be.reverts), st)
+				}
+			})
+			if st := e.Stats(); int64(be.runs) >= st.FullLines+st.PartialLines {
+				t.Fatalf("%s nt=%t: %d runs for %d lines, want coalesced runs", name, nt, be.runs, st.FullLines+st.PartialLines)
 			}
 		}
 	}

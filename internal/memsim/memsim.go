@@ -8,8 +8,8 @@
 // Layer conditions (Sec. II-C), partial-line write-allocates and prefetch
 // overfetch are emergent properties of the simulation, not parameters.
 //
-// Hierarchy implements core.Backend and core.RangeBackend, so the
-// SpecI2M store engine of internal/core drives it directly.
+// Hierarchy implements core.Backend (AccessRange), so the SpecI2M store
+// engine of internal/core drives it directly.
 //
 // There is one simulation path: AccessRange replays a run of
 // consecutive same-kind accesses (range.go), and the per-line methods
@@ -142,32 +142,32 @@ func (h *Hierarchy) PrefetchOn() bool { return h.pfOn }
 // Counts returns a snapshot of all counters.
 func (h *Hierarchy) Counts() Counts { return h.c }
 
-// Load implements core.Backend: a demand load, which may trigger the
+// Load performs a demand load of one line, which may trigger the
 // prefetchers.
 func (h *Hierarchy) Load(line int64) { h.AccessRange(line, 1, AccessLoad) }
 
-// RFO implements core.Backend: a read-for-ownership (write-allocate);
-// the line is fetched and installed dirty.
+// RFO performs a read-for-ownership (write-allocate): the line is
+// fetched and installed dirty.
 func (h *Hierarchy) RFO(line int64) { h.AccessRange(line, 1, AccessRFO) }
 
-// ClaimI2M implements core.Backend: the line is claimed dirty at L3
-// without a memory read (SpecI2M ItoM transaction).
+// ClaimI2M claims the line dirty at L3 without a memory read (SpecI2M
+// ItoM transaction).
 func (h *Hierarchy) ClaimI2M(line int64) { h.AccessRange(line, 1, AccessClaimI2M) }
 
-// ClaimL2 implements core.Backend: the line is claimed dirty in the
-// private L2 without a memory read (A64FX cache-line zero). The write
-// reaches memory via the normal write-back path, and — unlike ItoM — the
-// data is immediately reusable from the private cache.
+// ClaimL2 claims the line dirty in the private L2 without a memory
+// read (A64FX cache-line zero). The write reaches memory via the normal
+// write-back path, and — unlike ItoM — the data is immediately reusable
+// from the private cache.
 func (h *Hierarchy) ClaimL2(line int64) { h.AccessRange(line, 1, AccessClaimL2) }
 
-// WriteStreamed implements core.Backend: ARM write-streaming mode sends
-// the detected store stream straight to memory.
+// WriteStreamed is ARM write-streaming mode: the detected store stream
+// goes straight to memory.
 func (h *Hierarchy) WriteStreamed(line int64) { h.AccessRange(line, 1, AccessWriteStreamed) }
 
-// WriteNT implements core.Backend: a direct (write-combined) memory write.
+// WriteNT is a direct (write-combined) memory write.
 func (h *Hierarchy) WriteNT(line int64) { h.AccessRange(line, 1, AccessWriteNT) }
 
-// WriteNTReverted implements core.Backend: the NT store was demoted to a
+// WriteNTReverted accounts for an NT store that was demoted to a
 // regular write-allocate store (read + eventual write-back).
 func (h *Hierarchy) WriteNTReverted(line int64) { h.AccessRange(line, 1, AccessWriteNTReverted) }
 

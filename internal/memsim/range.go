@@ -3,7 +3,7 @@ package memsim
 import "fmt"
 
 // AccessKind names one per-line hierarchy operation for batched replay.
-// The kinds mirror the core.Backend methods one-to-one.
+// The kinds mirror the per-line methods (Load, RFO, ...) one-to-one.
 type AccessKind uint8
 
 const (
@@ -75,26 +75,6 @@ func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 		h.c.WSLines += n
 		h.c.MemWriteLines += n
 	}
-}
-
-// RFORange implements core.RangeBackend.
-func (h *Hierarchy) RFORange(start, n int64) { h.AccessRange(start, n, AccessRFO) }
-
-// ClaimI2MRange implements core.RangeBackend.
-func (h *Hierarchy) ClaimI2MRange(start, n int64) { h.AccessRange(start, n, AccessClaimI2M) }
-
-// ClaimL2Range implements core.RangeBackend.
-func (h *Hierarchy) ClaimL2Range(start, n int64) { h.AccessRange(start, n, AccessClaimL2) }
-
-// WriteStreamedRange implements core.RangeBackend.
-func (h *Hierarchy) WriteStreamedRange(start, n int64) { h.AccessRange(start, n, AccessWriteStreamed) }
-
-// WriteNTRange implements core.RangeBackend.
-func (h *Hierarchy) WriteNTRange(start, n int64) { h.AccessRange(start, n, AccessWriteNT) }
-
-// WriteNTRevertedRange implements core.RangeBackend.
-func (h *Hierarchy) WriteNTRevertedRange(start, n int64) {
-	h.AccessRange(start, n, AccessWriteNTReverted)
 }
 
 // accessRange runs n demand accesses (loads, or RFOs when dirty) on

@@ -44,14 +44,6 @@ func (m LoopModel) BytesLCB() int { return ElemBytes * (m.RDLCB + m.WR) }
 // BytesMax returns the worst case: broken LCs and full WAs.
 func (m LoopModel) BytesMax() int { return ElemBytes * (m.RDLCB + m.WR + m.Evadable()) }
 
-// Intensity returns flops per byte at the given code balance.
-func (m LoopModel) Intensity(bytesPerIt float64) float64 {
-	if bytesPerIt == 0 {
-		return 0
-	}
-	return float64(m.FlopsIt) / bytesPerIt
-}
-
 // FromLoop derives the analytic model from a trace.Loop definition, so
 // the paper's hand-derived counts can be unit-tested against the encoded
 // stencil offsets.
@@ -148,13 +140,6 @@ func RooflineIts(bandwidth, bytesPerIt float64) float64 {
 // a local inner dimension of `inner` elements: one extra cache line (8
 // elements) of halo per row (Sec. V-C: 8/(216+8) = 3.57% for 71 ranks).
 func HaloReadOverhead(inner int) float64 {
-	return 8.0 / float64(inner+8)
-}
-
-// PartialLineWriteOverhead returns the relative extra write volume caused
-// by unaligned row starts/ends: up to one cache line per row of inner
-// elements, matching the paper's measured 1.09% average (Sec. V-C).
-func PartialLineWriteOverhead(inner int) float64 {
 	return 8.0 / float64(inner+8)
 }
 

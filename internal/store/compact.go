@@ -12,16 +12,12 @@ package store
 //
 //  1. Write every surviving line to compact.tmp (invisible to the
 //     segment glob) and fsync it.
-//  2. Remove the lowest segment's sidecar — its stamped size could
-//     coincidentally match the new content, and a stale sidecar must
-//     never describe fresh bytes.
-//  3. Atomically rename compact.tmp over the lowest segment and fsync
+//  2. Atomically rename compact.tmp over the lowest segment and fsync
 //     the directory. From this instant the lowest segment holds every
 //     live record; the higher segments now contain only duplicates of
 //     it (or droppable lines), so recovery is correct whether or not
 //     they still exist.
-//  4. Remove the higher segments and their sidecars.
-//  5. Write the new segment's sidecar and fsync the directory.
+//  3. Remove the higher segments and fsync the directory again.
 //
 // Compaction requires exclusive ownership of the store directory: a
 // concurrent writer process appending its own segment would have that
@@ -33,8 +29,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -58,12 +52,12 @@ func (cs CompactStats) String() string {
 		cs.Records, cs.DroppedStale, cs.DroppedCorrupt, cs.DroppedDuplicates, cs.Conflicts)
 }
 
-// Compact merges all segments into one deduplicated, sidecar-indexed
-// segment and rebuilds the in-memory index from the result. It blocks
-// reads and writes for the duration. The store's sync Epoch changes:
-// record sequence numbers are renumbered, so replication watermarks
-// held by peers become foreign and those peers transparently restart
-// from zero (content addressing makes the re-pull converge).
+// Compact merges all segments into one deduplicated segment and
+// rebuilds the in-memory index from the result. It blocks reads and
+// writes for the duration. The store's sync Epoch changes: record
+// sequence numbers are renumbered, so replication watermarks held by
+// peers become foreign and those peers transparently restart from
+// zero (content addressing makes the re-pull converge).
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,37 +83,27 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 
 	tmpPath := filepath.Join(s.dir, "compact.tmp")
-	entries, err := s.mergeSegments(tmpPath, segs, &cs)
-	if err != nil {
+	if err := s.mergeSegments(tmpPath, segs, &cs); err != nil {
 		os.Remove(tmpPath)
 		return CompactStats{}, err
 	}
 
-	// Publish (steps 2-5 of the protocol above).
-	target := segs[0]
-	if err := os.Remove(sidecarPath(target)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		os.Remove(tmpPath)
-		return CompactStats{}, fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, target); err != nil {
+	// Publish (steps 2 and 3 of the protocol above).
+	if err := os.Rename(tmpPath, segs[0]); err != nil {
 		os.Remove(tmpPath)
 		return CompactStats{}, fmt.Errorf("store: compact: %w", err)
 	}
 	syncDir(s.dir)
 	for _, seg := range segs[1:] {
-		if err := os.Remove(sidecarPath(seg)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return CompactStats{}, fmt.Errorf("store: compact: %w", err)
-		}
 		if err := os.Remove(seg); err != nil {
 			return CompactStats{}, fmt.Errorf("store: compact: %w", err)
 		}
 	}
-	writeSidecar(target, cs.BytesAfter, entries) //nolint:errcheck // segment is the source of truth; next Open regenerates
 	syncDir(s.dir)
 
 	// Rebuild the in-memory view from the published state. Sequence
 	// numbers are reassigned, so the epoch must change with them.
-	s.index = map[string]*indexEntry{}
+	s.index = map[string]indexEntry{}
 	s.stats = Stats{}
 	s.nextSeq = 0
 	s.epoch = newEpoch()
@@ -133,85 +117,55 @@ func (s *Store) Compact() (CompactStats, error) {
 // file at tmpPath, keeping the first occurrence of each live record
 // verbatim (bytes preserved exactly — the exact-IEEE-754-bits contract
 // carries through compaction trivially) and dropping everything else.
-// It returns the sidecar entries of the merged segment and fills in
-// the drop counters and BytesAfter.
-func (s *Store) mergeSegments(tmpPath string, segs []string, cs *CompactStats) ([]sidecarEntry, error) {
+// It fills in the record and drop counters and BytesAfter.
+func (s *Store) mergeSegments(tmpPath string, segs []string, cs *CompactStats) error {
 	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
+		return fmt.Errorf("store: compact: %w", err)
 	}
 	defer tmp.Close()
 	out := bufio.NewWriterSize(tmp, 256<<10)
 
-	seen := map[string]uint64{} // id -> canonical hash of the kept record
-	var entries []sidecarEntry
-	var outOff int64
+	kept := map[string]Record{} // id -> first record, written out
 	for _, seg := range segs {
-		if err := s.mergeOneSegment(seg, out, &outOff, seen, &entries, cs); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.Flush(); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	cs.Records = len(entries)
-	cs.BytesAfter = outOff
-	return entries, nil
-}
-
-func (s *Store) mergeOneSegment(seg string, out *bufio.Writer, outOff *int64, seen map[string]uint64, entries *[]sidecarEntry, cs *CompactStats) error {
-	f, err := os.Open(seg)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	for {
-		// A line truncated by the maxLineBytes bound never decodes, so
-		// the exactness check recovery needs is implied here.
-		line, _, err := readLine(r)
-		if len(line) > 0 {
-			switch rec, derr := DecodeRecord(line, s.physics); {
+		err := s.scanSegment(seg, func(line []byte, rec Record, derr error) error {
+			switch {
 			case derr == nil:
-				h := canonicalHash(s.physics, rec)
-				if prev, dup := seen[rec.ID]; dup {
-					if prev == h {
+				if first, dup := kept[rec.ID]; dup {
+					if sameRecord(s.physics, first, rec) {
 						cs.DroppedDuplicates++
 					} else {
 						cs.Conflicts++
 					}
-					break
+					return nil
 				}
-				if _, werr := out.Write(line); werr != nil {
+				if _, werr := out.Write(append(line, '\n')); werr != nil {
 					return fmt.Errorf("store: compact: %w", werr)
 				}
-				if werr := out.WriteByte('\n'); werr != nil {
-					return fmt.Errorf("store: compact: %w", werr)
-				}
-				seen[rec.ID] = h
-				*entries = append(*entries, sidecarEntry{
-					physics: s.physics, id: rec.ID, off: *outOff, n: int64(len(line)), hash: h,
-				})
-				*outOff += int64(len(line)) + 1
+				kept[rec.ID] = rec
+				cs.BytesAfter += int64(len(line)) + 1
 			case isStale(derr):
 				cs.DroppedStale++
 			default:
 				cs.DroppedCorrupt++
 			}
-		}
-		if err == io.EOF {
 			return nil
-		}
+		})
 		if err != nil {
-			return fmt.Errorf("store: compact: reading %s: %w", seg, err)
+			return err
 		}
 	}
+	if err := out.Flush(); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	cs.Records = len(kept)
+	return nil
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are

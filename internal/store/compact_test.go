@@ -99,16 +99,16 @@ func TestCompactMergesToOneSegment(t *testing.T) {
 	}
 	checkLive(t, s, live)
 
-	// On disk: exactly one segment, with a valid sidecar, and the next
-	// Open recovers through it.
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
-	if len(segs) != 1 {
-		t.Fatalf("segments on disk after compact: %v", segs)
+	// On disk: exactly one segment and nothing else, and the next Open
+	// finds no damage in it.
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(files) != 1 || filepath.Ext(files[0]) != ".jsonl" {
+		t.Fatalf("files on disk after compact: %v, want one segment", files)
 	}
 	s.Close()
 	s2 := mustOpen(t, dir, "p1")
-	if st := s2.Stats(); st.Sidecars != 1 || st.Segments != 1 || st.Stale != 0 || st.Corrupt != 0 {
-		t.Fatalf("post-compact reopen stats = %s, want clean sidecar recovery", st)
+	if st := s2.Stats(); st.Segments != 1 || st.Stale != 0 || st.Corrupt != 0 || st.Duplicates != 0 || st.Conflicts != 0 {
+		t.Fatalf("post-compact reopen stats = %s, want one clean segment", st)
 	}
 	checkLive(t, s2, live)
 }
@@ -235,15 +235,14 @@ func TestCompactCrashStates(t *testing.T) {
 	})
 
 	t.Run("crash-after-rename-before-removal", func(t *testing.T) {
-		// The merged segment replaced the lowest one (its sidecar already
-		// removed); every higher segment still exists. Their content is
-		// now pure duplicates of the merged segment — recovery must land
-		// on the same live set, first-wins.
+		// The merged segment replaced the lowest one; every higher
+		// segment still exists. Their content is now pure duplicates of
+		// the merged segment — recovery must land on the same live set,
+		// first-wins.
 		dir, live := build(t)
 		merged := compactedBytes(t, dir)
 		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 		target := segs[0]
-		os.Remove(sidecarPath(target))
 		if err := os.WriteFile(target, merged, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -262,12 +261,10 @@ func TestCompactCrashStates(t *testing.T) {
 		merged := compactedBytes(t, dir)
 		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 		target := segs[0]
-		os.Remove(sidecarPath(target))
 		if err := os.WriteFile(target, merged, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, seg := range segs[1:3] {
-			os.Remove(sidecarPath(seg))
 			if err := os.Remove(seg); err != nil {
 				t.Fatal(err)
 			}
@@ -276,24 +273,25 @@ func TestCompactCrashStates(t *testing.T) {
 	})
 
 	t.Run("crash-before-new-sidecar", func(t *testing.T) {
-		// Everything removed, new sidecar never written: plain replay.
+		// Every higher segment removed: the state after step 3 before
+		// its directory fsync. Older builds, whose protocol ended by
+		// writing an index file for the merged segment, left the same
+		// state when they crashed before that write.
 		dir, live := build(t)
 		merged := compactedBytes(t, dir)
 		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 		target := segs[0]
-		os.Remove(sidecarPath(target))
 		if err := os.WriteFile(target, merged, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, seg := range segs[1:] {
-			os.Remove(sidecarPath(seg))
 			if err := os.Remove(seg); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s := mustOpen(t, dir, "p1")
-		if st := s.Stats(); st.Sidecars != 0 || st.Segments != 1 {
-			t.Fatalf("stats = %s, want one sidecar-less segment", st)
+		if st := s.Stats(); st.Segments != 1 || st.Corrupt != 0 || st.Duplicates != 0 {
+			t.Fatalf("stats = %s, want one clean segment", st)
 		}
 		checkLive(t, s, live)
 	})
@@ -343,9 +341,8 @@ func FuzzCompactionRecovery(f *testing.F) {
 	})
 }
 
-// BenchmarkStoreOpen measures cold Open at 1e5 records, with sidecars
-// (the sealed fast path) and without (full replay) — the ratio is the
-// point of the sidecar tier.
+// BenchmarkStoreOpen measures Open of a sealed 1e5-record store: the
+// replay of every line into the in-memory index.
 func BenchmarkStoreOpen(b *testing.B) {
 	const n = 100_000
 	dir := b.TempDir()
@@ -361,47 +358,15 @@ func BenchmarkStoreOpen(b *testing.B) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-
-	b.Run("sidecar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := Open(dir, "p1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.Len() != n {
-				b.Fatalf("recovered %d records, want %d", s.Len(), n)
-			}
-			s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, "p1")
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("replay", func(b *testing.B) {
-		idx, _ := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-		for _, p := range idx {
-			if err := os.Remove(p); err != nil {
-				b.Fatal(err)
-			}
+		if s.Len() != n {
+			b.Fatalf("recovered %d records, want %d", s.Len(), n)
 		}
-		defer func() { // regeneration happens inside the loop; strip again for repeatability
-			idx, _ := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-			for _, p := range idx {
-				os.Remove(p)
-			}
-		}()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			idx, _ := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-			for _, p := range idx {
-				os.Remove(p)
-			}
-			b.StartTimer()
-			s, err := Open(dir, "p1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.Len() != n {
-				b.Fatalf("recovered %d records, want %d", s.Len(), n)
-			}
-			s.Close()
-		}
-	})
+		s.Close()
+	}
 }

@@ -17,17 +17,16 @@
 //   - Append-safe segments. Each record is one JSON line appended with
 //     a single O_APPEND write, so a crash can only tear the final
 //     line, never an earlier record.
-//   - Corruption-tolerant recovery. Open scans every segment and
-//     tolerates torn tails, garbage lines, duplicate records and
-//     records whose key no longer hashes to their claimed ID; damage
-//     is counted in Stats, never fatal, and never a panic. A duplicate
-//     whose metric bits differ from the indexed record is a Conflict —
-//     counted and reported separately, first record still wins.
-//   - Indexed segments. Each sealed segment carries a checksummed
-//     index sidecar (seg-N.idx, see sidecar.go) mapping record IDs to
-//     byte offsets, so Open is O(segments) — records load lazily from
-//     their offsets on first access — and a missing or damaged sidecar
-//     degrades to a full replay of that one segment, never an error.
+//   - One recovery path. Open replays every segment line by line
+//     through DecodeRecord into an in-memory index, and every read is
+//     served from that index. Open writes nothing into the directory,
+//     and files there other than segments are never read.
+//   - Corruption-tolerant recovery. The replay tolerates torn tails,
+//     garbage lines, duplicate records and records whose key no longer
+//     hashes to their claimed ID; damage is counted in Stats, never
+//     fatal, and never a panic. A duplicate whose metric bits differ
+//     from the indexed record is a Conflict — counted and reported
+//     separately, first record still wins.
 //   - Compaction. Compact (compact.go) merges every segment into one
 //     deduplicated segment with a crash-safe publish protocol,
 //     dropping stale-physics and corrupt lines.
@@ -46,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"math"
@@ -85,12 +83,10 @@ type Record struct {
 	Metrics  sweep.Metrics
 }
 
-// Stats summarizes what Open found while recovering a store directory
-// plus damage discovered later (a lazily loaded record that no longer
-// decodes counts as corrupt at that point).
+// Stats summarizes what Open found while recovering a store directory,
+// plus the segment and records this store instance has added since.
 type Stats struct {
 	Segments   int // segment files scanned
-	Sidecars   int // segments recovered via a valid index sidecar (no replay)
 	Records    int // live records indexed (current physics version)
 	Stale      int // well-formed records under other physics versions
 	Corrupt    int // undecodable or integrity-failed lines skipped
@@ -112,54 +108,35 @@ func (s Stats) String() string {
 	return msg
 }
 
-// indexEntry is one indexed record. Entries recovered from a sidecar
-// start unloaded — only the segment location and canonical hash are
-// known — and materialize into rec on first access. Entries from a
-// full replay or a Put are born loaded.
+// indexEntry is one indexed live record.
 type indexEntry struct {
-	seq    uint64 // monotone per-store-instance sequence (sync watermarks)
-	hash   uint64 // canonical line hash (duplicate-vs-conflict detection)
-	loaded bool
-	rec    Record // valid when loaded
-
-	// Lazy location, valid when !loaded:
-	seg string // segment path
-	off int64  // byte offset of the record's line
-	n   int64  // line length in bytes, newline excluded
+	seq uint64 // monotone per-store-instance sequence (sync watermarks)
+	rec Record
 }
 
 // Store is a disk-backed result store. It is safe for concurrent use;
 // reads are served from an in-memory index populated at Open and kept
-// in sync by Put. Records behind a sidecar-recovered segment load
-// lazily on first access. Store implements sweep.Cache, so it plugs
-// into the engine as the persistent tier directly.
+// in sync by Put. Store implements sweep.Cache, so it plugs into the
+// engine as the persistent tier directly.
 type Store struct {
 	dir     string
 	physics string
 
 	mu      sync.RWMutex
-	index   map[string]*indexEntry // scenario ID -> entry (current physics only)
-	active  *os.File               // lazily created on first Put
-	closed  bool                   // Close was called; Put must not resurrect a segment
-	dirty   bool                   // appended since the last successful fsync
-	torn    bool                   // last append failed; tail may hold a partial line
+	index   map[string]indexEntry // scenario ID -> entry (current physics only)
+	active  *os.File              // lazily created on first Put
+	closed  bool                  // Close was called; Put must not resurrect a segment
+	dirty   bool                  // appended since the last successful fsync
+	torn    bool                  // last append failed; tail may hold a partial line
 	stats   Stats
 	nextSeq uint64 // next sequence number to assign
 	epoch   string // sync-watermark namespace; fresh per Open and per Compact
-
-	// Active-segment bookkeeping for the seal-time sidecar.
-	activePath    string
-	activeOff     int64          // bytes appended so far
-	activeEntries []sidecarEntry // one per record appended, in order
-	activeIndexOK bool           // offsets trusted (no torn write since creation)
 }
 
 // Open recovers the store in dir for the given physics version,
-// creating the directory if needed. Segments with a valid index
-// sidecar recover in O(1) record work (records load lazily); the rest
-// replay line by line, and their sidecars are regenerated best-effort.
-// Damaged segments degrade to Stats counts; only unreadable
-// directories and I/O errors fail.
+// creating the directory if needed, by replaying every segment into
+// the in-memory index. Damaged segments degrade to Stats counts; only
+// unreadable directories and I/O errors fail.
 func Open(dir, physics string) (*Store, error) {
 	if physics == "" {
 		return nil, fmt.Errorf("store: empty physics version")
@@ -167,7 +144,7 @@ func Open(dir, physics string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, physics: physics, index: map[string]*indexEntry{}, epoch: newEpoch()}
+	s := &Store{dir: dir, physics: physics, index: map[string]indexEntry{}, epoch: newEpoch()}
 	if err := s.recoverAllLocked(); err != nil {
 		return nil, err
 	}
@@ -195,11 +172,18 @@ func (s *Store) recoverAllLocked() error {
 		return err
 	}
 	for _, seg := range segs {
-		if s.recoverFromSidecar(seg) {
-			s.stats.Sidecars++
-			continue
-		}
-		if err := s.replaySegment(seg); err != nil {
+		err := s.scanSegment(seg, func(_ []byte, rec Record, derr error) error {
+			switch {
+			case derr == nil:
+				s.admitLocked(rec)
+			case isStale(derr):
+				s.stats.Stale++
+			default:
+				s.stats.Corrupt++
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -250,54 +234,25 @@ func segNumber(path string) (int64, bool) {
 	return n, true
 }
 
-// replaySegment indexes one segment line by line, first record per ID
-// wins. Undecodable lines — torn tails, hand edits, bit rot — are
-// counted and skipped. On success the segment's index sidecar is
-// regenerated best-effort, so the next Open recovers it lazily.
-func (s *Store) replaySegment(path string) error {
+// scanSegment decodes the non-empty lines of one segment in order and
+// hands each line to visit with its decode result. An error from visit
+// stops the scan and is returned.
+func (s *Store) scanSegment(path string, visit func(line []byte, rec Record, err error) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	var entries []sidecarEntry
-	var off int64
 	r := bufio.NewReaderSize(f, 64<<10)
 	for {
-		line, consumed, err := readLine(r)
-		// A truncated overlong line consumed more bytes than it returned;
-		// its sidecar entry would point at garbage, so only exact lines
-		// (terminator aside) are indexable.
-		exact := int64(len(line)) == consumed || int64(len(line)) == consumed-1
+		line, err := readLine(r)
 		if len(line) > 0 {
-			switch rec, derr := DecodeRecord(line, s.physics); {
-			case derr == nil:
-				h := canonicalHash(s.physics, rec)
-				if exact {
-					entries = append(entries, sidecarEntry{physics: s.physics, id: rec.ID, off: off, n: int64(len(line)), hash: h})
-				}
-				s.admitLocked(rec, h)
-			case isStale(derr):
-				s.stats.Stale++
-				// Index the foreign record in the sidecar too, so a later
-				// Open under ITS physics version can still skip the replay.
-				// A line that does not validate under its own claimed
-				// version is left out (it would be corrupt there anyway).
-				if got := stalePhysics(derr); exact && got != "" {
-					if frec, ferr := DecodeRecord(line, got); ferr == nil {
-						entries = append(entries, sidecarEntry{physics: got, id: frec.ID, off: off, n: int64(len(line)), hash: canonicalHash(got, frec)})
-					}
-				}
-			default:
-				s.stats.Corrupt++
+			rec, derr := DecodeRecord(line, s.physics)
+			if verr := visit(line, rec, derr); verr != nil {
+				return verr
 			}
 		}
-		off += consumed
 		if err == io.EOF {
-			// Best-effort regeneration: a read-only directory or a full
-			// disk must not fail recovery — the sidecar is an
-			// optimization, the segment stays the source of truth.
-			writeSidecar(path, off, entries) //nolint:errcheck // best-effort regeneration; the segment stays the source of truth
 			return nil
 		}
 		if err != nil {
@@ -306,86 +261,54 @@ func (s *Store) replaySegment(path string) error {
 	}
 }
 
-// recoverFromSidecar indexes one segment from its sidecar without
-// reading any record bytes. It reports false — caller replays — when
-// the sidecar is missing, fails its checksum, or describes a different
-// segment size than the file on disk (the segment grew or was
-// truncated after the sidecar was written).
-func (s *Store) recoverFromSidecar(path string) bool {
-	entries, ok := readSidecar(path)
-	if !ok {
-		return false
-	}
-	for _, e := range entries {
-		if e.physics != s.physics {
-			s.stats.Stale++
-			continue
-		}
-		if _, dup := s.index[e.id]; dup {
-			s.noteDuplicateLocked(e.id, e.hash)
-			continue
-		}
-		s.nextSeq++
-		s.index[e.id] = &indexEntry{
-			seq: s.nextSeq, hash: e.hash,
-			seg: path, off: e.off, n: e.n,
-		}
-	}
-	return true
-}
-
 // admitLocked indexes one decoded live record, first-wins.
-func (s *Store) admitLocked(rec Record, hash uint64) {
-	if _, dup := s.index[rec.ID]; dup {
-		s.noteDuplicateLocked(rec.ID, hash)
+func (s *Store) admitLocked(rec Record) {
+	if e, dup := s.index[rec.ID]; dup {
+		s.noteDuplicateLocked(e.rec, rec)
 		return
 	}
 	s.nextSeq++
-	s.index[rec.ID] = &indexEntry{seq: s.nextSeq, hash: hash, loaded: true, rec: rec}
+	s.index[rec.ID] = indexEntry{seq: s.nextSeq, rec: rec}
 }
 
 // noteDuplicateLocked classifies a re-encountered ID: identical
-// canonical bytes are a benign duplicate (concurrent writers
-// converging); different bytes mean two simulations of one scenario
+// canonical encodings are a benign duplicate (concurrent writers
+// converging); different ones mean two simulations of one scenario
 // disagreed — a conflict that dedup must not launder silently. Either
 // way the first indexed record wins, deterministically.
-func (s *Store) noteDuplicateLocked(id string, hash uint64) {
-	if e := s.index[id]; e.hash == hash {
+func (s *Store) noteDuplicateLocked(first, again Record) {
+	if sameRecord(s.physics, first, again) {
 		s.stats.Duplicates++
 		return
 	}
 	s.stats.Conflicts++
 	if len(s.stats.ConflictIDs) < maxConflictIDs {
-		s.stats.ConflictIDs = append(s.stats.ConflictIDs, id)
+		s.stats.ConflictIDs = append(s.stats.ConflictIDs, first.ID)
 	}
 }
 
-// canonicalHash fingerprints a record's canonical encoded line, so
-// equality of hashes means equality of scenario and exact metric bits
-// regardless of cosmetic differences in the on-disk JSON.
-func canonicalHash(physics string, rec Record) uint64 {
-	line, err := EncodeRecord(physics, rec.Scenario, rec.Metrics)
+// sameRecord reports whether two records share one canonical encoding:
+// the same scenario and exact metric bits, regardless of cosmetic
+// differences in their on-disk JSON. Only a repeated ID pays for it.
+func sameRecord(physics string, a, b Record) bool {
+	la, err := EncodeRecord(physics, a.Scenario, a.Metrics)
 	if err != nil {
-		return 0
+		return false
 	}
-	h := fnv.New64a()
-	h.Write(bytes.TrimSuffix(line, []byte("\n")))
-	return h.Sum64()
+	lb, err := EncodeRecord(physics, b.Scenario, b.Metrics)
+	return err == nil && bytes.Equal(la, lb)
 }
 
 // readLine reads one newline-terminated line, returning it without the
-// terminator plus the total bytes consumed (terminator included).
-// Memory is bounded: a line longer than maxLineBytes has its tail
-// consumed but discarded, and the truncated prefix is returned (it
-// fails decoding and counts as corrupt, rather than ballooning
-// recovery memory or aborting it). io.EOF accompanies the final,
-// unterminated line.
-func readLine(r *bufio.Reader) ([]byte, int64, error) {
+// terminator. Memory is bounded: a line longer than maxLineBytes has
+// its tail consumed but discarded, and the truncated prefix is
+// returned (it fails decoding and counts as corrupt, rather than
+// ballooning recovery memory or aborting it). io.EOF accompanies the
+// final, unterminated line.
+func readLine(r *bufio.Reader) ([]byte, error) {
 	var line []byte
-	var consumed int64
 	for {
 		frag, err := r.ReadSlice('\n')
-		consumed += int64(len(frag))
 		if len(line) < maxLineBytes {
 			line = append(line, frag...)
 			if len(line) > maxLineBytes {
@@ -397,11 +320,11 @@ func readLine(r *bufio.Reader) ([]byte, int64, error) {
 			if n := len(line); n > 0 && line[n-1] == '\n' {
 				line = line[:n-1]
 			}
-			return line, consumed, nil
+			return line, nil
 		case bufio.ErrBufferFull:
 			continue
 		default:
-			return line, consumed, err
+			return line, err
 		}
 	}
 }
@@ -409,14 +332,6 @@ func readLine(r *bufio.Reader) ([]byte, int64, error) {
 // isStale reports whether a decode error means "fine record, other
 // physics version" rather than corruption.
 func isStale(err error) bool { _, ok := err.(*staleError); return ok }
-
-// stalePhysics extracts the physics version a stale decode error names.
-func stalePhysics(err error) string {
-	if se, ok := err.(*staleError); ok {
-		return se.got
-	}
-	return ""
-}
 
 type staleError struct{ got string }
 
@@ -517,107 +432,12 @@ func (s *Store) Get(sc sweep.Scenario) (sweep.Metrics, bool) {
 	return rec.Metrics, true
 }
 
-// Lookup serves a stored record by its config hash, reading it from
-// its segment offset on first access when the segment was recovered
-// via sidecar. A record whose bytes no longer decode — the sidecar
-// outlived the data — is dropped from the index and counted corrupt,
-// so the caller (and the engine above it) treats the scenario as never
-// simulated and a fresh Put can heal the store.
+// Lookup serves a stored record by its config hash.
 func (s *Store) Lookup(id string) (Record, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	e, ok := s.index[id]
-	if !ok {
-		s.mu.RUnlock()
-		return Record{}, false
-	}
-	if e.loaded {
-		rec := e.rec
-		s.mu.RUnlock()
-		return rec, true
-	}
-	seg, off, n := e.seg, e.off, e.n
-	s.mu.RUnlock()
-
-	rec, err := s.loadAt(seg, off, n, id)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok = s.index[id]
-	if !ok {
-		// Compact or a concurrent failed load rebuilt the index under us.
-		return Record{}, false
-	}
-	if e.loaded {
-		return e.rec, true
-	}
-	if err != nil {
-		delete(s.index, id)
-		s.stats.Corrupt++
-		s.stats.Records = len(s.index)
-		return Record{}, false
-	}
-	e.rec = rec
-	e.loaded = true
-	return rec, true
-}
-
-// loadAt reads and verifies one record line at a sidecar-indexed
-// offset. The decode enforces the full integrity contract, and the ID
-// must be the one the index sent us here for.
-func (s *Store) loadAt(seg string, off, n int64, id string) (Record, error) {
-	if n <= 0 || n > maxLineBytes {
-		return Record{}, fmt.Errorf("store: implausible record length %d", n)
-	}
-	f, err := os.Open(seg)
-	if err != nil {
-		return Record{}, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return Record{}, fmt.Errorf("store: reading %s@%d: %w", seg, off, err)
-	}
-	rec, err := DecodeRecord(buf, s.physics)
-	if err != nil {
-		return Record{}, err
-	}
-	if rec.ID != id {
-		return Record{}, fmt.Errorf("store: offset %s@%d holds record %s, index expected %s", seg, off, rec.ID, id)
-	}
-	return rec, nil
-}
-
-// loadAllLocked materializes every lazy entry in deterministic
-// (segment, offset) order — sequential within each segment, and the
-// same read schedule on every run, so two stores recovering the same
-// segments issue identical I/O. Entries that fail to load are dropped
-// and counted corrupt, mirroring Lookup.
-func (s *Store) loadAllLocked() {
-	var pending []*indexEntry
-	ids := map[*indexEntry]string{}
-	for id, e := range s.index {
-		if !e.loaded {
-			pending = append(pending, e)
-			ids[e] = id
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].seg != pending[j].seg {
-			return segLess(pending[i].seg, pending[j].seg)
-		}
-		return pending[i].off < pending[j].off
-	})
-	for _, e := range pending {
-		rec, err := s.loadAt(e.seg, e.off, e.n, ids[e])
-		if err != nil {
-			delete(s.index, ids[e])
-			s.stats.Corrupt++
-			continue
-		}
-		e.rec = rec
-		e.loaded = true
-	}
-	s.stats.Records = len(s.index)
+	return e.rec, ok
 }
 
 // Put durably records one scenario result. Content addressing makes it
@@ -660,35 +480,14 @@ func (s *Store) Put(sc sweep.Scenario, m sweep.Metrics) error {
 		payload = append([]byte{'\n'}, line...)
 	}
 	if _, err := s.active.Write(payload); err != nil {
-		// Unknown how many bytes landed: poison the tail, and give up on
-		// the seal-time sidecar for this segment — its offsets can no
-		// longer be trusted (the next Open replays and regenerates it).
-		s.torn = true
-		s.activeIndexOK = false
+		s.torn = true // unknown how many bytes landed: poison the tail
 		return fmt.Errorf("store: append %s: %w", rec.ID, err)
 	}
-	recOff := s.activeOff + int64(len(payload)-len(line))
-	s.activeOff += int64(len(payload))
 	s.torn = false
 	s.dirty = true
-	hash := lineHash(line)
-	if s.activeIndexOK {
-		s.activeEntries = append(s.activeEntries, sidecarEntry{
-			physics: s.physics, id: rec.ID, off: recOff, n: int64(len(line)) - 1, hash: hash,
-		})
-	}
-	s.nextSeq++
-	s.index[rec.ID] = &indexEntry{seq: s.nextSeq, hash: hash, loaded: true, rec: rec}
+	s.admitLocked(rec)
 	s.stats.Records = len(s.index)
 	return nil
-}
-
-// lineHash is canonicalHash for a line that is already the canonical
-// encoding (fresh from EncodeRecord, trailing newline included).
-func lineHash(line []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(bytes.TrimSuffix(line, []byte("\n")))
-	return h.Sum64()
 }
 
 // createSegmentLocked opens this process's own append segment,
@@ -710,10 +509,6 @@ func (s *Store) createSegmentLocked() error {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 		if err == nil {
 			s.active = f
-			s.activePath = path
-			s.activeOff = 0
-			s.activeEntries = nil
-			s.activeIndexOK = true
 			s.stats.Segments++
 			return nil
 		}
@@ -783,12 +578,10 @@ func (s *Store) IDsSince(since uint64) (ids []string, watermark uint64) {
 }
 
 // Records lists the live records sorted by canonical key — a
-// deterministic order for listings and serving. It materializes every
-// lazily indexed record.
+// deterministic order for listings and serving.
 func (s *Store) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loadAllLocked()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]Record, 0, len(s.index))
 	for _, e := range s.index {
 		out = append(out, e.rec)
@@ -817,10 +610,9 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the active segment, sealing it with an index
-// sidecar so the next Open skips its replay. Afterwards reads and
-// Sync remain safe no-ops, but Put fails: a closed store accepts no
-// new records (see Put).
+// Close syncs and closes the active segment. Afterwards reads and Sync
+// remain safe no-ops, but Put fails: a closed store accepts no new
+// records (see Put).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -828,10 +620,8 @@ func (s *Store) Close() error {
 	return s.sealActiveLocked()
 }
 
-// sealActiveLocked syncs, sidecars and closes the active segment (if
-// any). A failed sidecar write is not an error — the segment is the
-// source of truth and the next Open regenerates the sidecar — but a
-// failed sync or close is: those bytes may not be durable.
+// sealActiveLocked syncs and closes the active segment (if any). A
+// failed sync or close is an error: those bytes may not be durable.
 func (s *Store) sealActiveLocked() error {
 	if s.active == nil {
 		return nil
@@ -843,10 +633,6 @@ func (s *Store) sealActiveLocked() error {
 		return fmt.Errorf("store: sync: %w", err)
 	}
 	s.dirty = false
-	if s.activeIndexOK {
-		writeSidecar(s.activePath, s.activeOff, s.activeEntries) //nolint:errcheck // best-effort; recovery rebuilds a missing or stale sidecar
-	}
-	s.activeEntries = nil
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: close: %w", err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestE2ECompactedStoreByteIdentity: compaction is invisible to
 // campaigns. A cold run populates a multi-record store; -store-compact
-// rewrites it into one sidecar-indexed segment; a warm run in a fresh
+// rewrites it into one segment and nothing else; a warm run in a fresh
 // "process" then performs ZERO simulations and produces stdout, CSV
 // and JSON byte-identical to the uncompacted cold run.
 func TestE2ECompactedStoreByteIdentity(t *testing.T) {
@@ -33,12 +33,9 @@ func TestE2ECompactedStoreByteIdentity(t *testing.T) {
 	if !strings.Contains(string(compactStdout), "compacted") {
 		t.Fatalf("-store-compact stdout missing report:\n%s", compactStdout)
 	}
-	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.jsonl"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments after compact: %v (%v), want exactly one", segs, err)
-	}
-	if _, err := os.Stat(strings.TrimSuffix(segs[0], ".jsonl") + ".idx"); err != nil {
-		t.Fatalf("compacted segment has no index sidecar: %v", err)
+	files, err := filepath.Glob(filepath.Join(storeDir, "*"))
+	if err != nil || len(files) != 1 || filepath.Ext(files[0]) != ".jsonl" {
+		t.Fatalf("files after compact: %v (%v), want exactly one segment and no .idx", files, err)
 	}
 
 	var warmSims atomic.Int64

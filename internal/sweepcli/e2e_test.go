@@ -3,6 +3,7 @@ package sweepcli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -178,6 +179,71 @@ func TestE2EPartialResume(t *testing.T) {
 	}
 	if sims.Load() != 8 {
 		t.Fatalf("resumed run simulated %d scenarios, want exactly the 8 cold ones", sims.Load())
+	}
+}
+
+// TestE2EConflictingStoreReported: a store holding one scenario twice
+// with different metric bits — a determinism violation — is named on
+// stderr at open, while the warm run still exits 0 and serves the
+// first record, so stdout, CSV and JSON match a clean warm run byte
+// for byte.
+func TestE2EConflictingStoreReported(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	if code, _, stderr := runCLI(t, e2eArgs(storeDir, filepath.Join(t.TempDir(), "cold")), cloversim.RunScenarioContext); code != ExitOK {
+		t.Fatalf("cold run exit %d, stderr:\n%s", code, stderr)
+	}
+	outClean := filepath.Join(t.TempDir(), "clean")
+	code, cleanStdout, cleanStderr := runCLI(t, e2eArgs(storeDir, outClean), cloversim.RunScenarioContext)
+	if code != ExitOK || len(cleanStderr) != 0 {
+		t.Fatalf("clean warm run exit %d, stderr:\n%s", code, cleanStderr)
+	}
+
+	// A second segment copies the first with one bits value changed in
+	// its first record.
+	seg, err := os.ReadFile(filepath.Join(storeDir, "seg-000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first struct{ ID string }
+	if err := json.Unmarshal(seg[:bytes.IndexByte(seg, '\n')], &first); err != nil {
+		t.Fatal(err)
+	}
+	bits := bytes.Index(seg, []byte(`"bits":"`)) + len(`"bits":"`)
+	if seg[bits] == '1' {
+		seg[bits] = '2'
+	} else {
+		seg[bits] = '1'
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, "seg-000002.jsonl"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	outWarm := filepath.Join(t.TempDir(), "warm")
+	var sims atomic.Int64
+	code, warmStdout, warmStderr := runCLI(t, e2eArgs(storeDir, outWarm), countRunner(&sims))
+	if code != ExitOK || sims.Load() != 0 {
+		t.Fatalf("warm run over a conflicting store: exit %d, %d simulations, stderr:\n%s", code, sims.Load(), warmStderr)
+	}
+	if !strings.Contains(string(warmStderr), "CONFLICTING") || !strings.Contains(string(warmStderr), first.ID) {
+		t.Fatalf("stderr does not name conflicting record %s:\n%s", first.ID, warmStderr)
+	}
+	normClean := normalize(cleanStdout, map[string]string{outClean: "$OUT"})
+	normWarm := normalize(warmStdout, map[string]string{outWarm: "$OUT"})
+	if !bytes.Equal(normClean, normWarm) {
+		t.Errorf("stdout over a conflicting store deviates from the clean warm run:\nclean:\n%s\nwarm:\n%s", normClean, normWarm)
+	}
+	for _, name := range []string{"campaign.csv", "campaign.json"} {
+		clean, err := os.ReadFile(filepath.Join(outClean, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := os.ReadFile(filepath.Join(outWarm, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(clean, warm) {
+			t.Errorf("%s over a conflicting store deviates from the clean warm run", name)
+		}
 	}
 }
 

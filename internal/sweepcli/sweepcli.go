@@ -182,10 +182,12 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		// Closes explicitly (Close is idempotent) so sync errors reach
 		// the exit code.
 		defer st.Close()
-		if stats := st.Stats(); stats.Corrupt > 0 {
-			// Corruption is survivable but worth a trace on stderr
-			// (stdout stays byte-identical between cold and warm runs).
-			// Duplicates are NOT damage: concurrent writers converging
+		if stats := st.Stats(); stats.Corrupt > 0 || stats.Conflicts > 0 {
+			// Corruption and conflicting records (one scenario stored
+			// with different bits: a determinism violation) are
+			// survivable but worth a trace on stderr (stdout stays
+			// byte-identical between cold and warm runs). Benign
+			// duplicates are NOT damage: concurrent writers converging
 			// on the same scenario is the store's documented behavior.
 			fmt.Fprintf(stderr, "sweep: store %s recovered with damage: %s\n", *storeDir, stats)
 		}

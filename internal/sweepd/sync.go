@@ -125,7 +125,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		rec, ok := s.st.Lookup(id)
 		if !ok {
-			continue // dropped between IDsSince and here (lazy-load heal)
+			continue // listed by IDsSince but no longer served
 		}
 		line, err := store.EncodeRecord(s.st.Physics(), rec.Scenario, rec.Metrics)
 		if err != nil {

@@ -317,12 +317,3 @@ func (x *Executor) runBody(l *Loop, b Bounds) {
 	}
 	x.E.CloseAll()
 }
-
-// RunNoFlush replays a loop without the trailing flush, for callers that
-// legitimately measure cache-resident behaviour (microbenchmarks with
-// small working sets).
-func (x *Executor) RunNoFlush(l *Loop, b Bounds) memsim.Counts {
-	before := x.H.Counts()
-	x.runBody(l, b)
-	return x.H.Counts().Sub(before)
-}

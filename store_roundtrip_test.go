@@ -118,9 +118,8 @@ func TestStoreRoundTripMatchesColdRun(t *testing.T) {
 	}
 
 	// Maintenance must preserve the property: compact the store (merging
-	// segments, rewriting the index sidecar) and reopen once more — this
-	// open recovers through the sidecar, so every record below is read
-	// lazily at its byte offset. Bits must still match the cold run.
+	// its segments into one) and reopen once more. Bits must still match
+	// the cold run.
 	if _, err := st2.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +131,14 @@ func TestStoreRoundTripMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	if stats := st3.Stats(); stats.Sidecars != 1 || stats.Segments != 1 {
-		t.Fatalf("post-compact reopen did not recover via sidecar: %s", stats)
+	if stats := st3.Stats(); stats.Segments != 1 || stats.Records != len(scenarios) {
+		t.Fatalf("post-compact reopen = %s, want %d records in one segment", stats, len(scenarios))
 	}
 	for _, sc := range scenarios {
 		want := cold[sc.ID()]
 		got, ok := st3.Get(sc)
 		if !ok {
-			t.Errorf("%s: record missing after compact + lazy reopen", sc.Label())
+			t.Errorf("%s: record missing after compact + reopen", sc.Label())
 			continue
 		}
 		if len(got) != len(want) {
@@ -149,7 +148,7 @@ func TestStoreRoundTripMatchesColdRun(t *testing.T) {
 		for i := range want {
 			if got[i].Name != want[i].Name ||
 				math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-				t.Errorf("%s: metric %s drifted through compaction + lazy load", sc.Label(), want[i].Name)
+				t.Errorf("%s: metric %s drifted through compaction + reopen", sc.Label(), want[i].Name)
 			}
 		}
 	}
