@@ -2,6 +2,10 @@
 
 GO ?= go
 
+# The bench recipe needs pipefail, which POSIX sh (dash on Debian and
+# Ubuntu) lacks; CI's bench job runs bash as well.
+SHELL := /bin/bash
+
 .PHONY: build test lint vettool fmt tidy bench
 
 build:
@@ -25,6 +29,8 @@ vettool:
 # bench mirrors CI's bench-baseline job: the same benchmark set, piped
 # through benchjson into BENCH_sweep.json. Compare two runs with
 #   $(GO) run ./cmd/benchjson -compare old.json BENCH_sweep.json
+BENCH_RAW = $(or $(TMPDIR),/tmp)/bench_raw.txt
+
 bench:
 	set -o pipefail; \
 	{ $(GO) test -run - -bench 'BenchmarkEngineThroughput|BenchmarkEngineWarmCampaign' ./internal/sweep && \
@@ -32,8 +38,8 @@ bench:
 	  $(GO) test -run - -bench 'BenchmarkRunTraffic$$' ./internal/cloverleaf && \
 	  $(GO) test -run - -bench 'BenchmarkExpandStreaming$$' ./internal/sweepd && \
 	  $(GO) test -run - -bench 'BenchmarkStoreOpen' -timeout 25m ./internal/store && \
-	  $(GO) test -run - -bench 'BenchmarkAdaptiveVsExhaustive' ./internal/search; } | tee /tmp/bench_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > BENCH_sweep.json
+	  $(GO) test -run - -bench 'BenchmarkAdaptiveVsExhaustive' ./internal/search; } | tee $(BENCH_RAW)
+	$(GO) run ./cmd/benchjson < $(BENCH_RAW) > BENCH_sweep.json
 	@echo wrote BENCH_sweep.json
 
 fmt:

@@ -325,7 +325,7 @@ func BenchmarkTraceReplayAm04(b *testing.B) {
 			am04 = l
 		}
 	}
-	x := trace.NewExecutor(machine.ICX8360Y())
+	x := trace.NewExecutor(machine.ICX8360Y(), nil)
 	x.SetEnv(trace.Env{Pressure: 1, NodeFraction: 1, ActiveSockets: 2, PFOn: true})
 	b.ResetTimer()
 	var c memsim.Counts

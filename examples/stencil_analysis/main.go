@@ -52,7 +52,7 @@ func main() {
 		line := fmt.Sprintf("%5d", n)
 		for _, dim := range []int{4096, 216} {
 			loop, b := build(dim)
-			x := trace.NewExecutor(spec)
+			x := trace.NewExecutor(spec, nil)
 			x.SetEnv(trace.Env{
 				Pressure:      spec.PressureAt(0, n),
 				NodeFraction:  float64(n) / float64(spec.Cores()),

@@ -55,7 +55,7 @@ func instrument(r *Rank, o InstrumentOptions) *InstrumentedRank {
 		o.MaxRows, true)
 	loops := tc.HotspotLoops(o.OptimizeLoops)
 
-	x := trace.NewExecutor(&spec)
+	x := trace.NewExecutor(&spec, nil)
 	x.NTStores = o.NTStores
 	x.SetEnv(trace.Env{
 		Pressure:      spec.PressureAt(o.Core, o.ActiveRanks),

@@ -33,6 +33,9 @@ type TrafficOptions struct {
 	// HotspotOnly skips the auxiliary (non-Table-I) kernels.
 	HotspotOnly bool
 	Seed        uint64
+	// Memo is the campaign's loop memo, shared by every rank group; nil
+	// gives the study a memo of its own. It changes no result.
+	Memo *trace.Memo
 }
 
 func (o *TrafficOptions) defaults() {
@@ -153,11 +156,12 @@ type groupError struct {
 	err       error
 }
 
-// trafficGroupHook is a test seam: when set, it runs at the top of
-// every rank-group simulation, letting the regression suite inject a
-// panicking loop without reaching into the trace executor. Production
-// code never sets it.
-var trafficGroupHook func(g *rankGroup)
+// trafficGroupHook is a test seam: when set, it runs in every
+// rank-group simulation once the group's loops are built, letting the
+// regression suite inject a panic, or break a loop so that its replay
+// panics, without reaching into the trace executor. Production code
+// never sets it.
+var trafficGroupHook func(g *rankGroup, loops []LoopInstance)
 
 // simulateGroup simulates one rank group's loop traffic. A panic
 // anywhere in the group's simulation — a workload bug, malformed
@@ -170,9 +174,6 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 			err = fmt.Errorf("cloverleaf: rank group at rank %d (%dx%d) panicked: %v", g.firstRank, g.xspan, g.yspan, r)
 		}
 	}()
-	if trafficGroupHook != nil {
-		trafficGroupHook(g)
-	}
 	// Simulated chunk: full x extent, truncated y extent.
 	t := NewTrafficChunk(1, g.xspan, 1, g.yspan, o.MaxRows, o.AlignArrays)
 	full := NewTrafficChunk(1, g.xspan, 1, g.yspan, 0, o.AlignArrays)
@@ -183,8 +184,11 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 		loops = append(loops, t.AuxLoops()...)
 		fullLoops = append(fullLoops, full.AuxLoops()...)
 	}
+	if trafficGroupHook != nil {
+		trafficGroupHook(g, loops)
+	}
 
-	x := trace.NewExecutor(spec)
+	x := trace.NewExecutor(spec, o.Memo)
 	x.NTStores = o.NTStores
 	e := env
 	e.Pressure = g.pressure
@@ -218,6 +222,9 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 
 	spec := *o.Machine // shallow copy so the MSR knob does not leak
 	spec.I2M.Enabled = spec.I2M.Enabled && !o.SpecI2MOff
+	if o.Memo == nil {
+		o.Memo = trace.NewMemo()
+	}
 
 	subs := decomp.Decompose(o.Ranks, o.GridX, o.GridY)
 	groups := map[[3]int]*rankGroup{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cloversim/internal/machine"
@@ -269,5 +270,53 @@ func TestSetContextRecomputesEff(t *testing.T) {
 	e.SetContext(ctxFullEvasion())
 	if e.Eff() < 0.9 {
 		t.Fatalf("full-evasion eff = %g, want > 0.9", e.Eff())
+	}
+}
+
+// TestRewindReplaysTheSameLines: a row stored from an idle engine, then
+// rewound to the checkpoint taken before it and stored again into
+// another backend, draws the same dice and retires the same lines with
+// the same statistics. Idle holds between rows, not with a line open.
+func TestRewindReplaysTheSameLines(t *testing.T) {
+	ctx := Context{Pressure: 0.6, NodeFraction: 0.25, ActiveSockets: 1,
+		Class: machine.ClassCopy, StoreStreams: 1, Eligible: true, PFOn: true}
+	e, first := newEngine(t, ctx)
+	e.Seed(99)
+	if !e.Idle() {
+		t.Fatal("a configured engine with no store is not idle")
+	}
+	row := func() {
+		e.ConfigureStreams(1, nil)
+		e.SetContext(ctx)
+		for k := int64(0); k < 8; k++ {
+			e.StoreRange(0, k*64*300+8, 64*200)
+		}
+		e.CloseAll()
+	}
+	cp := e.Checkpoint()
+	row()
+	stats := e.Stats()
+	if stats.Claimed == 0 || stats.RFOs == 0 {
+		t.Fatalf("stats %+v: want both claims and write-allocates, so the dice matter", stats)
+	}
+	second := &fakeBackend{}
+	e.SetBackend(second)
+	e.Rewind(cp)
+	row()
+	if e.Stats() != stats {
+		t.Errorf("rewound replay stats %+v, first %+v", e.Stats(), stats)
+	}
+	if !slices.Equal(second.claims, first.claims) || !slices.Equal(second.rfos, first.rfos) || second.runs != first.runs {
+		t.Errorf("rewound replay handed over %d claims, %d RFOs in %d runs; first %d, %d in %d",
+			len(second.claims), len(second.rfos), second.runs, len(first.claims), len(first.rfos), first.runs)
+	}
+
+	e.StoreRange(0, 64*1000, 8)
+	if e.Idle() {
+		t.Error("an engine holding a partly written line is idle")
+	}
+	e.CloseAll()
+	if !e.Idle() {
+		t.Error("CloseAll left the engine busy")
 	}
 }

@@ -173,7 +173,10 @@ func (h *Hierarchy) WriteNTReverted(line int64) { h.AccessRange(line, 1, AccessW
 
 // Flush writes back every dirty line and invalidates the hierarchy,
 // counting the write-backs. Use at region boundaries when residual dirty
-// state matters (small working sets).
+// state matters (small working sets). It empties every cache level and
+// prefetch slot but keeps the prefetcher's slot cursor, the slot the next
+// unarmed miss takes, as the oracle does: the cursor is part of what a
+// pristine hierarchy's response depends on (see Shape).
 func (h *Hierarchy) Flush() {
 	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
 		h.c.MemWriteLines += l.reset()
@@ -181,7 +184,8 @@ func (h *Hierarchy) Flush() {
 	h.resetPrefetch()
 }
 
-// Invalidate drops all cached state without counting write-backs.
+// Invalidate drops all cached state without counting write-backs. Like
+// Flush, it keeps the prefetcher's slot cursor.
 func (h *Hierarchy) Invalidate() {
 	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
 		l.reset()
@@ -193,6 +197,56 @@ func (h *Hierarchy) resetPrefetch() {
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
+}
+
+// Shape is everything besides the access sequence that a pristine
+// hierarchy's response depends on: the geometry of each level (L1, L2,
+// L3 slice), the prefetcher state and the prefetch slot cursor. Two
+// pristine hierarchies of one Shape fed the same AccessRange sequence
+// count the same events and end with the same cursor.
+type Shape struct {
+	Sets, Ways       [3]int
+	PFOn, AdjacentOn bool
+	PFDistance       int64
+	PFCursor         int
+}
+
+// Shape returns the hierarchy's current shape.
+func (h *Hierarchy) Shape() Shape {
+	s := Shape{PFOn: h.pfOn, AdjacentOn: h.adjacentOn, PFDistance: h.pfDist, PFCursor: h.pfNext}
+	for i, l := range [...]*level{h.l1, h.l2, h.l3} {
+		s.Sets[i], s.Ways[i] = l.sets, l.ways
+	}
+	return s
+}
+
+// Pristine reports whether no level has installed or touched a line
+// since New, Flush or Invalidate: every level clock is zero and has not
+// wrapped. Every access that changes cache or prefetch-slot state ticks
+// a clock, so the caches and slots of a pristine hierarchy are empty and
+// only its Shape tells it apart from another.
+func (h *Hierarchy) Pristine() bool {
+	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+		if l.clock != 0 || l.wrapped {
+			return false
+		}
+	}
+	return true
+}
+
+// Advance moves a pristine hierarchy past an access sequence whose
+// outcome is known, without simulating it: the counters grow by delta
+// and the prefetch slot cursor moves to cursor. delta and cursor must be
+// what the sequence followed by Flush did to a pristine hierarchy of the
+// same Shape; the hierarchy is then in the state that replay would have
+// left, search-order hints aside. It panics if the hierarchy is not
+// pristine.
+func (h *Hierarchy) Advance(delta Counts, cursor int) {
+	if !h.Pristine() {
+		panic("memsim: Advance on a hierarchy that is not pristine")
+	}
+	h.c = h.c.Add(delta)
+	h.pfNext = cursor
 }
 
 // DirtyLines counts dirty lines currently cached (for tests).

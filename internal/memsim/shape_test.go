@@ -1,0 +1,130 @@
+package memsim
+
+import (
+	"testing"
+
+	"cloversim/internal/machine"
+)
+
+// unarmedMisses loads lines far apart: each is a memory miss sequential
+// to no earlier miss, so each takes the prefetch slot at the cursor and
+// moves the cursor on.
+func unarmedMisses(h *Hierarchy, ref *refHierarchy, lines ...int64) {
+	for _, l := range lines {
+		h.Load(l)
+		ref.op(l, AccessLoad)
+	}
+}
+
+// TestFlushKeepsPrefetchCursor pins what Flush and Invalidate leave of
+// the prefetcher: empty slots, but the cursor where it was, exactly as
+// the oracle does. A loop's replay, and so its memo key, depends on it.
+func TestFlushKeepsPrefetchCursor(t *testing.T) {
+	spec := machine.ICX8360Y()
+	for _, drop := range []struct {
+		name  string
+		h     func(*Hierarchy)
+		count bool
+	}{{"Flush", (*Hierarchy).Flush, true}, {"Invalidate", (*Hierarchy).Invalidate, false}} {
+		h, ref := New(spec), newRef(spec)
+		unarmedMisses(h, ref, 1000, 5000, 9000)
+		if h.pfNext != 3 {
+			t.Fatalf("%s: three unarmed misses left the cursor at %d", drop.name, h.pfNext)
+		}
+		drop.h(h)
+		ref.flush(drop.count)
+		if h.pfNext != 3 || h.Shape().PFCursor != 3 {
+			t.Errorf("%s moved the prefetch cursor to %d", drop.name, h.pfNext)
+		}
+		for i, s := range h.pfSlots {
+			if s != -1 {
+				t.Errorf("%s left slot %d holding line %d", drop.name, i, s)
+			}
+		}
+		if d := diffState(hierarchyState(h), ref.state()); d != "" {
+			t.Errorf("%s: state diverges from the oracle: %s", drop.name, d)
+		}
+		unarmedMisses(h, ref, 20000)
+		if h.pfSlots[3] != 20000 {
+			t.Errorf("after %s the next unarmed miss took slot %v, want slot 3", drop.name, h.pfSlots)
+		}
+		if d := diffState(hierarchyState(h), ref.state()); d != "" {
+			t.Errorf("%s then a miss: state diverges from the oracle: %s", drop.name, d)
+		}
+	}
+}
+
+// TestPristine: a hierarchy is pristine after New, Flush and
+// Invalidate, and until an access touches cache state; operations that
+// only count (NT writes) keep it pristine, a wrapped clock does not.
+func TestPristine(t *testing.T) {
+	h := New(machine.ICX8360Y())
+	if !h.Pristine() {
+		t.Fatal("a new hierarchy is not pristine")
+	}
+	h.AccessRange(10, 4, AccessWriteNT)
+	if !h.Pristine() {
+		t.Error("NT writes, which bypass the caches, cleared Pristine")
+	}
+	for _, kind := range allKinds {
+		h.Flush()
+		h.AccessRange(10, 1, kind)
+		if touches := kind != AccessWriteNT && kind != AccessWriteStreamed; h.Pristine() == touches {
+			t.Errorf("after one %s access Pristine = %v", kind, h.Pristine())
+		}
+	}
+	h.Invalidate()
+	if !h.Pristine() {
+		t.Error("Invalidate did not make the hierarchy pristine")
+	}
+	h.l2.wrapped = true
+	if h.Pristine() {
+		t.Error("a level whose clock wrapped back to zero counts as pristine")
+	}
+}
+
+// TestAdvanceMatchesReplay: advancing a pristine hierarchy by a replay's
+// delta and cursor leaves it as the replay followed by Flush did, on
+// every preset; Advance refuses a hierarchy that is not pristine.
+func TestAdvanceMatchesReplay(t *testing.T) {
+	cursorMoved := false
+	for _, spec := range diffSpecs() {
+		trace := randomTrace(spec, 0x5eed, 40)
+		replayed, advanced := New(spec), New(spec)
+		unarmedMisses(replayed, newRef(spec), 1000, 5000)
+		unarmedMisses(advanced, newRef(spec), 1000, 5000)
+		replayed.Flush()
+		advanced.Flush()
+		if replayed.Shape() != advanced.Shape() {
+			t.Fatalf("%s: twins differ in shape", spec.Name)
+		}
+		before := replayed.Counts()
+		for _, p := range trace {
+			if p.ev == evAccess {
+				replayed.AccessRange(p.start, p.n, p.kind)
+			}
+		}
+		replayed.Flush()
+		cursorMoved = cursorMoved || replayed.Shape().PFCursor != advanced.Shape().PFCursor
+		advanced.Advance(replayed.Counts().Sub(before), replayed.Shape().PFCursor)
+		if advanced.Counts() != replayed.Counts() || advanced.Shape() != replayed.Shape() {
+			t.Errorf("%s: advanced to %+v %+v, replay left %+v %+v", spec.Name,
+				advanced.Counts(), advanced.Shape(), replayed.Counts(), replayed.Shape())
+		}
+		if d := diffState(hierarchyState(advanced), hierarchyState(replayed)); d != "" {
+			t.Errorf("%s: state diverges: %s", spec.Name, d)
+		}
+	}
+	if !cursorMoved {
+		t.Error("no replay moved the prefetch cursor; Advance's cursor went untested")
+	}
+
+	h := New(machine.ICX8360Y())
+	h.Load(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("Advance on a hierarchy holding a line did not panic")
+		}
+	}()
+	h.Advance(Counts{}, 0)
+}

@@ -24,6 +24,7 @@ import (
 	"cloversim/internal/machine"
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 	"cloversim/internal/workload"
 )
 
@@ -153,6 +154,9 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	}
 
 	eng := sweep.NewEngine(localWorkers, runner)
+	// One loop memo per invocation, adaptive waves included: cells of
+	// this campaign share loop replays, the next invocation starts empty.
+	ctx = trace.WithMemo(ctx, trace.NewMemo())
 	// workersDesc names the execution backend in the startup banner.
 	workersDesc := func() string {
 		if nw := localWorkers; nw > 0 {

@@ -67,6 +67,7 @@ import (
 
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 	"cloversim/internal/workload"
 )
 
@@ -403,10 +404,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 }
 
 // expand is the core of both expand forms: it runs the campaign on the
-// shared engine (progress is the campaign's hook), persists it, and
-// reports its counts, completion and durability status.
+// shared engine (progress is the campaign's hook) with a loop memo of
+// its own, persists it, and reports its counts, completion and
+// durability status.
 func (s *Server) expand(ctx context.Context, scenarios []sweep.Scenario, progress func(done, total int, r sweep.Result)) (sweep.Campaign, expandSummary) {
-	c := s.eng.Run(ctx, scenarios, progress)
+	c := s.eng.Run(trace.WithMemo(ctx, trace.NewMemo()), scenarios, progress)
 	sum := expandSummary{Scenarios: len(c.Results)}
 	for _, res := range c.Results {
 		switch {

@@ -51,7 +51,7 @@ func TestRunMarkedMachineSpread(t *testing.T) {
 		ar := NewArena(true)
 		a := ar.Alloc("a", 0, 255, 0, 15)
 		loop := &Loop{Name: "w", Writes: []Write{{A: a}}}
-		x := NewExecutor(spec)
+		x := NewExecutor(spec, nil)
 		x.SetEnv(Env{Pressure: 0, PFOn: true})
 		m := counters.NewMarker(x.H, counters.GroupMEM)
 		if _, err := x.RunMarked(m, loop, Bounds{JLo: 0, JHi: 255, KLo: 0, KHi: 15}); err != nil {

@@ -224,6 +224,9 @@ type Executor struct {
 	NTStores bool
 	// Env describes the run conditions shared by all loops.
 	Env Env
+
+	memo *Memo
+	key  keyer
 }
 
 // Env captures the machine-state part of the store-engine context.
@@ -234,11 +237,16 @@ type Env struct {
 	PFOn          bool
 }
 
-// NewExecutor builds a simulated core for the machine.
-func NewExecutor(spec *machine.Spec) *Executor {
+// NewExecutor builds a simulated core for the machine that shares loop
+// replays through memo, the campaign's memo; nil gives the executor a
+// memo of its own.
+func NewExecutor(spec *machine.Spec, memo *Memo) *Executor {
 	h := memsim.New(spec)
 	e := core.NewStoreEngine(h, spec)
-	return &Executor{H: h, E: e, Env: Env{PFOn: true}}
+	if memo == nil {
+		memo = NewMemo()
+	}
+	return &Executor{H: h, E: e, Env: Env{PFOn: true}, memo: memo}
 }
 
 // SetEnv installs the run conditions (pressure etc.) and prefetch state.
@@ -254,15 +262,53 @@ func (x *Executor) SetEnv(env Env) {
 // cache, so nothing survives from one loop to the next even though the
 // simulation may use a truncated y extent. Within the loop the caches
 // work normally, so layer conditions are fully modeled.
+//
+// Each loop that starts from a pristine hierarchy and an idle store
+// engine (every loop, unless the caller drove H or E directly) goes
+// through the memo. A dry pass replays it into a hashing backend: the
+// store engine draws its dice, and the key is the SHA-256 of the
+// hierarchy's Shape followed by every (kind, start, n) operation memsim
+// would receive. On a hit the stored delta is added to the hierarchy
+// without simulating; on a miss the engine is rewound to before the dry
+// pass and the loop replays as usual. Either way the hierarchy, engine
+// and returned delta end bit-identical.
 func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
 	before := x.H.Counts()
-	x.runBody(l, b)
-	x.H.Flush()
+	if !x.H.Pristine() || !x.E.Idle() {
+		x.replay(l, b)
+		return x.H.Counts().Sub(before)
+	}
+	cp := x.E.Checkpoint()
+	v, hit := x.memo.do(x.dryRun(l, b), func() memoValue {
+		x.E.Rewind(cp)
+		x.replay(l, b)
+		return memoValue{delta: x.H.Counts().Sub(before), cursor: uint8(x.H.Shape().PFCursor)}
+	})
+	if hit {
+		x.H.Advance(v.delta, int(v.cursor))
+	}
 	return x.H.Counts().Sub(before)
 }
 
-// runBody replays the loop's access pattern.
-func (x *Executor) runBody(l *Loop, b Bounds) {
+// replay simulates the loop and flushes the hierarchy.
+func (x *Executor) replay(l *Loop, b Bounds) {
+	x.runBody(l, b, x.H)
+	x.H.Flush()
+}
+
+// dryRun replays the loop into the executor's keyer in place of the
+// hierarchy and returns the loop's memo key.
+func (x *Executor) dryRun(l *Loop, b Bounds) memoKey {
+	x.key.reset(x.H.Shape())
+	x.E.SetBackend(&x.key)
+	defer x.E.SetBackend(x.H)
+	x.runBody(l, b, &x.key)
+	return x.key.sum()
+}
+
+// runBody replays the loop's access pattern into be, the store
+// engine's backend.
+func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
 	groups := l.groups()
 
 	// Which write streams actually use NT stores: at most one
@@ -296,7 +342,7 @@ func (x *Executor) runBody(l *Loop, b Bounds) {
 			hi := g.a.Addr(b.JHi+g.maxDJ, row) + elem - 1
 			// Each row is one sequential line run: replay it on the
 			// batched memsim fast path.
-			x.H.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessLoad)
+			be.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessLoad)
 		}
 		for i, w := range l.Writes {
 			row := k + w.DK
@@ -309,7 +355,7 @@ func (x *Executor) runBody(l *Loop, b Bounds) {
 				// no write-allocate traffic, one write-back per line.
 				lo := addr
 				hi := addr + n - 1
-				x.H.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessRFO)
+				be.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessRFO)
 				continue
 			}
 			x.E.StoreRange(i, addr, n)

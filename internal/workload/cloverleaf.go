@@ -45,6 +45,7 @@ func (cloverleafWL) Run(c Config) (sweep.Metrics, error) {
 		SpecI2MOff:    c.Mode.SpecI2MOff,
 		PFOff:         c.Mode.PFOff,
 		Seed:          c.Seed,
+		Memo:          c.Memo,
 	}
 	m, err := cloverleaf.ModelNode(to)
 	if err != nil {

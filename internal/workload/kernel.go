@@ -13,7 +13,7 @@ import (
 // count-weighted microbenchmarks).
 func newKernelExecutor(c Config) *trace.Executor {
 	spec := c.EffectiveSpec()
-	x := trace.NewExecutor(spec)
+	x := trace.NewExecutor(spec, c.Memo)
 	x.NTStores = c.Mode.NTStores
 	x.SetEnv(trace.Env{
 		Pressure:      spec.PressureAt(0, c.Threads),

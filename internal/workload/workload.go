@@ -23,6 +23,7 @@ import (
 
 	"cloversim/internal/machine"
 	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 )
 
 // Config is one resolved workload execution request: scenario axes with
@@ -37,6 +38,10 @@ type Config struct {
 	MeshY   int
 	MaxRows int // y-extent truncation; 0 = runner default, <0 = full
 	Seed    uint64
+	// Memo is the campaign's loop memo (nil: each simulation keeps its
+	// own). It is not a scenario axis: it changes no result, only how
+	// many loops are simulated rather than served from the memo.
+	Memo *trace.Memo
 }
 
 // EffectiveSpec returns the machine spec with the mode's MSR knob
@@ -186,12 +191,14 @@ func Resolve(s sweep.Scenario) (Workload, Config, error) {
 	return w, cfg, nil
 }
 
-// Run resolves and executes a scenario — the standard sweep.Runner.
-func Run(s sweep.Scenario) (sweep.Metrics, error) {
+// Run resolves and executes a scenario, sharing loop replays through
+// memo (nil: a memo private to this call).
+func Run(s sweep.Scenario, memo *trace.Memo) (sweep.Metrics, error) {
 	w, cfg, err := Resolve(s)
 	if err != nil {
 		return nil, err
 	}
+	cfg.Memo = memo
 	return w.Run(cfg)
 }
 

@@ -83,7 +83,7 @@ func metric(t *testing.T, m sweep.Metrics, name string) float64 {
 // full write-allocate (ratio 1.5 = 24/16 byte/it); NT stores drop it
 // to ~1.0; ICX under full-socket pressure evades most of it.
 func TestStreamPhysics(t *testing.T) {
-	base, err := Run(kernelScenario("clx", "stream", "baseline"))
+	base, err := Run(kernelScenario("clx", "stream", "baseline"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStreamPhysics(t *testing.T) {
 		t.Errorf("CLX triad ratio %.3f, want ~1.33", r)
 	}
 
-	nt, err := Run(kernelScenario("clx", "stream", "nt"))
+	nt, err := Run(kernelScenario("clx", "stream", "nt"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStreamPhysics(t *testing.T) {
 
 	icx := kernelScenario("icx", "stream", "baseline")
 	icx.Threads = 36
-	evaded, err := Run(icx)
+	evaded, err := Run(icx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestStreamPhysics(t *testing.T) {
 // TestJacobiPhysics: the stencil reads ~8 byte/it with fulfilled layer
 // conditions; the write allocate adds 8 on CLX and is evaded on ICX.
 func TestJacobiPhysics(t *testing.T) {
-	base, err := Run(kernelScenario("clx", "jacobi", "baseline"))
+	base, err := Run(kernelScenario("clx", "jacobi", "baseline"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestJacobiPhysics(t *testing.T) {
 	}
 	icx := kernelScenario("icx", "jacobi", "baseline")
 	icx.Threads = 36
-	evaded, err := Run(icx)
+	evaded, err := Run(icx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestJacobiPhysics(t *testing.T) {
 // TestRiemannPhysics: the Sod star state matches Toro's reference, and
 // the 3-stream write-out pays full write-allocates on CLX.
 func TestRiemannPhysics(t *testing.T) {
-	m, err := Run(kernelScenario("clx", "riemann", "baseline"))
+	m, err := Run(kernelScenario("clx", "riemann", "baseline"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestRiemannPhysics(t *testing.T) {
 func TestWorkloadsDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		s := kernelScenario("icx", name, "nt")
-		a, err := Run(s)
+		a, err := Run(s, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := Run(s)
+		b, err := Run(s, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cloversim/internal/machine"
 	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 	"cloversim/internal/workload"
 )
 
@@ -31,13 +32,17 @@ const PhysicsVersion = "p1"
 // checks come earlier), but a simulation that has already begun runs
 // to completion so its result can be cached and persisted. It is the
 // sweep.Runner that cmd/sweep and cmd/sweepd feed to the sweep engine.
+//
+// The simulation shares loop replays through the campaign's loop memo
+// that ctx carries (trace.WithMemo), or through a memo of its own when
+// ctx carries none. Memo sharing never changes a result.
 func RunScenarioContext(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		// Nothing simulated: carry the engine's distinguished unstarted
 		// marker so the cell counts as skipped, not failed.
 		return nil, fmt.Errorf("cloversim: scenario %s (%s) %w: %w", s.ID(), s.Label(), sweep.ErrUnstarted, err)
 	}
-	return workload.Run(s)
+	return workload.Run(s, trace.ContextMemo(ctx))
 }
 
 // CampaignGrid is the full cross-product campaign of the paper and
