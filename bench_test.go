@@ -326,7 +326,7 @@ func BenchmarkTraceReplayAm04(b *testing.B) {
 		}
 	}
 	x := trace.NewExecutor(machine.ICX8360Y(), nil)
-	x.SetEnv(trace.Env{Pressure: 1, NodeFraction: 1, ActiveSockets: 2, PFOn: true})
+	x.Env = trace.Env{Pressure: 1, NodeFraction: 1, ActiveSockets: 2, PFOn: true}
 	b.ResetTimer()
 	var c memsim.Counts
 	for i := 0; i < b.N; i++ {

@@ -53,12 +53,12 @@ func main() {
 		for _, dim := range []int{4096, 216} {
 			loop, b := build(dim)
 			x := trace.NewExecutor(spec, nil)
-			x.SetEnv(trace.Env{
+			x.Env = trace.Env{
 				Pressure:      spec.PressureAt(0, n),
 				NodeFraction:  float64(n) / float64(spec.Cores()),
 				ActiveSockets: spec.ActiveSockets(n),
 				PFOn:          true,
-			})
+			}
 			c := x.Run(loop, b)
 			bpi := float64(c.TotalBytes()) / float64(b.Iterations())
 			line += fmt.Sprintf("  %9.2f", bpi)

@@ -4,9 +4,10 @@
 // 9, 10), the array-copy kernel (Fig. 6), and the strided halo-copy
 // kernel (Figs. 8 and 11).
 //
-// Each active core is simulated with its own hierarchy and store engine;
-// cores sharing the same bandwidth pressure are simulated once and
-// weighted (compact pinning fills ccNUMA domains in order).
+// Each active core is simulated with its own store engine and a
+// hierarchy borrowed from memsim's pool for the run; cores sharing the
+// same bandwidth pressure are simulated once and weighted (compact
+// pinning fills ccNUMA domains in order).
 package bench
 
 import (
@@ -135,7 +136,8 @@ func RunStore(o StoreOptions) (StoreResult, error) {
 		wg.Add(1)
 		go func(g coreGroup) {
 			defer wg.Done()
-			h := memsim.New(spec)
+			h := memsim.Borrow(spec)
+			defer memsim.Return(h)
 			h.SetPrefetch(!o.PFOff)
 			e := core.NewStoreEngine(h, spec)
 			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
@@ -241,7 +243,8 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 		wg.Add(1)
 		go func(g coreGroup) {
 			defer wg.Done()
-			h := memsim.New(spec)
+			h := memsim.Borrow(spec)
+			defer memsim.Return(h)
 			h.SetPrefetch(!o.PFOff)
 			e := core.NewStoreEngine(h, spec)
 			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)

@@ -151,7 +151,8 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 		wg.Add(1)
 		go func(g coreGroup) {
 			defer wg.Done()
-			h := memsim.New(spec)
+			h := memsim.Borrow(spec)
+			defer memsim.Return(h)
 			h.SetPrefetch(!o.PFOff)
 			e := core.NewStoreEngine(h, spec)
 			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)

@@ -57,21 +57,21 @@ func instrument(r *Rank, o InstrumentOptions) *InstrumentedRank {
 
 	x := trace.NewExecutor(&spec, nil)
 	x.NTStores = o.NTStores
-	x.SetEnv(trace.Env{
+	x.Env = trace.Env{
 		Pressure:      spec.PressureAt(o.Core, o.ActiveRanks),
 		NodeFraction:  float64(o.ActiveRanks) / float64(spec.Cores()),
 		ActiveSockets: spec.ActiveSockets(o.ActiveRanks),
 		PFOn:          true,
-	})
+	}
 	if o.Seed == 0 {
 		o.Seed = 0x1257
 	}
-	x.E.Seed(o.Seed)
+	x.Seed(o.Seed)
 
 	return &InstrumentedRank{
 		Rank:   r,
 		Exec:   x,
-		Marker: counters.NewMarker(x.H, counters.GroupSPECI2M),
+		Marker: counters.NewMarker(x, counters.GroupSPECI2M),
 		loops:  loops,
 		spec:   &spec,
 	}

@@ -192,8 +192,8 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 	x.NTStores = o.NTStores
 	e := env
 	e.Pressure = g.pressure
-	x.SetEnv(e)
-	x.E.Seed(o.Seed ^ uint64(g.firstRank+1)*0x9e3779b97f4a7c15)
+	x.Env = e
+	x.Seed(o.Seed ^ uint64(g.firstRank+1)*0x9e3779b97f4a7c15)
 
 	gr = groupResult{firstRank: g.firstRank, weights: float64(g.count)}
 	gr.loops = loops

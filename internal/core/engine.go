@@ -133,25 +133,10 @@ func (e *StoreEngine) flushPending() {
 	e.pendN = 0
 }
 
-// SetBackend points the engine at another backend. Switch only while
-// the engine is Idle, so no pending run crosses from one to the other.
+// SetBackend points the engine at another backend. Switch between
+// loops, after CloseAll, so no pending run crosses from one backend to
+// the other.
 func (e *StoreEngine) SetBackend(be Backend) { e.be = be }
-
-// Idle reports whether the engine holds no open store line and no
-// pending backend run. A loop replay starts with ConfigureStreams and
-// SetContext; from an idle engine it then depends on the engine's past
-// only through the PRNG.
-func (e *StoreEngine) Idle() bool {
-	if e.pendN != 0 {
-		return false
-	}
-	for _, s := range e.streams {
-		if s.line >= 0 && s.mask != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Checkpoint is the engine state a loop replay advances beyond what
 // ConfigureStreams and SetContext reset: the PRNG and the statistics.
@@ -163,9 +148,14 @@ type Checkpoint struct {
 // Checkpoint captures the engine's PRNG and statistics.
 func (e *StoreEngine) Checkpoint() Checkpoint { return Checkpoint{rng: e.rng, stats: e.stats} }
 
-// Rewind restores a checkpoint taken while the engine was idle: the same
-// loop replayed again draws the same dice and retires the same lines.
-func (e *StoreEngine) Rewind(c Checkpoint) { e.rng, e.stats = c.rng, c.stats }
+// Rewind restores a checkpoint and drops, unretired, any open store
+// line and pending backend run: the same loop replayed again draws the
+// same dice and retires the same lines.
+func (e *StoreEngine) Rewind(c Checkpoint) {
+	e.rng, e.stats = c.rng, c.stats
+	e.streams = e.streams[:0]
+	e.pendN = 0
+}
 
 // Seed reseeds the engine's deterministic PRNG.
 func (e *StoreEngine) Seed(s uint64) {

@@ -212,18 +212,22 @@ func (f *Fleet) Execute(ctx context.Context, scenarios []sweep.Scenario, report 
 		wg.Add(1)
 		go func(wi int, w *worker) {
 			defer wg.Done()
-			f.runWorker(dctx, wi, w, b, scenarios, report)
+			f.runWorker(ctx, dctx, wi, w, b, scenarios, report)
 		}(wi, w)
 	}
 	wg.Wait()
 }
 
-// runWorker is one worker's dispatch loop.
-func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scenarios []sweep.Scenario, report sweep.ReportFunc) {
+// runWorker is one worker's dispatch loop. Its requests run under
+// dctx, the dispatch context Execute cancels once every cell is
+// accounted for; ctx is the campaign's.
+func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board, scenarios []sweep.Scenario, report sweep.ReportFunc) {
 	// emit reports board-generated failures (give-ups, dead fleet) —
 	// unless the campaign is being cancelled, in which case the cells
 	// stay unreported and the engine finalizes them as unstarted, not
-	// failed.
+	// failed. It asks the campaign context, not dctx: a failure that
+	// accounts for the last cell makes Execute cancel dctx, and that
+	// cancel must not drop the failure itself.
 	emit := func(fails []failure) {
 		cancelled := ctx.Err() != nil
 		for _, fl := range fails {
@@ -252,7 +256,7 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 		}
 	}
 	for {
-		batch := b.take(ctx, wi, w.chunk(), f.stragglerAfter(), f.maxAttempts())
+		batch := b.take(dctx, wi, w.chunk(), f.stragglerAfter(), f.maxAttempts())
 		if len(batch) == 0 {
 			return
 		}
@@ -265,7 +269,7 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 		// remembers which cells were delivered so a mid-stream failure
 		// requeues only the rest.
 		surfaced := make([]bool, len(batch))
-		_, err := w.client.ExecuteScenarios(ctx, sub, func(k int, r sweepd.ExecResult) {
+		_, err := w.client.ExecuteScenarios(dctx, sub, func(k int, r sweepd.ExecResult) {
 			surfaced[k] = true
 			handle(batch[k], r)
 		})

@@ -417,6 +417,66 @@ func TestFleetGivesUpOnBouncingCells(t *testing.T) {
 	}
 }
 
+// finishedBoardCtx is a dispatch context that reads as cancelled the
+// moment its board accounts for every cell: Execute's cancel landing
+// before the worker that finished the board emits its failures.
+type finishedBoardCtx struct {
+	context.Context
+	b *board
+}
+
+func (c finishedBoardCtx) Done() <-chan struct{} { return c.b.allDone }
+
+func (c finishedBoardCtx) Err() error {
+	select {
+	case <-c.b.allDone:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestFleetReportsTheFailureThatFinishesTheBoard: the failure that
+// accounts for the last cell (a give-up, or the drain after the last
+// worker dies) is reported even when the dispatch context is already
+// cancelled by the time the worker emits it. Only the campaign context
+// makes failures go unreported.
+func TestFleetReportsTheFailureThatFinishesTheBoard(t *testing.T) {
+	dead := http.NewServeMux()
+	dead.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2})
+	})
+	dead.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "worker down", http.StatusInternalServerError)
+	})
+	deadSrv := httptest.NewServer(dead)
+	t.Cleanup(deadSrv.Close)
+	for _, c := range []struct {
+		name, url, want string
+	}{
+		{"give-up", bounceUnstarted(t, testPhysics).URL, "giving up after 2"},
+		{"last worker dies", deadSrv.URL, "no live workers remain"},
+	} {
+		f, err := New(context.Background(), []string{c.url}, testPhysics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.MaxAttempts = 2
+		scs := scenarios(3)
+		b := newBoard(len(scs), 1)
+		got := make([]error, len(scs))
+		ctx := context.Background()
+		f.runWorker(ctx, finishedBoardCtx{ctx, b}, 0, f.workers[0], b, scs, func(i int, _ sweep.Metrics, err error) {
+			got[i] = err
+		})
+		for i, err := range got {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: cell %d reported %v, want %q", c.name, i, err, c.want)
+			}
+		}
+	}
+}
+
 // TestFleetRejectsMidCampaignPhysicsSwap: a worker whose healthz
 // passed assembly but whose responses carry a different physics
 // version (restarted with a newer binary, swapped behind a load

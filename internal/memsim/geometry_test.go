@@ -18,7 +18,7 @@ import (
 // to wrap) are the boundary cases of the line-run path too.
 
 // tinySpec builds a machine spec whose hierarchy has exactly the given
-// per-level sets x ways (sets must be powers of two, or newLevel rounds
+// per-level sets x ways (sets must be powers of two, or setsOf rounds
 // them down and the test would lie about its geometry).
 func tinySpec(l1s, l1w, l2s, l2w, l3s, l3w int) *machine.Spec {
 	s := machine.ICX8360Y()

@@ -60,28 +60,45 @@ type level struct {
 	pred, predWB, predPF int
 }
 
-func newLevel(g machine.CacheGeom) *level {
-	if g.Ways > maxWays {
-		panic(fmt.Sprintf("memsim: %d-way cache exceeds the %d-way limit", g.Ways, maxWays))
-	}
+// setsOf returns the number of sets a level of geometry g simulates:
+// g's, rounded down to a power of two. That keeps indexing cheap and is
+// within a few percent of the modeled capacity.
+func setsOf(g machine.CacheGeom) int {
 	sets := g.Sets()
-	// Round down to a power of two; keeps indexing cheap and is within
-	// a few percent of the modeled capacity.
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	l := &level{
+	return sets
+}
+
+// fits reports whether the level has geometry g.
+func (l *level) fits(g machine.CacheGeom) bool { return l.sets == setsOf(g) && l.ways == g.Ways }
+
+// resize empties the level and sizes it for g, reusing its arrays when
+// they are large enough.
+func (l *level) resize(g machine.CacheGeom) {
+	if g.Ways > maxWays {
+		panic(fmt.Sprintf("memsim: %d-way cache exceeds the %d-way limit", g.Ways, maxWays))
+	}
+	sets := setsOf(g)
+	n := sets * g.Ways
+	if cap(l.word) < n {
+		l.word, l.order = make([]uint64, n), make([]uint8, n)
+	}
+	if cap(l.meta) < sets {
+		l.meta = make([]setMeta, sets)
+	}
+	*l = level{
 		sets:  sets,
 		ways:  g.Ways,
 		mask:  int64(sets - 1),
 		shift: uint(bits.TrailingZeros(uint(sets))),
 		all:   1<<g.Ways - 1,
-		word:  make([]uint64, sets*g.Ways),
-		meta:  make([]setMeta, sets),
-		order: make([]uint8, sets*g.Ways),
+		word:  l.word[:n],
+		meta:  l.meta[:sets],
+		order: l.order[:n],
 	}
 	l.reset()
-	return l
 }
 
 // maxLine is the exclusive bound on the lines a level can hold: keys

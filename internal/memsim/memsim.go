@@ -18,6 +18,21 @@
 // queues, way prediction — and never changes which way a line lands in.
 // The differential and fuzz suites in range_test.go check it
 // bit-for-bit against the plain per-line oracle in oracle_test.go.
+//
+// Simulations borrow their hierarchies from a process-wide pool (pool.go)
+// and return them when done: a loop replay or a microbenchmark core
+// group holds one only while it simulates. At most GOMAXPROCS pooled
+// hierarchies exist at once, the most that can simulate in parallel, so
+// simulation memory grows with the cores and not with the goroutines
+// that simulate: concurrent cells, rank groups, core groups or sweepd
+// requests. A borrower past the bound waits for a return rather than
+// allocating: hierarchies allocated past it would only live for one
+// burst of concurrent simulations, and those bursts are what set the
+// process's peak resident memory. A borrower waits on nothing else while
+// it holds a hierarchy, so waiting cannot deadlock. The pool holds a
+// returned hierarchy only weakly, so the garbage collector takes back
+// the hierarchies nobody is using: a process that has finished
+// simulating, a sweepd between requests, holds none.
 package memsim
 
 import (
@@ -111,22 +126,51 @@ const pfSlotCount = 16
 // The hierarchy simulates lines from 0 up to a bound set by its smallest
 // cache (ways hold 32-bit keys of the bits above the set index): 2^38
 // lines, 16 TiB of addresses, for a 64-set L1.
+//
+// New builds a hierarchy outside the pool; simulations borrow theirs
+// (Borrow).
 func New(spec *machine.Spec) *Hierarchy {
-	h := &Hierarchy{
-		l1:         newLevel(spec.L1),
-		l2:         newLevel(spec.L2),
-		l3:         newLevel(spec.L3Slice()),
-		spec:       spec,
-		pfOn:       spec.PF.StreamEnabled,
-		pfDist:     int64(spec.PF.StreamDistance),
-		adjacentOn: spec.PF.AdjacentEnabled,
+	h := &Hierarchy{l1: new(level), l2: new(level), l3: new(level)}
+	h.fit(spec)
+	return h
+}
+
+// fit makes a pristine h the hierarchy New(spec) returns: zero
+// counters, the prefetchers in their default state and the slot cursor
+// at 0. A level of another geometry is resized in place; one that
+// already has spec's geometry is kept as it is.
+func (h *Hierarchy) fit(spec *machine.Spec) {
+	for i, g := range levelGeoms(spec) {
+		if l := h.levels()[i]; !l.fits(g) {
+			l.resize(g)
+		}
 	}
-	for i := range h.pfSlots {
-		h.pfSlots[i] = -1
-	}
+	h.c = Counts{}
+	h.spec = spec
+	h.pfOn, h.adjacentOn = spec.PF.StreamEnabled, spec.PF.AdjacentEnabled
+	h.pfDist = int64(spec.PF.StreamDistance)
+	h.resetPrefetch()
+	h.pfNext = 0
 	// Leave room for the prefetchers, which reach past the demand line.
 	h.lineLimit = min(h.l1.maxLine(), h.l2.maxLine(), h.l3.maxLine()) - h.pfDist - 2
-	return h
+}
+
+// fits reports whether h has the geometry of spec's hierarchy.
+func (h *Hierarchy) fits(spec *machine.Spec) bool {
+	for i, g := range levelGeoms(spec) {
+		if !h.levels()[i].fits(g) {
+			return false
+		}
+	}
+	return true
+}
+
+// levels returns the hierarchy's L1, L2 and L3-slice levels.
+func (h *Hierarchy) levels() [3]*level { return [...]*level{h.l1, h.l2, h.l3} }
+
+// levelGeoms returns the geometry of spec's L1, L2 and L3 slice.
+func levelGeoms(spec *machine.Spec) [3]machine.CacheGeom {
+	return [...]machine.CacheGeom{spec.L1, spec.L2, spec.L3Slice()}
 }
 
 // SetPrefetch enables or disables the hardware prefetcher models
@@ -138,6 +182,15 @@ func (h *Hierarchy) SetPrefetch(on bool) {
 
 // PrefetchOn reports whether the stream prefetcher is active.
 func (h *Hierarchy) PrefetchOn() bool { return h.pfOn }
+
+// SetPrefetchCursor moves the prefetch slot cursor, the slot the next
+// unarmed miss takes, to c (see Shape). It panics unless 0 <= c < 16.
+func (h *Hierarchy) SetPrefetchCursor(c int) {
+	if c < 0 || c >= pfSlotCount {
+		panic(fmt.Sprintf("memsim: prefetch cursor %d outside [0, %d)", c, pfSlotCount))
+	}
+	h.pfNext = c
+}
 
 // Counts returns a snapshot of all counters.
 func (h *Hierarchy) Counts() Counts { return h.c }
@@ -178,7 +231,7 @@ func (h *Hierarchy) WriteNTReverted(line int64) { h.AccessRange(line, 1, AccessW
 // unarmed miss takes, as the oracle does: the cursor is part of what a
 // pristine hierarchy's response depends on (see Shape).
 func (h *Hierarchy) Flush() {
-	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+	for _, l := range h.levels() {
 		h.c.MemWriteLines += l.reset()
 	}
 	h.resetPrefetch()
@@ -187,7 +240,7 @@ func (h *Hierarchy) Flush() {
 // Invalidate drops all cached state without counting write-backs. Like
 // Flush, it keeps the prefetcher's slot cursor.
 func (h *Hierarchy) Invalidate() {
-	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+	for _, l := range h.levels() {
 		l.reset()
 	}
 	h.resetPrefetch()
@@ -214,39 +267,38 @@ type Shape struct {
 // Shape returns the hierarchy's current shape.
 func (h *Hierarchy) Shape() Shape {
 	s := Shape{PFOn: h.pfOn, AdjacentOn: h.adjacentOn, PFDistance: h.pfDist, PFCursor: h.pfNext}
-	for i, l := range [...]*level{h.l1, h.l2, h.l3} {
+	for i, l := range h.levels() {
 		s.Sets[i], s.Ways[i] = l.sets, l.ways
 	}
 	return s
 }
 
-// Pristine reports whether no level has installed or touched a line
+// ShapeOf returns the Shape of the hierarchy New(spec) builds, after
+// SetPrefetch(prefetch), without building one: its slot cursor is 0.
+func ShapeOf(spec *machine.Spec, prefetch bool) Shape {
+	s := Shape{
+		PFOn:       prefetch && spec.PF.StreamEnabled,
+		AdjacentOn: prefetch && spec.PF.AdjacentEnabled,
+		PFDistance: int64(spec.PF.StreamDistance),
+	}
+	for i, g := range levelGeoms(spec) {
+		s.Sets[i], s.Ways[i] = setsOf(g), g.Ways
+	}
+	return s
+}
+
+// pristine reports whether no level has installed or touched a line
 // since New, Flush or Invalidate: every level clock is zero and has not
 // wrapped. Every access that changes cache or prefetch-slot state ticks
 // a clock, so the caches and slots of a pristine hierarchy are empty and
 // only its Shape tells it apart from another.
-func (h *Hierarchy) Pristine() bool {
-	for _, l := range [...]*level{h.l1, h.l2, h.l3} {
+func (h *Hierarchy) pristine() bool {
+	for _, l := range h.levels() {
 		if l.clock != 0 || l.wrapped {
 			return false
 		}
 	}
 	return true
-}
-
-// Advance moves a pristine hierarchy past an access sequence whose
-// outcome is known, without simulating it: the counters grow by delta
-// and the prefetch slot cursor moves to cursor. delta and cursor must be
-// what the sequence followed by Flush did to a pristine hierarchy of the
-// same Shape; the hierarchy is then in the state that replay would have
-// left, search-order hints aside. It panics if the hierarchy is not
-// pristine.
-func (h *Hierarchy) Advance(delta Counts, cursor int) {
-	if !h.Pristine() {
-		panic("memsim: Advance on a hierarchy that is not pristine")
-	}
-	h.c = h.c.Add(delta)
-	h.pfNext = cursor
 }
 
 // DirtyLines counts dirty lines currently cached (for tests).

@@ -59,72 +59,26 @@ func TestFlushKeepsPrefetchCursor(t *testing.T) {
 // only count (NT writes) keep it pristine, a wrapped clock does not.
 func TestPristine(t *testing.T) {
 	h := New(machine.ICX8360Y())
-	if !h.Pristine() {
+	if !h.pristine() {
 		t.Fatal("a new hierarchy is not pristine")
 	}
 	h.AccessRange(10, 4, AccessWriteNT)
-	if !h.Pristine() {
-		t.Error("NT writes, which bypass the caches, cleared Pristine")
+	if !h.pristine() {
+		t.Error("NT writes, which bypass the caches, cleared pristine")
 	}
 	for _, kind := range allKinds {
 		h.Flush()
 		h.AccessRange(10, 1, kind)
-		if touches := kind != AccessWriteNT && kind != AccessWriteStreamed; h.Pristine() == touches {
-			t.Errorf("after one %s access Pristine = %v", kind, h.Pristine())
+		if touches := kind != AccessWriteNT && kind != AccessWriteStreamed; h.pristine() == touches {
+			t.Errorf("after one %s access pristine = %v", kind, h.pristine())
 		}
 	}
 	h.Invalidate()
-	if !h.Pristine() {
+	if !h.pristine() {
 		t.Error("Invalidate did not make the hierarchy pristine")
 	}
 	h.l2.wrapped = true
-	if h.Pristine() {
+	if h.pristine() {
 		t.Error("a level whose clock wrapped back to zero counts as pristine")
 	}
-}
-
-// TestAdvanceMatchesReplay: advancing a pristine hierarchy by a replay's
-// delta and cursor leaves it as the replay followed by Flush did, on
-// every preset; Advance refuses a hierarchy that is not pristine.
-func TestAdvanceMatchesReplay(t *testing.T) {
-	cursorMoved := false
-	for _, spec := range diffSpecs() {
-		trace := randomTrace(spec, 0x5eed, 40)
-		replayed, advanced := New(spec), New(spec)
-		unarmedMisses(replayed, newRef(spec), 1000, 5000)
-		unarmedMisses(advanced, newRef(spec), 1000, 5000)
-		replayed.Flush()
-		advanced.Flush()
-		if replayed.Shape() != advanced.Shape() {
-			t.Fatalf("%s: twins differ in shape", spec.Name)
-		}
-		before := replayed.Counts()
-		for _, p := range trace {
-			if p.ev == evAccess {
-				replayed.AccessRange(p.start, p.n, p.kind)
-			}
-		}
-		replayed.Flush()
-		cursorMoved = cursorMoved || replayed.Shape().PFCursor != advanced.Shape().PFCursor
-		advanced.Advance(replayed.Counts().Sub(before), replayed.Shape().PFCursor)
-		if advanced.Counts() != replayed.Counts() || advanced.Shape() != replayed.Shape() {
-			t.Errorf("%s: advanced to %+v %+v, replay left %+v %+v", spec.Name,
-				advanced.Counts(), advanced.Shape(), replayed.Counts(), replayed.Shape())
-		}
-		if d := diffState(hierarchyState(advanced), hierarchyState(replayed)); d != "" {
-			t.Errorf("%s: state diverges: %s", spec.Name, d)
-		}
-	}
-	if !cursorMoved {
-		t.Error("no replay moved the prefetch cursor; Advance's cursor went untested")
-	}
-
-	h := New(machine.ICX8360Y())
-	h.Load(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance on a hierarchy holding a line did not panic")
-		}
-	}()
-	h.Advance(Counts{}, 0)
 }

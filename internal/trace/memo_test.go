@@ -35,33 +35,46 @@ func memoLoops() ([]*Loop, Bounds) {
 func memoExec(memo *Memo, seed uint64) *Executor {
 	x := NewExecutor(machine.ICX8360Y(), memo)
 	x.NTStores = true
-	x.SetEnv(Env{Pressure: 0.7, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true})
-	x.E.Seed(seed)
+	x.Env = Env{Pressure: 0.7, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true}
+	x.Seed(seed)
 	return x
 }
 
-// plainRun replays the loop straight into the hierarchy, bypassing the
-// memo: the reference every Run must match.
-func plainRun(x *Executor, l *Loop, b Bounds) memsim.Counts {
-	before := x.H.Counts()
-	x.runBody(l, b, x.H)
-	x.H.Flush()
-	return x.H.Counts().Sub(before)
+// plain is the reference every Run must match: an executor that
+// replays each loop straight into a hierarchy of its own, built by
+// memsim.New outside the pool, bypassing the memo.
+type plain struct {
+	x *Executor
+	h *memsim.Hierarchy
 }
 
-// sameState fails unless both executors end in the same observable
-// state: counters, shape (prefetch cursor included), store statistics
-// and engine PRNG.
-func sameState(t *testing.T, what string, got, want *Executor) {
+func newPlain(seed uint64) *plain {
+	x := memoExec(nil, seed)
+	h := memsim.New(x.spec)
+	h.SetPrefetch(x.Env.PFOn)
+	return &plain{x: x, h: h}
+}
+
+// run replays the loop into the reference hierarchy and flushes it.
+func (p *plain) run(l *Loop, b Bounds) memsim.Counts {
+	before := p.h.Counts()
+	p.x.runBody(l, b, p.h)
+	p.h.Flush()
+	return p.h.Counts().Sub(before)
+}
+
+// sameState fails unless the executor ends in the reference's
+// observable state: counters, the shape its next loop starts from
+// (prefetch cursor included), store statistics and engine PRNG.
+func sameState(t *testing.T, what string, got *Executor, want *plain) {
 	t.Helper()
-	if got.H.Counts() != want.H.Counts() || got.H.Shape() != want.H.Shape() {
-		t.Errorf("%s: hierarchy %+v %+v, want %+v %+v", what, got.H.Counts(), got.H.Shape(), want.H.Counts(), want.H.Shape())
+	shape := memsim.ShapeOf(got.spec, got.Env.PFOn)
+	shape.PFCursor = got.cursor
+	if got.Counts() != want.h.Counts() || shape != want.h.Shape() {
+		t.Errorf("%s: executor %+v %+v, want %+v %+v", what, got.Counts(), shape, want.h.Counts(), want.h.Shape())
 	}
-	if got.E.Checkpoint() != want.E.Checkpoint() {
-		t.Errorf("%s: engine %+v, want %+v", what, got.E.Stats(), want.E.Stats())
-	}
-	if !got.H.Pristine() {
-		t.Errorf("%s: hierarchy not pristine after Run", what)
+	if got.e.Checkpoint() != want.x.e.Checkpoint() {
+		t.Errorf("%s: engine %+v, want %+v", what, got.e.Stats(), want.x.e.Stats())
 	}
 }
 
@@ -73,10 +86,10 @@ func TestRunMatchesPlainReplay(t *testing.T) {
 	loops, b := memoLoops()
 	memo := NewMemo()
 	for _, seed := range []uint64{7, 7, 8} {
-		x, ref := memoExec(memo, seed), memoExec(nil, seed)
+		x, ref := memoExec(memo, seed), newPlain(seed)
 		for round := 0; round < 2; round++ {
 			for _, l := range loops {
-				got, want := x.Run(l, b), plainRun(ref, l, b)
+				got, want := x.Run(l, b), ref.run(l, b)
 				if got != want {
 					t.Fatalf("seed %d round %d loop %s: Run %+v, plain replay %+v", seed, round, l.Name, got, want)
 				}
@@ -198,38 +211,6 @@ func TestKeyerSkipsEmptyRuns(t *testing.T) {
 	}
 }
 
-// TestRunBypassesMemo: a loop that does not start from a pristine
-// hierarchy and an idle engine is replayed without the memo — neither
-// served nor stored — and still matches the plain replay.
-func TestRunBypassesMemo(t *testing.T) {
-	loops, b := memoLoops()
-	l := loops[1]
-	memo := NewMemo()
-	memoExec(memo, 3).Run(l, b) // the entry a pristine run would hit
-	for _, c := range []struct {
-		name  string
-		dirty func(x *Executor)
-	}{
-		{"hierarchy holds a line", func(x *Executor) { x.H.Load(l.Reads[0].A.Addr(0, 0) >> 6) }},
-		{"engine holds an open line", func(x *Executor) {
-			x.E.ConfigureStreams(1, nil)
-			x.E.StoreRange(0, l.Writes[0].A.Addr(0, 3), 8)
-		}},
-	} {
-		x, ref := memoExec(memo, 3), memoExec(nil, 3)
-		c.dirty(x)
-		c.dirty(ref)
-		before := memo.Stats()
-		if got, want := x.Run(l, b), plainRun(ref, l, b); got != want {
-			t.Errorf("%s: Run %+v, plain replay %+v", c.name, got, want)
-		}
-		if after := memo.Stats(); after != before {
-			t.Errorf("%s: memo consulted (%+v -> %+v)", c.name, before, after)
-		}
-		sameState(t, c.name, x, ref)
-	}
-}
-
 // TestMemoSingleFlight: concurrent lookups of one key replay it once;
 // the others wait and are served its value.
 func TestMemoSingleFlight(t *testing.T) {
@@ -321,28 +302,50 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestRunPanicCachesNothing: a loop whose replay panics (a line past
-// memsim's range) propagates the panic from Run, leaves no entry and no
-// claimed key behind, and does not block a second executor on the key.
+// TestRunPanicCachesNothing: a loop whose replay panics (a store past
+// memsim's range, after the engine drew dice for it) propagates the
+// panic from Run, leaves no entry and no claimed key behind, and does
+// not block a second executor on the key. It leaves its executor as it
+// was, so the executor's next loop matches the plain replay, and it
+// gives its hierarchy back: with every other hierarchy the pool may
+// lend held here, that next loop still gets one.
 func TestRunPanicCachesNothing(t *testing.T) {
 	ar := NewArena(true)
-	far := ar.Alloc("far", 0, 63, 0, 3)
+	near := ar.Alloc("near", 0, 1023, 0, 3)
+	far := ar.Alloc("far", 0, 1023, 0, 3)
 	far.Base = 1 << 50
-	l := &Loop{Name: "far", Reads: []Access{{A: far}}}
-	b := Bounds{JLo: 0, JHi: 63, KLo: 0, KHi: 3}
+	l := &Loop{Name: "far", Reads: []Access{{A: near}}, Writes: []Write{{A: far}}, Eligible: true}
+	b := Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 3}
+	for range runtime.GOMAXPROCS(0) - 1 {
+		h := memsim.Borrow(machine.ICX8360Y())
+		defer memsim.Return(h)
+	}
+	loops, lb := memoLoops()
 	memo := NewMemo()
 	for i := 0; i < 2; i++ {
+		x, ref := memoExec(memo, 1), newPlain(1)
 		func() {
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the simulated range") {
 					t.Errorf("run %d recovered %v, want memsim's range panic", i, r)
 				}
 			}()
-			memoExec(memo, 1).Run(l, b)
+			x.Run(l, b)
 		}()
+		next := make(chan memsim.Counts, 1)
+		go func() { next <- x.Run(loops[0], lb) }()
+		select {
+		case got := <-next:
+			if want := ref.run(loops[0], lb); got != want {
+				t.Errorf("run %d: the loop after the panic gave %+v, plain replay %+v", i, got, want)
+			}
+			sameState(t, fmt.Sprintf("run %d after the panic", i), x, ref)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: the loop after the panic got no hierarchy", i)
+		}
 	}
-	if len(memo.done) != 0 || len(memo.inflight) != 0 {
-		t.Errorf("after panics the memo holds %d entries, %d in flight", len(memo.done), len(memo.inflight))
+	if len(memo.inflight) != 0 || len(memo.done) != 1 {
+		t.Errorf("after panics the memo holds %d entries, %d in flight; want only the healthy loop's", len(memo.done), len(memo.inflight))
 	}
 }
 

@@ -215,18 +215,24 @@ func (l *Loop) Validate() error {
 	return nil
 }
 
-// Executor replays loops for one simulated core.
+// Executor replays loops for one simulated core. It holds no cache
+// hierarchy: every loop starts from a pristine one and the executor
+// keeps only what a loop leaves for the next, the counters and the
+// prefetch slot cursor.
 type Executor struct {
-	H *memsim.Hierarchy
-	E *core.StoreEngine
 	// NTStores globally enables the per-stream NT flags (the NT_STORE_DIR
 	// build knob of the paper's patched CloverLeaf).
 	NTStores bool
-	// Env describes the run conditions shared by all loops.
+	// Env describes the run conditions shared by all loops, prefetch
+	// state included.
 	Env Env
 
-	memo *Memo
-	key  keyer
+	spec   *machine.Spec
+	e      *core.StoreEngine
+	memo   *Memo
+	key    keyer
+	c      memsim.Counts // the traffic of every loop run so far
+	cursor int           // the prefetch slot cursor the next loop starts at
 }
 
 // Env captures the machine-state part of the store-engine context.
@@ -241,19 +247,18 @@ type Env struct {
 // replays through memo, the campaign's memo; nil gives the executor a
 // memo of its own.
 func NewExecutor(spec *machine.Spec, memo *Memo) *Executor {
-	h := memsim.New(spec)
-	e := core.NewStoreEngine(h, spec)
 	if memo == nil {
 		memo = NewMemo()
 	}
-	return &Executor{H: h, E: e, Env: Env{PFOn: true}, memo: memo}
+	return &Executor{spec: spec, e: core.NewStoreEngine(nil, spec), Env: Env{PFOn: true}, memo: memo}
 }
 
-// SetEnv installs the run conditions (pressure etc.) and prefetch state.
-func (x *Executor) SetEnv(env Env) {
-	x.Env = env
-	x.H.SetPrefetch(env.PFOn)
-}
+// Seed reseeds the store engine's deterministic PRNG.
+func (x *Executor) Seed(s uint64) { x.e.Seed(s) }
+
+// Counts returns the traffic of every loop run so far: the executor is
+// the counter source of a LIKWID-style marker.
+func (x *Executor) Counts() memsim.Counts { return x.c }
 
 // Run replays one loop over the bounds and returns the traffic delta.
 //
@@ -263,52 +268,62 @@ func (x *Executor) SetEnv(env Env) {
 // simulation may use a truncated y extent. Within the loop the caches
 // work normally, so layer conditions are fully modeled.
 //
-// Each loop that starts from a pristine hierarchy and an idle store
-// engine (every loop, unless the caller drove H or E directly) goes
-// through the memo. A dry pass replays it into a hashing backend: the
-// store engine draws its dice, and the key is the SHA-256 of the
-// hierarchy's Shape followed by every (kind, start, n) operation memsim
-// would receive. On a hit the stored delta is added to the hierarchy
-// without simulating; on a miss the engine is rewound to before the dry
-// pass and the loop replays as usual. Either way the hierarchy, engine
-// and returned delta end bit-identical.
+// Every loop goes through the memo. A dry pass replays it into a
+// hashing backend: the store engine draws its dice, and the key is the
+// SHA-256 of the Shape of the pristine hierarchy the loop starts from
+// (the machine's caches, the prefetch state and the executor's slot
+// cursor) followed by every (kind, start, n) operation memsim would
+// receive. A hit adds the stored delta and cursor without simulating.
+// A miss rewinds the engine to before the dry pass and replays the loop
+// into a hierarchy borrowed from memsim's pool for that replay alone.
+// Either way the engine and the returned delta end bit-identical. A Run
+// that panics leaves the executor as it was before the call.
 func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
-	before := x.H.Counts()
-	if !x.H.Pristine() || !x.E.Idle() {
-		x.replay(l, b)
-		return x.H.Counts().Sub(before)
-	}
-	cp := x.E.Checkpoint()
-	v, hit := x.memo.do(x.dryRun(l, b), func() memoValue {
-		x.E.Rewind(cp)
-		x.replay(l, b)
-		return memoValue{delta: x.H.Counts().Sub(before), cursor: uint8(x.H.Shape().PFCursor)}
+	cp := x.e.Checkpoint()
+	ok := false
+	defer func() {
+		if !ok {
+			x.e.Rewind(cp)
+		}
+	}()
+	v, _ := x.memo.do(x.dryRun(l, b), func() memoValue {
+		x.e.Rewind(cp)
+		return x.replay(l, b)
 	})
-	if hit {
-		x.H.Advance(v.delta, int(v.cursor))
-	}
-	return x.H.Counts().Sub(before)
+	x.c = x.c.Add(v.delta)
+	x.cursor = int(v.cursor)
+	ok = true
+	return v.delta
 }
 
-// replay simulates the loop and flushes the hierarchy.
-func (x *Executor) replay(l *Loop, b Bounds) {
-	x.runBody(l, b, x.H)
-	x.H.Flush()
+// replay simulates the loop in a borrowed pristine hierarchy and
+// returns what the loop and a Flush did to it.
+func (x *Executor) replay(l *Loop, b Bounds) memoValue {
+	h := memsim.Borrow(x.spec)
+	defer memsim.Return(h)
+	h.SetPrefetch(x.Env.PFOn)
+	h.SetPrefetchCursor(x.cursor)
+	x.runBody(l, b, h)
+	h.Flush()
+	return memoValue{delta: h.Counts(), cursor: uint8(h.Shape().PFCursor)}
 }
 
-// dryRun replays the loop into the executor's keyer in place of the
+// dryRun replays the loop into the executor's keyer in place of a
 // hierarchy and returns the loop's memo key.
 func (x *Executor) dryRun(l *Loop, b Bounds) memoKey {
-	x.key.reset(x.H.Shape())
-	x.E.SetBackend(&x.key)
-	defer x.E.SetBackend(x.H)
+	s := memsim.ShapeOf(x.spec, x.Env.PFOn)
+	s.PFCursor = x.cursor
+	x.key.reset(s)
 	x.runBody(l, b, &x.key)
 	return x.key.sum()
 }
 
-// runBody replays the loop's access pattern into be, the store
-// engine's backend.
+// runBody replays the loop's access pattern into be, which it makes
+// the store engine's backend for the loop only: between loops the
+// engine holds no hierarchy, so a returned one is the pool's alone.
 func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
+	x.e.SetBackend(be)
+	defer x.e.SetBackend(nil)
 	groups := l.groups()
 
 	// Which write streams actually use NT stores: at most one
@@ -323,8 +338,8 @@ func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
 			}
 		}
 	}
-	x.E.ConfigureStreams(len(l.Writes), nt)
-	x.E.SetContext(core.Context{
+	x.e.ConfigureStreams(len(l.Writes), nt)
+	x.e.SetContext(core.Context{
 		Pressure:      x.Env.Pressure,
 		NodeFraction:  x.Env.NodeFraction,
 		ActiveSockets: x.Env.ActiveSockets,
@@ -358,8 +373,8 @@ func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
 				be.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessRFO)
 				continue
 			}
-			x.E.StoreRange(i, addr, n)
+			x.e.StoreRange(i, addr, n)
 		}
 	}
-	x.E.CloseAll()
+	x.e.CloseAll()
 }

@@ -9,7 +9,7 @@ import (
 
 func mkExec() *Executor {
 	x := NewExecutor(machine.ICX8360Y(), nil)
-	x.SetEnv(Env{Pressure: 0, NodeFraction: 1.0 / 72, ActiveSockets: 1, PFOn: false})
+	x.Env = Env{Pressure: 0, NodeFraction: 1.0 / 72, ActiveSockets: 1, PFOn: false}
 	return x
 }
 
@@ -247,8 +247,8 @@ func TestRunDeterminism(t *testing.T) {
 			Eligible: true,
 		}
 		x := NewExecutor(machine.ICX8360Y(), nil)
-		x.SetEnv(Env{Pressure: 1, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true})
-		x.E.Seed(7)
+		x.Env = Env{Pressure: 1, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true}
+		x.Seed(7)
 		c := x.Run(loop, Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 63})
 		return c.MemReadLines*1000000 + c.MemWriteLines
 	}

@@ -15,12 +15,12 @@ func newKernelExecutor(c Config) *trace.Executor {
 	spec := c.EffectiveSpec()
 	x := trace.NewExecutor(spec, c.Memo)
 	x.NTStores = c.Mode.NTStores
-	x.SetEnv(trace.Env{
+	x.Env = trace.Env{
 		Pressure:      spec.PressureAt(0, c.Threads),
 		NodeFraction:  float64(c.Threads) / float64(spec.Cores()),
 		ActiveSockets: spec.ActiveSockets(c.Threads),
 		PFOn:          !c.Mode.PFOff,
-	})
-	x.E.Seed(c.Seed ^ 0x9e3779b97f4a7c15)
+	}
+	x.Seed(c.Seed ^ 0x9e3779b97f4a7c15)
 	return x
 }
