@@ -4,19 +4,23 @@
 // 9, 10), the array-copy kernel (Fig. 6), and the strided halo-copy
 // kernel (Figs. 8 and 11).
 //
-// Each active core is simulated with its own store engine and a
-// hierarchy borrowed from memsim's pool for the run; cores sharing the
-// same bandwidth pressure are simulated once and weighted (compact
-// pinning fills ccNUMA domains in order).
+// Each microbenchmark is a body of store-engine and memsim operations
+// that a simulated core replays. Cores sharing the same bandwidth
+// pressure are simulated once and weighted (compact pinning fills
+// ccNUMA domains in order): each core group runs on a trace.Executor
+// without a memo, so it borrows a hierarchy from memsim's pool for its
+// replay, and a group whose replay panics fails the run with an error.
 package bench
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
+	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 )
 
 // coreGroup is a set of cores with identical simulation conditions.
@@ -64,6 +68,71 @@ func (v *Volumes) Add(o Volumes, w float64) {
 	v.NT += w * o.NT
 }
 
+// run is what every core group of one microbenchmark run shares.
+type run struct {
+	spec  *machine.Spec
+	cores int // active cores under compact pinning
+	class machine.KernelClass
+	nt    []bool // one per write stream: use non-temporal stores
+	pfOn  bool
+	seed  uint64
+}
+
+// replay simulates the run's core groups, each on its own executor and
+// concurrently, and returns their volumes weighted by their core
+// counts, summed in group order. Each group's executor is seeded from
+// the run's seed and the group's first core, and body issues the
+// group's operations once the engine holds the run's streams and the
+// group's context. The first error is the lowest group's.
+func (r run) replay(body func(e *core.StoreEngine, be core.Backend)) (Volumes, error) {
+	groups := groupCores(r.spec, r.cores)
+	vols := make([]Volumes, len(groups))
+	// A bounded single-scenario kernel: campaign cancellation is
+	// scenario-granular at the sweep engine.
+	err := sweep.ForEach(context.Background(), len(groups), len(groups), func(i int) (err error) {
+		g := groups[i]
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("bench: core group at core %d panicked: %v", g.firstCore, p)
+			}
+		}()
+		x := trace.NewExecutor(r.spec, nil)
+		x.Env.PFOn = r.pfOn
+		x.Seed(r.seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
+		vols[i] = volumesOf(x.Replay(func(e *core.StoreEngine, be core.Backend) {
+			e.ConfigureStreams(len(r.nt), r.nt)
+			e.SetContext(core.Context{
+				Pressure:      g.pressure,
+				NodeFraction:  float64(r.cores) / float64(r.spec.Cores()),
+				ActiveSockets: r.spec.ActiveSockets(r.cores),
+				Class:         r.class,
+				StoreStreams:  len(r.nt),
+				Eligible:      true,
+				PFOn:          r.pfOn,
+			})
+			body(e, be)
+		}))
+		return nil
+	})
+	if err != nil {
+		return Volumes{}, err
+	}
+	var v Volumes
+	for i, g := range groups {
+		v.Add(vols[i], float64(g.count))
+	}
+	return v, nil
+}
+
+// nStreams returns n write streams that all use NT stores or none do.
+func nStreams(n int, nt bool) []bool {
+	s := make([]bool, n)
+	for i := range s {
+		s[i] = nt
+	}
+	return s
+}
+
 func volumesOf(c memsim.Counts) Volumes {
 	return Volumes{
 		Read:  float64(c.ReadBytes()),
@@ -108,8 +177,6 @@ func (r StoreResult) Ratio() float64 {
 }
 
 // RunStore executes the store microbenchmark.
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunStore(o StoreOptions) (StoreResult, error) {
 	if err := checkCores(o.Machine, o.Cores); err != nil {
 		return StoreResult{}, err
@@ -123,53 +190,18 @@ func RunStore(o StoreOptions) (StoreResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0x57073
 	}
-	spec := o.Machine
-
-	var res StoreResult
-	res.Cores = o.Cores
-	res.Stored = float64(o.Cores) * float64(o.Streams) * float64(o.BytesPerStream)
-
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.Borrow(spec)
-			defer memsim.Return(h)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			nt := make([]bool, o.Streams)
-			for i := range nt {
-				nt[i] = o.NT
-			}
-			e.ConfigureStreams(o.Streams, nt)
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         machine.ClassPureStore,
-				StoreStreams:  o.Streams,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
-			// Independent aligned streams with a generous gap.
-			gap := (o.BytesPerStream + (1 << 20)) &^ 63
-			for s := 0; s < o.Streams; s++ {
-				base := int64(1<<24) + int64(s)*gap
-				e.StoreRange(s, base, o.BytesPerStream)
-			}
-			e.CloseAll()
-			h.Flush()
-			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
-			mu.Unlock()
-		}(g)
+	r := run{spec: o.Machine, cores: o.Cores, class: machine.ClassPureStore, nt: nStreams(o.Streams, o.NT), pfOn: !o.PFOff, seed: o.Seed}
+	// Independent aligned streams with a generous gap.
+	gap := (o.BytesPerStream + (1 << 20)) &^ 63
+	v, err := r.replay(func(e *core.StoreEngine, _ core.Backend) {
+		for s := 0; s < o.Streams; s++ {
+			e.StoreRange(s, int64(1<<24)+int64(s)*gap, o.BytesPerStream)
+		}
+	})
+	if err != nil {
+		return StoreResult{}, err
 	}
-	wg.Wait()
-	return res, nil
+	return StoreResult{Cores: o.Cores, Stored: float64(o.Cores) * float64(o.Streams) * float64(o.BytesPerStream), V: v}, nil
 }
 
 // CopyOptions configures the copy / halo-copy benchmark (a(:) = b(:)).
@@ -214,8 +246,6 @@ func (r CopyResult) RWRatio() float64 {
 }
 
 // RunCopy executes the copy benchmark.
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunCopy(o CopyOptions) (CopyResult, error) {
 	if err := checkCores(o.Machine, o.Cores); err != nil {
 		return CopyResult{}, err
@@ -226,67 +256,30 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0xC0B1
 	}
-	spec := o.Machine
 	inner := o.Inner
 	if inner <= 0 {
 		inner = int(o.Elems)
 	}
-
-	var res CopyResult
-	res.Cores = o.Cores
-	res.Iters = float64(o.Cores) * float64(o.Elems)
-
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.Borrow(spec)
-			defer memsim.Return(h)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			e.ConfigureStreams(1, []bool{o.NT})
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         machine.ClassCopy,
-				StoreStreams:  1,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
-
-			period := int64(inner + o.Halo)
-			aBase := int64(1 << 24)
-			bBase := aBase + (o.Elems*8*2+(1<<20))&^63
-
-			copied := int64(0)
-			pos := int64(0)
-			for copied < o.Elems {
-				n := int64(inner)
-				if o.Elems-copied < n {
-					n = o.Elems - copied
-				}
-				aAddr := aBase + pos*8
-				bAddr := bBase + pos*8
-				lo := bAddr >> 6
-				h.AccessRange(lo, (bAddr+n*8-1)>>6-lo+1, memsim.AccessLoad)
-				e.StoreRange(0, aAddr, n*8)
-				copied += n
-				pos += period
-			}
-			e.CloseAll()
-			h.Flush()
-			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
-			mu.Unlock()
-		}(g)
+	r := run{spec: o.Machine, cores: o.Cores, class: machine.ClassCopy, nt: []bool{o.NT}, pfOn: !o.PFOff, seed: o.Seed}
+	period := int64(inner + o.Halo)
+	aBase := int64(1 << 24)
+	bBase := aBase + (o.Elems*8*2+(1<<20))&^63
+	v, err := r.replay(func(e *core.StoreEngine, be core.Backend) {
+		pos := int64(0)
+		for copied := int64(0); copied < o.Elems; {
+			n := min(int64(inner), o.Elems-copied)
+			bAddr := bBase + pos*8
+			lo := bAddr >> 6
+			be.AccessRange(lo, (bAddr+n*8-1)>>6-lo+1, memsim.AccessLoad)
+			e.StoreRange(0, aBase+pos*8, n*8)
+			copied += n
+			pos += period
+		}
+	})
+	if err != nil {
+		return CopyResult{}, err
 	}
-	wg.Wait()
-	return res, nil
+	return CopyResult{Cores: o.Cores, Iters: float64(o.Cores) * float64(o.Elems), V: v}, nil
 }
 
 func checkCores(spec *machine.Spec, cores int) error {

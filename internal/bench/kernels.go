@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
@@ -116,8 +115,6 @@ func (r KernelResult) ExcessReadRatio() float64 {
 }
 
 // RunKernel executes a registry kernel across cores (compact pinning).
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunKernel(o KernelOptions) (KernelResult, error) {
 	k, ok := KernelByName(o.Kernel)
 	if !ok {
@@ -132,7 +129,6 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0xbe7c4
 	}
-	spec := o.Machine
 
 	res := KernelResult{Kernel: k, Cores: o.Cores}
 	bytesPerStream := float64(o.ElemsPerStream) * 8 * float64(o.Cores)
@@ -144,76 +140,43 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	}
 	res.Flops = float64(k.FlopsPerElem) * float64(o.ElemsPerStream) * float64(o.Cores)
 
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.Borrow(spec)
-			defer memsim.Return(h)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			nt := make([]bool, k.WriteStreams)
-			for i := range nt {
-				nt[i] = k.NT
-			}
-			e.ConfigureStreams(k.WriteStreams, nt)
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         k.Class(),
-				StoreStreams:  k.WriteStreams,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
-
-			gap := (o.ElemsPerStream*8 + (1 << 20)) &^ 63
-			// Stream base addresses: reads first, then writes.
-			readBase := make([]int64, k.ReadStreams)
-			for i := range readBase {
-				readBase[i] = int64(1<<24) + int64(i)*gap
-			}
-			writeBase := make([]int64, k.WriteStreams)
-			for i := range writeBase {
-				writeBase[i] = int64(1<<24) + int64(k.ReadStreams+i)*gap
-			}
-
-			// Process in chunks to interleave streams like a real kernel.
-			const chunk = 512 // elements
-			for pos := int64(0); pos < o.ElemsPerStream; pos += chunk {
-				n := chunk
-				if o.ElemsPerStream-pos < chunk {
-					n = int(o.ElemsPerStream - pos)
-				}
-				bytes := int64(n) * 8
-				for _, base := range readBase {
-					addr := base + pos*8
-					lo := addr >> 6
-					h.AccessRange(lo, (addr+bytes-1)>>6-lo+1, memsim.AccessLoad)
-				}
-				for i, base := range writeBase {
-					addr := base + pos*8
-					if k.Update {
-						for line := addr >> 6; line <= (addr+bytes-1)>>6; line++ {
-							h.Load(line)
-							h.RFO(line)
-						}
-						continue
-					}
-					e.StoreRange(i, addr, bytes)
-				}
-			}
-			e.CloseAll()
-			h.Flush()
-			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
-			mu.Unlock()
-		}(g)
+	r := run{spec: o.Machine, cores: o.Cores, class: k.Class(), nt: nStreams(k.WriteStreams, k.NT), pfOn: !o.PFOff, seed: o.Seed}
+	gap := (o.ElemsPerStream*8 + (1 << 20)) &^ 63
+	// Stream base addresses: reads first, then writes.
+	readBase := make([]int64, k.ReadStreams)
+	for i := range readBase {
+		readBase[i] = int64(1<<24) + int64(i)*gap
 	}
-	wg.Wait()
+	writeBase := make([]int64, k.WriteStreams)
+	for i := range writeBase {
+		writeBase[i] = int64(1<<24) + int64(k.ReadStreams+i)*gap
+	}
+	v, err := r.replay(func(e *core.StoreEngine, be core.Backend) {
+		// Process in chunks to interleave streams like a real kernel.
+		const chunk = 512 // elements
+		for pos := int64(0); pos < o.ElemsPerStream; pos += chunk {
+			bytes := min(chunk, o.ElemsPerStream-pos) * 8
+			for _, base := range readBase {
+				addr := base + pos*8
+				lo := addr >> 6
+				be.AccessRange(lo, (addr+bytes-1)>>6-lo+1, memsim.AccessLoad)
+			}
+			for i, base := range writeBase {
+				addr := base + pos*8
+				if k.Update {
+					for line := addr >> 6; line <= (addr+bytes-1)>>6; line++ {
+						be.AccessRange(line, 1, memsim.AccessLoad)
+						be.AccessRange(line, 1, memsim.AccessRFO)
+					}
+					continue
+				}
+				e.StoreRange(i, addr, bytes)
+			}
+		}
+	})
+	if err != nil {
+		return KernelResult{}, err
+	}
+	res.V = v
 	return res, nil
 }

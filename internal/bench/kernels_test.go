@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloversim/internal/machine"
@@ -122,5 +123,19 @@ func TestRunKernelErrors(t *testing.T) {
 	}
 	if _, err := RunKernel(KernelOptions{Kernel: "copy", Cores: 1}); err == nil {
 		t.Error("nil machine accepted")
+	}
+}
+
+// TestStreamPastSimulatedRangeIsAnError: a stream past memsim's 2^38-line
+// bound panics in its core group's replay. The run returns that panic
+// as an error, at once, instead of killing the process hosting it.
+func TestStreamPastSimulatedRangeIsAnError(t *testing.T) {
+	icx := machine.ICX8360Y()
+	_, copyErr := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: 1 << 40})
+	_, kernelErr := RunKernel(KernelOptions{Machine: icx, Kernel: "copy", Cores: 1, ElemsPerStream: 1 << 42})
+	for i, err := range []error{copyErr, kernelErr} {
+		if err == nil || !strings.Contains(err.Error(), "outside the simulated range") {
+			t.Errorf("%s error %v, want memsim's range panic", []string{"RunCopy", "RunKernel"}[i], err)
+		}
 	}
 }

@@ -55,7 +55,8 @@ func instrument(r *Rank, o InstrumentOptions) *InstrumentedRank {
 		o.MaxRows, true)
 	loops := tc.HotspotLoops(o.OptimizeLoops)
 
-	x := trace.NewExecutor(&spec, nil)
+	// A memo of the rank's own: every step replays the same loops.
+	x := trace.NewExecutor(&spec, trace.NewMemo())
 	x.NTStores = o.NTStores
 	x.Env = trace.Env{
 		Pressure:      spec.PressureAt(o.Core, o.ActiveRanks),
@@ -71,7 +72,7 @@ func instrument(r *Rank, o InstrumentOptions) *InstrumentedRank {
 	return &InstrumentedRank{
 		Rank:   r,
 		Exec:   x,
-		Marker: counters.NewMarker(x, counters.GroupSPECI2M),
+		Marker: counters.NewMarker(x),
 		loops:  loops,
 		spec:   &spec,
 	}

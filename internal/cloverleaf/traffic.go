@@ -1,13 +1,14 @@
 package cloverleaf
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"cloversim/internal/decomp"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
+	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
 )
 
@@ -141,19 +142,11 @@ type rankGroup struct {
 
 // groupResult is one rank group's simulated loop traffic, pre-scaling.
 type groupResult struct {
-	firstRank int
-	weights   float64
-	loops     []LoopInstance
-	counts    []memsim.Counts
-	scales    []float64
-	iters     []float64
-}
-
-// groupError pairs a group failure with its first rank so RunTraffic
-// can report a deterministic first error regardless of scheduler order.
-type groupError struct {
-	firstRank int
-	err       error
+	weights float64
+	loops   []LoopInstance
+	counts  []memsim.Counts
+	scales  []float64
+	iters   []float64
 }
 
 // trafficGroupHook is a test seam: when set, it runs in every
@@ -195,7 +188,7 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 	x.Env = e
 	x.Seed(o.Seed ^ uint64(g.firstRank+1)*0x9e3779b97f4a7c15)
 
-	gr = groupResult{firstRank: g.firstRank, weights: float64(g.count)}
+	gr = groupResult{weights: float64(g.count)}
 	gr.loops = loops
 	for i, li := range loops {
 		c := x.Run(li.Loop, li.Bounds)
@@ -209,8 +202,6 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 
 // RunTraffic simulates the memory traffic of one hydro step for the
 // given rank count and returns per-loop aggregates.
-//
-//lint:allow ctxflow one cell's bounded physics; cancellation is scenario-granular at the sweep engine (PR 4)
 func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 	o.defaults()
 	if o.Machine == nil {
@@ -226,17 +217,19 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 		o.Memo = trace.NewMemo()
 	}
 
-	subs := decomp.Decompose(o.Ranks, o.GridX, o.GridY)
-	groups := map[[3]int]*rankGroup{}
-	for _, s := range subs {
+	// Rank groups in order of their first rank: the decomposition lists
+	// subdomains by rank.
+	var groups []*rankGroup
+	index := map[[3]int]int{}
+	for _, s := range decomp.Decompose(o.Ranks, o.GridX, o.GridY) {
 		p := spec.PressureAt(s.Rank, o.Ranks)
 		key := [3]int{s.XSpan(), s.YSpan(), int(p * 1e6)}
-		g, ok := groups[key]
-		if !ok {
-			groups[key] = &rankGroup{xspan: s.XSpan(), yspan: s.YSpan(), pressure: p, count: 1, firstRank: s.Rank}
+		if i, ok := index[key]; ok {
+			groups[i].count++
 			continue
 		}
-		g.count++
+		index[key] = len(groups)
+		groups = append(groups, &rankGroup{xspan: s.XSpan(), yspan: s.YSpan(), pressure: p, count: 1, firstRank: s.Rank})
 	}
 
 	env := trace.Env{
@@ -245,36 +238,20 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 		PFOn:          !o.PFOff,
 	}
 
-	results := make([]groupResult, 0, len(groups))
-	var errs []groupError
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *rankGroup) {
-			defer wg.Done()
-			gr, err := simulateGroup(o, &spec, env, g)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, groupError{firstRank: g.firstRank, err: err})
-				return
-			}
-			results = append(results, gr)
-		}(g)
+	// One goroutine per rank group; results stay in rank order, so the
+	// float sums below are bit-identical across runs and worker counts,
+	// and the first error is the lowest-ranked group's. One cell's
+	// bounded physics: cancellation is scenario-granular at the sweep
+	// engine.
+	results := make([]groupResult, len(groups))
+	err := sweep.ForEach(context.Background(), len(groups), len(groups), func(i int) error {
+		var err error
+		results[i], err = simulateGroup(o, &spec, env, groups[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		// Deterministic "first" error: lowest first rank, not scheduler
-		// order.
-		sort.Slice(errs, func(a, b int) bool { return errs[a].firstRank < errs[b].firstRank })
-		return nil, errs[0].err
-	}
-
-	// Groups finish in scheduler order; accumulate in rank order so the
-	// float sums below are bit-identical across runs and worker counts.
-	sort.Slice(results, func(a, b int) bool { return results[a].firstRank < results[b].firstRank })
 
 	res := &TrafficResult{
 		Ranks:      o.Ranks,

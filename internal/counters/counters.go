@@ -1,8 +1,9 @@
 // Package counters provides a LIKWID-like measurement layer over the
 // memory-hierarchy simulator: named marker regions (the Marker API
-// analogue), performance groups (MEM, MEM_DP, SPECI2M), and derived
-// metrics such as code balance in byte/iteration — the quantity all of
-// the paper's loop-level figures report.
+// analogue) and derived metrics such as code balance in byte/iteration
+// — the quantity all of the paper's loop-level figures report. The
+// performance groups perfctr prints (MEM, MEM_DP, SPECI2M) live in
+// package likwid.
 package counters
 
 import (
@@ -10,13 +11,6 @@ import (
 	"sort"
 
 	"cloversim/internal/memsim"
-)
-
-// Group names, mirroring the LIKWID performance groups used in the paper.
-const (
-	GroupMEM     = "MEM"     // memory read/write volumes and bandwidth
-	GroupMEMDP   = "MEM_DP"  // MEM plus double-precision flop counts
-	GroupSPECI2M = "SPECI2M" // MEM plus TOR_INSERTS_IA_ITOM (Listing 4)
 )
 
 // Source exposes the live counter state of a simulated core.
@@ -69,18 +63,14 @@ func (r *Region) WritePerIter() float64 {
 // Marker is a per-core marker-API instance.
 type Marker struct {
 	src     Source
-	group   string
 	regions map[string]*Region
 	open    map[string]memsim.Counts
 }
 
 // NewMarker creates a marker layer over a counter source.
-func NewMarker(src Source, group string) *Marker {
-	return &Marker{src: src, group: group, regions: map[string]*Region{}, open: map[string]memsim.Counts{}}
+func NewMarker(src Source) *Marker {
+	return &Marker{src: src, regions: map[string]*Region{}, open: map[string]memsim.Counts{}}
 }
-
-// Group returns the active performance group name.
-func (m *Marker) Group() string { return m.group }
 
 // Start opens a region (LIKWID_MARKER_START).
 func (m *Marker) Start(name string) {

@@ -13,10 +13,7 @@ func (f *fakeSource) Counts() memsim.Counts { return f.c }
 
 func TestMarkerRegionDelta(t *testing.T) {
 	src := &fakeSource{}
-	m := NewMarker(src, GroupMEMDP)
-	if m.Group() != GroupMEMDP {
-		t.Fatal("group lost")
-	}
+	m := NewMarker(src)
 
 	m.Start("am04")
 	src.c.MemReadLines += 10
@@ -43,7 +40,7 @@ func TestMarkerRegionDelta(t *testing.T) {
 
 func TestMarkerAccumulatesCalls(t *testing.T) {
 	src := &fakeSource{}
-	m := NewMarker(src, GroupMEM)
+	m := NewMarker(src)
 	for i := 0; i < 3; i++ {
 		m.Start("r")
 		src.c.MemReadLines += 5
@@ -58,7 +55,7 @@ func TestMarkerAccumulatesCalls(t *testing.T) {
 }
 
 func TestStopWithoutStart(t *testing.T) {
-	m := NewMarker(&fakeSource{}, GroupMEM)
+	m := NewMarker(&fakeSource{})
 	if err := m.Stop("never"); err == nil {
 		t.Fatal("Stop without Start must error (the LIKWID failure mode)")
 	}
@@ -66,7 +63,7 @@ func TestStopWithoutStart(t *testing.T) {
 
 func TestRegionsSorted(t *testing.T) {
 	src := &fakeSource{}
-	m := NewMarker(src, GroupMEM)
+	m := NewMarker(src)
 	for _, n := range []string{"pdv00", "am04", "ac01"} {
 		m.Start(n)
 		m.Stop(n)
@@ -79,7 +76,7 @@ func TestRegionsSorted(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	s1, s2 := &fakeSource{}, &fakeSource{}
-	m1, m2 := NewMarker(s1, GroupSPECI2M), NewMarker(s2, GroupSPECI2M)
+	m1, m2 := NewMarker(s1), NewMarker(s2)
 
 	m1.Start("k")
 	s1.c.ItoMLines += 3

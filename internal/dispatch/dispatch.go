@@ -18,7 +18,7 @@
 //     in-flight cells are requeued for the survivors. Only when no
 //     live workers remain do the leftover cells fail.
 //   - Straggler re-dispatch. When the queue is drained but a chunk
-//     has been in flight longer than StragglerAfter, an idle worker
+//     has been in flight longer than 30 s, an idle worker
 //     re-dispatches it. The first completion wins (the engine's report
 //     funnel is idempotent), so duplicated execution can never
 //     duplicate results — it only costs the straggler's re-simulation.
@@ -55,12 +55,7 @@ import (
 	"cloversim/internal/sweepd"
 )
 
-// defaults for the tunables; see the Fleet fields.
-const (
-	defaultMaxAttempts    = 3
-	defaultStragglerAfter = 30 * time.Second
-	healthzTimeout        = 10 * time.Second
-)
+const healthzTimeout = 10 * time.Second
 
 // worker is one fleet member: its typed client plus the capacity and
 // per-request cell cap it advertised at fleet assembly.
@@ -80,20 +75,19 @@ func (w *worker) chunk() int {
 }
 
 // Fleet shards scenario batches across sweepd workers. It implements
-// sweep.Backend; assemble with New. The exported fields are optional
-// tuning, set before the first Execute.
+// sweep.Backend; assemble with New.
 type Fleet struct {
-	// MaxAttempts bounds how often one cell may be dispatched (first
+	// maxAttempts bounds how often one cell may be dispatched (first
 	// try, requeues after worker failures or worker-side cancellation,
 	// straggler re-dispatches). A cell that exhausts its attempts
 	// fails rather than looping forever against a fleet that keeps
-	// accepting and bouncing it. <= 0 means 3.
-	MaxAttempts int
-	// StragglerAfter is how long a dispatched chunk may be in flight
-	// before idle workers re-dispatch its cells. <= 0 means 30s. Keep
-	// it well above a worker's expected chunk latency: stealing too
-	// eagerly wastes simulation, never correctness.
-	StragglerAfter time.Duration
+	// accepting and bouncing it.
+	maxAttempts int
+	// stragglerAfter is how long a dispatched chunk may be in flight
+	// before idle workers re-dispatch its cells. It stays well above a
+	// worker's expected chunk latency: stealing too eagerly wastes
+	// simulation, never correctness.
+	stragglerAfter time.Duration
 
 	workers []*worker
 }
@@ -110,7 +104,7 @@ func New(ctx context.Context, urls []string, physics string) (*Fleet, error) {
 	}
 	// Probe concurrently: with a big fleet, serial 10s health timeouts
 	// would delay campaign start (or its fail-fast) by minutes.
-	f := &Fleet{workers: make([]*worker, len(urls))}
+	f := &Fleet{maxAttempts: 3, stragglerAfter: 30 * time.Second, workers: make([]*worker, len(urls))}
 	errs := make([]error, len(urls))
 	var wg sync.WaitGroup
 	for i, u := range urls {
@@ -165,20 +159,6 @@ func (f *Fleet) Capacity() int {
 		total += w.capacity
 	}
 	return total
-}
-
-func (f *Fleet) maxAttempts() int {
-	if f.MaxAttempts > 0 {
-		return f.MaxAttempts
-	}
-	return defaultMaxAttempts
-}
-
-func (f *Fleet) stragglerAfter() time.Duration {
-	if f.StragglerAfter > 0 {
-		return f.StragglerAfter
-	}
-	return defaultStragglerAfter
 }
 
 // Execute implements sweep.Backend: one goroutine per worker pulls
@@ -242,7 +222,7 @@ func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board
 		case r.Unstarted:
 			// The worker never simulated this cell (its expand
 			// deadline, a draining daemon): re-dispatchable.
-			emit(b.release(wi, i, f.maxAttempts()))
+			emit(b.release(wi, i, f.maxAttempts))
 		case r.Err != nil:
 			// A genuine simulation failure is deterministic in the
 			// scenario — retrying it elsewhere would just fail again.
@@ -256,7 +236,7 @@ func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board
 		}
 	}
 	for {
-		batch := b.take(dctx, wi, w.chunk(), f.stragglerAfter(), f.maxAttempts())
+		batch := b.take(dctx, wi, w.chunk(), f.stragglerAfter, f.maxAttempts)
 		if len(batch) == 0 {
 			return
 		}
@@ -282,7 +262,7 @@ func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board
 					rest = append(rest, i)
 				}
 			}
-			emit(b.workerFailed(wi, rest, f.maxAttempts(),
+			emit(b.workerFailed(wi, rest, f.maxAttempts,
 				fmt.Errorf("dispatch: worker %s failed: %w", w.client.BaseURL, err)))
 			return
 		}

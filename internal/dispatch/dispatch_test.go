@@ -242,11 +242,11 @@ func stallFirstExpand(delay time.Duration) func(http.Handler) http.Handler {
 }
 
 // TestFleetStragglerReDispatch: a worker that stalls holds its chunk
-// hostage; once StragglerAfter passes, idle workers re-dispatch those
+// hostage; once stragglerAfter passes, idle workers re-dispatch those
 // cells and the campaign completes without waiting for the straggler —
 // the moment every cell is accounted for, the straggler's in-flight
 // request is abandoned and Execute returns. A connected-but-frozen
-// worker costs latency bounded by StragglerAfter, never a hang.
+// worker costs latency bounded by stragglerAfter, never a hang.
 func TestFleetStragglerReDispatch(t *testing.T) {
 	const stall = 30 * time.Second // far beyond the test timeout if the hang regresses
 	a := startWorker(t, 2, testPhysics, nil)
@@ -256,7 +256,7 @@ func TestFleetStragglerReDispatch(t *testing.T) {
 	// Long enough that a re-dispatched chunk (trivial simulations)
 	// finishes before it could be stolen a second time, short enough
 	// to keep the test brisk.
-	f.StragglerAfter = 200 * time.Millisecond
+	f.stragglerAfter = 200 * time.Millisecond
 
 	scs := scenarios(12)
 	start := time.Now()
@@ -388,14 +388,14 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 
 // TestFleetGivesUpOnBouncingCells: a worker that keeps accepting and
 // bouncing cells must not trap the dispatcher in an infinite requeue
-// loop — after MaxAttempts dispatches a cell fails.
+// loop — after maxAttempts dispatches a cell fails.
 func TestFleetGivesUpOnBouncingCells(t *testing.T) {
 	srv := bounceUnstarted(t, testPhysics)
 	f, err := New(context.Background(), []string{srv.URL}, testPhysics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.MaxAttempts = 2
+	f.maxAttempts = 2
 
 	scs := scenarios(3)
 	done := make(chan sweep.Campaign, 1)
@@ -461,7 +461,7 @@ func TestFleetReportsTheFailureThatFinishesTheBoard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.MaxAttempts = 2
+		f.maxAttempts = 2
 		scs := scenarios(3)
 		b := newBoard(len(scs), 1)
 		got := make([]error, len(scs))

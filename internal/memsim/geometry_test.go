@@ -8,14 +8,15 @@ import (
 	"cloversim/internal/machine"
 )
 
-// The suites below run tiny hierarchies against the oracle: a few
-// hundred lines sweep every level through fill, conflict and steady
-// state, with direct-mapped, single-set and skewed-associativity
-// corners no preset has. They keep the names, run shapes and fuzz corpus
-// of the closed-form "analytic" range tier that once short-cut regular
-// runs. That tier is gone, but the shapes it had to tell apart (regular
-// runs, self-evicting runs, mixed residency, dirty sets, a clock about
-// to wrap) are the boundary cases of the line-run path too.
+// The suites below compare AccessRange, and the per-line API, with the
+// oracle on tiny hierarchies: a few hundred lines sweep every level
+// through fill, conflict and steady state, with direct-mapped,
+// single-set and skewed-associativity corners no preset has. Their run
+// shapes (regular runs, self-evicting runs, mixed residency, dirty
+// sets, a clock about to wrap) are the boundary cases of the line-run
+// path. TestAnalyticFallbackReasons and FuzzAnalyticRange keep names
+// from a closed-form range tier that no longer exists: their subtests
+// and committed fuzz corpus are tracked by name.
 
 // tinySpec builds a machine spec whose hierarchy has exactly the given
 // per-level sets x ways (sets must be powers of two, or setsOf rounds
@@ -57,11 +58,12 @@ func checkBothWays(t *testing.T, spec *machine.Spec, pfOn bool, trace []pattern,
 	checkAgainstOracle(t, spec, pfOn, trace, byLine, setup)
 }
 
-// TestAnalyticDifferential sweeps randomized tiny geometries x all seven
-// access kinds x the boundary run lengths {1, ways-1, ways, sets x ways,
-// > cache} per level, each run preceded by a random prelude that leaves
-// mixed clean/dirty residency.
-func TestAnalyticDifferential(t *testing.T) {
+// TestTinyGeometryDifferential sweeps randomized tiny geometries x all
+// seven access kinds x the boundary run lengths {1, ways-1, ways,
+// sets x ways, > cache} per level, each run preceded by a random
+// prelude that leaves mixed clean/dirty residency, and compares each
+// trace with the oracle.
+func TestTinyGeometryDifferential(t *testing.T) {
 	r := &rng{s: 0xA11A}
 	for g := 0; g < 6; g++ {
 		l1s, l1w := 1<<(r.next()%3), int(r.next()%4)+1
@@ -98,10 +100,10 @@ func TestAnalyticDifferential(t *testing.T) {
 	}
 }
 
-// TestAnalyticFallbackReasons pins named run shapes on one tiny
-// hierarchy: the regular ones, and the irregular ones a closed form
-// would have to refuse (prefetching, short runs, mixed residency, dirty
-// private sets, runs that evict their own lines from L1 or L2).
+// TestAnalyticFallbackReasons compares named run shapes on one tiny
+// hierarchy with the oracle: regular runs, and the irregular ones
+// (prefetching, short runs, mixed residency, dirty private sets, runs
+// that evict their own lines from L1 or L2).
 func TestAnalyticFallbackReasons(t *testing.T) {
 	// L1 2 sets x 2 ways, L2 4x2, L3 4x4: 28 lines in all.
 	spec := tinySpec(2, 2, 4, 2, 4, 4)
@@ -148,9 +150,9 @@ func TestAnalyticFallbackReasons(t *testing.T) {
 	}
 }
 
-// TestAnalyticClockWrapFallback: a long run that wraps the uint32 LRU
+// TestTinyL1ClockWrapMidRun: a long run that wraps the uint32 LRU
 // clock of a tiny L1 mid-run must still match the oracle exactly.
-func TestAnalyticClockWrapFallback(t *testing.T) {
+func TestTinyL1ClockWrapMidRun(t *testing.T) {
 	spec := tinySpec(2, 2, 4, 2, 4, 4)
 	h := New(spec)
 	h.l1.clock = math.MaxUint32 - 10
@@ -205,8 +207,8 @@ func tinyTrace(seed uint64, batches int, l1w, cache int64) []pattern {
 	return out
 }
 
-// FuzzAnalyticRange fuzzes the oracle differential, through AccessRange
-// and through the per-line API, over tiny-geometry traces. The committed
+// FuzzAnalyticRange fuzzes the comparison with the oracle, through
+// AccessRange and through the per-line API, over tiny-geometry traces. The committed
 // corpus under testdata/fuzz seeds aliasing wraps, direct-mapped levels,
 // kind switches and run lengths at the associativity boundary.
 func FuzzAnalyticRange(f *testing.F) {

@@ -108,10 +108,10 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 	}
 	csvPath := filepath.Join(a.out, "frontier.csv")
 	jsonPath := filepath.Join(a.out, "frontier.json")
-	if err := emitFrontier(csvPath, search.CSVEmitter{}.Emit, outcome); err != nil {
+	if err := emitFile(csvPath, search.CSVEmitter{}.Emit, outcome); err != nil {
 		return runtimeErr(a.stderr, err)
 	}
-	if err := emitFrontier(jsonPath, search.JSONEmitter{Indent: true}.Emit, outcome); err != nil {
+	if err := emitFile(jsonPath, search.JSONEmitter{Indent: true}.Emit, outcome); err != nil {
 		return runtimeErr(a.stderr, err)
 	}
 	if !a.quiet {
@@ -143,17 +143,4 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 		}
 	}
 	return code
-}
-
-// emitFrontier writes one frontier artifact.
-func emitFrontier(path string, emit func(io.Writer, *search.Outcome) error, o *search.Outcome) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := emit(f, o); err != nil {
-		return err
-	}
-	return f.Close()
 }

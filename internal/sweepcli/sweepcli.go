@@ -258,10 +258,10 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 
 	csvPath := filepath.Join(*out, "campaign.csv")
 	jsonPath := filepath.Join(*out, "campaign.json")
-	if err := emitFile(csvPath, sweep.CSVEmitter{}, c); err != nil {
+	if err := emitFile(csvPath, sweep.CSVEmitter{}.Emit, c); err != nil {
 		return runtimeErr(stderr, err)
 	}
-	if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}, c); err != nil {
+	if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}.Emit, c); err != nil {
 		return runtimeErr(stderr, err)
 	}
 
@@ -380,13 +380,15 @@ func intList(s string) ([]int, error) {
 	return out, nil
 }
 
-func emitFile(path string, e sweep.Emitter, c sweep.Campaign) error {
+// emitFile writes one artifact: v rendered by emit into a new file at
+// path.
+func emitFile[T any](path string, emit func(io.Writer, T) error, v T) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := e.Emit(f, c); err != nil {
+	if err := emit(f, v); err != nil {
 		return err
 	}
 	return f.Close()

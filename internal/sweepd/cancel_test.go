@@ -385,7 +385,7 @@ func TestWarmExpandAfterFailedPutsStillFlagsLoss(t *testing.T) {
 	}
 	var logged bytes.Buffer
 	srv := New(broken, runner, 2)
-	srv.ErrorLog = log.New(&logged, "", 0)
+	srv.errorLog = log.New(&logged, "", 0)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -425,7 +425,7 @@ func TestExpandSurfacesSyncFailure(t *testing.T) {
 	}
 	var logged bytes.Buffer
 	srv := New(spy, runner, 2)
-	srv.ErrorLog = log.New(&logged, "", 0)
+	srv.errorLog = log.New(&logged, "", 0)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -480,7 +480,7 @@ func TestWriteJSONLogsBrokenPipe(t *testing.T) {
 	srv := New(openStore(t), func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		return syntheticMetrics(s), nil
 	}, 1)
-	srv.ErrorLog = log.New(&logged, "", 0)
+	srv.errorLog = log.New(&logged, "", 0)
 	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	w := &brokenPipeWriter{header: http.Header{}}
 	srv.writeJSON(w, req, http.StatusOK, map[string]string{"ok": "true"})

@@ -108,16 +108,15 @@ type Server struct {
 	// X-Expand-Incomplete header. Zero means no server-side deadline
 	// (client disconnect still cancels).
 	ExpandTimeout time.Duration
-	// ErrorLog receives response-write failures (broken pipes, encode
-	// bugs) that cannot reach the client anymore. Nil means
-	// log.Default().
-	ErrorLog *log.Logger
 	// MaxCells caps the cell count of one expand request, grid or
 	// explicit form. Zero means DefaultMaxCells. The cap is advertised
 	// in /v1/healthz as max_cells so dispatchers can clamp their chunk
 	// sizes up front instead of discovering the limit through 400s.
 	MaxCells int
 
+	// errorLog receives response-write failures (broken pipes, encode
+	// bugs) that cannot reach the client anymore.
+	errorLog *log.Logger
 	st       ResultStore
 	eng      *sweep.Engine
 	sem      chan struct{}
@@ -132,7 +131,7 @@ func New(st ResultStore, runner sweep.Runner, workers int) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{st: st, sem: make(chan struct{}, workers)}
+	s := &Server{errorLog: log.Default(), st: st, sem: make(chan struct{}, workers)}
 	// The engine bounds workers per campaign; the semaphore bounds the
 	// whole daemon, so concurrent expand requests share one simulation
 	// budget instead of multiplying it. The acquire selects on the
@@ -166,13 +165,7 @@ func (s *Server) maxCells() int {
 }
 
 // logf reports server-side failures that have no client to return to.
-func (s *Server) logf(format string, args ...any) {
-	l := s.ErrorLog
-	if l == nil {
-		l = log.Default()
-	}
-	l.Printf(format, args...)
-}
+func (s *Server) logf(format string, args ...any) { s.errorLog.Printf(format, args...) }
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -505,48 +498,60 @@ type expandSummary struct {
 // each cell the moment the engine finalizes it. Results stream before
 // the durability repair can run, so a result frame is not an
 // acknowledgement of persistence; the summary's store_error is. The
-// engine serializes the campaign's hook, so writeFrame needs no lock of
+// engine serializes the campaign's hook, so the stream needs no lock of
 // its own.
 func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenarios []sweep.Scenario) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	var writeErr error
-	writeFrame := func(f streamFrame) {
-		if writeErr != nil {
-			return
-		}
-		b, err := json.Marshal(f)
-		if err == nil {
-			b = append(b, '\n')
-			_, err = w.Write(b)
-		}
-		if err == nil {
-			// Flush per frame: the point of the stream is that the
-			// client sees a cell the moment it completes, not when the
-			// buffer happens to fill. A writer without flush support
-			// (plain buffered proxy) still gets correct bytes.
-			if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-				err = ferr
-			}
-		}
-		if err != nil {
-			// The client is gone (or the connection broke): remember
-			// the first failure and stop writing. The campaign itself
-			// keeps running under its own context — cancellation is the
-			// request context's job, not the response writer's.
-			writeErr = err
-		}
-	}
-	writeFrame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
+	out := newNDJSONStream(w)
+	out.frame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
 	_, sum := s.expand(ctx, scenarios, func(done, total int, res sweep.Result) {
 		er := toExecuteResult(res)
-		writeFrame(streamFrame{Result: &er})
+		out.frame(streamFrame{Result: &er})
 	})
-	writeFrame(streamFrame{Summary: &sum})
-	if writeErr != nil {
-		s.logf("sweepd: POST /v1/expand: writing stream: %v", writeErr)
+	out.frame(streamFrame{Summary: &sum})
+	if out.err != nil {
+		s.logf("sweepd: POST /v1/expand: writing stream: %v", out.err)
 	}
+}
+
+// ndjsonStream answers a request with NDJSON frames: one JSON value
+// per line, each flushed as it is written.
+type ndjsonStream struct {
+	w   http.ResponseWriter
+	rc  *http.ResponseController
+	err error // the first write failure; nothing is written after it
+}
+
+// newNDJSONStream sends the 200 status and the NDJSON content type.
+func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	return &ndjsonStream{w: w, rc: http.NewResponseController(w)}
+}
+
+// frame writes f as one line and flushes it.
+func (out *ndjsonStream) frame(f any) {
+	if out.err != nil {
+		return
+	}
+	b, err := json.Marshal(f)
+	if err == nil {
+		b = append(b, '\n')
+		_, err = out.w.Write(b)
+	}
+	if err == nil {
+		// Flush per frame: the point of the stream is that the client
+		// sees a frame the moment it exists, not when the buffer
+		// happens to fill. A writer without flush support (plain
+		// buffered proxy) still gets correct bytes.
+		if ferr := out.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
+			err = ferr
+		}
+	}
+	// A failure means the client is gone (or the connection broke):
+	// remember it and stop writing. The work behind the stream keeps
+	// running under its own context — cancellation is the request
+	// context's job, not the response writer's.
+	out.err = err
 }
 
 // executeResult is one cell of an explicit expand. Metric values carry

@@ -32,7 +32,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -95,29 +94,8 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, watermark := s.st.IDsSince(since)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	var writeErr error
-	writeFrame := func(f syncFrame) {
-		if writeErr != nil {
-			return
-		}
-		b, err := json.Marshal(f)
-		if err == nil {
-			b = append(b, '\n')
-			_, err = w.Write(b)
-		}
-		if err == nil {
-			if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-				err = ferr
-			}
-		}
-		if err != nil {
-			writeErr = err
-		}
-	}
-	writeFrame(syncFrame{Sync: &syncHeader{
+	out := newNDJSONStream(w)
+	out.frame(syncFrame{Sync: &syncHeader{
 		Physics: s.st.Physics(), Epoch: epoch,
 		Since: since, Watermark: watermark, Records: len(ids),
 	}})
@@ -134,12 +112,12 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 		// The store line IS the frame payload: the puller re-validates it
 		// with store.DecodeRecord, the same integrity gate recovery uses.
-		writeFrame(syncFrame{Record: json.RawMessage(line[:len(line)-1])})
+		out.frame(syncFrame{Record: json.RawMessage(line[:len(line)-1])})
 		sent++
 	}
-	writeFrame(syncFrame{Summary: &syncSummary{Sent: sent, Watermark: watermark}})
-	if writeErr != nil {
-		s.logf("sweepd: GET /v1/sync: writing stream: %v", writeErr)
+	out.frame(syncFrame{Summary: &syncSummary{Sent: sent, Watermark: watermark}})
+	if out.err != nil {
+		s.logf("sweepd: GET /v1/sync: writing stream: %v", out.err)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestRunMarked(t *testing.T) {
 		FlopsPerIt: 1,
 	}
 	x := mkExec()
-	m := counters.NewMarker(x, counters.GroupSPECI2M)
+	m := counters.NewMarker(x)
 
 	b := Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 31}
 	for i := 0; i < 3; i++ {
@@ -53,7 +53,7 @@ func TestRunMarkedMachineSpread(t *testing.T) {
 		loop := &Loop{Name: "w", Writes: []Write{{A: a}}}
 		x := NewExecutor(spec, nil)
 		x.Env = Env{Pressure: 0, PFOn: true}
-		m := counters.NewMarker(x, counters.GroupMEM)
+		m := counters.NewMarker(x)
 		if _, err := x.RunMarked(m, loop, Bounds{JLo: 0, JHi: 255, KLo: 0, KHi: 15}); err != nil {
 			t.Fatal(err)
 		}

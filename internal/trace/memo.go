@@ -19,7 +19,7 @@ const maxMemoEntries = 1 << 14
 // a pure function of the hierarchy's Shape and of the operation sequence
 // the replay hands memsim: the only randomness, SpecI2M's claim dice,
 // is drawn by the store engine before memsim sees an operation. The memo
-// keys each replay by the SHA-256 of exactly those (see Executor.Run)
+// keys each replay by the SHA-256 of exactly those (see Executor.Replay)
 // and keeps its counter delta and final prefetch cursor, so every later
 // loop with the same key (the other rank groups of a cell, loops that
 // draw no dice, machines with matching caches) is served without

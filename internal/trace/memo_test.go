@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cloversim/internal/core"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
 )
@@ -58,7 +59,7 @@ func newPlain(seed uint64) *plain {
 // run replays the loop into the reference hierarchy and flushes it.
 func (p *plain) run(l *Loop, b Bounds) memsim.Counts {
 	before := p.h.Counts()
-	p.x.runBody(l, b, p.h)
+	p.x.drive(p.h, func(_ *core.StoreEngine, be core.Backend) { p.x.runLoop(l, b, be) })
 	p.h.Flush()
 	return p.h.Counts().Sub(before)
 }
@@ -80,20 +81,25 @@ func sameState(t *testing.T, what string, got *Executor, want *plain) {
 
 // TestRunMatchesPlainReplay: every loop run through a memo, whether it
 // misses (first executor) or hits (a second executor of the same seed),
-// returns the delta the plain replay returns and leaves the executor in
-// the same state. A different seed shares only the loops without dice.
+// and every loop run on an executor without a memo, returns the delta
+// the plain replay returns and leaves the executor in the same state. A
+// different seed shares only the loops without dice.
 func TestRunMatchesPlainReplay(t *testing.T) {
 	loops, b := memoLoops()
 	memo := NewMemo()
-	for _, seed := range []uint64{7, 7, 8} {
-		x, ref := memoExec(memo, seed), newPlain(seed)
+	for _, in := range []struct {
+		memo *Memo
+		seed uint64
+	}{{memo, 7}, {memo, 7}, {memo, 8}, {nil, 7}} {
+		seed := in.seed
+		x, ref := memoExec(in.memo, seed), newPlain(seed)
 		for round := 0; round < 2; round++ {
 			for _, l := range loops {
 				got, want := x.Run(l, b), ref.run(l, b)
 				if got != want {
-					t.Fatalf("seed %d round %d loop %s: Run %+v, plain replay %+v", seed, round, l.Name, got, want)
+					t.Fatalf("memo %v seed %d round %d loop %s: Run %+v, plain replay %+v", in.memo != nil, seed, round, l.Name, got, want)
 				}
-				sameState(t, fmt.Sprintf("seed %d loop %s", seed, l.Name), x, ref)
+				sameState(t, fmt.Sprintf("memo %v seed %d loop %s", in.memo != nil, seed, l.Name), x, ref)
 			}
 		}
 	}

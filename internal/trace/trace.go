@@ -8,6 +8,12 @@
 // reproduces the memory traffic LIKWID would report, including layer
 // conditions, halo overfetch, partial-cache-line write-allocates and
 // SpecI2M behaviour.
+//
+// An Executor is the one simulated core of the repository: Run replays
+// a Loop on it, and Replay runs any other access pattern, such as the
+// bench package's store and copy microbenchmarks, on the same path
+// (memo lookup, a hierarchy borrowed from memsim's pool, a panic that
+// leaves the executor as it was).
 package trace
 
 import (
@@ -215,9 +221,11 @@ func (l *Loop) Validate() error {
 	return nil
 }
 
-// Executor replays loops for one simulated core. It holds no cache
-// hierarchy: every loop starts from a pristine one and the executor
-// keeps only what a loop leaves for the next, the counters and the
+// Executor is one simulated core, and the only code that simulates
+// one: the CloverLeaf loops, the kernel workloads and the
+// microbenchmarks all replay on an Executor. It holds no cache
+// hierarchy: every replay starts from a pristine one and the executor
+// keeps only what a replay leaves for the next, the counters and the
 // prefetch slot cursor.
 type Executor struct {
 	// NTStores globally enables the per-stream NT flags (the NT_STORE_DIR
@@ -231,8 +239,8 @@ type Executor struct {
 	e      *core.StoreEngine
 	memo   *Memo
 	key    keyer
-	c      memsim.Counts // the traffic of every loop run so far
-	cursor int           // the prefetch slot cursor the next loop starts at
+	c      memsim.Counts // the traffic of every replay so far
+	cursor int           // the prefetch slot cursor the next replay starts at
 }
 
 // Env captures the machine-state part of the store-engine context.
@@ -243,42 +251,49 @@ type Env struct {
 	PFOn          bool
 }
 
-// NewExecutor builds a simulated core for the machine that shares loop
-// replays through memo, the campaign's memo; nil gives the executor a
-// memo of its own.
+// NewExecutor builds a simulated core for the machine that shares its
+// replays through memo, the campaign's memo. A nil memo means none:
+// every replay simulates, with no dry pass to key it.
 func NewExecutor(spec *machine.Spec, memo *Memo) *Executor {
-	if memo == nil {
-		memo = NewMemo()
-	}
 	return &Executor{spec: spec, e: core.NewStoreEngine(nil, spec), Env: Env{PFOn: true}, memo: memo}
 }
 
 // Seed reseeds the store engine's deterministic PRNG.
 func (x *Executor) Seed(s uint64) { x.e.Seed(s) }
 
-// Counts returns the traffic of every loop run so far: the executor is
+// Counts returns the traffic of every replay so far: the executor is
 // the counter source of a LIKWID-style marker.
 func (x *Executor) Counts() memsim.Counts { return x.c }
 
-// Run replays one loop over the bounds and returns the traffic delta.
-//
-// The hierarchy is flushed after the loop (write-backs counted in the
+// Run replays one loop over the bounds and returns the traffic delta:
+// it is Replay with the loop's body.
+func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
+	return x.Replay(func(_ *core.StoreEngine, be core.Backend) { x.runLoop(l, b, be) })
+}
+
+// Replay runs body as one replay of the simulated core and returns the
+// traffic delta. body drives the core's store engine e, whose backend
+// is be for the call, and may hand be operations of its own (a loop's
+// reads, a read-modify-write's RFOs). After body, Replay closes every
+// open store line and flushes the hierarchy (write-backs counted in the
 // delta): in the real application every array is far larger than the
 // cache, so nothing survives from one loop to the next even though the
-// simulation may use a truncated y extent. Within the loop the caches
-// work normally, so layer conditions are fully modeled.
+// simulation may use a truncated y extent. Within the replay the caches
+// work normally, so layer conditions are fully modeled. body must be a
+// pure function of the engine's state: Replay may run it twice.
 //
-// Every loop goes through the memo. A dry pass replays it into a
-// hashing backend: the store engine draws its dice, and the key is the
-// SHA-256 of the Shape of the pristine hierarchy the loop starts from
-// (the machine's caches, the prefetch state and the executor's slot
-// cursor) followed by every (kind, start, n) operation memsim would
-// receive. A hit adds the stored delta and cursor without simulating.
-// A miss rewinds the engine to before the dry pass and replays the loop
-// into a hierarchy borrowed from memsim's pool for that replay alone.
-// Either way the engine and the returned delta end bit-identical. A Run
-// that panics leaves the executor as it was before the call.
-func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
+// With a memo, a dry pass runs body into a hashing backend: the store
+// engine draws its dice, and the key is the SHA-256 of the Shape of the
+// pristine hierarchy the replay starts from (the machine's caches, the
+// prefetch state and the executor's slot cursor) followed by every
+// (kind, start, n) operation memsim would receive. A hit adds the
+// stored delta and cursor without simulating. A miss rewinds the engine
+// to before the dry pass and runs body again into a hierarchy borrowed
+// from memsim's pool for that replay alone. Either way the engine and
+// the returned delta end bit-identical. Without a memo, Replay runs
+// body once into a borrowed hierarchy. A Replay that panics leaves the
+// executor as it was before the call.
+func (x *Executor) Replay(body func(e *core.StoreEngine, be core.Backend)) memsim.Counts {
 	cp := x.e.Checkpoint()
 	ok := false
 	defer func() {
@@ -286,44 +301,56 @@ func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
 			x.e.Rewind(cp)
 		}
 	}()
-	v, _ := x.memo.do(x.dryRun(l, b), func() memoValue {
-		x.e.Rewind(cp)
-		return x.replay(l, b)
-	})
+	var v memoValue
+	if x.memo == nil {
+		v = x.replay(body)
+	} else {
+		v, _ = x.memo.do(x.dryRun(body), func() memoValue {
+			x.e.Rewind(cp)
+			return x.replay(body)
+		})
+	}
 	x.c = x.c.Add(v.delta)
 	x.cursor = int(v.cursor)
 	ok = true
 	return v.delta
 }
 
-// replay simulates the loop in a borrowed pristine hierarchy and
-// returns what the loop and a Flush did to it.
-func (x *Executor) replay(l *Loop, b Bounds) memoValue {
+// replay runs body in a borrowed pristine hierarchy and returns what
+// body and a Flush did to it.
+func (x *Executor) replay(body func(*core.StoreEngine, core.Backend)) memoValue {
 	h := memsim.Borrow(x.spec)
 	defer memsim.Return(h)
 	h.SetPrefetch(x.Env.PFOn)
 	h.SetPrefetchCursor(x.cursor)
-	x.runBody(l, b, h)
+	x.drive(h, body)
 	h.Flush()
 	return memoValue{delta: h.Counts(), cursor: uint8(h.Shape().PFCursor)}
 }
 
-// dryRun replays the loop into the executor's keyer in place of a
-// hierarchy and returns the loop's memo key.
-func (x *Executor) dryRun(l *Loop, b Bounds) memoKey {
+// dryRun runs body into the executor's keyer in place of a hierarchy
+// and returns the replay's memo key.
+func (x *Executor) dryRun(body func(*core.StoreEngine, core.Backend)) memoKey {
 	s := memsim.ShapeOf(x.spec, x.Env.PFOn)
 	s.PFCursor = x.cursor
 	x.key.reset(s)
-	x.runBody(l, b, &x.key)
+	x.drive(&x.key, body)
 	return x.key.sum()
 }
 
-// runBody replays the loop's access pattern into be, which it makes
-// the store engine's backend for the loop only: between loops the
-// engine holds no hierarchy, so a returned one is the pool's alone.
-func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
+// drive runs body with be as the store engine's backend, for body
+// only: between replays the engine holds no hierarchy, so a returned
+// one is the pool's alone.
+func (x *Executor) drive(be core.Backend, body func(*core.StoreEngine, core.Backend)) {
 	x.e.SetBackend(be)
 	defer x.e.SetBackend(nil)
+	body(x.e, be)
+	x.e.CloseAll()
+}
+
+// runLoop replays the loop's access pattern over the bounds: its reads
+// and read-modify-writes into be, its stores through the store engine.
+func (x *Executor) runLoop(l *Loop, b Bounds, be core.Backend) {
 	groups := l.groups()
 
 	// Which write streams actually use NT stores: at most one
@@ -376,5 +403,4 @@ func (x *Executor) runBody(l *Loop, b Bounds, be core.Backend) {
 			x.e.StoreRange(i, addr, n)
 		}
 	}
-	x.e.CloseAll()
 }
