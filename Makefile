@@ -2,17 +2,21 @@
 
 GO ?= go
 
-# The bench recipe needs pipefail, which POSIX sh (dash on Debian and
-# Ubuntu) lacks; CI's bench job runs bash as well.
-SHELL := /bin/bash
-
-.PHONY: build test lint vettool fmt tidy bench
+.PHONY: build test lint vettool fmt tidy
 
 build:
 	$(GO) build ./...
 
+# test runs the repository's tests, then the campaign benchmark module
+# (benchmark/, its own module) as CI's test job does: vet, tidiness,
+# its tests, and every workload shape on a four-cell grid through the
+# real cmd/sweep path, with its correctness gates and the traced pass.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark mod tidy -diff
+	$(GO) -C benchmark test .
+	sh benchmark/run.sh -smoke -seconds 0 -trace 1
 
 # lint is the exact command CI runs as its blocking static-analysis
 # step: the cloverlint invariant suite (mapiter, exactbits, ctxflow,
@@ -25,22 +29,6 @@ lint:
 vettool:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/cloverlint ./cmd/cloverlint
 	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/cloverlint ./...
-
-# bench mirrors CI's bench-baseline job: the same benchmark set, piped
-# through benchjson into BENCH_sweep.json. Compare two runs with
-#   $(GO) run ./cmd/benchjson -compare old.json BENCH_sweep.json
-BENCH_RAW = $(or $(TMPDIR),/tmp)/bench_raw.txt
-
-bench:
-	set -o pipefail; \
-	{ $(GO) test -run - -bench 'BenchmarkEngineThroughput|BenchmarkEngineWarmCampaign' ./internal/sweep && \
-	  $(GO) test -run - -bench 'Range$$' ./internal/memsim && \
-	  $(GO) test -run - -bench 'BenchmarkRunTraffic$$' ./internal/cloverleaf && \
-	  $(GO) test -run - -bench 'BenchmarkExpandStreaming$$' ./internal/sweepd && \
-	  $(GO) test -run - -bench 'BenchmarkStoreOpen' -timeout 25m ./internal/store && \
-	  $(GO) test -run - -bench 'BenchmarkAdaptiveVsExhaustive' ./internal/search; } | tee $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson < $(BENCH_RAW) > BENCH_sweep.json
-	@echo wrote BENCH_sweep.json
 
 fmt:
 	gofmt -l -w .

@@ -375,8 +375,7 @@ func Figure7RefinedModel(o Options) ([]Figure7Row, *csvout.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := to.Machine
-	to.Ranks = spec.Cores()
+	to.Ranks = to.Machine.Cores()
 	to.HotspotOnly = true
 
 	orig, err := cloverleaf.RunTraffic(to)
@@ -392,7 +391,6 @@ func Figure7RefinedModel(o Options) ([]Figure7Row, *csvout.Table, error) {
 	}
 
 	const storeFactor = 1.2 // the paper's phenomenological ICX factor
-	ntRevert := spec.NTRevert(1.0)
 
 	rows := make([]Figure7Row, 0, len(model.Table1))
 	t := csvout.New("loop", "prediction_min", "prediction", "original_meas", "optimized_meas")
@@ -406,7 +404,6 @@ func Figure7RefinedModel(o Options) ([]Figure7Row, *csvout.Table, error) {
 			Original:      lo.BytesPerIt(orig.InnerCells),
 			Optimized:     lp.BytesPerIt(opt.InnerCells),
 		}
-		_ = ntRevert
 		rows = append(rows, row)
 		t.Add(row.Loop, row.PredictionMin, row.Prediction, row.Original, row.Optimized)
 	}

@@ -33,11 +33,11 @@ const LineBytes = 64
 const fullMask = ^uint64(0)
 
 // Backend is the cache/memory hierarchy the store engine drives:
-// *memsim.Hierarchy, or a test fake. The engine retires store lines one
-// at a time — the run detector and the per-line evasion dice demand it
-// — but the resulting line operations come in long same-kind runs
-// (every line of a CLX row pays an RFO, every line of an NT row goes
-// out non-temporally), which the engine coalesces and hands over in
+// *memsim.Hierarchy, or a test fake. The engine decides store lines in
+// order, line by line where the evasion dice demand it, and the
+// resulting line operations come in long same-kind runs (every line of
+// a CLX row pays an RFO, every line of an NT row goes out
+// non-temporally), which the engine coalesces and hands over in
 // original order.
 type Backend interface {
 	// AccessRange performs n operations of one kind on the consecutive
@@ -113,15 +113,16 @@ func NewStoreEngine(be Backend, spec *machine.Spec) *StoreEngine {
 	return &StoreEngine{be: be, spec: spec, rng: 0x9e3779b97f4a7c15}
 }
 
-// emit queues one line operation: it extends the pending run, or hands
-// that run over and starts a new one.
-func (e *StoreEngine) emit(kind memsim.AccessKind, line int64) {
+// emit queues n > 0 operations of one kind on the lines line..line+n-1:
+// it extends the pending run, or hands that run over and starts a new
+// one.
+func (e *StoreEngine) emit(kind memsim.AccessKind, line, n int64) {
 	if e.pendN > 0 && kind == e.pendKind && line == e.pendStart+e.pendN {
-		e.pendN++
+		e.pendN += n
 		return
 	}
 	e.flushPending()
-	e.pendKind, e.pendStart, e.pendN = kind, line, 1
+	e.pendKind, e.pendStart, e.pendN = kind, line, n
 }
 
 // flushPending hands the pending run to the backend.
@@ -240,22 +241,20 @@ func (e *StoreEngine) StoreRange(stream int, addr, nBytes int64) {
 			e.flushPending()
 			return
 		}
-		addr = line * LineBytes
 	}
 
-	// Middle: full lines.
-	for ; line < endLine; line++ {
-		e.storeFullLine(s, line)
-	}
-
-	// Tail: last line, possibly partial.
+	// Middle and tail: the full lines up to endLine in one run, then
+	// the last line if it is partial.
 	tail := end - endLine*LineBytes
-	if line == endLine {
-		if tail == LineBytes {
-			e.storeFullLine(s, line)
-		} else {
-			e.storeBytes(s, line, 0, tail)
-		}
+	full := endLine - line
+	if tail == LineBytes {
+		full++
+	}
+	if full > 0 {
+		e.retireRun(s, line, full)
+	}
+	if tail != LineBytes {
+		e.storeBytes(s, endLine, 0, tail)
 	}
 	// Return with nothing pending so backend traffic the caller issues
 	// directly (demand loads of the next row) stays globally ordered.
@@ -277,21 +276,8 @@ func (e *StoreEngine) storeBytes(s *streamState, line, lo, hi int64) {
 	}
 	s.mask |= m
 	if s.mask == fullMask {
-		e.retireFull(s)
-		s.line = -1
-		s.mask = 0
+		e.retireRun(s, line, 1)
 	}
-}
-
-// storeFullLine is the fast path for a complete 64-byte store.
-func (e *StoreEngine) storeFullLine(s *streamState, line int64) {
-	if s.line != line {
-		e.switchLine(s, line)
-	}
-	s.mask = fullMask
-	e.retireFull(s)
-	s.line = -1
-	s.mask = 0
 }
 
 // switchLine retires the currently open line (if any) and opens `line`,
@@ -315,37 +301,64 @@ func (e *StoreEngine) switchLine(s *streamState, line int64) {
 	s.mask = 0
 }
 
-// retireFull decides the fate of a completely written line.
-func (e *StoreEngine) retireFull(s *streamState) {
-	e.stats.FullLines++
-	line := s.line
-	s.last = line
+// retireRun decides the fate of the m completely written lines
+// line..line+m-1 of the stream, in order, exactly as m one-line stores
+// would: the same dice in the same order, the same statistics and the
+// same coalesced runs. A stream that draws no dice retires all m lines
+// in one step.
+func (e *StoreEngine) retireRun(s *streamState, line, m int64) {
+	if s.line != line {
+		e.switchLine(s, line)
+	}
+	s.line = -1
+	s.mask = 0
+	s.last = line + m - 1
+	e.stats.FullLines += m
 	if s.nt {
-		if e.ntRev > 0 && e.rand() < e.ntRev {
-			e.stats.NTReverted++
-			e.emit(memsim.AccessWriteNTReverted, line)
+		s.runLen += int(m) // NT streams keep their own run notion (harmless)
+		if e.ntRev <= 0 {
+			e.stats.NTLines += m
+			e.emit(memsim.AccessWriteNT, line, m)
+			return
+		}
+		for end := line + m; line < end; line++ {
+			if e.rand() < e.ntRev {
+				e.stats.NTReverted++
+				e.emit(memsim.AccessWriteNTReverted, line, 1)
+			} else {
+				e.stats.NTLines++
+				e.emit(memsim.AccessWriteNT, line, 1)
+			}
+		}
+		return
+	}
+	// Lines up to the detector's warm-up, and every line without
+	// evasion, pay a write-allocate without a die.
+	free := m
+	if e.eff > 0 {
+		free = min(m, max(0, int64(e.minRun-s.runLen)))
+	}
+	s.runLen += int(m)
+	if free > 0 {
+		e.stats.RFOs += free
+		e.emit(memsim.AccessRFO, line, free)
+	}
+	claim := memsim.AccessClaimI2M
+	switch e.spec.I2M.Mode {
+	case machine.EvasionWriteStream:
+		claim = memsim.AccessWriteStreamed
+	case machine.EvasionClaimZero:
+		claim = memsim.AccessClaimL2
+	}
+	for line, end := line+free, line+m; line < end; line++ {
+		if e.rand() < e.eff {
+			e.stats.Claimed++
+			e.emit(claim, line, 1)
 		} else {
-			e.stats.NTLines++
-			e.emit(memsim.AccessWriteNT, line)
+			e.stats.RFOs++
+			e.emit(memsim.AccessRFO, line, 1)
 		}
-		s.runLen++ // NT streams keep their own run notion (harmless)
-		return
 	}
-	s.runLen++
-	if e.eff > 0 && s.runLen > e.minRun && e.rand() < e.eff {
-		e.stats.Claimed++
-		switch e.spec.I2M.Mode {
-		case machine.EvasionWriteStream:
-			e.emit(memsim.AccessWriteStreamed, line)
-		case machine.EvasionClaimZero:
-			e.emit(memsim.AccessClaimL2, line)
-		default:
-			e.emit(memsim.AccessClaimI2M, line)
-		}
-		return
-	}
-	e.stats.RFOs++
-	e.emit(memsim.AccessRFO, line)
 }
 
 // retirePartial handles a line evicted from the store window while only
@@ -357,10 +370,10 @@ func (e *StoreEngine) retirePartial(s *streamState) {
 	if s.nt {
 		// Partial WC flush: masked write transactions, no ownership read.
 		e.stats.NTLines++
-		e.emit(memsim.AccessWriteNT, s.line)
+		e.emit(memsim.AccessWriteNT, s.line, 1)
 	} else {
 		e.stats.RFOs++
-		e.emit(memsim.AccessRFO, s.line)
+		e.emit(memsim.AccessRFO, s.line, 1)
 	}
 	s.runLen = 0
 }
@@ -371,7 +384,7 @@ func (e *StoreEngine) CloseAll() {
 		s := &e.streams[i]
 		if s.line >= 0 && s.mask != 0 {
 			if s.mask == fullMask {
-				e.retireFull(s)
+				e.retireRun(s, s.line, 1)
 			} else {
 				e.retirePartial(s)
 			}

@@ -11,11 +11,20 @@ import (
 // fakeBackend records store-path decisions per line.
 type fakeBackend struct {
 	loads, rfos, claims, nts, reverts, l2claims, streamed []int64
-	runs                                                  int // AccessRange calls
+	runs                                                  int       // AccessRange calls
+	log                                                   []rangeOp // every call, in order
 }
 
-// AccessRange records the run line by line under its kind.
+// rangeOp is one AccessRange call.
+type rangeOp struct {
+	kind     memsim.AccessKind
+	start, n int64
+}
+
+// AccessRange records the run in the log, and line by line under its
+// kind.
 func (f *fakeBackend) AccessRange(start, n int64, kind memsim.AccessKind) {
+	f.log = append(f.log, rangeOp{kind, start, n})
 	lines := map[memsim.AccessKind]*[]int64{
 		memsim.AccessLoad:            &f.loads,
 		memsim.AccessRFO:             &f.rfos,

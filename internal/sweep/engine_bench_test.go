@@ -19,10 +19,10 @@ func benchRunner(_ context.Context, s Scenario) (Metrics, error) {
 	return m, nil
 }
 
-// BenchmarkEngineThroughput is the dispatch-layer baseline for
-// BENCH_sweep.json: scenarios executed per op through the full engine
-// path (memoizer partition, local backend pool, result ordering), on a
-// fresh engine each iteration so nothing is served from cache.
+// BenchmarkEngineThroughput measures the dispatch layer: scenarios
+// executed per op through the full engine path (memoizer partition,
+// local backend pool, result ordering), on a fresh engine each
+// iteration so nothing is served from cache.
 func BenchmarkEngineThroughput(b *testing.B) {
 	const cells = 256
 	scenarios := make([]Scenario, cells)

@@ -17,8 +17,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
@@ -145,30 +146,20 @@ type readGroup struct {
 // groups coalesces reads by (array, DK): accesses to the same array row
 // differ only in DJ and touch one contiguous line range per row.
 func (l *Loop) groups() []readGroup {
-	m := map[[2]interface{}]*readGroup{}
-	var order [][2]interface{}
+	out := make([]readGroup, 0, len(l.Reads))
+reads:
 	for _, r := range l.Reads {
-		key := [2]interface{}{r.A, r.DK}
-		g, ok := m[key]
-		if !ok {
-			g = &readGroup{a: r.A, dk: r.DK, minDJ: r.DJ, maxDJ: r.DJ}
-			m[key] = g
-			order = append(order, key)
-			continue
+		for i := range out {
+			if g := &out[i]; g.a == r.A && g.dk == r.DK {
+				g.minDJ = min(g.minDJ, r.DJ)
+				g.maxDJ = max(g.maxDJ, r.DJ)
+				continue reads
+			}
 		}
-		if r.DJ < g.minDJ {
-			g.minDJ = r.DJ
-		}
-		if r.DJ > g.maxDJ {
-			g.maxDJ = r.DJ
-		}
-	}
-	out := make([]readGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *m[k])
+		out = append(out, readGroup{a: r.A, dk: r.DK, minDJ: r.DJ, maxDJ: r.DJ})
 	}
 	// Deterministic order: lower rows first (matches sweep direction).
-	sort.SliceStable(out, func(i, j int) bool { return out[i].dk < out[j].dk })
+	slices.SortStableFunc(out, func(a, b readGroup) int { return cmp.Compare(a.dk, b.dk) })
 	return out
 }
 
@@ -184,13 +175,7 @@ func (l *Loop) CountLCF() int {
 
 // CountLCB returns the analytic maximum elements read per iteration with
 // broken layer conditions: one per distinct (array, row offset).
-func (l *Loop) CountLCB() int {
-	seen := map[[2]interface{}]bool{}
-	for _, r := range l.Reads {
-		seen[[2]interface{}{r.A, r.DK}] = true
-	}
-	return len(seen)
-}
+func (l *Loop) CountLCB() int { return len(l.groups()) }
 
 // CountWrites returns (writes, updates) per iteration.
 func (l *Loop) CountWrites() (wr, upd int) {
