@@ -15,14 +15,9 @@
 //	GET  /v1/scenarios
 //	GET  /v1/results/{id}
 //	POST /v1/expand
-//	GET  /v1/sync
 //	POST /v1/admin/compact
 //
-// Daemons replicate from each other: -sync-from points at peer
-// sweepd base URLs and this daemon pulls their missing records every
-// -sync-every via GET /v1/sync, converging to the peers' result sets
-// with no shared filesystem. Mixed-physics peers are refused on both
-// ends. POST /v1/admin/compact merges the store's segments into one
+// POST /v1/admin/compact merges the store's segments into one
 // deduplicated segment while the daemon runs.
 //
 // Expand requests are cancellation-correct: a client that disconnects
@@ -63,7 +58,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,8 +74,6 @@ func main() {
 		expandTimeout = flag.Duration("expand-timeout", 0, "per-request deadline for POST /v1/expand (0 = no server-side deadline)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting them")
 		maxCells      = flag.Int("max-cells", sweepd.DefaultMaxCells, "largest cell count one POST /v1/expand may carry; advertised in /v1/healthz so dispatchers clamp chunk sizes")
-		syncFrom      = flag.String("sync-from", "", "comma-separated peer sweepd base URLs to replicate from via GET /v1/sync (converges this store to the peers' result sets)")
-		syncEvery     = flag.Duration("sync-every", 30*time.Second, "interval between replication pulls when -sync-from is set")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -99,24 +91,9 @@ func main() {
 
 	// Every request context descends from baseCtx, so cancelling it
 	// aborts in-flight expands: their engines stop scheduling cold
-	// cells and the handlers return with partial campaigns. The
-	// replication pullers share it, so shutdown stops them too before
-	// the store closes.
+	// cells and the handlers return with partial campaigns.
 	baseCtx, abortInflight := context.WithCancel(context.Background())
 	defer abortInflight()
-	if *syncFrom != "" {
-		for _, peer := range strings.Split(*syncFrom, ",") {
-			peer = strings.TrimSpace(peer)
-			if peer == "" {
-				continue
-			}
-			client := sweepd.NewClient(peer)
-			client.Physics = st.Physics() // refuse mixed-physics peers
-			p := &sweepd.Puller{Client: client, Store: st}
-			fmt.Fprintf(os.Stderr, "sweepd: replicating from %s every %s\n", client.BaseURL, *syncEvery)
-			go p.Run(baseCtx, *syncEvery)
-		}
-	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           server.Handler(),

@@ -49,8 +49,9 @@ var determinismPkgs = []string{
 // nondetPkgs are the packages where wall clocks, PIDs, and entropy may
 // not appear unannotated: the physics/simulation core (results are a
 // pure function of the scenario config) plus the determinism-critical
-// execution path above. Epoch/heartbeat code inside these packages
-// carries an explicit //lint:allow nondet <reason>.
+// execution path above. Scheduling-only timing code inside these
+// packages (dispatch's straggler timers) carries an explicit
+// //lint:allow nondet <reason>.
 var nondetPkgs = append([]string{
 	"cloversim",
 	"cloversim/internal/cloverleaf",

@@ -10,7 +10,7 @@ import (
 // determinism-critical packages. A scenario's metrics must be a pure
 // function of its config: entropy anywhere on that path can split
 // byte-identical campaigns between two runs or two fleet workers.
-// Epoch and heartbeat code (store sync epochs, straggler timers) is
+// Scheduling-only timing code (dispatch's straggler timers) is
 // legitimate but must say so: //lint:allow nondet <reason>.
 var NonDet = &Analyzer{
 	Name: "nondet",

@@ -54,10 +54,7 @@ func (cs CompactStats) String() string {
 
 // Compact merges all segments into one deduplicated segment and
 // rebuilds the in-memory index from the result. It blocks reads and
-// writes for the duration. The store's sync Epoch changes: record
-// sequence numbers are renumbered, so replication watermarks held by
-// peers become foreign and those peers transparently restart from
-// zero (content addressing makes the re-pull converge).
+// writes for the duration.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,12 +98,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 	syncDir(s.dir)
 
-	// Rebuild the in-memory view from the published state. Sequence
-	// numbers are reassigned, so the epoch must change with them.
-	s.index = map[string]indexEntry{}
+	// Rebuild the in-memory view from the published state.
+	s.index = map[string]Record{}
 	s.stats = Stats{}
-	s.nextSeq = 0
-	s.epoch = newEpoch()
 	if err := s.recoverAllLocked(); err != nil {
 		return cs, err
 	}

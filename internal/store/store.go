@@ -18,7 +18,7 @@
 //     a single O_APPEND write, so a crash can only tear the final
 //     line, never an earlier record.
 //   - One recovery path. Open replays every segment line by line
-//     through DecodeRecord into an in-memory index, and every read is
+//     through decodeRecord into an in-memory index, and every read is
 //     served from that index. Open writes nothing into the directory,
 //     and files there other than segments are never read.
 //   - Corruption-tolerant recovery. The replay tolerates torn tails,
@@ -40,8 +40,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,7 +52,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"cloversim/internal/sweep"
 )
@@ -108,12 +105,6 @@ func (s Stats) String() string {
 	return msg
 }
 
-// indexEntry is one indexed live record.
-type indexEntry struct {
-	seq uint64 // monotone per-store-instance sequence (sync watermarks)
-	rec Record
-}
-
 // Store is a disk-backed result store. It is safe for concurrent use;
 // reads are served from an in-memory index populated at Open and kept
 // in sync by Put. Store implements sweep.Cache, so it plugs into the
@@ -122,15 +113,13 @@ type Store struct {
 	dir     string
 	physics string
 
-	mu      sync.RWMutex
-	index   map[string]indexEntry // scenario ID -> entry (current physics only)
-	active  *os.File              // lazily created on first Put
-	closed  bool                  // Close was called; Put must not resurrect a segment
-	dirty   bool                  // appended since the last successful fsync
-	torn    bool                  // last append failed; tail may hold a partial line
-	stats   Stats
-	nextSeq uint64 // next sequence number to assign
-	epoch   string // sync-watermark namespace; fresh per Open and per Compact
+	mu     sync.RWMutex
+	index  map[string]Record // scenario ID -> record (current physics only)
+	active *os.File          // lazily created on first Put
+	closed bool              // Close was called; Put must not resurrect a segment
+	dirty  bool              // appended since the last successful fsync
+	torn   bool              // last append failed; tail may hold a partial line
+	stats  Stats
 }
 
 // Open recovers the store in dir for the given physics version,
@@ -144,24 +133,11 @@ func Open(dir, physics string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, physics: physics, index: map[string]indexEntry{}, epoch: newEpoch()}
+	s := &Store{dir: dir, physics: physics, index: map[string]Record{}}
 	if err := s.recoverAllLocked(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// newEpoch mints the store instance's sync-watermark namespace: sync
-// sequence numbers are only comparable within one epoch, so every Open
-// (and every Compact, which renumbers) gets a fresh one.
-func newEpoch() string {
-	var b [8]byte
-	//lint:allow nondet epoch identity only: namespaces sync watermarks, never touches record content
-	if _, err := rand.Read(b[:]); err != nil {
-		//lint:allow nondet epoch-mint fallback when the system RNG fails; same identity-only role
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // recoverAllLocked (re)builds the in-memory index from the segment
@@ -247,7 +223,7 @@ func (s *Store) scanSegment(path string, visit func(line []byte, rec Record, err
 	for {
 		line, err := readLine(r)
 		if len(line) > 0 {
-			rec, derr := DecodeRecord(line, s.physics)
+			rec, derr := decodeRecord(line, s.physics)
 			if verr := visit(line, rec, derr); verr != nil {
 				return verr
 			}
@@ -263,12 +239,11 @@ func (s *Store) scanSegment(path string, visit func(line []byte, rec Record, err
 
 // admitLocked indexes one decoded live record, first-wins.
 func (s *Store) admitLocked(rec Record) {
-	if e, dup := s.index[rec.ID]; dup {
-		s.noteDuplicateLocked(e.rec, rec)
+	if first, dup := s.index[rec.ID]; dup {
+		s.noteDuplicateLocked(first, rec)
 		return
 	}
-	s.nextSeq++
-	s.index[rec.ID] = indexEntry{seq: s.nextSeq, rec: rec}
+	s.index[rec.ID] = rec
 }
 
 // noteDuplicateLocked classifies a re-encountered ID: identical
@@ -291,11 +266,11 @@ func (s *Store) noteDuplicateLocked(first, again Record) {
 // the same scenario and exact metric bits, regardless of cosmetic
 // differences in their on-disk JSON. Only a repeated ID pays for it.
 func sameRecord(physics string, a, b Record) bool {
-	la, err := EncodeRecord(physics, a.Scenario, a.Metrics)
+	la, err := encodeRecord(physics, a.Scenario, a.Metrics)
 	if err != nil {
 		return false
 	}
-	lb, err := EncodeRecord(physics, b.Scenario, b.Metrics)
+	lb, err := encodeRecord(physics, b.Scenario, b.Metrics)
 	return err == nil && bytes.Equal(la, lb)
 }
 
@@ -356,8 +331,8 @@ type lineMetric struct {
 	Value float64 `json:"value,omitempty"`
 }
 
-// EncodeRecord renders one record as a JSONL line (newline included).
-func EncodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, error) {
+// encodeRecord renders one record as a JSONL line (newline included).
+func encodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, error) {
 	lr := lineRecord{
 		ID:      sc.ID(),
 		Physics: physics,
@@ -381,13 +356,13 @@ func EncodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, e
 	return append(buf, '\n'), nil
 }
 
-// DecodeRecord parses and verifies one JSONL line. It never panics on
+// decodeRecord parses and verifies one JSONL line. It never panics on
 // arbitrary input. Beyond JSON well-formedness it enforces the store's
 // integrity invariants: the physics version must match (a mismatch is
 // the distinguished stale error), the key must parse as a canonical
 // scenario key, the scenario must hash back to the claimed ID, and
 // every metric must carry decodable bits under a non-empty name.
-func DecodeRecord(line []byte, physics string) (Record, error) {
+func decodeRecord(line []byte, physics string) (Record, error) {
 	var lr lineRecord
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
@@ -436,8 +411,8 @@ func (s *Store) Get(sc sweep.Scenario) (sweep.Metrics, bool) {
 func (s *Store) Lookup(id string) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.index[id]
-	return e.rec, ok
+	rec, ok := s.index[id]
+	return rec, ok
 }
 
 // Put durably records one scenario result. Content addressing makes it
@@ -445,7 +420,7 @@ func (s *Store) Lookup(id string) (Record, bool) {
 // one, or a concurrent writer recovered at Open) is a successful
 // no-op, so the first write wins and the store never mutates a record.
 func (s *Store) Put(sc sweep.Scenario, m sweep.Metrics) error {
-	line, err := EncodeRecord(s.physics, sc, m)
+	line, err := encodeRecord(s.physics, sc, m)
 	if err != nil {
 		return err
 	}
@@ -538,53 +513,14 @@ func (s *Store) Stats() Stats {
 // Physics reports the version this store was opened under.
 func (s *Store) Physics() string { return s.physics }
 
-// Dir reports the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Epoch identifies this store instance for sync watermarks: sequence
-// numbers from IDsSince are only comparable while the epoch is
-// unchanged. Open and Compact both mint a fresh epoch (recovery order
-// — and with it every record's sequence number — may differ).
-func (s *Store) Epoch() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-// IDsSince lists the IDs of records admitted after the given sequence
-// watermark, in admission order, plus the current watermark (the
-// highest sequence assigned). A client that stores the returned
-// watermark and calls back with it sees exactly the records admitted
-// in between — within one Epoch.
-func (s *Store) IDsSince(since uint64) (ids []string, watermark uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type seqID struct {
-		seq uint64
-		id  string
-	}
-	var picked []seqID
-	for id, e := range s.index {
-		if e.seq > since {
-			picked = append(picked, seqID{e.seq, id})
-		}
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i].seq < picked[j].seq })
-	ids = make([]string, len(picked))
-	for i, p := range picked {
-		ids[i] = p.id
-	}
-	return ids, s.nextSeq
-}
-
 // Records lists the live records sorted by canonical key — a
 // deterministic order for listings and serving.
 func (s *Store) Records() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Record, 0, len(s.index))
-	for _, e := range s.index {
-		out = append(out, e.rec)
+	for _, rec := range s.index {
+		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Scenario.Key() < out[j].Scenario.Key()

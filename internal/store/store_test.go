@@ -180,7 +180,7 @@ func TestRecoveryTolerance(t *testing.T) {
 	// whose key does not hash to its ID, an overlong line, and an
 	// unterminated tail.
 	evil := scenario("spr8480", "jacobi", 3)
-	evilLine, err := EncodeRecord("p1", evil, metrics(9))
+	evilLine, err := encodeRecord("p1", evil, metrics(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDuplicateAcrossSegmentsFirstWins(t *testing.T) {
 	// A second writer (different process) records the same scenario
 	// with IDENTICAL bytes — the benign convergence case: first segment
 	// wins on recovery and the re-encounter is a duplicate, no alarm.
-	line, err := EncodeRecord("p1", sc, metrics(1))
+	line, err := encodeRecord("p1", sc, metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDuplicateWithDifferentBitsIsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	line, err := EncodeRecord("p1", sc, metrics(2)) // same ID, different bits
+	line, err := encodeRecord("p1", sc, metrics(2)) // same ID, different bits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestDuplicateWithDifferentBitsIsConflict(t *testing.T) {
 func TestSegmentRolloverRecoveryOrder(t *testing.T) {
 	dir := t.TempDir()
 	sc := scenario("icx", "jacobi", 1)
-	older, err := EncodeRecord("p1", sc, metrics(1))
+	older, err := encodeRecord("p1", sc, metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newer, err := EncodeRecord("p1", sc, metrics(2))
+	newer, err := encodeRecord("p1", sc, metrics(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,10 +421,9 @@ func TestOpenRejectsEmptyPhysics(t *testing.T) {
 }
 
 func TestAccessorsAndSync(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, "p1")
-	if s.Physics() != "p1" || s.Dir() != dir {
-		t.Fatalf("accessors: physics %q dir %q", s.Physics(), s.Dir())
+	s := mustOpen(t, t.TempDir(), "p1")
+	if s.Physics() != "p1" {
+		t.Fatalf("accessors: physics %q", s.Physics())
 	}
 	if err := s.Sync(); err != nil { // no active segment yet
 		t.Fatal(err)
@@ -585,11 +584,11 @@ func TestOpenFailsOnUnusableDir(t *testing.T) {
 }
 
 func TestStaleErrorMessage(t *testing.T) {
-	line, err := EncodeRecord("p9", scenario("icx", "jacobi", 1), metrics(1))
+	line, err := encodeRecord("p9", scenario("icx", "jacobi", 1), metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, derr := DecodeRecord(line[:len(line)-1], "p1")
+	_, derr := decodeRecord(line[:len(line)-1], "p1")
 	if !isStale(derr) || !strings.Contains(derr.Error(), "p9") {
 		t.Fatalf("stale decode error = %v", derr)
 	}

@@ -22,11 +22,6 @@ type Client struct {
 	// BaseURL is the worker's root URL (e.g. "http://host:8075"). A
 	// bare host[:port] is promoted to http://.
 	BaseURL string
-	// HTTPClient, when nil, falls back to http.DefaultClient. Expand
-	// calls can legitimately run for minutes (cold simulation), so a
-	// client with a global timeout is usually wrong here; bound calls
-	// with the context instead.
-	HTTPClient *http.Client
 	// Physics, when non-empty, makes ExecuteScenarios reject responses
 	// simulated under a different physics version. A fleet checks
 	// healthz at assembly, but a worker can be restarted with a newer
@@ -44,13 +39,6 @@ func NewClient(base string) *Client {
 		base = "http://" + base
 	}
 	return &Client{BaseURL: base}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 // maxHealthzBytes bounds a healthz body; maxExpandBytes bounds each
@@ -125,7 +113,7 @@ func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	if err != nil {
 		return Health{}, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return Health{}, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
@@ -208,7 +196,7 @@ func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenari
 		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}

@@ -11,7 +11,6 @@
 //	GET  /v1/scenarios         every stored record, deterministic key order
 //	GET  /v1/results/{id}      one record by scenario config hash
 //	POST /v1/expand            run a campaign: warm from store, simulate cold
-//	GET  /v1/sync              stream records a peer is missing (replication)
 //	POST /v1/admin/compact     merge the store's segments into one
 //
 // The form of an expand body alone fixes the encoding of its response:
@@ -88,11 +87,6 @@ type ResultStore interface {
 	Stats() store.Stats
 	Physics() string
 	Sync() error
-	// Replication and maintenance surface (see sync.go): Epoch and
-	// IDsSince drive /v1/sync watermarks, Compact backs the admin
-	// compaction endpoint.
-	Epoch() string
-	IDsSince(since uint64) (ids []string, watermark uint64)
 	Compact() (store.CompactStats, error)
 }
 
@@ -174,7 +168,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
 	mux.HandleFunc("POST /v1/expand", s.handleExpand)
-	mux.HandleFunc("GET /v1/sync", s.handleSync)
 	mux.HandleFunc("POST /v1/admin/compact", s.handleCompact)
 	return mux
 }
@@ -313,6 +306,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, r, http.StatusOK, toJSONRecord(rec))
+}
+
+// handleCompact is the admin trigger for store compaction. The daemon
+// owns its store directory exclusively, so this is the safe way to
+// compact a live store (cmd/sweep -store-compact is for offline ones).
+func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
+	cs, err := s.st.Compact()
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, "compact: %v", err)
+		return
+	}
+	s.logf("sweepd: POST /v1/admin/compact: %s", cs)
+	s.writeJSON(w, r, http.StatusOK, cs)
 }
 
 // GridSpec is the expand request body: the same axes cmd/sweep's flags

@@ -234,6 +234,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/expand status %d, want 405", resp.StatusCode)
 	}
+	if status, _ := get(t, ts.URL+"/v1/sync"); status != http.StatusNotFound {
+		t.Errorf("GET /v1/sync status %d, want 404", status)
+	}
 }
 
 // TestConcurrentHammer is the acceptance-criteria load test: >= 100
@@ -407,5 +410,78 @@ func TestExpandServesResultsDespiteStoreFailure(t *testing.T) {
 	}
 	if exp.Scenarios != 1 || exp.Failed != 0 || len(exp.Results[0].Metrics) == 0 {
 		t.Fatalf("campaign results lost alongside the store failure: %s", out)
+	}
+}
+
+func putN(t *testing.T, st *store.Store, from, n int) {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		var m sweep.Metrics
+		m.Add("v", float64(i)/3.0)
+		m.Add("nan", math.NaN())
+		if err := st.Put(sweep.Scenario{Machine: "m", Ranks: i + 1, Seed: 3}, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func nopRunner(context.Context, sweep.Scenario) (sweep.Metrics, error) {
+	return nil, fmt.Errorf("compaction tests never simulate")
+}
+
+// TestAdminCompact: the admin endpoint compacts a multi-segment live
+// store in place and reports the stats; the daemon keeps serving the
+// same records afterwards.
+func TestAdminCompact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	// Two sealed segments from previous "processes", then the daemon's
+	// own instance.
+	for i := 0; i < 2; i++ {
+		st, err := store.Open(dir, cloversim.PhysicsVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putN(t, st, i*2, 2)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Open(dir, cloversim.PhysicsVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := startServer(t, st, nopRunner, 1)
+
+	resp, err := http.Post(ts.URL+"/v1/admin/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact status %d", resp.StatusCode)
+	}
+	var cs store.CompactStats
+	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+		t.Fatal(err)
+	}
+	if cs.SegmentsBefore != 2 || cs.SegmentsAfter != 1 || cs.Records != 4 {
+		t.Fatalf("compact stats = %s, want 2 segments -> 1, 4 records", cs)
+	}
+	if st.Len() != 4 {
+		t.Fatalf("store serves %d records after compact, want 4", st.Len())
+	}
+	// And the daemon still serves them over the API.
+	r2, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Body.Close()
+	var h Health
+	if err := json.NewDecoder(r2.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Records != 4 {
+		t.Fatalf("healthz records = %d, want 4", h.Records)
 	}
 }
