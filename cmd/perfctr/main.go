@@ -32,6 +32,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *elems <= 0 {
+		fatal(fmt.Errorf("-elems %d: want at least 1 element per stream", *elems))
+	}
 	spec, ok := machine.ByName(*mach)
 	if !ok {
 		fatal(fmt.Errorf("unknown machine %q", *mach))

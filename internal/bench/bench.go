@@ -178,7 +178,7 @@ func (r StoreResult) Ratio() float64 {
 
 // RunStore executes the store microbenchmark.
 func RunStore(o StoreOptions) (StoreResult, error) {
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := checkOptions(o.Machine, o.Cores, o.BytesPerStream); err != nil {
 		return StoreResult{}, err
 	}
 	if o.Streams < 1 {
@@ -247,7 +247,7 @@ func (r CopyResult) RWRatio() float64 {
 
 // RunCopy executes the copy benchmark.
 func RunCopy(o CopyOptions) (CopyResult, error) {
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := checkOptions(o.Machine, o.Cores, o.Elems); err != nil {
 		return CopyResult{}, err
 	}
 	if o.Elems == 0 {
@@ -282,12 +282,17 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 	return CopyResult{Cores: o.Cores, Iters: float64(o.Cores) * float64(o.Elems), V: v}, nil
 }
 
-func checkCores(spec *machine.Spec, cores int) error {
+// checkOptions rejects a missing machine, a core count it does not
+// have and a negative stream size (0 selects the default size).
+func checkOptions(spec *machine.Spec, cores int, size int64) error {
 	if spec == nil {
 		return fmt.Errorf("bench: nil machine spec")
 	}
 	if cores < 1 || cores > spec.Cores() {
 		return fmt.Errorf("bench: core count %d outside 1..%d", cores, spec.Cores())
+	}
+	if size < 0 {
+		return fmt.Errorf("bench: stream size %d is negative", size)
 	}
 	return nil
 }

@@ -258,6 +258,16 @@ func TestBenchValidation(t *testing.T) {
 	if _, err := RunCopy(CopyOptions{Machine: machine.ICX8360Y(), Cores: 0}); err == nil {
 		t.Error("zero cores accepted")
 	}
+	icx := machine.ICX8360Y()
+	if _, err := RunStore(StoreOptions{Machine: icx, Cores: 1, BytesPerStream: -64}); err == nil {
+		t.Error("negative store size accepted")
+	}
+	if _, err := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: -5}); err == nil {
+		t.Error("negative copy size accepted")
+	}
+	if _, err := RunKernel(KernelOptions{Machine: icx, Kernel: "copy", Cores: 1, ElemsPerStream: -5}); err == nil {
+		t.Error("negative kernel size accepted")
+	}
 }
 
 func TestVolumesAdd(t *testing.T) {

@@ -120,7 +120,7 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	if !ok {
 		return KernelResult{}, fmt.Errorf("bench: unknown kernel %q (have %v)", o.Kernel, KernelNames())
 	}
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := checkOptions(o.Machine, o.Cores, o.ElemsPerStream); err != nil {
 		return KernelResult{}, err
 	}
 	if o.ElemsPerStream == 0 {

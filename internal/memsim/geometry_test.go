@@ -2,7 +2,6 @@ package memsim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"cloversim/internal/machine"
@@ -13,8 +12,7 @@ import (
 // through fill, conflict and steady state, with direct-mapped,
 // single-set and skewed-associativity corners no preset has. Their run
 // shapes (regular runs, self-evicting runs, mixed residency, dirty
-// sets, a clock about to wrap) are the boundary cases of the line-run
-// path. TestAnalyticFallbackReasons and FuzzAnalyticRange keep names
+// sets) are the boundary cases of the line-run path. TestAnalyticFallbackReasons and FuzzAnalyticRange keep names
 // from a closed-form range tier that no longer exists: their subtests
 // and committed fuzz corpus are tracked by name.
 
@@ -50,12 +48,11 @@ func byLine(h *Hierarchy, p pattern) {
 // checkBothWays checks a trace against the oracle through AccessRange
 // and through the per-line API, then ends it with a load sweep over
 // probe lines, whose hit/miss pattern depends on every resident line.
-func checkBothWays(t *testing.T, spec *machine.Spec, pfOn bool, trace []pattern, probe int64,
-	setup func(*Hierarchy, *refHierarchy)) {
+func checkBothWays(t *testing.T, spec *machine.Spec, pfOn bool, trace []pattern, probe int64) {
 	t.Helper()
 	trace = append(trace[:len(trace):len(trace)], pattern{start: 0, n: probe, kind: AccessLoad})
-	checkAgainstOracle(t, spec, pfOn, trace, byRange, setup)
-	checkAgainstOracle(t, spec, pfOn, trace, byLine, setup)
+	checkAgainstOracle(t, spec, pfOn, trace, byRange)
+	checkAgainstOracle(t, spec, pfOn, trace, byLine)
 }
 
 // TestTinyGeometryDifferential sweeps randomized tiny geometries x all
@@ -93,7 +90,7 @@ func TestTinyGeometryDifferential(t *testing.T) {
 					trace = append(trace,
 						pattern{start: int64(r.next() % uint64(span)), n: n, kind: kind},
 						pattern{start: 4 * span, n: n, kind: kind})
-					checkBothWays(t, spec, pfOn, trace, 2*span, nil)
+					checkBothWays(t, spec, pfOn, trace, 2*span)
 				}
 			}
 		}
@@ -145,26 +142,9 @@ func TestAnalyticFallbackReasons(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkBothWays(t, spec, tc.pfOn, append(tc.setup, tc.run), 128, nil)
+			checkBothWays(t, spec, tc.pfOn, append(tc.setup, tc.run), 128)
 		})
 	}
-}
-
-// TestTinyL1ClockWrapMidRun: a long run that wraps the uint32 LRU
-// clock of a tiny L1 mid-run must still match the oracle exactly.
-func TestTinyL1ClockWrapMidRun(t *testing.T) {
-	spec := tinySpec(2, 2, 4, 2, 4, 4)
-	h := New(spec)
-	h.l1.clock = math.MaxUint32 - 10
-	h.AccessRange(0, 64, AccessLoad)
-	if h.l1.clock >= math.MaxUint32-10 {
-		t.Fatalf("run did not wrap the L1 clock (now %d)", h.l1.clock)
-	}
-	checkBothWays(t, spec, false, []pattern{{start: 0, n: 64, kind: AccessLoad}}, 128,
-		func(h *Hierarchy, ref *refHierarchy) {
-			h.l1.clock = math.MaxUint32 - 10
-			ref.l1.clock = math.MaxUint32 - 10
-		})
 }
 
 // fuzzGeoms are the hierarchies FuzzAnalyticRange rotates through: tiny
@@ -222,6 +202,6 @@ func FuzzAnalyticRange(f *testing.F) {
 		g := fuzzGeoms[seed%uint64(len(fuzzGeoms))]
 		spec := tinySpec(g[0], g[1], g[2], g[3], g[4], g[5])
 		cache := int64(g[0]*g[1] + g[2]*g[3] + g[4]*g[5])
-		checkBothWays(t, spec, pfOn, tinyTrace(seed, int(batches%48)+1, int64(g[1]), cache), 512, nil)
+		checkBothWays(t, spec, pfOn, tinyTrace(seed, int(batches%48)+1, int64(g[1]), cache), 512)
 	})
 }

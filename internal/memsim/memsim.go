@@ -13,11 +13,11 @@
 //
 // There is one simulation path: AccessRange replays a run of
 // consecutive same-kind accesses (range.go), and the per-line methods
-// are runs of one line. Its per-set bookkeeping (level.go) accelerates
-// the search only — presence filters, free-way and dirty masks, victim
-// queues, way prediction — and never changes which way a line lands in.
-// The differential and fuzz suites in range_test.go check it
-// bit-for-bit against the plain per-line oracle in oracle_test.go.
+// are runs of one line. Each cache set (level.go) is one recency list,
+// its ways' LRU stack, beside a presence filter that lets most misses
+// skip the list. The differential and fuzz suites in range_test.go
+// check it bit-for-bit against the plain per-line oracle in
+// oracle_test.go, which orders ways by stamps.
 //
 // Simulations borrow their hierarchies from a process-wide pool (pool.go)
 // and return them when done: a loop replay or a microbenchmark core
@@ -288,17 +288,12 @@ func ShapeOf(spec *machine.Spec, prefetch bool) Shape {
 }
 
 // pristine reports whether no level has installed or touched a line
-// since New, Flush or Invalidate: every level clock is zero and has not
-// wrapped. Every access that changes cache or prefetch-slot state ticks
-// a clock, so the caches and slots of a pristine hierarchy are empty and
-// only its Shape tells it apart from another.
+// since New, Flush or Invalidate. Every access that changes cache or
+// prefetch-slot state hits or installs a line somewhere, so the caches
+// and slots of a pristine hierarchy are empty and only its Shape tells
+// it apart from another.
 func (h *Hierarchy) pristine() bool {
-	for _, l := range h.levels() {
-		if l.clock != 0 || l.wrapped {
-			return false
-		}
-	}
-	return true
+	return !h.l1.touched && !h.l2.touched && !h.l3.touched
 }
 
 // DirtyLines counts dirty lines currently cached (for tests).

@@ -259,19 +259,20 @@ func TestRandomAccessProperty(t *testing.T) {
 }
 
 // TestHierarchyFootprint caps the bytes New allocates per machine preset
-// at the figures of the two-implementation simulator this one replaced
-// (measured with Go 1.24 on amd64): the acceleration state must not
-// grow the hierarchy, which every worker holds one of per rank group.
+// at the figures of the recency-list levels (measured with Go 1.24 on
+// amd64: an 8-byte entry per way, a presence filter and an entry count
+// per set), so the per-set bookkeeping cannot grow the hierarchy that
+// every concurrent simulation holds.
 func TestHierarchyFootprint(t *testing.T) {
 	ceiling := map[string]uint64{
-		"icx":       671888,
-		"icx-snc0":  671888,
-		"spr8470":   938128,
-		"spr8470+s": 938128,
-		"spr8480":   939328,
-		"clx":       590736,
-		"n1":        341904,
-		"a64fx":     257936,
+		"icx":       416768,
+		"icx-snc0":  416768,
+		"spr8470":   580608,
+		"spr8470+s": 580608,
+		"spr8480":   580608,
+		"clx":       365568,
+		"n1":        212992,
+		"a64fx":     159744,
 	}
 	for _, spec := range machine.AllPresets() {
 		want, ok := ceiling[spec.Name]

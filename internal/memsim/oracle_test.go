@@ -1,17 +1,20 @@
 package memsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"cloversim/internal/machine"
 )
 
 // This file holds the reference oracle the differential and fuzz suites
 // compare Hierarchy against: the cache physics written as the plainest
-// per-line chain — one tag/stamp/dirty array per level, linear scans, no
-// presence filters, free masks, victim queues or way prediction. It
-// shares no code or state with the shipped simulator, so a bug in any
-// acceleration structure shows up as a divergence here.
+// per-line chain — one tag/stamp/dirty array per level, linear scans,
+// LRU by stamp, no presence filters or recency lists. It shares no code
+// or state with the shipped simulator, so a bug in the simulator's
+// bookkeeping shows up as a divergence here. The clock is 64 bits wide,
+// so it never wraps.
 
 // refLevel is one set-associative, write-back, LRU cache level.
 type refLevel struct {
@@ -19,8 +22,8 @@ type refLevel struct {
 	mask       int64
 	tags       []int64 // -1 = empty
 	dirty      []bool
-	stamp      []uint32
-	clock      uint32
+	stamp      []uint64
+	clock      uint64
 }
 
 func newRefLevel(g machine.CacheGeom) *refLevel {
@@ -34,7 +37,7 @@ func newRefLevel(g machine.CacheGeom) *refLevel {
 		mask:  int64(sets - 1),
 		tags:  make([]int64, sets*g.Ways),
 		dirty: make([]bool, sets*g.Ways),
-		stamp: make([]uint32, sets*g.Ways),
+		stamp: make([]uint64, sets*g.Ways),
 	}
 	for i := range l.tags {
 		l.tags[i] = -1
@@ -332,18 +335,19 @@ func (h *refHierarchy) dirtyLines() int {
 	return n
 }
 
-// levelState is the semantic state of one level: everything a later
-// access can observe.
-type levelState struct {
-	tags  []int64
-	dirty []bool
-	stamp []uint32
-	clock uint32
+// entry is one way of a set as a later access can observe it.
+type entry struct {
+	line  int64 // -1 = empty
+	dirty bool
+	way0  bool
 }
 
-// hierState is the semantic state of a whole hierarchy.
+// hierState is the semantic state of a hierarchy: for each level and
+// set, the ways a victim choice can see, least recently touched first —
+// every way holding a line and way 0, which competes by its age even
+// when empty — plus the prefetcher's slots and cursor.
 type hierState struct {
-	lv      [3]levelState
+	sets    [3][][]entry
 	pfSlots [pfSlotCount]int64
 	pfNext  int
 }
@@ -351,11 +355,19 @@ type hierState struct {
 func (h *refHierarchy) state() hierState {
 	var s hierState
 	for i, l := range h.levels() {
-		s.lv[i] = levelState{
-			tags:  append([]int64(nil), l.tags...),
-			dirty: append([]bool(nil), l.dirty...),
-			stamp: append([]uint32(nil), l.stamp...),
-			clock: l.clock,
+		s.sets[i] = make([][]entry, l.sets)
+		for si := range s.sets[i] {
+			set := si * l.ways
+			var ways []int
+			for w := range l.ways {
+				if w == 0 || l.tags[set+w] >= 0 {
+					ways = append(ways, set+w)
+				}
+			}
+			slices.SortFunc(ways, func(a, b int) int { return cmp.Compare(l.stamp[a], l.stamp[b]) })
+			for _, slot := range ways {
+				s.sets[i][si] = append(s.sets[i][si], entry{l.tags[slot], l.dirty[slot], slot == set})
+			}
 		}
 	}
 	s.pfSlots, s.pfNext = h.pfSlots, h.pfNext
@@ -365,23 +377,17 @@ func (h *refHierarchy) state() hierState {
 // hierarchyState reads the same semantic state out of a Hierarchy.
 func hierarchyState(h *Hierarchy) hierState {
 	var s hierState
-	for i, l := range [3]*level{h.l1, h.l2, h.l3} {
-		st := levelState{
-			tags:  make([]int64, len(l.word)),
-			dirty: make([]bool, len(l.word)),
-			stamp: make([]uint32, len(l.word)),
-			clock: l.clock,
-		}
-		for slot, x := range l.word {
-			si := slot / l.ways
-			st.tags[slot] = -1
-			if k := uint32(x); k != 0 {
-				st.tags[slot] = l.lineOf(k, si)
+	for i, l := range h.levels() {
+		s.sets[i] = make([][]entry, l.sets)
+		for si := range s.sets[i] {
+			for _, x := range l.row(si) {
+				e := entry{line: -1, dirty: x&dirtyBit != 0, way0: x&way0Bit != 0}
+				if k := uint32(x); k != 0 {
+					e.line = l.lineOf(k, si)
+				}
+				s.sets[i][si] = append(s.sets[i][si], e)
 			}
-			st.stamp[slot] = uint32(x >> 32)
-			st.dirty[slot] = l.meta[si].dirty&(1<<(slot%l.ways)) != 0
 		}
-		s.lv[i] = st
 	}
 	s.pfSlots, s.pfNext = h.pfSlots, h.pfNext
 	return s
@@ -391,15 +397,10 @@ func hierarchyState(h *Hierarchy) hierState {
 // returns "" when they are identical.
 func diffState(got, want hierState) string {
 	names := [3]string{"L1", "L2", "L3"}
-	for i := range got.lv {
-		g, w := got.lv[i], want.lv[i]
-		if g.clock != w.clock {
-			return fmt.Sprintf("%s clock %d != %d", names[i], g.clock, w.clock)
-		}
-		for s := range w.tags {
-			if g.tags[s] != w.tags[s] || g.dirty[s] != w.dirty[s] || g.stamp[s] != w.stamp[s] {
-				return fmt.Sprintf("%s slot %d: got tag=%d dirty=%t stamp=%d, want tag=%d dirty=%t stamp=%d",
-					names[i], s, g.tags[s], g.dirty[s], g.stamp[s], w.tags[s], w.dirty[s], w.stamp[s])
+	for i := range got.sets {
+		for si := range want.sets[i] {
+			if g, w := got.sets[i][si], want.sets[i][si]; !slices.Equal(g, w) {
+				return fmt.Sprintf("%s set %d: got %+v, want %+v", names[i], si, g, w)
 			}
 		}
 	}

@@ -88,19 +88,17 @@ func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
 	allowPF = allowPF && (h.pfOn || h.adjacentOn)
 	for line := start; line < start+n; line++ {
-		if l1.mayHold(line) {
-			if w := l1.find(line, &l1.pred); w >= 0 {
-				h.c.L1Hits++
-				if dirty {
-					l1.setDirty(line, w)
-				}
-				continue
+		if l1.mayHold(line) && l1.find(line) {
+			h.c.L1Hits++
+			if dirty {
+				l1.markDirty(line)
 			}
+			continue
 		}
-		if l2.mayHold(line) && l2.find(line, &l2.pred) >= 0 {
+		if l2.mayHold(line) && l2.find(line) {
 			h.c.L2Hits++
 		} else {
-			if l3.mayHold(line) && l3.find(line, &l3.pred) >= 0 {
+			if l3.mayHold(line) && l3.find(line) {
 				h.c.L3Hits++
 			} else {
 				h.c.MemReadLines++
@@ -124,8 +122,8 @@ func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 // writebackToL2 handles a dirty eviction from L1.
 func (h *Hierarchy) writebackToL2(line int64) {
 	l2 := h.l2
-	if w := l2.lookup(line, &l2.predWB); w >= 0 {
-		l2.setDirty(line, w)
+	if l2.hit(line) {
+		l2.markDirty(line)
 		return
 	}
 	if ev, d := l2.install(line, true); d {
@@ -136,8 +134,8 @@ func (h *Hierarchy) writebackToL2(line int64) {
 // writebackToL3 handles a dirty eviction from L2.
 func (h *Hierarchy) writebackToL3(line int64) {
 	l3 := h.l3
-	if w := l3.lookup(line, &l3.predWB); w >= 0 {
-		l3.setDirty(line, w)
+	if l3.hit(line) {
+		l3.markDirty(line)
 		return
 	}
 	if _, d := l3.install(line, true); d {
@@ -153,7 +151,7 @@ func (h *Hierarchy) prefetch(line int64) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
 	if h.adjacentOn {
 		buddy := line ^ 1
-		if l3.lookup(buddy, &l3.predPF) < 0 && l2.lookup(buddy, &l2.predPF) < 0 {
+		if !l3.hit(buddy) && !l2.hit(buddy) {
 			h.pfFetch(buddy)
 		}
 	}
@@ -173,12 +171,12 @@ func (h *Hierarchy) prefetch(line int64) {
 		h.pfNext = (h.pfNext + 1) % pfSlotCount
 		return
 	}
-	// Candidates already cached anywhere are skipped (lookup, with the
+	// Candidates already cached anywhere are skipped (hit, with the
 	// filter test spelled out so it inlines).
 	for l := line + 1; l <= line+h.pfDist; l++ {
-		if (!l3.mayHold(l) || l3.find(l, &l3.predPF) < 0) &&
-			(!l2.mayHold(l) || l2.find(l, &l2.predPF) < 0) &&
-			(!l1.mayHold(l) || l1.find(l, &l1.predPF) < 0) {
+		if (!l3.mayHold(l) || !l3.find(l)) &&
+			(!l2.mayHold(l) || !l2.find(l)) &&
+			(!l1.mayHold(l) || !l1.find(l)) {
 			h.pfFetch(l)
 		}
 	}
@@ -198,14 +196,14 @@ func (h *Hierarchy) pfFetch(line int64) {
 func (h *Hierarchy) claimI2M(line int64) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
 	h.c.ItoMLines++
-	if w := l1.lookup(line, &l1.predPF); w >= 0 {
-		l1.drop(line, w)
+	if l1.hit(line) {
+		l1.drop(line)
 	}
-	if w := l2.lookup(line, &l2.predPF); w >= 0 {
-		l2.drop(line, w)
+	if l2.hit(line) {
+		l2.drop(line)
 	}
-	if w := l3.lookup(line, &l3.pred); w >= 0 {
-		l3.setDirty(line, w)
+	if l3.hit(line) {
+		l3.markDirty(line)
 		return
 	}
 	if _, d := l3.install(line, true); d {
@@ -218,11 +216,11 @@ func (h *Hierarchy) claimI2M(line int64) {
 func (h *Hierarchy) claimL2(line int64) {
 	l1, l2 := h.l1, h.l2
 	h.c.ItoMLines++
-	if w := l1.lookup(line, &l1.predPF); w >= 0 {
-		l1.drop(line, w)
+	if l1.hit(line) {
+		l1.drop(line)
 	}
-	if w := l2.lookup(line, &l2.pred); w >= 0 {
-		l2.setDirty(line, w)
+	if l2.hit(line) {
+		l2.markDirty(line)
 		return
 	}
 	if ev, d := l2.install(line, true); d {

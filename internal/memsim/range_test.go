@@ -56,9 +56,9 @@ type pattern struct {
 // misses and reuse, interleaved with Flush and Invalidate events and
 // way-0 holes. A hole fills one set of a random level right after a
 // Flush — the last of its ways lines lands in way 0 — and then claims
-// that line away, leaving way 0 empty with a fresh stamp. The victim
-// rule must then let the empty way 0 compete by that stamp rather than
-// fill it first.
+// that line away, leaving way 0 empty and the set's most recently used
+// way. The replacement rule must then let the empty way 0 compete by
+// that age rather than fill it first.
 func randomTrace(spec *machine.Spec, seed uint64, batches int) []pattern {
 	r := &rng{s: seed | 1}
 	geoms := [3]machine.CacheGeom{spec.L1, spec.L2, spec.L3Slice()}
@@ -123,19 +123,17 @@ func byRange(h *Hierarchy, p pattern) { h.AccessRange(p.start, p.n, p.kind) }
 
 // checkAgainstOracle replays a trace on a fresh Hierarchy (through run)
 // and on the oracle side by side. Counts must agree after every step,
-// and the dirty census and full semantic state (tags, dirty bits, LRU
-// stamps, clocks, prefetcher slots) at the end, before and after a
-// final Flush. setup, when non-nil, adjusts both fresh hierarchies.
+// and the dirty census and full semantic state (each set's lines in
+// recency order with their dirty bits and which is way 0, the
+// prefetcher's slots and cursor) at the end, before and after a final
+// Flush.
 func checkAgainstOracle(t *testing.T, spec *machine.Spec, pfOn bool, trace []pattern,
-	run func(*Hierarchy, pattern), setup func(*Hierarchy, *refHierarchy)) {
+	run func(*Hierarchy, pattern)) {
 	t.Helper()
 	h := New(spec)
 	h.SetPrefetch(pfOn)
 	ref := newRef(spec)
 	ref.setPrefetch(spec, pfOn)
-	if setup != nil {
-		setup(h, ref)
-	}
 	for i, p := range trace {
 		step(h, p, run)
 		stepRef(ref, p)
@@ -168,7 +166,7 @@ func TestAccessRangeDifferential(t *testing.T) {
 		for _, pfOn := range []bool{true, false} {
 			for seed := uint64(1); seed <= 8; seed++ {
 				trace := randomTrace(spec, seed*0x9e3779b97f4a7c15, 300)
-				checkAgainstOracle(t, spec, pfOn, trace, byRange, nil)
+				checkAgainstOracle(t, spec, pfOn, trace, byRange)
 			}
 		}
 	}
@@ -188,7 +186,7 @@ func TestAccessRangePerKind(t *testing.T) {
 					{start: 1 << 20, n: 1, kind: kind}, // singleton far away
 					{start: 0, n: 1 << 16, kind: kind}, // spills every level
 				}
-				checkAgainstOracle(t, spec, pfOn, trace, byRange, nil)
+				checkAgainstOracle(t, spec, pfOn, trace, byRange)
 			})
 		}
 	}
@@ -216,7 +214,7 @@ func TestAccessRangeMixedWithPerLine(t *testing.T) {
 		for line := p.start; line < p.start+p.n; line++ {
 			methods[p.kind](h, line)
 		}
-	}, nil)
+	})
 }
 
 // TestAccessRangeEmptyAndNegative: n <= 0 must be a no-op.
@@ -248,44 +246,6 @@ func TestAccessRangeLineLimit(t *testing.T) {
 	}
 }
 
-// TestClockWrapMatchesOracle starts every level's uint32 LRU clock just
-// short of wrapping, so the trace crosses the wrap on every level. Once
-// a clock wraps, fresh stamps are smaller than old ones; the simulator
-// must then still pick exactly the oracle's victims, which rules out
-// any shortcut that assumes stamps grow.
-func TestClockWrapMatchesOracle(t *testing.T) {
-	for _, spec := range []*machine.Spec{machine.ICX8360Y(), machine.CLX8280()} {
-		for _, start := range []uint32{math.MaxUint32 - 500, math.MaxUint32 - 3000} {
-			trace := randomTrace(spec, uint64(start)^0x7a11, 400)
-			// Keep the clocks from being reset before they wrap.
-			var noFlush []pattern
-			for _, p := range trace {
-				if p.ev == evAccess {
-					noFlush = append(noFlush, p)
-				}
-			}
-			checkAgainstOracle(t, spec, true, noFlush, byRange, func(h *Hierarchy, ref *refHierarchy) {
-				for _, l := range [...]*level{h.l1, h.l2, h.l3} {
-					l.clock = start
-				}
-				for _, l := range ref.levels() {
-					l.clock = start
-				}
-			})
-			h := New(spec)
-			for _, l := range [...]*level{h.l1, h.l2, h.l3} {
-				l.clock = start
-			}
-			for _, p := range noFlush {
-				byRange(h, p)
-			}
-			if h.l1.clock >= start || h.l2.clock >= start {
-				t.Fatalf("%s: trace did not wrap the L1 and L2 clocks (start %d)", spec.Name, start)
-			}
-		}
-	}
-}
-
 // FuzzAccessRange fuzzes the oracle differential over arbitrary
 // (seed, batches, pf) triples; the seed also picks the machine. The
 // seed corpus covers each access kind, both prefetch states, and
@@ -302,6 +262,6 @@ func FuzzAccessRange(f *testing.F) {
 	specs := diffSpecs()
 	f.Fuzz(func(t *testing.T, seed uint64, batches uint8, pfOn bool) {
 		spec := specs[seed%uint64(len(specs))]
-		checkAgainstOracle(t, spec, pfOn, randomTrace(spec, seed, int(batches%64)+1), byRange, nil)
+		checkAgainstOracle(t, spec, pfOn, randomTrace(spec, seed, int(batches%64)+1), byRange)
 	})
 }

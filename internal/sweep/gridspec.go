@@ -62,6 +62,9 @@ func (g GridSpec) Resolve(validateAxes func(machines, workloads []string) error)
 			return Grid{}, err
 		}
 	}
+	if err := checkValues(g.Ranks, g.Threads, g.MaxRows); err != nil {
+		return Grid{}, err
+	}
 	var err error
 	if grid.Modes, err = ModesByName(g.Modes); err != nil {
 		return Grid{}, err
@@ -88,8 +91,9 @@ func ExplicitSpec(scenarios []Scenario) GridSpec {
 }
 
 // Explicit parses the explicit form back into scenarios, rejecting
-// malformed keys and any axis field set alongside (a spec that mixes
-// the two forms is ambiguous, so it is an error, not a merge).
+// malformed keys, out-of-range numbers (see checkValues) and any axis
+// field set alongside (a spec that mixes the two forms is ambiguous, so
+// it is an error, not a merge).
 func (g GridSpec) Explicit() ([]Scenario, error) {
 	if !g.IsExplicit() {
 		return nil, fmt.Errorf("sweep: spec lists no explicit scenarios")
@@ -100,10 +104,35 @@ func (g GridSpec) Explicit() ([]Scenario, error) {
 	out := make([]Scenario, 0, len(g.Scenarios))
 	for i, key := range g.Scenarios {
 		s, err := ParseKey(key)
+		if err == nil {
+			err = checkValues([]int{s.Ranks}, []int{s.Threads}, s.MaxRows)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// checkValues rejects numeric axis values no runner accepts, which would
+// otherwise simulate a default configuration under a key of their own: a
+// negative rank or thread count (0 means full node) or a row truncation
+// below -1 (full extent; 0 means the runner default). ParseKey does not
+// check them, so a store can still read back any record it holds.
+func checkValues(ranks, threads []int, maxRows int) error {
+	for _, r := range ranks {
+		if r < 0 {
+			return fmt.Errorf("ranks %d: want 0 (full node) or more", r)
+		}
+	}
+	for _, t := range threads {
+		if t < 0 {
+			return fmt.Errorf("threads %d: want 0 (full node) or more", t)
+		}
+	}
+	if maxRows < -1 {
+		return fmt.Errorf("maxrows %d: want -1 (full extent), 0 (runner default) or more", maxRows)
+	}
+	return nil
 }

@@ -57,6 +57,26 @@ func TestGridSpecResolve(t *testing.T) {
 	if _, err := bad.Resolve(nil); err == nil {
 		t.Error("bad mesh resolved")
 	}
+
+	// Negative counts and a truncation below -1 are errors; 0 and -1
+	// (full node, full extent) are not.
+	for _, tc := range []struct {
+		name    string
+		set     func(*GridSpec)
+		wantErr bool
+	}{
+		{"ranks -5", func(g *GridSpec) { g.Ranks = []int{4, -5} }, true},
+		{"threads -2", func(g *GridSpec) { g.Threads = []int{-2} }, true},
+		{"maxrows -7", func(g *GridSpec) { g.MaxRows = -7 }, true},
+		{"full node", func(g *GridSpec) { g.Ranks, g.Threads = []int{0}, []int{0} }, false},
+		{"full extent", func(g *GridSpec) { g.MaxRows = -1 }, false},
+	} {
+		g := spec
+		tc.set(&g)
+		if _, err := g.Resolve(nil); (err != nil) != tc.wantErr {
+			t.Errorf("%s: Resolve error %v, want error %t", tc.name, err, tc.wantErr)
+		}
+	}
 }
 
 // TestGridSpecExplicit: the explicit form round-trips canonical keys
@@ -91,6 +111,15 @@ func TestGridSpecExplicit(t *testing.T) {
 	bad := GridSpec{Scenarios: []string{"garbage"}}
 	if _, err := bad.Explicit(); err == nil {
 		t.Error("malformed key parsed")
+	}
+	for _, s := range []Scenario{{Machine: "icx", Ranks: -5}, {Machine: "icx", Threads: -2}, {Machine: "icx", MaxRows: -7}} {
+		if _, err := (GridSpec{Scenarios: []string{want[0].Key(), s.Key()}}).Explicit(); err == nil ||
+			!strings.Contains(err.Error(), "scenario 1") {
+			t.Errorf("explicit %q: error %v, want a rejection of scenario 1", s.Key(), err)
+		}
+	}
+	if _, err := (GridSpec{Scenarios: []string{(Scenario{Machine: "icx", MaxRows: -1}).Key()}}).Explicit(); err != nil {
+		t.Errorf("explicit full-extent scenario rejected: %v", err)
 	}
 	if _, err := (GridSpec{}).Explicit(); err == nil {
 		t.Error("axis-form spec produced explicit scenarios")

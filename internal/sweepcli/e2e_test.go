@@ -296,6 +296,11 @@ func TestExitCodeOnUsageError(t *testing.T) {
 		{"-ranks", "x"},
 		{"-nosuchflag"},
 	}
+	// Out-of-range numbers on a one-cell grid, which would otherwise run.
+	for _, bad := range [][]string{{"-ranks", "-5"}, {"-threads", "-2"}, {"-maxrows", "-7"}, {"-workers", "-3"}} {
+		cases = append(cases, append([]string{"-q", "-machines", "icx", "-workloads", "stream",
+			"-modes", "baseline", "-mesh", "64x64", "-out", t.TempDir()}, bad...))
+	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args, cloversim.RunScenarioContext); code != ExitUsage {
 			t.Errorf("args %v exit %d, want %d", args, code, ExitUsage)

@@ -114,6 +114,9 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	var localWorkers int
 	var workerHosts []string
 	if n, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
+		if n < 0 {
+			return usage(stderr, fmt.Errorf("bad -workers %d: want 0 (GOMAXPROCS) or more", n))
+		}
 		localWorkers = n
 	} else {
 		workerHosts = splitList(*workers)

@@ -342,10 +342,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	explicit := spec.IsExplicit()
 	if explicit {
 		// Explicit form: the dispatch protocol hands this worker cells
-		// it has never seen, as canonical keys. Malformed keys and
-		// mixed-form specs are client errors; per-scenario resolution
-		// failures (unknown machine, bad ranks) surface as per-cell
-		// results, exactly as in a grid expand.
+		// it has never seen, as canonical keys. Malformed keys,
+		// out-of-range numbers and mixed-form specs are client errors;
+		// per-scenario resolution failures (unknown machine, more ranks
+		// than cores) surface as per-cell results, exactly as in a grid
+		// expand.
 		var err error
 		if scenarios, err = spec.Explicit(); err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "%v", err)

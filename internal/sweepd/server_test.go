@@ -207,6 +207,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown workload", `{"workloads":["nope"]}`},
 		{"unknown mode", `{"modes":["nope"]}`},
 		{"bad mesh", `{"meshes":["x"]}`},
+		{"negative ranks", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"ranks":[-5]}`},
+		{"negative threads", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"threads":[-2]}`},
+		{"maxrows below -1", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"maxrows":-7}`},
+		{"explicit negative ranks", `{"scenarios":["machine=icx workload=stream mode=baseline nt=false opt=false i2moff=false pfoff=false ranks=-5 mesh=default threads=0 maxrows=0 seed=0x0"]}`},
 		{"oversized grid", `{"ranks":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18],
 			"threads":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17],
 			"meshes":["1x1","2x2","3x3","4x4","5x5","6x6","7x7","8x8","9x9","10x10","11x11","12x12","13x13","14x14"]}`},
