@@ -31,7 +31,7 @@ func quickOpts() Options { return Options{MaxRows: 24} }
 func BenchmarkListing2Profile(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		p, _, err := Listing2Profile(quickOpts())
+		p, _, err := Listing2Profile(b.Context(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func BenchmarkListing2Profile(b *testing.B) {
 func BenchmarkTableISingleCore(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := TableI(quickOpts())
+		rows, _, err := TableI(b.Context(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFigure2Scaling(b *testing.B) {
 	o.Ranks = []int{1, 9, 18, 19, 36, 37, 64, 71, 72}
 	var drop float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure2Scaling(o)
+		pts, _, err := Figure2Scaling(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkFigure3CodeBalance(b *testing.B) {
 	o.Ranks = []int{1, 36, 71, 72}
 	var spike float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure3CodeBalance(o)
+		pts, _, err := Figure3CodeBalance(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkFigure3CodeBalance(b *testing.B) {
 func BenchmarkFigure4MPIShare(b *testing.B) {
 	var serial71 float64
 	for i := 0; i < b.N; i++ {
-		shares, _, err := Figure4MPIShare(quickOpts())
+		shares, _, err := Figure4MPIShare(b.Context(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func benchStoreRatio(b *testing.B, machineName string, socket, node int) {
 	o.Ranks = []int{1, socket, node}
 	var nodeRatio float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := FigureStoreRatio(o)
+		pts, _, err := FigureStoreRatio(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkFigure6CopyVolumes(b *testing.B) {
 	o.Ranks = []int{1, 9, 17}
 	var read17 float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure6CopyVolumes(o)
+		pts, _, err := Figure6CopyVolumes(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkFigure6CopyVolumes(b *testing.B) {
 func BenchmarkFigure7RefinedModel(b *testing.B) {
 	var avgErr float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := Figure7RefinedModel(quickOpts())
+		rows, _, err := Figure7RefinedModel(b.Context(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func benchHalo(b *testing.B, machineName string) {
 	o.MachineName = machineName
 	var a216 float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := FigureHaloCopy(o, false)
+		pts, _, err := FigureHaloCopy(b.Context(), o, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,13 @@
 // CPUs: A Case Study in Write-Allocate Evasion" (IPDPS 2024).
 //
 // The package exposes one runner per paper artifact (Listing 2, Table I,
-// Figures 2-11); each returns the underlying data plus a CSV-ready table.
+// Figures 2-11), and they are the only code that derives the paper's
+// figures; each returns the underlying data plus a CSV-ready table.
+// Every runner takes a context first: its traffic studies replay their
+// loops through the loop memo the context carries (trace.WithMemo), so
+// runners that share a context share loop replays, and its fan-outs
+// stop scheduling points once the context ends.
+//
 // The heavy lifting lives in the internal packages:
 //
 //   - internal/core     — SpecI2M write-allocate-evasion store engine
@@ -30,47 +36,40 @@ type Options struct {
 	// (0 = paper-faithful full extent; default 32 for tractability).
 	MaxRows int
 	// Ranks restricts scaling sweeps to these rank counts (default: all
-	// 1..cores).
+	// 1..cores). Every entry must lie in 1..cores of the machine.
 	Ranks []int
-	// Steps for physics-executing experiments (default 5).
-	Steps int
 	// Seed for the deterministic store-engine PRNG.
 	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
+// resolve applies the defaults and looks up the machine, and rejects a
+// Ranks entry outside 1..cores of it.
+func (o Options) resolve() (Options, *machine.Spec, error) {
 	if o.MachineName == "" {
 		o.MachineName = machine.NameICX8360Y
 	}
 	if o.MaxRows == 0 {
 		o.MaxRows = 32
 	}
-	if o.Steps == 0 {
-		o.Steps = 5
-	}
 	if o.Seed == 0 {
 		o.Seed = 0x5eed
 	}
-	return o
-}
-
-func (o Options) machine() (*machine.Spec, error) {
 	spec, ok := machine.ByName(o.MachineName)
 	if !ok {
-		return nil, fmt.Errorf("cloversim: unknown machine %q (have %v)", o.MachineName, machine.Names())
+		return o, nil, fmt.Errorf("cloversim: unknown machine %q (have %v)", o.MachineName, machine.Names())
 	}
-	return spec, nil
+	for _, r := range o.Ranks {
+		if r < 1 || r > spec.Cores() {
+			return o, nil, fmt.Errorf("cloversim: rank count %d outside 1..%d of %s", r, spec.Cores(), spec.Name)
+		}
+	}
+	return o, spec, nil
 }
 
+// rankList returns Ranks, or every count 1..max when Ranks is empty.
 func (o Options) rankList(max int) []int {
 	if len(o.Ranks) > 0 {
-		out := make([]int, 0, len(o.Ranks))
-		for _, r := range o.Ranks {
-			if r >= 1 && r <= max {
-				out = append(out, r)
-			}
-		}
-		return out
+		return o.Ranks
 	}
 	out := make([]int, max)
 	for i := range out {

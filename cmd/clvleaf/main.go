@@ -81,7 +81,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("CloverLeaf %dx%d, %d steps, %d ranks\n", cfg.GridX, cfg.GridY, cfg.EndStep, *np)
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
 	var (
 		s   cloverleaf.Summary
 		err error
@@ -96,6 +98,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Printf("CloverLeaf %dx%d, %d steps, %d ranks\n", cfg.GridX, cfg.GridY, cfg.EndStep, *np)
 	fmt.Printf("  volume          %.6e\n", s.Volume)
 	fmt.Printf("  mass            %.6e\n", s.Mass)
 	fmt.Printf("  internal energy %.6e\n", s.InternalEnergy)

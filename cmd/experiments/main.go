@@ -1,8 +1,11 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section and writes CSV files plus terminal tables. The
-// full suite ("-exp all") runs the experiments concurrently on the
-// sweep worker pool while keeping output and CSVs in deterministic
-// order.
+// evaluation section and writes CSV files plus terminal tables. It runs
+// its experiments one after another on one loop replay memo for the
+// whole invocation, so a loop that several figures replay (Figs. 2, 3,
+// 4, Table I and Listing 2 share most of theirs) is simulated once, and
+// it saves and prints each experiment as it finishes. Within an
+// experiment, the points fan out over GOMAXPROCS workers; there is no
+// worker-count flag.
 //
 // Usage:
 //
@@ -14,22 +17,33 @@
 // Experiments: profile (Listing 2), table1 (Table I), scaling (Fig 2),
 // balance (Fig 3), mpi (Fig 4), stores (Figs 5/9/10 depending on
 // -machine), copyvol (Fig 6), model (Fig 7), halo (Figs 8/11).
+//
+// An unknown -exp or -machine, or a -ranks entry outside 1..cores of a
+// machine the run uses, exits 2 before anything is simulated. A failed
+// experiment does not stop the others; the command then exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
 	"cloversim"
 	"cloversim/internal/asciiplot"
 	"cloversim/internal/csvout"
-	"cloversim/internal/sweep"
+	"cloversim/internal/machine"
+	"cloversim/internal/trace"
 )
+
+// experiments lists every experiment in the order -exp all runs them.
+var experiments = []string{"profile", "table1", "scaling", "balance", "mpi", "stores", "copyvol", "model", "halo"}
 
 // job is one experiment invocation; the full suite is a list of these.
 type job struct {
@@ -38,30 +52,42 @@ type job struct {
 }
 
 // output is a finished experiment: the CSV base name, table and any
-// extra terminal rendering (profile listing, ASCII plots), or the
-// experiment's error (isolated so the rest of the suite still lands).
+// extra terminal rendering (profile listing, ASCII plots).
 type output struct {
 	name  string
 	table *csvout.Table
 	extra string
-	err   error
 }
 
-func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: all|profile|table1|scaling|balance|mpi|stores|copyvol|model|halo")
-		machine = flag.String("machine", "icx", fmt.Sprintf("machine preset %v", cloversim.Machines()))
-		out     = flag.String("out", "results", "output directory for CSV files")
-		full    = flag.Bool("full", false, "paper-faithful y extents (much slower)")
-		ranks   = flag.String("ranks", "", "comma-separated rank counts (default: all)")
-		pfoff   = flag.Bool("pfoff", true, "include PF-off series in the halo experiment")
-		plot    = flag.Bool("plot", false, "render ASCII charts for figure experiments")
-		quiet   = flag.Bool("q", false, "suppress terminal tables")
-		par     = flag.Int("workers", 3, "concurrent experiments for -exp all")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	opts := cloversim.Options{MachineName: *machine}
+// run is the command: it parses args, runs the experiments and returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp   = fs.String("exp", "all", "experiment: all|"+strings.Join(experiments, "|"))
+		mach  = fs.String("machine", "icx", fmt.Sprintf("machine preset %v", cloversim.Machines()))
+		out   = fs.String("out", "results", "output directory for CSV files")
+		full  = fs.Bool("full", false, "paper-faithful y extents (much slower)")
+		ranks = fs.String("ranks", "", "comma-separated rank counts (default: all)")
+		pfoff = fs.Bool("pfoff", true, "include PF-off series in the halo experiment")
+		plot  = fs.Bool("plot", false, "render ASCII charts for figure experiments")
+		quiet = fs.Bool("q", false, "suppress terminal tables")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
+	}
+
+	opts := cloversim.Options{MachineName: *mach}
 	if *full {
 		opts.MaxRows = -1 // negative disables truncation downstream
 	}
@@ -69,77 +95,85 @@ func main() {
 		for _, s := range strings.Split(*ranks, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fatal(fmt.Errorf("bad -ranks entry %q: %w", s, err))
+				return usage(fmt.Errorf("bad -ranks entry %q: %w", s, err))
 			}
 			opts.Ranks = append(opts.Ranks, n)
 		}
 	}
 
-	jobs := []job{{*exp, *machine}}
+	jobs := []job{{*exp, *mach}}
 	if *exp == "all" {
 		jobs = jobs[:0]
-		for _, name := range []string{"profile", "table1", "scaling", "balance", "mpi", "stores", "copyvol", "model", "halo"} {
-			jobs = append(jobs, job{name, *machine})
+		for _, name := range experiments {
+			jobs = append(jobs, job{name, *mach})
 		}
 		// The SPR figures (9, 10, 11) on their machines.
 		jobs = append(jobs, job{"stores", "spr8470+s"}, job{"stores", "spr8480"}, job{"halo", "spr8480"})
+	} else if !slices.Contains(experiments, *exp) {
+		return usage(fmt.Errorf("unknown experiment %q (have all|%s)", *exp, strings.Join(experiments, "|")))
+	}
+	for _, j := range jobs {
+		spec, ok := machine.ByName(j.machine)
+		if !ok {
+			return usage(fmt.Errorf("unknown machine %q (have %v)", j.machine, cloversim.Machines()))
+		}
+		for _, n := range opts.Ranks {
+			if n < 1 || n > spec.Cores() {
+				return usage(fmt.Errorf("-ranks entry %d outside 1..%d of %s", n, spec.Cores(), j.machine))
+			}
+		}
 	}
 
-	outs := make([]output, len(jobs))
-	_ = sweep.ForEach(context.Background(), *par, len(jobs), func(i int) error {
+	ctx := trace.WithMemo(context.Background(), trace.NewMemo())
+	failed := 0
+	for _, j := range jobs {
 		o := opts
-		o.MachineName = jobs[i].machine
-		res, err := runExperiment(jobs[i].exp, o, *pfoff, *plot)
+		o.MachineName = j.machine
+		r, err := runExperiment(ctx, j.exp, o, *pfoff, *plot)
 		if err != nil {
 			// Isolate per-experiment failures: the rest of the suite
 			// still computes, saves and prints.
-			res.err = fmt.Errorf("%s (machine %s): %w", jobs[i].exp, o.MachineName, err)
-		}
-		outs[i] = res
-		return nil
-	})
-
-	failed := 0
-	for _, r := range outs {
-		if r.err != nil {
 			failed++
-			fmt.Fprintln(os.Stderr, "experiments:", r.err)
+			fmt.Fprintf(stderr, "experiments: %s (machine %s): %v\n", j.exp, j.machine, err)
 			continue
 		}
 		path := filepath.Join(*out, r.name+".csv")
 		if err := r.table.SaveCSV(path); err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "experiments:", err)
+			return 1
 		}
 		if *quiet {
-			fmt.Printf("== %s -> %s\n", r.name, path)
+			fmt.Fprintf(stdout, "== %s -> %s\n", r.name, path)
 		} else {
-			fmt.Printf("== %s -> %s\n%s\n", r.name, path, r.table.Format())
+			fmt.Fprintf(stdout, "== %s -> %s\n%s\n", r.name, path, r.table.Format())
 		}
 		// ASCII plots were asked for explicitly (-plot); print them
-		// even under -q, like the pre-engine CLI did.
+		// even under -q.
 		if r.extra != "" && (!*quiet || *plot) {
-			fmt.Println(r.extra)
+			fmt.Fprintln(stdout, r.extra)
 		}
 	}
 	if failed > 0 {
-		fatal(fmt.Errorf("%d of %d experiments failed", failed, len(jobs)))
+		fmt.Fprintf(stderr, "experiments: %d of %d experiments failed\n", failed, len(jobs))
+		return 1
 	}
+	return 0
 }
 
 // runExperiment executes one experiment and renders its extras.
-func runExperiment(name string, opts cloversim.Options, pfoff, plot bool) (output, error) {
+func runExperiment(ctx context.Context, name string, opts cloversim.Options, pfoff, plot bool) (output, error) {
 	switch name {
 	case "profile":
-		p, t, err := cloversim.Listing2Profile(opts)
+		p, t, err := cloversim.Listing2Profile(ctx, opts)
 		if err != nil {
 			return output{}, err
 		}
 		return output{name: "listing2_profile", table: t, extra: p.Format(10)}, nil
 	case "table1":
-		_, t, err := cloversim.TableI(opts)
+		_, t, err := cloversim.TableI(ctx, opts)
 		return output{name: "table1", table: t}, err
 	case "scaling":
-		pts, t, err := cloversim.Figure2Scaling(opts)
+		pts, t, err := cloversim.Figure2Scaling(ctx, opts)
 		if err != nil {
 			return output{}, err
 		}
@@ -161,13 +195,13 @@ func runExperiment(name string, opts cloversim.Options, pfoff, plot bool) (outpu
 		}
 		return o, nil
 	case "balance":
-		_, t, err := cloversim.Figure3CodeBalance(opts)
+		_, t, err := cloversim.Figure3CodeBalance(ctx, opts)
 		return output{name: "fig3_code_balance", table: t}, err
 	case "mpi":
-		_, t, err := cloversim.Figure4MPIShare(opts)
+		_, t, err := cloversim.Figure4MPIShare(ctx, opts)
 		return output{name: "fig4_mpi_share", table: t}, err
 	case "stores":
-		pts, t, err := cloversim.FigureStoreRatio(opts)
+		pts, t, err := cloversim.FigureStoreRatio(ctx, opts)
 		if err != nil {
 			return output{}, err
 		}
@@ -189,20 +223,15 @@ func runExperiment(name string, opts cloversim.Options, pfoff, plot bool) (outpu
 		}
 		return o, nil
 	case "copyvol":
-		_, t, err := cloversim.Figure6CopyVolumes(opts)
+		_, t, err := cloversim.Figure6CopyVolumes(ctx, opts)
 		return output{name: "fig6_copy_volumes", table: t}, err
 	case "model":
-		_, t, err := cloversim.Figure7RefinedModel(opts)
+		_, t, err := cloversim.Figure7RefinedModel(ctx, opts)
 		return output{name: "fig7_refined_model", table: t}, err
 	case "halo":
-		_, t, err := cloversim.FigureHaloCopy(opts, pfoff)
+		_, t, err := cloversim.FigureHaloCopy(ctx, opts, pfoff)
 		return output{name: "halo_" + opts.MachineName, table: t}, err
 	default:
 		return output{}, fmt.Errorf("unknown experiment %q", name)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

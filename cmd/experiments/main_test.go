@@ -1,0 +1,59 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestUsageErrorsExitBeforeSimulating: a bad -exp, -machine or -ranks
+// value, checked against every machine the run uses, exits 2 before any
+// experiment runs, so no CSV is written.
+func TestUsageErrorsExitBeforeSimulating(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "bogus"}, `unknown experiment "bogus"`},
+		{[]string{"-exp", "table1", "-machine", "nope"}, `unknown machine "nope"`},
+		{[]string{"-exp", "scaling", "-ranks", "0,80"}, "-ranks entry 0 outside 1..72 of icx"},
+		{[]string{"-exp", "stores", "-ranks", "80"}, "-ranks entry 80 outside 1..72 of icx"},
+		{[]string{"-exp", "all", "-ranks", "1,104"}, "-ranks entry 104 outside 1..72 of icx"},
+		{[]string{"-exp", "stores", "-machine", "spr8480", "-ranks", "x"}, `bad -ranks entry "x"`},
+		{[]string{"-workers", "2"}, "flag provided but not defined: -workers"},
+	} {
+		out := filepath.Join(t.TempDir(), "out")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(c.args, "-q", "-out", out), &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2; stderr:\n%s", c.args, code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: stderr %q does not say %q", c.args, &stderr, c.want)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) || stdout.Len() != 0 {
+			t.Errorf("%v: ran experiments (stat %v, stdout %q)", c.args, err, &stdout)
+		}
+	}
+}
+
+// TestRunsOneExperiment: a valid run saves its CSV and names it.
+func TestRunsOneExperiment(t *testing.T) {
+	out := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "copyvol", "-ranks", "1,2", "-q", "-out", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, &stderr)
+	}
+	path := filepath.Join(out, "fig6_copy_volumes.csv")
+	if got, want := stdout.String(), "== fig6_copy_volumes -> "+path+"\n"; got != want {
+		t.Errorf("stdout %q, want %q", got, want)
+	}
+	csv, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(csv), "\n"); lines != 3 {
+		t.Errorf("CSV has %d lines, want a header and 2 rows:\n%s", lines, csv)
+	}
+}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -35,7 +36,7 @@ func main() {
 	fmt.Println("  serial and MPI runs agree ✔")
 
 	// 2. Memory-traffic study: single-core code balance vs Table I.
-	rows, table, err := cloversim.TableI(cloversim.Options{})
+	rows, table, err := cloversim.TableI(context.Background(), cloversim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

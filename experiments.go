@@ -3,7 +3,6 @@ package cloversim
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cloversim/internal/bench"
 	"cloversim/internal/cloverleaf"
@@ -12,15 +11,14 @@ import (
 	"cloversim/internal/model"
 	"cloversim/internal/profiler"
 	"cloversim/internal/sweep"
+	"cloversim/internal/trace"
 )
 
-// experimentWorkers bounds the per-experiment scenario parallelism
-// (each scenario is itself a multi-goroutine traffic simulation).
-const experimentWorkers = 8
-
-// trafficOpts builds the common traffic-study options.
-func (o Options) trafficOpts(ranks int) (cloverleaf.TrafficOptions, error) {
-	spec, err := o.machine()
+// trafficOpts resolves o into the common traffic-study options. Every
+// study of one runner replays its loops through the memo ctx carries,
+// or through one memo for the whole figure when ctx carries none.
+func (o Options) trafficOpts(ctx context.Context, ranks int) (cloverleaf.TrafficOptions, error) {
+	o, spec, err := o.resolve()
 	if err != nil {
 		return cloverleaf.TrafficOptions{}, err
 	}
@@ -30,6 +28,7 @@ func (o Options) trafficOpts(ranks int) (cloverleaf.TrafficOptions, error) {
 		MaxRows:     o.MaxRows,
 		AlignArrays: true,
 		Seed:        o.Seed,
+		Memo:        trace.ContextMemo(ctx),
 	}, nil
 }
 
@@ -38,14 +37,12 @@ func (o Options) trafficOpts(ranks int) (cloverleaf.TrafficOptions, error) {
 // ---------------------------------------------------------------------
 
 // Listing2Profile models the per-function CPU-time profile.
-func Listing2Profile(o Options) (*profiler.Profile, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(0)
+func Listing2Profile(ctx context.Context, o Options) (*profiler.Profile, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := to.Machine
-	to.Ranks = spec.Cores()
+	to.Ranks = to.Machine.Cores()
 	m, err := cloverleaf.ModelNode(to)
 	if err != nil {
 		return nil, nil, err
@@ -76,9 +73,8 @@ type TableIRow struct {
 
 // TableI reproduces Table I: the four analytic byte/it columns plus the
 // simulated single-core code balance next to the paper's measurement.
-func TableI(o Options) ([]TableIRow, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(1)
+func TableI(ctx context.Context, o Options) ([]TableIRow, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -108,60 +104,53 @@ func TableI(o Options) ([]TableIRow, *csvout.Table, error) {
 // E3 — Figure 2: speedup and memory bandwidth vs rank count.
 // ---------------------------------------------------------------------
 
-// Figure2Scaling models the scaling curve with compact pinning.
-func Figure2Scaling(o Options) ([]cloverleaf.ScalingPoint, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(1)
+// Figure2Scaling models the scaling curve with compact pinning. The
+// speedup is over the serial run, which is modeled as well when the
+// rank list leaves it out.
+func Figure2Scaling(ctx context.Context, o Options) ([]cloverleaf.ScalingPoint, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := to.Machine
-	ranks := o.rankList(spec.Cores())
-
-	// Compute points in parallel (each is an independent model run).
-	pts := make([]cloverleaf.ScalingPoint, len(ranks))
-	err = sweep.ForEach(context.Background(), experimentWorkers, len(ranks), func(i int) error {
-		n := ranks[i]
+	ranks := o.rankList(to.Machine.Cores())
+	models := make([]*cloverleaf.NodeModel, len(ranks))
+	err = sweep.ForEach(ctx, 0, len(ranks), func(i int) error {
 		oo := to
-		oo.Ranks = n
-		m, err := cloverleaf.ModelNode(oo)
-		if err != nil {
-			return err
-		}
-		pts[i] = cloverleaf.ScalingPoint{
-			Ranks:          n,
-			StepSeconds:    m.StepSeconds,
-			MPISeconds:     m.MPIPerStep.Total(),
-			BandwidthGBs:   m.BandwidthBytes / 1e9,
-			Prime:          decomp.IsPrime(n),
-			InnerDimension: decomp.InnerDim(n, 15360, 15360),
-		}
-		pts[i].Speedup = m.TotalStepSeconds // patched below with serial baseline
-		return nil
+		oo.Ranks = ranks[i]
+		var err error
+		models[i], err = cloverleaf.ModelNode(oo)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	// Serial baseline: the run with ranks==1 must be part of the list.
 	serial := -1.0
-	for i := range pts {
-		if pts[i].Ranks == 1 {
-			serial = pts[i].Speedup
+	for _, m := range models {
+		if m.Ranks == 1 {
+			serial = m.TotalStepSeconds
 		}
 	}
 	if serial < 0 {
-		oo := to
-		oo.Ranks = 1
-		m, err := cloverleaf.ModelNode(oo)
+		m, err := cloverleaf.ModelNode(to) // to is the serial run
 		if err != nil {
 			return nil, nil, err
 		}
 		serial = m.TotalStepSeconds
 	}
+	pts := make([]cloverleaf.ScalingPoint, len(models))
 	t := csvout.New("ranks", "speedup", "bandwidth_gbs", "step_sec", "mpi_sec", "prime", "inner_dim")
-	for i := range pts {
-		pts[i].Speedup = serial / pts[i].Speedup
-		p := pts[i]
+	for i, m := range models {
+		n := m.Ranks
+		p := cloverleaf.ScalingPoint{
+			Ranks:          n,
+			Speedup:        serial / m.TotalStepSeconds,
+			BandwidthGBs:   m.BandwidthBytes / 1e9,
+			StepSeconds:    m.StepSeconds,
+			MPISeconds:     m.MPIPerStep.Total(),
+			Prime:          decomp.IsPrime(n),
+			InnerDimension: decomp.InnerDim(n, 15360, 15360),
+		}
+		pts[i] = p
 		t.Add(p.Ranks, p.Speedup, p.BandwidthGBs, p.StepSeconds, p.MPISeconds, p.Prime, p.InnerDimension)
 	}
 	return pts, t, nil
@@ -178,18 +167,15 @@ type BalancePoint struct {
 }
 
 // Figure3CodeBalance sweeps rank counts and reports per-loop byte/it.
-func Figure3CodeBalance(o Options) ([]BalancePoint, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(1)
+func Figure3CodeBalance(ctx context.Context, o Options) ([]BalancePoint, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 1)
 	if err != nil {
 		return nil, nil, err
 	}
 	to.HotspotOnly = true
-	spec := to.Machine
-	ranks := o.rankList(spec.Cores())
-
+	ranks := o.rankList(to.Machine.Cores())
 	pts := make([]BalancePoint, len(ranks))
-	err = sweep.ForEach(context.Background(), experimentWorkers, len(ranks), func(i int) error {
+	err = sweep.ForEach(ctx, 0, len(ranks), func(i int) error {
 		oo := to
 		oo.Ranks = ranks[i]
 		res, err := cloverleaf.RunTraffic(oo)
@@ -232,9 +218,8 @@ type MPIShare struct {
 
 // Figure4MPIShare models the serial/MPI runtime split for the paper's
 // rank selection {2,17,18,19,37,38,71,72}.
-func Figure4MPIShare(o Options) ([]MPIShare, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(1)
+func Figure4MPIShare(ctx context.Context, o Options) ([]MPIShare, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -279,15 +264,14 @@ type StorePoint struct {
 
 // FigureStoreRatio sweeps core counts for 1-3 store streams, with and
 // without NT stores, on the configured machine.
-func FigureStoreRatio(o Options) ([]StorePoint, *csvout.Table, error) {
-	o = o.withDefaults()
-	spec, err := o.machine()
+func FigureStoreRatio(ctx context.Context, o Options) ([]StorePoint, *csvout.Table, error) {
+	o, spec, err := o.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
 	cores := o.rankList(spec.Cores())
 	pts := make([]StorePoint, len(cores))
-	err = sweep.ForEach(context.Background(), experimentWorkers, len(cores), func(i int) error {
+	err = sweep.ForEach(ctx, 0, len(cores), func(i int) error {
 		n := cores[i]
 		p := StorePoint{Cores: n}
 		for s := 1; s <= 3; s++ {
@@ -330,16 +314,12 @@ type CopyVolumePoint struct {
 
 // Figure6CopyVolumes sweeps thread counts of the copy kernel on one
 // socket (the paper plots 1..36).
-func Figure6CopyVolumes(o Options) ([]CopyVolumePoint, *csvout.Table, error) {
-	o = o.withDefaults()
-	spec, err := o.machine()
+func Figure6CopyVolumes(ctx context.Context, o Options) ([]CopyVolumePoint, *csvout.Table, error) {
+	o, spec, err := o.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	threads := o.Ranks
-	if len(threads) == 0 {
-		threads = o.rankList(spec.CoresPerSocket)
-	}
+	threads := o.rankList(spec.CoresPerSocket)
 	t := csvout.New("threads", "read_bpi", "write_bpi", "speci2m_bpi")
 	out := make([]CopyVolumePoint, 0, len(threads))
 	for _, n := range threads {
@@ -369,9 +349,8 @@ type Figure7Row struct {
 
 // Figure7RefinedModel compares the phenomenological model against the
 // simulated full-node measurement, original and optimized builds.
-func Figure7RefinedModel(o Options) ([]Figure7Row, *csvout.Table, error) {
-	o = o.withDefaults()
-	to, err := o.trafficOpts(0)
+func Figure7RefinedModel(ctx context.Context, o Options) ([]Figure7Row, *csvout.Table, error) {
+	to, err := o.trafficOpts(ctx, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -424,52 +403,36 @@ type HaloPoint struct {
 // FigureHaloCopy sweeps halo sizes 0..17 for inner dimensions 216, 530,
 // 1920 on the full node; withPFOff additionally repeats the sweep with
 // prefetchers disabled (Fig. 8's "PF off" series).
-func FigureHaloCopy(o Options, withPFOff bool) ([]HaloPoint, *csvout.Table, error) {
-	o = o.withDefaults()
-	spec, err := o.machine()
+func FigureHaloCopy(ctx context.Context, o Options, withPFOff bool) ([]HaloPoint, *csvout.Table, error) {
+	o, spec, err := o.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	dims := []int{216, 530, 1920}
 	pf := []bool{false}
 	if withPFOff {
 		pf = []bool{false, true}
 	}
-	type job struct {
-		dim, halo int
-		pfoff     bool
-	}
-	var jobs []job
+	var pts []HaloPoint
 	for _, pfoff := range pf {
-		for _, d := range dims {
+		for _, d := range []int{216, 530, 1920} {
 			for h := 0; h <= 17; h++ {
-				jobs = append(jobs, job{d, h, pfoff})
+				pts = append(pts, HaloPoint{Inner: d, Halo: h, PFOff: pfoff})
 			}
 		}
 	}
-	pts := make([]HaloPoint, len(jobs))
-	if err := sweep.ForEach(context.Background(), experimentWorkers, len(jobs), func(i int) error {
-		j := jobs[i]
+	if err := sweep.ForEach(ctx, 0, len(pts), func(i int) error {
+		p := &pts[i]
 		r, err := bench.RunCopy(bench.CopyOptions{
 			Machine: spec, Cores: spec.Cores(), Elems: 1 << 18,
-			Inner: j.dim, Halo: j.halo, PFOff: j.pfoff, Seed: o.Seed})
+			Inner: p.Inner, Halo: p.Halo, PFOff: p.PFOff, Seed: o.Seed})
 		if err != nil {
 			return err
 		}
-		pts[i] = HaloPoint{Inner: j.dim, Halo: j.halo, PFOff: j.pfoff, RWRatio: r.RWRatio()}
+		p.RWRatio = r.RWRatio()
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	sort.SliceStable(pts, func(a, b int) bool {
-		if pts[a].PFOff != pts[b].PFOff {
-			return !pts[a].PFOff
-		}
-		if pts[a].Inner != pts[b].Inner {
-			return pts[a].Inner < pts[b].Inner
-		}
-		return pts[a].Halo < pts[b].Halo
-	})
 	t := csvout.New("inner", "halo", "pf_off", "rw_ratio")
 	for _, p := range pts {
 		t.Add(p.Inner, p.Halo, p.PFOff, p.RWRatio)

@@ -1,16 +1,22 @@
 package cloversim
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"cloversim/internal/trace"
 )
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MachineName != "icx" || o.MaxRows != 32 || o.Steps != 5 || o.Seed == 0 {
-		t.Fatalf("defaults: %+v", o)
+	o, spec, err := Options{}.resolve()
+	if err != nil || o.MachineName != "icx" || spec.Name != "icx" || o.MaxRows != 32 || o.Seed == 0 {
+		t.Fatalf("defaults: %+v %v", o, err)
 	}
-	if _, err := (Options{MachineName: "nope"}).machine(); err == nil {
+	if _, _, err := (Options{MachineName: "nope"}).resolve(); err == nil {
 		t.Error("unknown machine accepted")
 	}
 	if len(Machines()) < 5 {
@@ -18,19 +24,85 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestRankList: a Ranks entry outside 1..cores is an error in every
+// runner, before anything is simulated; valid lists are used as given.
 func TestRankList(t *testing.T) {
-	o := Options{Ranks: []int{0, 1, 5, 99}}
-	got := o.rankList(72)
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("rankList filtered to %v", got)
+	o := Options{Ranks: []int{72, 1, 5}}
+	if _, _, err := o.resolve(); err != nil {
+		t.Fatal(err)
 	}
-	if got := (Options{}).rankList(3); len(got) != 3 || got[2] != 3 {
+	if got := o.rankList(72); !slices.Equal(got, []int{72, 1, 5}) {
+		t.Fatalf("rankList %v, want the list as given", got)
+	}
+	if got := (Options{}).rankList(3); !slices.Equal(got, []int{1, 2, 3}) {
 		t.Fatalf("default rank list %v", got)
+	}
+	for _, ranks := range [][]int{{0}, {1, 73}, {-5, 2}} {
+		if _, _, err := (Options{Ranks: ranks}).resolve(); err == nil {
+			t.Errorf("ranks %v accepted on icx", ranks)
+		}
+	}
+	if _, _, err := (Options{MachineName: "spr8480", Ranks: []int{112}}).resolve(); err != nil {
+		t.Errorf("112 ranks rejected on spr8480: %v", err)
+	}
+
+	memo := trace.NewMemo()
+	ctx := trace.WithMemo(t.Context(), memo)
+	bad := Options{Ranks: []int{0, 80}}
+	for name, run := range map[string]func() error{
+		"profile": func() error { _, _, err := Listing2Profile(ctx, bad); return err },
+		"table1":  func() error { _, _, err := TableI(ctx, bad); return err },
+		"scaling": func() error { _, _, err := Figure2Scaling(ctx, bad); return err },
+		"balance": func() error { _, _, err := Figure3CodeBalance(ctx, bad); return err },
+		"mpi":     func() error { _, _, err := Figure4MPIShare(ctx, bad); return err },
+		"stores":  func() error { _, _, err := FigureStoreRatio(ctx, bad); return err },
+		"copyvol": func() error { _, _, err := Figure6CopyVolumes(ctx, bad); return err },
+		"model":   func() error { _, _, err := Figure7RefinedModel(ctx, bad); return err },
+		"halo":    func() error { _, _, err := FigureHaloCopy(ctx, bad, false); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "rank count 0 outside 1..72") {
+			t.Errorf("%s with ranks %v: err %v", name, bad.Ranks, err)
+		}
+	}
+	if st := memo.Stats(); st != (trace.MemoStats{}) {
+		t.Errorf("rejected runs touched the memo: %+v", st)
+	}
+}
+
+// TestFigureOnContextMemo: a runner replays its loops through the memo
+// its context carries, so running a figure again on that context
+// simulates nothing, and the shared memo changes no byte of the table.
+func TestFigureOnContextMemo(t *testing.T) {
+	o := Options{Ranks: []int{1, 71, 72}, MaxRows: 16}
+	csv := func(ctx context.Context) []byte {
+		t.Helper()
+		_, table, err := Figure3CodeBalance(ctx, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := table.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	memo := trace.NewMemo()
+	ctx := trace.WithMemo(t.Context(), memo)
+	first := csv(ctx)
+	cold := memo.Stats()
+	second := csv(ctx)
+	warm := memo.Stats()
+	if cold.Replays == 0 || warm.Replays != cold.Replays || warm.Hits <= cold.Hits {
+		t.Errorf("memo stats after the first run %+v, after the second %+v: want replays only in the first", cold, warm)
+	}
+	fresh := csv(t.Context())
+	if !bytes.Equal(first, fresh) || !bytes.Equal(second, fresh) {
+		t.Errorf("tables differ:\nfirst:\n%s\nsecond:\n%s\nfresh context:\n%s", first, second, fresh)
 	}
 }
 
 func TestListing2ProfileShape(t *testing.T) {
-	p, table, err := Listing2Profile(Options{MaxRows: 16})
+	p, table, err := Listing2Profile(t.Context(), Options{MaxRows: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +120,7 @@ func TestListing2ProfileShape(t *testing.T) {
 }
 
 func TestTableIReproduction(t *testing.T) {
-	rows, table, err := TableI(Options{})
+	rows, table, err := TableI(t.Context(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +140,25 @@ func TestTableIReproduction(t *testing.T) {
 }
 
 func TestFigure2SubsetShape(t *testing.T) {
-	pts, table, err := Figure2Scaling(Options{Ranks: []int{1, 18, 36, 71, 72}, MaxRows: 24})
+	pts, table, err := Figure2Scaling(t.Context(), Options{Ranks: []int{1, 4, 18, 36, 71, 72}, MaxRows: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 5 || len(table.Rows) != 5 {
+	if len(pts) != 6 || len(table.Rows) != 6 {
 		t.Fatalf("%d points", len(pts))
 	}
 	by := map[int]float64{}
 	for _, p := range pts {
 		by[p.Ranks] = p.Speedup
+		if p.Prime != (p.Ranks == 71) {
+			t.Errorf("ranks %d flagged prime=%v", p.Ranks, p.Prime)
+		}
 	}
 	if by[1] != 1 {
 		t.Errorf("serial speedup %g", by[1])
+	}
+	if by[4] < 3 {
+		t.Errorf("4-rank speedup %.2f, want near 4", by[4])
 	}
 	if by[71] >= by[72] {
 		t.Errorf("prime drop missing: speedup(71)=%.2f >= speedup(72)=%.2f", by[71], by[72])
@@ -88,10 +166,18 @@ func TestFigure2SubsetShape(t *testing.T) {
 	if by[72] < 25 {
 		t.Errorf("full-node speedup %.1f unreasonably low", by[72])
 	}
+	// Without the serial run in the list, the speedup is still over it.
+	sub, _, err := Figure2Scaling(t.Context(), Options{Ranks: []int{72}, MaxRows: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub[0].Speedup != by[72] {
+		t.Errorf("speedup(72) %g without the serial point, %g with it", sub[0].Speedup, by[72])
+	}
 }
 
 func TestFigure3ClassBehaviour(t *testing.T) {
-	pts, _, err := Figure3CodeBalance(Options{Ranks: []int{1, 36, 71, 72}, MaxRows: 24})
+	pts, _, err := Figure3CodeBalance(t.Context(), Options{Ranks: []int{1, 36, 71, 72}, MaxRows: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +206,7 @@ func TestFigure3ClassBehaviour(t *testing.T) {
 }
 
 func TestFigure4Shares(t *testing.T) {
-	shares, _, err := Figure4MPIShare(Options{MaxRows: 16})
+	shares, _, err := Figure4MPIShare(t.Context(), Options{MaxRows: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +232,7 @@ func TestFigure4Shares(t *testing.T) {
 }
 
 func TestFigureStoreRatioICXAnchors(t *testing.T) {
-	pts, _, err := FigureStoreRatio(Options{Ranks: []int{1, 36, 72}})
+	pts, _, err := FigureStoreRatio(t.Context(), Options{Ranks: []int{1, 36, 72}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +255,7 @@ func TestFigureStoreRatioICXAnchors(t *testing.T) {
 }
 
 func TestFigure6Crossover(t *testing.T) {
-	pts, _, err := Figure6CopyVolumes(Options{Ranks: []int{1, 9, 17}})
+	pts, _, err := Figure6CopyVolumes(t.Context(), Options{Ranks: []int{1, 9, 17}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +273,7 @@ func TestFigure6Crossover(t *testing.T) {
 }
 
 func TestFigure7ModelError(t *testing.T) {
-	rows, _, err := Figure7RefinedModel(Options{MaxRows: 24})
+	rows, _, err := Figure7RefinedModel(t.Context(), Options{MaxRows: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +300,7 @@ func TestFigure7ModelError(t *testing.T) {
 }
 
 func TestFigureHaloCopyOrdering(t *testing.T) {
-	pts, _, err := FigureHaloCopy(Options{}, false)
+	pts, _, err := FigureHaloCopy(t.Context(), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +316,7 @@ func TestFigureHaloCopyOrdering(t *testing.T) {
 }
 
 func TestSPRMachinesRun(t *testing.T) {
-	pts, _, err := FigureStoreRatio(Options{MachineName: "spr8480", Ranks: []int{1, 56, 112}})
+	pts, _, err := FigureStoreRatio(t.Context(), Options{MachineName: "spr8480", Ranks: []int{1, 56, 112}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +324,7 @@ func TestSPRMachinesRun(t *testing.T) {
 		t.Errorf("SPR socket ratio %.3f, want ~1.5", pts[1].Normal[0])
 	}
 	// SNC-on 8470 runs too (Fig. 9).
-	if _, _, err := FigureStoreRatio(Options{MachineName: "spr8470+s", Ranks: []int{1, 13, 26}}); err != nil {
+	if _, _, err := FigureStoreRatio(t.Context(), Options{MachineName: "spr8470+s", Ranks: []int{1, 13, 26}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -205,6 +205,9 @@ func RunMPIThreaded(cfg Config, n, threads int) (Summary, []mpi.Times, error) {
 	if err := cfg.Validate(); err != nil {
 		return Summary{}, nil, err
 	}
+	if n < 1 {
+		return Summary{}, nil, errf("need at least 1 rank, got %d", n)
+	}
 	subs := decomp.Decompose(n, cfg.GridX, cfg.GridY)
 	world := mpi.NewWorld(n, mpi.DefaultTimeModel())
 	var summary Summary

@@ -245,6 +245,16 @@ func TestSerialVsMPIEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunMPIRankCount: fewer than one rank is an error, not a panic in
+// the MPI world.
+func TestRunMPIRankCount(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if _, _, err := RunMPIThreaded(Small(16, 2), n, 1); err == nil {
+			t.Errorf("%d ranks accepted", n)
+		}
+	}
+}
+
 func TestMPIPrimeRankCount(t *testing.T) {
 	// Prime rank counts force the 1D inner-dimension decomposition.
 	cfg := Small(55, 6)

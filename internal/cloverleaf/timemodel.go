@@ -179,7 +179,7 @@ func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) mpi.Time
 	return t
 }
 
-// ScalingPoint is one entry of the Fig. 2 curve.
+// ScalingPoint is one entry of the Fig. 2 curve (cloversim.Figure2Scaling).
 type ScalingPoint struct {
 	Ranks          int
 	Speedup        float64
@@ -188,32 +188,4 @@ type ScalingPoint struct {
 	MPISeconds     float64
 	Prime          bool
 	InnerDimension int
-}
-
-// ScalingCurve models ranks 1..maxRanks and returns speedup and achieved
-// bandwidth per rank count (Fig. 2).
-func ScalingCurve(base TrafficOptions, maxRanks int) ([]ScalingPoint, error) {
-	var serial float64
-	out := make([]ScalingPoint, 0, maxRanks)
-	for n := 1; n <= maxRanks; n++ {
-		o := base
-		o.Ranks = n
-		m, err := ModelNode(o)
-		if err != nil {
-			return nil, err
-		}
-		if n == 1 {
-			serial = m.TotalStepSeconds
-		}
-		out = append(out, ScalingPoint{
-			Ranks:          n,
-			Speedup:        serial / m.TotalStepSeconds,
-			BandwidthGBs:   m.BandwidthBytes / 1e9,
-			StepSeconds:    m.StepSeconds,
-			MPISeconds:     m.MPIPerStep.Total(),
-			Prime:          decomp.IsPrime(n),
-			InnerDimension: decomp.InnerDim(n, o.GridX, o.GridY),
-		})
-	}
-	return out, nil
 }

@@ -201,7 +201,8 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 }
 
 // RunTraffic simulates the memory traffic of one hydro step for the
-// given rank count and returns per-loop aggregates.
+// given rank count and returns per-loop aggregates. A rank count whose
+// decomposition leaves a rank without cells is an error.
 func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 	o.defaults()
 	if o.Machine == nil {
@@ -222,6 +223,9 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 	var groups []*rankGroup
 	index := map[[3]int]int{}
 	for _, s := range decomp.Decompose(o.Ranks, o.GridX, o.GridY) {
+		if s.XSpan() < 1 || s.YSpan() < 1 {
+			return nil, fmt.Errorf("cloverleaf: %d ranks leave rank %d of the %dx%d mesh without cells", o.Ranks, s.Rank, o.GridX, o.GridY)
+		}
 		p := spec.PressureAt(s.Rank, o.Ranks)
 		key := [3]int{s.XSpan(), s.YSpan(), int(p * 1e6)}
 		if i, ok := index[key]; ok {

@@ -2,6 +2,7 @@ package cloverleaf
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloversim/internal/machine"
@@ -209,6 +210,75 @@ func TestSpecI2MOffFlattens(t *testing.T) {
 	}
 }
 
+// TestInstrumentedSpecI2MKnob: disabling the feature raises the measured
+// traffic of evadable loops under saturation pressure, and leaves a
+// class-(iii) loop where it was.
+func TestInstrumentedSpecI2MKnob(t *testing.T) {
+	run := func(off bool) *TrafficResult {
+		res, err := RunTraffic(TrafficOptions{
+			Machine: machine.ICX8360Y(), Ranks: 18, MaxRows: 24,
+			AlignArrays: true, HotspotOnly: true, SpecI2MOff: off,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	on, off := run(false), run(true)
+	if bOn, bOff := on.Loop("am04").BytesPerIt(on.InnerCells), off.Loop("am04").BytesPerIt(off.InnerCells); bOn >= bOff {
+		t.Errorf("SpecI2M on (%.2f) should beat off (%.2f) for am04", bOn, bOff)
+	}
+	if bOn, bOff := on.Loop("am07").BytesPerIt(on.InnerCells), off.Loop("am07").BytesPerIt(off.InnerCells); math.Abs(bOn-bOff) > 0.5 {
+		t.Errorf("am07 moved with the knob: %.2f vs %.2f", bOn, bOff)
+	}
+}
+
+// TestInstrumentedRunMatchesTable1: a physics run and the traffic study
+// of the same mesh agree with the paper's Table I. The solver keeps a
+// positive mass; the study covers all 22 hotspot loops at their call
+// rates (integer-call loops every step, the half-call sweeps on
+// alternate steps); each loop's single-core code balance is within 25%
+// of the LCF+WA prediction (the 96x96 rows are short, so halo overhead
+// is larger than on the paper's mesh).
+func TestInstrumentedRunMatchesTable1(t *testing.T) {
+	cfg := Small(96, 4)
+	s, err := RunSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Mass <= 0 {
+		t.Fatal("physics side broke")
+	}
+
+	res, err := RunTraffic(TrafficOptions{
+		Machine: machine.ICX8360Y(), Ranks: 1, GridX: cfg.GridX, GridY: cfg.GridY,
+		MaxRows: 32, AlignArrays: true, HotspotOnly: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Loops) != 22 {
+		t.Fatalf("study covers %d loops", len(res.Loops))
+	}
+	for _, row := range model.Table1 {
+		lt := res.Loop(row.Name)
+		if lt == nil {
+			t.Fatalf("loop %s missing", row.Name)
+		}
+		got, pred := lt.BytesPerIt(res.InnerCells), float64(row.BytesLCFWA())
+		if e := math.Abs(got-pred) / pred; e > 0.25 {
+			t.Errorf("%s: simulated %.2f vs LCF+WA %.0f (%.0f%% off)",
+				row.Name, got, pred, 100*e)
+		}
+	}
+	if c := res.Loop("am04").CallsPerStep; c != 2 {
+		t.Errorf("am04 calls/step = %g, want 2", c)
+	}
+	if c := res.Loop("ac00").CallsPerStep; c != 0.5 {
+		t.Errorf("ac00 calls/step = %g, want 0.5", c)
+	}
+}
+
 // TestNTStoresReduceBalance: the optimized build must lower the total
 // hotspot code balance (paper: 5.8% on average, max 23.2% per loop).
 func TestNTStoresReduceBalance(t *testing.T) {
@@ -303,6 +373,21 @@ func TestTrafficOptionValidation(t *testing.T) {
 	}
 	if _, err := RunTraffic(TrafficOptions{Machine: machine.ICX8360Y(), Ranks: 1000}); err == nil {
 		t.Error("oversubscription accepted")
+	}
+	// A prime rank count cuts the inner dimension into that many
+	// chunks: more chunks than columns leaves ranks without cells.
+	for _, c := range []struct{ ranks, mesh int }{{5, 4}, {3, 2}, {7, 6}} {
+		_, err := RunTraffic(TrafficOptions{Machine: machine.ICX8360Y(), Ranks: c.ranks, GridX: c.mesh, GridY: c.mesh})
+		if err == nil || !strings.Contains(err.Error(), "without cells") {
+			t.Errorf("%d ranks on a %dx%[2]d mesh: err %v, want a rank without cells", c.ranks, c.mesh, err)
+		}
+	}
+	res, err := RunTraffic(TrafficOptions{Machine: machine.ICX8360Y(), Ranks: 4, GridX: 4, GridY: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.BytesPerStep(); !(v > 0) || math.IsInf(v, 0) {
+		t.Errorf("4 ranks on a 4x4 mesh: %g bytes per step", v)
 	}
 }
 

@@ -286,6 +286,37 @@ func TestExitCodeOnScenarioFailure(t *testing.T) {
 	}
 }
 
+// TestE2EEmptySubdomainFails: a CloverLeaf cell whose decomposition
+// leaves a rank without cells (5 ranks cut a 4-column mesh into 5 x
+// chunks) fails instead of reporting NaN metrics: the run exits 1, the
+// cell's row reads error, and the store keeps nothing to serve.
+func TestE2EEmptySubdomainFails(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	args := func(out string) []string {
+		return []string{"-q", "-machines", "icx", "-workloads", "cloverleaf", "-modes", "baseline",
+			"-ranks", "5", "-mesh", "4x4", "-store", storeDir, "-out", out}
+	}
+	for run := 0; run < 2; run++ {
+		out := filepath.Join(t.TempDir(), "out")
+		var sims atomic.Int64
+		code, _, stderr := runCLI(t, args(out), countRunner(&sims))
+		if code != ExitRuntime {
+			t.Fatalf("run %d: exit %d, want %d; stderr:\n%s", run, code, ExitRuntime, stderr)
+		}
+		if sims.Load() != 1 {
+			t.Errorf("run %d simulated %d cells, want 1: a failed cell is never served from the store", run, sims.Load())
+		}
+		csv, err := os.ReadFile(filepath.Join(out, "campaign.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
+		if len(lines) != 2 || !strings.HasSuffix(lines[1], ",error: cloverleaf: 5 ranks leave rank 4 of the 4x4 mesh without cells") {
+			t.Errorf("run %d campaign.csv:\n%s", run, csv)
+		}
+	}
+}
+
 // TestExitCodeOnUsageError: unknown axis values are usage errors.
 func TestExitCodeOnUsageError(t *testing.T) {
 	cases := [][]string{

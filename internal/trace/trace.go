@@ -13,7 +13,9 @@
 // a Loop on it, and Replay runs any other access pattern, such as the
 // bench package's store and copy microbenchmarks, on the same path
 // (memo lookup, a hierarchy borrowed from memsim's pool, a panic that
-// leaves the executor as it was).
+// leaves the executor as it was). Each replay returns its own traffic
+// delta; the executor keeps no running counters, so callers such as
+// the CloverLeaf traffic study sum the deltas they need.
 package trace
 
 import (
@@ -209,9 +211,10 @@ func (l *Loop) Validate() error {
 // Executor is one simulated core, and the only code that simulates
 // one: the CloverLeaf loops, the kernel workloads and the
 // microbenchmarks all replay on an Executor. It holds no cache
-// hierarchy: every replay starts from a pristine one and the executor
-// keeps only what a replay leaves for the next, the counters and the
-// prefetch slot cursor.
+// hierarchy and no counters: every replay starts from a pristine
+// hierarchy, returns its own traffic delta, and leaves the executor
+// only what the next replay starts from, the store engine's state and
+// the prefetch slot cursor.
 type Executor struct {
 	// NTStores globally enables the per-stream NT flags (the NT_STORE_DIR
 	// build knob of the paper's patched CloverLeaf).
@@ -224,8 +227,7 @@ type Executor struct {
 	e      *core.StoreEngine
 	memo   *Memo
 	key    keyer
-	c      memsim.Counts // the traffic of every replay so far
-	cursor int           // the prefetch slot cursor the next replay starts at
+	cursor int // the prefetch slot cursor the next replay starts at
 }
 
 // Env captures the machine-state part of the store-engine context.
@@ -245,10 +247,6 @@ func NewExecutor(spec *machine.Spec, memo *Memo) *Executor {
 
 // Seed reseeds the store engine's deterministic PRNG.
 func (x *Executor) Seed(s uint64) { x.e.Seed(s) }
-
-// Counts returns the traffic of every replay so far: the executor is
-// the counter source of a LIKWID-style marker.
-func (x *Executor) Counts() memsim.Counts { return x.c }
 
 // Run replays one loop over the bounds and returns the traffic delta:
 // it is Replay with the loop's body.
@@ -271,11 +269,11 @@ func (x *Executor) Run(l *Loop, b Bounds) memsim.Counts {
 // engine draws its dice, and the key is the SHA-256 of the Shape of the
 // pristine hierarchy the replay starts from (the machine's caches, the
 // prefetch state and the executor's slot cursor) followed by every
-// (kind, start, n) operation memsim would receive. A hit adds the
-// stored delta and cursor without simulating. A miss rewinds the engine
-// to before the dry pass and runs body again into a hierarchy borrowed
-// from memsim's pool for that replay alone. Either way the engine and
-// the returned delta end bit-identical. Without a memo, Replay runs
+// (kind, start, n) operation memsim would receive. A hit returns the
+// stored delta and sets the stored cursor without simulating. A miss
+// rewinds the engine to before the dry pass and runs body again into a
+// hierarchy borrowed from memsim's pool for that replay alone. Either
+// way the engine, the cursor and the returned delta end bit-identical. Without a memo, Replay runs
 // body once into a borrowed hierarchy. A Replay that panics leaves the
 // executor as it was before the call.
 func (x *Executor) Replay(body func(e *core.StoreEngine, be core.Backend)) memsim.Counts {
@@ -295,7 +293,6 @@ func (x *Executor) Replay(body func(e *core.StoreEngine, be core.Backend)) memsi
 			return x.replay(body)
 		})
 	}
-	x.c = x.c.Add(v.delta)
 	x.cursor = int(v.cursor)
 	ok = true
 	return v.delta

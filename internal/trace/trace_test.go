@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"cloversim/internal/machine"
+	"cloversim/internal/memsim"
 )
 
 func mkExec() *Executor {
@@ -254,5 +256,36 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("trace replay is not deterministic")
+	}
+}
+
+// TestRunMarked: repeated replays of a serial copy each return their
+// own delta; summed over three calls, the copy moves 24 B per iteration
+// with write allocate (16 read + 8 write).
+func TestRunMarked(t *testing.T) {
+	ar := NewArena(true)
+	src := ar.Alloc("src", 0, 1023, 0, 31)
+	dst := ar.Alloc("dst", 0, 1023, 0, 31)
+	loop := &Loop{
+		Name:       "copyk",
+		Reads:      []Access{{A: src, DJ: 0, DK: 0}},
+		Writes:     []Write{{A: dst}},
+		FlopsPerIt: 1,
+	}
+	x := mkExec()
+	b := Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 31}
+	var total memsim.Counts
+	for i := 0; i < 3; i++ {
+		total = total.Add(x.Run(loop, b))
+	}
+	iters := float64(3 * b.Iterations())
+	if bpi := float64(total.TotalBytes()) / iters; math.Abs(bpi-24) > 1 {
+		t.Fatalf("copy balance %.2f, want ~24", bpi)
+	}
+	if rpi := float64(total.ReadBytes()) / iters; math.Abs(rpi-16) > 1 {
+		t.Errorf("copy read balance %.2f, want ~16", rpi)
+	}
+	if wpi := float64(total.WriteBytes()) / iters; math.Abs(wpi-8) > 1 {
+		t.Errorf("copy write balance %.2f, want ~8", wpi)
 	}
 }
