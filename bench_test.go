@@ -299,7 +299,7 @@ func BenchmarkHierarchyStreamingLoad(b *testing.B) {
 	h := memsim.New(machine.ICX8360Y())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Load(int64(i))
+		h.AccessRange(int64(i), 1, memsim.AccessLoad)
 	}
 	b.ReportMetric(float64(h.Counts().MemReadLines)/float64(b.N), "missrate")
 }

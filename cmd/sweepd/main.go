@@ -47,6 +47,12 @@
 // The store directory is shared with cmd/sweep -store: campaigns run
 // offline become servable immediately, and expansions triggered over
 // HTTP warm the store for later CLI runs.
+//
+// Exit codes: 0 after a clean shutdown, 1 on a runtime failure (the
+// store cannot be opened, the address cannot be served, the final sync
+// fails), 2 on a usage error. A missing -store, a negative -workers,
+// -expand-timeout or -drain-timeout, and a -max-cells below 1 are usage
+// errors, reported before the store opens.
 package main
 
 import (
@@ -54,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -66,24 +73,54 @@ import (
 	"cloversim/internal/sweepd"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run checks the flags before the store opens: a bad value exits 2
+// with a message and leaves no store behind. Runtime failures exit 1.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		storeDir      = flag.String("store", "", "persistent result store directory (required)")
-		addr          = flag.String("addr", ":8075", "HTTP listen address")
-		workers       = flag.Int("workers", 0, "max concurrent cold-cell simulations across all requests (0 = GOMAXPROCS)")
-		expandTimeout = flag.Duration("expand-timeout", 0, "per-request deadline for POST /v1/expand (0 = no server-side deadline)")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting them")
-		maxCells      = flag.Int("max-cells", sweepd.DefaultMaxCells, "largest cell count one POST /v1/expand may carry; advertised in /v1/healthz so dispatchers clamp chunk sizes")
+		storeDir      = fs.String("store", "", "persistent result store directory (required)")
+		addr          = fs.String("addr", ":8075", "HTTP listen address")
+		workers       = fs.Int("workers", 0, "max concurrent cold-cell simulations across all requests (0 = GOMAXPROCS)")
+		expandTimeout = fs.Duration("expand-timeout", 0, "per-request deadline for POST /v1/expand (0 = no server-side deadline)")
+		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting them")
+		maxCells      = fs.Int("max-cells", sweepd.DefaultMaxCells, "largest cell count one POST /v1/expand may carry; advertised in /v1/healthz so dispatchers clamp chunk sizes")
 	)
-	flag.Parse()
-	if *storeDir == "" {
-		fatal(errors.New("-store is required"))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	var usage error
+	switch {
+	case *storeDir == "":
+		usage = errors.New("-store is required")
+	case *workers < 0:
+		usage = fmt.Errorf("bad -workers %d: want 0 (GOMAXPROCS) or more", *workers)
+	case *maxCells < 1:
+		usage = fmt.Errorf("bad -max-cells %d: want at least 1", *maxCells)
+	case *expandTimeout < 0:
+		usage = fmt.Errorf("bad -expand-timeout %v: want 0 (no deadline) or more", *expandTimeout)
+	case *drainTimeout < 0:
+		usage = fmt.Errorf("bad -drain-timeout %v: want 0 or more", *drainTimeout)
+	}
+	if usage != nil {
+		fmt.Fprintln(stderr, "sweepd:", usage)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sweepd:", err)
+		return 1
+	}
+
 	st, err := store.Open(*storeDir, cloversim.PhysicsVersion)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "sweepd: store %s: %s (physics %s)\n", *storeDir, st.Stats(), st.Physics())
+	fmt.Fprintf(stderr, "sweepd: store %s: %s (physics %s)\n", *storeDir, st.Stats(), st.Physics())
 
 	server := sweepd.New(st, cloversim.RunScenarioContext, *workers)
 	server.ExpandTimeout = *expandTimeout
@@ -101,19 +138,20 @@ func main() {
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 	}
 	go func() {
-		fmt.Fprintf(os.Stderr, "sweepd: listening on %s\n", *addr)
+		fmt.Fprintf(stderr, "sweepd: listening on %s\n", *addr)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			fmt.Fprintln(stderr, "sweepd:", err)
+			os.Exit(1)
 		}
 	}()
 
 	stop := make(chan os.Signal, 2)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	fmt.Fprintln(os.Stderr, "sweepd: shutting down: draining in-flight requests (signal again to abort them)")
+	fmt.Fprintln(stderr, "sweepd: shutting down: draining in-flight requests (signal again to abort them)")
 	go func() {
 		<-stop
-		fmt.Fprintln(os.Stderr, "sweepd: aborting in-flight expands")
+		fmt.Fprintln(stderr, "sweepd: aborting in-flight expands")
 		abortInflight()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -122,19 +160,15 @@ func main() {
 		// The drain window closed with requests still running: cancel
 		// their contexts so the engines stop scheduling, then force the
 		// connections closed. Completed cells are already in the store.
-		fmt.Fprintf(os.Stderr, "sweepd: drain incomplete (%v); aborting in-flight expands\n", err)
+		fmt.Fprintf(stderr, "sweepd: drain incomplete (%v); aborting in-flight expands\n", err)
 		abortInflight()
 		srv.Close()
 	}
 	// Shutdown drained (or we gave up): make everything that finished
 	// durable. Close syncs the active segment before closing it.
 	if err := st.Close(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintln(os.Stderr, "sweepd: store synced and closed")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweepd:", err)
-	os.Exit(1)
+	fmt.Fprintln(stderr, "sweepd: store synced and closed")
+	return 0
 }

@@ -107,8 +107,3 @@ func (p Plot) Render() string {
 	}
 	return b.String()
 }
-
-// Line is a convenience for a single-series plot.
-func Line(title, xlabel string, x, y []float64) string {
-	return Plot{Title: title, XLabel: xlabel, Series: []Series{{Name: "", X: x, Y: y}}}.Render()
-}

@@ -6,8 +6,13 @@ import (
 	"testing"
 )
 
+// line renders a single-series plot.
+func line(title, xlabel string, x, y []float64) string {
+	return Plot{Title: title, XLabel: xlabel, Series: []Series{{X: x, Y: y}}}.Render()
+}
+
 func TestRenderBasic(t *testing.T) {
-	out := Line("speedup", "ranks", []float64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
+	out := line("speedup", "ranks", []float64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
 	if !strings.Contains(out, "speedup") {
 		t.Fatal("title missing")
 	}
@@ -52,16 +57,16 @@ func TestRenderMultiSeries(t *testing.T) {
 }
 
 func TestRenderDegenerate(t *testing.T) {
-	if out := Line("empty", "", nil, nil); !strings.Contains(out, "no data") {
+	if out := line("empty", "", nil, nil); !strings.Contains(out, "no data") {
 		t.Error("empty plot should say so")
 	}
 	// Constant series must not divide by zero.
-	out := Line("const", "x", []float64{1, 2, 3}, []float64{5, 5, 5})
+	out := line("const", "x", []float64{1, 2, 3}, []float64{5, 5, 5})
 	if strings.Contains(out, "NaN") {
 		t.Error("NaN leaked into the render")
 	}
 	// NaN points are skipped.
-	out = Line("nan", "x", []float64{1, math.NaN(), 3}, []float64{1, math.NaN(), 3})
+	out = line("nan", "x", []float64{1, math.NaN(), 3}, []float64{1, math.NaN(), 3})
 	if !strings.Contains(out, "*") {
 		t.Error("valid points should still draw")
 	}

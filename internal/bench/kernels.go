@@ -106,14 +106,6 @@ func (r KernelResult) StoreRatio() float64 {
 	return (r.V.Read + r.V.Write) / r.WriteVolume
 }
 
-// ExcessReadRatio returns measured reads over explicit read volume.
-func (r KernelResult) ExcessReadRatio() float64 {
-	if r.ReadVolume == 0 {
-		return 0
-	}
-	return r.V.Read / r.ReadVolume
-}
-
 // RunKernel executes a registry kernel across cores (compact pinning).
 func RunKernel(o KernelOptions) (KernelResult, error) {
 	k, ok := KernelByName(o.Kernel)

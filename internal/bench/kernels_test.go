@@ -80,7 +80,7 @@ func TestRunKernelUpdateNoWA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := kr.ExcessReadRatio(); math.Abs(r-1.0) > 0.02 {
+	if r := kr.V.Read / kr.ReadVolume; math.Abs(r-1.0) > 0.02 {
 		t.Errorf("update excess read ratio %.3f, want 1.0 (one pass, no WA)", r)
 	}
 	if math.Abs(kr.V.Write/kr.WriteVolume-1.0) > 0.02 {

@@ -75,12 +75,6 @@ func NewChunk(cfg Config, xmin, xmax, ymin, ymax int) *Chunk {
 	return c
 }
 
-// XSpan returns the inner x extent in cells.
-func (c *Chunk) XSpan() int { return c.XMax - c.XMin + 1 }
-
-// YSpan returns the inner y extent in cells.
-func (c *Chunk) YSpan() int { return c.YMax - c.YMin + 1 }
-
 // dx and dy are the uniform cell sizes.
 func (c *Chunk) dx() float64 { return (c.cfg.XMax - c.cfg.XMin) / float64(c.cfg.GridX) }
 func (c *Chunk) dy() float64 { return (c.cfg.YMax - c.cfg.YMin) / float64(c.cfg.GridY) }

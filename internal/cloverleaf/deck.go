@@ -185,24 +185,3 @@ func parseFloat(s string, out *float64) error {
 	*out = v
 	return nil
 }
-
-// FormatDeck renders a Config back into clover.in syntax (round-trip
-// support for tooling and tests).
-func FormatDeck(cfg Config) string {
-	var b strings.Builder
-	b.WriteString("*clover\n")
-	for i, st := range cfg.States {
-		fmt.Fprintf(&b, " state %d density=%g energy=%g", i+1, st.Density, st.Energy)
-		if i > 0 {
-			fmt.Fprintf(&b, " geometry=rectangle xmin=%g xmax=%g ymin=%g ymax=%g",
-				st.XMin, st.XMax, st.YMin, st.YMax)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, " x_cells=%d\n y_cells=%d\n", cfg.GridX, cfg.GridY)
-	fmt.Fprintf(&b, " xmin=%g\n ymin=%g\n xmax=%g\n ymax=%g\n", cfg.XMin, cfg.YMin, cfg.XMax, cfg.YMax)
-	fmt.Fprintf(&b, " initial_timestep=%g\n max_timestep=%g\n timestep_rise=%g\n", cfg.DtInit, cfg.DtMax, cfg.DtRise)
-	fmt.Fprintf(&b, " end_step=%d\n", cfg.EndStep)
-	b.WriteString("*endclover\n")
-	return b.String()
-}

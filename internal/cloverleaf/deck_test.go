@@ -78,21 +78,6 @@ func TestDeckIgnoresOutsideBlock(t *testing.T) {
 	}
 }
 
-func TestDeckRoundTrip(t *testing.T) {
-	orig, err := ParseDeck(strings.NewReader(sampleDeck))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseDeck(strings.NewReader(FormatDeck(orig)))
-	if err != nil {
-		t.Fatalf("round trip failed: %v\n%s", err, FormatDeck(orig))
-	}
-	if back.GridX != orig.GridX || back.EndStep != orig.EndStep ||
-		len(back.States) != len(orig.States) || back.States[1] != orig.States[1] {
-		t.Errorf("round trip changed config:\n%+v\n%+v", orig, back)
-	}
-}
-
 func TestDeckRuns(t *testing.T) {
 	// A parsed deck must actually simulate.
 	deck := strings.Replace(sampleDeck, "x_cells=960", "x_cells=24", 1)

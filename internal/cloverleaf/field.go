@@ -39,12 +39,6 @@ func (f *Field) At(j, k int) float64 { return f.V[(k-f.KLo)*f.row+(j-f.JLo)] }
 // Set assigns the value at (j,k).
 func (f *Field) Set(j, k int, v float64) { f.V[(k-f.KLo)*f.row+(j-f.JLo)] = v }
 
-// Add accumulates into (j,k).
-func (f *Field) Add(j, k int, v float64) { f.V[(k-f.KLo)*f.row+(j-f.JLo)] += v }
-
-// Row returns the padded row length in elements.
-func (f *Field) Row() int { return f.row }
-
 // Fill sets every element to v.
 func (f *Field) Fill(v float64) {
 	for i := range f.V {

@@ -17,13 +17,12 @@ func relDiff(a, b float64) float64 {
 func TestFieldIndexing(t *testing.T) {
 	f := NewField(-2, 5, -1, 3)
 	f.Set(-2, -1, 1.5)
-	f.Set(5, 3, 2.5)
-	f.Add(5, 3, 0.5)
+	f.Set(5, 3, 3.0)
 	if f.At(-2, -1) != 1.5 || f.At(5, 3) != 3.0 {
 		t.Fatal("field indexing broken")
 	}
-	if f.Row() != 8 || len(f.V) != 8*5 {
-		t.Fatalf("field shape: row %d len %d", f.Row(), len(f.V))
+	if f.row != 8 || len(f.V) != 8*5 {
+		t.Fatalf("field shape: row %d len %d", f.row, len(f.V))
 	}
 	g := NewField(-2, 5, -1, 3)
 	g.CopyFrom(f)

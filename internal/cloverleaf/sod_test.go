@@ -47,7 +47,7 @@ func TestSodShockTube(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kMid := r.Chunk.YMin + r.Chunk.YSpan()/2
+	kMid := r.Chunk.YMin + (r.Chunk.YMax-r.Chunk.YMin+1)/2
 	density := func(x float64) float64 {
 		j := r.Chunk.XMin + int(x*float64(nx))
 		return r.Chunk.Density0.At(j, kMid)

@@ -29,11 +29,6 @@ type NodeModel struct {
 	Traffic *TrafficResult
 }
 
-// SerialShare returns the fraction of runtime outside MPI (Fig. 4 "Serial").
-func (m *NodeModel) SerialShare() float64 {
-	return m.StepSeconds / m.TotalStepSeconds
-}
-
 // ModelNode runs the traffic study and applies the bandwidth/Roofline
 // time model for the given configuration.
 func ModelNode(o TrafficOptions) (*NodeModel, error) {
@@ -175,7 +170,6 @@ func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) mpi.Time
 	stages := math.Ceil(math.Log2(float64(o.Ranks)))
 	t.Allreduce = 2 * stages * redLatency // dt reduction
 	t.Reduce = 0.1 * stages * redLatency  // occasional field summaries
-	t.Barrier = 0
 	return t
 }
 

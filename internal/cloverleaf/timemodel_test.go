@@ -100,7 +100,7 @@ func TestProfileHotspots(t *testing.T) {
 func TestMPIShares(t *testing.T) {
 	for _, ranks := range []int{2, 18, 38, 72} {
 		m := modelFor(t, ranks)
-		serial := m.SerialShare()
+		serial := m.StepSeconds / m.TotalStepSeconds
 		if serial < 0.90 || serial > 0.999 {
 			t.Errorf("ranks=%d: serial share %.3f outside the Fig. 4 band", ranks, serial)
 		}

@@ -122,16 +122,6 @@ func (r *TrafficResult) BytesPerStep() float64 {
 	return v
 }
 
-// FlopsPerStep returns the node-aggregate flops of one hydro step.
-func (r *TrafficResult) FlopsPerStep() float64 {
-	var v float64
-	for _, name := range r.LoopNames() {
-		l := r.Loops[name]
-		v += float64(l.FlopsPerIt) * l.Iters * l.CallsPerStep
-	}
-	return v
-}
-
 // rankGroup identifies ranks with identical simulation conditions.
 type rankGroup struct {
 	xspan, yspan int

@@ -1,12 +1,13 @@
-// Package likwid emulates the measurement surface of the LIKWID tool
-// suite used throughout the paper: performance groups (MEM, MEM_DP, and
-// the custom SPECI2M group of Listing 4), uncore event aggregation
-// (CAS_COUNT_RD/WR at the MBOXes, TOR_INSERTS_IA_ITOM at the CBOXes),
-// derived metrics, likwid-perfctr-style formatted output, and the
-// likwid-features prefetcher toggles.
+// Package likwid emulates the measurement surface of likwid-perfctr as
+// the paper uses it: performance groups (MEM, MEM_DP, and the custom
+// SPECI2M group of Listing 4), the events they read (CAS_COUNT_RD/WR at
+// the MBOXes, TOR_INSERTS_IA_ITOM at the CBOXes, DP flops), derived
+// metrics, and likwid-perfctr-style formatted output. It has no
+// likwid-features toggles: cmd/perfctr's -d flag switches the modeled
+// prefetchers, all four as one.
 //
-// The "hardware" behind the events is internal/memsim; a Session wraps
-// one or more simulated cores and renders the same tables an operator
+// The "hardware" behind the events is internal/memsim: Measure turns a
+// simulated core group's counters into the same tables an operator
 // would read off likwid-perfctr.
 package likwid
 
@@ -18,25 +19,19 @@ import (
 	"cloversim/internal/memsim"
 )
 
-// Event names, following Intel/LIKWID nomenclature for ICX and SPR.
+// Event names, following Intel/LIKWID nomenclature for ICX and SPR:
+// the events the groups read.
 const (
-	EventCASCountRD     = "CAS_COUNT_RD"            // memory controller reads
-	EventCASCountWR     = "CAS_COUNT_WR"            // memory controller writes
-	EventTORInsertsIToM = "TOR_INSERTS_IA_ITOM"     // SpecI2M claims (CHA)
-	EventL1Hits         = "MEM_LOAD_RETIRED_L1_HIT" // core-side cache hits
-	EventL2Hits         = "MEM_LOAD_RETIRED_L2_HIT"
-	EventL3Hits         = "MEM_LOAD_RETIRED_L3_HIT"
-	EventPrefetchFills  = "L2_LINES_IN_PREFETCH"
-	EventNTStores       = "OCR_STREAMING_WR"
+	EventCASCountRD     = "CAS_COUNT_RD"        // memory controller reads
+	EventCASCountWR     = "CAS_COUNT_WR"        // memory controller writes
+	EventTORInsertsIToM = "TOR_INSERTS_IA_ITOM" // SpecI2M claims (CHA)
 	EventFlopsDP        = "FP_ARITH_INST_RETIRED_SCALAR_DOUBLE"
-	EventInstrRetired   = "INSTR_RETIRED_ANY"
 )
 
 // Group is a performance group: a set of events plus derived metrics.
 type Group struct {
-	Name        string
-	Description string
-	Events      []string
+	Name   string
+	Events []string
 	// Metrics maps metric name to a function over raw event counts and
 	// the measurement time.
 	Metrics []Metric
@@ -45,7 +40,6 @@ type Group struct {
 // Metric is one derived quantity of a group.
 type Metric struct {
 	Name string
-	Unit string
 	Eval func(ev map[string]float64, seconds float64) float64
 }
 
@@ -57,20 +51,19 @@ func volGB(lines float64) float64 { return lines * lineBytes * 1e-9 }
 // MEM returns the MEM group: read/write data volume and bandwidth.
 func MEM() *Group {
 	return &Group{
-		Name:        "MEM",
-		Description: "Memory read/write data volume and bandwidth",
-		Events:      []string{EventCASCountRD, EventCASCountWR},
+		Name:   "MEM",
+		Events: []string{EventCASCountRD, EventCASCountWR},
 		Metrics: []Metric{
-			{"Memory read data volume [GBytes]", "GB", func(ev map[string]float64, _ float64) float64 {
+			{"Memory read data volume [GBytes]", func(ev map[string]float64, _ float64) float64 {
 				return volGB(ev[EventCASCountRD])
 			}},
-			{"Memory write data volume [GBytes]", "GB", func(ev map[string]float64, _ float64) float64 {
+			{"Memory write data volume [GBytes]", func(ev map[string]float64, _ float64) float64 {
 				return volGB(ev[EventCASCountWR])
 			}},
-			{"Memory data volume [GBytes]", "GB", func(ev map[string]float64, _ float64) float64 {
+			{"Memory data volume [GBytes]", func(ev map[string]float64, _ float64) float64 {
 				return volGB(ev[EventCASCountRD] + ev[EventCASCountWR])
 			}},
-			{"Memory bandwidth [MBytes/s]", "MB/s", func(ev map[string]float64, s float64) float64 {
+			{"Memory bandwidth [MBytes/s]", func(ev map[string]float64, s float64) float64 {
 				if s <= 0 {
 					return 0
 				}
@@ -84,16 +77,15 @@ func MEM() *Group {
 func MEMDP() *Group {
 	g := MEM()
 	g.Name = "MEM_DP"
-	g.Description = "Memory volume/bandwidth and double-precision flops"
 	g.Events = append(g.Events, EventFlopsDP)
 	g.Metrics = append(g.Metrics,
-		Metric{"DP [MFLOP/s]", "MFLOP/s", func(ev map[string]float64, s float64) float64 {
+		Metric{"DP [MFLOP/s]", func(ev map[string]float64, s float64) float64 {
 			if s <= 0 {
 				return 0
 			}
 			return ev[EventFlopsDP] * 1e-6 / s
 		}},
-		Metric{"Operational intensity [FLOP/byte]", "F/B", func(ev map[string]float64, _ float64) float64 {
+		Metric{"Operational intensity [FLOP/byte]", func(ev map[string]float64, _ float64) float64 {
 			v := (ev[EventCASCountRD] + ev[EventCASCountWR]) * lineBytes
 			if v == 0 {
 				return 0
@@ -109,13 +101,12 @@ func MEMDP() *Group {
 func SPECI2M() *Group {
 	g := MEM()
 	g.Name = "SPECI2M"
-	g.Description = "Memory bandwidth in MBytes/s including SpecI2M"
 	g.Events = append(g.Events, EventTORInsertsIToM)
 	g.Metrics = append(g.Metrics,
-		Metric{"SpecI2M data volume [GBytes]", "GB", func(ev map[string]float64, _ float64) float64 {
+		Metric{"SpecI2M data volume [GBytes]", func(ev map[string]float64, _ float64) float64 {
 			return volGB(ev[EventTORInsertsIToM])
 		}},
-		Metric{"SpecI2M evasion ratio", "", func(ev map[string]float64, _ float64) float64 {
+		Metric{"SpecI2M evasion ratio", func(ev map[string]float64, _ float64) float64 {
 			wr := ev[EventCASCountWR]
 			if wr == 0 {
 				return 0
@@ -145,13 +136,7 @@ func EventsFromCounts(c memsim.Counts, flops int64) map[string]float64 {
 		EventCASCountRD:     float64(c.MemReadLines),
 		EventCASCountWR:     float64(c.MemWriteLines),
 		EventTORInsertsIToM: float64(c.ItoMLines),
-		EventL1Hits:         float64(c.L1Hits),
-		EventL2Hits:         float64(c.L2Hits),
-		EventL3Hits:         float64(c.L3Hits),
-		EventPrefetchFills:  float64(c.PFLines),
-		EventNTStores:       float64(c.NTLines),
 		EventFlopsDP:        float64(flops),
-		EventInstrRetired:   float64(c.Loads + c.RFOs),
 	}
 }
 
@@ -209,49 +194,4 @@ func (m Measurement) Format() string {
 	}
 	fmt.Fprintf(&b, "+%s+\n", strings.Repeat("-", 58))
 	return b.String()
-}
-
-// Features emulates likwid-features: named prefetcher toggles.
-type Features struct {
-	HWPrefetcher  bool // L2 streamer
-	CLPrefetcher  bool // adjacent cache line
-	DCUPrefetcher bool // L1 streamer (modeled as part of HW)
-	IPPrefetcher  bool // L1 IP-stride (modeled as part of HW)
-}
-
-// AllOn returns the default feature state.
-func AllOn() Features {
-	return Features{HWPrefetcher: true, CLPrefetcher: true, DCUPrefetcher: true, IPPrefetcher: true}
-}
-
-// Parse applies a likwid-features-style list ("HW_PREFETCHER,CL_PREFETCHER")
-// with enable=true for -e and false for -d.
-func (f Features) Parse(list string, enable bool) (Features, error) {
-	for _, tok := range strings.Split(list, ",") {
-		switch strings.TrimSpace(strings.ToUpper(tok)) {
-		case "HW_PREFETCHER":
-			f.HWPrefetcher = enable
-		case "CL_PREFETCHER":
-			f.CLPrefetcher = enable
-		case "DCU_PREFETCHER":
-			f.DCUPrefetcher = enable
-		case "IP_PREFETCHER":
-			f.IPPrefetcher = enable
-		case "":
-		default:
-			return f, fmt.Errorf("likwid: unknown feature %q", tok)
-		}
-	}
-	return f, nil
-}
-
-// AnyStreamerOn reports whether any streaming prefetcher remains active
-// (the simulator models the streamers collectively).
-func (f Features) AnyStreamerOn() bool {
-	return f.HWPrefetcher || f.DCUPrefetcher || f.IPPrefetcher
-}
-
-// Apply configures a hierarchy according to the feature state.
-func (f Features) Apply(h *memsim.Hierarchy) {
-	h.SetPrefetch(f.AnyStreamerOn())
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
 )
 
@@ -87,51 +86,26 @@ func TestEventsFromCounts(t *testing.T) {
 	}
 	ev := EventsFromCounts(c, 11)
 	checks := map[string]float64{
-		EventCASCountRD: 1, EventCASCountWR: 2, EventTORInsertsIToM: 3,
-		EventNTStores: 4, EventPrefetchFills: 5, EventL1Hits: 6,
-		EventL2Hits: 7, EventL3Hits: 8, EventFlopsDP: 11, EventInstrRetired: 19,
+		EventCASCountRD: 1, EventCASCountWR: 2, EventTORInsertsIToM: 3, EventFlopsDP: 11,
 	}
 	for name, want := range checks {
 		if ev[name] != want {
 			t.Errorf("%s = %g, want %g", name, ev[name], want)
 		}
 	}
-}
-
-func TestFeaturesParse(t *testing.T) {
-	f := AllOn()
-	f, err := f.Parse("HW_PREFETCHER,CL_PREFETCHER", false)
-	if err != nil {
-		t.Fatal(err)
+	// Every event is one some group reads.
+	read := map[string]bool{}
+	for _, g := range Groups() {
+		for _, name := range g.Events {
+			read[name] = true
+		}
 	}
-	if f.HWPrefetcher || f.CLPrefetcher {
-		t.Error("disable list not applied")
+	for name := range ev {
+		if !read[name] {
+			t.Errorf("event %s is in no group", name)
+		}
 	}
-	if !f.AnyStreamerOn() { // DCU and IP still on
-		t.Error("DCU/IP should keep the streamer model on")
-	}
-	f, err = f.Parse("dcu_prefetcher, ip_prefetcher", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.AnyStreamerOn() {
-		t.Error("all streamers disabled but AnyStreamerOn")
-	}
-	if _, err := f.Parse("TURBO_BOOST", false); err == nil {
-		t.Error("unknown feature accepted")
-	}
-}
-
-func TestFeaturesApply(t *testing.T) {
-	h := memsim.New(machine.ICX8360Y())
-	f := AllOn()
-	f, _ = f.Parse("HW_PREFETCHER,CL_PREFETCHER,DCU_PREFETCHER,IP_PREFETCHER", false)
-	f.Apply(h)
-	if h.PrefetchOn() {
-		t.Error("prefetch still on after disabling all features")
-	}
-	AllOn().Apply(h)
-	if !h.PrefetchOn() {
-		t.Error("prefetch off after enabling all features")
+	if len(ev) != len(checks) {
+		t.Errorf("%d events, want %d", len(ev), len(checks))
 	}
 }

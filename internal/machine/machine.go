@@ -202,10 +202,6 @@ type Memory struct {
 	LatencyNS       float64 // idle memory latency
 }
 
-// SaturationCores returns the number of cores needed to saturate one
-// ccNUMA domain (Fig. 2: about 9 on ICX).
-func (m Memory) SaturationCores() float64 { return m.DomainBandwidth / m.CoreBandwidth }
-
 // Bandwidth returns the aggregate bandwidth achieved by n active cores in
 // one domain (linear ramp with saturation).
 func (m Memory) Bandwidth(n int) float64 {
@@ -214,15 +210,6 @@ func (m Memory) Bandwidth(n int) float64 {
 		return m.DomainBandwidth
 	}
 	return b
-}
-
-// Pressure returns the bandwidth-saturation fraction for n active cores in
-// one ccNUMA domain.
-func (m Memory) Pressure(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return m.Bandwidth(n) / m.DomainBandwidth
 }
 
 // Prefetch configures the hardware prefetcher models.
@@ -265,9 +252,6 @@ func (s *Spec) CoresPerDomain() int { return s.CoresPerSocket / s.NUMAPerSocket 
 // DomainOf returns the ccNUMA domain index of a core under compact pinning.
 func (s *Spec) DomainOf(core int) int { return core / s.CoresPerDomain() }
 
-// SocketOf returns the socket index of a core under compact pinning.
-func (s *Spec) SocketOf(core int) int { return core / s.CoresPerSocket }
-
 // ActiveInDomain returns how many of cores [0,nActive) fall into domain d
 // under compact pinning (fill domains in order).
 func (s *Spec) ActiveInDomain(nActive, d int) int {
@@ -281,19 +265,6 @@ func (s *Spec) ActiveInDomain(nActive, d int) int {
 		return cpd
 	}
 	return n
-}
-
-// ActiveDomains returns the number of ccNUMA domains touched by the first
-// nActive cores under compact pinning.
-func (s *Spec) ActiveDomains(nActive int) int {
-	if nActive <= 0 {
-		return 0
-	}
-	d := (nActive + s.CoresPerDomain() - 1) / s.CoresPerDomain()
-	if m := s.NUMADomains(); d > m {
-		return m
-	}
-	return d
 }
 
 // ActiveSockets returns the number of sockets touched by the first nActive

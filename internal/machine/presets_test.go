@@ -45,8 +45,8 @@ func TestPresetGeometryInvariants(t *testing.T) {
 				t.Errorf("cores/socket %d not divisible by NUMA/socket %d",
 					spec.CoresPerSocket, spec.NUMAPerSocket)
 			}
-			if got := spec.ActiveDomains(spec.Cores()); got != spec.NUMADomains() {
-				t.Errorf("full node touches %d domains, want %d", got, spec.NUMADomains())
+			if got := spec.ActiveInDomain(spec.Cores(), spec.NUMADomains()-1); got != spec.CoresPerDomain() {
+				t.Errorf("full node fills %d cores of the last domain, want %d", got, spec.CoresPerDomain())
 			}
 			if p := spec.PressureAt(0, spec.Cores()); p != 1 {
 				t.Errorf("full-node pressure at core 0 = %g, want 1", p)

@@ -7,7 +7,8 @@ import (
 )
 
 // Benchmarks for the cache-hierarchy hot operations that dominate
-// every traffic study: the per-line Load/RFO/ClaimI2M/WriteNT paths.
+// every traffic study: loads, RFOs, ItoM claims and NT writes, one line
+// per AccessRange call.
 //
 //	go test -bench BenchmarkHierarchy ./internal/memsim
 
@@ -19,7 +20,7 @@ func BenchmarkHierarchyLoad(b *testing.B) {
 	h := benchHierarchy()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Load(int64(i % benchLines))
+		h.AccessRange(int64(i%benchLines), 1, AccessLoad)
 	}
 	if h.Counts().MemReadLines == 0 {
 		b.Fatal("no memory traffic simulated")
@@ -30,7 +31,7 @@ func BenchmarkHierarchyRFO(b *testing.B) {
 	h := benchHierarchy()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.RFO(int64(i % benchLines))
+		h.AccessRange(int64(i%benchLines), 1, AccessRFO)
 	}
 }
 
@@ -38,7 +39,7 @@ func BenchmarkHierarchyClaimI2M(b *testing.B) {
 	h := benchHierarchy()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.ClaimI2M(int64(i % benchLines))
+		h.AccessRange(int64(i%benchLines), 1, AccessClaimI2M)
 	}
 }
 
@@ -46,7 +47,7 @@ func BenchmarkHierarchyWriteNT(b *testing.B) {
 	h := benchHierarchy()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.WriteNT(int64(i % benchLines))
+		h.AccessRange(int64(i%benchLines), 1, AccessWriteNT)
 	}
 }
 
@@ -57,13 +58,13 @@ func BenchmarkHierarchyStencilMix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		line := int64(i % benchLines)
-		h.Load(line)
-		h.Load(line + benchLines)
-		h.RFO(line + 2*benchLines)
+		h.AccessRange(line, 1, AccessLoad)
+		h.AccessRange(line+benchLines, 1, AccessLoad)
+		h.AccessRange(line+2*benchLines, 1, AccessRFO)
 	}
 }
 
-// Batched-path benchmarks: the same access streams as the per-line
+// Batched-path benchmarks: the same access streams as the one-line
 // benchmarks above, replayed through AccessRange in spans of rangeLen
 // lines. Compare e.g. HierarchyLoad vs HierarchyLoadRange (both report
 // ns per simulated line access):
@@ -111,7 +112,7 @@ func BenchmarkHierarchyStencilMixRange(b *testing.B) {
 func BenchmarkHierarchyFlush(b *testing.B) {
 	h := benchHierarchy()
 	for i := int64(0); i < benchLines; i++ {
-		h.RFO(i)
+		h.AccessRange(i, 1, AccessRFO)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

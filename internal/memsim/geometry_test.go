@@ -7,14 +7,15 @@ import (
 	"cloversim/internal/machine"
 )
 
-// The suites below compare AccessRange, and the per-line API, with the
-// oracle on tiny hierarchies: a few hundred lines sweep every level
-// through fill, conflict and steady state, with direct-mapped,
-// single-set and skewed-associativity corners no preset has. Their run
-// shapes (regular runs, self-evicting runs, mixed residency, dirty
-// sets) are the boundary cases of the line-run path. TestAnalyticFallbackReasons and FuzzAnalyticRange keep names
-// from a closed-form range tier that no longer exists: their subtests
-// and committed fuzz corpus are tracked by name.
+// The suites below compare AccessRange, in whole runs and in runs of
+// one line, with the oracle on tiny hierarchies: a few hundred lines
+// sweep every level through fill, conflict and steady state, with
+// direct-mapped, single-set and skewed-associativity corners no preset
+// has. Their run shapes (regular runs, self-evicting runs, mixed
+// residency, dirty sets) are the boundary cases of the line-run path.
+// TestAnalyticFallbackReasons and FuzzAnalyticRange keep names from a
+// closed-form range tier that no longer exists: their subtests and
+// committed fuzz corpus are tracked by name.
 
 // tinySpec builds a machine spec whose hierarchy has exactly the given
 // per-level sets x ways (sets must be powers of two, or setsOf rounds
@@ -29,24 +30,15 @@ func tinySpec(l1s, l1w, l2s, l2w, l3s, l3w int) *machine.Spec {
 	return s
 }
 
-// byLine replays a run through the per-line public API.
+// byLine replays a run as runs of one line.
 func byLine(h *Hierarchy, p pattern) {
-	methods := [...]func(*Hierarchy, int64){
-		AccessLoad:            (*Hierarchy).Load,
-		AccessRFO:             (*Hierarchy).RFO,
-		AccessClaimI2M:        (*Hierarchy).ClaimI2M,
-		AccessClaimL2:         (*Hierarchy).ClaimL2,
-		AccessWriteNT:         (*Hierarchy).WriteNT,
-		AccessWriteNTReverted: (*Hierarchy).WriteNTReverted,
-		AccessWriteStreamed:   (*Hierarchy).WriteStreamed,
-	}
 	for line := p.start; line < p.start+p.n; line++ {
-		methods[p.kind](h, line)
+		h.AccessRange(line, 1, p.kind)
 	}
 }
 
-// checkBothWays checks a trace against the oracle through AccessRange
-// and through the per-line API, then ends it with a load sweep over
+// checkBothWays checks a trace against the oracle as whole runs and as
+// runs of one line, then ends it with a load sweep over
 // probe lines, whose hit/miss pattern depends on every resident line.
 func checkBothWays(t *testing.T, spec *machine.Spec, pfOn bool, trace []pattern, probe int64) {
 	t.Helper()
@@ -187,8 +179,8 @@ func tinyTrace(seed uint64, batches int, l1w, cache int64) []pattern {
 	return out
 }
 
-// FuzzAnalyticRange fuzzes the comparison with the oracle, through
-// AccessRange and through the per-line API, over tiny-geometry traces. The committed
+// FuzzAnalyticRange fuzzes the comparison with the oracle, in whole
+// runs and in runs of one line, over tiny-geometry traces. The committed
 // corpus under testdata/fuzz seeds aliasing wraps, direct-mapped levels,
 // kind switches and run lengths at the associativity boundary.
 func FuzzAnalyticRange(f *testing.F) {

@@ -11,11 +11,11 @@
 // Hierarchy implements core.Backend (AccessRange), so the SpecI2M store
 // engine of internal/core drives it directly.
 //
-// There is one simulation path: AccessRange replays a run of
-// consecutive same-kind accesses (range.go), and the per-line methods
-// are runs of one line. Each cache set (level.go) is one recency list,
-// its ways' LRU stack, beside a presence filter that lets most misses
-// skip the list. The differential and fuzz suites in range_test.go
+// There is one simulation path and one entry point: AccessRange replays
+// a run of consecutive same-kind accesses (range.go); a single line is
+// a run of one, and there are no per-line methods. Each cache set
+// (level.go) is one recency list, its ways' LRU stack, beside a
+// presence filter that lets most misses skip the list. The differential and fuzz suites in range_test.go
 // check it bit-for-bit against the plain per-line oracle in
 // oracle_test.go, which orders ways by stamps.
 //
@@ -180,9 +180,6 @@ func (h *Hierarchy) SetPrefetch(on bool) {
 	h.adjacentOn = on && h.spec.PF.AdjacentEnabled
 }
 
-// PrefetchOn reports whether the stream prefetcher is active.
-func (h *Hierarchy) PrefetchOn() bool { return h.pfOn }
-
 // SetPrefetchCursor moves the prefetch slot cursor, the slot the next
 // unarmed miss takes, to c (see Shape). It panics unless 0 <= c < 16.
 func (h *Hierarchy) SetPrefetchCursor(c int) {
@@ -194,35 +191,6 @@ func (h *Hierarchy) SetPrefetchCursor(c int) {
 
 // Counts returns a snapshot of all counters.
 func (h *Hierarchy) Counts() Counts { return h.c }
-
-// Load performs a demand load of one line, which may trigger the
-// prefetchers.
-func (h *Hierarchy) Load(line int64) { h.AccessRange(line, 1, AccessLoad) }
-
-// RFO performs a read-for-ownership (write-allocate): the line is
-// fetched and installed dirty.
-func (h *Hierarchy) RFO(line int64) { h.AccessRange(line, 1, AccessRFO) }
-
-// ClaimI2M claims the line dirty at L3 without a memory read (SpecI2M
-// ItoM transaction).
-func (h *Hierarchy) ClaimI2M(line int64) { h.AccessRange(line, 1, AccessClaimI2M) }
-
-// ClaimL2 claims the line dirty in the private L2 without a memory
-// read (A64FX cache-line zero). The write reaches memory via the normal
-// write-back path, and — unlike ItoM — the data is immediately reusable
-// from the private cache.
-func (h *Hierarchy) ClaimL2(line int64) { h.AccessRange(line, 1, AccessClaimL2) }
-
-// WriteStreamed is ARM write-streaming mode: the detected store stream
-// goes straight to memory.
-func (h *Hierarchy) WriteStreamed(line int64) { h.AccessRange(line, 1, AccessWriteStreamed) }
-
-// WriteNT is a direct (write-combined) memory write.
-func (h *Hierarchy) WriteNT(line int64) { h.AccessRange(line, 1, AccessWriteNT) }
-
-// WriteNTReverted accounts for an NT store that was demoted to a
-// regular write-allocate store (read + eventual write-back).
-func (h *Hierarchy) WriteNTReverted(line int64) { h.AccessRange(line, 1, AccessWriteNTReverted) }
 
 // Flush writes back every dirty line and invalidates the hierarchy,
 // counting the write-backs. Use at region boundaries when residual dirty

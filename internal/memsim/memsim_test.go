@@ -14,12 +14,12 @@ func newH() *Hierarchy { return New(machine.ICX8360Y()) }
 func TestColdLoadMissesToMemory(t *testing.T) {
 	h := newH()
 	h.SetPrefetch(false)
-	h.Load(100)
+	h.AccessRange(100, 1, AccessLoad)
 	c := h.Counts()
 	if c.MemReadLines != 1 || c.L1Hits != 0 {
 		t.Fatalf("cold load: %+v", c)
 	}
-	h.Load(100)
+	h.AccessRange(100, 1, AccessLoad)
 	c = h.Counts()
 	if c.MemReadLines != 1 || c.L1Hits != 1 {
 		t.Fatalf("warm load should hit L1: %+v", c)
@@ -31,7 +31,7 @@ func TestCleanEvictionsCostNothing(t *testing.T) {
 	h.SetPrefetch(false)
 	// Stream far more lines than the hierarchy holds.
 	for l := int64(0); l < 200000; l++ {
-		h.Load(l)
+		h.AccessRange(l, 1, AccessLoad)
 	}
 	c := h.Counts()
 	if c.MemReadLines != 200000 {
@@ -47,7 +47,7 @@ func TestDirtyLineWrittenBackExactlyOnce(t *testing.T) {
 	h.SetPrefetch(false)
 	const n = 100000
 	for l := int64(0); l < n; l++ {
-		h.RFO(l)
+		h.AccessRange(l, 1, AccessRFO)
 	}
 	h.Flush()
 	c := h.Counts()
@@ -63,7 +63,7 @@ func TestClaimI2MSkipsTheRead(t *testing.T) {
 	h := newH()
 	const n = 50000
 	for l := int64(0); l < n; l++ {
-		h.ClaimI2M(l)
+		h.AccessRange(l, 1, AccessClaimI2M)
 	}
 	h.Flush()
 	c := h.Counts()
@@ -77,12 +77,12 @@ func TestClaimI2MSkipsTheRead(t *testing.T) {
 
 func TestWriteNT(t *testing.T) {
 	h := newH()
-	h.WriteNT(7)
+	h.AccessRange(7, 1, AccessWriteNT)
 	c := h.Counts()
 	if c.MemWriteLines != 1 || c.MemReadLines != 0 || c.NTLines != 1 {
 		t.Fatalf("NT write: %+v", c)
 	}
-	h.WriteNTReverted(8)
+	h.AccessRange(8, 1, AccessWriteNTReverted)
 	c = h.Counts()
 	if c.MemReadLines != 1 || c.NTReverted != 1 {
 		t.Fatalf("NT revert: %+v", c)
@@ -96,12 +96,12 @@ func TestLRUWithinSet(t *testing.T) {
 	l1sets := int64(spec.L1.Sets())
 	// Fill one L1 set (12 ways) plus one more line mapping to it.
 	for w := int64(0); w <= 12; w++ {
-		h.Load(w * l1sets) // same set, different tags
+		h.AccessRange(w*l1sets, 1, AccessLoad) // same set, different tags
 	}
 	// The first line was LRU and must have been evicted from L1; it may
 	// still hit in L2.
 	before := h.Counts()
-	h.Load(0)
+	h.AccessRange(0, 1, AccessLoad)
 	after := h.Counts()
 	if after.L1Hits != before.L1Hits {
 		t.Fatal("LRU victim still resident in L1")
@@ -123,7 +123,7 @@ func TestLayerConditionEmerges(t *testing.T) {
 		for _, dk := range []int64{0, 1} {
 			base := (k + dk) * rowLines
 			for j := int64(0); j < rowLines; j++ {
-				h.Load(base + j)
+				h.AccessRange(base+j, 1, AccessLoad)
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func TestLayerConditionBreaks(t *testing.T) {
 		for _, dk := range []int64{0, 1} {
 			base := (k + dk) * rowLines
 			for j := int64(0); j < rowLines; j++ {
-				h.Load(base + j)
+				h.AccessRange(base+j, 1, AccessLoad)
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func TestPrefetcherCoversStreams(t *testing.T) {
 	// volume (every line is read exactly once, demand or prefetch).
 	const n = 50000
 	for l := int64(0); l < n; l++ {
-		h.Load(l)
+		h.AccessRange(l, 1, AccessLoad)
 	}
 	c := h.Counts()
 	if c.PFLines == 0 {
@@ -180,7 +180,7 @@ func TestPrefetchDisabled(t *testing.T) {
 	h := newH()
 	h.SetPrefetch(false)
 	for l := int64(0); l < 1000; l++ {
-		h.Load(l)
+		h.AccessRange(l, 1, AccessLoad)
 	}
 	if h.Counts().PFLines != 0 {
 		t.Fatal("prefetcher fired while disabled")
@@ -189,7 +189,7 @@ func TestPrefetchDisabled(t *testing.T) {
 
 func TestFlushIdempotent(t *testing.T) {
 	h := newH()
-	h.RFO(1)
+	h.AccessRange(1, 1, AccessRFO)
 	h.Flush()
 	w := h.Counts().MemWriteLines
 	h.Flush()
@@ -203,7 +203,7 @@ func TestFlushIdempotent(t *testing.T) {
 
 func TestInvalidateDropsWithoutTraffic(t *testing.T) {
 	h := newH()
-	h.RFO(1)
+	h.AccessRange(1, 1, AccessRFO)
 	h.Invalidate()
 	if h.Counts().MemWriteLines != 0 {
 		t.Fatal("invalidate must not write back")
@@ -240,10 +240,10 @@ func TestRandomAccessProperty(t *testing.T) {
 		for i, s := range seq {
 			line := int64(s % 4096)
 			if i < len(writes) && writes[i] {
-				h.RFO(line)
+				h.AccessRange(line, 1, AccessRFO)
 				nw++
 			} else {
-				h.Load(line)
+				h.AccessRange(line, 1, AccessLoad)
 			}
 		}
 		h.Flush()

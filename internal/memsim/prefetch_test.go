@@ -14,13 +14,13 @@ func TestAdjacentLinePrefetch(t *testing.T) {
 	spec.PF.AdjacentEnabled = true
 	h := New(spec)
 
-	h.Load(100) // even line: buddy is 101
+	h.AccessRange(100, 1, AccessLoad) // even line: buddy is 101
 	c := h.Counts()
 	if c.MemReadLines != 2 {
 		t.Fatalf("adjacent PF reads = %d, want 2 (line + buddy)", c.MemReadLines)
 	}
 	before := c
-	h.Load(101) // must now hit (the buddy was prefetched into L3)
+	h.AccessRange(101, 1, AccessLoad) // must now hit (the buddy was prefetched into L3)
 	c = h.Counts()
 	if c.MemReadLines != before.MemReadLines {
 		t.Fatal("buddy line was not resident")
@@ -43,8 +43,8 @@ func TestAdjacentPFIncreasesStridedTraffic(t *testing.T) {
 	hOff := New(off)
 
 	for l := int64(0); l < 4000; l += 2 {
-		hOn.Load(l)
-		hOff.Load(l)
+		hOn.AccessRange(l, 1, AccessLoad)
+		hOff.AccessRange(l, 1, AccessLoad)
 	}
 	rOn, rOff := hOn.Counts().MemReadLines, hOff.Counts().MemReadLines
 	if rOff != 2000 {
@@ -76,7 +76,7 @@ func TestConflictMisses(t *testing.T) {
 	rounds := 10
 	for r := 0; r < rounds; r++ {
 		for i := int64(0); i < n; i++ {
-			h.Load(i * stride)
+			h.AccessRange(i*stride, 1, AccessLoad)
 		}
 	}
 	c := h.Counts()

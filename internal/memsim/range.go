@@ -2,17 +2,31 @@ package memsim
 
 import "fmt"
 
-// AccessKind names one per-line hierarchy operation for batched replay.
-// The kinds mirror the per-line methods (Load, RFO, ...) one-to-one.
+// AccessKind names the hierarchy operation AccessRange applies to each
+// line of a run.
 type AccessKind uint8
 
 const (
+	// AccessLoad is a demand load, which may trigger the prefetchers.
 	AccessLoad AccessKind = iota
+	// AccessRFO is a read-for-ownership (write-allocate): the line is
+	// fetched and installed dirty.
 	AccessRFO
+	// AccessClaimI2M claims the line dirty at L3 without a memory read
+	// (SpecI2M ItoM transaction).
 	AccessClaimI2M
+	// AccessClaimL2 claims the line dirty in the private L2 without a
+	// memory read (A64FX cache-line zero). The write reaches memory via
+	// the normal write-back path, and, unlike ItoM, the data is
+	// immediately reusable from the private cache.
 	AccessClaimL2
+	// AccessWriteNT is a direct (write-combined) memory write.
 	AccessWriteNT
+	// AccessWriteNTReverted is an NT store demoted to a regular
+	// write-allocate store (read plus eventual write-back).
 	AccessWriteNTReverted
+	// AccessWriteStreamed is ARM write-streaming mode: the detected
+	// store stream goes straight to memory.
 	AccessWriteStreamed
 )
 
@@ -37,10 +51,9 @@ func (k AccessKind) String() string {
 }
 
 // AccessRange performs n accesses of one kind to the consecutive lines
-// start..start+n-1, with exactly the cache state and Counts of n
-// per-line calls in order (the per-line methods are AccessRange runs of
-// one line). Per-access counters are batched, and the store-bypassing
-// kinds touch no cache state at all. A line outside the simulated range
+// start..start+n-1, with exactly the cache state and Counts of n runs
+// of one line in order. Per-access counters are batched, and the
+// store-bypassing kinds touch no cache state at all. A line outside the simulated range
 // (see New) is a caller bug and panics.
 func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	if n <= 0 {

@@ -192,27 +192,18 @@ func TestAccessRangePerKind(t *testing.T) {
 	}
 }
 
-// TestAccessRangeMixedWithPerLine: interleaving batched and per-line
-// calls on the same hierarchy behaves as one continuous trace, so
-// callers may mix the APIs freely.
+// TestAccessRangeMixedWithPerLine: interleaving long runs with runs of
+// one line on the same hierarchy behaves as one continuous trace, so
+// callers may split a run anywhere.
 func TestAccessRangeMixedWithPerLine(t *testing.T) {
 	spec := machine.ICX8360Y()
-	methods := map[AccessKind]func(*Hierarchy, int64){
-		AccessLoad:            (*Hierarchy).Load,
-		AccessRFO:             (*Hierarchy).RFO,
-		AccessClaimI2M:        (*Hierarchy).ClaimI2M,
-		AccessClaimL2:         (*Hierarchy).ClaimL2,
-		AccessWriteNT:         (*Hierarchy).WriteNT,
-		AccessWriteNTReverted: (*Hierarchy).WriteNTReverted,
-		AccessWriteStreamed:   (*Hierarchy).WriteStreamed,
-	}
 	checkAgainstOracle(t, spec, true, randomTrace(spec, 0xf00d, 200), func(h *Hierarchy, p pattern) {
 		if p.n%2 == 0 {
 			h.AccessRange(p.start, p.n, p.kind)
 			return
 		}
 		for line := p.start; line < p.start+p.n; line++ {
-			methods[p.kind](h, line)
+			h.AccessRange(line, 1, p.kind)
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // moves the cursor on.
 func unarmedMisses(h *Hierarchy, ref *refHierarchy, lines ...int64) {
 	for _, l := range lines {
-		h.Load(l)
+		h.AccessRange(l, 1, AccessLoad)
 		ref.op(l, AccessLoad)
 	}
 }

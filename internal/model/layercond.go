@@ -1,10 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"cloversim/internal/machine"
 	"cloversim/internal/trace"
 )
@@ -97,41 +93,4 @@ func AnalyzeLC(l *trace.Loop, rowElems int, spec *machine.Spec) LCAnalysis {
 		a.MaxBlock = caps[1] / (2 * totalRows * ElemBytes)
 	}
 	return a
-}
-
-// Holds reports whether any cache level satisfies the LC.
-func (a LCAnalysis) Holds() bool { return a.Level > 0 }
-
-// BlockingNeeded reports whether loop tiling is required for minimum
-// code balance at this row length.
-func (a LCAnalysis) BlockingNeeded() bool { return !a.Holds() }
-
-// String renders a compact report.
-func (a LCAnalysis) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rows %d x %d elems need %.0f KiB", a.RowsNeeded, a.RowElems,
-		float64(a.RequiredBytes)/1024)
-	if a.Holds() {
-		fmt.Fprintf(&b, "; LC holds at L%d", a.Level)
-	} else {
-		fmt.Fprintf(&b, "; LC broken (block to <= %d elems)", a.MaxBlock)
-	}
-	fmt.Fprintf(&b, "; balance %d (LC ok) vs %d (broken) byte/it", a.BytesPerItLCF, a.BytesPerItLCB)
-	return b.String()
-}
-
-// LCSweep evaluates the LC of a loop over a range of decompositions of
-// the paper's grid: for each rank count, the local inner dimension is
-// gridX / chunksX. It returns the rank counts whose LC breaks — which
-// for the Tiny set should be none (the paper verifies primes do NOT
-// break LCs, Sec. IV-C).
-func LCSweep(l *trace.Loop, spec *machine.Spec, innerDims map[int]int) []int {
-	var broken []int
-	for ranks, dim := range innerDims {
-		if !AnalyzeLC(l, dim, spec).Holds() {
-			broken = append(broken, ranks)
-		}
-	}
-	sort.Ints(broken)
-	return broken
 }

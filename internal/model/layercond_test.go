@@ -1,9 +1,9 @@
 package model
 
 import (
-	"strings"
 	"testing"
 
+	"cloversim/internal/decomp"
 	"cloversim/internal/machine"
 	"cloversim/internal/trace"
 )
@@ -33,11 +33,11 @@ func TestAM04LayerConditionTiny(t *testing.T) {
 	if a.RowsNeeded != 2 {
 		t.Errorf("am04 needs %d rows, want 2 (rows k-1 and k)", a.RowsNeeded)
 	}
-	if !a.Holds() {
-		t.Fatalf("Tiny-set LC must hold: %s", a)
+	if a.Level == 0 {
+		t.Fatalf("Tiny-set LC must hold: %+v", a)
 	}
 	if a.Level == 1 {
-		t.Errorf("full Tiny rows cannot fit L1: %s", a)
+		t.Errorf("full Tiny rows cannot fit L1: %+v", a)
 	}
 	if a.BytesPerItLCF != 16 || a.BytesPerItLCB != 24 {
 		t.Errorf("am04 balances %d/%d, want 16/24", a.BytesPerItLCF, a.BytesPerItLCB)
@@ -49,40 +49,31 @@ func TestAM04LayerConditionTiny(t *testing.T) {
 func TestLCBreaksForHugeRows(t *testing.T) {
 	huge := 1 << 21 // 2M elements/row: 3 rows x 16MB >> 2.8MB
 	a := AnalyzeLC(am04Loop(huge), huge, machine.ICX8360Y())
-	if a.Holds() {
-		t.Fatalf("LC should break: %s", a)
+	if a.Level != 0 {
+		t.Fatalf("LC should break: %+v", a)
 	}
-	if !a.BlockingNeeded() || a.MaxBlock <= 0 {
-		t.Fatalf("blocking advice missing: %s", a)
+	if a.MaxBlock <= 0 {
+		t.Fatalf("blocking advice missing: %+v", a)
 	}
 	// The suggested block must itself satisfy the LC.
 	b := AnalyzeLC(am04Loop(a.MaxBlock), a.MaxBlock, machine.ICX8360Y())
-	if !b.Holds() {
+	if b.Level == 0 {
 		t.Errorf("suggested block %d still breaks the LC", a.MaxBlock)
-	}
-	if !strings.Contains(a.String(), "block") {
-		t.Errorf("report should mention blocking: %s", a)
 	}
 }
 
 // TestLCSweepPrimesDontBreak reproduces the paper's Sec. IV-C argument:
-// for the Tiny grid no rank count between 1 and 72 breaks the am04 LC —
-// so broken LCs cannot explain the prime-number effect.
+// on the Tiny grid no rank count, prime or not, breaks the am04 LC, so
+// broken LCs cannot explain the prime-number effect. Each count n gets
+// the inner dimension of its own decomposition.
 func TestLCSweepPrimesDontBreak(t *testing.T) {
-	dims := map[int]int{}
-	for n := 1; n <= 72; n++ {
-		dims[n] = 15360 // prime counts keep the full row length (1D cut)
-	}
-	broken := LCSweep(am04Loop(15360), machine.ICX8360Y(), dims)
-	if len(broken) != 0 {
-		t.Errorf("LC broken for rank counts %v — contradicts the paper", broken)
-	}
-}
-
-func TestLCReportString(t *testing.T) {
-	a := AnalyzeLC(am04Loop(1920), 1920, machine.ICX8360Y())
-	s := a.String()
-	if !strings.Contains(s, "LC holds") || !strings.Contains(s, "byte/it") {
-		t.Errorf("report: %s", s)
+	for _, spec := range []*machine.Spec{machine.ICX8360Y(), machine.SPR8480()} {
+		for n := 1; n <= spec.Cores(); n++ {
+			dim := decomp.InnerDim(n, 15360, 15360)
+			if a := AnalyzeLC(am04Loop(dim), dim, spec); a.Level == 0 {
+				t.Errorf("%s: LC broken at %d ranks (inner dimension %d), contradicting the paper: %+v",
+					spec.Name, n, dim, a)
+			}
+		}
 	}
 }

@@ -1,16 +1,12 @@
-// Package model implements the paper's first-principles performance
+// Package model implements the paper's first-principles traffic
 // models: per-loop code-balance limits (Table I), layer-condition cache
-// requirements (Eq. 1/2), the Roofline performance limit (Sec. II-A), the
-// refined full-node model with the phenomenological SpecI2M factor
-// (Fig. 7), and the halo/partial-line overhead model of the prime-number
-// effect (Sec. V-C).
+// requirements (Eq. 1/2) and the refined full-node model with the
+// phenomenological SpecI2M factor (Fig. 7). Runtimes come from the time
+// model of internal/cloverleaf; the package has no Roofline, ECM or
+// halo-overhead model.
 package model
 
-import (
-	"math"
-
-	"cloversim/internal/trace"
-)
+import "cloversim/internal/trace"
 
 // ElemBytes is the element size of all modeled arrays (double precision).
 const ElemBytes = 8
@@ -85,76 +81,9 @@ func (m LoopModel) RefinedPrediction(storeFactor float64, eligible bool) float64
 	return base + (storeFactor-1)*float64(ElemBytes*m.Evadable())
 }
 
-// NTPrediction returns the optimized-code model: one evadable write
-// stream uses NT stores (revert fraction ntRevert), any remaining
-// evadable stream is covered by SpecI2M at storeFactor.
-func (m LoopModel) NTPrediction(storeFactor, ntRevert float64, eligible bool) float64 {
-	base := float64(m.BytesMin())
-	ev := m.Evadable()
-	if ev == 0 {
-		return base
-	}
-	// First evadable stream: NT stores; residual WA traffic = revert
-	// fraction of one element.
-	b := base + ntRevert*ElemBytes
-	if ev > 1 {
-		rest := float64(ElemBytes * (ev - 1))
-		if eligible {
-			b += (storeFactor - 1) * rest
-		} else {
-			b += rest
-		}
-	}
-	return b
-}
-
 // LayerCondition returns the cache size in bytes required to keep `rows`
 // rows of `rowElems` elements resident, using the conventional safety
 // factor of 2 (Eq. 2: n*M*8 < C/2).
 func LayerCondition(rows, rowElems int) int {
 	return 2 * rows * rowElems * ElemBytes
-}
-
-// LayerConditionHolds reports whether the LC for `rows` rows fits a cache
-// of size cacheBytes.
-func LayerConditionHolds(rows, rowElems, cacheBytes int) bool {
-	return LayerCondition(rows, rowElems) < cacheBytes
-}
-
-// Roofline returns the performance limit min(Pmax, I*bandwidth) in
-// flop/s for intensity I (flop/byte).
-func Roofline(pmax, intensity, bandwidth float64) float64 {
-	return math.Min(pmax, intensity*bandwidth)
-}
-
-// RooflineIts returns the iteration throughput limit bandwidth/Bc in
-// it/s for a memory-bound loop with code balance bytesPerIt.
-func RooflineIts(bandwidth, bytesPerIt float64) float64 {
-	if bytesPerIt == 0 {
-		return math.Inf(1)
-	}
-	return bandwidth / bytesPerIt
-}
-
-// HaloReadOverhead returns the relative extra read volume per stream for
-// a local inner dimension of `inner` elements: one extra cache line (8
-// elements) of halo per row (Sec. V-C: 8/(216+8) = 3.57% for 71 ranks).
-func HaloReadOverhead(inner int) float64 {
-	return 8.0 / float64(inner+8)
-}
-
-// PrimeEffectReadPenalty estimates the SpecI2M-related extra read volume
-// for an evadable write stream when the inner loop is short: the run
-// detector needs minRun full lines per row before claims begin, so the
-// unclaimed fraction grows as rows shrink.
-func PrimeEffectReadPenalty(inner, minRun int, eff float64) float64 {
-	lines := float64(inner) / 8.0
-	if lines <= 0 {
-		return eff
-	}
-	claimable := (lines - float64(minRun)) / lines
-	if claimable < 0 {
-		claimable = 0
-	}
-	return eff * (1 - claimable) // lost evasion fraction
 }

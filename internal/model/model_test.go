@@ -111,24 +111,6 @@ func TestRefinedPrediction(t *testing.T) {
 	}
 }
 
-func TestNTPrediction(t *testing.T) {
-	r, _ := Table1ByName("am04")
-	// Perfect NT stores: min balance.
-	if got := r.NTPrediction(1.2, 0, true); got != 16 {
-		t.Errorf("am04 NT prediction with no reverts = %g, want 16", got)
-	}
-	// 16.5% reverts add 1.32 bytes.
-	if got := r.NTPrediction(1.2, 0.165, true); math.Abs(got-17.32) > 1e-9 {
-		t.Errorf("am04 NT prediction = %g, want 17.32", got)
-	}
-	// Two evadable streams: one NT, one SpecI2M.
-	r2, _ := Table1ByName("am00") // min 40, evadable 2
-	want := 40 + 0.165*8 + 0.2*8
-	if got := r2.NTPrediction(1.2, 0.165, true); math.Abs(got-want) > 1e-9 {
-		t.Errorf("am00 NT prediction = %g, want %g", got, want)
-	}
-}
-
 func TestLayerCondition(t *testing.T) {
 	// Paper Eq. 2: two rows of 15360 doubles need C > 492 kB.
 	c := LayerCondition(2, 15360)
@@ -137,53 +119,6 @@ func TestLayerCondition(t *testing.T) {
 	}
 	if c < 490_000 || c > 495_000 {
 		t.Errorf("paper's 492 kB check failed: %d", c)
-	}
-	if !LayerConditionHolds(2, 15360, 1<<20) {
-		t.Error("1 MiB cache should satisfy the Tiny-set LC")
-	}
-	if LayerConditionHolds(2, 15360, 400_000) {
-		t.Error("400 kB cache should break the Tiny-set LC")
-	}
-}
-
-func TestRoofline(t *testing.T) {
-	// Memory bound: P = I*bs.
-	if got := Roofline(1e12, 0.5, 100e9); got != 50e9 {
-		t.Errorf("memory-bound roofline = %g", got)
-	}
-	// Core bound: P = Pmax.
-	if got := Roofline(1e10, 100, 100e9); got != 1e10 {
-		t.Errorf("core-bound roofline = %g", got)
-	}
-	if got := RooflineIts(90e9, 24); math.Abs(got-3.75e9) > 1 {
-		t.Errorf("iteration roofline = %g, want 3.75e9", got)
-	}
-	if !math.IsInf(RooflineIts(90e9, 0), 1) {
-		t.Error("zero balance should give infinite iteration rate")
-	}
-}
-
-func TestHaloReadOverhead(t *testing.T) {
-	// Paper: 8/(216+8) = 3.57% for 71 ranks.
-	got := HaloReadOverhead(216)
-	if math.Abs(got-0.0357) > 0.0005 {
-		t.Errorf("halo overhead for 216 = %g, want ~0.0357", got)
-	}
-	if HaloReadOverhead(1920) > got {
-		t.Error("longer inner dimension must have lower halo overhead")
-	}
-}
-
-func TestPrimeEffectReadPenalty(t *testing.T) {
-	// Short rows lose more evasion than long rows.
-	short := PrimeEffectReadPenalty(216, 5, 0.8)
-	long := PrimeEffectReadPenalty(1920, 5, 0.8)
-	if short <= long {
-		t.Errorf("short-row penalty %g should exceed long-row %g", short, long)
-	}
-	// Rows shorter than the warm-up lose everything.
-	if got := PrimeEffectReadPenalty(16, 5, 0.8); got != 0.8 {
-		t.Errorf("tiny rows should lose all evasion, got %g", got)
 	}
 }
 

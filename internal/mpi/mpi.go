@@ -1,7 +1,7 @@
 // Package mpi is an in-process message-passing substrate with the subset
-// of MPI semantics CloverLeaf needs: non-blocking point-to-point
-// (Isend/Irecv/Waitall), Allreduce, Reduce, and Barrier, executed by one
-// goroutine per rank.
+// of MPI semantics the CloverLeaf hydro driver calls: non-blocking
+// point-to-point (Isend/Irecv/Waitall) and Allreduce, executed by one
+// goroutine per rank. It has no Reduce, Barrier or other collectives.
 //
 // Besides executing communication for real (data moves between ranks),
 // every call also charges an analytic time model (latency + volume /
@@ -49,28 +49,18 @@ func DefaultTimeModel() TimeModel {
 }
 
 // Times accumulates modeled time per MPI call category (Fig. 4 rows).
+// Reduce is set only by the node time model, which charges the
+// application's occasional field summaries.
 type Times struct {
 	Isend     float64
 	Waitall   float64
 	Allreduce float64
 	Reduce    float64
-	Barrier   float64
 }
 
 // Total returns the summed modeled MPI time.
 func (t Times) Total() float64 {
-	return t.Isend + t.Waitall + t.Allreduce + t.Reduce + t.Barrier
-}
-
-// Add returns t + o.
-func (t Times) Add(o Times) Times {
-	return Times{
-		Isend:     t.Isend + o.Isend,
-		Waitall:   t.Waitall + o.Waitall,
-		Allreduce: t.Allreduce + o.Allreduce,
-		Reduce:    t.Reduce + o.Reduce,
-		Barrier:   t.Barrier + o.Barrier,
-	}
+	return t.Isend + t.Waitall + t.Allreduce + t.Reduce
 }
 
 type message struct {
@@ -135,7 +125,6 @@ type World struct {
 	tm   TimeModel
 	mail [][]*mailbox // mail[dst][src]
 	red  *reducer
-	bar  *reducer
 }
 
 // NewWorld creates a communicator world of the given size.
@@ -143,7 +132,7 @@ func NewWorld(size int, tm TimeModel) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{size: size, tm: tm, red: newReducer(), bar: newReducer()}
+	w := &World{size: size, tm: tm, red: newReducer()}
 	w.mail = make([][]*mailbox, size)
 	for d := range w.mail {
 		w.mail[d] = make([]*mailbox, size)
@@ -153,9 +142,6 @@ func NewWorld(size int, tm TimeModel) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Run executes body once per rank, each in its own goroutine, and waits
 // for all to finish. It returns the per-rank communicators for post-run
@@ -263,9 +249,10 @@ func (c *Comm) stages() float64 {
 	return math.Ceil(math.Log2(float64(c.w.size)))
 }
 
-// rendezvous performs the shared collective protocol on r. combine merges
-// the caller's contribution into the accumulator.
-func (c *Comm) rendezvous(r *reducer, in []float64, op Op) []float64 {
+// rendezvous performs the collective protocol on the world's reducer:
+// op merges the caller's contribution into the accumulator.
+func (c *Comm) rendezvous(in []float64, op Op) []float64 {
+	r := c.w.red
 	r.mu.Lock()
 	g := r.gen
 	if r.count == 0 {
@@ -295,7 +282,7 @@ func (c *Comm) rendezvous(r *reducer, in []float64, op Op) []float64 {
 // Allreduce combines in across all ranks with op; every rank receives the
 // result.
 func (c *Comm) Allreduce(in []float64, op Op) []float64 {
-	out := c.rendezvous(c.w.red, in, op)
+	out := c.rendezvous(in, op)
 	c.Times.Allreduce += c.stages() * c.w.tm.ReductionLatency * 2
 	return out
 }
@@ -303,22 +290,4 @@ func (c *Comm) Allreduce(in []float64, op Op) []float64 {
 // AllreduceScalar is Allreduce for a single value.
 func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
 	return c.Allreduce([]float64{v}, op)[0]
-}
-
-// Reduce combines in across all ranks; only the root's return value is
-// meaningful (all ranks receive it here, but the time model charges the
-// cheaper one-way tree).
-func (c *Comm) Reduce(in []float64, op Op, root int) []float64 {
-	out := c.rendezvous(c.w.red, in, op)
-	c.Times.Reduce += c.stages() * c.w.tm.ReductionLatency
-	if c.rank != root {
-		return nil
-	}
-	return out
-}
-
-// Barrier synchronizes all ranks.
-func (c *Comm) Barrier() {
-	c.rendezvous(c.w.bar, nil, OpSum)
-	c.Times.Barrier += c.stages() * c.w.tm.ReductionLatency
 }

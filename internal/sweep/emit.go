@@ -10,11 +10,9 @@ import (
 	"cloversim/internal/csvout"
 )
 
-// Emitter renders a campaign. Emitters see results in grid order and
-// must be byte-stable: the same campaign always renders identically.
-type Emitter interface {
-	Emit(w io.Writer, c Campaign) error
-}
+// The emitters (CSVEmitter, JSONEmitter, SummaryEmitter) see results
+// in grid order and must be byte-stable: the same campaign always
+// renders identically.
 
 // Table renders the campaign as a csvout table: scenario identity
 // columns followed by the union of metric columns (first-appearance

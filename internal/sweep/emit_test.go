@@ -5,15 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
 )
 
-func emitBytes(t *testing.T, e Emitter, c Campaign) []byte {
+func emitBytes(t *testing.T, emit func(io.Writer, Campaign) error, c Campaign) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := e.Emit(&b, c); err != nil {
+	if err := emit(&b, c); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -26,8 +27,8 @@ func TestEmittersByteStable(t *testing.T) {
 	var wantCSV, wantJSON []byte
 	for _, workers := range []int{1, 4, 8, 1, 4, 8} {
 		c := runGrid(workers, g, echoRunner)
-		csv := emitBytes(t, CSVEmitter{}, c)
-		js := emitBytes(t, JSONEmitter{Indent: true}, c)
+		csv := emitBytes(t, CSVEmitter{}.Emit, c)
+		js := emitBytes(t, JSONEmitter{Indent: true}.Emit, c)
 		if wantCSV == nil {
 			wantCSV, wantJSON = csv, js
 			continue
@@ -43,7 +44,7 @@ func TestEmittersByteStable(t *testing.T) {
 
 func TestCSVShape(t *testing.T) {
 	c := runGrid(2, testGrid(), echoRunner)
-	lines := strings.Split(strings.TrimSpace(string(emitBytes(t, CSVEmitter{}, c))), "\n")
+	lines := strings.Split(strings.TrimSpace(string(emitBytes(t, CSVEmitter{}.Emit, c))), "\n")
 	if len(lines) != 13 { // header + 12 scenarios
 		t.Fatalf("%d CSV lines, want 13", len(lines))
 	}
@@ -79,7 +80,7 @@ func TestJSONShapeAndErrors(t *testing.T) {
 			} `json:"metrics"`
 		} `json:"results"`
 	}
-	if err := json.Unmarshal(emitBytes(t, JSONEmitter{}, c), &out); err != nil {
+	if err := json.Unmarshal(emitBytes(t, JSONEmitter{}.Emit, c), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Scenarios != 12 || out.Failed != 4 {
@@ -110,7 +111,7 @@ func TestJSONEmitterNonFinite(t *testing.T) {
 	s := Scenario{Machine: "m0", Mode: Mode{Name: "a"}, Seed: 1}
 	c := Campaign{Results: []Result{{Scenario: s, ID: s.ID(), Metrics: m}}}
 
-	out := emitBytes(t, JSONEmitter{Indent: true}, c)
+	out := emitBytes(t, JSONEmitter{Indent: true}.Emit, c)
 	var doc struct {
 		Results []struct {
 			Metrics []struct {
@@ -136,14 +137,14 @@ func TestJSONEmitterNonFinite(t *testing.T) {
 	// Finite-only campaigns must keep their historical bytes: no bits
 	// field, value as a bare number.
 	finite := runGrid(1, testGrid(), echoRunner)
-	if out := emitBytes(t, JSONEmitter{Indent: true}, finite); bytes.Contains(out, []byte(`"bits"`)) {
+	if out := emitBytes(t, JSONEmitter{Indent: true}.Emit, finite); bytes.Contains(out, []byte(`"bits"`)) {
 		t.Error("finite campaign emits bits fields; goldens would change")
 	}
 }
 
 func TestSummaryEmitter(t *testing.T) {
 	c := runGrid(2, testGrid(), echoRunner)
-	s := string(emitBytes(t, SummaryEmitter{Metric: "ranks"}, c))
+	s := string(emitBytes(t, SummaryEmitter{Metric: "ranks"}.Emit, c))
 	if !strings.Contains(s, "12 scenarios") {
 		t.Errorf("summary missing counts: %q", s)
 	}

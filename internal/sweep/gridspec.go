@@ -76,12 +76,10 @@ func (g GridSpec) Resolve(validateAxes func(machines, workloads []string) error)
 }
 
 // ExplicitSpec builds the explicit-scenario form of a spec from
-// resolved scenarios — the inverse of Explicit. Callers that compute a
-// cell set instead of declaring a grid (the adaptive search driver's
-// refinement waves, dispatch handing cells to a worker) round-trip
-// through it: every Scenario.Key, including refined numeric axis
-// values no preset list contains, parses back to an identical
-// scenario.
+// resolved scenarios — the inverse of Explicit. The fleet client hands
+// a worker its cells through it (sweepd.Client.ExecuteScenarios):
+// every Scenario.Key, including refined numeric axis values no preset
+// list contains, parses back to an identical scenario.
 func ExplicitSpec(scenarios []Scenario) GridSpec {
 	keys := make([]string, len(scenarios))
 	for i, s := range scenarios {

@@ -183,11 +183,7 @@ func (c *Client) decodeExecResult(r executeResult) (ExecResult, error) {
 // summary frame is reported as truncated, never silently treated as
 // complete.
 func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, r ExecResult)) ([]ExecResult, error) {
-	keys := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		keys[i] = s.Key()
-	}
-	reqBody, err := json.Marshal(GridSpec{Scenarios: keys})
+	reqBody, err := json.Marshal(sweep.ExplicitSpec(scenarios))
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
 	}

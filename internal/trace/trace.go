@@ -51,11 +51,6 @@ func (a *Array) Addr(j, k int) int64 {
 	return a.Base + (int64(k-a.KLo)*int64(a.RowElems())+int64(j-a.JLo))*int64(a.ElemBytes)
 }
 
-// Contains reports whether (j,k) lies within the allocated bounds.
-func (a *Array) Contains(j, k int) bool {
-	return j >= a.JLo && j <= a.JHi && k >= a.KLo && k <= a.KHi
-}
-
 // Arena allocates arrays in a contiguous simulated address space.
 type Arena struct {
 	next  int64

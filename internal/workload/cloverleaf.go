@@ -17,10 +17,6 @@ func init() { Register(cloverleafWL{}) }
 
 func (cloverleafWL) Name() string { return "cloverleaf" }
 
-func (cloverleafWL) Description() string {
-	return "CloverLeaf hydro step: traffic study, time model and store/copy microbenchmarks"
-}
-
 // DefaultMesh is the paper's 15360^2 global grid.
 func (cloverleafWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 15360, Y: 15360} }
 

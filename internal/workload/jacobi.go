@@ -16,10 +16,6 @@ func init() { Register(jacobiWL{}) }
 
 func (jacobiWL) Name() string { return "jacobi" }
 
-func (jacobiWL) Description() string {
-	return "2D 5-point Jacobi stencil: layer conditions and write-allocate traffic"
-}
-
 // DefaultMesh uses rows long enough that three of them still satisfy
 // the L2 layer condition, over enough rows to stream.
 func (jacobiWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 4096, Y: 48} }

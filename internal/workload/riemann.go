@@ -18,10 +18,6 @@ func init() { Register(riemannWL{}) }
 
 func (riemannWL) Name() string { return "riemann" }
 
-func (riemannWL) Description() string {
-	return "Sod shock tube: exact solver physics plus 3-stream profile write-out traffic"
-}
-
 // DefaultMesh writes 4096-cell profiles for 32 snapshots.
 func (riemannWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 4096, Y: 32} }
 

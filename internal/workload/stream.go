@@ -17,10 +17,6 @@ func init() { Register(streamWL{}) }
 
 func (streamWL) Name() string { return "stream" }
 
-func (streamWL) Description() string {
-	return "STREAM copy/triad kernels: per-element traffic and write-allocate ratios"
-}
-
 // DefaultMesh keeps each array at 2 MiB (8192 x 32 doubles): larger
 // than the private caches, small enough for fast campaigns.
 func (streamWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 8192, Y: 32} }

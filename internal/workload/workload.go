@@ -1,9 +1,10 @@
 // Package workload is the pluggable workload registry of the sweep
-// campaigns: every workload exposes the same contract — a name, a
-// traffic generator that replays the workload's memory accesses through
-// the memsim hierarchy and the write-allocate-evasion store engine, an
-// analytic-model hook, and mesh/size semantics — so one campaign can
-// cross machines x evasion modes x workloads.
+// campaigns: every workload exposes the same four-method contract — its
+// Name, its DefaultMesh (mesh/size semantics), Run (a traffic generator
+// that replays the workload's memory accesses through the memsim
+// hierarchy and the write-allocate-evasion store engine) and Analytic
+// (an analytic-model hook) — so one campaign can cross machines x
+// evasion modes x workloads.
 //
 // The paper's claim is that write-allocate evasion effects generalize
 // beyond CloverLeaf to any streaming or stencil kernel; this registry
@@ -59,8 +60,6 @@ func (c Config) EffectiveSpec() *machine.Spec {
 type Workload interface {
 	// Name is the registry key (cmd/sweep -workloads syntax).
 	Name() string
-	// Description is a one-line summary for listings.
-	Description() string
 	// DefaultMesh is the problem size used when the scenario leaves
 	// the mesh axis zero. Semantics are workload-defined: global grid
 	// for cloverleaf, elements-per-row x rows for the kernels.

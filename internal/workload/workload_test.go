@@ -19,9 +19,6 @@ func TestRegistryCoversAllWorkloads(t *testing.T) {
 		if !ok || w.Name() != name {
 			t.Errorf("workload %q does not round-trip", name)
 		}
-		if w.Description() == "" {
-			t.Errorf("workload %q has no description", name)
-		}
 		if m := w.DefaultMesh(); m.X <= 0 || m.Y <= 0 {
 			t.Errorf("workload %q default mesh %v not positive", name, m)
 		}

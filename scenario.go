@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cloversim/internal/machine"
 	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
 	"cloversim/internal/workload"
@@ -43,16 +42,4 @@ func RunScenarioContext(ctx context.Context, s sweep.Scenario) (sweep.Metrics, e
 		return nil, fmt.Errorf("cloversim: scenario %s (%s) %w: %w", s.ID(), s.Label(), sweep.ErrUnstarted, err)
 	}
 	return workload.Run(s, trace.ContextMemo(ctx))
-}
-
-// CampaignGrid is the full cross-product campaign of the paper and
-// beyond: every machine preset x every registered workload x every
-// write-allocate-evasion mode, full node.
-func CampaignGrid(seed uint64) sweep.Grid {
-	return sweep.Grid{
-		Machines:  machine.Names(),
-		Workloads: workload.Names(),
-		Modes:     sweep.AllModes(),
-		Seed:      seed,
-	}
 }

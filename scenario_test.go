@@ -166,19 +166,3 @@ func TestRunScenarioCaching(t *testing.T) {
 		}
 	}
 }
-
-// TestCampaignGridCoversPaper: the default cmd/sweep campaign spans
-// every machine preset and every evasion mode (>=24 scenarios, the
-// whole-paper cross product).
-func TestCampaignGridCoversPaper(t *testing.T) {
-	g := CampaignGrid(0)
-	if g.Size() < 24 {
-		t.Fatalf("campaign has %d scenarios, want >= 24", g.Size())
-	}
-	if len(g.Machines) != len(machine.Names()) {
-		t.Errorf("campaign covers %d machines, want all %d", len(g.Machines), len(machine.Names()))
-	}
-	if len(g.Modes) != len(sweep.AllModes()) {
-		t.Errorf("campaign covers %d modes, want all %d", len(g.Modes), len(sweep.AllModes()))
-	}
-}
