@@ -32,8 +32,10 @@ type Options struct {
 	// MachineName selects a preset ("icx", "spr8470", "spr8470+s",
 	// "spr8480"); default "icx".
 	MachineName string
-	// MaxRows truncates each rank's y extent in traffic studies
-	// (0 = paper-faithful full extent; default 32 for tractability).
+	// MaxRows truncates each rank's y extent in traffic studies to at
+	// most this many rows. 0 selects the default of 32, for
+	// tractability; a negative value keeps the paper-faithful full
+	// extent (cmd/experiments -full passes -1).
 	MaxRows int
 	// Ranks restricts scaling sweeps to these rank counts (default: all
 	// 1..cores). Every entry must lie in 1..cores of the machine.

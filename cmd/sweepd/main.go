@@ -49,10 +49,12 @@
 // HTTP warm the store for later CLI runs.
 //
 // Exit codes: 0 after a clean shutdown, 1 on a runtime failure (the
-// store cannot be opened, the address cannot be served, the final sync
-// fails), 2 on a usage error. A missing -store, a negative -workers,
-// -expand-timeout or -drain-timeout, and a -max-cells below 1 are usage
-// errors, reported before the store opens.
+// address cannot be bound, the store cannot be opened, serving fails,
+// the final sync fails), 2 on a usage error. A missing -store, a
+// negative -workers, -expand-timeout or -drain-timeout, and a
+// -max-cells below 1 are usage errors, reported before the store
+// opens. The address is bound before the store opens too, so a bad or
+// taken -addr leaves no store directory behind.
 package main
 
 import (
@@ -75,8 +77,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-// run checks the flags before the store opens: a bad value exits 2
-// with a message and leaves no store behind. Runtime failures exit 1.
+// run checks the flags and binds the address before the store opens:
+// a bad value exits 2 and an address it cannot bind exits 1, each with
+// a message and no store left behind. Runtime failures exit 1.
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -116,8 +119,13 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
+	}
 	st, err := store.Open(*storeDir, cloversim.PhysicsVersion)
 	if err != nil {
+		ln.Close()
 		return fail(err)
 	}
 	fmt.Fprintf(stderr, "sweepd: store %s: %s (physics %s)\n", *storeDir, st.Stats(), st.Physics())
@@ -132,22 +140,28 @@ func run(args []string, stderr io.Writer) int {
 	baseCtx, abortInflight := context.WithCancel(context.Background())
 	defer abortInflight()
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           server.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 	}
-	go func() {
-		fmt.Fprintf(stderr, "sweepd: listening on %s\n", *addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(stderr, "sweepd:", err)
-			os.Exit(1)
-		}
-	}()
+	fmt.Fprintf(stderr, "sweepd: listening on %s\n", ln.Addr())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 
 	stop := make(chan os.Signal, 2)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
+	select {
+	case <-stop:
+	case err := <-served:
+		// Serve returns before Shutdown only when accepting fails: stop
+		// the rest and make what finished durable.
+		abortInflight()
+		srv.Close()
+		if cerr := st.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+		return fail(err)
+	}
 	fmt.Fprintln(stderr, "sweepd: shutting down: draining in-flight requests (signal again to abort them)")
 	go func() {
 		<-stop

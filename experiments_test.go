@@ -16,6 +16,9 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil || o.MachineName != "icx" || spec.Name != "icx" || o.MaxRows != 32 || o.Seed == 0 {
 		t.Fatalf("defaults: %+v %v", o, err)
 	}
+	if o, _, err := (Options{MaxRows: -1}).resolve(); err != nil || o.MaxRows != -1 {
+		t.Errorf("MaxRows -1 resolved to %d (%v), want -1: the full extent", o.MaxRows, err)
+	}
 	if _, _, err := (Options{MachineName: "nope"}).resolve(); err == nil {
 		t.Error("unknown machine accepted")
 	}

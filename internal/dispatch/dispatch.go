@@ -4,7 +4,7 @@
 // answers NDJSON.
 //
 // A Fleet replaces the engine's local worker pool as its Backend. The
-// engine stays the host-side brain — memoizer, persistent store
+// engine stays the host-side brain — persistent store
 // probe/write-through, deduplication, deterministic grid ordering —
 // and hands the fleet one batch of scenarios that genuinely need
 // simulation. The fleet turns them into metrics:

@@ -97,18 +97,6 @@ const (
 	ClassStencil
 )
 
-func (k KernelClass) String() string {
-	switch k {
-	case ClassPureStore:
-		return "pure-store"
-	case ClassCopy:
-		return "copy"
-	case ClassStencil:
-		return "stencil"
-	}
-	return "unknown"
-}
-
 // EvasionMode selects the hardware mechanism used to avoid
 // write-allocates once the run detector fires (Sec. II-D of the paper
 // surveys all three).
@@ -128,17 +116,6 @@ const (
 	// reusable from cache but occupies it.
 	EvasionClaimZero
 )
-
-func (m EvasionMode) String() string {
-	switch m {
-	case EvasionWriteStream:
-		return "write-stream"
-	case EvasionClaimZero:
-		return "claim-zero"
-	default:
-		return "itom"
-	}
-}
 
 // SpecI2M holds the calibration of the dynamic write-allocate-evasion
 // feature ("SpecI2M", Ice Lake SP and later) or one of its architectural

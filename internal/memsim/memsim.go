@@ -268,9 +268,3 @@ func (h *Hierarchy) pristine() bool {
 func (h *Hierarchy) DirtyLines() int {
 	return h.l1.dirtyLines() + h.l2.dirtyLines() + h.l3.dirtyLines()
 }
-
-// String summarizes the hierarchy geometry.
-func (h *Hierarchy) String() string {
-	return fmt.Sprintf("L1 %d sets x%d | L2 %d sets x%d | L3slice %d sets x%d",
-		h.l1.sets, h.l1.ways, h.l2.sets, h.l2.ways, h.l3.sets, h.l3.ways)
-}

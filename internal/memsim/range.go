@@ -30,26 +30,6 @@ const (
 	AccessWriteStreamed
 )
 
-func (k AccessKind) String() string {
-	switch k {
-	case AccessLoad:
-		return "load"
-	case AccessRFO:
-		return "rfo"
-	case AccessClaimI2M:
-		return "claim-i2m"
-	case AccessClaimL2:
-		return "claim-l2"
-	case AccessWriteNT:
-		return "write-nt"
-	case AccessWriteNTReverted:
-		return "write-nt-reverted"
-	case AccessWriteStreamed:
-		return "write-streamed"
-	}
-	return "unknown"
-}
-
 // AccessRange performs n accesses of one kind to the consecutive lines
 // start..start+n-1, with exactly the cache state and Counts of n runs
 // of one line in order. Per-access counters are batched, and the

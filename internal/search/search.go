@@ -11,7 +11,7 @@
 // and runs in deterministic *waves*: each round the pending probe
 // points of every track (the cross product of the non-axis grid
 // dimensions) are resolved into explicit scenarios and executed through
-// one Engine.Run call — so the memoizer, the tier-2 store
+// one Engine.Run call — so the engine's store probe and
 // write-through, local and fleet backends, streaming progress and
 // cancellation semantics all apply unchanged — and then
 // only the intervals where the predicate changes sign, or where the
@@ -193,7 +193,7 @@ type Outcome struct {
 	// Interrupted reports that ctx was cancelled mid-wave: the points
 	// classified so far stand, unfinished probes are dropped.
 	Interrupted bool
-	// CacheErr aggregates tier-2 store write failures across waves
+	// CacheErr aggregates store write failures across waves
 	// (sweep.Campaign.CacheErr semantics).
 	CacheErr error
 	Tracks   []TrackResult
@@ -323,8 +323,8 @@ func (p *Plan) Validate() error {
 }
 
 // Run executes the adaptive campaign: waves of explicit scenarios
-// through eng (whose memoizer, tier-2 cache and backend apply
-// unchanged), bisection between waves. progress is each wave's engine
+// through eng (whose Cache and Backend apply unchanged), bisection
+// between waves. progress is each wave's engine
 // hook: it counts that wave's probes.
 //
 // Cancelling ctx stops the search at the current wave: classified

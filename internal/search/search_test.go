@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 )
 
@@ -419,6 +420,12 @@ func TestCacheSharing(t *testing.T) {
 	thresholds := map[string]float64{"icx": 37.5}
 	var sims atomic.Int64
 	eng := sweep.NewEngine(4, syntheticRunner(AxisRanks, thresholds, &sims))
+	st, err := store.Open(t.TempDir(), "search-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	eng.Cache = st
 	plan := &Plan{
 		Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 256}},
 		Axis:   AxisRanks,
@@ -437,7 +444,7 @@ func TestCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sims.Load() != cold {
-		t.Errorf("warm adaptive run simulated %d extra cells, want 0 (memoizer shared)", sims.Load()-cold)
+		t.Errorf("warm adaptive run simulated %d extra cells, want 0 (store shared)", sims.Load()-cold)
 	}
 	if second.Visited != first.Visited {
 		t.Errorf("warm visited %d != cold visited %d (trajectory must not depend on cache state)",

@@ -1,10 +1,6 @@
 package sweep
 
-import (
-	"context"
-	"runtime"
-	"sync"
-)
+import "context"
 
 // ReportFunc receives one finalized cold-cell outcome from a Backend:
 // i indexes the scenario slice passed to Execute, and exactly one of
@@ -15,21 +11,20 @@ import (
 // index twice without corrupting the campaign.
 type ReportFunc func(i int, m Metrics, err error)
 
-// Backend executes the cold cells of a campaign: the scenarios that
-// survived the engine's memoizer and persistent-cache tiers and
-// actually need simulation. The engine owns everything around
-// execution — deduplication, cache probes, write-through, progress,
-// deterministic grid ordering — so a backend only has to turn
-// scenarios into metrics.
+// Backend executes the cold cells of a campaign: the first occurrence
+// of each scenario ID that the engine's Cache did not hold. The engine
+// owns everything around execution — deduplication, cache probes,
+// write-through, progress, deterministic grid ordering — so a backend
+// only has to turn scenarios into metrics.
 //
-// Contract: Execute must call report exactly once per index before
-// returning (duplicates are tolerated, gaps are not — though the
-// engine defensively finalizes unreported cells as failures). Under a
-// cancelled ctx, cells that never started must be reported with an
-// error wrapping ErrUnstarted and ctx.Err() so cancellation stays
-// distinguishable from genuine failures; already-running cells may
-// complete and report normally. Report callbacks may be invoked
-// concurrently.
+// Contract: Execute reports every cell it starts before returning
+// (duplicates are tolerated). A cell it never starts because ctx was
+// cancelled stays unreported: the engine finalizes it with an error
+// wrapping ErrUnstarted and ctx.Err(), so cancellation stays
+// distinguishable from genuine failures. Already-running cells may
+// complete and report normally. A cell left unreported under a live
+// ctx is a backend bug, which the engine finalizes as a failure.
+// Report callbacks may be invoked concurrently.
 //
 // The default backend is LocalBackend (the in-process bounded worker
 // pool); internal/dispatch provides a fleet backend that shards the
@@ -39,10 +34,10 @@ type Backend interface {
 }
 
 // LocalBackend executes scenarios on an in-process bounded worker
-// pool; NewEngine installs it. Runner panics are isolated
-// into per-scenario errors; cancellation is observed at dispatch and
-// at the worker-slot acquire, so a cancelled batch stops starting new
-// scenarios while running ones complete.
+// pool, one ForEach over the batch; NewEngine installs it. Runner
+// panics are isolated into per-scenario errors. A cancelled batch
+// starts no new scenario while running ones complete, and the cells it
+// never started stay unreported.
 type LocalBackend struct {
 	// Workers bounds concurrent scenario executions (<= 0 means
 	// GOMAXPROCS).
@@ -51,44 +46,15 @@ type LocalBackend struct {
 	Run Runner
 }
 
-// Execute implements Backend.
+// Execute implements Backend. Each task reports its own cell, so
+// ForEach's error, a never-started task's, needs no handling: the
+// engine finalizes that cell.
 func (b *LocalBackend) Execute(ctx context.Context, scenarios []Scenario, report ReportFunc) {
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range scenarios {
-		if ctx.Err() != nil {
-			// Dispatch-time cancellation: finalize without scheduling.
-			report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				// The batch was cancelled while this scenario queued for
-				// a worker slot: finalize it unstarted so the pool drains
-				// without doing new work.
-				report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
-				return
-			}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				// Slot acquired in a race with cancellation: still no new
-				// work.
-				report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
-				return
-			}
-			m, err := runSafe(ctx, b.Run, scenarios[i])
-			report(i, m, err)
-		}(i)
-	}
-	wg.Wait()
+	ForEach(ctx, b.Workers, len(scenarios), func(i int) error {
+		m, err := runSafe(ctx, b.Run, scenarios[i])
+		report(i, m, err)
+		return nil
+	})
 }
 
 // Interface conformance.

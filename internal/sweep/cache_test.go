@@ -106,26 +106,6 @@ func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 	}
 }
 
-// TestMemoizerShadowsCacheTier: within one engine, a repeated campaign
-// is served by the in-memory tier without consulting the persistent one
-// again.
-func TestMemoizerShadowsCacheTier(t *testing.T) {
-	cache := newFakeCache()
-	var calls atomic.Int64
-	eng := NewEngine(0, countingRunner(&calls))
-	eng.Cache = cache
-	eng.Run(context.Background(), cacheGrid(), nil)
-	probes := cache.gets.Load()
-	eng.Run(context.Background(), cacheGrid(), nil)
-	if calls.Load() != 4 {
-		t.Fatalf("re-run executed %d fresh scenarios, want 0 extra (4 total)", calls.Load())
-	}
-	if cache.gets.Load() != probes {
-		t.Fatalf("re-run probed the persistent tier %d more times; memoizer should shadow it",
-			cache.gets.Load()-probes)
-	}
-}
-
 // TestCachePutErrorsAggregate: persistence failures must not fail
 // scenarios, only surface on Campaign.CacheErr.
 func TestCachePutErrorsAggregate(t *testing.T) {

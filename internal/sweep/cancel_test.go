@@ -179,7 +179,7 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 // TestRunContextCancelDuringCacheProbe: cancellation between
-// second-tier probes stops the probing loop — exactly one Get happens
+// Cache probes stops the probing loop — exactly one Get happens
 // when the first probe triggers the cancel.
 func TestRunContextCancelDuringCacheProbe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

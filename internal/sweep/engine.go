@@ -32,8 +32,8 @@ func (m Metrics) Get(name string) (float64, bool) {
 }
 
 // Result is one scenario's outcome. Exactly one of Metrics/Err is
-// meaningful; Cached marks results served from the engine cache or
-// deduplicated within a campaign.
+// meaningful; Cached marks results served from the engine's Cache or
+// copied from an earlier occurrence of the same ID in the campaign.
 type Result struct {
 	Scenario Scenario
 	ID       string
@@ -60,7 +60,7 @@ var ErrUnstarted = errors.New("not started: campaign cancelled")
 type Campaign struct {
 	Results []Result
 	// CacheErr aggregates persistence failures from the engine's
-	// second-tier Cache (store writes). It is separate from scenario
+	// Cache (store writes). It is separate from scenario
 	// errors: the simulations succeeded, but their results were not
 	// durably recorded, so a resumed campaign would re-run them.
 	CacheErr error
@@ -122,37 +122,33 @@ func (c Campaign) MetricNames() []string {
 	return names
 }
 
-// Cache is the engine's optional second result tier behind the
-// in-memory memoizer — typically a persistent, content-addressed store
-// (internal/store) that survives the process and makes campaigns
-// resumable. Get is consulted once per novel config hash before the
-// scenario is scheduled; Put is called once per freshly simulated
-// success. Implementations must be safe for concurrent use.
+// Cache is the engine's optional result cache — typically a
+// persistent, content-addressed store (internal/store) that survives
+// the process and makes campaigns resumable. Get is consulted once per
+// distinct config hash before the scenario is scheduled; Put is called
+// once per freshly simulated success. Implementations must be safe for
+// concurrent use.
 type Cache interface {
 	Get(Scenario) (Metrics, bool)
 	Put(Scenario, Metrics) error
 }
 
-// Engine executes campaigns with per-scenario result caching. The
-// host side — deduplication, the in-memory memoizer, the persistent
-// second-tier cache, write-through, progress and deterministic result
-// ordering — always runs in-process; the execution of cold cells is
-// delegated to the Backend. Create with NewEngine.
+// Engine executes campaigns. The host side — deduplication, the Cache
+// probe and write-through, progress and deterministic result ordering
+// — always runs in-process; the execution of cold cells is delegated
+// to the Backend. Create with NewEngine.
 type Engine struct {
 	// Backend executes the campaign's cold cells. NewEngine sets a
 	// LocalBackend; a dispatch fleet replaces it to shard the cells
 	// across remote sweepd workers. Results flow back through the same
-	// memoization, write-through and progress paths either way, so
-	// emitter output and store contents are identical.
+	// write-through and progress paths either way, so emitter output
+	// and store contents are identical.
 	Backend Backend
-	// Cache, when set, is the persistent second tier behind the
-	// in-memory memoizer: hits skip simulation entirely (Result.Cached),
-	// fresh successes are written through. Put errors do not fail
-	// scenarios; they aggregate into Campaign.CacheErr.
+	// Cache, when set, is the only result cache across campaigns: hits
+	// skip simulation entirely (Result.Cached), fresh successes are
+	// written through. Put errors do not fail scenarios; they aggregate
+	// into Campaign.CacheErr.
 	Cache Cache
-
-	mu    sync.Mutex
-	cache map[string]Metrics // scenario ID -> successful metrics
 }
 
 // run is one campaign's progress state: its hook and done count, under
@@ -168,7 +164,7 @@ type run struct {
 }
 
 // finalize counts one finalized scenario and fires the campaign's hook,
-// serialized so done rises by one per call, and outside the engine
+// serialized so done rises by one per call, and outside every other
 // lock so hooks may call back into the engine.
 func (p *run) finalize(r Result) {
 	if p.progress == nil {
@@ -186,67 +182,47 @@ func NewEngine(workers int, run Runner) *Engine {
 	return &Engine{Backend: &LocalBackend{Workers: workers, Run: run}}
 }
 
-// CacheSize reports how many scenario results the engine holds.
-func (e *Engine) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
-
 // Run executes a campaign. Cold scenarios run concurrently on the
-// Backend but the returned results are in input order. A scenario whose
-// config hash was already executed — in this campaign, a previous one
-// on the same engine, or (when Cache is set) any prior process that
-// wrote the persistent store — is served from cache; a scenario that
-// fails is reported in its Result without aborting the rest.
+// Backend but the returned results are in input order. A scenario
+// whose config hash appeared earlier in this campaign copies that
+// occurrence's result, and one the Cache holds (any prior campaign or
+// process that wrote the persistent store) is served from it; a
+// scenario that fails is reported in its Result without aborting the
+// rest.
 //
 // progress, when non-nil, is called once per finalized scenario, warm
 // hits, in-campaign duplicates and never-started cells included. Calls
 // come from worker goroutines in completion order, serialized per
 // campaign; only emitter output is ordered.
 //
-// Cancelling ctx stops the campaign scheduling new work — at the
-// dispatch loop, at the worker-slot acquire, and between second-tier
-// cache probes — and the call returns promptly with partial results:
-// already-running scenarios complete (and write through to Cache as
-// usual), already-finalized results stand, and every never-started
-// scenario carries an error wrapping ErrUnstarted and ctx.Err(). The
-// campaign still contains one finalized Result per input scenario.
+// Cancelling ctx stops the campaign scheduling new work — between
+// Cache probes and in the Backend — and the call returns promptly with
+// partial results: already-running scenarios complete (and write
+// through to Cache as usual), already-finalized results stand, and
+// every never-started scenario carries an error wrapping ErrUnstarted
+// and ctx.Err(). The campaign still contains one finalized Result per
+// input scenario.
 func (e *Engine) Run(ctx context.Context, scenarios []Scenario, progress func(done, total int, r Result)) Campaign {
 	total := len(scenarios)
 	results := make([]Result, total)
 	prog := &run{total: total, progress: progress}
-	e.mu.Lock()
-	if e.cache == nil {
-		e.cache = map[string]Metrics{}
-	}
-	// Partition: cache hits finalize immediately, the first occurrence
-	// of each novel ID executes, repeats copy from the first.
+	// The first occurrence of each ID executes; repeats copy from it
+	// once the backend drains.
 	first := map[string]int{}
-	var exec, hits []int
+	var exec []int
 	for i, s := range scenarios {
 		id := s.ID()
 		results[i] = Result{Scenario: s, ID: id}
-		if _, dup := first[id]; dup {
-			continue // filled after the pool drains
+		if _, dup := first[id]; !dup {
+			first[id] = i
+			exec = append(exec, i)
 		}
-		first[id] = i
-		if m, hit := e.cache[id]; hit {
-			results[i].Metrics = m
-			results[i].Cached = true
-			hits = append(hits, i)
-			continue
-		}
-		exec = append(exec, i)
 	}
-	e.mu.Unlock()
 
-	// Second tier: probe the persistent cache for memoizer misses,
-	// outside the engine lock (Cache implementations take their own
-	// locks and may be arbitrary user code). Warm hits skip simulation
-	// and seed the memoizer for in-campaign duplicates. A cancelled
-	// campaign stops probing: the rest go to the dispatch loop, which
-	// finalizes them as unstarted.
+	// Probe the Cache (implementations take their own locks and may be
+	// arbitrary user code). Warm hits skip simulation. A cancelled
+	// campaign stops probing: the rest go to the backend, which starts
+	// none of them, and are finalized as unstarted below.
 	if e.Cache != nil {
 		cold := make([]int, 0, len(exec))
 		for n, i := range exec {
@@ -257,28 +233,22 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario, progress func(do
 			if m, hit := e.Cache.Get(scenarios[i]); hit {
 				results[i].Metrics = m
 				results[i].Cached = true
-				e.mu.Lock()
-				e.cache[results[i].ID] = m
-				e.mu.Unlock()
-				hits = append(hits, i)
+				prog.finalize(results[i])
 				continue
 			}
 			cold = append(cold, i)
 		}
 		exec = cold
 	}
-	for _, i := range hits {
-		prog.finalize(results[i])
-	}
 
-	var putMu sync.Mutex
+	var mu sync.Mutex // guards reported, results[exec[*]] and putErrs
 	var putErrs []error
 	if len(exec) > 0 {
 		// Execution: the cold cells go to the backend as one batch,
 		// indexed 0..len(exec)-1. The report callback is the single
-		// funnel back into the engine — memoization, write-through and
-		// progress — and it is idempotent (first report per cell wins),
-		// so backends that re-dispatch work cannot double-finalize.
+		// funnel back into the engine — write-through and progress —
+		// and it is idempotent (first report per cell wins), so
+		// backends that re-dispatch work cannot double-finalize.
 		cold := make([]Scenario, len(exec))
 		for k, i := range exec {
 			cold[k] = scenarios[i]
@@ -289,47 +259,43 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario, progress func(do
 				return // defensive: a buggy backend must not panic the campaign
 			}
 			i := exec[k]
-			e.mu.Lock()
+			mu.Lock()
 			if reported[k] {
-				e.mu.Unlock()
+				mu.Unlock()
 				return
 			}
 			reported[k] = true
 			results[i].Metrics, results[i].Err = m, err
-			if err == nil {
-				// Errors are not cached: a retried campaign re-runs them.
-				e.cache[results[i].ID] = m
-			}
 			r := results[i]
-			e.mu.Unlock()
+			mu.Unlock()
 			if err == nil && e.Cache != nil {
-				// Write-through to the persistent tier, outside the
-				// engine lock — unconditionally, even after cancellation:
-				// a completed simulation is durable work a resumed
-				// campaign must not repeat. This holds for remote
-				// backends too: metrics computed on a worker land in the
-				// local store, so a distributed campaign is resumable
-				// exactly like a local one. A failed Put degrades
-				// resumability, not the scenario: the result stands, the
-				// error aggregates.
+				// Write-through, outside the lock — unconditionally,
+				// even after cancellation: a completed simulation is
+				// durable work a resumed campaign must not repeat. This
+				// holds for remote backends too: metrics computed on a
+				// worker land in the local store, so a distributed
+				// campaign is resumable exactly like a local one. A
+				// failed Put degrades resumability, not the scenario:
+				// the result stands, the error aggregates. Errors are
+				// never written: a retried campaign re-runs them.
 				if perr := e.Cache.Put(scenarios[i], m); perr != nil {
-					putMu.Lock()
+					mu.Lock()
 					putErrs = append(putErrs, fmt.Errorf("sweep: store %s (%s): %w",
 						r.ID, scenarios[i].Label(), perr))
-					putMu.Unlock()
+					mu.Unlock()
 				}
 			}
 			prog.finalize(r)
 		}
 		panicErr := executeSafe(ctx, e.Backend, cold, report)
-		// Finalize anything the backend failed to report: under a
-		// cancelled context that is normal (unstarted cells), otherwise
-		// it is a backend bug (or panic) that must surface as a
-		// per-scenario failure, never as a silently absent result.
+		// Finalize anything the backend did not report: under a
+		// cancelled context those are the cells it never started,
+		// otherwise it is a backend bug (or panic) that must surface as
+		// a per-scenario failure, never as a silently absent result.
 		for k, i := range exec {
-			e.mu.Lock()
+			mu.Lock()
 			done := reported[k]
-			e.mu.Unlock()
+			mu.Unlock()
 			if done {
 				continue
 			}
@@ -395,10 +361,10 @@ func runSafe(ctx context.Context, run Runner, s Scenario) (m Metrics, err error)
 
 // ForEach runs fn(0..n-1) on a bounded worker pool and returns the
 // lowest-index error (deterministic regardless of completion order).
-// Cancellation stops
-// scheduling new tasks — running ones complete — and every task that
-// never started reports ctx's error, so the lowest-index-error
-// contract stays deterministic.
+// Cancellation stops scheduling new tasks — running ones complete,
+// and a task that wins a worker slot after ctx is done does not start
+// — and every task that never started reports ctx's error, so the
+// lowest-index-error contract stays deterministic.
 func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -416,11 +382,13 @@ func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
+				defer func() { <-sem }()
 			case <-ctx.Done():
-				errs[i] = fmt.Errorf("sweep: task %d: %w", i, ctx.Err())
+			}
+			if err := ctx.Err(); err != nil {
+				errs[i] = fmt.Errorf("sweep: task %d: %w", i, err)
 				return
 			}
-			defer func() { <-sem }()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("sweep: task %d panicked: %v", i, r)

@@ -20,9 +20,9 @@ func benchRunner(_ context.Context, s Scenario) (Metrics, error) {
 }
 
 // BenchmarkEngineThroughput measures the dispatch layer: scenarios
-// executed per op through the full engine path (memoizer partition,
-// local backend pool, result ordering), on a fresh engine each
-// iteration so nothing is served from cache.
+// executed per op through the full engine path (deduplication, local
+// backend pool, result ordering), on an engine without a Cache so
+// nothing is served from one.
 func BenchmarkEngineThroughput(b *testing.B) {
 	const cells = 256
 	scenarios := make([]Scenario, cells)
@@ -44,7 +44,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineWarmCampaign measures the all-warm path: every cell
-// served from the memoizer. This is the steady state of a resumed
+// served from the Cache. This is the steady state of a resumed
 // campaign and should stay allocation-light.
 func BenchmarkEngineWarmCampaign(b *testing.B) {
 	const cells = 256
@@ -53,6 +53,7 @@ func BenchmarkEngineWarmCampaign(b *testing.B) {
 		scenarios[i] = Scenario{Machine: "m", Ranks: i + 1}
 	}
 	eng := NewEngine(8, benchRunner)
+	eng.Cache = newFakeCache()
 	if err := eng.Run(context.Background(), scenarios, nil).Err(); err != nil {
 		b.Fatal(err)
 	}

@@ -110,6 +110,8 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestCacheHitsViaRunCounter: a repeated campaign on an engine with a
+// Cache is served from it and runs nothing.
 func TestCacheHitsViaRunCounter(t *testing.T) {
 	g := testGrid()
 	var runs atomic.Int64
@@ -117,12 +119,14 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		runs.Add(1)
 		return echoRunner(ctx, s)
 	})
+	cache := newFakeCache()
+	e.Cache = cache
 	c1 := e.Run(context.Background(), g.Expand(), nil)
 	if got := runs.Load(); got != 12 {
 		t.Fatalf("first campaign executed %d scenarios, want 12", got)
 	}
-	if e.CacheSize() != 12 {
-		t.Fatalf("cache holds %d results, want 12", e.CacheSize())
+	if got := cache.puts.Load(); got != 12 {
+		t.Fatalf("first campaign wrote %d results through, want 12", got)
 	}
 	// Same grid again: every scenario hash hits the cache.
 	c2 := e.Run(context.Background(), g.Expand(), nil)
@@ -190,8 +194,8 @@ func TestFailedScenariosAreNotCached(t *testing.T) {
 	}
 }
 
-// TestProgressCallback: hooks run without the engine lock, so using
-// the engine from inside one must not deadlock.
+// TestProgressCallback: hooks run outside the campaign's locks, so
+// using the engine from inside one must not deadlock.
 func TestProgressCallback(t *testing.T) {
 	var calls atomic.Int64
 	e := NewEngine(4, echoRunner)
@@ -200,7 +204,9 @@ func TestProgressCallback(t *testing.T) {
 		if total != 12 || done < 1 || done > 12 {
 			t.Errorf("bad progress counters done=%d total=%d", done, total)
 		}
-		_ = e.CacheSize()
+		if c := e.Run(context.Background(), nil, nil); len(c.Results) != 0 {
+			t.Errorf("nested empty campaign returned %d results", len(c.Results))
+		}
 	})
 	if calls.Load() != 12 {
 		t.Errorf("progress fired %d times, want 12", calls.Load())
@@ -300,5 +306,21 @@ func TestForEach(t *testing.T) {
 	// Panics become errors.
 	if err := ForEach(ctx, 2, 2, func(i int) error { panic("eek") }); err == nil {
 		t.Error("panic not surfaced")
+	}
+	// A task that wins the one worker slot after cancellation does not
+	// start: the first task to run cancels, so no other task may run.
+	cctx, cancel := context.WithCancel(ctx)
+	var first atomic.Bool
+	var late atomic.Int64
+	err = ForEach(cctx, 1, 64, func(int) error {
+		if first.CompareAndSwap(false, true) {
+			cancel()
+		} else {
+			late.Add(1)
+		}
+		return nil
+	})
+	if late.Load() != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("%d tasks started after cancellation, error %v; want 0 and context.Canceled", late.Load(), err)
 	}
 }

@@ -129,7 +129,7 @@ func TestGridSpecExplicit(t *testing.T) {
 // TestGridSpecExplicitDuplicateKeys: duplicates are the store's and the
 // engine's documented convergence case, not damage — the explicit form
 // preserves them verbatim (position i in, position i out) and leaves
-// dedup to the memoizer.
+// dedup to the engine.
 func TestGridSpecExplicitDuplicateKeys(t *testing.T) {
 	s := Scenario{Machine: "icx", Workload: "stream", Ranks: 4}
 	spec := GridSpec{Scenarios: []string{s.Key(), s.Key(), s.Key()}}

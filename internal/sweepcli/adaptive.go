@@ -15,7 +15,7 @@ import (
 
 // adaptiveRun carries the CLI context of one -adaptive invocation into
 // runAdaptive: the resolved grid, the fully wired engine (backend and
-// tier-2 store included), the emit targets and the flag values the
+// store included), the emit targets and the flag values the
 // adaptive path interprets itself.
 type adaptiveRun struct {
 	grid      sweep.Grid

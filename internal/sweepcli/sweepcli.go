@@ -169,9 +169,9 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	}()
 	if len(workerHosts) > 0 {
 		// Remote backend: the fleet replaces the local pool and shards
-		// this campaign's cold cells. The memoizer, store
-		// probe/write-through and emitters are untouched — distributed
-		// output is byte-identical to local.
+		// this campaign's cold cells. The store probe/write-through
+		// and emitters are untouched — distributed output is
+		// byte-identical to local.
 		fleet, err := dispatch.New(ctx, workerHosts, cloversim.PhysicsVersion)
 		if err != nil {
 			return runtimeErr(stderr, err)
@@ -206,9 +206,10 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	}
 	if *adaptive != "" || *target != "" {
 		// Adaptive frontier search: the grid is a search space, not an
-		// enumeration. Everything set up above — engine, memoizer,
-		// store write-through, local or fleet backend — applies
-		// unchanged; only which cells run is decided wave by wave.
+		// enumeration. Everything set up above — engine, loop memo,
+		// store probe and write-through, local or fleet backend —
+		// applies unchanged; only which cells run is decided wave by
+		// wave.
 		if *adaptive == "" {
 			return usage(stderr, errors.New("-target requires -adaptive"))
 		}

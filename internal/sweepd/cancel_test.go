@@ -373,11 +373,10 @@ func TestExpandRepairsTransientPutFailure(t *testing.T) {
 }
 
 // TestWarmExpandAfterFailedPutsStillFlagsLoss: when write-throughs
-// fail, the engine memoizer still holds the results, so a repeat of
-// the same grid is served warm from memory — but those results are
-// NOT in the store (and the repair retry also fails), so the response
-// must keep saying so. Before the Lookup verification, the warm 200
-// carried no X-Store-Error and falsely promised durability.
+// fail, nothing reaches the store, so a repeat of the same grid
+// simulates its cells again and cannot persist them either (the
+// repair retry fails too): every response must say so, not only the
+// first.
 func TestWarmExpandAfterFailedPutsStillFlagsLoss(t *testing.T) {
 	broken := &putFailStore{ResultStore: openStore(t)}
 	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {

@@ -437,13 +437,12 @@ func (s *Server) expand(ctx context.Context, scenarios []sweep.Scenario, progres
 
 // persist enforces durability before acknowledgement: a response
 // without a store-error signal asserts every result in it is durable.
-// The engine memoizer can serve results whose write-through failed —
-// in this request (CacheErr) or an earlier one — so verify each
-// successful cell is indexed and, since the metrics are in hand,
-// repair misses by retrying the Put (a transient disk-full must not
-// condemn the cell to a store error, let alone for the daemon's
-// lifetime). Post-repair verification subsumes CacheErr: only a cell
-// that is STILL not persistable flags the loss. The Sync runs after
+// A cell whose write-through failed in this request (CacheErr) is in
+// the response but not in the store, so verify each successful cell is
+// indexed and, since the metrics are in hand, repair misses by
+// retrying the Put (a transient disk-full must not condemn the cell to
+// a store error). Post-repair verification subsumes CacheErr: only a
+// cell that is STILL not persistable flags the loss. The Sync runs after
 // the repairs so they ride the same pre-response fsync; it is free on
 // a clean store (the all-warm steady state) and re-attempts a fsync an
 // earlier request failed rather than vouching for it.
@@ -457,7 +456,7 @@ func (s *Server) persist(c sweep.Campaign) error {
 			continue
 		}
 		if perr := s.st.Put(res.Scenario, res.Metrics); perr != nil {
-			storeErr = errors.Join(storeErr, fmt.Errorf("sweepd: result %s served from memory but not persistable: %w", res.ID, perr))
+			storeErr = errors.Join(storeErr, fmt.Errorf("sweepd: result %s not persistable: %w", res.ID, perr))
 		}
 	}
 	if err := s.st.Sync(); err != nil {

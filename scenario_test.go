@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cloversim/internal/machine"
+	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 )
 
@@ -142,14 +143,20 @@ func TestRunScenarioErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestRunScenarioCaching: the engine must not re-execute a config hash
-// it has already run.
+// TestRunScenarioCaching: an engine with a store as its Cache must not
+// re-execute a config hash it has already run.
 func TestRunScenarioCaching(t *testing.T) {
 	var runs atomic.Int64
 	e := sweep.NewEngine(4, func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		runs.Add(1)
 		return RunScenarioContext(ctx, s)
 	})
+	st, err := store.Open(t.TempDir(), PhysicsVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	e.Cache = st
 	g := quickGrid()
 	e.Run(context.Background(), g.Expand(), nil)
 	first := runs.Load()
