@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vettool fmt tidy
+.PHONY: build test lint fmt tidy
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,6 @@ test:
 # nondet) over every package. Exit 0 clean, 1 findings, 2 load failure.
 lint:
 	$(GO) run ./cmd/cloverlint ./...
-
-# vettool runs the same suite through go vet's unitchecker protocol —
-# per-package caching, dependency export data from the build cache.
-vettool:
-	$(GO) build -o $(or $(TMPDIR),/tmp)/cloverlint ./cmd/cloverlint
-	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/cloverlint ./...
 
 fmt:
 	gofmt -l -w .

@@ -28,7 +28,7 @@ var seams = map[string]string{
 	"cloversim/internal/profiler.Profile.Share":      "internal/profiler TestShare, TestListing2ProfileShape",
 	"cloversim/internal/sweep.AllModes":              "internal/sweep TestModeTablesConsistent, TestStoreRoundTripMatchesColdRun",
 	"cloversim/internal/trace.Loop.Validate":         "internal/trace TestCountHelpers",
-	"cloversim/internal/trace.Memo.Stats":            "internal/trace TestMemoSingleFlight, TestSharedMemoMatchesFreshReplays, internal/sweepcli TestE2ELoopMemoPerInvocation, cloversim TestRankList",
+	"cloversim/internal/trace.Memo.Stats":            "internal/trace TestMemoSingleFlight, TestSharedMemoMatchesFreshReplays, internal/sweepcli TestE2ELoopMemoPerInvocation, internal/sweepd TestSecondExpandReplaysNoLoop, cloversim TestRankList",
 }
 
 // TestEveryExportIsCalled fails when an exported function, method or

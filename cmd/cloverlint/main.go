@@ -1,27 +1,17 @@
 // Command cloverlint runs the repo's invariant analyzer suite
 // (internal/lint): mapiter, exactbits, ctxflow, nondet.
 //
-// Standalone:
+// Usage:
 //
 //	cloverlint [-only a,b] [packages...]     # default ./...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/load failure — the same
 // contract as cmd/sweep.
-//
-// As a vet tool (the unitchecker protocol: -V=full / -flags
-// handshakes, then one JSON .cfg per package):
-//
-//	go vet -vettool=$(which cloverlint) ./...
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,10 +28,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cloverlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		vFlag     = fs.String("V", "", "print version and exit (go-tool handshake; use -V=full)")
-		flagsFlag = fs.Bool("flags", false, "print analyzer flags as JSON and exit (go-vet handshake)")
-		listFlag  = fs.Bool("list", false, "list analyzers and exit")
-		onlyFlag  = fs.String("only", "", "comma-separated analyzer subset to run")
+		listFlag = fs.Bool("list", false, "list analyzers and exit")
+		onlyFlag = fs.String("only", "", "comma-separated analyzer subset to run")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: cloverlint [-only a,b] [packages...]\n\nanalyzers:\n")
@@ -53,23 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	switch {
-	case *vFlag != "":
-		// go vet's buildID handshake wants "<name> version <id>",
-		// where id changes when the tool does: hash our own binary.
-		fmt.Fprintf(stdout, "cloverlint version v1.0.0-%s\n", selfHash())
-		return 0
-	case *flagsFlag:
-		// go vet validates user vet flags against this list.
-		type jf struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		out := []jf{{Name: "only", Usage: "comma-separated analyzer subset to run"}}
-		json.NewEncoder(stdout).Encode(out)
-		return 0
-	case *listFlag:
+	if *listFlag {
 		for _, a := range lint.All {
 			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
@@ -83,11 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cloverlint: unknown analyzer in -only=%s\n", *onlyFlag)
 			return 2
 		}
-	}
-
-	// Unitchecker mode: a single positional argument ending in .cfg.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0], analyzers, stderr)
 	}
 
 	pkgs, err := lint.Load(".", fs.Args()...)
@@ -114,87 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetConfig mirrors cmd/go's per-package vet configuration (the
-// unitchecker protocol input).
-type vetConfig struct {
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one package described by a go-vet .cfg file.
-func runUnit(cfgPath string, analyzers []*lint.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "cloverlint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "cloverlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// go vet expects the facts output file to exist afterwards; the
-	// suite is factless, so write it empty up front.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(stderr, "cloverlint: %v\n", err)
-			return 2
-		}
-	}
-	// Fact-computation-only runs cover every dependency of the vetted
-	// packages (go vet cannot know the suite is factless); skip the
-	// analysis entirely there.
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The invariants guard shipped code; vet also feeds us test
-		// variants, whose _test.go files we skip (the standalone
-		// loader never sees them at all).
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(stderr, "cloverlint: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	imp := lint.ExportImporter(fset, cfg.PackageFile, cfg.ImportMap)
-	pkg, err := lint.TypeCheck(fset, cfg.ImportPath, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "cloverlint: %v\n", err)
-		return 2
-	}
-	diags, err := lint.Run(pkg, analyzers, lint.Names())
-	if err != nil {
-		fmt.Fprintf(stderr, "cloverlint: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, relativize(d))
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // relativize renders a diagnostic with the filename relative to the
 // working directory when possible — shorter, clickable output.
 func relativize(d lint.Diagnostic) string {
@@ -204,22 +90,4 @@ func relativize(d lint.Diagnostic) string {
 		}
 	}
 	return d.String()
-}
-
-// selfHash hashes the running binary for the -V=full build ID.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }

@@ -2,10 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,81 +33,5 @@ func TestUnknownOnly(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-only", "bogus"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-only=bogus = %d, want 2", code)
-	}
-}
-
-// TestVetHandshake checks the two go-vet tool handshakes: -V=full must
-// print "<name> version <id>" and -flags must print a JSON flag list.
-func TestVetHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full = %d, want 0", code)
-	}
-	f := strings.Fields(stdout.String())
-	if len(f) < 3 || f[0] != "cloverlint" || f[1] != "version" || f[2] == "devel" {
-		t.Errorf("-V=full output %q does not satisfy go vet's buildID handshake", stdout.String())
-	}
-
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags = %d, want 0", code)
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output is not a JSON flag list: %v\n%s", err, stdout.String())
-	}
-}
-
-// TestVetTool drives the full unitchecker protocol through the real
-// `go vet -vettool=...`: a clean repo package passes, and a fixture
-// module with an un-annotated entropy source fails with the nondet
-// diagnostic.
-func TestVetTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool binary and invokes go vet")
-	}
-	tmp := t.TempDir()
-	tool := filepath.Join(tmp, "cloverlint")
-
-	build := exec.Command("go", "build", "-o", tool, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building cloverlint: %v\n%s", err, out)
-	}
-
-	// A determinism-scoped repo package must vet clean.
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./internal/sweep")
-	vet.Dir = "../.."
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Errorf("go vet -vettool on ./internal/sweep: %v\n%s", err, out)
-	}
-
-	// A fixture module with raw time.Now in a scoped package must fail.
-	mod := filepath.Join(tmp, "mod")
-	dir := filepath.Join(mod, "internal", "memsim")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	files := map[string]string{
-		filepath.Join(mod, "go.mod"): "module cloversim\n\ngo 1.24\n",
-		filepath.Join(dir, "clock.go"): "package memsim\n\nimport \"time\"\n\n" +
-			"func Stamp() int64 { return time.Now().UnixNano() }\n",
-	}
-	for path, body := range files {
-		if err := os.WriteFile(path, []byte(body), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vet = exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = mod
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on dirty fixture module succeeded, want failure\n%s", out)
-	}
-	if !strings.Contains(string(out), "time.Now is nondeterministic") {
-		t.Errorf("go vet output missing the nondet diagnostic:\n%s", out)
 	}
 }

@@ -1,7 +1,7 @@
-// Command sweepd serves a persistent campaign result store over HTTP:
-// many clients can list stored scenarios, fetch results by config
-// hash, and trigger grid expansions whose cold cells are simulated on
-// a bounded worker pool and written through to the store.
+// Command sweepd is a fleet worker for cmd/sweep -workers: it runs the
+// scenarios a dispatcher hands it, serving warm cells from its
+// persistent result store and simulating cold ones on a bounded worker
+// pool, written through to the store.
 //
 // Usage:
 //
@@ -12,31 +12,22 @@
 // Endpoints (see internal/sweepd for the JSON shapes):
 //
 //	GET  /v1/healthz
-//	GET  /v1/scenarios
-//	GET  /v1/results/{id}
 //	POST /v1/expand
 //	POST /v1/admin/compact
 //
-// POST /v1/admin/compact merges the store's segments into one
-// deduplicated segment while the daemon runs.
+// POST /v1/expand takes {"scenarios": [<canonical key>, ...]} and
+// answers NDJSON frames, each cell's result the moment it finalizes,
+// closed by a summary line carrying completion and durability status.
+// /v1/healthz advertises the simulation capacity (-workers), in-flight
+// expand count, per-request cell cap (-max-cells) and physics version
+// that cmd/sweep's dispatch backend shards by. POST /v1/admin/compact
+// merges the store's segments into one deduplicated segment while the
+// daemon runs.
 //
 // Expand requests are cancellation-correct: a client that disconnects
-// mid-expand stops the server scheduling that grid's remaining cold
+// mid-expand stops the server scheduling that request's remaining cold
 // cells and releases its simulation slots immediately, and
 // -expand-timeout (0 = off) bounds each request server-side.
-//
-// The request form of POST /v1/expand fixes its response: a grid
-// answers the campaign JSON cmd/sweep writes, with completion and
-// durability status in headers; an explicit scenario-key list answers
-// NDJSON frames, each cell's result the moment it finalizes, closed by
-// a summary line carrying that status.
-//
-// The daemon is also a fleet worker: the explicit form carries cells
-// this store has never seen, and /v1/healthz advertises the simulation
-// capacity (-workers), in-flight expand count, per-request cell cap
-// (-max-cells) and physics version that cmd/sweep's dispatch backend
-// shards by. Point cmd/sweep -workers at a set of sweepd addresses to
-// run distributed campaigns.
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests (up to -drain-timeout), then
@@ -45,8 +36,8 @@
 // skips the drain and aborts in-flight expands at once.
 //
 // The store directory is shared with cmd/sweep -store: campaigns run
-// offline become servable immediately, and expansions triggered over
-// HTTP warm the store for later CLI runs.
+// offline warm the worker, and the cells it simulates warm later CLI
+// runs over the same directory, which is also how to read its results.
 //
 // Exit codes: 0 after a clean shutdown, 1 on a runtime failure (the
 // address cannot be bound, the store cannot be opened, serving fails,
@@ -136,7 +127,7 @@ func run(args []string, stderr io.Writer) int {
 
 	// Every request context descends from baseCtx, so cancelling it
 	// aborts in-flight expands: their engines stop scheduling cold
-	// cells and the handlers return with partial campaigns.
+	// cells and the handlers close their streams incomplete.
 	baseCtx, abortInflight := context.WithCancel(context.Background())
 	defer abortInflight()
 	srv := &http.Server{

@@ -1,7 +1,7 @@
 // Package dispatch is the remote execution backend of the sweep
 // engine: it shards a campaign's cold cells across a fleet of sweepd
-// workers over the explicit-scenario form of POST /v1/expand, which
-// answers NDJSON.
+// workers over POST /v1/expand, which takes scenario keys and answers
+// NDJSON.
 //
 // A Fleet replaces the engine's local worker pool as its Backend. The
 // engine stays the host-side brain — persistent store

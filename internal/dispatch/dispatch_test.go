@@ -351,7 +351,7 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: physics, Capacity: 2})
 	})
 	mux.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
-		var spec sweepd.GridSpec
+		var spec struct{ Scenarios []string }
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -79,7 +79,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports, nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	})
 
 	var out []*Package
 	for _, t := range targets {
@@ -94,7 +100,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, err := TypeCheck(fset, t.ImportPath, files, imp)
+		pkg, err := typeCheck(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -104,11 +110,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// TypeCheck type-checks one parsed package against imp and wraps it
-// for analysis. Shared by Load and cmd/cloverlint's `go vet -vettool`
-// unit mode (which gets its file lists and export data from the vet
-// config instead of go list).
-func TypeCheck(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer) (*Package, error) {
+// typeCheck type-checks one parsed package against imp and wraps it
+// for analysis.
+func typeCheck(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -132,40 +136,4 @@ func TypeCheck(fset *token.FileSet, pkgPath string, files []*ast.File, imp types
 		Types:   tpkg,
 		Info:    info,
 	}, nil
-}
-
-// ExportImporter returns a types.Importer resolving import paths
-// through compiler export-data files (import path -> file), as
-// produced by `go list -export` or a vet config's PackageFile map.
-// canon maps source import paths to canonical package paths (vet's
-// ImportMap); it may be nil.
-func ExportImporter(fset *token.FileSet, exports map[string]string, canon map[string]string) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	return exportImporter{
-		canon: canon,
-		gc:    importer.ForCompiler(fset, "gc", lookup),
-	}
-}
-
-// exportImporter resolves imports through compiler export data,
-// delegating the decode to the standard gc importer.
-type exportImporter struct {
-	canon map[string]string
-	gc    types.Importer
-}
-
-func (i exportImporter) Import(path string) (*types.Package, error) {
-	if c, ok := i.canon[path]; ok {
-		path = c
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return i.gc.Import(path)
 }

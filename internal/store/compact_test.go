@@ -319,12 +319,12 @@ func FuzzCompactionRecovery(f *testing.F) {
 			t.Fatalf("Open errored: %v", err)
 		}
 		defer s.Close()
-		before := s.Records()
+		before := records(s)
 		cs, err := s.Compact()
 		if err != nil {
 			return // refusal is fine; panics and corruption are not
 		}
-		after := s.Records()
+		after := records(s)
 		if len(after) != len(before) || cs.Records != len(before) {
 			t.Fatalf("compact changed live set: %d -> %d (%s)", len(before), len(after), cs)
 		}

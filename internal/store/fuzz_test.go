@@ -86,7 +86,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 			t.Fatalf("recovery errored on damaged segment: %v", err)
 		}
 		defer s.Close()
-		for _, rec := range s.Records() {
+		for _, rec := range records(s) {
 			if got, ok := s.Get(rec.Scenario); !ok || len(got) != len(rec.Metrics) {
 				t.Fatalf("indexed record %s not servable", rec.ID)
 			}

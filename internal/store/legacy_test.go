@@ -122,7 +122,7 @@ func openIgnoringIndexes(t *testing.T, dir, physics string) *Store {
 	if !reflect.DeepEqual(got.Stats(), want.Stats()) {
 		t.Fatalf("stats with index files = %+v, without = %+v", got.Stats(), want.Stats())
 	}
-	gotRecs, wantRecs := got.Records(), want.Records()
+	gotRecs, wantRecs := records(got), records(want)
 	if len(gotRecs) != len(wantRecs) {
 		t.Fatalf("%d records with index files, %d without", len(gotRecs), len(wantRecs))
 	}

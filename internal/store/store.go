@@ -3,10 +3,10 @@
 // config hash (sweep.Scenario.ID) plus the physics version of the
 // simulator that produced it, in an append-only JSONL segment format.
 //
-// It is the durability layer that turns the in-process sweep engine
-// into a resumable, servable system: cmd/sweep -store skips every
-// already-simulated cell of a campaign grid, and cmd/sweepd serves one
-// store to many concurrent HTTP clients.
+// It is the durability layer that makes the in-process sweep engine
+// resumable: cmd/sweep -store skips every already-simulated cell of a
+// campaign grid, and each cmd/sweepd fleet worker serves its expands
+// warm from one store.
 //
 // Design points:
 //
@@ -512,21 +512,6 @@ func (s *Store) Stats() Stats {
 
 // Physics reports the version this store was opened under.
 func (s *Store) Physics() string { return s.physics }
-
-// Records lists the live records sorted by canonical key — a
-// deterministic order for listings and serving.
-func (s *Store) Records() []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Record, 0, len(s.index))
-	for _, rec := range s.index {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Scenario.Key() < out[j].Scenario.Key()
-	})
-	return out
-}
 
 // Sync flushes the active segment to stable storage. It is free when
 // the store is clean — nothing appended since the last successful

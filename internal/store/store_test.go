@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -345,28 +346,19 @@ func TestSeparateOpensUseSeparateSegments(t *testing.T) {
 	}
 }
 
-func TestRecordsDeterministicOrder(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, "p1")
-	scs := []sweep.Scenario{
-		scenario("spr8480", "stream", 3),
-		scenario("icx", "jacobi", 1),
-		scenario("icx", "stream", 2),
+// records lists the store's live records sorted by canonical key, so
+// tests can compare two stores' contents record by record.
+func records(s *Store) []Record {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Record, 0, len(s.index))
+	for _, rec := range s.index {
+		out = append(out, rec)
 	}
-	for _, sc := range scs {
-		if err := s.Put(sc, metrics(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs := s.Records()
-	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3", len(recs))
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i-1].Scenario.Key() >= recs[i].Scenario.Key() {
-			t.Fatalf("Records not sorted by key at %d", i)
-		}
-	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Scenario.Key() < out[j].Scenario.Key()
+	})
+	return out
 }
 
 func TestConcurrentPutGet(t *testing.T) {
@@ -398,7 +390,7 @@ func TestConcurrentPutGet(t *testing.T) {
 					t.Errorf("Get(%d) returned %d metrics", i, len(m))
 					return
 				}
-				s.Records()
+				records(s)
 				s.Stats()
 			}
 		}()

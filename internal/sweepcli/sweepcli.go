@@ -125,8 +125,8 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		}
 	}
 
-	// The grid resolves through the same names-based GridSpec the
-	// sweepd HTTP API decodes, so the two surfaces cannot drift.
+	// The flags declare the grid by name; GridSpec validates and
+	// resolves them.
 	spec := sweep.GridSpec{
 		Machines:  machine.Names(),
 		Workloads: workload.Names(),

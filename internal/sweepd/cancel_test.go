@@ -3,7 +3,6 @@ package sweepd
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,21 +28,27 @@ func syntheticMetrics(s sweep.Scenario) sweep.Metrics {
 	return m
 }
 
-// wideSpec is a 30-cell grid of cheap cells for cancellation tests.
-func wideSpec() GridSpec {
-	return GridSpec{
+// wideScenarios are 30 cheap cells for cancellation tests.
+func wideScenarios(t *testing.T) []sweep.Scenario {
+	return scenariosOf(t, sweep.GridSpec{
 		Machines:  []string{"icx", "spr8480"},
 		Workloads: []string{"stream"},
 		Modes:     []string{"baseline", "nt", "pf-off"},
 		Ranks:     []int{1, 2, 3, 4, 5},
 		Threads:   []int{8},
 		Seed:      900,
-	}
+	})
+}
+
+// streamScenarios are cheap icx stream cells, one per rank count.
+func streamScenarios(t *testing.T, seed uint64, ranks ...int) []sweep.Scenario {
+	return scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
+		Modes: []string{"baseline"}, Ranks: ranks, Threads: []int{8}, Seed: seed})
 }
 
 // TestExpandClientDisconnectStopsSimulation is the tentpole's daemon
 // half: a client that disconnects mid-expand must stop the server
-// simulating that grid's remaining cold cells, release its global
+// simulating that request's remaining cold cells, release its global
 // semaphore slots immediately, and leave the daemon fully responsive
 // — abandoned requests cannot starve live ones.
 func TestExpandClientDisconnectStopsSimulation(t *testing.T) {
@@ -71,12 +76,8 @@ func TestExpandClientDisconnectStopsSimulation(t *testing.T) {
 	}
 	ts := startServer(t, st, runner, 1) // one global slot: contention is total
 
-	body, err := json.Marshal(wideSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/expand", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/expand", bytes.NewReader(expandBody(t, wideScenarios(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,11 @@ func TestExpandClientDisconnectStopsSimulation(t *testing.T) {
 	go func() {
 		resp, err := ts.Client().Do(req)
 		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			err = errors.New("expand of a blocked grid returned before disconnect")
+			if err == nil {
+				err = errors.New("expand of blocked cells ended before disconnect")
+			}
 		}
 		errc <- err
 	}()
@@ -110,18 +114,8 @@ func TestExpandClientDisconnectStopsSimulation(t *testing.T) {
 	// runner) completes promptly. Before cancellable semaphore acquire,
 	// this would queue behind 29 zombie cells.
 	blocking.Store(false)
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{7, 8}, Threads: []int{8}, Seed: 901}
-	status, out := postExpand(t, ts, spec)
-	if status != http.StatusOK {
-		t.Fatalf("post-disconnect expand status %d: %s", status, out)
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Scenarios != 2 || exp.Failed != 0 {
-		t.Errorf("post-disconnect expand: %d scenarios, %d failed; want 2/0 (semaphore slot leaked?)", exp.Scenarios, exp.Failed)
+	if _, sum := expandStream(t, ts, streamScenarios(t, 901, 7, 8)); sum.Scenarios != 2 || sum.OK != 2 {
+		t.Errorf("post-disconnect expand summary %+v, want 2 ok (semaphore slot leaked?)", sum)
 	}
 
 	// No goroutine pile-up: the abandoned expand's workers all exited.
@@ -135,9 +129,8 @@ func TestExpandClientDisconnectStopsSimulation(t *testing.T) {
 }
 
 // TestExpandTimeout: the server-side deadline bounds an expand. The
-// response is a partial campaign flagged with X-Expand-Incomplete,
-// unstarted cells carry errors, and the simulation count proves the
-// grid was cut short.
+// summary flags the stream incomplete, unstarted cells carry errors,
+// and the simulation count proves the request was cut short.
 func TestExpandTimeout(t *testing.T) {
 	st := openStore(t)
 	var sims atomic.Int64
@@ -155,37 +148,23 @@ func TestExpandTimeout(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	body, err := json.Marshal(wideSpec())
-	if err != nil {
-		t.Fatal(err)
+	results, sum := expandStream(t, ts, wideScenarios(t))
+	if !strings.Contains(sum.Incomplete, "deadline") {
+		t.Errorf("summary incomplete = %q, want a deadline marker", sum.Incomplete)
 	}
-	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if sum.Scenarios != 30 || len(results) != 30 {
+		t.Errorf("summary reports %d scenarios in %d result frames, want all 30 finalized", sum.Scenarios, len(results))
 	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	if sum.Unstarted == 0 {
+		t.Error("timed-out expand reports zero unstarted cells")
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("timed-out expand status %d: %s", resp.StatusCode, out)
-	}
-	if h := resp.Header.Get("X-Expand-Incomplete"); !strings.Contains(h, "deadline") {
-		t.Errorf("X-Expand-Incomplete header = %q, want a deadline marker", h)
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Scenarios != 30 {
-		t.Errorf("partial campaign reports %d scenarios, want all 30 finalized", exp.Scenarios)
-	}
-	if exp.Failed == 0 {
-		t.Error("timed-out expand reports zero failed cells; unstarted cells must carry errors")
+	for _, res := range results {
+		if res.Unstarted && res.Error == "" {
+			t.Errorf("unstarted cell %s carries no error", res.ID)
+		}
 	}
 	if got := sims.Load(); got >= 30 {
-		t.Errorf("deadline did not stop the grid: %d cells simulated", got)
+		t.Errorf("deadline did not stop the request: %d cells simulated", got)
 	}
 	// Only completed cells were persisted.
 	if st.Len() >= 30 || int64(st.Len()) > sims.Load() {
@@ -197,7 +176,7 @@ func TestExpandTimeout(t *testing.T) {
 // their whole life waiting on the global semaphore (another expand
 // holds the only slot) must report them as unstarted when its deadline
 // fires — they are skipped work, not simulation failures — and flag
-// the response incomplete.
+// the stream incomplete.
 func TestExpandStarvedCellsReportUnstarted(t *testing.T) {
 	st := openStore(t)
 	release := make(chan struct{})
@@ -223,42 +202,28 @@ func TestExpandStarvedCellsReportUnstarted(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Expand A grabs the only slot and sits on it.
-	hogSpec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{1}, Threads: []int{8}, Seed: 910}
-	hogBody, _ := json.Marshal(hogSpec)
+	hogBody := expandBody(t, streamScenarios(t, 910, 1))
 	hogDone := make(chan struct{})
 	go func() {
 		defer close(hogDone)
 		resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(hogBody))
 		if err == nil {
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
 	}()
 	<-started
 
 	// Expand B starves behind it until the deadline.
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{21, 22}, Threads: []int{8}, Seed: 911}
-	status, out := postExpand(t, ts, spec)
-	if status != http.StatusOK {
-		t.Fatalf("starved expand status %d: %s", status, out)
-	}
-	var exp struct {
-		Results []struct {
-			Error string `json:"error"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatal(err)
-	}
+	results, sum := expandStream(t, ts, streamScenarios(t, 911, 21, 22))
 	unstarted := 0
-	for _, r := range exp.Results {
-		if strings.Contains(r.Error, sweep.ErrUnstarted.Error()) {
+	for _, r := range results {
+		if r.Unstarted && strings.Contains(r.Error, sweep.ErrUnstarted.Error()) {
 			unstarted++
 		}
 	}
-	if unstarted != 2 {
-		t.Errorf("%d of 2 starved cells marked unstarted; response:\n%s", unstarted, out)
+	if unstarted != 2 || sum.Unstarted != 2 || sum.Incomplete == "" {
+		t.Errorf("%d of 2 starved cells marked unstarted, summary %+v", unstarted, sum)
 	}
 	close(release)
 	<-hogDone
@@ -279,9 +244,9 @@ func (s *syncSpyStore) Sync() error {
 	return s.ResultStore.Sync()
 }
 
-// TestExpandSyncsBeforeResponding: the 200 response is a durability
-// acknowledgement, so the store must be fsynced before the body goes
-// out — a daemon crash after the response cannot lose results the
+// TestExpandSyncsBeforeResponding: a summary without store_error is a
+// durability acknowledgement, so the store must be fsynced before it
+// goes out: a daemon crash after the summary cannot lose results the
 // client believes are persisted.
 func TestExpandSyncsBeforeResponding(t *testing.T) {
 	spy := &syncSpyStore{ResultStore: openStore(t)}
@@ -289,19 +254,18 @@ func TestExpandSyncsBeforeResponding(t *testing.T) {
 		return syntheticMetrics(s), nil
 	}
 	ts := startServer(t, spy, runner, 2)
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{1, 2}, Threads: []int{8}, Seed: 902}
-	if status, out := postExpand(t, ts, spec); status != http.StatusOK {
-		t.Fatalf("expand status %d: %s", status, out)
+	scs := streamScenarios(t, 902, 1, 2)
+	if _, sum := expandStream(t, ts, scs); sum.OK != 2 || sum.StoreError != "" {
+		t.Fatalf("cold expand summary %+v, want 2 ok and durable", sum)
 	}
 	if spy.syncs.Load() == 0 {
-		t.Error("cold expand responded 200 without syncing the store")
+		t.Error("cold expand sent its summary without syncing the store")
 	}
 	// A fully-warm expand must also end clean — Sync is called
 	// unconditionally (it is free on a clean store) so a dirty store
 	// left by an earlier failed fsync gets retried, never vouched for.
-	if status, out := postExpand(t, ts, spec); status != http.StatusOK {
-		t.Fatalf("warm expand status %d: %s", status, out)
+	if _, sum := expandStream(t, ts, scs); sum.OK != 2 || sum.StoreError != "" {
+		t.Fatalf("warm expand summary %+v, want 2 ok and durable", sum)
 	}
 }
 
@@ -330,11 +294,11 @@ func (s *flakyPutStore) Put(sc sweep.Scenario, m sweep.Metrics) error {
 }
 
 // TestExpandRepairsTransientPutFailure: a transient write-through
-// failure must not cost the client an X-Store-Error when the store
+// failure must not cost the client a store_error when the store
 // recovers — the handler's verification loop retries the Put with the
-// in-hand metrics before responding, so the cell is persisted and the
-// response is clean, in the same request when possible and on the
-// next one at the latest.
+// in-hand metrics before the summary, so the cell is persisted and the
+// summary is clean, in the same request when possible and on the next
+// one at the latest.
 func TestExpandRepairsTransientPutFailure(t *testing.T) {
 	real := openStore(t)
 	flaky := &flakyPutStore{ResultStore: real}
@@ -343,39 +307,25 @@ func TestExpandRepairsTransientPutFailure(t *testing.T) {
 		return syntheticMetrics(s), nil
 	}
 	ts := startServer(t, flaky, runner, 2)
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{15, 16}, Threads: []int{8}, Seed: 905}
-	body, _ := json.Marshal(spec)
+	scs := streamScenarios(t, 905, 15, 16)
 
-	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if h := resp.Header.Get("X-Store-Error"); h != "" {
-		t.Errorf("repaired expand still flags X-Store-Error %q", h)
+	if _, sum := expandStream(t, ts, scs); sum.StoreError != "" {
+		t.Errorf("repaired expand still flags store_error %q", sum.StoreError)
 	}
 	if real.Len() != 2 {
 		t.Errorf("repair persisted %d records, want 2", real.Len())
 	}
 
 	// The warm repeat finds everything durable and stays clean.
-	resp, err = http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if h := resp.Header.Get("X-Store-Error"); h != "" {
-		t.Errorf("warm expand after repair flags X-Store-Error %q", h)
+	if _, sum := expandStream(t, ts, scs); sum.StoreError != "" {
+		t.Errorf("warm expand after repair flags store_error %q", sum.StoreError)
 	}
 }
 
 // TestWarmExpandAfterFailedPutsStillFlagsLoss: when write-throughs
-// fail, nothing reaches the store, so a repeat of the same grid
+// fail, nothing reaches the store, so a repeat of the same request
 // simulates its cells again and cannot persist them either (the
-// repair retry fails too): every response must say so, not only the
+// repair retry fails too): every summary must say so, not only the
 // first.
 func TestWarmExpandAfterFailedPutsStillFlagsLoss(t *testing.T) {
 	broken := &putFailStore{ResultStore: openStore(t)}
@@ -388,35 +338,21 @@ func TestWarmExpandAfterFailedPutsStillFlagsLoss(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{5, 6}, Threads: []int{8}, Seed: 904}
-	body, _ := json.Marshal(spec)
+	scs := streamScenarios(t, 904, 5, 6)
 	for pass, label := range []string{"cold", "warm"} {
-		resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		results, sum := expandStream(t, ts, scs)
+		if sum.StoreError == "" {
+			t.Errorf("%s expand (pass %d) carries no store_error despite nothing being persisted", label, pass)
 		}
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s expand status %d: %s", label, resp.StatusCode, out)
-		}
-		if resp.Header.Get("X-Store-Error") == "" {
-			t.Errorf("%s expand (pass %d) carries no X-Store-Error despite nothing being persisted", label, pass)
-		}
-		var exp expandResponse
-		if err := json.Unmarshal(out, &exp); err != nil {
-			t.Fatal(err)
-		}
-		if exp.Scenarios != 2 || exp.Failed != 0 {
-			t.Fatalf("%s expand lost the campaign: %s", label, out)
+		if sum.Scenarios != 2 || sum.OK != 2 || len(results) != 2 {
+			t.Fatalf("%s expand lost its results: summary %+v, %d result frames", label, sum, len(results))
 		}
 	}
 }
 
 // TestExpandSurfacesSyncFailure: a failed fsync is a durability loss
 // exactly like a failed Put, and reaches the client through the same
-// X-Store-Error path.
+// store_error field.
 func TestExpandSurfacesSyncFailure(t *testing.T) {
 	spy := &syncSpyStore{ResultStore: openStore(t), syncErr: errors.New("fsync: disk on fire")}
 	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
@@ -428,27 +364,12 @@ func TestExpandSurfacesSyncFailure(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{3}, Threads: []int{8}, Seed: 903}
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	results, sum := expandStream(t, ts, streamScenarios(t, 903, 3))
+	if sum.StoreError == "" {
+		t.Error("sync failure not flagged in the summary's store_error")
 	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("expand status %d: %s", resp.StatusCode, out)
-	}
-	if resp.Header.Get("X-Store-Error") == "" {
-		t.Error("sync failure not flagged in X-Store-Error header")
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Scenarios != 1 || exp.Failed != 0 {
-		t.Errorf("campaign lost alongside the sync failure: %s", out)
+	if sum.Scenarios != 1 || sum.OK != 1 || len(results) != 1 {
+		t.Errorf("results lost alongside the sync failure: summary %+v, %d result frames", sum, len(results))
 	}
 	if !strings.Contains(logged.String(), "disk on fire") {
 		t.Errorf("sync failure not logged:\n%s", logged.String())

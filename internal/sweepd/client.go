@@ -166,8 +166,8 @@ func (c *Client) decodeExecResult(r executeResult) (ExecResult, error) {
 	return res, nil
 }
 
-// ExecuteScenarios posts the scenarios to the worker's /v1/expand in
-// explicit-key form and reads the NDJSON stream it answers with.
+// ExecuteScenarios posts the scenarios' canonical keys to the worker's
+// /v1/expand and reads the NDJSON stream it answers with.
 // onResult (when non-nil) fires for each cell the moment its frame
 // arrives — in completion order, not request order — and the full
 // request-ordered result slice is returned at the end. Metric values
@@ -183,7 +183,11 @@ func (c *Client) decodeExecResult(r executeResult) (ExecResult, error) {
 // summary frame is reported as truncated, never silently treated as
 // complete.
 func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, r ExecResult)) ([]ExecResult, error) {
-	reqBody, err := json.Marshal(sweep.ExplicitSpec(scenarios))
+	keys := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		keys[i] = sc.Key()
+	}
+	reqBody, err := json.Marshal(expandRequest{Scenarios: keys})
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
 	}

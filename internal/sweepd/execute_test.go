@@ -157,8 +157,8 @@ func TestExpandExplicitPerCellFailure(t *testing.T) {
 	}
 }
 
-// TestExpandExplicitRejects: malformed keys and mixed grid/explicit
-// specs are client errors, not executions.
+// TestExpandExplicitRejects: malformed keys and bodies that mix grid
+// axes into the key list are client errors, not executions.
 func TestExpandExplicitRejects(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
 		t.Error("runner executed for a rejected spec")
@@ -245,12 +245,12 @@ func TestClientPromotesSchemelessURLs(t *testing.T) {
 	}
 }
 
-// TestExplicitSpecJSONShape pins the wire form of the explicit request
+// TestExplicitSpecJSONShape pins the wire form of the expand request
 // so the client and server cannot drift: scenarios ride under the
-// "scenarios" key alongside the grid axes.
+// "scenarios" key, the body's one field.
 func TestExplicitSpecJSONShape(t *testing.T) {
 	key := execScenarios(1)[0].Key()
-	buf, err := json.Marshal(GridSpec{Scenarios: []string{key}})
+	buf, err := json.Marshal(expandRequest{Scenarios: []string{key}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,40 +1,29 @@
-// Package sweepd is the campaign result server behind cmd/sweepd: it
-// exposes one persistent content-addressed store (internal/store) to
-// many concurrent HTTP clients — listing stored scenarios, serving
-// results by config hash, and expanding campaigns whose warm cells
-// come straight from the store while cold cells are simulated on a
-// bounded worker pool and written through.
+// Package sweepd is the fleet worker behind cmd/sweepd: it serves one
+// persistent content-addressed store (internal/store) to the dispatch
+// backend of cmd/sweep -workers. An expand hands the worker cells as
+// canonical scenario keys; warm cells come straight from the store,
+// cold cells are simulated on a bounded worker pool and written
+// through.
 //
 // API:
 //
 //	GET  /v1/healthz           liveness, store occupancy, simulation capacity
-//	GET  /v1/scenarios         every stored record, deterministic key order
-//	GET  /v1/results/{id}      one record by scenario config hash
-//	POST /v1/expand            run a campaign: warm from store, simulate cold
+//	POST /v1/expand            run scenario keys: warm from store, simulate cold
 //	POST /v1/admin/compact     merge the store's segments into one
 //
-// The form of an expand body alone fixes the encoding of its response:
-// explicit → NDJSON, grid → campaign JSON.
-//
-// A grid (axes by name; the cross product is executed) answers the
-// campaign JSON cmd/sweep writes to campaign.json, so clients can treat
-// the daemon as a remote sweep. An X-Expand-Incomplete header flags a
-// campaign cut short, an X-Store-Error header results that were not
-// persisted.
-//
-// An explicit scenario list (canonical scenario keys, the dispatch
-// protocol's form) answers NDJSON, one JSON object per line, sending
-// each cell's result the moment it finalizes with its metrics as exact
-// IEEE-754 bits. The frames are a tagged union:
+// An expand body is {"scenarios": [<canonical key>, ...]} and nothing
+// else: any other field is a 400 that names this form. The response is
+// NDJSON, one JSON object per line, sending each cell's result the
+// moment it finalizes with its metrics as exact IEEE-754 bits. The
+// frames are a tagged union:
 //
 //	{"stream":{...}}    first line: physics + scenario count
 //	{"result":{...}}    one per cell, completion order
 //	{"summary":{...}}   last line: counts + incomplete/store status
 //
 // Headers leave with the first frame, so the summary carries the
-// completion and durability status the grid form puts in headers. A
-// stream that ends without a summary line was truncated and must not
-// be trusted.
+// completion and durability status. A stream that ends without a
+// summary line was truncated and must not be trusted.
 //
 // Healthz reports the daemon's simulation capacity (worker slots), the
 // number of in-flight expand requests, and the physics version, so a
@@ -44,12 +33,12 @@
 // Expands are cancellation-correct: each runs under its request
 // context (plus the optional Server.ExpandTimeout deadline), so a
 // client that disconnects mid-expand stops the server scheduling that
-// campaign's remaining cold cells and releases its global simulation
+// request's remaining cold cells and releases its global simulation
 // slots immediately; cells already simulating complete and are
 // written through, cells never started come back as errors wrapping
-// sweep.ErrUnstarted. The store is synced before the grid response and
-// before the summary frame, so results the client has been told are
-// durable survive a daemon crash.
+// sweep.ErrUnstarted. The store is synced before the summary frame,
+// so results the client has been told are durable survive a daemon
+// crash.
 package sweepd
 
 import (
@@ -67,11 +56,10 @@ import (
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
-	"cloversim/internal/workload"
 )
 
 // DefaultMaxCells bounds one expand request when Server.MaxCells is
-// unset, so a typo'd grid cannot wedge the daemon behind a million
+// unset, so one request cannot wedge the daemon behind a million
 // simulations.
 const DefaultMaxCells = 4096
 
@@ -82,7 +70,6 @@ const DefaultMaxCells = 4096
 type ResultStore interface {
 	sweep.Cache
 	Lookup(id string) (store.Record, bool)
-	Records() []store.Record
 	Len() int
 	Stats() store.Stats
 	Physics() string
@@ -98,14 +85,14 @@ var _ ResultStore = (*store.Store)(nil)
 type Server struct {
 	// ExpandTimeout, when positive, bounds each expand request: the
 	// campaign context expires after this long, unstarted cells come
-	// back as errors, and the partial response is flagged with an
-	// X-Expand-Incomplete header. Zero means no server-side deadline
-	// (client disconnect still cancels).
+	// back as errors, and the summary frame flags the stream
+	// incomplete. Zero means no server-side deadline (client
+	// disconnect still cancels).
 	ExpandTimeout time.Duration
-	// MaxCells caps the cell count of one expand request, grid or
-	// explicit form. Zero means DefaultMaxCells. The cap is advertised
-	// in /v1/healthz as max_cells so dispatchers can clamp their chunk
-	// sizes up front instead of discovering the limit through 400s.
+	// MaxCells caps the scenario count of one expand request. Zero
+	// means DefaultMaxCells. The cap is advertised in /v1/healthz as
+	// max_cells so dispatchers can clamp their chunk sizes up front
+	// instead of discovering the limit through 400s.
 	MaxCells int
 
 	// errorLog receives response-write failures (broken pipes, encode
@@ -113,6 +100,7 @@ type Server struct {
 	errorLog *log.Logger
 	st       ResultStore
 	eng      *sweep.Engine
+	memo     *trace.Memo // the loop memo every expand shares
 	sem      chan struct{}
 	inflight atomic.Int64 // expand requests currently being served
 }
@@ -120,12 +108,16 @@ type Server struct {
 // New wires a server onto an open store. The runner simulates cold
 // cells; workers bounds simulation concurrency globally across all
 // in-flight expand requests (<= 0 means GOMAXPROCS). Results of cold
-// simulations are written through to the store.
+// simulations are written through to the store. Every expand runs
+// under one loop memo that lives as long as the server, as cmd/sweep
+// and cmd/experiments keep one per invocation: the chunks a fleet
+// campaign sends a worker share their loop replays, and the memo's
+// entry cap bounds it.
 func New(st ResultStore, runner sweep.Runner, workers int) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{errorLog: log.Default(), st: st, sem: make(chan struct{}, workers)}
+	s := &Server{errorLog: log.Default(), st: st, memo: trace.NewMemo(), sem: make(chan struct{}, workers)}
 	// The engine bounds workers per campaign; the semaphore bounds the
 	// whole daemon, so concurrent expand requests share one simulation
 	// budget instead of multiplying it. The acquire selects on the
@@ -165,8 +157,6 @@ func (s *Server) logf(format string, args ...any) { s.errorLog.Printf(format, ar
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
 	mux.HandleFunc("POST /v1/expand", s.handleExpand)
 	mux.HandleFunc("POST /v1/admin/compact", s.handleCompact)
 	return mux
@@ -220,8 +210,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jsonMetric/jsonRecord mirror the store's wire form: decimal value
-// for humans, IEEE-754 bits for clients that need the exact float.
+// jsonMetric mirrors the store's wire form: decimal value for humans,
+// IEEE-754 bits for clients that need the exact float.
 // The decimal mirror is best-effort — JSON cannot carry NaN/Inf, so
 // exactly those drop the value field (a pointer, so finite zeros stay)
 // and the bits alone are authoritative; encoding NaN as a number would
@@ -232,9 +222,7 @@ type jsonMetric struct {
 	Bits  string   `json:"bits"`
 }
 
-// toJSONMetrics renders metrics in the shared wire form used by both
-// /v1/results and the explicit-expand result frames, so the two
-// surfaces cannot drift.
+// toJSONMetrics renders metrics in the wire form of the result frames.
 func toJSONMetrics(ms sweep.Metrics) []jsonMetric {
 	out := make([]jsonMetric, 0, len(ms))
 	for _, m := range ms {
@@ -250,64 +238,6 @@ func toJSONMetrics(ms sweep.Metrics) []jsonMetric {
 	return out
 }
 
-type jsonRecord struct {
-	ID       string       `json:"id"`
-	Key      string       `json:"key"`
-	Machine  string       `json:"machine"`
-	Workload string       `json:"workload,omitempty"`
-	Mode     string       `json:"mode"`
-	Ranks    int          `json:"ranks"`
-	Mesh     string       `json:"mesh"`
-	Threads  int          `json:"threads"`
-	Seed     uint64       `json:"seed"`
-	Metrics  []jsonMetric `json:"metrics,omitempty"`
-}
-
-func toJSONRecord(rec store.Record) jsonRecord {
-	jr := jsonRecord{
-		ID:       rec.ID,
-		Key:      rec.Scenario.Key(),
-		Machine:  rec.Scenario.Machine,
-		Workload: rec.Scenario.Workload,
-		Mode:     rec.Scenario.Mode.Name,
-		Ranks:    rec.Scenario.Ranks,
-		Mesh:     rec.Scenario.Mesh.String(),
-		Threads:  rec.Scenario.Threads,
-		Seed:     rec.Scenario.Seed,
-	}
-	jr.Metrics = toJSONMetrics(rec.Metrics)
-	return jr
-}
-
-type scenariosResponse struct {
-	Physics   string       `json:"physics"`
-	Count     int          `json:"count"`
-	Scenarios []jsonRecord `json:"scenarios"`
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	recs := s.st.Records()
-	resp := scenariosResponse{
-		Physics:   s.st.Physics(),
-		Count:     len(recs),
-		Scenarios: make([]jsonRecord, 0, len(recs)),
-	}
-	for _, rec := range recs {
-		resp.Scenarios = append(resp.Scenarios, toJSONRecord(rec))
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.st.Lookup(id)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "no stored result for config hash %q under physics %s", id, s.st.Physics())
-		return
-	}
-	s.writeJSON(w, r, http.StatusOK, toJSONRecord(rec))
-}
-
 // handleCompact is the admin trigger for store compaction. The daemon
 // owns its store directory exclusively, so this is the safe way to
 // compact a live store (cmd/sweep -store-compact is for offline ones).
@@ -321,48 +251,52 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, cs)
 }
 
-// GridSpec is the expand request body: the same axes cmd/sweep's flags
-// declare, with modes and meshes by name — or, in its explicit form,
-// canonical scenario keys to execute verbatim. It is the shared
-// sweep.GridSpec, so the CLI and the HTTP API validate grids through
-// one code path.
-type GridSpec = sweep.GridSpec
+// expandRequest is the body of POST /v1/expand: canonical scenario
+// keys (sweep.Scenario.Key) to execute verbatim, the dispatch
+// protocol's way of handing a worker cells it has never seen. Every
+// key, refined numeric values no preset list contains included, parses
+// back to an identical scenario.
+type expandRequest struct {
+	Scenarios []string `json:"scenarios"`
+}
+
+// scenarios parses the keys, rejecting an empty list, a malformed key
+// and numeric values no runner accepts (sweep.Scenario.CheckValues).
+// Per-scenario resolution failures (unknown machine, more ranks than
+// cores) are not request errors: they come back as per-cell results.
+// Duplicate keys stay, position i in and out; the engine dedupes them.
+func (req expandRequest) scenarios() ([]sweep.Scenario, error) {
+	if len(req.Scenarios) == 0 {
+		return nil, errors.New("no scenarios")
+	}
+	out := make([]sweep.Scenario, len(req.Scenarios))
+	for i, key := range req.Scenarios {
+		sc, err := sweep.ParseKey(key)
+		if err == nil {
+			err = sc.CheckValues()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario %d: %w", i, err)
+		}
+		out[i] = sc
+	}
+	return out, nil
+}
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	var spec GridSpec
+	var req expandRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad grid spec: %v", err)
-		return
-	}
+	err := dec.Decode(&req)
 	var scenarios []sweep.Scenario
-	explicit := spec.IsExplicit()
-	if explicit {
-		// Explicit form: the dispatch protocol hands this worker cells
-		// it has never seen, as canonical keys. Malformed keys,
-		// out-of-range numbers and mixed-form specs are client errors;
-		// per-scenario resolution failures (unknown machine, more ranks
-		// than cores) surface as per-cell results, exactly as in a grid
-		// expand.
-		var err error
-		if scenarios, err = spec.Explicit(); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-	} else {
-		grid, err := spec.Resolve(workload.ValidateAxes)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if n, limit := grid.Size(), s.maxCells(); n > limit {
-			s.writeError(w, r, http.StatusBadRequest, "grid has %d cells, limit %d", n, limit)
-			return
-		}
-		scenarios = grid.Expand()
+	if err == nil {
+		scenarios, err = req.scenarios()
+	}
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, `bad expand request: %v; want {"scenarios": [...]} listing canonical scenario keys`, err)
+		return
 	}
 	if n, limit := len(scenarios), s.maxCells(); n > limit {
 		s.writeError(w, r, http.StatusBadRequest, "%d scenarios, limit %d", n, limit)
@@ -370,45 +304,31 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	}
 	// The campaign runs under the request context: a client that
 	// disconnects mid-expand stops cold-cell scheduling instead of
-	// simulating the rest of the grid into a dead socket, and the
-	// per-request deadline (when configured) bounds how long one grid
-	// may hold simulation slots.
+	// simulating the rest of the request into a dead socket, and the
+	// per-request deadline (when configured) bounds how long one
+	// request may hold simulation slots.
 	ctx := r.Context()
 	if s.ExpandTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.ExpandTimeout)
 		defer cancel()
 	}
-	if explicit {
-		s.expandStream(w, ctx, scenarios)
-		return
-	}
-	c, sum := s.expand(ctx, scenarios, nil)
-	w.Header().Set("Content-Type", "application/json")
-	if sum.StoreError != "" {
-		// The campaign is correct — the durability loss is server-side.
-		// Discarding computed results would only force clients into a
-		// re-simulation loop, so serve them and flag the loss.
-		w.Header().Set("X-Store-Error", sum.StoreError)
-	}
-	if sum.Incomplete != "" {
-		// Cancelled mid-grid (deadline hit, or client gone — then
-		// nobody reads this): the body is a partial campaign whose
-		// unstarted cells carry errors.
-		w.Header().Set("X-Expand-Incomplete", sum.Incomplete)
-	}
-	w.WriteHeader(http.StatusOK)
-	if err := (sweep.JSONEmitter{Indent: true}).Emit(w, c); err != nil {
-		s.logf("sweepd: POST /v1/expand: writing campaign: %v", err)
-	}
+	s.expand(ctx, w, scenarios)
 }
 
-// expand is the core of both expand forms: it runs the campaign on the
-// shared engine (progress is the campaign's hook) with a loop memo of
-// its own, persists it, and reports its counts, completion and
-// durability status.
-func (s *Server) expand(ctx context.Context, scenarios []sweep.Scenario, progress func(done, total int, r sweep.Result)) (sweep.Campaign, expandSummary) {
-	c := s.eng.Run(trace.WithMemo(ctx, trace.NewMemo()), scenarios, progress)
+// expand runs the scenarios on the shared engine under the server's
+// loop memo and answers with NDJSON frames, emitting each cell the
+// moment the engine finalizes it. Results stream before the durability
+// repair can run, so a result frame is not an acknowledgement of
+// persistence; the summary's store_error is. The engine serializes the
+// campaign's hook, so the stream needs no lock of its own.
+func (s *Server) expand(ctx context.Context, w http.ResponseWriter, scenarios []sweep.Scenario) {
+	out := newNDJSONStream(w)
+	out.frame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
+	c := s.eng.Run(trace.WithMemo(ctx, s.memo), scenarios, func(done, total int, res sweep.Result) {
+		er := toExecuteResult(res)
+		out.frame(streamFrame{Result: &er})
+	})
 	sum := expandSummary{Scenarios: len(c.Results)}
 	for _, res := range c.Results {
 		switch {
@@ -429,21 +349,25 @@ func (s *Server) expand(ctx context.Context, scenarios []sweep.Scenario, progres
 		}
 	}
 	if err := s.persist(c); err != nil {
+		// The results are correct; the durability loss is server-side.
 		s.logf("sweepd: POST /v1/expand: store: %v", err)
 		sum.StoreError = "store writes failed; results not persisted"
 	}
-	return c, sum
+	out.frame(streamFrame{Summary: &sum})
+	if out.err != nil {
+		s.logf("sweepd: POST /v1/expand: writing stream: %v", out.err)
+	}
 }
 
-// persist enforces durability before acknowledgement: a response
-// without a store-error signal asserts every result in it is durable.
-// A cell whose write-through failed in this request (CacheErr) is in
-// the response but not in the store, so verify each successful cell is
+// persist enforces durability before acknowledgement: a summary
+// without a store error asserts every result in the stream is durable.
+// A cell whose write-through failed in this request (CacheErr) was
+// streamed but is not in the store, so verify each successful cell is
 // indexed and, since the metrics are in hand, repair misses by
 // retrying the Put (a transient disk-full must not condemn the cell to
 // a store error). Post-repair verification subsumes CacheErr: only a
 // cell that is STILL not persistable flags the loss. The Sync runs after
-// the repairs so they ride the same pre-response fsync; it is free on
+// the repairs so they ride the same pre-summary fsync; it is free on
 // a clean store (the all-warm steady state) and re-attempts a fsync an
 // earlier request failed rather than vouching for it.
 func (s *Server) persist(c sweep.Campaign) error {
@@ -470,8 +394,8 @@ func (s *Server) persist(c sweep.Campaign) error {
 	return storeErr
 }
 
-// streamFrame is one NDJSON line of an explicit expand: exactly one
-// of the fields is set, making each line self-describing.
+// streamFrame is one NDJSON line of an expand: exactly one of the
+// fields is set, making each line self-describing.
 type streamFrame struct {
 	Stream  *streamHeader  `json:"stream,omitempty"`
 	Result  *executeResult `json:"result,omitempty"`
@@ -486,11 +410,10 @@ type streamHeader struct {
 	Scenarios int    `json:"scenarios"`
 }
 
-// expandSummary is an expand's outcome: the summary frame that closes
-// an explicit stream, and the source of the grid form's headers.
-// ok + failed + unstarted == scenarios; unstarted cells (cancelled
-// before they ran) are not failures. Incomplete and StoreError are the
-// X-Expand-Incomplete and X-Store-Error header values.
+// expandSummary is the frame that closes an expand stream with its
+// outcome. ok + failed + unstarted == scenarios; unstarted cells
+// (cancelled before they ran) are not failures. Incomplete flags a
+// request cut short, StoreError results that were not persisted.
 type expandSummary struct {
 	Scenarios  int    `json:"scenarios"`
 	OK         int    `json:"ok"`
@@ -498,25 +421,6 @@ type expandSummary struct {
 	Unstarted  int    `json:"unstarted"`
 	Incomplete string `json:"incomplete,omitempty"`
 	StoreError string `json:"store_error,omitempty"`
-}
-
-// expandStream serves an explicit expand as NDJSON frames, emitting
-// each cell the moment the engine finalizes it. Results stream before
-// the durability repair can run, so a result frame is not an
-// acknowledgement of persistence; the summary's store_error is. The
-// engine serializes the campaign's hook, so the stream needs no lock of
-// its own.
-func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenarios []sweep.Scenario) {
-	out := newNDJSONStream(w)
-	out.frame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
-	_, sum := s.expand(ctx, scenarios, func(done, total int, res sweep.Result) {
-		er := toExecuteResult(res)
-		out.frame(streamFrame{Result: &er})
-	})
-	out.frame(streamFrame{Summary: &sum})
-	if out.err != nil {
-		s.logf("sweepd: POST /v1/expand: writing stream: %v", out.err)
-	}
 }
 
 // ndjsonStream answers a request with NDJSON frames: one JSON value
@@ -560,7 +464,7 @@ func (out *ndjsonStream) frame(f any) {
 	out.err = err
 }
 
-// executeResult is one cell of an explicit expand. Metric values carry
+// executeResult is one cell of an expand. Metric values carry
 // their IEEE-754 bits so the dispatcher's merged campaign is bit-exact
 // with a local run; Unstarted distinguishes cells this worker was
 // cancelled out of (re-dispatchable) from genuine simulation failures

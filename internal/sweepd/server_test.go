@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,9 +39,21 @@ func startServer(t *testing.T, st ResultStore, runner sweep.Runner, workers int)
 	return ts
 }
 
-// smallSpec is a fast real-physics grid: 2 machines x 2 modes, tiny mesh.
-func smallSpec() GridSpec {
-	return GridSpec{
+// scenariosOf expands an axis-form spec into the scenarios an expand
+// request carries as keys.
+func scenariosOf(t *testing.T, spec sweep.GridSpec) []sweep.Scenario {
+	t.Helper()
+	grid, err := spec.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid.Expand()
+}
+
+// smallScenarios are fast real-physics cells: 2 machines x 2 modes,
+// tiny mesh.
+func smallScenarios(t *testing.T) []sweep.Scenario {
+	return scenariosOf(t, sweep.GridSpec{
 		Machines:  []string{"icx", "spr8480"},
 		Workloads: []string{"jacobi"},
 		Modes:     []string{"baseline", "nt"},
@@ -49,15 +62,30 @@ func smallSpec() GridSpec {
 		Meshes:    []string{"1536x1536"},
 		MaxRows:   8,
 		Seed:      7,
-	}
+	})
 }
 
-func postExpand(t *testing.T, ts *httptest.Server, spec GridSpec) (int, []byte) {
+// expandBody is the request body of an expand of scs.
+func expandBody(t *testing.T, scs []sweep.Scenario) []byte {
 	t.Helper()
-	body, err := json.Marshal(spec)
+	req := expandRequest{Scenarios: make([]string, len(scs))}
+	for i, sc := range scs {
+		req.Scenarios[i] = sc.Key()
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return body
+}
+
+func postExpand(t *testing.T, ts *httptest.Server, scs []sweep.Scenario) (int, []byte) {
+	t.Helper()
+	return postBody(t, ts, expandBody(t, scs))
+}
+
+func postBody(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -84,18 +112,41 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// expandResponse mirrors the campaign JSON shape sweep.JSONEmitter writes.
-type expandResponse struct {
-	Scenarios int `json:"scenarios"`
-	Failed    int `json:"failed"`
-	Results   []struct {
-		ID      string `json:"id"`
-		Machine string `json:"machine"`
-		Metrics []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	} `json:"results"`
+// parseStream splits an expand's NDJSON body into its result frames, in
+// arrival order, and its closing summary, which must be the last line.
+func parseStream(body []byte) ([]executeResult, expandSummary, error) {
+	var results []executeResult
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	for i, line := range lines {
+		var f streamFrame
+		if err := json.Unmarshal(line, &f); err != nil {
+			return nil, expandSummary{}, fmt.Errorf("line %d %q: %v", i, line, err)
+		}
+		switch {
+		case f.Result != nil:
+			results = append(results, *f.Result)
+		case f.Summary != nil:
+			if i != len(lines)-1 {
+				return nil, expandSummary{}, fmt.Errorf("summary frame at line %d of %d", i, len(lines))
+			}
+			return results, *f.Summary, nil
+		}
+	}
+	return nil, expandSummary{}, fmt.Errorf("stream ends without a summary frame:\n%s", body)
+}
+
+// expandStream posts an expand of scs, wants a 200, and parses the stream.
+func expandStream(t *testing.T, ts *httptest.Server, scs []sweep.Scenario) ([]executeResult, expandSummary) {
+	t.Helper()
+	status, body := postExpand(t, ts, scs)
+	if status != http.StatusOK {
+		t.Fatalf("expand status %d: %s", status, body)
+	}
+	results, sum, err := parseStream(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, sum
 }
 
 func TestServerEndToEnd(t *testing.T) {
@@ -106,18 +157,30 @@ func TestServerEndToEnd(t *testing.T) {
 		return cloversim.RunScenarioContext(ctx, s)
 	}
 	ts := startServer(t, st, runner, 4)
+	scs := smallScenarios(t)
 
 	// Cold expand simulates every cell and persists it.
-	status, body := postExpand(t, ts, smallSpec())
-	if status != http.StatusOK {
-		t.Fatalf("expand status %d: %s", status, body)
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(body, &exp); err != nil {
+	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(expandBody(t, scs)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Scenarios != 4 || exp.Failed != 0 {
-		t.Fatalf("expand reported %d scenarios %d failed, want 4/0", exp.Scenarios, exp.Failed)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("expand status %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("expand Content-Type %q, want application/x-ndjson", ct)
+	}
+	cold, sum, err := parseStream(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Scenarios != 4 || sum.OK != 4 || len(cold) != 4 {
+		t.Fatalf("expand summary %+v with %d result frames, want 4 ok", sum, len(cold))
 	}
 	if sims.Load() != 4 {
 		t.Fatalf("cold expand simulated %d, want 4", sims.Load())
@@ -125,59 +188,35 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d records after expand, want 4", st.Len())
 	}
-
-	// Warm expand: zero simulations, identical result bytes.
-	status, warmBody := postExpand(t, ts, smallSpec())
-	if status != http.StatusOK {
-		t.Fatalf("warm expand status %d", status)
+	// Each frame carries the stored bits.
+	for _, res := range cold {
+		stored, ok := st.Lookup(res.ID)
+		if !ok || len(res.Metrics) != len(stored.Metrics) {
+			t.Fatalf("frame %s: %d metrics, stored %d (present %t)", res.ID, len(res.Metrics), len(stored.Metrics), ok)
+		}
+		for i, m := range res.Metrics {
+			if want := fmt.Sprintf("%016x", math.Float64bits(stored.Metrics[i].Value)); m.Bits != want {
+				t.Errorf("frame %s metric %s bits %s, want %s", res.ID, m.Name, m.Bits, want)
+			}
+		}
 	}
+
+	// Warm expand: zero simulations, the same frame for every cell.
+	warm, sum := expandStream(t, ts, scs)
 	if sims.Load() != 4 {
 		t.Fatalf("warm expand simulated %d extra cells", sims.Load()-4)
 	}
-	if !bytes.Equal(body, warmBody) {
-		t.Errorf("warm expand response deviates from cold:\ncold:\n%s\nwarm:\n%s", body, warmBody)
+	if sum.OK != 4 || len(warm) != 4 {
+		t.Fatalf("warm expand summary %+v with %d result frames, want 4 ok", sum, len(warm))
 	}
-
-	// Listing is complete and deterministic.
-	status, listBody := get(t, ts.URL+"/v1/scenarios")
-	if status != http.StatusOK {
-		t.Fatalf("scenarios status %d", status)
+	frames := map[string]string{}
+	for _, res := range cold {
+		b, _ := json.Marshal(res)
+		frames[res.ID] = string(b)
 	}
-	var list scenariosResponse
-	if err := json.Unmarshal(listBody, &list); err != nil {
-		t.Fatal(err)
-	}
-	if list.Count != 4 || len(list.Scenarios) != 4 {
-		t.Fatalf("listing has %d scenarios, want 4", list.Count)
-	}
-	if list.Physics != cloversim.PhysicsVersion {
-		t.Errorf("listing physics %q, want %q", list.Physics, cloversim.PhysicsVersion)
-	}
-	status, listBody2 := get(t, ts.URL+"/v1/scenarios")
-	if status != http.StatusOK || !bytes.Equal(listBody, listBody2) {
-		t.Error("repeated listing not byte-stable")
-	}
-
-	// Fetch by config hash serves bit-exact values.
-	rec0 := list.Scenarios[0]
-	status, recBody := get(t, ts.URL+"/v1/results/"+rec0.ID)
-	if status != http.StatusOK {
-		t.Fatalf("result fetch status %d", status)
-	}
-	var jr jsonRecord
-	if err := json.Unmarshal(recBody, &jr); err != nil {
-		t.Fatal(err)
-	}
-	if jr.ID != rec0.ID || len(jr.Metrics) == 0 {
-		t.Fatalf("fetched record %+v malformed", jr)
-	}
-	stored, ok := st.Lookup(rec0.ID)
-	if !ok {
-		t.Fatal("listed record missing from store")
-	}
-	for i, m := range jr.Metrics {
-		if want := fmt.Sprintf("%016x", math.Float64bits(stored.Metrics[i].Value)); m.Bits != want {
-			t.Errorf("metric %s bits %s, want %s", m.Name, m.Bits, want)
+	for _, res := range warm {
+		if b, _ := json.Marshal(res); frames[res.ID] != string(b) {
+			t.Errorf("warm frame deviates from cold:\ncold: %s\nwarm: %s", frames[res.ID], b)
 		}
 	}
 
@@ -197,39 +236,28 @@ func TestServerEndToEnd(t *testing.T) {
 
 func TestServerRejectsBadRequests(t *testing.T) {
 	ts := startServer(t, openStore(t), cloversim.RunScenarioContext, 2)
+	key := func(ranks, threads, maxRows int) string {
+		return fmt.Sprintf("%q", sweep.Scenario{Machine: "icx", Workload: "stream", Mode: sweep.Mode{Name: "baseline"},
+			Ranks: ranks, Threads: threads, MaxRows: maxRows}.Key())
+	}
 	cases := []struct {
 		name string
-		spec string
+		body string
 	}{
 		{"bad json", "{"},
-		{"unknown field", `{"bogus":1}`},
-		{"unknown machine", `{"machines":["nope"]}`},
-		{"unknown workload", `{"workloads":["nope"]}`},
-		{"unknown mode", `{"modes":["nope"]}`},
-		{"bad mesh", `{"meshes":["x"]}`},
-		{"negative ranks", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"ranks":[-5]}`},
-		{"negative threads", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"threads":[-2]}`},
-		{"maxrows below -1", `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"maxrows":-7}`},
-		{"explicit negative ranks", `{"scenarios":["machine=icx workload=stream mode=baseline nt=false opt=false i2moff=false pfoff=false ranks=-5 mesh=default threads=0 maxrows=0 seed=0x0"]}`},
-		{"oversized grid", `{"ranks":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18],
-			"threads":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17],
-			"meshes":["1x1","2x2","3x3","4x4","5x5","6x6","7x7","8x8","9x9","10x10","11x11","12x12","13x13","14x14"]}`},
+		{"unknown field", `{"scenarios":[` + key(4, 8, 0) + `],"bogus":1}`},
+		{"bad key", `{"scenarios":["machine=icx"]}`},
+		{"negative ranks", `{"scenarios":[` + key(-5, 0, 0) + `]}`},
+		{"negative threads", `{"scenarios":[` + key(0, -2, 0) + `]}`},
+		{"maxrows below -1", `{"scenarios":[` + key(0, 0, -7) + `]}`},
+		{"oversized", `{"scenarios":[` + strings.Repeat(key(4, 8, 0)+",", DefaultMaxCells) + key(4, 8, 0) + `]}`},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader([]byte(tc.spec)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
+		if status, body := postBody(t, ts, []byte(tc.body)); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, status, body)
 		}
 	}
 
-	if status, _ := get(t, ts.URL+"/v1/results/ffffffffffff"); status != http.StatusNotFound {
-		t.Errorf("missing result fetch status %d, want 404", status)
-	}
 	resp, err := http.Get(ts.URL + "/v1/expand") // wrong method
 	if err != nil {
 		t.Fatal(err)
@@ -244,15 +272,15 @@ func TestServerRejectsBadRequests(t *testing.T) {
 }
 
 // TestConcurrentHammer is the acceptance-criteria load test: >= 100
-// concurrent result fetches (plus listings) succeed while expand
-// requests are simulating cold cells, all under the race detector in
-// CI. The runner sleeps so simulations genuinely overlap the reads.
+// concurrent clients poll healthz and post warm expands while other
+// expands simulate cold cells, all under the race detector in CI. The
+// runner sleeps so simulations genuinely overlap the warm requests.
 func TestConcurrentHammer(t *testing.T) {
 	st := openStore(t)
 	var sims atomic.Int64
 	slowRunner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		sims.Add(1)
-		time.Sleep(5 * time.Millisecond) // keep cold cells in flight while readers hammer
+		time.Sleep(5 * time.Millisecond) // keep cold cells in flight while fetchers hammer
 		var m sweep.Metrics
 		m.Add("v", float64(s.Seed))
 		m.Add("mode_len", float64(len(s.Mode.Name)))
@@ -260,25 +288,68 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	ts := startServer(t, st, slowRunner, 4)
 
-	// Seed a few warm records so fetches have known-good targets.
-	warm := GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
-		Modes: []string{"baseline"}, Ranks: []int{1, 2, 3, 4}, Threads: []int{8}, Seed: 1}
-	if status, body := postExpand(t, ts, warm); status != http.StatusOK {
-		t.Fatalf("seed expand status %d: %s", status, body)
+	// Seed a few warm records so fetchers have known-good targets.
+	warm := scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
+		Modes: []string{"baseline"}, Ranks: []int{1, 2, 3, 4}, Threads: []int{8}, Seed: 1})
+	if _, sum := expandStream(t, ts, warm); sum.OK != 4 {
+		t.Fatalf("seed expand summary %+v, want 4 ok", sum)
 	}
-	ids := make([]string, 0, 4)
-	for _, rec := range st.Records() {
-		ids = append(ids, rec.ID)
-	}
-	if len(ids) != 4 {
-		t.Fatalf("seeded %d records, want 4", len(ids))
-	}
+	seeded := sims.Load()
+
+	// All expanders request the SAME 30 cold cells: identical cells race
+	// through the engine and the store concurrently.
+	cold := expandBody(t, scenariosOf(t, sweep.GridSpec{Machines: []string{"icx", "spr8480"}, Workloads: []string{"stream"},
+		Modes: []string{"baseline", "nt", "pf-off"}, Ranks: []int{1, 2, 3, 4, 5},
+		Threads: []int{8}, Seed: 100}))
 
 	const fetchers = 120
 	const expanders = 4
 	errs := make(chan error, fetchers+expanders)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
+	// post sends one expand and checks its stream reports every cell ok.
+	post := func(body []byte, want int) error {
+		resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d: %s", resp.StatusCode, out)
+		}
+		results, sum, err := parseStream(out)
+		if err != nil {
+			return err
+		}
+		if sum.OK != want || len(results) != want {
+			return fmt.Errorf("summary %+v with %d result frames, want %d ok", sum, len(results), want)
+		}
+		return nil
+	}
+
+	healthz := func() error {
+		resp, err := http.Get(ts.URL + "/v1/healthz")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK || !json.Valid(body) {
+			return fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		return nil
+	}
+	warmBodies := make([][]byte, len(warm))
+	for i, sc := range warm {
+		warmBodies[i] = expandBody(t, []sweep.Scenario{sc})
+	}
 
 	// Expanders keep cold cells simulating throughout.
 	for e := 0; e < expanders; e++ {
@@ -286,65 +357,29 @@ func TestConcurrentHammer(t *testing.T) {
 		go func(e int) {
 			defer wg.Done()
 			<-start
-			// All expanders request the SAME grid: identical cold cells
-			// race through the engine and the store concurrently.
-			spec := GridSpec{Machines: []string{"icx", "spr8480"}, Workloads: []string{"stream"},
-				Modes: []string{"baseline", "nt", "pf-off"}, Ranks: []int{1, 2, 3, 4, 5},
-				Threads: []int{8}, Seed: 100}
-			body, _ := json.Marshal(spec)
-			resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			out, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("expander %d: status %d: %s", e, resp.StatusCode, out)
-				return
-			}
-			var exp expandResponse
-			if err := json.Unmarshal(out, &exp); err != nil {
+			if err := post(cold, 30); err != nil {
 				errs <- fmt.Errorf("expander %d: %v", e, err)
-				return
-			}
-			if exp.Failed != 0 {
-				errs <- fmt.Errorf("expander %d: %d failed scenarios", e, exp.Failed)
 			}
 		}(e)
 	}
 
-	// >= 100 concurrent readers fetch stored results and listings.
+	// >= 100 concurrent fetchers post warm expands and poll healthz.
 	for f := 0; f < fetchers; f++ {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 5; i++ {
-				var url string
-				switch i % 3 {
-				case 0, 1:
-					url = ts.URL + "/v1/results/" + ids[(f+i)%len(ids)]
-				case 2:
-					url = ts.URL + "/v1/scenarios"
+				if i%3 == 2 {
+					if err := healthz(); err != nil {
+						errs <- fmt.Errorf("fetcher %d: healthz: %v", f, err)
+						return
+					}
+					continue
 				}
-				resp, err := http.Get(url)
-				if err != nil {
-					errs <- fmt.Errorf("fetcher %d: %v", f, err)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- fmt.Errorf("fetcher %d: %v", f, err)
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("fetcher %d: status %d for %s: %s", f, resp.StatusCode, url, body)
-					return
-				}
-				if !json.Valid(body) {
-					errs <- fmt.Errorf("fetcher %d: invalid JSON from %s", f, url)
+				j := (f + i) % len(warm)
+				if err := post(warmBodies[j], 1); err != nil {
+					errs <- fmt.Errorf("fetcher %d: warm expand of %s: %v", f, warm[j].ID(), err)
 					return
 				}
 			}
@@ -358,25 +393,30 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The expanders' 30 distinct scenarios simulated once each despite
+	// The expanders' 30 distinct scenarios are stored once each despite
 	// concurrent identical requests hitting the engine (the content-
 	// addressed store absorbs duplicate writes; the engine may race
 	// identical cells at most once per expander).
 	if st.Len() != 4+30 {
 		t.Errorf("store holds %d records, want 34", st.Len())
 	}
-	// Every cold record is now fetchable.
-	for _, rec := range st.Records() {
-		if status, _ := get(t, ts.URL+"/v1/results/"+rec.ID); status != http.StatusOK {
-			t.Errorf("stored record %s not servable after hammer", rec.ID)
-		}
+	// Every cold record is now served warm.
+	before := sims.Load()
+	if before-seeded > expanders*30 {
+		t.Errorf("%d cold simulations for 30 cells over %d expanders", before-seeded, expanders)
+	}
+	if err := post(cold, 30); err != nil {
+		t.Errorf("warm repeat of the cold cells: %v", err)
+	}
+	if sims.Load() != before {
+		t.Errorf("warm repeat simulated %d cells", sims.Load()-before)
 	}
 }
 
 // TestExpandServesResultsDespiteStoreFailure: a store that cannot
 // accept writes must not cost clients their correctly computed
-// campaign — the response is 200 with the durability loss flagged in
-// the X-Store-Error header.
+// results: the stream carries them, and its summary flags the
+// durability loss in store_error.
 func TestExpandServesResultsDespiteStoreFailure(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("root ignores directory permissions")
@@ -392,28 +432,14 @@ func TestExpandServesResultsDespiteStoreFailure(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	ts := startServer(t, st, cloversim.RunScenarioContext, 2)
 
-	spec := GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
+	results, sum := expandStream(t, ts, scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
 		Modes: []string{"baseline"}, Ranks: []int{2}, Threads: []int{4},
-		Meshes: []string{"512x512"}, MaxRows: 4}
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+		Meshes: []string{"512x512"}, MaxRows: 4}))
+	if sum.StoreError == "" {
+		t.Error("durability loss not flagged in the summary's store_error")
 	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("expand with unwritable store status %d, want 200: %s", resp.StatusCode, out)
-	}
-	if resp.Header.Get("X-Store-Error") == "" {
-		t.Error("durability loss not flagged in X-Store-Error header")
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Scenarios != 1 || exp.Failed != 0 || len(exp.Results[0].Metrics) == 0 {
-		t.Fatalf("campaign results lost alongside the store failure: %s", out)
+	if sum.Scenarios != 1 || sum.OK != 1 || len(results) != 1 || len(results[0].Metrics) == 0 {
+		t.Fatalf("results lost alongside the store failure: %+v, %+v", sum, results)
 	}
 }
 

@@ -129,18 +129,19 @@ func TestExpandStreamIncremental(t *testing.T) {
 }
 
 // TestExpandEncodingFollowsRequestForm pins the rule of /v1/expand:
-// the request form alone fixes the encoding. An explicit spec sent
-// without an Accept header gets NDJSON ending in a summary frame; a grid
-// spec that asks for NDJSON still gets campaign JSON.
+// the request form alone fixes the encoding. The explicit form gets
+// NDJSON ending in a summary frame whatever the Accept header asks for,
+// including none at all and campaign JSON.
 func TestExpandEncodingFollowsRequestForm(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
-	post := func(spec GridSpec, accept string) (string, []byte) {
-		t.Helper()
-		body, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+
+	scs := execScenarios(2)
+	body, err := json.Marshal(expandRequest{Scenarios: []string{scs[0].Key(), scs[1].Key()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{"", "application/json", "application/x-ndjson"} {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/expand", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -153,43 +154,77 @@ func TestExpandEncodingFollowsRequestForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("expand status %d: %s", resp.StatusCode, out)
+			t.Fatalf("Accept %q: expand status %d: %s", accept, resp.StatusCode, out)
 		}
-		return resp.Header.Get("Content-Type"), out
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("Accept %q: expand Content-Type %q, want application/x-ndjson", accept, ct)
+		}
+		lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+		var last streamFrame
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+			t.Fatalf("Accept %q: last line %q: %v", accept, lines[len(lines)-1], err)
+		}
+		if last.Summary == nil || last.Summary.OK != 2 || last.Summary.Failed != 0 {
+			t.Errorf("Accept %q: expand ends with %q, want a summary frame with 2 ok, 0 failed", accept, lines[len(lines)-1])
+		}
+	}
+}
+
+// TestExpandAcceptsOnlyExplicitForm: POST /v1/expand takes a list of
+// scenario keys and nothing else. A grid-shaped body, a key list mixed
+// with any grid axis, and an empty body each get a 400 that names the
+// explicit form; the read routes of a result server are not served.
+func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
+	ts := httptest.NewServer(New(execStore(t), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
+		t.Error("runner executed for a rejected body")
+		return nil, nil
+	}, 2).Handler())
+	t.Cleanup(ts.Close)
+
+	key := fmt.Sprintf("%q", execScenarios(1)[0].Key())
+	bodies := map[string]string{
+		"grid":           `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"ranks":[4],"threads":[8]}`,
+		"no body":        ``,
+		"empty object":   `{}`,
+		"empty list":     `{"scenarios":[]}`,
+		"mixed machines": `{"scenarios":[` + key + `],"machines":["icx"]}`,
+	}
+	for axis, value := range map[string]string{
+		"workloads": `["stream"]`, "modes": `["baseline"]`, "ranks": `[4]`, "meshes": `["128x64"]`,
+		"threads": `[8]`, "maxrows": `8`, "seed": `1`,
+	} {
+		bodies["mixed "+axis] = `{"scenarios":[` + key + `],"` + axis + `":` + value + `}`
+	}
+	for name, body := range bodies {
+		resp, err := ts.Client().Post(ts.URL+"/v1/expand", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(errorBody(out), `want {"scenarios": [...]} listing canonical scenario keys`) {
+			t.Errorf("%s: status %d, body %s; want 400 naming the explicit form", name, resp.StatusCode, out)
+		}
 	}
 
-	scs := execScenarios(2)
-	ct, out := post(GridSpec{Scenarios: []string{scs[0].Key(), scs[1].Key()}}, "")
-	if ct != "application/x-ndjson" {
-		t.Errorf("explicit expand Content-Type %q, want application/x-ndjson", ct)
-	}
-	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
-	var last streamFrame
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatalf("last line %q: %v", lines[len(lines)-1], err)
-	}
-	if last.Summary == nil || last.Summary.OK != 2 || last.Summary.Failed != 0 {
-		t.Errorf("explicit expand ends with %q, want a summary frame with 2 ok, 0 failed", lines[len(lines)-1])
-	}
-
-	grid := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: []int{4}, Threads: []int{8}, Seed: 77}
-	ct, out = post(grid, "application/x-ndjson")
-	if ct != "application/json" {
-		t.Errorf("grid expand Content-Type %q, want application/json", ct)
-	}
-	var exp expandResponse
-	if err := json.Unmarshal(out, &exp); err != nil {
-		t.Fatalf("grid expand body is not campaign JSON: %v\n%s", err, out)
-	}
-	if exp.Scenarios != 1 || exp.Failed != 0 {
-		t.Errorf("grid expand: %d scenarios, %d failed; want 1/0", exp.Scenarios, exp.Failed)
+	for _, path := range []string{"/v1/scenarios", "/v1/results/" + execScenarios(1)[0].ID()} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -119,9 +119,8 @@ func Names() []string {
 const DefaultName = "cloverleaf"
 
 // ValidateAxes checks machine and workload axis values against their
-// registries — the shared grid validation behind cmd/sweep's flags and
-// sweepd's grid spec, so the CLI and the HTTP API accept identical
-// grids.
+// registries: the axis validator cmd/sweep's grid spec resolves with
+// (sweep.GridSpec.Resolve).
 func ValidateAxes(machines, workloads []string) error {
 	for _, m := range machines {
 		if _, ok := machine.ByName(m); !ok {
