@@ -15,7 +15,6 @@ import (
 	"cloversim/internal/bench"
 	"cloversim/internal/cloverleaf"
 	"cloversim/internal/core"
-	"cloversim/internal/decomp"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
 	"cloversim/internal/model"
@@ -335,22 +334,20 @@ func BenchmarkTraceReplayAm04(b *testing.B) {
 	b.ReportMetric(float64(c.TotalBytes())/float64(am04.Bounds.Iterations()), "byte/it")
 }
 
+// BenchmarkPhysicsStep times hydro steps of the serial run, the rank of
+// a one-rank world (its reductions complete locally, so it steps outside
+// World.Run).
 func BenchmarkPhysicsStep(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		name := map[int]string{1: "serial", 4: "threads4"}[threads]
-		b.Run(name, func(b *testing.B) {
-			r := cloverleaf.NewSerialRank(cloverleaf.Small(256, 1000000))
-			r.Chunk.SetThreads(threads)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Step(i + 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cells := float64(256 * 256)
-			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-		})
+	var r *cloverleaf.Rank
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) { r = cloverleaf.NewRank(cloverleaf.Small(256, 1000000), c) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Step(i + 1); err != nil {
+			b.Fatal(err)
+		}
 	}
+	cells := float64(256 * 256)
+	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
 // BenchmarkAblationBaselineCLX contrasts the pre-SpecI2M Cascade Lake
@@ -374,7 +371,7 @@ func BenchmarkAblationBaselineCLX(b *testing.B) {
 }
 
 func BenchmarkMPIAllreduce(b *testing.B) {
-	w := mpi.NewWorld(8, mpi.DefaultTimeModel())
+	w := mpi.NewWorld(8)
 	b.ResetTimer()
 	w.Run(func(c *mpi.Comm) {
 		for i := 0; i < b.N; i++ {
@@ -385,16 +382,14 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 
 func BenchmarkHaloExchange4Ranks(b *testing.B) {
 	cfg := cloverleaf.Small(128, 1)
-	w := mpi.NewWorld(4, mpi.DefaultTimeModel())
-	subs := decomp.Decompose(4, cfg.GridX, cfg.GridY)
-	w.Run(func(c *mpi.Comm) {
-		r := cloverleaf.NewMPIRank(cfg, c, subs)
+	mpi.NewWorld(4).Run(func(c *mpi.Comm) {
+		r := cloverleaf.NewRank(cfg, c)
 		fields := []cloverleaf.HaloField{
 			{F: r.Chunk.Density0, Kind: cloverleaf.KindCell},
 			{F: r.Chunk.XVel0, Kind: cloverleaf.KindNodeX},
 		}
 		for i := 0; i < b.N; i++ {
-			if err := r.Chunk.UpdateHaloMPI(c, r.Nbr, fields, 2); err != nil {
+			if err := r.Chunk.UpdateHalo(c, r.Nbr, fields, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

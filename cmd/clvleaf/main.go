@@ -1,7 +1,8 @@
 // Command clvleaf runs the CloverLeaf mini-app: real hydrodynamics on an
-// in-process MPI world, optionally with a simulated memory-traffic
-// measurement (the likwid-perfctr analogue). Flags mirror the paper's
-// config.mk knobs where they affect the traffic study.
+// in-process MPI world of -np ranks (-np 1 is the serial run), or with
+// -measure a simulated memory-traffic study (the likwid-perfctr
+// analogue). Flags mirror the paper's config.mk knobs where they affect
+// the traffic study.
 //
 // Examples:
 //
@@ -25,8 +26,7 @@ func main() {
 		deck     = flag.String("deck", "", "clover.in input deck (overrides -cells/-steps)")
 		cells    = flag.Int("cells", 480, "grid cells per dimension (physics run)")
 		steps    = flag.Int("steps", 20, "number of hydro steps (physics run)")
-		np       = flag.Int("np", 1, "number of in-process MPI ranks")
-		threads  = flag.Int("threads", 1, "OpenMP-style kernel threads per rank (-1 = all cores)")
+		np       = flag.Int("np", 1, "number of in-process MPI ranks (1 = serial run)")
 		measure  = flag.Bool("measure", false, "run the memory-traffic study instead of physics")
 		mach     = flag.String("machine", "icx", fmt.Sprintf("machine preset %v", machine.Names()))
 		nt       = flag.Bool("nt", false, "use non-temporal store directives (NT_STORE_DIR)")
@@ -81,20 +81,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	var (
-		s   cloverleaf.Summary
-		err error
-	)
-	if *np == 1 {
-		r := cloverleaf.NewSerialRank(cfg)
-		r.Chunk.SetThreads(*threads)
-		s, err = r.Run()
-	} else {
-		s, _, err = cloverleaf.RunMPIThreaded(cfg, *np, *threads)
-	}
+	s, err := cloverleaf.Run(cfg, *np)
 	if err != nil {
 		fatal(err)
 	}

@@ -441,7 +441,7 @@ func FigureHaloCopy(ctx context.Context, o Options, withPFOff bool) ([]HaloPoint
 }
 
 // AverageRatio returns the mean RW ratio of the points matching inner
-// and prefetch state (used by tests and EXPERIMENTS.md).
+// and prefetch state.
 func AverageRatio(pts []HaloPoint, inner int, pfOff bool) float64 {
 	var s float64
 	n := 0

@@ -17,14 +17,11 @@ type Series struct {
 
 // Plot is a chart definition.
 type Plot struct {
-	Title   string
-	XLabel  string
-	YLabel  string
-	Width   int // plot area columns (default 64)
-	Height  int // plot area rows (default 16)
-	Series  []Series
-	YMinFix *float64 // optional fixed y range
-	YMaxFix *float64
+	Title  string
+	XLabel string
+	Width  int // plot area columns (default 64)
+	Height int // plot area rows (default 16)
+	Series []Series
 }
 
 // markers cycles through per-series glyphs.
@@ -52,12 +49,6 @@ func (p Plot) Render() string {
 			ymin = math.Min(ymin, s.Y[i])
 			ymax = math.Max(ymax, s.Y[i])
 		}
-	}
-	if p.YMinFix != nil {
-		ymin = *p.YMinFix
-	}
-	if p.YMaxFix != nil {
-		ymax = *p.YMaxFix
 	}
 	if math.IsInf(xmin, 1) {
 		return p.Title + " (no data)\n"

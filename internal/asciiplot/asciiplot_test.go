@@ -71,15 +71,3 @@ func TestRenderDegenerate(t *testing.T) {
 		t.Error("valid points should still draw")
 	}
 }
-
-func TestFixedRange(t *testing.T) {
-	lo, hi := 1.0, 2.0
-	p := Plot{
-		Series:  []Series{{X: []float64{0, 1}, Y: []float64{1.5, 1.5}}},
-		YMinFix: &lo, YMaxFix: &hi,
-	}
-	out := p.Render()
-	if !strings.Contains(out, "2.000") || !strings.Contains(out, "1.000") {
-		t.Errorf("fixed range not applied:\n%s", out)
-	}
-}

@@ -2,14 +2,6 @@ package cloverleaf
 
 import "math"
 
-// Direction selects the advection sweep direction.
-type Direction int
-
-const (
-	DirX Direction = iota + 1
-	DirY
-)
-
 // sign mirrors Fortran SIGN(1.0, x).
 func sign(x float64) float64 {
 	if x < 0 {
@@ -27,27 +19,27 @@ const oneBySix = 1.0 / 6.0
 func (c *Chunk) AdvecCellX(sweepNumber int) {
 	if sweepNumber == 1 {
 		// ac00: both flux directions contribute to pre_vol.
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				pv := c.Volume.At(j, k) + (c.VolFluxX.At(j+1, k) - c.VolFluxX.At(j, k) +
 					c.VolFluxY.At(j, k+1) - c.VolFluxY.At(j, k))
 				c.PreVol.Set(j, k, pv)
 				c.PostVol.Set(j, k, pv-(c.VolFluxX.At(j+1, k)-c.VolFluxX.At(j, k)))
 			}
-		})
+		}
 	} else {
 		// ac01: the simple copy-and-update loop the paper highlights as
 		// SpecI2M-ineligible on ICX until restructured.
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				c.PreVol.Set(j, k, c.Volume.At(j, k)+c.VolFluxX.At(j+1, k)-c.VolFluxX.At(j, k))
 				c.PostVol.Set(j, k, c.Volume.At(j, k))
 			}
-		})
+		}
 	}
 
 	// ac02: donor-cell mass and energy fluxes with van Leer limiting.
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax+2; j++ {
 			var upwind, donor, downwind, dif int
 			if c.VolFluxX.At(j, k) > 0 {
@@ -81,10 +73,10 @@ func (c *Chunk) AdvecCellX(sweepNumber int) {
 			}
 			c.EnerFlux.Set(j, k, c.MassFluxX.At(j, k)*(c.Energy1.At(donor, k)+limiter))
 		}
-	})
+	}
 
 	// ac03: conservative update of density and energy.
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			preMass := c.Density1.At(j, k) * c.PreVol.At(j, k)
 			postMass := preMass + c.MassFluxX.At(j, k) - c.MassFluxX.At(j+1, k)
@@ -93,33 +85,33 @@ func (c *Chunk) AdvecCellX(sweepNumber int) {
 			c.Density1.Set(j, k, postMass/advecVol)
 			c.Energy1.Set(j, k, postEner)
 		}
-	})
+	}
 }
 
 // AdvecCellY is the y-direction counterpart (ac04-ac07).
 func (c *Chunk) AdvecCellY(sweepNumber int) {
 	if sweepNumber == 1 {
 		// ac04
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				pv := c.Volume.At(j, k) + (c.VolFluxY.At(j, k+1) - c.VolFluxY.At(j, k) +
 					c.VolFluxX.At(j+1, k) - c.VolFluxX.At(j, k))
 				c.PreVol.Set(j, k, pv)
 				c.PostVol.Set(j, k, pv-(c.VolFluxY.At(j, k+1)-c.VolFluxY.At(j, k)))
 			}
-		})
+		}
 	} else {
 		// ac05: the y-direction twin of ac01.
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				c.PreVol.Set(j, k, c.Volume.At(j, k)+c.VolFluxY.At(j, k+1)-c.VolFluxY.At(j, k))
 				c.PostVol.Set(j, k, c.Volume.At(j, k))
 			}
-		})
+		}
 	}
 
 	// ac06
-	c.parK(c.YMin, c.YMax+2, func(k int) {
+	for k := c.YMin; k <= c.YMax+2; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			var upwind, donor, downwind, dif int
 			if c.VolFluxY.At(j, k) > 0 {
@@ -153,10 +145,10 @@ func (c *Chunk) AdvecCellY(sweepNumber int) {
 			}
 			c.EnerFlux.Set(j, k, c.MassFluxY.At(j, k)*(c.Energy1.At(j, donor)+limiter))
 		}
-	})
+	}
 
 	// ac07
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			preMass := c.Density1.At(j, k) * c.PreVol.At(j, k)
 			postMass := preMass + c.MassFluxY.At(j, k) - c.MassFluxY.At(j, k+1)
@@ -165,7 +157,7 @@ func (c *Chunk) AdvecCellY(sweepNumber int) {
 			c.Density1.Set(j, k, postMass/advecVol)
 			c.Energy1.Set(j, k, postEner)
 		}
-	})
+	}
 }
 
 // AdvecMomX advects one velocity component in the x direction
@@ -174,32 +166,32 @@ func (c *Chunk) AdvecCellY(sweepNumber int) {
 func (c *Chunk) AdvecMomX(vel1 *Field, momSweep int) {
 	switch momSweep {
 	case 1: // am00
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				pv := c.Volume.At(j, k) + c.VolFluxY.At(j, k+1) - c.VolFluxY.At(j, k)
 				c.PostVol.Set(j, k, pv)
 				c.PreVol.Set(j, k, pv+c.VolFluxX.At(j+1, k)-c.VolFluxX.At(j, k))
 			}
-		})
+		}
 	default: // momSweep == 3, am03
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				c.PostVol.Set(j, k, c.Volume.At(j, k))
 				c.PreVol.Set(j, k, c.Volume.At(j, k)+c.VolFluxX.At(j+1, k)-c.VolFluxX.At(j, k))
 			}
-		})
+		}
 	}
 
 	// am04 (Listing 3)
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin - 2; j <= c.XMax+2; j++ {
 			c.NodeFlux.Set(j, k, 0.25*(c.MassFluxX.At(j, k-1)+c.MassFluxX.At(j, k)+
 				c.MassFluxX.At(j+1, k-1)+c.MassFluxX.At(j+1, k)))
 		}
-	})
+	}
 
 	// am05
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin - 1; j <= c.XMax+2; j++ {
 			post := 0.25 * (c.Density1.At(j, k-1)*c.PostVol.At(j, k-1) +
 				c.Density1.At(j, k)*c.PostVol.At(j, k) +
@@ -208,10 +200,10 @@ func (c *Chunk) AdvecMomX(vel1 *Field, momSweep int) {
 			c.NodeMassPost.Set(j, k, post)
 			c.NodeMassPre.Set(j, k, post-c.NodeFlux.At(j-1, k)+c.NodeFlux.At(j, k))
 		}
-	})
+	}
 
 	// am06: upwind momentum flux with limiter.
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin - 1; j <= c.XMax+1; j++ {
 			var upwind, donor, downwind, dif int
 			if c.NodeFlux.At(j, k) < 0 {
@@ -234,15 +226,15 @@ func (c *Chunk) AdvecMomX(vel1 *Field, momSweep int) {
 			advecVel := vel1.At(donor, k) + (1-sigma)*limiter
 			c.MomFlux.Set(j, k, advecVel*c.NodeFlux.At(j, k))
 		}
-	})
+	}
 
 	// am07: momentum-conservative velocity update.
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			vel1.Set(j, k, (vel1.At(j, k)*c.NodeMassPre.At(j, k)+
 				c.MomFlux.At(j-1, k)-c.MomFlux.At(j, k))/c.NodeMassPost.At(j, k))
 		}
-	})
+	}
 }
 
 // AdvecMomY advects one velocity component in the y direction.
@@ -250,32 +242,32 @@ func (c *Chunk) AdvecMomX(vel1 *Field, momSweep int) {
 func (c *Chunk) AdvecMomY(vel1 *Field, momSweep int) {
 	switch momSweep {
 	case 2: // am01
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				pv := c.Volume.At(j, k) + c.VolFluxX.At(j+1, k) - c.VolFluxX.At(j, k)
 				c.PostVol.Set(j, k, pv)
 				c.PreVol.Set(j, k, pv+c.VolFluxY.At(j, k+1)-c.VolFluxY.At(j, k))
 			}
-		})
+		}
 	default: // momSweep == 4, am02
-		c.parK(c.YMin-2, c.YMax+2, func(k int) {
+		for k := c.YMin - 2; k <= c.YMax+2; k++ {
 			for j := c.XMin - 2; j <= c.XMax+2; j++ {
 				c.PostVol.Set(j, k, c.Volume.At(j, k))
 				c.PreVol.Set(j, k, c.Volume.At(j, k)+c.VolFluxY.At(j, k+1)-c.VolFluxY.At(j, k))
 			}
-		})
+		}
 	}
 
 	// am08
-	c.parK(c.YMin-2, c.YMax+2, func(k int) {
+	for k := c.YMin - 2; k <= c.YMax+2; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			c.NodeFlux.Set(j, k, 0.25*(c.MassFluxY.At(j-1, k)+c.MassFluxY.At(j, k)+
 				c.MassFluxY.At(j-1, k+1)+c.MassFluxY.At(j, k+1)))
 		}
-	})
+	}
 
 	// am09
-	c.parK(c.YMin-1, c.YMax+2, func(k int) {
+	for k := c.YMin - 1; k <= c.YMax+2; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			post := 0.25 * (c.Density1.At(j, k-1)*c.PostVol.At(j, k-1) +
 				c.Density1.At(j, k)*c.PostVol.At(j, k) +
@@ -284,10 +276,10 @@ func (c *Chunk) AdvecMomY(vel1 *Field, momSweep int) {
 			c.NodeMassPost.Set(j, k, post)
 			c.NodeMassPre.Set(j, k, post-c.NodeFlux.At(j, k-1)+c.NodeFlux.At(j, k))
 		}
-	})
+	}
 
 	// am10
-	c.parK(c.YMin-1, c.YMax+1, func(k int) {
+	for k := c.YMin - 1; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			var upwind, donor, downwind, dif int
 			if c.NodeFlux.At(j, k) < 0 {
@@ -310,15 +302,15 @@ func (c *Chunk) AdvecMomY(vel1 *Field, momSweep int) {
 			advecVel := vel1.At(j, donor) + (1-sigma)*limiter
 			c.MomFlux.Set(j, k, advecVel*c.NodeFlux.At(j, k))
 		}
-	})
+	}
 
 	// am11
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			vel1.Set(j, k, (vel1.At(j, k)*c.NodeMassPre.At(j, k)+
 				c.MomFlux.At(j, k-1)-c.MomFlux.At(j, k))/c.NodeMassPost.At(j, k))
 		}
-	})
+	}
 }
 
 func min(a, b int) int {

@@ -34,8 +34,7 @@ type Chunk struct {
 	CellX, CellDX, VertexX, VertexDX *Line1D
 	CellY, CellDY, VertexY, VertexDY *Line1D
 
-	cfg     Config
-	threads int // kernel worker count (see SetThreads)
+	cfg Config
 }
 
 // NewChunk allocates the chunk covering the given global cell range.

@@ -87,7 +87,7 @@ func TestDeckRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := RunSerial(cfg)
+	s, err := Run(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

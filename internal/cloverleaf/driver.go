@@ -8,8 +8,9 @@ import (
 	"cloversim/internal/mpi"
 )
 
-// Rank couples a chunk with its communicator and neighbor topology.
-// A nil Comm means a serial (single-chunk) run.
+// Rank couples a chunk with its communicator and neighbor topology. A
+// serial run is a world of one rank: its chunk covers the whole mesh
+// and has no neighbors.
 type Rank struct {
 	Chunk *Chunk
 	Comm  *mpi.Comm
@@ -24,21 +25,11 @@ type Rank struct {
 // Time returns the accumulated simulated time.
 func (r *Rank) Time() float64 { return r.simTime }
 
-// NewSerialRank builds a single-chunk solver over the whole mesh.
-func NewSerialRank(cfg Config) *Rank {
-	return &Rank{
-		Chunk: NewChunk(cfg, 1, cfg.GridX, 1, cfg.GridY),
-		Nbr:   Neighbors{-1, -1, -1, -1},
-		dtOld: cfg.DtInit,
-		cfg:   cfg,
-	}
-}
-
-// NewMPIRank builds the rank's chunk from the decomposition.
-func NewMPIRank(cfg Config, comm *mpi.Comm, subs []decomp.Subdomain) *Rank {
-	s := subs[comm.Rank()]
-	cx, _ := decomp.Factorize(comm.Size(), cfg.GridX, cfg.GridY)
-	cy := comm.Size() / cx
+// NewRank builds comm's chunk of cfg's mesh, decomposed over the
+// world's ranks as CloverLeaf does.
+func NewRank(cfg Config, comm *mpi.Comm) *Rank {
+	s := decomp.Decompose(comm.Size(), cfg.GridX, cfg.GridY)[comm.Rank()]
+	cx, cy := decomp.Factorize(comm.Size(), cfg.GridX, cfg.GridY)
 	l, r, b, t := decomp.Neighbors(s, cx, cy)
 	return &Rank{
 		Chunk: NewChunk(cfg, s.XMin, s.XMax, s.YMin, s.YMax),
@@ -49,21 +40,9 @@ func NewMPIRank(cfg Config, comm *mpi.Comm, subs []decomp.Subdomain) *Rank {
 	}
 }
 
-// halo runs the appropriate halo update.
+// halo updates the fields' halos to the given depth.
 func (r *Rank) halo(fields []HaloField, depth int) error {
-	if r.Comm == nil || r.Comm.Size() == 1 {
-		r.Chunk.UpdateHaloSerial(fields, depth)
-		return nil
-	}
-	return r.Chunk.UpdateHaloMPI(r.Comm, r.Nbr, fields, depth)
-}
-
-// allreduceMin reduces the timestep across ranks.
-func (r *Rank) allreduceMin(v float64) float64 {
-	if r.Comm == nil || r.Comm.Size() == 1 {
-		return v
-	}
-	return r.Comm.AllreduceScalar(v, mpi.OpMin)
+	return r.Chunk.UpdateHalo(r.Comm, r.Nbr, fields, depth)
 }
 
 // Step advances one full hydro cycle and returns the timestep used.
@@ -86,7 +65,7 @@ func (r *Rank) Step(step int) (float64, error) {
 		return 0, err
 	}
 	dt := math.Min(c.CalcDt(), math.Min(r.dtOld*r.cfg.DtRise, r.cfg.DtMax))
-	dt = r.allreduceMin(dt)
+	dt = r.Comm.AllreduceScalar(dt, mpi.OpMin)
 	if dt <= 0 || math.IsNaN(dt) {
 		return 0, fmt.Errorf("cloverleaf: step %d produced invalid dt %g", step, dt)
 	}
@@ -116,11 +95,15 @@ func (r *Rank) Step(step int) (float64, error) {
 		return 0, err
 	}
 
+	// The exchange after the first cell sweep refreshes xvel1 and yvel1
+	// too: the first momentum sweep reads them two nodes into the halo
+	// (am06, am10), and the exchange after accelerate is one deep.
 	xFirst := step%2 == 1 // alternate sweep direction per step
 	if xFirst {
 		c.AdvecCellX(1)
 		if err := r.halo([]HaloField{
 			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxX, KindFluxX},
+			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
 		}, 2); err != nil {
 			return 0, err
 		}
@@ -139,6 +122,7 @@ func (r *Rank) Step(step int) (float64, error) {
 		c.AdvecCellY(1)
 		if err := r.halo([]HaloField{
 			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxY, KindFluxY},
+			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
 		}, 2); err != nil {
 			return 0, err
 		}
@@ -160,8 +144,8 @@ func (r *Rank) Step(step int) (float64, error) {
 	return dt, nil
 }
 
-// Run advances the configured number of steps and returns the final
-// summary (reduced across ranks when parallel).
+// Run advances the configured number of steps and returns the summary
+// reduced across the world's ranks.
 func (r *Rank) Run() (Summary, error) {
 	for step := 1; step <= r.cfg.EndStep; step++ {
 		if _, err := r.Step(step); err != nil {
@@ -174,56 +158,30 @@ func (r *Rank) Run() (Summary, error) {
 	return r.GlobalSummary(), nil
 }
 
-// GlobalSummary reduces the field summary across ranks.
+// GlobalSummary reduces the field summary across the world's ranks.
 func (r *Rank) GlobalSummary() Summary {
 	r.Chunk.IdealGas(false)
 	s := r.Chunk.FieldSummary()
-	if r.Comm == nil || r.Comm.Size() == 1 {
-		return s
-	}
 	v := r.Comm.Allreduce([]float64{s.Volume, s.Mass, s.InternalEnergy, s.KineticEnergy, s.Pressure}, mpi.OpSum)
 	return Summary{Volume: v[0], Mass: v[1], InternalEnergy: v[2], KineticEnergy: v[3], Pressure: v[4]}
 }
 
-// RunSerial is a convenience wrapper: run cfg on one chunk.
-func RunSerial(cfg Config) (Summary, error) {
+// Run runs cfg on a world of n in-process ranks and returns the global
+// summary. n = 1 is the serial run.
+func Run(cfg Config, n int) (Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return Summary{}, err
 	}
-	return NewSerialRank(cfg).Run()
-}
-
-// RunMPI runs cfg over n in-process ranks and returns the global summary
-// plus the per-rank modeled MPI times.
-func RunMPI(cfg Config, n int) (Summary, []mpi.Times, error) {
-	return RunMPIThreaded(cfg, n, 1)
-}
-
-// RunMPIThreaded is RunMPI with OpenMP-style kernel threading per rank
-// (the hybrid MPI+OpenMP mode of the SPEChpc code).
-func RunMPIThreaded(cfg Config, n, threads int) (Summary, []mpi.Times, error) {
-	if err := cfg.Validate(); err != nil {
-		return Summary{}, nil, err
-	}
 	if n < 1 {
-		return Summary{}, nil, errf("need at least 1 rank, got %d", n)
+		return Summary{}, errf("need at least 1 rank, got %d", n)
 	}
-	subs := decomp.Decompose(n, cfg.GridX, cfg.GridY)
-	world := mpi.NewWorld(n, mpi.DefaultTimeModel())
 	var summary Summary
 	var firstErr error
-	comms := world.Run(func(comm *mpi.Comm) {
-		rank := NewMPIRank(cfg, comm, subs)
-		rank.Chunk.SetThreads(threads)
-		s, err := rank.Run()
+	mpi.NewWorld(n).Run(func(comm *mpi.Comm) {
+		s, err := NewRank(cfg, comm).Run()
 		if comm.Rank() == 0 {
-			summary = s
-			firstErr = err
+			summary, firstErr = s, err
 		}
 	})
-	times := make([]mpi.Times, n)
-	for i, cm := range comms {
-		times[i] = cm.Times
-	}
-	return summary, times, firstErr
+	return summary, firstErr
 }

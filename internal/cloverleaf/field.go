@@ -8,6 +8,12 @@
 // tests) and the *traffic specifications* of the hotspot loops (Table I),
 // which are replayed through internal/trace to reproduce the paper's
 // memory-traffic measurements.
+//
+// The hydro runs MPI-only, like the paper's code: Run(cfg, n) steps a
+// world of n in-process ranks (internal/mpi), and a serial run is the
+// world of one rank. Every rank computes its cells bit for bit as the
+// one-rank run does. The ranks move halo data and model no time; the
+// MPI time of Figs. 2 and 4 comes from the node time model (ModelNode).
 package cloverleaf
 
 import "fmt"

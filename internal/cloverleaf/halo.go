@@ -130,14 +130,6 @@ func (c *Chunk) reflect(hf HaloField, depth int, edges [4]bool) {
 	}
 }
 
-// UpdateHaloSerial applies reflective boundaries on all four edges (the
-// single-chunk case).
-func (c *Chunk) UpdateHaloSerial(fields []HaloField, depth int) {
-	for _, hf := range fields {
-		c.reflect(hf, depth, [4]bool{true, true, true, true})
-	}
-}
-
 // Neighbors identifies the adjacent ranks of a chunk ([left, right,
 // bottom, top], -1 at physical boundaries).
 type Neighbors [4]int
@@ -190,10 +182,12 @@ func unpackRows(f *Field, k0, depth int, buf []float64) {
 	}
 }
 
-// UpdateHaloMPI exchanges halos with neighbor ranks and applies
-// reflective boundaries at physical edges. The x exchange completes
-// before the y exchange so corner halos propagate correctly.
-func (c *Chunk) UpdateHaloMPI(comm *mpi.Comm, nbr Neighbors, fields []HaloField, depth int) error {
+// UpdateHalo exchanges halos with neighbor ranks and applies reflective
+// boundaries at physical edges. The x exchange completes before the y
+// exchange so corner halos propagate correctly. A chunk with no
+// neighbors (a one-rank world) reflects all four edges and exchanges
+// nothing.
+func (c *Chunk) UpdateHalo(comm *mpi.Comm, nbr Neighbors, fields []HaloField, depth int) error {
 	// Physical-boundary reflection first (y reflection of x halos is
 	// handled because the y pass sends full rows including x halos).
 	for _, hf := range fields {

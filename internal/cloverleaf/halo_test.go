@@ -9,8 +9,8 @@ import (
 // cell fields mirror symmetrically, the normal velocity component flips
 // sign, flux components flip at their normal boundary.
 func TestReflectiveBoundaryKinds(t *testing.T) {
-	cfg := Small(16, 1)
-	c := NewChunk(cfg, 1, 16, 1, 16)
+	r := oneRank(Small(16, 1))
+	c := r.Chunk
 
 	// Give the fields recognizable interior values.
 	for k := 1; k <= 16; k++ {
@@ -23,10 +23,12 @@ func TestReflectiveBoundaryKinds(t *testing.T) {
 			c.XVel0.Set(j, k, float64(10*j+k))
 		}
 	}
-	c.UpdateHaloSerial([]HaloField{
+	if err := r.halo([]HaloField{
 		{c.Density0, KindCell},
 		{c.XVel0, KindNodeX},
-	}, 2)
+	}, 2); err != nil {
+		t.Fatal(err)
+	}
 
 	// Cell symmetry at the left boundary: f(0,k) == f(1,k), f(-1,k) == f(2,k).
 	for k := 1; k <= 16; k++ {
@@ -58,14 +60,16 @@ func TestReflectiveBoundaryKinds(t *testing.T) {
 // full run — the condition for mass conservation.
 func TestBoundaryVelocityStaysZero(t *testing.T) {
 	cfg := Small(32, 10)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
 	c := r.Chunk
 	// After reflection, xvel(0,k) = -xvel(2,k): verify the halo keeps
 	// the antisymmetric property (the solver reads it every step).
-	c.UpdateHaloSerial([]HaloField{{c.XVel0, KindNodeX}}, 1)
+	if err := r.halo([]HaloField{{c.XVel0, KindNodeX}}, 1); err != nil {
+		t.Fatal(err)
+	}
 	for k := 1; k <= 32; k++ {
 		if got := c.XVel0.At(0, k) + c.XVel0.At(2, k); math.Abs(got) > 1e-15 {
 			t.Fatalf("antisymmetry violated at k=%d: %g", k, got)

@@ -15,7 +15,7 @@ func (c *Chunk) IdealGas(predict bool) {
 		den, en = c.Density1, c.Energy1
 	}
 	g1 := c.cfg.Gamma - 1
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			d := den.At(j, k)
 			e := en.At(j, k)
@@ -27,13 +27,13 @@ func (c *Chunk) IdealGas(predict bool) {
 			ss2 := v * v * (p*pe - pv)
 			c.SoundSpeed.Set(j, k, math.Sqrt(math.Max(ss2, 1e-30)))
 		}
-	})
+	}
 }
 
 // CalcViscosity computes the artificial (tensor) viscous pressure
 // (viscosity_kernel).
 func (c *Chunk) CalcViscosity() {
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			ugrad := c.XVel0.At(j+1, k) + c.XVel0.At(j+1, k+1) - c.XVel0.At(j, k) - c.XVel0.At(j, k+1)
 			vgrad := c.YVel0.At(j, k+1) + c.YVel0.At(j+1, k+1) - c.YVel0.At(j, k) - c.YVel0.At(j+1, k)
@@ -68,7 +68,7 @@ func (c *Chunk) CalcViscosity() {
 
 			c.Viscosity.Set(j, k, 2.0*c.Density0.At(j, k)*grad2*limiter*limiter)
 		}
-	})
+	}
 }
 
 // CalcDt returns the stable timestep for the chunk (calc_dt_kernel): the
@@ -82,8 +82,8 @@ func (c *Chunk) CalcDt() float64 {
 		dtVSafe   = 0.5
 		dtDivSafe = 0.7
 	)
-	dtMin := c.parKMin(c.YMin, c.YMax, func(k int) float64 {
-		rowMin := bigNum
+	dtMin := bigNum
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			dsx := c.CellDX.At(j)
 			dsy := c.CellDY.At(k)
@@ -115,18 +115,17 @@ func (c *Chunk) CalcDt() float64 {
 				dtdivt = dtDivSafe * (-1.0 / div)
 			}
 
-			rowMin = math.Min(rowMin, math.Min(math.Min(dtct, dtut), math.Min(dtvt, dtdivt)))
+			dtMin = math.Min(dtMin, math.Min(math.Min(dtct, dtut), math.Min(dtvt, dtdivt)))
 		}
-		return rowMin
-	})
-	return math.Min(dtMin, bigNum)
+	}
+	return dtMin
 }
 
 // PdV advances density and energy by the volume change implied by the
 // node velocities (PdV_kernel). predict uses half a timestep and the
 // time-level-0 velocities only.
 func (c *Chunk) PdV(predict bool, dt float64) {
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			var leftFlux, rightFlux, bottomFlux, topFlux float64
 			if predict {
@@ -160,14 +159,14 @@ func (c *Chunk) PdV(predict bool, dt float64) {
 			c.Energy1.Set(j, k, c.Energy0.At(j, k)-energyChange)
 			c.Density1.Set(j, k, c.Density0.At(j, k)*volumeChange)
 		}
-	})
+	}
 }
 
 // Accelerate updates the node velocities from pressure and viscosity
 // gradients (accelerate_kernel).
 func (c *Chunk) Accelerate(dt float64) {
 	halfDt := 0.5 * dt
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			nodalMass := (c.Density0.At(j-1, k-1)*c.Volume.At(j-1, k-1) +
 				c.Density0.At(j, k-1)*c.Volume.At(j, k-1) +
@@ -188,39 +187,39 @@ func (c *Chunk) Accelerate(dt float64) {
 			c.XVel1.Set(j, k, xv)
 			c.YVel1.Set(j, k, yv)
 		}
-	})
+	}
 }
 
 // FluxCalc computes the volume fluxes through cell faces (flux_calc_kernel).
 func (c *Chunk) FluxCalc(dt float64) {
 	q := 0.25 * dt
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			c.VolFluxX.Set(j, k, q*c.XArea.At(j, k)*
 				(c.XVel0.At(j, k)+c.XVel0.At(j, k+1)+c.XVel1.At(j, k)+c.XVel1.At(j, k+1)))
 		}
-	})
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	}
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			c.VolFluxY.Set(j, k, q*c.YArea.At(j, k)*
 				(c.YVel0.At(j, k)+c.YVel0.At(j+1, k)+c.YVel1.At(j, k)+c.YVel1.At(j+1, k)))
 		}
-	})
+	}
 }
 
 // ResetField copies the time-level-1 fields back to level 0
 // (reset_field_kernel).
 func (c *Chunk) ResetField() {
-	c.parK(c.YMin, c.YMax, func(k int) {
+	for k := c.YMin; k <= c.YMax; k++ {
 		for j := c.XMin; j <= c.XMax; j++ {
 			c.Density0.Set(j, k, c.Density1.At(j, k))
 			c.Energy0.Set(j, k, c.Energy1.At(j, k))
 		}
-	})
-	c.parK(c.YMin, c.YMax+1, func(k int) {
+	}
+	for k := c.YMin; k <= c.YMax+1; k++ {
 		for j := c.XMin; j <= c.XMax+1; j++ {
 			c.XVel0.Set(j, k, c.XVel1.At(j, k))
 			c.YVel0.Set(j, k, c.YVel1.At(j, k))
 		}
-	})
+	}
 }

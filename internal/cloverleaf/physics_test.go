@@ -1,9 +1,20 @@
 package cloverleaf
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"cloversim/internal/mpi"
 )
+
+// oneRank builds the serial solver: the rank of a one-rank world. Its
+// reductions complete locally, so it runs outside World.Run.
+func oneRank(cfg Config) *Rank {
+	var r *Rank
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) { r = NewRank(cfg, c) })
+	return r
+}
 
 func relDiff(a, b float64) float64 {
 	d := math.Abs(a - b)
@@ -105,7 +116,7 @@ func TestUniformStateStaysUniform(t *testing.T) {
 	// A single uniform state with zero velocity must remain static.
 	cfg := Small(24, 10)
 	cfg.States = cfg.States[:1] // background only
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	s0 := r.Chunk.FieldSummary()
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -124,7 +135,7 @@ func TestUniformStateStaysUniform(t *testing.T) {
 
 func TestMassConservationSerial(t *testing.T) {
 	cfg := Small(64, 20)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	m0 := r.Chunk.FieldSummary().Mass
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -138,7 +149,7 @@ func TestMassConservationSerial(t *testing.T) {
 func TestEnergyBudget(t *testing.T) {
 	// Total energy (internal + kinetic) conserved to discretization error.
 	cfg := Small(64, 20)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	s0 := r.Chunk.FieldSummary()
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -157,7 +168,7 @@ func TestEnergyBudget(t *testing.T) {
 
 func TestDynamicsActuallyHappen(t *testing.T) {
 	cfg := Small(48, 15)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	d0 := r.Chunk.Density0.At(24, 24)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -183,7 +194,7 @@ func TestXYSymmetry(t *testing.T) {
 	cfg := Small(40, 8)
 	cfg.States[1].XMax = cfg.XMax / 2
 	cfg.States[1].YMax = cfg.YMax / 2 // square energetic region
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +215,7 @@ func TestXYSymmetry(t *testing.T) {
 
 func TestTimestepGrowthLimited(t *testing.T) {
 	cfg := Small(32, 6)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	prev := cfg.DtInit
 	for step := 1; step <= 6; step++ {
 		dt, err := r.Step(step)
@@ -221,26 +232,147 @@ func TestTimestepGrowthLimited(t *testing.T) {
 	}
 }
 
-func TestSerialVsMPIEquivalence(t *testing.T) {
-	cfg := Small(60, 10)
-	serial, err := RunSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, np := range []int{2, 3, 4, 6} {
-		par, _, err := RunMPI(cfg, np)
+// stateFields are the fields the decomposition tests compare with the
+// one-rank run: the ones a step's first exchange refreshes to depth 2.
+var stateFields = []struct {
+	name string
+	kind FieldKind
+	of   func(*Chunk) *Field
+}{
+	{"density0", KindCell, func(c *Chunk) *Field { return c.Density0 }},
+	{"energy0", KindCell, func(c *Chunk) *Field { return c.Energy0 }},
+	{"pressure", KindCell, func(c *Chunk) *Field { return c.Pressure }},
+	{"xvel0", KindNodeX, func(c *Chunk) *Field { return c.XVel0 }},
+	{"yvel0", KindNodeY, func(c *Chunk) *Field { return c.YVel0 }},
+}
+
+// runRanks runs cfg on a world of n ranks, refreshes the state fields'
+// halos to depth 2 as the next step would, and returns every rank with
+// the global summary.
+func runRanks(t *testing.T, cfg Config, n int) ([]*Rank, Summary) {
+	t.Helper()
+	ranks := make([]*Rank, n)
+	sums := make([]Summary, n)
+	errs := make([]error, n)
+	mpi.NewWorld(n).Run(func(c *mpi.Comm) {
+		r := NewRank(cfg, c)
+		ranks[c.Rank()] = r
+		s, err := r.Run()
+		if err == nil {
+			fields := make([]HaloField, len(stateFields))
+			for i, sf := range stateFields {
+				fields[i] = HaloField{sf.of(r.Chunk), sf.kind}
+			}
+			err = r.halo(fields, 2)
+		}
+		sums[c.Rank()], errs[c.Rank()] = s, err
+	})
+	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
+			t.Fatalf("np=%d rank %d: %v", n, i, err)
 		}
-		if relDiff(serial.Mass, par.Mass) > 1e-4 {
-			t.Errorf("np=%d: mass %g vs serial %g", np, par.Mass, serial.Mass)
+	}
+	return ranks, sums[0]
+}
+
+// compareFields requires every state-field value the ranks hold to be
+// bit-identical to ref's at the same global position: the inner cells
+// and nodes only, or with halo set, the halo around them too.
+func compareFields(t *testing.T, ranks []*Rank, ref *Chunk, halo bool) {
+	t.Helper()
+	diff, total := 0, 0
+	for _, r := range ranks {
+		c := r.Chunk
+		for _, sf := range stateFields {
+			got, want := sf.of(c), sf.of(ref)
+			jLo, jHi, kLo, kHi := c.XMin, c.XMax, c.YMin, c.YMax
+			if sf.kind.XNode {
+				jHi++
+			}
+			if sf.kind.YNode {
+				kHi++
+			}
+			if halo {
+				jLo, jHi, kLo, kHi = got.JLo, got.JHi, got.KLo, got.KHi
+			}
+			for k := kLo; k <= kHi; k++ {
+				for j := jLo; j <= jHi; j++ {
+					total++
+					g, w := got.At(j, k), want.At(j, k)
+					if math.Float64bits(g) == math.Float64bits(w) {
+						continue
+					}
+					if diff++; diff <= 3 {
+						t.Errorf("rank %d %s(%d,%d) = %.17g, one rank has %.17g", r.Comm.Rank(), sf.name, j, k, g, w)
+					}
+				}
+			}
 		}
-		if relDiff(serial.InternalEnergy, par.InternalEnergy) > 1e-3 {
-			t.Errorf("np=%d: IE %g vs serial %g", np, par.InternalEnergy, serial.InternalEnergy)
-		}
-		if relDiff(serial.Volume, par.Volume) > 1e-12 {
-			t.Errorf("np=%d: volume mismatch", np)
-		}
+	}
+	if diff > 0 {
+		t.Errorf("%d of %d values differ from the one-rank run", diff, total)
+	}
+}
+
+// checkDecomposition runs cfg on one rank and on each of nps ranks. Every
+// inner cell and node of the state fields must be bit-identical to the
+// one-rank run, and the global summary may differ from it only in the
+// order the ranks' parts are summed.
+func checkDecomposition(t *testing.T, cfg Config, nps ...int) {
+	t.Helper()
+	one, oneSum := runRanks(t, cfg, 1)
+	for _, n := range nps {
+		t.Run(fmt.Sprintf("%dx%d/np%d", cfg.GridX, cfg.GridY, n), func(t *testing.T) {
+			ranks, sum := runRanks(t, cfg, n)
+			compareFields(t, ranks, one[0].Chunk, false)
+			for _, q := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"volume", sum.Volume, oneSum.Volume},
+				{"mass", sum.Mass, oneSum.Mass},
+				{"internal energy", sum.InternalEnergy, oneSum.InternalEnergy},
+				{"kinetic energy", sum.KineticEnergy, oneSum.KineticEnergy},
+				{"pressure", sum.Pressure, oneSum.Pressure},
+			} {
+				if d := relDiff(q.got, q.want); d > 1e-12 {
+					t.Errorf("summary %s %.17g, one rank %.17g (relative %.2e)", q.name, q.got, q.want, d)
+				}
+			}
+		})
+	}
+}
+
+// TestSerialVsMPIEquivalence: on square and rectangular rank grids the
+// hydro matches the serial (one-rank) run bit for bit, on a square and
+// on a prime mesh.
+func TestSerialVsMPIEquivalence(t *testing.T) {
+	for _, cells := range []int{40, 41} {
+		checkDecomposition(t, Small(cells, 16), 2, 4, 6, 9, 12)
+	}
+}
+
+// TestMPIPrimeRankCount: prime rank counts force the 1-D decomposition
+// along the inner dimension, and it too matches the one-rank run bit for
+// bit.
+func TestMPIPrimeRankCount(t *testing.T) {
+	for _, cells := range []int{40, 41} {
+		checkDecomposition(t, Small(cells, 16), 3, 5, 7)
+	}
+}
+
+// TestHaloExchangeConsistency: the halo protocol is exact. After a
+// depth-2 exchange every halo value a rank holds, whether a neighbour
+// sent it or a wall reflected it, corners included, equals the one-rank
+// run's value at that global position.
+func TestHaloExchangeConsistency(t *testing.T) {
+	cfg := Small(41, 16)
+	one, _ := runRanks(t, cfg, 1)
+	for _, n := range []int{4, 5, 6} {
+		t.Run(fmt.Sprintf("np%d", n), func(t *testing.T) {
+			ranks, _ := runRanks(t, cfg, n)
+			compareFields(t, ranks, one[0].Chunk, true)
+		})
 	}
 }
 
@@ -248,56 +380,15 @@ func TestSerialVsMPIEquivalence(t *testing.T) {
 // the MPI world.
 func TestRunMPIRankCount(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if _, _, err := RunMPIThreaded(Small(16, 2), n, 1); err == nil {
+		if _, err := Run(Small(16, 2), n); err == nil {
 			t.Errorf("%d ranks accepted", n)
 		}
 	}
 }
 
-func TestMPIPrimeRankCount(t *testing.T) {
-	// Prime rank counts force the 1D inner-dimension decomposition.
-	cfg := Small(55, 6)
-	serial, err := RunSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, times, err := RunMPI(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relDiff(serial.Mass, par.Mass) > 1e-4 {
-		t.Errorf("prime decomposition diverged: %g vs %g", par.Mass, serial.Mass)
-	}
-	if len(times) != 5 || times[1].Waitall <= 0 {
-		t.Error("MPI time model not populated")
-	}
-}
-
-func TestHaloExchangeConsistency(t *testing.T) {
-	// After one MPI step, interior values match the serial run cell by
-	// cell (the halo protocol is exact, not just statistically right).
-	cfg := Small(40, 1)
-	sr := NewSerialRank(cfg)
-	if _, err := sr.Step(1); err != nil {
-		t.Fatal(err)
-	}
-	subs := make([]Summary, 0)
-	_ = subs
-	// Compare against a 4-rank run.
-	s2, _, err := RunMPI(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr.Chunk.IdealGas(false)
-	s1 := sr.Chunk.FieldSummary()
-	if relDiff(s1.Mass, s2.Mass) > 1e-9 {
-		t.Errorf("one-step mass differs: serial %.15e mpi %.15e", s1.Mass, s2.Mass)
-	}
-}
-
 func TestSummaryPressureSigns(t *testing.T) {
 	cfg := Small(32, 3)
-	s, err := RunSerial(cfg)
+	s, err := Run(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

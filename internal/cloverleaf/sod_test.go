@@ -34,7 +34,7 @@ func TestSodShockTube(t *testing.T) {
 	}
 	nx := 400
 	cfg := sodConfig(nx, 8, 100000, 0.2)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSodShockTube(t *testing.T) {
 // TestEndTimeClamping: the driver hits EndTime exactly and stops.
 func TestEndTimeClamping(t *testing.T) {
 	cfg := sodConfig(64, 4, 100000, 0.01)
-	r := NewSerialRank(cfg)
+	r := oneRank(cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}

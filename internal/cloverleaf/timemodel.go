@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"cloversim/internal/decomp"
-	"cloversim/internal/mpi"
 )
 
 // NodeModel is the modeled execution of one hydro step on the node:
@@ -17,7 +16,7 @@ type NodeModel struct {
 	// StepSeconds is the slowest rank's compute time for one step.
 	StepSeconds float64
 	// MPIPerStep is the modeled per-rank MPI time of one step.
-	MPIPerStep mpi.Times
+	MPIPerStep MPITimes
 	// TotalStepSeconds includes MPI.
 	TotalStepSeconds float64
 	// BandwidthBytes is the achieved node memory bandwidth during compute.
@@ -102,21 +101,39 @@ func ModelNode(o TrafficOptions) (*NodeModel, error) {
 	return m, nil
 }
 
+// MPITimes is modeled time per MPI call category (the Fig. 4 rows).
+// Reduce charges the application's occasional field summaries.
+type MPITimes struct {
+	Isend     float64
+	Waitall   float64
+	Allreduce float64
+	Reduce    float64
+}
+
+// Total returns the summed modeled MPI time.
+func (t MPITimes) Total() float64 {
+	return t.Isend + t.Waitall + t.Allreduce + t.Reduce
+}
+
 // haloPhase describes one update_halo call of the hydro cycle.
 type haloPhase struct {
 	fields int
 	depth  int
 }
 
-// haloSchedule mirrors Rank.Step's sequence of halo exchanges (averaged
-// over the two sweep orders, which are symmetric).
+// haloSchedule is the modeled sequence of halo exchanges of one hydro
+// step (averaged over the two sweep orders, which are symmetric). It
+// follows Rank.Step except after the first cell sweep: Rank.Step also
+// refreshes xvel1 and yvel1 there for the first momentum sweep, while
+// the model counts three fields. Counting five would move the modeled
+// MPI time of every multi-rank cell, a model change.
 var haloSchedule = []haloPhase{
 	{5, 2}, // timestep: pressure, energy0, density0, xvel0, yvel0
 	{1, 1}, // viscosity
 	{1, 1}, // pressure after predictor EOS
 	{2, 1}, // xvel1, yvel1 after accelerate
 	{4, 2}, // vol fluxes + density1/energy1 before advection
-	{3, 2}, // after first cell sweep
+	{3, 2}, // after first cell sweep: density1, energy1, mass flux
 	{5, 2}, // before second momentum sweep
 }
 
@@ -131,7 +148,7 @@ func surfaceToVolume(o TrafficOptions) float64 {
 
 // modelMPI returns the modeled per-rank MPI time of one step for the
 // worst-placed rank (interior: 4 neighbors; 1D decompositions: 2).
-func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) mpi.Times {
+func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) MPITimes {
 	o.defaults()
 	subs := decomp.Decompose(o.Ranks, o.GridX, o.GridY)
 	cx, _ := decomp.Factorize(o.Ranks, o.GridX, o.GridY)
@@ -147,7 +164,7 @@ func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) mpi.Time
 	sort.Ints(ys)
 	xspan, yspan := xs[len(xs)/2], ys[len(ys)/2]
 
-	var t mpi.Times
+	var t MPITimes
 	if o.Ranks == 1 {
 		return t
 	}

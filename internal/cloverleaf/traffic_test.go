@@ -242,7 +242,7 @@ func TestInstrumentedSpecI2MKnob(t *testing.T) {
 // is larger than on the paper's mesh).
 func TestInstrumentedRunMatchesTable1(t *testing.T) {
 	cfg := Small(96, 4)
-	s, err := RunSerial(cfg)
+	s, err := Run(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,9 @@ func New(header ...string) *Table {
 	return &Table{Header: header}
 }
 
-// FormatCell renders one value the way Add does: floats with four
-// decimals, everything else with %v. Exported so incremental emitters
-// that bypass Table can format cells byte-identically to it.
-func FormatCell(v interface{}) string {
+// formatCell renders one value of a row: floats with four decimals,
+// everything else with %v.
+func formatCell(v interface{}) string {
 	switch x := v.(type) {
 	case float64:
 		return fmt.Sprintf("%.4f", x)
@@ -41,7 +40,7 @@ func FormatCell(v interface{}) string {
 func (t *Table) Add(values ...interface{}) {
 	row := make([]string, len(values))
 	for i, v := range values {
-		row[i] = FormatCell(v)
+		row[i] = formatCell(v)
 	}
 	t.Rows = append(t.Rows, row)
 }

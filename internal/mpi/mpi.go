@@ -3,10 +3,9 @@
 // point-to-point (Isend/Irecv/Waitall) and Allreduce, executed by one
 // goroutine per rank. It has no Reduce, Barrier or other collectives.
 //
-// Besides executing communication for real (data moves between ranks),
-// every call also charges an analytic time model (latency + volume /
-// bandwidth, log-tree reductions) so the relative MPI time breakdown of
-// the paper's Fig. 4 can be reproduced without wall-clock noise.
+// It moves data and models no time: the MPI time of Figs. 2 and 4 comes
+// from the node time model in internal/cloverleaf, which counts the
+// hydro cycle's halo exchanges and reductions analytically.
 package mpi
 
 import (
@@ -33,34 +32,6 @@ func (o Op) apply(a, b float64) float64 {
 	default:
 		return a + b
 	}
-}
-
-// TimeModel parameterizes the analytic communication cost model.
-type TimeModel struct {
-	Latency          float64 // seconds per point-to-point message
-	Bandwidth        float64 // bytes/s payload bandwidth
-	ReductionLatency float64 // seconds per tree stage of a reduction
-}
-
-// DefaultTimeModel matches the intra-node Intel MPI figures used for the
-// machine presets.
-func DefaultTimeModel() TimeModel {
-	return TimeModel{Latency: 1.4e-6, Bandwidth: 11e9, ReductionLatency: 1.9e-6}
-}
-
-// Times accumulates modeled time per MPI call category (Fig. 4 rows).
-// Reduce is set only by the node time model, which charges the
-// application's occasional field summaries.
-type Times struct {
-	Isend     float64
-	Waitall   float64
-	Allreduce float64
-	Reduce    float64
-}
-
-// Total returns the summed modeled MPI time.
-func (t Times) Total() float64 {
-	return t.Isend + t.Waitall + t.Allreduce + t.Reduce
 }
 
 type message struct {
@@ -122,17 +93,16 @@ func newReducer() *reducer {
 // World owns the ranks' shared communication state.
 type World struct {
 	size int
-	tm   TimeModel
 	mail [][]*mailbox // mail[dst][src]
 	red  *reducer
 }
 
 // NewWorld creates a communicator world of the given size.
-func NewWorld(size int, tm TimeModel) *World {
+func NewWorld(size int) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{size: size, tm: tm, red: newReducer()}
+	w := &World{size: size, red: newReducer()}
 	w.mail = make([][]*mailbox, size)
 	for d := range w.mail {
 		w.mail[d] = make([]*mailbox, size)
@@ -144,30 +114,25 @@ func NewWorld(size int, tm TimeModel) *World {
 }
 
 // Run executes body once per rank, each in its own goroutine, and waits
-// for all to finish. It returns the per-rank communicators for post-run
-// inspection (modeled times).
+// for all to finish.
 //
 //lint:allow ctxflow rank goroutines are one cell's bounded physics; they always terminate with the hydro step
-func (w *World) Run(body func(c *Comm)) []*Comm {
-	comms := make([]*Comm, w.size)
+func (w *World) Run(body func(c *Comm)) {
 	var wg sync.WaitGroup
 	wg.Add(w.size)
 	for r := 0; r < w.size; r++ {
-		comms[r] = &Comm{w: w, rank: r}
 		go func(c *Comm) {
 			defer wg.Done()
 			body(c)
-		}(comms[r])
+		}(&Comm{w: w, rank: r})
 	}
 	wg.Wait()
-	return comms
 }
 
 // Comm is one rank's endpoint.
 type Comm struct {
-	w     *World
-	rank  int
-	Times Times
+	w    *World
+	rank int
 }
 
 // Rank returns the caller's rank.
@@ -186,13 +151,11 @@ const (
 
 // Request is a non-blocking operation handle.
 type Request struct {
-	kind  reqKind
-	c     *Comm
-	peer  int
-	tag   int
-	buf   []float64
-	bytes int64
-	done  bool
+	kind reqKind
+	peer int
+	tag  int
+	buf  []float64
+	done bool
 }
 
 // Isend posts a non-blocking send of data to rank dst. The data is copied
@@ -201,13 +164,12 @@ func (c *Comm) Isend(data []float64, dst, tag int) *Request {
 	cp := make([]float64, len(data))
 	copy(cp, data)
 	c.w.mail[dst][c.rank].put(message{tag: tag, data: cp})
-	c.Times.Isend += 0.2e-6 // posting overhead; transfer charged at Waitall
-	return &Request{kind: reqSend, c: c, peer: dst, tag: tag, bytes: int64(len(data) * 8)}
+	return &Request{kind: reqSend, peer: dst, tag: tag}
 }
 
 // Irecv posts a non-blocking receive into buf from rank src.
 func (c *Comm) Irecv(buf []float64, src, tag int) *Request {
-	return &Request{kind: reqRecv, c: c, peer: src, tag: tag, buf: buf, bytes: int64(len(buf) * 8)}
+	return &Request{kind: reqRecv, peer: src, tag: tag, buf: buf}
 }
 
 // Wait completes one request.
@@ -224,7 +186,6 @@ func (c *Comm) Wait(r *Request) error {
 		}
 		copy(r.buf, msg.data)
 	}
-	c.Times.Waitall += c.w.tm.Latency + float64(r.bytes)/c.w.tm.Bandwidth
 	return nil
 }
 
@@ -241,17 +202,9 @@ func (c *Comm) Waitall(reqs []*Request) error {
 	return nil
 }
 
-// stages returns the number of tree stages for a collective.
-func (c *Comm) stages() float64 {
-	if c.w.size <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(float64(c.w.size)))
-}
-
-// rendezvous performs the collective protocol on the world's reducer:
-// op merges the caller's contribution into the accumulator.
-func (c *Comm) rendezvous(in []float64, op Op) []float64 {
+// Allreduce combines in across all ranks with op; every rank receives the
+// result. Contributions merge in arrival order on the world's reducer.
+func (c *Comm) Allreduce(in []float64, op Op) []float64 {
 	r := c.w.red
 	r.mu.Lock()
 	g := r.gen
@@ -276,14 +229,6 @@ func (c *Comm) rendezvous(in []float64, op Op) []float64 {
 	out := make([]float64, len(r.result))
 	copy(out, r.result)
 	r.mu.Unlock()
-	return out
-}
-
-// Allreduce combines in across all ranks with op; every rank receives the
-// result.
-func (c *Comm) Allreduce(in []float64, op Op) []float64 {
-	out := c.rendezvous(in, op)
-	c.Times.Allreduce += c.stages() * c.w.tm.ReductionLatency * 2
 	return out
 }
 

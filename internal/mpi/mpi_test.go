@@ -7,7 +7,7 @@ import (
 )
 
 func TestSendRecvRoundtrip(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
+	w := NewWorld(2)
 	var got []float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -27,7 +27,7 @@ func TestSendRecvRoundtrip(t *testing.T) {
 }
 
 func TestIsendCopiesEagerly(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
+	w := NewWorld(2)
 	var got float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -46,7 +46,7 @@ func TestIsendCopiesEagerly(t *testing.T) {
 }
 
 func TestTagMatchingOutOfOrder(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
+	w := NewWorld(2)
 	var a, b float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -67,7 +67,7 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 }
 
 func TestWaitallMixed(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
+	w := NewWorld(2)
 	ok := false
 	w.Run(func(c *Comm) {
 		peer := 1 - c.Rank()
@@ -90,7 +90,7 @@ func TestWaitallMixed(t *testing.T) {
 }
 
 func TestSizeMismatchError(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
+	w := NewWorld(2)
 	var err error
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -114,7 +114,7 @@ func TestAllreduceOps(t *testing.T) {
 		{OpMin, 0},
 		{OpMax, 5},
 	} {
-		w := NewWorld(6, DefaultTimeModel())
+		w := NewWorld(6)
 		results := make([]float64, 6)
 		w.Run(func(c *Comm) {
 			results[c.Rank()] = c.AllreduceScalar(float64(c.Rank()), tc.op)
@@ -129,7 +129,7 @@ func TestAllreduceOps(t *testing.T) {
 
 func TestAllreduceRepeated(t *testing.T) {
 	// Generation counting must survive many consecutive reductions.
-	w := NewWorld(4, DefaultTimeModel())
+	w := NewWorld(4)
 	bad := false
 	w.Run(func(c *Comm) {
 		for i := 0; i < 200; i++ {
@@ -155,7 +155,7 @@ func TestAllreduceSumProperty(t *testing.T) {
 			}
 			vals[i] = math.Remainder(vals[i], 1000)
 		}
-		w := NewWorld(5, DefaultTimeModel())
+		w := NewWorld(5)
 		var out [5]float64
 		w.Run(func(c *Comm) {
 			out[c.Rank()] = c.AllreduceScalar(vals[c.Rank()], OpSum)
@@ -177,7 +177,7 @@ func TestAllreduceSumProperty(t *testing.T) {
 }
 
 func TestAllreduceVector(t *testing.T) {
-	w := NewWorld(3, DefaultTimeModel())
+	w := NewWorld(3)
 	var got []float64
 	w.Run(func(c *Comm) {
 		r := c.Allreduce([]float64{float64(c.Rank()), 1}, OpSum)
@@ -190,32 +190,11 @@ func TestAllreduceVector(t *testing.T) {
 	}
 }
 
-func TestTimesAccumulate(t *testing.T) {
-	w := NewWorld(2, DefaultTimeModel())
-	comms := w.Run(func(c *Comm) {
-		peer := 1 - c.Rank()
-		buf := make([]float64, 1024)
-		c.Waitall([]*Request{
-			c.Irecv(buf, peer, 1),
-			c.Isend(make([]float64, 1024), peer, 1),
-		})
-		c.AllreduceScalar(1, OpMin)
-	})
-	for _, c := range comms {
-		if tt := c.Times; tt.Isend <= 0 || tt.Waitall <= 0 || tt.Allreduce <= 0 {
-			t.Fatalf("times not accumulated: %+v", tt)
-		}
-	}
-}
-
 func TestSingleRankCollectives(t *testing.T) {
-	w := NewWorld(1, DefaultTimeModel())
+	w := NewWorld(1)
 	w.Run(func(c *Comm) {
 		if got := c.AllreduceScalar(3, OpSum); got != 3 {
 			t.Errorf("1-rank allreduce = %g", got)
-		}
-		if c.Times.Allreduce != 0 {
-			t.Error("1-rank allreduce should cost nothing in the model")
 		}
 	})
 }

@@ -63,6 +63,11 @@ import (
 // simulations.
 const DefaultMaxCells = 4096
 
+// keyBytes is the expand body allowance per scenario, so the body cap
+// grows with MaxCells. The longest canonical key (registry names at their
+// longest, every numeric field at its int64 extreme) is about 250 bytes.
+const keyBytes = 512
+
 // ResultStore is the slice of *store.Store the server depends on,
 // lifted to an interface so tests can inject durability failures
 // (failed Sync) without a real broken filesystem. *store.Store
@@ -287,7 +292,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	var req expandRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.maxCells())*keyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	var scenarios []sweep.Scenario

@@ -296,7 +296,10 @@ func TestClientOversizedResponses(t *testing.T) {
 
 // TestMaxCellsConfigurable: the per-expand cap is a Server knob,
 // enforced on explicit batches and advertised in healthz so
-// dispatchers can clamp chunks up front.
+// dispatchers can clamp chunks up front. The request body cap grows
+// with it: a server configured for 10000 cells accepts 8000 keys, a
+// body past the 1 MiB a fixed cap used to allow, and a body past the
+// derived cap is still a 400.
 func TestMaxCellsConfigurable(t *testing.T) {
 	srv := New(execStore(t), streamTestRunner, 2)
 	srv.MaxCells = 2
@@ -316,6 +319,35 @@ func TestMaxCellsConfigurable(t *testing.T) {
 	}
 	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(2), nil); err != nil {
 		t.Errorf("2-cell expand within cap failed: %v", err)
+	}
+
+	srv = New(execStore(t), streamTestRunner, 2)
+	srv.MaxCells = 10000
+	ts = httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	key := fmt.Sprintf("%q", sweep.Scenario{Machine: "spr8470+s", Workload: "cloverleaf", Mode: sweep.Mode{Name: "speci2m-off", SpecI2MOff: true},
+		Ranks: 104, Mesh: sweep.Mesh{X: 15360, Y: 15360}, Threads: 1, MaxRows: 32, Seed: 0xdeadbeef}.Key())
+	body := `{"scenarios":[` + strings.Repeat(key+",", 7999) + key + `]}`
+	if len(body) <= 1<<20 {
+		t.Fatalf("8000-key body is %d bytes; it must pass 1 MiB to test the cap", len(body))
+	}
+	status, out := postBody(t, ts, []byte(body))
+	if status != http.StatusOK {
+		t.Fatalf("8000-key expand (%d bytes) under max cells 10000: status %d (%.200s)", len(body), status, out)
+	}
+	results, _, err := parseStream(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 8000 {
+		t.Errorf("8000-key expand answered %d results", len(results))
+	}
+
+	limit := srv.MaxCells * keyBytes
+	body = `{"scenarios":[` + key + strings.Repeat(" ", limit) + `]}`
+	if status, out := postBody(t, ts, []byte(body)); status != http.StatusBadRequest || !strings.Contains(string(out), "too large") {
+		t.Errorf("%d-byte body against a %d-byte cap: status %d (%.200s), want 400 naming the size", len(body), limit, status, out)
 	}
 }
 
