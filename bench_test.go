@@ -324,8 +324,8 @@ func BenchmarkTraceReplayAm04(b *testing.B) {
 			am04 = l
 		}
 	}
-	x := trace.NewExecutor(machine.ICX8360Y(), nil)
-	x.Env = trace.Env{Pressure: 1, NodeFraction: 1, ActiveSockets: 2, PFOn: true}
+	icx := machine.ICX8360Y()
+	x := trace.Node{Spec: icx, Active: icx.Cores(), PFOn: true}.Core(0)
 	b.ResetTimer()
 	var c memsim.Counts
 	for i := 0; i < b.N; i++ {

@@ -19,23 +19,15 @@ type Series struct {
 type Plot struct {
 	Title  string
 	XLabel string
-	Width  int // plot area columns (default 64)
-	Height int // plot area rows (default 16)
 	Series []Series
 }
 
 // markers cycles through per-series glyphs.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
-// Render draws the chart.
+// Render draws the chart on a plot area of 64 columns by 16 rows.
 func (p Plot) Render() string {
-	w, h := p.Width, p.Height
-	if w <= 0 {
-		w = 64
-	}
-	if h <= 0 {
-		h = 16
-	}
+	const w, h = 64, 16
 
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)

@@ -5,52 +5,22 @@
 // kernel (Figs. 8 and 11).
 //
 // Each microbenchmark is a body of store-engine and memsim operations
-// that a simulated core replays. Cores sharing the same bandwidth
-// pressure are simulated once and weighted (compact pinning fills
-// ccNUMA domains in order): each core group runs on a trace.Executor
-// without a memo, so it borrows a hierarchy from memsim's pool for its
-// replay, and a group whose replay panics fails the run with an error.
+// that a simulated core replays. The run's trace.Node, without a memo,
+// groups the active cores by the pressure of their ccNUMA domain
+// (compact pinning fills domains in order); each group's first core
+// replays the body once, borrowing a hierarchy from memsim's pool,
+// and its volumes are weighted by the group's cores. A group whose
+// replay panics fails the run with an error.
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
-	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
 )
-
-// coreGroup is a set of cores with identical simulation conditions.
-type coreGroup struct {
-	pressure  float64
-	count     int
-	firstCore int
-}
-
-// groupCores buckets the first n cores by ccNUMA-domain pressure.
-func groupCores(spec *machine.Spec, n int) []coreGroup {
-	m := map[int64]*coreGroup{}
-	var order []int64
-	for c := 0; c < n; c++ {
-		p := spec.PressureAt(c, n)
-		key := int64(p * 1e9)
-		g, ok := m[key]
-		if !ok {
-			m[key] = &coreGroup{pressure: p, count: 1, firstCore: c}
-			order = append(order, key)
-			continue
-		}
-		g.count++
-	}
-	out := make([]coreGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *m[k])
-	}
-	return out
-}
 
 // Volumes aggregates measured memory volumes in bytes.
 type Volumes struct {
@@ -70,56 +40,32 @@ func (v *Volumes) Add(o Volumes, w float64) {
 
 // run is what every core group of one microbenchmark run shares.
 type run struct {
-	spec  *machine.Spec
-	cores int // active cores under compact pinning
+	node  trace.Node
 	class machine.KernelClass
 	nt    []bool // one per write stream: use non-temporal stores
-	pfOn  bool
-	seed  uint64
 }
 
-// replay simulates the run's core groups, each on its own executor and
-// concurrently, and returns their volumes weighted by their core
-// counts, summed in group order. Each group's executor is seeded from
-// the run's seed and the group's first core, and body issues the
-// group's operations once the engine holds the run's streams and the
-// group's context. The first error is the lowest group's.
+// replay simulates the run's core groups concurrently and returns
+// their volumes weighted by their core counts, summed in group order.
+// body issues a group's operations once the engine holds the run's
+// streams and the group's context. The first error is the lowest
+// group's.
 func (r run) replay(body func(e *core.StoreEngine, be core.Backend)) (Volumes, error) {
-	groups := groupCores(r.spec, r.cores)
+	groups := r.node.Groups(nil)
 	vols := make([]Volumes, len(groups))
-	// A bounded single-scenario kernel: campaign cancellation is
-	// scenario-granular at the sweep engine.
-	err := sweep.ForEach(context.Background(), len(groups), len(groups), func(i int) (err error) {
-		g := groups[i]
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("bench: core group at core %d panicked: %v", g.firstCore, p)
-			}
-		}()
-		x := trace.NewExecutor(r.spec, nil)
-		x.Env.PFOn = r.pfOn
-		x.Seed(r.seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
+	err := r.node.Each(groups, func(i int, x *trace.Executor) {
 		vols[i] = volumesOf(x.Replay(func(e *core.StoreEngine, be core.Backend) {
 			e.ConfigureStreams(len(r.nt), r.nt)
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(r.cores) / float64(r.spec.Cores()),
-				ActiveSockets: r.spec.ActiveSockets(r.cores),
-				Class:         r.class,
-				StoreStreams:  len(r.nt),
-				Eligible:      true,
-				PFOn:          r.pfOn,
-			})
+			e.SetContext(x.Context(r.class, len(r.nt), true))
 			body(e, be)
 		}))
-		return nil
 	})
 	if err != nil {
 		return Volumes{}, err
 	}
 	var v Volumes
 	for i, g := range groups {
-		v.Add(vols[i], float64(g.count))
+		v.Add(vols[i], float64(g.Count))
 	}
 	return v, nil
 }
@@ -190,7 +136,7 @@ func RunStore(o StoreOptions) (StoreResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0x57073
 	}
-	r := run{spec: o.Machine, cores: o.Cores, class: machine.ClassPureStore, nt: nStreams(o.Streams, o.NT), pfOn: !o.PFOff, seed: o.Seed}
+	r := run{node: trace.Node{Spec: o.Machine, Active: o.Cores, PFOn: !o.PFOff, Seed: o.Seed}, class: machine.ClassPureStore, nt: nStreams(o.Streams, o.NT)}
 	// Independent aligned streams with a generous gap.
 	gap := (o.BytesPerStream + (1 << 20)) &^ 63
 	v, err := r.replay(func(e *core.StoreEngine, _ core.Backend) {
@@ -260,7 +206,7 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 	if inner <= 0 {
 		inner = int(o.Elems)
 	}
-	r := run{spec: o.Machine, cores: o.Cores, class: machine.ClassCopy, nt: []bool{o.NT}, pfOn: !o.PFOff, seed: o.Seed}
+	r := run{node: trace.Node{Spec: o.Machine, Active: o.Cores, PFOn: !o.PFOff, Seed: o.Seed}, class: machine.ClassCopy, nt: []bool{o.NT}}
 	period := int64(inner + o.Halo)
 	aBase := int64(1 << 24)
 	bBase := aBase + (o.Elems*8*2+(1<<20))&^63

@@ -277,16 +277,3 @@ func TestVolumesAdd(t *testing.T) {
 		t.Fatalf("weighted add: %+v", v)
 	}
 }
-
-func TestGroupCoresPartition(t *testing.T) {
-	spec := machine.ICX8360Y()
-	for _, n := range []int{1, 17, 18, 19, 36, 71, 72} {
-		total := 0
-		for _, g := range groupCores(spec, n) {
-			total += g.count
-		}
-		if total != n {
-			t.Errorf("groupCores(%d) covers %d cores", n, total)
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
+	"cloversim/internal/trace"
 )
 
 // Kernel is a named likwid-bench-style microbenchmark kernel. The paper's
@@ -132,7 +133,7 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	}
 	res.Flops = float64(k.FlopsPerElem) * float64(o.ElemsPerStream) * float64(o.Cores)
 
-	r := run{spec: o.Machine, cores: o.Cores, class: k.Class(), nt: nStreams(k.WriteStreams, k.NT), pfOn: !o.PFOff, seed: o.Seed}
+	r := run{node: trace.Node{Spec: o.Machine, Active: o.Cores, PFOn: !o.PFOff, Seed: o.Seed}, class: k.Class(), nt: nStreams(k.WriteStreams, k.NT)}
 	gap := (o.ElemsPerStream*8 + (1 << 20)) &^ 63
 	// Stream base addresses: reads first, then writes.
 	readBase := make([]int64, k.ReadStreams)

@@ -127,15 +127,16 @@ func TestRunKernelErrors(t *testing.T) {
 }
 
 // TestStreamPastSimulatedRangeIsAnError: a stream past memsim's 2^38-line
-// bound panics in its core group's replay. The run returns that panic
-// as an error, at once, instead of killing the process hosting it.
+// bound panics in every core group's replay. The run returns the lowest
+// group's panic as an error naming its first core, at once, instead of
+// killing the process hosting it.
 func TestStreamPastSimulatedRangeIsAnError(t *testing.T) {
 	icx := machine.ICX8360Y()
 	_, copyErr := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: 1 << 40})
-	_, kernelErr := RunKernel(KernelOptions{Machine: icx, Kernel: "copy", Cores: 1, ElemsPerStream: 1 << 42})
+	_, kernelErr := RunKernel(KernelOptions{Machine: icx, Kernel: "copy", Cores: 23, ElemsPerStream: 1 << 42})
 	for i, err := range []error{copyErr, kernelErr} {
-		if err == nil || !strings.Contains(err.Error(), "outside the simulated range") {
-			t.Errorf("%s error %v, want memsim's range panic", []string{"RunCopy", "RunKernel"}[i], err)
+		if err == nil || !strings.Contains(err.Error(), "core group at core 0 panicked") || !strings.Contains(err.Error(), "outside the simulated range") {
+			t.Errorf("%s error %v, want core 0's range panic", []string{"RunCopy", "RunKernel"}[i], err)
 		}
 	}
 }

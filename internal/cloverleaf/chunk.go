@@ -37,6 +37,10 @@ type Chunk struct {
 	cfg Config
 }
 
+// haloDepth is the depth of a chunk's halo, in cells: the deepest
+// exchange a hydro step makes.
+const haloDepth = 2
+
 // NewChunk allocates the chunk covering the given global cell range.
 func NewChunk(cfg Config, xmin, xmax, ymin, ymax int) *Chunk {
 	c := &Chunk{XMin: xmin, XMax: xmax, YMin: ymin, YMax: ymax, cfg: cfg}

@@ -167,13 +167,21 @@ func (r *Rank) GlobalSummary() Summary {
 }
 
 // Run runs cfg on a world of n in-process ranks and returns the global
-// summary. n = 1 is the serial run.
+// summary. n = 1 is the serial run. A rank count that leaves a chunk
+// narrower or shorter than the halo is an error: its neighbours'
+// exchanges would send halo cells it does not own.
 func Run(cfg Config, n int) (Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return Summary{}, err
 	}
 	if n < 1 {
 		return Summary{}, errf("need at least 1 rank, got %d", n)
+	}
+	for _, s := range decomp.Decompose(n, cfg.GridX, cfg.GridY) {
+		if s.XSpan() < haloDepth || s.YSpan() < haloDepth {
+			return Summary{}, errf("%d ranks cut the %dx%d mesh into chunks narrower than the %d-cell halo (rank %d gets %dx%d cells)",
+				n, cfg.GridX, cfg.GridY, haloDepth, s.Rank, s.XSpan(), s.YSpan())
+		}
 	}
 	var summary Summary
 	var firstErr error

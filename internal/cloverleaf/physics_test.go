@@ -3,6 +3,7 @@ package cloverleaf
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cloversim/internal/mpi"
@@ -373,6 +374,44 @@ func TestHaloExchangeConsistency(t *testing.T) {
 			ranks, _ := runRanks(t, cfg, n)
 			compareFields(t, ranks, one[0].Chunk, true)
 		})
+	}
+}
+
+// TestRunSummaryDeterministic: the global summary reduces the ranks'
+// parts in rank order, whatever order they arrive in, so repeated runs
+// of one world give one summary, bit for bit.
+func TestRunSummaryDeterministic(t *testing.T) {
+	bits := func(s Summary) [5]uint64 {
+		return [5]uint64{math.Float64bits(s.Volume), math.Float64bits(s.Mass), math.Float64bits(s.InternalEnergy),
+			math.Float64bits(s.KineticEnergy), math.Float64bits(s.Pressure)}
+	}
+	var want [5]uint64
+	for i := 0; i < 40; i++ {
+		s, err := Run(Small(60, 4), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = bits(s)
+		} else if got := bits(s); got != want {
+			t.Fatalf("run %d summary bits %x, run 0 %x", i, got, want)
+		}
+	}
+}
+
+// TestRunRejectsChunksNarrowerThanHalo: a rank count that leaves a
+// chunk narrower or shorter than the 2-cell halo fails before any rank
+// starts; counts whose chunks hold the halo run.
+func TestRunRejectsChunksNarrowerThanHalo(t *testing.T) {
+	for _, n := range []int{5, 7} {
+		if _, err := Run(Small(8, 2), n); err == nil || !strings.Contains(err.Error(), "narrower than the 2-cell halo") {
+			t.Errorf("np %d on 8x8: error %v, want chunks narrower than the halo", n, err)
+		}
+	}
+	for _, n := range []int{2, 4, 8} {
+		if _, err := Run(Small(8, 2), n); err != nil {
+			t.Errorf("np %d on 8x8: %v", n, err)
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
 package cloverleaf
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"cloversim/internal/decomp"
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
-	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
 )
 
@@ -122,21 +120,12 @@ func (r *TrafficResult) BytesPerStep() float64 {
 	return v
 }
 
-// rankGroup identifies ranks with identical simulation conditions.
-type rankGroup struct {
-	xspan, yspan int
-	pressure     float64
-	count        int
-	firstRank    int
-}
-
 // groupResult is one rank group's simulated loop traffic, pre-scaling.
 type groupResult struct {
-	weights float64
-	loops   []LoopInstance
-	counts  []memsim.Counts
-	scales  []float64
-	iters   []float64
+	loops  []LoopInstance
+	counts []memsim.Counts
+	scales []float64
+	iters  []float64
 }
 
 // trafficGroupHook is a test seam: when set, it runs in every
@@ -144,22 +133,14 @@ type groupResult struct {
 // regression suite inject a panic, or break a loop so that its replay
 // panics, without reaching into the trace executor. Production code
 // never sets it.
-var trafficGroupHook func(g *rankGroup, loops []LoopInstance)
+var trafficGroupHook func(firstRank int, loops []LoopInstance)
 
-// simulateGroup simulates one rank group's loop traffic. A panic
-// anywhere in the group's simulation — a workload bug, malformed
-// bounds — is recovered into an error so it fails this traffic study
-// (one scenario in a sweep), not the whole process hosting it (a
-// sweepd worker serving many campaigns).
-func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankGroup) (gr groupResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cloverleaf: rank group at rank %d (%dx%d) panicked: %v", g.firstRank, g.xspan, g.yspan, r)
-		}
-	}()
+// simulateGroup simulates the loop traffic of the rank group whose
+// first rank owns subdomain s, on that rank's core x.
+func simulateGroup(o TrafficOptions, s decomp.Subdomain, x *trace.Executor) groupResult {
 	// Simulated chunk: full x extent, truncated y extent.
-	t := NewTrafficChunk(1, g.xspan, 1, g.yspan, o.MaxRows, o.AlignArrays)
-	full := NewTrafficChunk(1, g.xspan, 1, g.yspan, 0, o.AlignArrays)
+	t := NewTrafficChunk(1, s.XSpan(), 1, s.YSpan(), o.MaxRows, o.AlignArrays)
+	full := NewTrafficChunk(1, s.XSpan(), 1, s.YSpan(), 0, o.AlignArrays)
 
 	loops := t.HotspotLoops(o.OptimizeLoops)
 	fullLoops := full.HotspotLoops(o.OptimizeLoops)
@@ -168,18 +149,10 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 		fullLoops = append(fullLoops, full.AuxLoops()...)
 	}
 	if trafficGroupHook != nil {
-		trafficGroupHook(g, loops)
+		trafficGroupHook(s.Rank, loops)
 	}
 
-	x := trace.NewExecutor(spec, o.Memo)
-	x.NTStores = o.NTStores
-	e := env
-	e.Pressure = g.pressure
-	x.Env = e
-	x.Seed(o.Seed ^ uint64(g.firstRank+1)*0x9e3779b97f4a7c15)
-
-	gr = groupResult{weights: float64(g.count)}
-	gr.loops = loops
+	gr := groupResult{loops: loops}
 	for i, li := range loops {
 		c := x.Run(li.Loop, li.Bounds)
 		scale := float64(fullLoops[i].Bounds.Iterations()) / float64(li.Bounds.Iterations())
@@ -187,12 +160,15 @@ func simulateGroup(o TrafficOptions, spec *machine.Spec, env trace.Env, g *rankG
 		gr.scales = append(gr.scales, scale)
 		gr.iters = append(gr.iters, float64(fullLoops[i].Bounds.Iterations()))
 	}
-	return gr, nil
+	return gr
 }
 
 // RunTraffic simulates the memory traffic of one hydro step for the
 // given rank count and returns per-loop aggregates. A rank count whose
-// decomposition leaves a rank without cells is an error.
+// decomposition leaves a rank without cells is an error, and so is a
+// rank group whose simulation panics (a workload bug, malformed
+// bounds): it fails this study, one scenario of a sweep, not the
+// process hosting it.
 func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 	o.defaults()
 	if o.Machine == nil {
@@ -208,40 +184,21 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 		o.Memo = trace.NewMemo()
 	}
 
-	// Rank groups in order of their first rank: the decomposition lists
-	// subdomains by rank.
-	var groups []*rankGroup
-	index := map[[3]int]int{}
-	for _, s := range decomp.Decompose(o.Ranks, o.GridX, o.GridY) {
+	subs := decomp.Decompose(o.Ranks, o.GridX, o.GridY)
+	for _, s := range subs {
 		if s.XSpan() < 1 || s.YSpan() < 1 {
 			return nil, fmt.Errorf("cloverleaf: %d ranks leave rank %d of the %dx%d mesh without cells", o.Ranks, s.Rank, o.GridX, o.GridY)
 		}
-		p := spec.PressureAt(s.Rank, o.Ranks)
-		key := [3]int{s.XSpan(), s.YSpan(), int(p * 1e6)}
-		if i, ok := index[key]; ok {
-			groups[i].count++
-			continue
-		}
-		index[key] = len(groups)
-		groups = append(groups, &rankGroup{xspan: s.XSpan(), yspan: s.YSpan(), pressure: p, count: 1, firstRank: s.Rank})
 	}
 
-	env := trace.Env{
-		NodeFraction:  float64(o.Ranks) / float64(spec.Cores()),
-		ActiveSockets: spec.ActiveSockets(o.Ranks),
-		PFOn:          !o.PFOff,
-	}
-
-	// One goroutine per rank group; results stay in rank order, so the
-	// float sums below are bit-identical across runs and worker counts,
-	// and the first error is the lowest-ranked group's. One cell's
-	// bounded physics: cancellation is scenario-granular at the sweep
-	// engine.
+	// Rank i runs on core i. Rank groups share a subdomain shape and a
+	// pressure; their results stay in rank order, so the float sums
+	// below are bit-identical across runs and worker counts.
+	node := trace.Node{Spec: &spec, Active: o.Ranks, PFOn: !o.PFOff, NTStores: o.NTStores, Seed: o.Seed, Memo: o.Memo}
+	groups := node.Groups(func(rank int) [2]int { return [2]int{subs[rank].XSpan(), subs[rank].YSpan()} })
 	results := make([]groupResult, len(groups))
-	err := sweep.ForEach(context.Background(), len(groups), len(groups), func(i int) error {
-		var err error
-		results[i], err = simulateGroup(o, &spec, env, groups[i])
-		return err
+	err := node.Each(groups, func(i int, x *trace.Executor) {
+		results[i] = simulateGroup(o, subs[groups[i].First], x)
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +210,8 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 		Loops:      map[string]*LoopTraffic{},
 		RankShapes: len(groups),
 	}
-	for _, gr := range results {
+	for g, gr := range results {
+		w := float64(groups[g].Count)
 		for i, li := range gr.loops {
 			lt, ok := res.Loops[li.Loop.Name]
 			if !ok {
@@ -266,7 +224,6 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 				}
 				res.Loops[li.Loop.Name] = lt
 			}
-			w := gr.weights
 			s := gr.scales[i]
 			c := gr.counts[i]
 			lt.Counts = lt.Counts.Add(c)

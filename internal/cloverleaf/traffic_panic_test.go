@@ -15,7 +15,7 @@ import (
 // scenario — instead of killing the whole process (which, under
 // sweepd, is a worker serving many campaigns).
 func TestRunTrafficRecoversGroupPanic(t *testing.T) {
-	trafficGroupHook = func(g *rankGroup, _ []LoopInstance) {
+	trafficGroupHook = func(int, []LoopInstance) {
 		panic("injected loop bug")
 	}
 	t.Cleanup(func() { trafficGroupHook = nil })
@@ -40,8 +40,9 @@ func TestRunTrafficRecoversGroupPanic(t *testing.T) {
 	}
 
 	// The first error is deterministic: the lowest-ranked group, not
-	// whichever goroutine the scheduler finished first.
-	if !strings.Contains(err.Error(), "rank group at rank 0") {
+	// whichever goroutine the scheduler finished first. Rank i runs on
+	// core i.
+	if !strings.Contains(err.Error(), "core group at core 0 ") {
 		t.Errorf("error %v, want the rank-0 group's error reported first", err)
 	}
 
@@ -55,8 +56,8 @@ func TestRunTrafficRecoversGroupPanic(t *testing.T) {
 // TestRunTrafficSingleGroupPanic: only one group panics; the error
 // still surfaces (no lost failures) and names that group.
 func TestRunTrafficSingleGroupPanic(t *testing.T) {
-	trafficGroupHook = func(g *rankGroup, _ []LoopInstance) {
-		if g.firstRank != 0 {
+	trafficGroupHook = func(firstRank int, _ []LoopInstance) {
+		if firstRank != 0 {
 			panic("injected bug in a non-first group")
 		}
 	}
@@ -85,7 +86,7 @@ func TestRunTrafficSingleGroupPanic(t *testing.T) {
 // stranding the other rank groups waiting on the same key or leaving a
 // result behind: a healed study on the same memo matches a fresh one.
 func TestRunTrafficReplayPanicUnderMemo(t *testing.T) {
-	trafficGroupHook = func(_ *rankGroup, loops []LoopInstance) {
+	trafficGroupHook = func(_ int, loops []LoopInstance) {
 		loops[0].Loop.Reads[0].A.Base = 1 << 50
 	}
 	t.Cleanup(func() { trafficGroupHook = nil })

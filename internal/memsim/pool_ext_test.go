@@ -25,9 +25,8 @@ func TestPoolBoundsConcurrentSimulations(t *testing.T) {
 	bounds := trace.Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 7}
 	replay := func(i int) memsim.Counts {
 		spec := []*machine.Spec{icx, spr}[i%2]
-		x := trace.NewExecutor(spec, nil) // a memo of its own: every replay misses
-		x.Env = trace.Env{Pressure: 0.8, NodeFraction: 0.5, ActiveSockets: 1, PFOn: i%3 != 0}
-		x.Seed(uint64(i + 1))
+		// No memo: every replay simulates.
+		x := trace.Node{Spec: spec, Active: spec.Cores() / 2, PFOn: i%3 != 0, Seed: uint64(i + 1)}.Core(0)
 		return x.Run(loop, bounds)
 	}
 	store := func(spec *machine.Spec) bench.StoreResult {

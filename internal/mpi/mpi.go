@@ -74,18 +74,20 @@ func (m *mailbox) take(tag int) message {
 	}
 }
 
-// reducer implements generation-counted collective rendezvous.
+// reducer implements generation-counted collective rendezvous. It
+// keeps each rank's contribution and reduces them in rank order once
+// the last arrives, so the result does not depend on arrival order.
 type reducer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	gen    uint64
 	count  int
-	acc    []float64
+	in     [][]float64 // in[rank] is that rank's contribution
 	result []float64
 }
 
-func newReducer() *reducer {
-	r := &reducer{}
+func newReducer(size int) *reducer {
+	r := &reducer{in: make([][]float64, size)}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -102,7 +104,7 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{size: size, red: newReducer()}
+	w := &World{size: size, red: newReducer(size)}
 	w.mail = make([][]*mailbox, size)
 	for d := range w.mail {
 		w.mail[d] = make([]*mailbox, size)
@@ -203,21 +205,21 @@ func (c *Comm) Waitall(reqs []*Request) error {
 }
 
 // Allreduce combines in across all ranks with op; every rank receives the
-// result. Contributions merge in arrival order on the world's reducer.
+// result. Contributions are combined in rank order, whatever order they
+// arrive in, so every run of one world reduces to the same bits.
 func (c *Comm) Allreduce(in []float64, op Op) []float64 {
 	r := c.w.red
 	r.mu.Lock()
 	g := r.gen
-	if r.count == 0 {
-		r.acc = append(r.acc[:0], in...)
-	} else {
-		for i := range in {
-			r.acc[i] = op.apply(r.acc[i], in[i])
-		}
-	}
+	r.in[c.rank] = append(r.in[c.rank][:0], in...)
 	r.count++
 	if r.count == c.w.size {
-		r.result = append(r.result[:0], r.acc...)
+		r.result = append(r.result[:0], r.in[0]...)
+		for _, v := range r.in[1:] {
+			for i := range r.result {
+				r.result[i] = op.apply(r.result[i], v[i])
+			}
+		}
 		r.count = 0
 		r.gen++
 		r.cond.Broadcast()

@@ -143,8 +143,6 @@ func toJSONResult(r Result) jsonResult {
 // index within the mode (grid order).
 type SummaryEmitter struct {
 	Metric string // default: first metric of the campaign
-	Width  int
-	Height int
 }
 
 func (e SummaryEmitter) Emit(w io.Writer, c Campaign) error {
@@ -199,8 +197,6 @@ func (e SummaryEmitter) Emit(w io.Writer, c Campaign) error {
 	_, err := io.WriteString(w, asciiplot.Plot{
 		Title:  metric + " by mode (x = scenario index)",
 		XLabel: "scenario",
-		Width:  e.Width,
-		Height: e.Height,
 		Series: series,
 	}.Render())
 	return err

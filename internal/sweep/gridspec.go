@@ -48,11 +48,20 @@ func (g GridSpec) Resolve(validateAxes func(machines, workloads []string) error)
 	return grid, nil
 }
 
-// CheckValues rejects a scenario whose numeric values no runner
-// accepts (see checkValues). ParseKey does not check them, so a store
-// can still read back any record it holds; sweepd checks the keys a
-// client sends with it.
+// CheckValues rejects a scenario whose values no runner accepts: a
+// mode that AllModes does not name, or whose knob fields differ from
+// the named mode's (the zero Mode, an empty mode axis, is the runner
+// default), and the numeric values checkValues rejects. Either would
+// simulate one configuration under the key of another. ParseKey does
+// not check them, so a store can still read back any record it holds;
+// sweepd checks the keys a client sends with it.
 func (s Scenario) CheckValues() error {
+	if m, ok := ModeByName(s.Mode.Name); s.Mode != (Mode{}) && s.Mode != m {
+		if !ok {
+			return fmt.Errorf("unknown mode %q (have %v)", s.Mode.Name, modeNames)
+		}
+		return fmt.Errorf("mode %+v disagrees with the named mode %+v", s.Mode, m)
+	}
 	return checkValues([]int{s.Ranks}, []int{s.Threads}, s.MaxRows)
 }
 

@@ -240,11 +240,18 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		return fmt.Sprintf("%q", sweep.Scenario{Machine: "icx", Workload: "stream", Mode: sweep.Mode{Name: "baseline"},
 			Ranks: ranks, Threads: threads, MaxRows: maxRows}.Key())
 	}
+	// A mode the key names but whose knobs it contradicts would store
+	// one configuration's result under another's label.
+	modeKey := func(mode sweep.Mode) string {
+		return fmt.Sprintf("%q", sweep.Scenario{Machine: "icx", Workload: "jacobi", Mode: mode, Threads: 8}.Key())
+	}
 	cases := []struct {
 		name string
 		body string
 	}{
 		{"bad json", "{"},
+		{"unknown mode", `{"scenarios":[` + modeKey(sweep.Mode{Name: "bogus", NTStores: true}) + `]}`},
+		{"mode fields disagree", `{"scenarios":[` + modeKey(sweep.Mode{Name: "baseline", NTStores: true}) + `]}`},
 		{"unknown field", `{"scenarios":[` + key(4, 8, 0) + `],"bogus":1}`},
 		{"bad key", `{"scenarios":["machine=icx"]}`},
 		{"negative ranks", `{"scenarios":[` + key(-5, 0, 0) + `]}`},

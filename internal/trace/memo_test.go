@@ -31,14 +31,11 @@ func memoLoops() ([]*Loop, Bounds) {
 	}, Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 15}
 }
 
-// memoExec is an ICX core under bandwidth pressure, so eligible loops
-// draw dice, sharing memo.
+// memoExec is an ICX core in a domain with 13 of 18 cores busy, under
+// enough bandwidth pressure that eligible loops draw dice, sharing
+// memo.
 func memoExec(memo *Memo, seed uint64) *Executor {
-	x := NewExecutor(machine.ICX8360Y(), memo)
-	x.NTStores = true
-	x.Env = Env{Pressure: 0.7, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true}
-	x.Seed(seed)
-	return x
+	return Node{Spec: machine.ICX8360Y(), Active: 13, PFOn: true, NTStores: true, Seed: seed, Memo: memo}.Core(0)
 }
 
 // plain is the reference every Run must match: an executor that
@@ -52,7 +49,7 @@ type plain struct {
 func newPlain(seed uint64) *plain {
 	x := memoExec(nil, seed)
 	h := memsim.New(x.spec)
-	h.SetPrefetch(x.Env.PFOn)
+	h.SetPrefetch(x.ctx.PFOn)
 	return &plain{x: x, h: h}
 }
 
@@ -70,7 +67,7 @@ func (p *plain) run(l *Loop, b Bounds) memsim.Counts {
 // traffic delta is compared with the plain replay's by the caller.
 func sameState(t *testing.T, what string, got *Executor, want *plain) {
 	t.Helper()
-	shape := memsim.ShapeOf(got.spec, got.Env.PFOn)
+	shape := memsim.ShapeOf(got.spec, got.ctx.PFOn)
 	shape.PFCursor = got.cursor
 	if shape != want.h.Shape() {
 		t.Errorf("%s: executor %+v, want %+v", what, shape, want.h.Shape())

@@ -16,6 +16,12 @@
 // leaves the executor as it was). Each replay returns its own traffic
 // delta; the executor keeps no running counters, so callers such as
 // the CloverLeaf traffic study sum the deltas they need.
+//
+// A Node is the simulated compute node the cores run on, and the only
+// way to get an Executor: it decides which cores are active under
+// compact pinning, gives each core the pressure of its ccNUMA domain,
+// the node fraction, the active sockets and its own seed, groups the
+// active cores that replay alike, and fans the groups out.
 package trace
 
 import (
@@ -205,43 +211,31 @@ func (l *Loop) Validate() error {
 
 // Executor is one simulated core, and the only code that simulates
 // one: the CloverLeaf loops, the kernel workloads and the
-// microbenchmarks all replay on an Executor. It holds no cache
-// hierarchy and no counters: every replay starts from a pristine
-// hierarchy, returns its own traffic delta, and leaves the executor
-// only what the next replay starts from, the store engine's state and
-// the prefetch slot cursor.
+// microbenchmarks all replay on an Executor, built by Node.Core. It
+// holds no cache hierarchy and no counters: every replay starts from a
+// pristine hierarchy, returns its own traffic delta, and leaves the
+// executor only what the next replay starts from, the store engine's
+// state and the prefetch slot cursor.
 type Executor struct {
-	// NTStores globally enables the per-stream NT flags (the NT_STORE_DIR
-	// build knob of the paper's patched CloverLeaf).
-	NTStores bool
-	// Env describes the run conditions shared by all loops, prefetch
-	// state included.
-	Env Env
-
-	spec   *machine.Spec
-	e      *core.StoreEngine
-	memo   *Memo
-	key    keyer
-	cursor int // the prefetch slot cursor the next replay starts at
+	spec *machine.Spec
+	// ctx is the core's run conditions on its node; Context adds what
+	// each replay stores.
+	ctx      core.Context
+	ntStores bool // the node's NTStores
+	e        *core.StoreEngine
+	memo     *Memo
+	key      keyer
+	cursor   int // the prefetch slot cursor the next replay starts at
 }
 
-// Env captures the machine-state part of the store-engine context.
-type Env struct {
-	Pressure      float64
-	NodeFraction  float64
-	ActiveSockets int
-	PFOn          bool
+// Context returns the store-engine context of a replay on this core:
+// the core's run conditions with the kernel class, the number of store
+// streams and the SpecI2M eligibility of what it stores.
+func (x *Executor) Context(class machine.KernelClass, streams int, eligible bool) core.Context {
+	c := x.ctx
+	c.Class, c.StoreStreams, c.Eligible = class, streams, eligible
+	return c
 }
-
-// NewExecutor builds a simulated core for the machine that shares its
-// replays through memo, the campaign's memo. A nil memo means none:
-// every replay simulates, with no dry pass to key it.
-func NewExecutor(spec *machine.Spec, memo *Memo) *Executor {
-	return &Executor{spec: spec, e: core.NewStoreEngine(nil, spec), Env: Env{PFOn: true}, memo: memo}
-}
-
-// Seed reseeds the store engine's deterministic PRNG.
-func (x *Executor) Seed(s uint64) { x.e.Seed(s) }
 
 // Run replays one loop over the bounds and returns the traffic delta:
 // it is Replay with the loop's body.
@@ -298,7 +292,7 @@ func (x *Executor) Replay(body func(e *core.StoreEngine, be core.Backend)) memsi
 func (x *Executor) replay(body func(*core.StoreEngine, core.Backend)) memoValue {
 	h := memsim.Borrow(x.spec)
 	defer memsim.Return(h)
-	h.SetPrefetch(x.Env.PFOn)
+	h.SetPrefetch(x.ctx.PFOn)
 	h.SetPrefetchCursor(x.cursor)
 	x.drive(h, body)
 	h.Flush()
@@ -308,7 +302,7 @@ func (x *Executor) replay(body func(*core.StoreEngine, core.Backend)) memoValue 
 // dryRun runs body into the executor's keyer in place of a hierarchy
 // and returns the replay's memo key.
 func (x *Executor) dryRun(body func(*core.StoreEngine, core.Backend)) memoKey {
-	s := memsim.ShapeOf(x.spec, x.Env.PFOn)
+	s := memsim.ShapeOf(x.spec, x.ctx.PFOn)
 	s.PFCursor = x.cursor
 	x.key.reset(s)
 	x.drive(&x.key, body)
@@ -334,7 +328,7 @@ func (x *Executor) runLoop(l *Loop, b Bounds, be core.Backend) {
 	// non-update stream per loop (the compiler's alignment constraint,
 	// Sec. V-B), and only when NT mode is on.
 	nt := make([]bool, len(l.Writes))
-	if x.NTStores {
+	if x.ntStores {
 		for i, w := range l.Writes {
 			if w.NT && !w.Update {
 				nt[i] = true
@@ -343,15 +337,7 @@ func (x *Executor) runLoop(l *Loop, b Bounds, be core.Backend) {
 		}
 	}
 	x.e.ConfigureStreams(len(l.Writes), nt)
-	x.e.SetContext(core.Context{
-		Pressure:      x.Env.Pressure,
-		NodeFraction:  x.Env.NodeFraction,
-		ActiveSockets: x.Env.ActiveSockets,
-		Class:         l.Class(),
-		StoreStreams:  len(l.Writes),
-		Eligible:      l.Eligible,
-		PFOn:          x.Env.PFOn,
-	})
+	x.e.SetContext(x.Context(l.Class(), len(l.Writes), l.Eligible))
 
 	elem := int64(8)
 	for k := b.KLo; k <= b.KHi; k++ {

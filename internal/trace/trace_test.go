@@ -9,10 +9,10 @@ import (
 	"cloversim/internal/memsim"
 )
 
-func mkExec() *Executor {
-	x := NewExecutor(machine.ICX8360Y(), nil)
-	x.Env = Env{Pressure: 0, NodeFraction: 1.0 / 72, ActiveSockets: 1, PFOn: false}
-	return x
+// mkExec is the one active core of an ICX node with the prefetchers
+// off; nt turns its NT store mode on.
+func mkExec(nt bool) *Executor {
+	return Node{Spec: machine.ICX8360Y(), Active: 1, NTStores: nt}.Core(0)
 }
 
 func TestArenaAlignment(t *testing.T) {
@@ -68,7 +68,7 @@ func TestStreamingReadVolume(t *testing.T) {
 		Name:  "read",
 		Reads: []Access{{A: a, DJ: 0, DK: 0}},
 	}
-	x := mkExec()
+	x := mkExec(false)
 	c := x.Run(loop, Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 127})
 	want := int64(1024 / 8 * 128)
 	if c.MemReadLines != want {
@@ -94,7 +94,7 @@ func TestStencilLayerCondition(t *testing.T) {
 		Writes:     []Write{{A: nf}},
 		FlopsPerIt: 4,
 	}
-	x := mkExec()
+	x := mkExec(false)
 	b := Bounds{JLo: 0, JHi: 2046, KLo: 1, KHi: 126}
 	c := x.Run(loop, b)
 	bpi := float64(c.TotalBytes()) / float64(b.Iterations())
@@ -114,7 +114,7 @@ func TestUpdateStreamNoWA(t *testing.T) {
 		Reads:  []Access{{A: v, DJ: 0, DK: 0}},
 		Writes: []Write{{A: v, Update: true}},
 	}
-	x := mkExec()
+	x := mkExec(false)
 	b := Bounds{JLo: 0, JHi: 2047, KLo: 0, KHi: 63}
 	c := x.Run(loop, b)
 	lines := int64(2048 / 8 * 64)
@@ -137,8 +137,7 @@ func TestNTStoreStream(t *testing.T) {
 		Reads:  []Access{{A: src, DJ: 0, DK: 0}},
 		Writes: []Write{{A: dst, NT: true}},
 	}
-	x := mkExec()
-	x.NTStores = true
+	x := mkExec(true)
 	b := Bounds{JLo: 0, JHi: 2047, KLo: 0, KHi: 63}
 	c := x.Run(loop, b)
 	lines := int64(2048 / 8 * 64)
@@ -160,8 +159,7 @@ func TestNTOnlyOneStream(t *testing.T) {
 		Name:   "2w",
 		Writes: []Write{{A: a, NT: true}, {A: b, NT: true}},
 	}
-	x := mkExec()
-	x.NTStores = true
+	x := mkExec(true)
 	c := x.Run(loop, Bounds{JLo: 0, JHi: 511, KLo: 0, KHi: 31})
 	lines := int64(512 / 8 * 32)
 	if c.NTLines != lines {
@@ -245,9 +243,7 @@ func TestRunDeterminism(t *testing.T) {
 			Writes:   []Write{{A: dst}},
 			Eligible: true,
 		}
-		x := NewExecutor(machine.ICX8360Y(), nil)
-		x.Env = Env{Pressure: 1, NodeFraction: 0.5, ActiveSockets: 1, PFOn: true}
-		x.Seed(7)
+		x := Node{Spec: machine.ICX8360Y(), Active: 36, PFOn: true, Seed: 7}.Core(0)
 		c := x.Run(loop, Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 63})
 		return c.MemReadLines*1000000 + c.MemWriteLines
 	}
@@ -269,7 +265,7 @@ func TestRunMarked(t *testing.T) {
 		Writes:     []Write{{A: dst}},
 		FlopsPerIt: 1,
 	}
-	x := mkExec()
+	x := mkExec(false)
 	b := Bounds{JLo: 0, JHi: 1023, KLo: 0, KHi: 31}
 	var total memsim.Counts
 	for i := 0; i < 3; i++ {
