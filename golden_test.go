@@ -53,7 +53,7 @@ func runGolden(t *testing.T) (csv, json []byte) {
 	if err := (sweep.CSVEmitter{}).Emit(&cb, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := (sweep.JSONEmitter{Indent: true}).Emit(&jb, c); err != nil {
+	if err := (sweep.JSONEmitter{}).Emit(&jb, c); err != nil {
 		t.Fatal(err)
 	}
 	return cb.Bytes(), jb.Bytes()

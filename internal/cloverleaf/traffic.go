@@ -56,8 +56,11 @@ type LoopTraffic struct {
 	Hotspot      bool
 	CallsPerStep float64
 	FlopsPerIt   int
-	// Counts is the node-aggregate traffic of ONE call of the loop
-	// (scaled from the truncated simulation to the full y extent).
+	// Counts is the sum of the simulated counts of one call of the
+	// loop over the rank groups, one replay each: neither weighted by
+	// the ranks in a group nor scaled to the full y extent, so it
+	// measures the simulation's work, not the node's traffic (that is
+	// ReadBytes, WriteBytes and ItoMBytes).
 	Counts memsim.Counts
 	// scaled volumes as floats (scaling produces non-integers)
 	ReadBytes, WriteBytes, ItoMBytes float64

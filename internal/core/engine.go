@@ -27,9 +27,6 @@ import (
 	"cloversim/internal/memsim"
 )
 
-// LineBytes is the cache-line size of all modeled machines.
-const LineBytes = 64
-
 const fullMask = ^uint64(0)
 
 // Backend is the cache/memory hierarchy the store engine drives:
@@ -230,10 +227,10 @@ func (e *StoreEngine) StoreRange(stream int, addr, nBytes int64) {
 
 	// Head: partial first line (or full if aligned and long enough).
 	headStart := addr & 63
-	if headStart != 0 || end-addr < LineBytes {
-		hi := int64(LineBytes)
-		if end-line*LineBytes < LineBytes {
-			hi = end - line*LineBytes
+	if headStart != 0 || end-addr < machine.LineBytes {
+		hi := int64(machine.LineBytes)
+		if end-line*machine.LineBytes < machine.LineBytes {
+			hi = end - line*machine.LineBytes
 		}
 		e.storeBytes(s, line, headStart, hi)
 		line++
@@ -245,15 +242,15 @@ func (e *StoreEngine) StoreRange(stream int, addr, nBytes int64) {
 
 	// Middle and tail: the full lines up to endLine in one run, then
 	// the last line if it is partial.
-	tail := end - endLine*LineBytes
+	tail := end - endLine*machine.LineBytes
 	full := endLine - line
-	if tail == LineBytes {
+	if tail == machine.LineBytes {
 		full++
 	}
 	if full > 0 {
 		e.retireRun(s, line, full)
 	}
-	if tail != LineBytes {
+	if tail != machine.LineBytes {
 		e.storeBytes(s, endLine, 0, tail)
 	}
 	// Return with nothing pending so backend traffic the caller issues

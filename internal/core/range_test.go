@@ -126,12 +126,12 @@ func randomWorkout(p storePath, ctx Context, nt bool, bridge int, seed uint64, c
 		first := next[s] + gap
 		lines := 1 + r.Int64N(300)
 		head, tail := 8*r.Int64N(8), 8*r.Int64N(8)
-		nBytes = lines*LineBytes - head - tail
+		nBytes = lines*machine.LineBytes - head - tail
 		if nBytes <= 0 {
 			nBytes = 8
 		}
 		next[s] = first + lines
-		return first*LineBytes + head, nBytes
+		return first*machine.LineBytes + head, nBytes
 	}
 	for i := 0; i < 120; i++ {
 		s := r.IntN(3)
@@ -197,10 +197,10 @@ func (r *perLine) StoreRange(stream int, addr, nBytes int64) {
 	line := addr >> 6
 	endLine := (end - 1) >> 6
 	headStart := addr & 63
-	if headStart != 0 || end-addr < LineBytes {
-		hi := int64(LineBytes)
-		if end-line*LineBytes < LineBytes {
-			hi = end - line*LineBytes
+	if headStart != 0 || end-addr < machine.LineBytes {
+		hi := int64(machine.LineBytes)
+		if end-line*machine.LineBytes < machine.LineBytes {
+			hi = end - line*machine.LineBytes
 		}
 		r.storeBytes(s, line, headStart, hi)
 		line++
@@ -212,9 +212,9 @@ func (r *perLine) StoreRange(stream int, addr, nBytes int64) {
 	for ; line < endLine; line++ {
 		r.storeFullLine(s, line)
 	}
-	tail := end - endLine*LineBytes
+	tail := end - endLine*machine.LineBytes
 	if line == endLine {
-		if tail == LineBytes {
+		if tail == machine.LineBytes {
 			r.storeFullLine(s, line)
 		} else {
 			r.storeBytes(s, line, 0, tail)

@@ -24,14 +24,12 @@ func NeoverseN1() *Spec {
 		CoresPerSocket: 80,
 		NUMAPerSocket:  1,
 		FreqHz:         3.0e9,
-		L1:             CacheGeom{SizeBytes: 64 * kib, Ways: 4, LineBytes: 64},
-		L2:             CacheGeom{SizeBytes: 1024 * kib, Ways: 8, LineBytes: 64},
-		L3:             CacheGeom{SizeBytes: 32 * mib, Ways: 16, LineBytes: 64},
-		L3SliceWays:    16,
+		L1:             CacheGeom{SizeBytes: 64 * kib, Ways: 4},
+		L2:             CacheGeom{SizeBytes: 1024 * kib, Ways: 8},
+		L3:             CacheGeom{SizeBytes: 32 * mib, Ways: 16},
 		Mem: Memory{
 			DomainBandwidth: 180 * gb,
 			CoreBandwidth:   9 * gb,
-			LatencyNS:       95,
 		},
 		I2M: SpecI2M{
 			Enabled: true,
@@ -49,17 +47,11 @@ func NeoverseN1() *Spec {
 			EffCopy:           Curve{{0, 0.97}, {1, 0.97}},
 			EffStencil:        Curve{{0, 0.95}, {1, 0.95}},
 			SocketPenalty:     0,
-			SocketPenaltyExp:  1,
 			CopySocketPenalty: 0,
 			EffNoPF:           1,
 		},
 		NT: NTStore{
 			RevertFraction: Curve{{0.02, 0.0}, {1.0, 0.02}},
-		},
-		PF: Prefetch{
-			StreamEnabled:  true,
-			StreamDistance: 8,
-			StreamTrigger:  2,
 		},
 		FlopsPerCycle:    8,
 		MPILatency:       1.6e-6,
@@ -81,16 +73,14 @@ func A64FX() *Spec {
 		CoresPerSocket: 48,
 		NUMAPerSocket:  4, // CMGs
 		FreqHz:         2.2e9,
-		L1:             CacheGeom{SizeBytes: 64 * kib, Ways: 4, LineBytes: 64},
+		L1:             CacheGeom{SizeBytes: 64 * kib, Ways: 4},
 		// 8 MiB L2 per 12-core CMG: ~680 KiB slice per core; there is no
 		// L3, so the model gives the L2 share to both levels.
-		L2:          CacheGeom{SizeBytes: 512 * kib, Ways: 16, LineBytes: 64},
-		L3:          CacheGeom{SizeBytes: 8 * mib * 48 / 12, Ways: 16, LineBytes: 64},
-		L3SliceWays: 16,
+		L2: CacheGeom{SizeBytes: 512 * kib, Ways: 16},
+		L3: CacheGeom{SizeBytes: 8 * mib * 48 / 12, Ways: 16},
 		Mem: Memory{
 			DomainBandwidth: 220 * gb, // HBM2 per CMG (measured ~850/node)
 			CoreBandwidth:   35 * gb,
-			LatencyNS:       130,
 		},
 		I2M: SpecI2M{
 			Enabled: true,
@@ -107,17 +97,11 @@ func A64FX() *Spec {
 			EffCopy:           Curve{{0, 0.98}, {1, 0.98}},
 			EffStencil:        Curve{{0, 0.98}, {1, 0.98}},
 			SocketPenalty:     0,
-			SocketPenaltyExp:  1,
 			CopySocketPenalty: 0,
 			EffNoPF:           1,
 		},
 		NT: NTStore{
 			RevertFraction: Curve{{0.02, 0.0}, {1.0, 0.02}},
-		},
-		PF: Prefetch{
-			StreamEnabled:  true,
-			StreamDistance: 8,
-			StreamTrigger:  2,
 		},
 		FlopsPerCycle:    32, // 2x 512-bit SVE FMA
 		MPILatency:       1.8e-6,

@@ -3,7 +3,10 @@
 // ("Sapphire Rapids"). A Spec captures everything the simulator needs:
 // cache geometry, NUMA/Sub-NUMA topology, memory bandwidth saturation, and
 // the calibration of the SpecI2M write-allocate-evasion feature and of
-// non-temporal stores.
+// non-temporal stores. Every modeled CPU has 64-byte lines (LineBytes)
+// and the same hardware prefetcher, which memsim models as one L2
+// stream prefetcher, 8 lines ahead, that Hierarchy.SetPrefetch switches
+// on and off; a Spec therefore carries no prefetcher settings.
 //
 // The evasion-efficiency curves are phenomenological (the paper itself
 // models SpecI2M with a phenomenological factor, Sec. V-B); everything
@@ -14,23 +17,25 @@ package machine
 
 import "fmt"
 
+// LineBytes is the cache-line size of every level of every modeled CPU.
+const LineBytes = 64
+
 // CacheGeom describes one cache level.
 type CacheGeom struct {
 	SizeBytes int // total capacity in bytes
 	Ways      int // associativity
-	LineBytes int // cache line size (64 on all modeled CPUs)
 }
 
 // Sets returns the number of sets implied by the geometry.
-func (g CacheGeom) Sets() int { return g.SizeBytes / (g.Ways * g.LineBytes) }
+func (g CacheGeom) Sets() int { return g.SizeBytes / (g.Ways * LineBytes) }
 
 // Validate reports an error if the geometry is not self-consistent.
 func (g CacheGeom) Validate() error {
-	if g.LineBytes <= 0 || g.Ways <= 0 || g.SizeBytes <= 0 {
+	if g.Ways <= 0 || g.SizeBytes <= 0 {
 		return fmt.Errorf("machine: non-positive cache geometry %+v", g)
 	}
-	if g.SizeBytes%(g.Ways*g.LineBytes) != 0 {
-		return fmt.Errorf("machine: size %d not divisible by ways*line %d", g.SizeBytes, g.Ways*g.LineBytes)
+	if g.SizeBytes%(g.Ways*LineBytes) != 0 {
+		return fmt.Errorf("machine: size %d not divisible by ways*line %d", g.SizeBytes, g.Ways*LineBytes)
 	}
 	return nil
 }
@@ -152,11 +157,10 @@ type SpecI2M struct {
 	EffCopy Curve
 	// EffStencil is the efficiency for multi-stream stencil loops.
 	EffStencil Curve
-	// SocketPenalty and SocketPenaltyExp model the efficiency loss when
-	// more than one socket is active: factor = 1 - p*(sockets-1)^exp.
+	// SocketPenalty models the efficiency loss when more than one
+	// socket is active: factor = 1 - p*(sockets-1).
 	// Fig. 5: store ratio 1.06 on one ICX socket but 1.20-1.25 on two.
-	SocketPenalty    float64
-	SocketPenaltyExp float64
+	SocketPenalty float64
 	// CopySocketPenalty is the (smaller) penalty for copy kernels
 	// (Fig. 8 is measured on the full node yet reaches ratio 1.04).
 	CopySocketPenalty float64
@@ -176,7 +180,6 @@ type NTStore struct {
 type Memory struct {
 	DomainBandwidth float64 // saturated bandwidth per ccNUMA domain, bytes/s
 	CoreBandwidth   float64 // single-core achievable bandwidth, bytes/s
-	LatencyNS       float64 // idle memory latency
 }
 
 // Bandwidth returns the aggregate bandwidth achieved by n active cores in
@@ -189,14 +192,6 @@ func (m Memory) Bandwidth(n int) float64 {
 	return b
 }
 
-// Prefetch configures the hardware prefetcher models.
-type Prefetch struct {
-	StreamEnabled   bool // L2 stream prefetcher
-	AdjacentEnabled bool // adjacent-cache-line prefetcher
-	StreamDistance  int  // lines ahead fetched by the streamer
-	StreamTrigger   int  // sequential misses needed to arm a stream
-}
-
 // Spec is a complete machine model.
 type Spec struct {
 	Name             string
@@ -206,11 +201,9 @@ type Spec struct {
 	FreqHz           float64
 	L1, L2           CacheGeom // private per core
 	L3               CacheGeom // shared per socket; simulator uses a per-core slice
-	L3SliceWays      int       // associativity of the modeled per-core L3 slice
 	Mem              Memory    // per ccNUMA domain
 	I2M              SpecI2M
 	NT               NTStore
-	PF               Prefetch
 	FlopsPerCycle    float64 // peak DP flops/cycle/core
 	MPILatency       float64 // seconds per point-to-point message
 	MPIBandwidth     float64 // bytes/s intra-node message payload bandwidth
@@ -268,13 +261,12 @@ func (s *Spec) PressureAt(core, nActive int) float64 {
 }
 
 // L3Slice returns the geometry of the per-core L3 share used by the
-// simulator (total socket L3 divided by cores per socket).
+// simulator (total socket L3 divided by cores per socket, with the
+// socket L3's associativity).
 func (s *Spec) L3Slice() CacheGeom {
 	size := s.L3.SizeBytes / s.CoresPerSocket
-	ways := s.L3SliceWays
-	unit := ways * s.L3.LineBytes
-	size -= size % unit
-	return CacheGeom{SizeBytes: size, Ways: ways, LineBytes: s.L3.LineBytes}
+	size -= size % (s.L3.Ways * LineBytes)
+	return CacheGeom{SizeBytes: size, Ways: s.L3.Ways}
 }
 
 // Validate checks the whole spec for consistency.
@@ -336,13 +328,7 @@ func (s *Spec) EvasionEff(pressure float64, class KernelClass, storeStreams, act
 		e = s.I2M.EffStencil.At(pressure)
 	}
 	if activeSockets > 1 {
-		f := 1.0
-		x := float64(activeSockets - 1)
-		exp := s.I2M.SocketPenaltyExp
-		if exp <= 0 {
-			exp = 1
-		}
-		f -= penalty * pow(x, exp)
+		f := 1 - penalty*float64(activeSockets-1)
 		if f < 0 {
 			f = 0
 		}
@@ -358,19 +344,6 @@ func (s *Spec) EvasionEff(pressure float64, class KernelClass, storeStreams, act
 		e = 1
 	}
 	return e
-}
-
-// pow is a tiny x^y for y >= 0 without importing math in the hot path.
-func pow(x, y float64) float64 {
-	if x == 0 {
-		return 0
-	}
-	if y == 1 {
-		return x
-	}
-	// exp(y*ln x) via the math package would be fine; keep it simple and
-	// accurate for the small exponents used here.
-	return mathPow(x, y)
 }
 
 // NTRevert returns the fraction of NT stores that still incur a

@@ -44,14 +44,14 @@ func TestAllPresetsEnumerable(t *testing.T) {
 }
 
 func TestCacheGeom(t *testing.T) {
-	g := CacheGeom{SizeBytes: 48 * 1024, Ways: 12, LineBytes: 64}
+	g := CacheGeom{SizeBytes: 48 * 1024, Ways: 12}
 	if g.Sets() != 64 {
 		t.Errorf("ICX L1 sets = %d, want 64", g.Sets())
 	}
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
-	bad := CacheGeom{SizeBytes: 1000, Ways: 3, LineBytes: 64}
+	bad := CacheGeom{SizeBytes: 1000, Ways: 3}
 	if err := bad.Validate(); err == nil {
 		t.Error("inconsistent geometry accepted")
 	}

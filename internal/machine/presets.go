@@ -38,16 +38,14 @@ func ICX8360Y() *Spec {
 		CoresPerSocket: 36,
 		NUMAPerSocket:  2,
 		FreqHz:         2.4e9,
-		L1:             CacheGeom{SizeBytes: 48 * kib, Ways: 12, LineBytes: 64},
-		L2:             CacheGeom{SizeBytes: 1280 * kib, Ways: 20, LineBytes: 64},
-		L3:             CacheGeom{SizeBytes: 54 * mib, Ways: 12, LineBytes: 64},
-		L3SliceWays:    12,
+		L1:             CacheGeom{SizeBytes: 48 * kib, Ways: 12},
+		L2:             CacheGeom{SizeBytes: 1280 * kib, Ways: 20},
+		L3:             CacheGeom{SizeBytes: 54 * mib, Ways: 12},
 		Mem: Memory{
 			// 8ch DDR4-3200 = 204.8 GB/s/socket theoretical; ~88%
 			// achievable, split across two SNC domains.
 			DomainBandwidth: 90 * gb,
 			CoreBandwidth:   10.5 * gb, // saturation at ~8.6 cores (Fig. 2)
-			LatencyNS:       85,
 		},
 		I2M: SpecI2M{
 			Enabled:         true,
@@ -68,18 +66,11 @@ func ICX8360Y() *Spec {
 			// Two active sockets: pure-store/stencil efficiency x0.82
 			// (store ratio 1.06 -> ~1.22); copy barely affected.
 			SocketPenalty:     0.18,
-			SocketPenaltyExp:  1.0,
 			CopySocketPenalty: 0.033,
 			EffNoPF:           0.80,
 		},
 		NT: NTStore{
 			RevertFraction: Curve{{0.02, 0.0}, {0.25, 0.04}, {0.5, 0.09}, {1.0, 0.165}},
-		},
-		PF: Prefetch{
-			StreamEnabled:   true,
-			AdjacentEnabled: false,
-			StreamDistance:  8,
-			StreamTrigger:   2,
 		},
 		FlopsPerCycle:    16,
 		MPILatency:       1.4e-6,
@@ -112,15 +103,13 @@ func SPR8470() *Spec {
 		CoresPerSocket: 52,
 		NUMAPerSocket:  1,
 		FreqHz:         2.0e9,
-		L1:             CacheGeom{SizeBytes: 48 * kib, Ways: 12, LineBytes: 64},
-		L2:             CacheGeom{SizeBytes: 2048 * kib, Ways: 16, LineBytes: 64},
-		L3:             CacheGeom{SizeBytes: 105 * mib, Ways: 15, LineBytes: 64},
-		L3SliceWays:    15,
+		L1:             CacheGeom{SizeBytes: 48 * kib, Ways: 12},
+		L2:             CacheGeom{SizeBytes: 2048 * kib, Ways: 16},
+		L3:             CacheGeom{SizeBytes: 105 * mib, Ways: 15},
 		Mem: Memory{
 			// 8ch DDR5-4800 = 307.2 GB/s/socket theoretical, ~85% achievable.
 			DomainBandwidth: 260 * gb,
 			CoreBandwidth:   12 * gb,
-			LatencyNS:       110,
 		},
 		I2M: SpecI2M{
 			Enabled:         true,
@@ -130,29 +119,21 @@ func SPR8470() *Spec {
 			// Only after ~18 of 52 cores does any benefit appear
 			// (Fig. 10): threshold at 0.32 domain occupancy.
 			PressureThreshold: 0.32,
-			// No stream-count differentiation on SPR, and only about a
-			// third of the WAs are evaded on the 8470 (Sec. V-D: 66% of
-			// WAs NOT evaded for one stream -> ratio ~1.66).
+			// No stream-count differentiation on SPR (one curve serves
+			// every stream count), and only about a third of the WAs
+			// are evaded on the 8470 (Sec. V-D: 66% of WAs NOT evaded
+			// for one stream -> ratio ~1.66).
 			EffPureStore: []Curve{
-				{{0.32, 0.00}, {0.60, 0.15}, {1.00, 0.34}},
-				{{0.32, 0.00}, {0.60, 0.15}, {1.00, 0.34}},
 				{{0.32, 0.00}, {0.60, 0.15}, {1.00, 0.34}},
 			},
 			EffCopy:           Curve{{0.32, 0.00}, {0.60, 0.60}, {1.00, 0.99}},
 			EffStencil:        Curve{{0.32, 0.00}, {0.60, 0.45}, {1.00, 0.90}},
 			SocketPenalty:     0.10,
-			SocketPenaltyExp:  1.0,
 			CopySocketPenalty: 0.033,
 			EffNoPF:           0.80,
 		},
 		NT: NTStore{
 			RevertFraction: Curve{{0.02, 0.0}, {0.25, 0.05}, {0.5, 0.10}, {1.0, 0.18}},
-		},
-		PF: Prefetch{
-			StreamEnabled:   true,
-			AdjacentEnabled: false,
-			StreamDistance:  8,
-			StreamTrigger:   2,
 		},
 		FlopsPerCycle:    16,
 		MPILatency:       1.4e-6,
@@ -194,8 +175,6 @@ func SPR8480() *Spec {
 	s.I2M.MinRunLines = 2
 	s.I2M.EffPureStore = []Curve{
 		{{0.32, 0.00}, {0.60, 0.22}, {1.00, 0.50}},
-		{{0.32, 0.00}, {0.60, 0.22}, {1.00, 0.50}},
-		{{0.32, 0.00}, {0.60, 0.22}, {1.00, 0.50}},
 	}
 	return s
 }
@@ -215,14 +194,12 @@ func CLX8280() *Spec {
 		CoresPerSocket: 28,
 		NUMAPerSocket:  1,
 		FreqHz:         2.7e9,
-		L1:             CacheGeom{SizeBytes: 32 * kib, Ways: 8, LineBytes: 64},
-		L2:             CacheGeom{SizeBytes: 1024 * kib, Ways: 16, LineBytes: 64},
-		L3:             CacheGeom{SizeBytes: 1408 * kib * 28, Ways: 11, LineBytes: 64}, // 38.5 MiB
-		L3SliceWays:    11,
+		L1:             CacheGeom{SizeBytes: 32 * kib, Ways: 8},
+		L2:             CacheGeom{SizeBytes: 1024 * kib, Ways: 16},
+		L3:             CacheGeom{SizeBytes: 1408 * kib * 28, Ways: 11}, // 38.5 MiB
 		Mem: Memory{
 			DomainBandwidth: 115 * gb,
 			CoreBandwidth:   12 * gb,
-			LatencyNS:       80,
 		},
 		I2M: SpecI2M{
 			Enabled:           false, // the whole point of this preset
@@ -237,12 +214,6 @@ func CLX8280() *Spec {
 		},
 		NT: NTStore{
 			RevertFraction: Curve{{0.02, 0.0}, {1.0, 0.05}},
-		},
-		PF: Prefetch{
-			StreamEnabled:   true,
-			AdjacentEnabled: false,
-			StreamDistance:  8,
-			StreamTrigger:   2,
 		},
 		FlopsPerCycle:    16,
 		MPILatency:       1.4e-6,

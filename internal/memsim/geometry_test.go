@@ -23,10 +23,9 @@ import (
 func tinySpec(l1s, l1w, l2s, l2w, l3s, l3w int) *machine.Spec {
 	s := machine.ICX8360Y()
 	s.Name = fmt.Sprintf("tiny-%dx%d-%dx%d-%dx%d", l1s, l1w, l2s, l2w, l3s, l3w)
-	s.L1 = machine.CacheGeom{SizeBytes: l1s * l1w * 64, Ways: l1w, LineBytes: 64}
-	s.L2 = machine.CacheGeom{SizeBytes: l2s * l2w * 64, Ways: l2w, LineBytes: 64}
-	s.L3 = machine.CacheGeom{SizeBytes: l3s * l3w * 64 * s.CoresPerSocket, Ways: l3w, LineBytes: 64}
-	s.L3SliceWays = l3w
+	s.L1 = machine.CacheGeom{SizeBytes: l1s * l1w * 64, Ways: l1w}
+	s.L2 = machine.CacheGeom{SizeBytes: l2s * l2w * 64, Ways: l2w}
+	s.L3 = machine.CacheGeom{SizeBytes: l3s * l3w * 64 * s.CoresPerSocket, Ways: l3w}
 	return s
 }
 

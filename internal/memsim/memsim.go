@@ -1,8 +1,11 @@
 // Package memsim provides a cache-line-accurate simulation of one core's
 // view of the memory hierarchy: private L1 and L2 caches, a per-core L3
-// slice, hardware prefetcher models, and a memory controller that counts
+// slice, one L2 stream prefetcher, and a memory controller that counts
 // read and write cache-line transfers (the CAS_COUNT_RD / CAS_COUNT_WR
-// analogue of the paper's LIKWID measurements).
+// analogue of the paper's LIKWID measurements). The prefetcher follows
+// demand-load misses and pulls the 8 lines ahead of an armed stream
+// into L3; SetPrefetch switches it on and off, the model of disabling
+// the hardware prefetchers.
 //
 // The hierarchy is write-back, write-allocate with LRU replacement.
 // Layer conditions (Sec. II-C), partial-line write-allocates and prefetch
@@ -108,21 +111,23 @@ func (c Counts) TotalBytes() int64 { return (c.MemReadLines + c.MemWriteLines) *
 type Hierarchy struct {
 	l1, l2, l3 *level
 	c          Counts
-	spec       *machine.Spec
 
-	pfOn       bool
-	pfSlots    [pfSlotCount]int64 // last miss line per detected stream
-	pfNext     int
-	pfDist     int64
-	adjacentOn bool
+	pfOn    bool
+	pfSlots [pfSlotCount]int64 // last miss line per detected stream
+	pfNext  int
 
 	lineLimit int64 // exclusive bound on the lines AccessRange accepts
 }
 
-const pfSlotCount = 16
+const (
+	pfSlotCount = 16
+	// pfDistance is how many lines past an armed stream's miss the
+	// streamer fetches.
+	pfDistance = 8
+)
 
-// New creates a hierarchy for the machine spec with prefetchers in their
-// default (spec) state. It panics on a cache level of more than 32 ways.
+// New creates a hierarchy for the machine spec with the prefetcher on.
+// It panics on a cache level of more than 32 ways.
 // The hierarchy simulates lines from 0 up to a bound set by its smallest
 // cache (ways hold 32-bit keys of the bits above the set index): 2^38
 // lines, 16 TiB of addresses, for a 64-set L1.
@@ -136,9 +141,9 @@ func New(spec *machine.Spec) *Hierarchy {
 }
 
 // fit makes a pristine h the hierarchy New(spec) returns: zero
-// counters, the prefetchers in their default state and the slot cursor
-// at 0. A level of another geometry is resized in place; one that
-// already has spec's geometry is kept as it is.
+// counters, the prefetcher on and the slot cursor at 0. A level of
+// another geometry is resized in place; one that already has spec's
+// geometry is kept as it is.
 func (h *Hierarchy) fit(spec *machine.Spec) {
 	for i, g := range levelGeoms(spec) {
 		if l := h.levels()[i]; !l.fits(g) {
@@ -146,13 +151,12 @@ func (h *Hierarchy) fit(spec *machine.Spec) {
 		}
 	}
 	h.c = Counts{}
-	h.spec = spec
-	h.pfOn, h.adjacentOn = spec.PF.StreamEnabled, spec.PF.AdjacentEnabled
-	h.pfDist = int64(spec.PF.StreamDistance)
+	h.pfOn = true
 	h.resetPrefetch()
 	h.pfNext = 0
-	// Leave room for the prefetchers, which reach past the demand line.
-	h.lineLimit = min(h.l1.maxLine(), h.l2.maxLine(), h.l3.maxLine()) - h.pfDist - 2
+	// Leave room for the streamer, which reaches pfDistance lines past
+	// the demand line, with two lines to spare.
+	h.lineLimit = min(h.l1.maxLine(), h.l2.maxLine(), h.l3.maxLine()) - pfDistance - 2
 }
 
 // fits reports whether h has the geometry of spec's hierarchy.
@@ -173,12 +177,9 @@ func levelGeoms(spec *machine.Spec) [3]machine.CacheGeom {
 	return [...]machine.CacheGeom{spec.L1, spec.L2, spec.L3Slice()}
 }
 
-// SetPrefetch enables or disables the hardware prefetcher models
+// SetPrefetch enables or disables the stream prefetcher
 // (likwid-features analogue).
-func (h *Hierarchy) SetPrefetch(on bool) {
-	h.pfOn = on && h.spec.PF.StreamEnabled
-	h.adjacentOn = on && h.spec.PF.AdjacentEnabled
-}
+func (h *Hierarchy) SetPrefetch(on bool) { h.pfOn = on }
 
 // SetPrefetchCursor moves the prefetch slot cursor, the slot the next
 // unarmed miss takes, to c (see Shape). It panics unless 0 <= c < 16.
@@ -222,19 +223,18 @@ func (h *Hierarchy) resetPrefetch() {
 
 // Shape is everything besides the access sequence that a pristine
 // hierarchy's response depends on: the geometry of each level (L1, L2,
-// L3 slice), the prefetcher state and the prefetch slot cursor. Two
-// pristine hierarchies of one Shape fed the same AccessRange sequence
-// count the same events and end with the same cursor.
+// L3 slice), whether the prefetcher is on and the prefetch slot cursor.
+// Two pristine hierarchies of one Shape fed the same AccessRange
+// sequence count the same events and end with the same cursor.
 type Shape struct {
-	Sets, Ways       [3]int
-	PFOn, AdjacentOn bool
-	PFDistance       int64
-	PFCursor         int
+	Sets, Ways [3]int
+	PFOn       bool
+	PFCursor   int
 }
 
 // Shape returns the hierarchy's current shape.
 func (h *Hierarchy) Shape() Shape {
-	s := Shape{PFOn: h.pfOn, AdjacentOn: h.adjacentOn, PFDistance: h.pfDist, PFCursor: h.pfNext}
+	s := Shape{PFOn: h.pfOn, PFCursor: h.pfNext}
 	for i, l := range h.levels() {
 		s.Sets[i], s.Ways[i] = l.sets, l.ways
 	}
@@ -244,11 +244,7 @@ func (h *Hierarchy) Shape() Shape {
 // ShapeOf returns the Shape of the hierarchy New(spec) builds, after
 // SetPrefetch(prefetch), without building one: its slot cursor is 0.
 func ShapeOf(spec *machine.Spec, prefetch bool) Shape {
-	s := Shape{
-		PFOn:       prefetch && spec.PF.StreamEnabled,
-		AdjacentOn: prefetch && spec.PF.AdjacentEnabled,
-		PFDistance: int64(spec.PF.StreamDistance),
-	}
+	s := Shape{PFOn: prefetch}
 	for i, g := range levelGeoms(spec) {
 		s.Sets[i], s.Ways[i] = setsOf(g), g.Ways
 	}

@@ -170,7 +170,7 @@ func TestPrefetcherCoversStreams(t *testing.T) {
 	if c.PFLines == 0 {
 		t.Fatal("stream prefetcher never fired")
 	}
-	slack := int64(machine.ICX8360Y().PF.StreamDistance + 1)
+	slack := int64(pfDistance + 1)
 	if c.MemReadLines < n || c.MemReadLines > n+slack*pfSlotCount {
 		t.Fatalf("prefetched stream reads = %d, want ~%d", c.MemReadLines, n)
 	}
@@ -294,5 +294,38 @@ func TestHierarchyFootprint(t *testing.T) {
 		if got > want {
 			t.Errorf("%s: New allocates %d bytes, more than the %d-byte ceiling", spec.Name, got, want)
 		}
+	}
+}
+
+// TestConflictMisses: more lines mapping to one set than its
+// associativity thrash even though the total footprint is tiny.
+func TestConflictMisses(t *testing.T) {
+	spec := machine.ICX8360Y()
+	h := New(spec)
+	h.SetPrefetch(false)
+	l1Sets := int64(64) // 48K/12/64
+	l2Sets := int64(1024)
+	l3Sets := int64(2048)
+	_ = l2Sets
+	// 40 lines all in L1 set 0 and (since 2048 | multiples) also
+	// conflicting in L2/L3 sets: stride by l3Sets to hit the same set in
+	// every level (l3Sets is a multiple of l1Sets).
+	stride := l3Sets
+	if stride%l1Sets != 0 {
+		t.Fatal("test setup: stride must alias in L1 too")
+	}
+	const n = 40
+	rounds := 10
+	for r := 0; r < rounds; r++ {
+		for i := int64(0); i < n; i++ {
+			h.AccessRange(i*stride, 1, AccessLoad)
+		}
+	}
+	c := h.Counts()
+	// 40 ways needed; L1 has 12, L2 20, L3 slice 12 — every level
+	// thrashes, so most accesses go to memory despite a 2.5 KB footprint.
+	if c.MemReadLines < int64(rounds*n)*7/10 {
+		t.Fatalf("conflict thrashing expected: %d memory reads of %d accesses",
+			c.MemReadLines, rounds*n)
 	}
 }

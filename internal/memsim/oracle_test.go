@@ -113,30 +113,24 @@ type refHierarchy struct {
 	l1, l2, l3 *refLevel
 	c          Counts
 
-	pfOn, adjacentOn bool
-	pfSlots          [pfSlotCount]int64
-	pfNext           int
-	pfDist           int64
+	pfOn    bool
+	pfSlots [pfSlotCount]int64
+	pfNext  int
+	pfDist  int64
 }
 
 func newRef(spec *machine.Spec) *refHierarchy {
 	h := &refHierarchy{
-		l1:         newRefLevel(spec.L1),
-		l2:         newRefLevel(spec.L2),
-		l3:         newRefLevel(spec.L3Slice()),
-		pfOn:       spec.PF.StreamEnabled,
-		adjacentOn: spec.PF.AdjacentEnabled,
-		pfDist:     int64(spec.PF.StreamDistance),
+		l1:     newRefLevel(spec.L1),
+		l2:     newRefLevel(spec.L2),
+		l3:     newRefLevel(spec.L3Slice()),
+		pfOn:   true,
+		pfDist: pfDistance,
 	}
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
 	return h
-}
-
-func (h *refHierarchy) setPrefetch(spec *machine.Spec, on bool) {
-	h.pfOn = on && spec.PF.StreamEnabled
-	h.adjacentOn = on && spec.PF.AdjacentEnabled
 }
 
 // installThrough pushes a line into l3, l2 and l1, propagating dirty
@@ -185,20 +179,7 @@ func (h *refHierarchy) writebackToL3(line int64) {
 // follow demand loads.
 func (h *refHierarchy) memFetch(line int64, allowPF bool) {
 	h.c.MemReadLines++
-	if !allowPF {
-		return
-	}
-	if h.adjacentOn {
-		buddy := line ^ 1
-		if h.l3.lookup(buddy) < 0 && h.l2.lookup(buddy) < 0 {
-			h.c.MemReadLines++
-			h.c.PFLines++
-			if ev, d := h.l3.install(buddy, false); d && ev >= 0 {
-				h.c.MemWriteLines++
-			}
-		}
-	}
-	if h.pfOn {
+	if allowPF && h.pfOn {
 		h.prefetch(line)
 	}
 }

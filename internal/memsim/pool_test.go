@@ -12,9 +12,9 @@ import (
 
 // TestShapeOfMatchesNew: the shape derived from a spec, which costs no
 // allocation, is the shape of the hierarchy New builds for it, on every
-// preset with the prefetchers on and off.
+// preset with the prefetcher on and off.
 func TestShapeOfMatchesNew(t *testing.T) {
-	for _, spec := range diffSpecs() {
+	for _, spec := range machine.AllPresets() {
 		for _, pf := range []bool{true, false} {
 			h := New(spec)
 			h.SetPrefetch(pf)
@@ -60,7 +60,7 @@ func sameAsNew(h *Hierarchy, spec *machine.Spec, seed uint64) string {
 // served before and however its last borrower left it. No more than
 // GOMAXPROCS hierarchies exist at once.
 func TestBorrowAcrossPresets(t *testing.T) {
-	specs := diffSpecs()
+	specs := machine.AllPresets()
 	limit := runtime.GOMAXPROCS(0)
 	PoolPeak()
 	var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestReturnAfterPanicWakesWaiters(t *testing.T) {
 	clear(held)
 
 	wide := machine.ICX8360Y()
-	wide.L1 = machine.CacheGeom{SizeBytes: 64 * 33 * 64, Ways: 33, LineBytes: 64}
+	wide.L1 = machine.CacheGeom{SizeBytes: 64 * 33 * 64, Ways: 33}
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -7,7 +7,7 @@ import "fmt"
 type AccessKind uint8
 
 const (
-	// AccessLoad is a demand load, which may trigger the prefetchers.
+	// AccessLoad is a demand load, which may trigger the prefetcher.
 	AccessLoad AccessKind = iota
 	// AccessRFO is a read-for-ownership (write-allocate): the line is
 	// fetched and installed dirty.
@@ -73,13 +73,13 @@ func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 // accessRange runs n demand accesses (loads, or RFOs when dirty) on
 // consecutive lines. A miss fetches the line from the nearest level
 // holding it, installing it into every level above; dirty evictions
-// write back one level down. Only loads (allowPF) drive the prefetchers:
+// write back one level down. Only loads (allowPF) drive the prefetcher:
 // store streams are handled by the write-allocate-evasion engine, and
 // prefetching them would defeat ItoM claims (the hardware suppresses
 // this likewise).
 func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
-	allowPF = allowPF && (h.pfOn || h.adjacentOn)
+	allowPF = allowPF && h.pfOn
 	for line := start; line < start+n; line++ {
 		if l1.mayHold(line) && l1.find(line) {
 			h.c.L1Hits++
@@ -136,21 +136,11 @@ func (h *Hierarchy) writebackToL3(line int64) {
 	}
 }
 
-// prefetch runs the prefetchers on a demand-load memory miss. The
-// adjacent-line prefetcher fetches the line's 128-byte buddy. The L2
-// streamer arms on a miss sequential to a previous miss and pulls the
-// next pfDist lines into L3.
+// prefetch runs the L2 streamer on a demand-load memory miss: it arms
+// on a miss sequential to a previous miss and pulls the next
+// pfDistance lines into L3.
 func (h *Hierarchy) prefetch(line int64) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
-	if h.adjacentOn {
-		buddy := line ^ 1
-		if !l3.hit(buddy) && !l2.hit(buddy) {
-			h.pfFetch(buddy)
-		}
-	}
-	if !h.pfOn {
-		return
-	}
 	armed := false
 	for i := range h.pfSlots {
 		if h.pfSlots[i] == line-1 || h.pfSlots[i] == line-2 {
@@ -166,21 +156,16 @@ func (h *Hierarchy) prefetch(line int64) {
 	}
 	// Candidates already cached anywhere are skipped (hit, with the
 	// filter test spelled out so it inlines).
-	for l := line + 1; l <= line+h.pfDist; l++ {
+	for l := line + 1; l <= line+pfDistance; l++ {
 		if (!l3.mayHold(l) || !l3.find(l)) &&
 			(!l2.mayHold(l) || !l2.find(l)) &&
 			(!l1.mayHold(l) || !l1.find(l)) {
-			h.pfFetch(l)
+			h.c.MemReadLines++
+			h.c.PFLines++
+			if _, d := l3.install(l, false); d {
+				h.c.MemWriteLines++
+			}
 		}
-	}
-}
-
-// pfFetch reads a prefetched line from memory into L3.
-func (h *Hierarchy) pfFetch(line int64) {
-	h.c.MemReadLines++
-	h.c.PFLines++
-	if _, d := h.l3.install(line, false); d {
-		h.c.MemWriteLines++
 	}
 }
 

@@ -11,18 +11,6 @@ import (
 var allKinds = []AccessKind{AccessLoad, AccessRFO, AccessClaimI2M, AccessClaimL2,
 	AccessWriteNT, AccessWriteNTReverted, AccessWriteStreamed}
 
-// diffSpecs are the machine models the differential tests sweep: every
-// preset (4- to 20-way levels, including the non-power-of-two 11- and
-// 15-way L3 slices and non-power-of-two set counts rounded down) plus
-// an ICX variant with the adjacent-line prefetcher on, which exercises
-// the buddy fetch.
-func diffSpecs() []*machine.Spec {
-	adj := machine.ICX8360Y()
-	adj.Name = "icx+adj"
-	adj.PF.AdjacentEnabled = true
-	return append(machine.AllPresets(), adj)
-}
-
 // xorshift64* PRNG, deterministic pattern generator for the tests.
 type rng struct{ s uint64 }
 
@@ -133,7 +121,7 @@ func checkAgainstOracle(t *testing.T, spec *machine.Spec, pfOn bool, trace []pat
 	h := New(spec)
 	h.SetPrefetch(pfOn)
 	ref := newRef(spec)
-	ref.setPrefetch(spec, pfOn)
+	ref.pfOn = pfOn
 	for i, p := range trace {
 		step(h, p, run)
 		stepRef(ref, p)
@@ -159,10 +147,12 @@ func checkAgainstOracle(t *testing.T, spec *machine.Spec, pfOn bool, trace []pat
 }
 
 // TestAccessRangeDifferential: AccessRange must match the oracle bit
-// for bit across every preset, random access patterns with flushes and
-// way-0 holes, prefetch on and off, and every access kind.
+// for bit across every preset (4- to 20-way levels, including the
+// non-power-of-two 11- and 15-way L3 slices and set counts rounded down
+// to a power of two), random access patterns with flushes and way-0
+// holes, prefetch on and off, and every access kind.
 func TestAccessRangeDifferential(t *testing.T) {
-	for _, spec := range diffSpecs() {
+	for _, spec := range machine.AllPresets() {
 		for _, pfOn := range []bool{true, false} {
 			for seed := uint64(1); seed <= 8; seed++ {
 				trace := randomTrace(spec, seed*0x9e3779b97f4a7c15, 300)
@@ -250,7 +240,7 @@ func FuzzAccessRange(f *testing.F) {
 	for i, k := range allKinds {
 		f.Add(uint64(k)<<8|uint64(i), uint8(8), i%2 == 0)
 	}
-	specs := diffSpecs()
+	specs := machine.AllPresets()
 	f.Fuzz(func(t *testing.T, seed uint64, batches uint8, pfOn bool) {
 		spec := specs[seed%uint64(len(specs))]
 		checkAgainstOracle(t, spec, pfOn, randomTrace(spec, seed, int(batches%64)+1), byRange)

@@ -49,7 +49,7 @@ func rowSpread(l *trace.Loop) (arrays int, maxSpread int, totalRows int) {
 		add(r.A.Name, r.DK)
 	}
 	for _, w := range l.Writes {
-		add(w.A.Name, w.DK)
+		add(w.A.Name, 0)
 	}
 	for _, s := range spans {
 		spread := s.hi - s.lo + 1
@@ -90,7 +90,7 @@ func AnalyzeLC(l *trace.Loop, rowElems int, spec *machine.Spec) LCAnalysis {
 
 	// Largest block size that still fits the L2-level capacity.
 	if totalRows > 0 {
-		a.MaxBlock = caps[1] / (2 * totalRows * ElemBytes)
+		a.MaxBlock = caps[1] / (2 * totalRows * trace.ElemBytes)
 	}
 	return a
 }

@@ -8,9 +8,6 @@ package model
 
 import "cloversim/internal/trace"
 
-// ElemBytes is the element size of all modeled arrays (double precision).
-const ElemBytes = 8
-
 // LoopModel is the analytic traffic model of one loop, i.e. one row of
 // Table I.
 type LoopModel struct {
@@ -28,17 +25,17 @@ type LoopModel struct {
 func (m LoopModel) Evadable() int { return m.WR - m.RDWR }
 
 // BytesMin returns the minimum code balance: LC fulfilled, no WAs.
-func (m LoopModel) BytesMin() int { return ElemBytes * (m.RDLCF + m.WR) }
+func (m LoopModel) BytesMin() int { return trace.ElemBytes * (m.RDLCF + m.WR) }
 
 // BytesLCFWA returns the code balance with fulfilled LCs but full WAs —
 // the expected single-core value (byte/it_LCF,WA in Table I).
-func (m LoopModel) BytesLCFWA() int { return ElemBytes * (m.RDLCF + m.WR + m.Evadable()) }
+func (m LoopModel) BytesLCFWA() int { return trace.ElemBytes * (m.RDLCF + m.WR + m.Evadable()) }
 
 // BytesLCB returns the code balance with broken LCs and no WAs.
-func (m LoopModel) BytesLCB() int { return ElemBytes * (m.RDLCB + m.WR) }
+func (m LoopModel) BytesLCB() int { return trace.ElemBytes * (m.RDLCB + m.WR) }
 
 // BytesMax returns the worst case: broken LCs and full WAs.
-func (m LoopModel) BytesMax() int { return ElemBytes * (m.RDLCB + m.WR + m.Evadable()) }
+func (m LoopModel) BytesMax() int { return trace.ElemBytes * (m.RDLCB + m.WR + m.Evadable()) }
 
 // FromLoop derives the analytic model from a trace.Loop definition, so
 // the paper's hand-derived counts can be unit-tested against the encoded
@@ -78,12 +75,12 @@ func (m LoopModel) RefinedPrediction(storeFactor float64, eligible bool) float64
 	if !eligible {
 		return float64(m.BytesLCFWA())
 	}
-	return base + (storeFactor-1)*float64(ElemBytes*m.Evadable())
+	return base + (storeFactor-1)*float64(trace.ElemBytes*m.Evadable())
 }
 
 // LayerCondition returns the cache size in bytes required to keep `rows`
 // rows of `rowElems` elements resident, using the conventional safety
 // factor of 2 (Eq. 2: n*M*8 < C/2).
 func LayerCondition(rows, rowElems int) int {
-	return 2 * rows * rowElems * ElemBytes
+	return 2 * rows * rowElems * trace.ElemBytes
 }

@@ -117,13 +117,12 @@ type jsonOutcome struct {
 	Tracks      []jsonTrack `json:"tracks"`
 }
 
-// JSONEmitter writes the outcome as deterministic JSON.
-type JSONEmitter struct {
-	Indent bool
-}
+// JSONEmitter writes the outcome as deterministic JSON, indented by
+// two spaces.
+type JSONEmitter struct{}
 
 // Emit renders o to w.
-func (e JSONEmitter) Emit(w io.Writer, o *Outcome) error {
+func (JSONEmitter) Emit(w io.Writer, o *Outcome) error {
 	doc := jsonOutcome{
 		Axis:     string(o.Axis),
 		Target:   o.Target.String(),
@@ -158,9 +157,7 @@ func (e JSONEmitter) Emit(w io.Writer, o *Outcome) error {
 		doc.Tracks = append(doc.Tracks, jt)
 	}
 	enc := json.NewEncoder(w)
-	if e.Indent {
-		enc.SetIndent("", "  ")
-	}
+	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
 }
 

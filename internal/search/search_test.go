@@ -209,7 +209,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		if err := (CSVEmitter{}).Emit(&csvBuf, out); err != nil {
 			t.Fatal(err)
 		}
-		if err := (JSONEmitter{Indent: true}).Emit(&jsonBuf, out); err != nil {
+		if err := (JSONEmitter{}).Emit(&jsonBuf, out); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, out)
@@ -577,7 +577,7 @@ func TestEmittersRenderBothSections(t *testing.T) {
 	if err := (JSONEmitter{}).Emit(&jsonBuf, out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"axis":"ranks"`, `"intervals":`, `"cells":`, `"target":"gt:m:0"`} {
+	for _, want := range []string{`"axis": "ranks"`, `"intervals":`, `"cells":`, `"target": "gt:m:0"`} {
 		if !strings.Contains(jsonBuf.String(), want) {
 			t.Errorf("JSON lacks %s:\n%s", want, jsonBuf.String())
 		}

@@ -96,12 +96,10 @@ type jsonCampaign struct {
 }
 
 // JSONEmitter writes the campaign as deterministic JSON (fixed field
-// order, metrics as an ordered array).
-type JSONEmitter struct {
-	Indent bool
-}
+// order, metrics as an ordered array), indented by two spaces.
+type JSONEmitter struct{}
 
-func (e JSONEmitter) Emit(w io.Writer, c Campaign) error {
+func (JSONEmitter) Emit(w io.Writer, c Campaign) error {
 	out := jsonCampaign{
 		Scenarios: len(c.Results),
 		Failed:    len(c.Failed()),
@@ -111,9 +109,7 @@ func (e JSONEmitter) Emit(w io.Writer, c Campaign) error {
 		out.Results = append(out.Results, toJSONResult(r))
 	}
 	enc := json.NewEncoder(w)
-	if e.Indent {
-		enc.SetIndent("", "  ")
-	}
+	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 

@@ -28,7 +28,7 @@ func TestEmittersByteStable(t *testing.T) {
 	for _, workers := range []int{1, 4, 8, 1, 4, 8} {
 		c := runGrid(workers, g, echoRunner)
 		csv := emitBytes(t, CSVEmitter{}.Emit, c)
-		js := emitBytes(t, JSONEmitter{Indent: true}.Emit, c)
+		js := emitBytes(t, JSONEmitter{}.Emit, c)
 		if wantCSV == nil {
 			wantCSV, wantJSON = csv, js
 			continue
@@ -111,7 +111,7 @@ func TestJSONEmitterNonFinite(t *testing.T) {
 	s := Scenario{Machine: "m0", Mode: Mode{Name: "a"}, Seed: 1}
 	c := Campaign{Results: []Result{{Scenario: s, ID: s.ID(), Metrics: m}}}
 
-	out := emitBytes(t, JSONEmitter{Indent: true}.Emit, c)
+	out := emitBytes(t, JSONEmitter{}.Emit, c)
 	var doc struct {
 		Results []struct {
 			Metrics []struct {
@@ -137,7 +137,7 @@ func TestJSONEmitterNonFinite(t *testing.T) {
 	// Finite-only campaigns must keep their historical bytes: no bits
 	// field, value as a bare number.
 	finite := runGrid(1, testGrid(), echoRunner)
-	if out := emitBytes(t, JSONEmitter{Indent: true}.Emit, finite); bytes.Contains(out, []byte(`"bits"`)) {
+	if out := emitBytes(t, JSONEmitter{}.Emit, finite); bytes.Contains(out, []byte(`"bits"`)) {
 		t.Error("finite campaign emits bits fields; goldens would change")
 	}
 }

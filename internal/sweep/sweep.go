@@ -74,9 +74,9 @@ func ModeByName(name string) (Mode, bool) {
 // package state: treat it as read-only.
 func ModeNames() []string { return modeNames }
 
-// ModesByName resolves a list of mode names into a fresh Mode slice —
-// the shared axis validation behind cmd/sweep -modes and the sweepd
-// grid spec, so the two surfaces cannot drift.
+// ModesByName resolves a list of mode names into a fresh Mode slice:
+// the mode-axis validation of GridSpec.Resolve, behind cmd/sweep
+// -modes.
 func ModesByName(names []string) ([]Mode, error) {
 	var out []Mode
 	for _, name := range names {
@@ -89,8 +89,8 @@ func ModesByName(names []string) ([]Mode, error) {
 	return out, nil
 }
 
-// ParseMeshes parses a list of WxH strings — the shared mesh-axis
-// validation behind cmd/sweep -mesh and the sweepd grid spec.
+// ParseMeshes parses a list of WxH strings: the mesh-axis validation
+// of GridSpec.Resolve, behind cmd/sweep -mesh.
 func ParseMeshes(ss []string) ([]Mesh, error) {
 	var out []Mesh
 	for _, s := range ss {

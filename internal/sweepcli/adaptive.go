@@ -2,6 +2,7 @@ package sweepcli
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,20 +14,56 @@ import (
 	"cloversim/internal/workload"
 )
 
+// adaptivePlan builds the search plan of an -adaptive invocation over
+// the resolved grid from the -adaptive and -target flag values; modesSet
+// reports whether -modes was given. Every error is a usage error that
+// names the flag at fault.
+func adaptivePlan(grid sweep.Grid, axisFlag, targetFlag string, modesSet bool, tol, maxRounds int) (*search.Plan, error) {
+	if axisFlag == "" {
+		return nil, errors.New("-target requires -adaptive")
+	}
+	if targetFlag == "" {
+		return nil, errors.New("-adaptive requires -target")
+	}
+	axis, err := search.ParseAxis(axisFlag)
+	if err != nil {
+		return nil, fmt.Errorf("-adaptive: %w", err)
+	}
+	target, err := search.ParseTarget(targetFlag)
+	if err != nil {
+		return nil, fmt.Errorf("-target: %w", err)
+	}
+	if target.Kind == search.TargetDelta {
+		// A delta target owns the mode axis, so an explicit -modes is a
+		// usage error rather than a silent override.
+		if modesSet {
+			return nil, fmt.Errorf("a delta target supplies its own mode pair (%s/%s); drop -modes",
+				target.ModeA.Name, target.ModeB.Name)
+		}
+		// The default grid carries every mode; the delta predicate owns
+		// the axis instead.
+		grid.Modes = nil
+	}
+	plan := &search.Plan{
+		Grid:      grid,
+		Axis:      axis,
+		Target:    target,
+		Tol:       tol,
+		MaxRounds: maxRounds,
+		Surrogate: workload.Analytic,
+	}
+	// With the axis and target parsed, Validate can only reject the
+	// axis values: the -ranks, -threads or -mesh seeds.
+	if err := plan.Validate(); err != nil {
+		return nil, fmt.Errorf("-%s: %w", axis, err)
+	}
+	return plan, nil
+}
+
 // adaptiveRun carries the CLI context of one -adaptive invocation into
-// runAdaptive: the resolved grid, the fully wired engine (backend and
-// store included), the emit targets and the flag values the
-// adaptive path interprets itself.
+// runAdaptive: the fully wired engine (backend and store included),
+// the emit targets and the output flags.
 type adaptiveRun struct {
-	grid      sweep.Grid
-	axis      string
-	target    string
-	tol       int
-	maxRounds int
-	// modesSet reports whether -modes was given explicitly; a delta
-	// target owns the mode axis, so combining the two is a usage error
-	// rather than a silent override.
-	modesSet     bool
 	eng          *sweep.Engine
 	store        *store.Store
 	out          string
@@ -37,47 +74,19 @@ type adaptiveRun struct {
 	stderr       io.Writer
 }
 
-// runAdaptive executes an adaptive frontier-search campaign and writes
-// frontier.csv and frontier.json into -out. The exit-code contract is
-// the campaign one: usage errors 2, probe or durability failures 1,
-// an interrupted search with its partial frontier emitted 3.
-func runAdaptive(ctx context.Context, a adaptiveRun) int {
-	axis, err := search.ParseAxis(a.axis)
-	if err != nil {
-		return usage(a.stderr, err)
-	}
-	target, err := search.ParseTarget(a.target)
-	if err != nil {
-		return usage(a.stderr, err)
-	}
-	grid := a.grid
-	if target.Kind == search.TargetDelta {
-		if a.modesSet {
-			return usage(a.stderr, fmt.Errorf("a delta target supplies its own mode pair (%s/%s); drop -modes",
-				target.ModeA.Name, target.ModeB.Name))
-		}
-		// The default grid carries every mode; the delta predicate owns
-		// the axis instead.
-		grid.Modes = nil
-	}
-	plan := &search.Plan{
-		Grid:      grid,
-		Axis:      axis,
-		Target:    target,
-		Tol:       a.tol,
-		MaxRounds: a.maxRounds,
-		Surrogate: workload.Analytic,
-	}
-	if err := plan.Validate(); err != nil {
-		return usage(a.stderr, err)
-	}
-
+// runAdaptive executes the adaptive frontier-search campaign plan and
+// writes frontier.csv and frontier.json into -out. The exit-code
+// contract is the campaign one: probe or durability failures 1, an
+// interrupted search with its partial frontier emitted 3. Usage errors
+// (2) are adaptivePlan's, caught before the engine exists.
+func runAdaptive(ctx context.Context, plan *search.Plan, a adaptiveRun) int {
+	grid := plan.Grid
 	if !a.quiet {
 		tracks := len(grid.Machines) * len(grid.Workloads)
 		if n := len(grid.Modes); n > 0 {
 			tracks *= n
 		}
-		fmt.Fprintf(a.stdout, "sweep: adaptive %s search, target %s, %s\n", axis, target, a.workersDesc)
+		fmt.Fprintf(a.stdout, "sweep: adaptive %s search, target %s, %s\n", plan.Axis, plan.Target, a.workersDesc)
 		fmt.Fprintf(a.stdout, "sweep: %d tracks (%d machines x %d workloads), tol %d, max %d rounds\n",
 			tracks, len(grid.Machines), len(grid.Workloads), plan.Tol, plan.MaxRounds)
 	}
@@ -111,7 +120,7 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 	if err := emitFile(csvPath, search.CSVEmitter{}.Emit, outcome); err != nil {
 		return runtimeErr(a.stderr, err)
 	}
-	if err := emitFile(jsonPath, search.JSONEmitter{Indent: true}.Emit, outcome); err != nil {
+	if err := emitFile(jsonPath, search.JSONEmitter{}.Emit, outcome); err != nil {
 		return runtimeErr(a.stderr, err)
 	}
 	if !a.quiet {

@@ -3,6 +3,8 @@ package sweepcli
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -174,26 +176,46 @@ func TestE2EAdaptiveLocalFleetByteIdentity(t *testing.T) {
 }
 
 // TestE2EAdaptiveUsageErrors: the adaptive flag surface rejects
-// malformed invocations as usage errors (exit 2) before any work runs.
+// malformed invocations as usage errors (exit 2) that name the flag at
+// fault, before any work runs and before any side effect. Each case
+// runs once with a -store, which must not be created, and once more
+// with a fleet in -workers too: 127.0.0.1:1 refuses connections, so a
+// check that came after the fleet probe would exit 1 instead.
 func TestE2EAdaptiveUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{"-adaptive", "ranks"},                                     // no -target
-		{"-target", "gt:m:0"},                                      // no -adaptive
-		{"-adaptive", "seed", "-target", "gt:m:0"},                 // bad axis
-		{"-adaptive", "ranks", "-target", "sign:m"},                // bad predicate
-		{"-adaptive", "ranks", "-target", "gt:m:0", "-ranks", "4"}, // one seed cannot bracket
-		{"-adaptive", "ranks", "-target", "delta:m:nt/baseline", "-ranks", "1,8", "-modes", "baseline"}, // delta owns the modes
+	cases := []struct {
+		flag  string // the flag the message must name
+		extra []string
+	}{
+		{"-target", []string{"-adaptive", "ranks"}},
+		{"-adaptive", []string{"-target", "gt:m:0"}},
+		{"-adaptive", []string{"-target", "lt:x:1"}},
+		{"-adaptive", []string{"-adaptive", "seed", "-target", "gt:m:0"}},
+		{"-adaptive", []string{"-adaptive", "bogus", "-target", "lt:jacobi_ratio:1.2"}},
+		{"-target", []string{"-adaptive", "ranks", "-target", "sign:m"}},
+		{"-ranks", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-ranks", "4"}}, // one seed cannot bracket
+		{"-modes", []string{"-adaptive", "ranks", "-target", "delta:m:nt/baseline", "-ranks", "1,8", "-modes", "baseline"}},
 	}
-	for _, extra := range cases {
-		args := append([]string{"-q", "-machines", "icx", "-workloads", "jacobi",
-			"-ranks", "1,256", "-out", filepath.Join(t.TempDir(), "o")}, extra...)
-		var sims atomic.Int64
-		code, _, stderr := runCLI(t, args, frontierRunner(&sims))
-		if code != ExitUsage {
-			t.Errorf("args %v exit %d, want %d; stderr:\n%s", extra, code, ExitUsage, stderr)
-		}
-		if sims.Load() != 0 {
-			t.Errorf("args %v simulated %d cells before failing usage", extra, sims.Load())
+	for _, c := range cases {
+		for _, fleet := range [][]string{nil, {"-workers", "127.0.0.1:1"}} {
+			dir := t.TempDir()
+			storeDir := filepath.Join(dir, "st")
+			args := append([]string{"-q", "-machines", "icx", "-workloads", "jacobi",
+				"-ranks", "1,256", "-store", storeDir, "-out", filepath.Join(dir, "o")}, fleet...)
+			args = append(args, c.extra...)
+			var sims atomic.Int64
+			code, _, stderr := runCLI(t, args, frontierRunner(&sims))
+			if code != ExitUsage {
+				t.Errorf("args %v %v exit %d, want %d; stderr:\n%s", fleet, c.extra, code, ExitUsage, stderr)
+			}
+			if !strings.Contains(string(stderr), c.flag) {
+				t.Errorf("args %v %v: stderr does not name %s:\n%s", fleet, c.extra, c.flag, stderr)
+			}
+			if _, err := os.Stat(storeDir); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("args %v %v left a store directory behind (stat: %v)", fleet, c.extra, err)
+			}
+			if sims.Load() != 0 {
+				t.Errorf("args %v %v simulated %d cells before failing usage", fleet, c.extra, sims.Load())
+			}
 		}
 	}
 }

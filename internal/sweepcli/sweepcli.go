@@ -22,6 +22,7 @@ import (
 	"cloversim"
 	"cloversim/internal/dispatch"
 	"cloversim/internal/machine"
+	"cloversim/internal/search"
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
@@ -155,6 +156,15 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	if err != nil {
 		return usage(stderr, err)
 	}
+	// Adaptive frontier search: the grid is a search space, not an
+	// enumeration. Its flags are checked here, before the engine, the
+	// fleet or the store exist, so a usage error has no side effects.
+	var plan *search.Plan
+	if *adaptive != "" || *target != "" {
+		if plan, err = adaptivePlan(grid, *adaptive, *target, *modes != "all", *tol, *maxRounds); err != nil {
+			return usage(stderr, err)
+		}
+	}
 
 	eng := sweep.NewEngine(localWorkers, runner)
 	// One loop memo per invocation, adaptive waves included: cells of
@@ -204,28 +214,16 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		}
 		eng.Cache = st
 	}
-	if *adaptive != "" || *target != "" {
-		// Adaptive frontier search: the grid is a search space, not an
-		// enumeration. Everything set up above — engine, loop memo,
-		// store probe and write-through, local or fleet backend —
-		// applies unchanged; only which cells run is decided wave by
-		// wave.
-		if *adaptive == "" {
-			return usage(stderr, errors.New("-target requires -adaptive"))
-		}
-		if *target == "" {
-			return usage(stderr, errors.New("-adaptive requires -target"))
-		}
-		code := runAdaptive(ctx, adaptiveRun{
-			grid: grid, axis: *adaptive, target: *target,
-			tol: *tol, maxRounds: *maxRounds,
-			modesSet: *modes != "all",
-			eng:      eng, store: st,
+	if plan != nil {
+		// Everything set up above — engine, loop memo, store probe and
+		// write-through, local or fleet backend — applies unchanged;
+		// only which cells run is decided wave by wave.
+		return runAdaptive(ctx, plan, adaptiveRun{
+			eng: eng, store: st,
 			out: *out, quiet: *quiet, liveProgress: *progress,
 			workersDesc: workersDesc,
 			stdout:      stdout, stderr: stderr,
 		})
-		return code
 	}
 	if !*quiet {
 		fmt.Fprintf(stdout, "sweep: %d scenarios (%d machines x %d workloads x %d modes), %s\n",
@@ -265,7 +263,7 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 	if err := emitFile(csvPath, sweep.CSVEmitter{}.Emit, c); err != nil {
 		return runtimeErr(stderr, err)
 	}
-	if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}.Emit, c); err != nil {
+	if err := emitFile(jsonPath, sweep.JSONEmitter{}.Emit, c); err != nil {
 		return runtimeErr(stderr, err)
 	}
 

@@ -157,15 +157,11 @@ func (k *keyer) reset(s memsim.Shape) {
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Sets[i]))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Ways[i]))
 	}
-	var flags byte
+	var pf byte
 	if s.PFOn {
-		flags |= 1
+		pf = 1
 	}
-	if s.AdjacentOn {
-		flags |= 2
-	}
-	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.PFDistance))
+	b = append(b, pf)
 	k.buf = binary.LittleEndian.AppendUint64(b, uint64(s.PFCursor))
 }
 

@@ -142,8 +142,7 @@ func TestMemoKeyDistinguishes(t *testing.T) {
 	for _, edit := range []func(*memsim.Shape){
 		func(s *memsim.Shape) { s.Sets[0] *= 2 }, func(s *memsim.Shape) { s.Sets[1] *= 2 }, func(s *memsim.Shape) { s.Sets[2] *= 2 },
 		func(s *memsim.Shape) { s.Ways[0]++ }, func(s *memsim.Shape) { s.Ways[1]++ }, func(s *memsim.Shape) { s.Ways[2]++ },
-		func(s *memsim.Shape) { s.PFOn = !s.PFOn }, func(s *memsim.Shape) { s.AdjacentOn = !s.AdjacentOn },
-		func(s *memsim.Shape) { s.PFDistance++ }, func(s *memsim.Shape) { s.PFCursor++ },
+		func(s *memsim.Shape) { s.PFOn = !s.PFOn }, func(s *memsim.Shape) { s.PFCursor++ },
 	} {
 		s := base
 		edit(&s)

@@ -34,6 +34,10 @@ import (
 	"cloversim/internal/memsim"
 )
 
+// ElemBytes is the element size of every array: all fields are
+// float64.
+const ElemBytes = 8
+
 // Array is a 2D field laid out row-major in the simulated address space.
 type Array struct {
 	Name string
@@ -41,7 +45,6 @@ type Array struct {
 	// JLo..JHi and KLo..KHi are the allocated index bounds (inclusive),
 	// including halo columns/rows.
 	JLo, JHi, KLo, KHi int
-	ElemBytes          int // 8 for float64
 }
 
 // RowElems returns the padded row length in elements.
@@ -49,12 +52,12 @@ func (a *Array) RowElems() int { return a.JHi - a.JLo + 1 }
 
 // SizeBytes returns the allocation size in bytes.
 func (a *Array) SizeBytes() int64 {
-	return int64(a.RowElems()) * int64(a.KHi-a.KLo+1) * int64(a.ElemBytes)
+	return int64(a.RowElems()) * int64(a.KHi-a.KLo+1) * ElemBytes
 }
 
 // Addr returns the byte address of element (j, k).
 func (a *Array) Addr(j, k int) int64 {
-	return a.Base + (int64(k-a.KLo)*int64(a.RowElems())+int64(j-a.JLo))*int64(a.ElemBytes)
+	return a.Base + (int64(k-a.KLo)*int64(a.RowElems())+int64(j-a.JLo))*ElemBytes
 }
 
 // Arena allocates arrays in a contiguous simulated address space.
@@ -77,7 +80,7 @@ func NewArena(aligned bool) *Arena {
 
 // Alloc creates an array covering [jlo,jhi] x [klo,khi].
 func (ar *Arena) Alloc(name string, jlo, jhi, klo, khi int) *Array {
-	a := &Array{Name: name, JLo: jlo, JHi: jhi, KLo: klo, KHi: khi, ElemBytes: 8}
+	a := &Array{Name: name, JLo: jlo, JHi: jhi, KLo: klo, KHi: khi}
 	base := (ar.next + ar.align - 1) / ar.align * ar.align
 	base += ar.skew
 	a.Base = base
@@ -91,10 +94,10 @@ type Access struct {
 	DJ, DK int
 }
 
-// Write is one write stream.
+// Write is one write stream: it stores element (j, k) of A at
+// iteration (j, k).
 type Write struct {
-	A      *Array
-	DJ, DK int
+	A *Array
 	// Update marks read-modify-write streams (the element is loaded
 	// before being stored, so no write-allocate is ever needed).
 	Update bool
@@ -339,20 +342,18 @@ func (x *Executor) runLoop(l *Loop, b Bounds, be core.Backend) {
 	x.e.ConfigureStreams(len(l.Writes), nt)
 	x.e.SetContext(x.Context(l.Class(), len(l.Writes), l.Eligible))
 
-	elem := int64(8)
 	for k := b.KLo; k <= b.KHi; k++ {
 		for _, g := range groups {
 			row := k + g.dk
 			lo := g.a.Addr(b.JLo+g.minDJ, row)
-			hi := g.a.Addr(b.JHi+g.maxDJ, row) + elem - 1
+			hi := g.a.Addr(b.JHi+g.maxDJ, row) + ElemBytes - 1
 			// Each row is one sequential line run: replay it on the
 			// batched memsim fast path.
 			be.AccessRange(lo>>6, hi>>6-lo>>6+1, memsim.AccessLoad)
 		}
 		for i, w := range l.Writes {
-			row := k + w.DK
-			addr := w.A.Addr(b.JLo+w.DJ, row)
-			n := int64(b.JHi-b.JLo+1) * elem
+			addr := w.A.Addr(b.JLo, k)
+			n := int64(b.JHi-b.JLo+1) * ElemBytes
 			if w.Update {
 				// Read-modify-write: the element was already loaded via
 				// the Reads list (update streams must appear there too),

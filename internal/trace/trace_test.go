@@ -181,7 +181,7 @@ func TestCountHelpers(t *testing.T) {
 			{A: a, DJ: 0, DK: -1}, {A: a, DJ: 1, DK: -1}, {A: a, DJ: 0, DK: 0},
 			{A: b, DJ: 0, DK: 0},
 		},
-		Writes: []Write{{A: b, Update: true}, {A: a, DJ: 0, DK: 0}},
+		Writes: []Write{{A: b, Update: true}, {A: a}},
 	}
 	if got := loop.CountLCF(); got != 2 {
 		t.Errorf("LCF = %d, want 2 (distinct arrays)", got)

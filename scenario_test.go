@@ -45,7 +45,7 @@ func TestCampaignDeterministicOutput(t *testing.T) {
 		if err := (sweep.CSVEmitter{}).Emit(&csv, c); err != nil {
 			t.Fatal(err)
 		}
-		if err := (sweep.JSONEmitter{Indent: true}).Emit(&js, c); err != nil {
+		if err := (sweep.JSONEmitter{}).Emit(&js, c); err != nil {
 			t.Fatal(err)
 		}
 		if wantCSV == nil {
