@@ -1,15 +1,15 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section, plus ablation benches for the design
-// choices called out in DESIGN.md and throughput benches for the
-// substrates. Domain metrics are attached via b.ReportMetric, so
+// Ablation benchmarks for the model's design choices (the run-detector
+// warm-up, SpecI2M, loop eligibility, SNC, the CLX baseline) and
+// throughput benchmarks for the substrates. Domain metrics are attached
+// via b.ReportMetric:
 //
-//	go test -bench=. -benchmem
+//	go test -run - -bench . -benchmem
 //
-// regenerates the headline number of every artifact next to its cost.
+// The paper's figures themselves are cmd/experiments' CSVs, committed
+// under testdata/figures and checked by experiments_test.go.
 package cloversim
 
 import (
-	"math"
 	"testing"
 
 	"cloversim/internal/bench"
@@ -21,183 +21,6 @@ import (
 	"cloversim/internal/mpi"
 	"cloversim/internal/trace"
 )
-
-// quickOpts keeps benchmark configs tractable.
-func quickOpts() Options { return Options{MaxRows: 24} }
-
-// --- E1: Listing 2 -----------------------------------------------------
-
-func BenchmarkListing2Profile(b *testing.B) {
-	var share float64
-	for i := 0; i < b.N; i++ {
-		p, _, err := Listing2Profile(b.Context(), quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		share = p.Share("advec_mom_kernel", "advec_cell_kernel", "pdv_kernel")
-	}
-	b.ReportMetric(share, "hotspot_%") // paper: ~69
-}
-
-// --- E2: Table I -------------------------------------------------------
-
-func BenchmarkTableISingleCore(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := TableI(b.Context(), quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = 0
-		for _, r := range rows {
-			e := math.Abs(r.Simulated-r.MeasuredSingleCore) / r.MeasuredSingleCore
-			worst = math.Max(worst, e)
-		}
-	}
-	b.ReportMetric(worst*100, "worst_err_%") // paper column reproduced within a few %
-}
-
-// --- E3: Figure 2 ------------------------------------------------------
-
-func BenchmarkFigure2Scaling(b *testing.B) {
-	o := quickOpts()
-	o.Ranks = []int{1, 9, 18, 19, 36, 37, 64, 71, 72}
-	var drop float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure2Scaling(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s71, s72 float64
-		for _, p := range pts {
-			if p.Ranks == 71 {
-				s71 = p.Speedup
-			}
-			if p.Ranks == 72 {
-				s72 = p.Speedup
-			}
-		}
-		drop = 100 * (1 - s71/s72)
-	}
-	b.ReportMetric(drop, "prime_drop_%")
-}
-
-// --- E4: Figure 3 ------------------------------------------------------
-
-func BenchmarkFigure3CodeBalance(b *testing.B) {
-	o := quickOpts()
-	o.Ranks = []int{1, 36, 71, 72}
-	var spike float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure3CodeBalance(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var b71, b72 float64
-		for _, p := range pts {
-			if p.Ranks == 71 {
-				b71 = p.Balance["am04"]
-			}
-			if p.Ranks == 72 {
-				b72 = p.Balance["am04"]
-			}
-		}
-		spike = 100 * (b71/b72 - 1)
-	}
-	b.ReportMetric(spike, "am04_prime_spike_%")
-}
-
-// --- E5: Figure 4 ------------------------------------------------------
-
-func BenchmarkFigure4MPIShare(b *testing.B) {
-	var serial71 float64
-	for i := 0; i < b.N; i++ {
-		shares, _, err := Figure4MPIShare(b.Context(), quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range shares {
-			if s.Ranks == 71 {
-				serial71 = s.Serial
-			}
-		}
-	}
-	b.ReportMetric(serial71, "serial71_%") // paper band: 94-99
-}
-
-// --- E6/E10/E11: Figures 5, 9, 10 --------------------------------------
-
-func benchStoreRatio(b *testing.B, machineName string, socket, node int) {
-	o := quickOpts()
-	o.MachineName = machineName
-	o.Ranks = []int{1, socket, node}
-	var nodeRatio float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := FigureStoreRatio(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodeRatio = pts[len(pts)-1].Normal[0]
-	}
-	b.ReportMetric(nodeRatio, "node_st1_ratio")
-}
-
-func BenchmarkFigure5StoreRatioICX(b *testing.B)      { benchStoreRatio(b, "icx", 36, 72) }
-func BenchmarkFigure9StoreRatioSPR8470(b *testing.B)  { benchStoreRatio(b, "spr8470+s", 52, 104) }
-func BenchmarkFigure10StoreRatioSPR8480(b *testing.B) { benchStoreRatio(b, "spr8480", 56, 112) }
-
-// --- E7: Figure 6 ------------------------------------------------------
-
-func BenchmarkFigure6CopyVolumes(b *testing.B) {
-	o := quickOpts()
-	o.Ranks = []int{1, 9, 17}
-	var read17 float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := Figure6CopyVolumes(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		read17 = pts[len(pts)-1].ReadPerIt
-	}
-	b.ReportMetric(read17, "read_bpi_17thr") // paper: ~8 (WAs evaded)
-}
-
-// --- E8: Figure 7 ------------------------------------------------------
-
-func BenchmarkFigure7RefinedModel(b *testing.B) {
-	var avgErr float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := Figure7RefinedModel(b.Context(), quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s float64
-		for _, r := range rows {
-			s += math.Abs(r.Original-r.Prediction) / r.Prediction
-		}
-		avgErr = 100 * s / float64(len(rows))
-	}
-	b.ReportMetric(avgErr, "model_err_%") // paper: ~7
-}
-
-// --- E9/E12: Figures 8, 11 ---------------------------------------------
-
-func benchHalo(b *testing.B, machineName string) {
-	o := quickOpts()
-	o.MachineName = machineName
-	var a216 float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := FigureHaloCopy(b.Context(), o, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a216 = AverageRatio(pts, 216, false)
-	}
-	b.ReportMetric(a216, "avg216_ratio")
-}
-
-func BenchmarkFigure8HaloICX(b *testing.B)  { benchHalo(b, "icx") }
-func BenchmarkFigure11HaloSPR(b *testing.B) { benchHalo(b, "spr8480") }
 
 // --- Ablations ----------------------------------------------------------
 

@@ -4,7 +4,8 @@
 //
 // The package exposes one runner per paper artifact (Listing 2, Table I,
 // Figures 2-11), and they are the only code that derives the paper's
-// figures; each returns the underlying data plus a CSV-ready table.
+// figures; each returns the figure's one representation, the CSV table
+// cmd/experiments writes (committed under testdata/figures).
 // Every runner takes a context first: its traffic studies replay their
 // loops through the loop memo the context carries (trace.WithMemo), so
 // runners that share a context share loop replays, and its fan-outs
@@ -40,8 +41,6 @@ type Options struct {
 	// Ranks restricts scaling sweeps to these rank counts (default: all
 	// 1..cores). Every entry must lie in 1..cores of the machine.
 	Ranks []int
-	// Seed for the deterministic store-engine PRNG.
-	Seed uint64
 }
 
 // resolve applies the defaults and looks up the machine, and rejects a
@@ -52,9 +51,6 @@ func (o Options) resolve() (Options, *machine.Spec, error) {
 	}
 	if o.MaxRows == 0 {
 		o.MaxRows = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x5eed
 	}
 	spec, ok := machine.ByName(o.MachineName)
 	if !ok {

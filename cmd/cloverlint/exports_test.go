@@ -14,7 +14,6 @@ import (
 // seams are exports that only tests call, each kept on purpose: the
 // value names the tests that read it. Keys are as exportKey prints them.
 var seams = map[string]string{
-	"cloversim.AverageRatio":                         "TestFigureHaloCopyOrdering",
 	"cloversim/internal/cloverleaf.Rank.Time":        "internal/cloverleaf TestSodShockTube, TestEndTimeClamping",
 	"cloversim/internal/core.StoreEngine.Context":    "internal/core TestNTStoresBypass, TestNTRevertsUnderLoad",
 	"cloversim/internal/core.StoreEngine.Eff":        "internal/core TestSetContextRecomputesEff",
@@ -25,7 +24,6 @@ var seams = map[string]string{
 	"cloversim/internal/machine.Spec.Validate":       "internal/machine TestAllPresetsValidate",
 	"cloversim/internal/memsim.Counts.Sub":           "internal/memsim TestCountsArithmetic, internal/trace TestRunMatchesPlainReplay",
 	"cloversim/internal/memsim.Hierarchy.DirtyLines": "internal/memsim TestFlushIdempotent and the oracle comparison of TestAccessRangeDifferential",
-	"cloversim/internal/profiler.Profile.Share":      "internal/profiler TestShare, TestListing2ProfileShape",
 	"cloversim/internal/sweep.AllModes":              "internal/sweep TestModeTablesConsistent, TestStoreRoundTripMatchesColdRun",
 	"cloversim/internal/trace.Loop.Validate":         "internal/trace TestCountHelpers",
 	"cloversim/internal/trace.Memo.Stats":            "internal/trace TestMemoSingleFlight, TestSharedMemoMatchesFreshReplays, internal/sweepcli TestE2ELoopMemoPerInvocation, internal/sweepd TestSecondExpandReplaysNoLoop, cloversim TestRankList",

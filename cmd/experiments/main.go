@@ -16,7 +16,9 @@
 //
 // Experiments: profile (Listing 2), table1 (Table I), scaling (Fig 2),
 // balance (Fig 3), mpi (Fig 4), stores (Figs 5/9/10 depending on
-// -machine), copyvol (Fig 6), model (Fig 7), halo (Figs 8/11).
+// -machine), copyvol (Fig 6), model (Fig 7), halo (Figs 8/11, with the
+// prefetchers on and off). -exp all writes the 12 CSVs committed under
+// testdata/figures.
 //
 // An unknown -exp or -machine, or a -ranks entry outside 1..cores of a
 // machine the run uses, exits 2 before anything is simulated. A failed
@@ -51,14 +53,6 @@ type job struct {
 	machine string
 }
 
-// output is a finished experiment: the CSV base name, table and any
-// extra terminal rendering (profile listing, ASCII plots).
-type output struct {
-	name  string
-	table *csvout.Table
-	extra string
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: it parses args, runs the experiments and returns
@@ -72,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out   = fs.String("out", "results", "output directory for CSV files")
 		full  = fs.Bool("full", false, "paper-faithful y extents (much slower)")
 		ranks = fs.String("ranks", "", "comma-separated rank counts (default: all)")
-		pfoff = fs.Bool("pfoff", true, "include PF-off series in the halo experiment")
 		plot  = fs.Bool("plot", false, "render ASCII charts for figure experiments")
 		quiet = fs.Bool("q", false, "suppress terminal tables")
 	)
@@ -101,17 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	jobs := []job{{*exp, *mach}}
-	if *exp == "all" {
-		jobs = jobs[:0]
-		for _, name := range experiments {
-			jobs = append(jobs, job{name, *mach})
-		}
-		// The SPR figures (9, 10, 11) on their machines.
-		jobs = append(jobs, job{"stores", "spr8470+s"}, job{"stores", "spr8480"}, job{"halo", "spr8480"})
-	} else if !slices.Contains(experiments, *exp) {
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
 		return usage(fmt.Errorf("unknown experiment %q (have all|%s)", *exp, strings.Join(experiments, "|")))
 	}
+	jobs := jobList(*exp, *mach)
 	for _, j := range jobs {
 		spec, ok := machine.ByName(j.machine)
 		if !ok {
@@ -129,7 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, j := range jobs {
 		o := opts
 		o.MachineName = j.machine
-		r, err := runExperiment(ctx, j.exp, o, *pfoff, *plot)
+		base, table, err := runExperiment(ctx, j.exp, o)
+		var extra string
+		if err == nil && *plot {
+			extra, err = charts(j.exp, j.machine, table)
+		}
 		if err != nil {
 			// Isolate per-experiment failures: the rest of the suite
 			// still computes, saves and prints.
@@ -137,20 +127,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "experiments: %s (machine %s): %v\n", j.exp, j.machine, err)
 			continue
 		}
-		path := filepath.Join(*out, r.name+".csv")
-		if err := r.table.SaveCSV(path); err != nil {
+		path := filepath.Join(*out, base+".csv")
+		if err := table.SaveCSV(path); err != nil {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 1
 		}
 		if *quiet {
-			fmt.Fprintf(stdout, "== %s -> %s\n", r.name, path)
+			fmt.Fprintf(stdout, "== %s -> %s\n", base, path)
 		} else {
-			fmt.Fprintf(stdout, "== %s -> %s\n%s\n", r.name, path, r.table.Format())
+			fmt.Fprintf(stdout, "== %s -> %s\n%s\n", base, path, table.Format())
 		}
 		// ASCII plots were asked for explicitly (-plot); print them
 		// even under -q.
-		if r.extra != "" && (!*quiet || *plot) {
-			fmt.Fprintln(stdout, r.extra)
+		if extra != "" {
+			fmt.Fprintln(stdout, extra)
 		}
 	}
 	if failed > 0 {
@@ -160,78 +150,95 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExperiment executes one experiment and renders its extras.
-func runExperiment(ctx context.Context, name string, opts cloversim.Options, pfoff, plot bool) (output, error) {
+// jobList returns the jobs of one invocation: the experiment on the
+// machine, or for all, the nine experiments on the machine and then the
+// SPR figures (9, 10, 11) on their machines, each job once.
+func jobList(exp, mach string) []job {
+	if exp != "all" {
+		return []job{{exp, mach}}
+	}
+	var jobs []job
+	for _, name := range experiments {
+		jobs = append(jobs, job{name, mach})
+	}
+	for _, j := range []job{{"stores", "spr8470+s"}, {"stores", "spr8480"}, {"halo", "spr8480"}} {
+		if !slices.Contains(jobs, j) {
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+// runExperiment executes one experiment and returns its CSV base name
+// and table.
+func runExperiment(ctx context.Context, name string, opts cloversim.Options) (string, *csvout.Table, error) {
 	switch name {
 	case "profile":
-		p, t, err := cloversim.Listing2Profile(ctx, opts)
-		if err != nil {
-			return output{}, err
-		}
-		return output{name: "listing2_profile", table: t, extra: p.Format(10)}, nil
+		t, err := cloversim.Listing2Profile(ctx, opts)
+		return "listing2_profile", t, err
 	case "table1":
-		_, t, err := cloversim.TableI(ctx, opts)
-		return output{name: "table1", table: t}, err
+		t, err := cloversim.TableI(ctx, opts)
+		return "table1", t, err
 	case "scaling":
-		pts, t, err := cloversim.Figure2Scaling(ctx, opts)
-		if err != nil {
-			return output{}, err
-		}
-		o := output{name: "fig2_scaling", table: t}
-		if plot {
-			var x, y, bw []float64
-			for _, p := range pts {
-				x = append(x, float64(p.Ranks))
-				y = append(y, p.Speedup)
-				bw = append(bw, p.BandwidthGBs)
-			}
-			o.extra = asciiplot.Plot{
-				Title: "Fig. 2: speedup vs ranks (note the prime dips)", XLabel: "ranks",
-				Series: []asciiplot.Series{{Name: "speedup", X: x, Y: y}},
-			}.Render() + "\n" + asciiplot.Plot{
-				Title: "Fig. 2: memory bandwidth [GB/s]", XLabel: "ranks",
-				Series: []asciiplot.Series{{Name: "bandwidth", X: x, Y: bw}},
-			}.Render()
-		}
-		return o, nil
+		t, err := cloversim.Figure2Scaling(ctx, opts)
+		return "fig2_scaling", t, err
 	case "balance":
-		_, t, err := cloversim.Figure3CodeBalance(ctx, opts)
-		return output{name: "fig3_code_balance", table: t}, err
+		t, err := cloversim.Figure3CodeBalance(ctx, opts)
+		return "fig3_code_balance", t, err
 	case "mpi":
-		_, t, err := cloversim.Figure4MPIShare(ctx, opts)
-		return output{name: "fig4_mpi_share", table: t}, err
+		t, err := cloversim.Figure4MPIShare(ctx, opts)
+		return "fig4_mpi_share", t, err
 	case "stores":
-		pts, t, err := cloversim.FigureStoreRatio(ctx, opts)
-		if err != nil {
-			return output{}, err
-		}
-		o := output{name: "stores_" + opts.MachineName, table: t}
-		if plot {
-			var x, st1, nt1 []float64
-			for _, p := range pts {
-				x = append(x, float64(p.Cores))
-				st1 = append(st1, p.Normal[0])
-				nt1 = append(nt1, p.NT[0])
-			}
-			o.extra = asciiplot.Plot{
-				Title: "Store ratio on " + opts.MachineName, XLabel: "cores",
-				Series: []asciiplot.Series{
-					{Name: "ST-1", X: x, Y: st1},
-					{Name: "ST-NT-1", X: x, Y: nt1},
-				},
-			}.Render()
-		}
-		return o, nil
+		t, err := cloversim.FigureStoreRatio(ctx, opts)
+		return "stores_" + opts.MachineName, t, err
 	case "copyvol":
-		_, t, err := cloversim.Figure6CopyVolumes(ctx, opts)
-		return output{name: "fig6_copy_volumes", table: t}, err
+		t, err := cloversim.Figure6CopyVolumes(ctx, opts)
+		return "fig6_copy_volumes", t, err
 	case "model":
-		_, t, err := cloversim.Figure7RefinedModel(ctx, opts)
-		return output{name: "fig7_refined_model", table: t}, err
+		t, err := cloversim.Figure7RefinedModel(ctx, opts)
+		return "fig7_refined_model", t, err
 	case "halo":
-		_, t, err := cloversim.FigureHaloCopy(ctx, opts, pfoff)
-		return output{name: "halo_" + opts.MachineName, table: t}, err
+		t, err := cloversim.FigureHaloCopy(ctx, opts)
+		return "halo_" + opts.MachineName, t, err
 	default:
-		return output{}, fmt.Errorf("unknown experiment %q", name)
+		return "", nil, fmt.Errorf("unknown experiment %q", name)
 	}
+}
+
+// charts renders the ASCII charts of an experiment's table: Fig. 2's
+// speedup and bandwidth, and a store figure's ST-1 and ST-NT-1 series.
+// Other experiments have none.
+func charts(exp, machineName string, t *csvout.Table) (string, error) {
+	var names []string
+	switch exp {
+	case "scaling":
+		names = []string{"ranks", "speedup", "bandwidth_gbs"}
+	case "stores":
+		names = []string{"cores", "st1", "st_nt1"}
+	default:
+		return "", nil
+	}
+	c := make([][]float64, len(names))
+	for i, name := range names {
+		var err error
+		if c[i], err = t.Floats(name); err != nil {
+			return "", err
+		}
+	}
+	if exp == "scaling" {
+		return asciiplot.Plot{
+			Title: "Fig. 2: speedup vs ranks (note the prime dips)", XLabel: "ranks",
+			Series: []asciiplot.Series{{Name: "speedup", X: c[0], Y: c[1]}},
+		}.Render() + "\n" + asciiplot.Plot{
+			Title: "Fig. 2: memory bandwidth [GB/s]", XLabel: "ranks",
+			Series: []asciiplot.Series{{Name: "bandwidth", X: c[0], Y: c[2]}},
+		}.Render(), nil
+	}
+	return asciiplot.Plot{
+		Title: "Store ratio on " + machineName, XLabel: "cores",
+		Series: []asciiplot.Series{
+			{Name: "ST-1", X: c[0], Y: c[1]},
+			{Name: "ST-NT-1", X: c[0], Y: c[2]},
+		},
+	}.Render(), nil
 }

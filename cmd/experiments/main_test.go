@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"cloversim/internal/machine"
 )
 
 // TestUsageErrorsExitBeforeSimulating: a bad -exp, -machine or -ranks
@@ -23,6 +26,7 @@ func TestUsageErrorsExitBeforeSimulating(t *testing.T) {
 		{[]string{"-exp", "all", "-ranks", "1,104"}, "-ranks entry 104 outside 1..72 of icx"},
 		{[]string{"-exp", "stores", "-machine", "spr8480", "-ranks", "x"}, `bad -ranks entry "x"`},
 		{[]string{"-workers", "2"}, "flag provided but not defined: -workers"},
+		{[]string{"-exp", "halo", "-pfoff=false"}, "flag provided but not defined: -pfoff"},
 	} {
 		out := filepath.Join(t.TempDir(), "out")
 		var stdout, stderr bytes.Buffer
@@ -55,5 +59,30 @@ func TestRunsOneExperiment(t *testing.T) {
 	}
 	if lines := strings.Count(string(csv), "\n"); lines != 3 {
 		t.Errorf("CSV has %d lines, want a header and 2 rows:\n%s", lines, csv)
+	}
+}
+
+// TestJobListRunsEachFigureOnce: -exp all runs the nine experiments on
+// -machine, then the SPR figures not already among them, so no preset
+// simulates and writes one (experiment, machine) pair twice; on icx it
+// is the 12 jobs whose CSVs are committed under testdata/figures.
+func TestJobListRunsEachFigureOnce(t *testing.T) {
+	for _, name := range machine.Names() {
+		seen := map[job]bool{}
+		for _, j := range jobList("all", name) {
+			if seen[j] {
+				t.Errorf("-machine %s runs %s on %s twice", name, j.exp, j.machine)
+			}
+			seen[j] = true
+		}
+	}
+	want := []job{{"profile", "icx"}, {"table1", "icx"}, {"scaling", "icx"}, {"balance", "icx"},
+		{"mpi", "icx"}, {"stores", "icx"}, {"copyvol", "icx"}, {"model", "icx"}, {"halo", "icx"},
+		{"stores", "spr8470+s"}, {"stores", "spr8480"}, {"halo", "spr8480"}}
+	if got := jobList("all", "icx"); !slices.Equal(got, want) {
+		t.Errorf("-exp all runs %v, want %v", got, want)
+	}
+	if got := jobList("all", "spr8480"); len(got) != 10 {
+		t.Errorf("-exp all -machine spr8480 runs %v, want the nine experiments and the spr8470+s stores", got)
 	}
 }

@@ -35,16 +35,21 @@ func main() {
 	fmt.Println("  1-rank and 4-rank runs agree ✔")
 
 	// 2. Memory-traffic study: single-core code balance vs Table I.
-	rows, table, err := cloversim.TableI(context.Background(), cloversim.Options{})
+	table, err := cloversim.TableI(context.Background(), cloversim.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	meas, err := table.Floats("bpi_paper_meas")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sim, err := table.Floats("bpi_simulated")
 	if err != nil {
 		log.Fatal(err)
 	}
 	var worst float64
-	for _, r := range rows {
-		e := math.Abs(r.Simulated-r.MeasuredSingleCore) / r.MeasuredSingleCore
-		if e > worst {
-			worst = e
-		}
+	for i := range meas {
+		worst = math.Max(worst, math.Abs(sim[i]-meas[i])/meas[i])
 	}
 	fmt.Printf("\nTable I single-core code balance (worst error vs paper: %.1f%%)\n", 100*worst)
 	fmt.Println(table.Format())

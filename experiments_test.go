@@ -3,17 +3,22 @@ package cloversim
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"cloversim/internal/csvout"
 	"cloversim/internal/trace"
 )
 
 func TestOptionsDefaults(t *testing.T) {
 	o, spec, err := Options{}.resolve()
-	if err != nil || o.MachineName != "icx" || spec.Name != "icx" || o.MaxRows != 32 || o.Seed == 0 {
+	if err != nil || o.MachineName != "icx" || spec.Name != "icx" || o.MaxRows != 32 {
 		t.Fatalf("defaults: %+v %v", o, err)
 	}
 	if o, _, err := (Options{MaxRows: -1}).resolve(); err != nil || o.MaxRows != -1 {
@@ -52,24 +57,27 @@ func TestRankList(t *testing.T) {
 	memo := trace.NewMemo()
 	ctx := trace.WithMemo(t.Context(), memo)
 	bad := Options{Ranks: []int{0, 80}}
-	for name, run := range map[string]func() error{
-		"profile": func() error { _, _, err := Listing2Profile(ctx, bad); return err },
-		"table1":  func() error { _, _, err := TableI(ctx, bad); return err },
-		"scaling": func() error { _, _, err := Figure2Scaling(ctx, bad); return err },
-		"balance": func() error { _, _, err := Figure3CodeBalance(ctx, bad); return err },
-		"mpi":     func() error { _, _, err := Figure4MPIShare(ctx, bad); return err },
-		"stores":  func() error { _, _, err := FigureStoreRatio(ctx, bad); return err },
-		"copyvol": func() error { _, _, err := Figure6CopyVolumes(ctx, bad); return err },
-		"model":   func() error { _, _, err := Figure7RefinedModel(ctx, bad); return err },
-		"halo":    func() error { _, _, err := FigureHaloCopy(ctx, bad, false); return err },
-	} {
-		if err := run(); err == nil || !strings.Contains(err.Error(), "rank count 0 outside 1..72") {
+	for name, run := range runners {
+		if _, err := run(ctx, bad); err == nil || !strings.Contains(err.Error(), "rank count 0 outside 1..72") {
 			t.Errorf("%s with ranks %v: err %v", name, bad.Ranks, err)
 		}
 	}
 	if st := memo.Stats(); st != (trace.MemoStats{}) {
 		t.Errorf("rejected runs touched the memo: %+v", st)
 	}
+}
+
+// runners names every figure runner by its cmd/experiments experiment.
+var runners = map[string]func(context.Context, Options) (*csvout.Table, error){
+	"profile": Listing2Profile,
+	"table1":  TableI,
+	"scaling": Figure2Scaling,
+	"balance": Figure3CodeBalance,
+	"mpi":     Figure4MPIShare,
+	"stores":  FigureStoreRatio,
+	"copyvol": Figure6CopyVolumes,
+	"model":   Figure7RefinedModel,
+	"halo":    FigureHaloCopy,
 }
 
 // TestFigureOnContextMemo: a runner replays its loops through the memo
@@ -79,7 +87,7 @@ func TestFigureOnContextMemo(t *testing.T) {
 	o := Options{Ranks: []int{1, 71, 72}, MaxRows: 16}
 	csv := func(ctx context.Context) []byte {
 		t.Helper()
-		_, table, err := Figure3CodeBalance(ctx, o)
+		table, err := Figure3CodeBalance(ctx, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,38 +112,156 @@ func TestFigureOnContextMemo(t *testing.T) {
 	}
 }
 
-func TestListing2ProfileShape(t *testing.T) {
-	p, table, err := Listing2Profile(t.Context(), Options{MaxRows: 16})
+// figurePath is where the committed CSV of one figure lives: the bytes
+// `cmd/experiments -exp all` writes, which CI regenerates and compares.
+func figurePath(name string) string {
+	return filepath.Join("testdata", "figures", name+".csv")
+}
+
+// figure reads the committed CSV of one figure.
+func figure(t *testing.T, name string) *csvout.Table {
+	t.Helper()
+	f, err := os.Open(figurePath(name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := p.Top(3)
-	if top[0].Name != "advec_mom_kernel" || top[1].Name != "advec_cell_kernel" || top[2].Name != "pdv_kernel" {
-		t.Fatalf("hotspot order: %v %v %v", top[0].Name, top[1].Name, top[2].Name)
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil || len(recs) < 2 {
+		t.Fatalf("%s: %d records (%v)", name, len(recs), err)
 	}
-	share := p.Share("advec_mom_kernel", "advec_cell_kernel", "pdv_kernel")
-	if share < 60 || share > 80 {
+	return &csvout.Table{Header: recs[0], Rows: recs[1:]}
+}
+
+// column returns the named column of a committed figure as numbers.
+func column(t *testing.T, tb *csvout.Table, name string) []float64 {
+	t.Helper()
+	v, err := tb.Floats(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// byKey returns the named column of a committed figure keyed by each
+// row's first cell (its rank, core or thread count, or its loop).
+func byKey(t *testing.T, tb *csvout.Table, name string) map[string]float64 {
+	t.Helper()
+	m := map[string]float64{}
+	for i, v := range column(t, tb, name) {
+		m[tb.Rows[i][0]] = v
+	}
+	return m
+}
+
+// TestFiguresRegenerate ties the committed figures to the runners: all
+// 12 are regenerated on one memo, whole or at the rank counts that take
+// each runner's paths, and every row must equal the committed row with
+// the same key, byte for byte. The paper anchors below read the
+// committed files, so they hold for what the runners write.
+func TestFiguresRegenerate(t *testing.T) {
+	ctx := trace.WithMemo(t.Context(), trace.NewMemo())
+	ranks := func(machine string, r ...int) Options { return Options{MachineName: machine, Ranks: r} }
+	for _, c := range []struct {
+		name string
+		exp  string
+		o    Options
+	}{
+		{"listing2_profile", "profile", Options{}},
+		{"table1", "table1", Options{}},
+		{"fig2_scaling", "scaling", ranks("icx", 1, 71, 72)},
+		{"fig2_scaling", "scaling", ranks("icx", 71, 72)}, // models the serial run itself
+		{"fig3_code_balance", "balance", ranks("icx", 1, 71, 72)},
+		{"fig4_mpi_share", "mpi", ranks("icx", 18, 19, 71, 72)},
+		{"stores_icx", "stores", ranks("icx", 1, 36, 72)},
+		{"stores_spr8470+s", "stores", ranks("spr8470+s", 1, 52, 104)},
+		{"stores_spr8480", "stores", ranks("spr8480", 1, 56, 112)},
+		{"fig6_copy_volumes", "copyvol", Options{}},
+		{"fig7_refined_model", "model", Options{}},
+		{"halo_icx", "halo", Options{}},
+		{"halo_spr8480", "halo", Options{MachineName: "spr8480"}},
+	} {
+		got, err := runners[c.exp](ctx, c.o)
+		if err != nil {
+			t.Fatalf("%s at ranks %v: %v", c.name, c.o.Ranks, err)
+		}
+		if len(c.o.Ranks) == 0 {
+			var b bytes.Buffer
+			if err := got.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			if want, err := os.ReadFile(figurePath(c.name)); err != nil || !bytes.Equal(b.Bytes(), want) {
+				t.Errorf("%s differs from %s (%v):\n%s", c.name, figurePath(c.name), err, b.Bytes())
+			}
+			continue
+		}
+		want := figure(t, c.name)
+		if !slices.Equal(got.Header, want.Header) {
+			t.Errorf("%s header %v, committed %v", c.name, got.Header, want.Header)
+		}
+		committed := map[string][]string{}
+		for _, r := range want.Rows {
+			committed[r[0]] = r
+		}
+		for _, r := range got.Rows {
+			if w := committed[r[0]]; !slices.Equal(r, w) {
+				t.Errorf("%s at ranks %v: row %q, committed %q", c.name, c.o.Ranks, strings.Join(r, ","), strings.Join(w, ","))
+			}
+		}
+	}
+}
+
+// TestListing2ProfileSortedAndPercent: Listing 2 lists the kernels sorted
+// by exclusive time under a <Total> row, each share its seconds over the
+// total, and the shares summing to 100%.
+func TestListing2ProfileSortedAndPercent(t *testing.T) {
+	p := figure(t, "listing2_profile")
+	sec, pct := column(t, p, "excl_sec"), column(t, p, "cpu_pct")
+	if len(p.Rows) < 2 || p.Rows[0][0] != "<Total>" {
+		t.Fatalf("profile rows %v", p.Rows)
+	}
+	var sumSec, sumPct float64
+	for i := 1; i < len(sec); i++ {
+		if i > 1 && sec[i] > sec[i-1] {
+			t.Errorf("%s (%g s) listed after %s (%g s)", p.Rows[i][0], sec[i], p.Rows[i-1][0], sec[i-1])
+		}
+		if math.Abs(pct[i]-100*sec[i]/sec[0]) > 1e-3 {
+			t.Errorf("%s: %g%% of the total, %g s of %g s", p.Rows[i][0], pct[i], sec[i], sec[0])
+		}
+		sumSec += sec[i]
+		sumPct += pct[i]
+	}
+	// Fewer than ten kernels: every one is listed.
+	if math.Abs(sumSec-sec[0]) > 1e-2 || math.Abs(sumPct-100) > 1e-2 {
+		t.Errorf("kernels sum to %g s and %g%%, total %g s", sumSec, sumPct, sec[0])
+	}
+}
+
+// TestListing2ProfileShape: Listing 2 — advec_mom > advec_cell > pdv, and
+// the three together take about 69% of the runtime.
+func TestListing2ProfileShape(t *testing.T) {
+	p := figure(t, "listing2_profile")
+	pct := column(t, p, "cpu_pct")
+	if len(p.Rows) < 4 {
+		t.Fatalf("profile rows %v", p.Rows)
+	}
+	if p.Rows[1][0] != "advec_mom_kernel" || p.Rows[2][0] != "advec_cell_kernel" || p.Rows[3][0] != "pdv_kernel" {
+		t.Fatalf("hotspot order: %v %v %v", p.Rows[1][0], p.Rows[2][0], p.Rows[3][0])
+	}
+	if share := pct[1] + pct[2] + pct[3]; share < 60 || share > 80 {
 		t.Errorf("hotspot share %.1f%%, paper says ~69%%", share)
-	}
-	if len(table.Rows) == 0 {
-		t.Error("empty profile table")
 	}
 }
 
 func TestTableIReproduction(t *testing.T) {
-	rows, table, err := TableI(t.Context(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 22 || len(table.Rows) != 22 {
-		t.Fatalf("%d rows", len(rows))
+	tb := figure(t, "table1")
+	meas, sim := column(t, tb, "bpi_paper_meas"), column(t, tb, "bpi_simulated")
+	if len(meas) != 22 {
+		t.Fatalf("%d rows", len(meas))
 	}
 	var worst float64
-	for _, r := range rows {
-		e := math.Abs(r.Simulated-r.MeasuredSingleCore) / r.MeasuredSingleCore
-		if e > worst {
-			worst = e
-		}
+	for i := range meas {
+		worst = math.Max(worst, math.Abs(sim[i]-meas[i])/meas[i])
 	}
 	if worst > 0.03 {
 		t.Errorf("worst single-core error %.1f%%, want <= 3%%", 100*worst)
@@ -143,155 +269,124 @@ func TestTableIReproduction(t *testing.T) {
 }
 
 func TestFigure2SubsetShape(t *testing.T) {
-	pts, table, err := Figure2Scaling(t.Context(), Options{Ranks: []int{1, 4, 18, 36, 71, 72}, MaxRows: 24})
-	if err != nil {
-		t.Fatal(err)
+	tb := figure(t, "fig2_scaling")
+	if len(tb.Rows) != 72 {
+		t.Fatalf("%d points", len(tb.Rows))
 	}
-	if len(pts) != 6 || len(table.Rows) != 6 {
-		t.Fatalf("%d points", len(pts))
+	by := byKey(t, tb, "speedup")
+	prime := map[string]string{}
+	for _, r := range tb.Rows {
+		prime[r[0]] = r[5]
 	}
-	by := map[int]float64{}
-	for _, p := range pts {
-		by[p.Ranks] = p.Speedup
-		if p.Prime != (p.Ranks == 71) {
-			t.Errorf("ranks %d flagged prime=%v", p.Ranks, p.Prime)
+	for _, n := range []string{"1", "4", "18", "36", "71", "72"} {
+		if want := fmt.Sprint(n == "71"); prime[n] != want {
+			t.Errorf("ranks %s flagged prime=%s, want %s", n, prime[n], want)
 		}
 	}
-	if by[1] != 1 {
-		t.Errorf("serial speedup %g", by[1])
+	if by["1"] != 1 {
+		t.Errorf("serial speedup %g", by["1"])
 	}
-	if by[4] < 3 {
-		t.Errorf("4-rank speedup %.2f, want near 4", by[4])
+	if by["4"] < 3 {
+		t.Errorf("4-rank speedup %.2f, want near 4", by["4"])
 	}
-	if by[71] >= by[72] {
-		t.Errorf("prime drop missing: speedup(71)=%.2f >= speedup(72)=%.2f", by[71], by[72])
+	if by["71"] >= by["72"] {
+		t.Errorf("prime drop missing: speedup(71)=%.2f >= speedup(72)=%.2f", by["71"], by["72"])
 	}
-	if by[72] < 25 {
-		t.Errorf("full-node speedup %.1f unreasonably low", by[72])
-	}
-	// Without the serial run in the list, the speedup is still over it.
-	sub, _, err := Figure2Scaling(t.Context(), Options{Ranks: []int{72}, MaxRows: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub[0].Speedup != by[72] {
-		t.Errorf("speedup(72) %g without the serial point, %g with it", sub[0].Speedup, by[72])
+	if by["72"] < 25 {
+		t.Errorf("full-node speedup %.1f unreasonably low", by["72"])
 	}
 }
 
 func TestFigure3ClassBehaviour(t *testing.T) {
-	pts, _, err := Figure3CodeBalance(t.Context(), Options{Ranks: []int{1, 36, 71, 72}, MaxRows: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(ranks int, loop string) float64 {
-		for _, p := range pts {
-			if p.Ranks == ranks {
-				return p.Balance[loop]
-			}
-		}
-		t.Fatalf("ranks %d missing", ranks)
-		return 0
-	}
+	tb := figure(t, "fig3_code_balance")
+	am04 := byKey(t, tb, "am04")
 	// Class (i): strong reduction within the domain, strong prime effect.
-	if !(get(36, "am04") < get(1, "am04")*0.8) {
+	if !(am04["36"] < am04["1"]*0.8) {
 		t.Error("am04 balance should drop strongly with ranks")
 	}
-	if !(get(71, "am04") > get(72, "am04")*1.04) {
+	if !(am04["71"] > am04["72"]*1.04) {
 		t.Error("am04 should show the prime effect")
 	}
 	// Class (iii): flat.
 	for _, l := range []string{"am07", "ac03"} {
-		if math.Abs(get(72, l)-get(1, l))/get(1, l) > 0.03 {
-			t.Errorf("class-(iii) loop %s not flat: %g vs %g", l, get(1, l), get(72, l))
+		b := byKey(t, tb, l)
+		if math.Abs(b["72"]-b["1"])/b["1"] > 0.03 {
+			t.Errorf("class-(iii) loop %s not flat: %g vs %g", l, b["1"], b["72"])
 		}
 	}
 }
 
 func TestFigure4Shares(t *testing.T) {
-	shares, _, err := Figure4MPIShare(t.Context(), Options{MaxRows: 16})
-	if err != nil {
-		t.Fatal(err)
+	tb := figure(t, "fig4_mpi_share")
+	if len(tb.Rows) != 8 {
+		t.Fatalf("%d rank points, want the paper's 8", len(tb.Rows))
 	}
-	if len(shares) != 8 {
-		t.Fatalf("%d rank points, want the paper's 8", len(shares))
-	}
-	by := map[int]MPIShare{}
-	for _, s := range shares {
-		by[s.Ranks] = s
-		if s.Serial < 90 || s.Serial > 100 {
-			t.Errorf("ranks=%d serial share %.1f%% outside Fig. 4 band", s.Ranks, s.Serial)
+	serial := byKey(t, tb, "serial_pct")
+	for n, s := range serial {
+		if s < 90 || s > 100 {
+			t.Errorf("ranks=%s serial share %.1f%% outside Fig. 4 band", n, s)
 		}
 	}
 	// The paper: 19, 37, 38, 71 show at least twice the MPI share of
 	// their neighbors 18/36/72 (1D or thin decompositions).
-	mpi := func(s MPIShare) float64 { return 100 - s.Serial }
-	if mpi(by[19]) < 1.7*mpi(by[18]) {
-		t.Errorf("19-rank MPI share %.2f%% not >> 18-rank %.2f%%", mpi(by[19]), mpi(by[18]))
+	mpi := func(n string) float64 { return 100 - serial[n] }
+	if mpi("19") < 1.7*mpi("18") {
+		t.Errorf("19-rank MPI share %.2f%% not >> 18-rank %.2f%%", mpi("19"), mpi("18"))
 	}
-	if mpi(by[71]) < 1.7*mpi(by[72]) {
-		t.Errorf("71-rank MPI share %.2f%% not >> 72-rank %.2f%%", mpi(by[71]), mpi(by[72]))
+	if mpi("71") < 1.7*mpi("72") {
+		t.Errorf("71-rank MPI share %.2f%% not >> 72-rank %.2f%%", mpi("71"), mpi("72"))
 	}
 }
 
 func TestFigureStoreRatioICXAnchors(t *testing.T) {
-	pts, _, err := FigureStoreRatio(t.Context(), Options{Ranks: []int{1, 36, 72}})
-	if err != nil {
-		t.Fatal(err)
+	tb := figure(t, "stores_icx")
+	st1, nt1 := byKey(t, tb, "st1"), byKey(t, tb, "st_nt1")
+	if math.Abs(st1["1"]-2.0) > 0.01 || math.Abs(nt1["1"]-1.0) > 0.01 {
+		t.Errorf("serial anchors: %v %v", st1["1"], nt1["1"])
 	}
-	by := map[int]StorePoint{}
-	for _, p := range pts {
-		by[p.Cores] = p
+	if st1["36"] > 1.1 {
+		t.Errorf("socket ratio %.3f, want ~1.06", st1["36"])
 	}
-	if math.Abs(by[1].Normal[0]-2.0) > 0.01 || math.Abs(by[1].NT[0]-1.0) > 0.01 {
-		t.Errorf("serial anchors: %v %v", by[1].Normal[0], by[1].NT[0])
+	if st1["72"] < 1.15 || st1["72"] > 1.3 {
+		t.Errorf("node ratio %.3f, want 1.2-1.25", st1["72"])
 	}
-	if by[36].Normal[0] > 1.1 {
-		t.Errorf("socket ratio %.3f, want ~1.06", by[36].Normal[0])
-	}
-	if by[72].Normal[0] < 1.15 || by[72].Normal[0] > 1.3 {
-		t.Errorf("node ratio %.3f, want 1.2-1.25", by[72].Normal[0])
-	}
-	if by[72].NT[0] < 1.1 || by[72].NT[0] > 1.25 {
-		t.Errorf("node NT ratio %.3f, want ~1.16", by[72].NT[0])
+	if nt1["72"] < 1.1 || nt1["72"] > 1.25 {
+		t.Errorf("node NT ratio %.3f, want ~1.16", nt1["72"])
 	}
 }
 
 func TestFigure6Crossover(t *testing.T) {
-	pts, _, err := Figure6CopyVolumes(t.Context(), Options{Ranks: []int{1, 9, 17}})
-	if err != nil {
-		t.Fatal(err)
+	tb := figure(t, "fig6_copy_volumes")
+	read, i2m := byKey(t, tb, "read_bpi"), byKey(t, tb, "speci2m_bpi")
+	if math.Abs(read["1"]-16) > 0.2 {
+		t.Errorf("1-thread read %.2f, want 16", read["1"])
 	}
-	if math.Abs(pts[0].ReadPerIt-16) > 0.2 {
-		t.Errorf("1-thread read %.2f, want 16", pts[0].ReadPerIt)
+	if read["17"] > 8.5 || i2m["17"] < 7 {
+		t.Errorf("17-thread: read %.2f i2m %.2f, want ~8/~8", read["17"], i2m["17"])
 	}
-	if pts[2].ReadPerIt > 8.5 || pts[2].SpecI2MPerIt < 7 {
-		t.Errorf("17-thread: read %.2f i2m %.2f, want ~8/~8", pts[2].ReadPerIt, pts[2].SpecI2MPerIt)
-	}
-	for _, p := range pts {
-		if math.Abs(p.WritePerIt-8) > 0.2 {
-			t.Errorf("write volume %.2f at %d threads, want 8", p.WritePerIt, p.Threads)
+	for n, w := range byKey(t, tb, "write_bpi") {
+		if math.Abs(w-8) > 0.2 {
+			t.Errorf("write volume %.2f at %s threads, want 8", w, n)
 		}
 	}
 }
 
 func TestFigure7ModelError(t *testing.T) {
-	rows, _, err := Figure7RefinedModel(t.Context(), Options{MaxRows: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 22 {
-		t.Fatalf("%d rows", len(rows))
+	tb := figure(t, "fig7_refined_model")
+	minimum, pred := column(t, tb, "prediction_min"), column(t, tb, "prediction")
+	orig, opt := column(t, tb, "original_meas"), column(t, tb, "optimized_meas")
+	if len(pred) != 22 {
+		t.Fatalf("%d rows", len(pred))
 	}
 	var sumErr float64
 	improved := 0
-	for _, r := range rows {
-		sumErr += math.Abs(r.Original-r.Prediction) / r.Prediction
-		if r.Optimized < r.Original*0.999 {
+	for i := range pred {
+		sumErr += math.Abs(orig[i]-pred[i]) / pred[i]
+		if opt[i] < orig[i]*0.999 {
 			improved++
 		}
-		if r.PredictionMin > r.Prediction+1e-9 {
-			t.Errorf("%s: min %g above refined %g", r.Loop, r.PredictionMin, r.Prediction)
+		if minimum[i] > pred[i]+1e-9 {
+			t.Errorf("%s: min %g above refined %g", tb.Rows[i][0], minimum[i], pred[i])
 		}
 	}
 	if avg := sumErr / 22; avg > 0.07 {
@@ -303,31 +398,30 @@ func TestFigure7ModelError(t *testing.T) {
 }
 
 func TestFigureHaloCopyOrdering(t *testing.T) {
-	pts, _, err := FigureHaloCopy(t.Context(), Options{}, false)
-	if err != nil {
-		t.Fatal(err)
+	tb := figure(t, "halo_icx")
+	ratio := column(t, tb, "rw_ratio")
+	sum, n := map[string]float64{}, map[string]int{}
+	for i, r := range tb.Rows {
+		if r[2] == "false" { // prefetchers on
+			sum[r[0]] += ratio[i]
+			n[r[0]]++
+		}
 	}
-	a216 := AverageRatio(pts, 216, false)
-	a530 := AverageRatio(pts, 530, false)
-	a1920 := AverageRatio(pts, 1920, false)
-	if !(a216 > a530 && a530 > a1920 && a1920 < 1.10) {
+	avg := func(inner string) float64 { return sum[inner] / float64(n[inner]) }
+	if n["216"] != 18 || n["530"] != 18 || n["1920"] != 18 {
+		t.Fatalf("halo points per dimension: %v", n)
+	}
+	if a216, a530, a1920 := avg("216"), avg("530"), avg("1920"); !(a216 > a530 && a530 > a1920 && a1920 < 1.10) {
 		t.Errorf("halo ordering: 216=%.3f 530=%.3f 1920=%.3f", a216, a530, a1920)
-	}
-	if AverageRatio(pts, 999, false) != 0 {
-		t.Error("missing dimension should average to 0")
 	}
 }
 
 func TestSPRMachinesRun(t *testing.T) {
-	pts, _, err := FigureStoreRatio(t.Context(), Options{MachineName: "spr8480", Ranks: []int{1, 56, 112}})
-	if err != nil {
-		t.Fatal(err)
+	if st1 := byKey(t, figure(t, "stores_spr8480"), "st1"); st1["56"] > 1.6 || st1["56"] < 1.4 {
+		t.Errorf("SPR socket ratio %.3f, want ~1.5", st1["56"])
 	}
-	if pts[1].Normal[0] > 1.6 || pts[1].Normal[0] < 1.4 {
-		t.Errorf("SPR socket ratio %.3f, want ~1.5", pts[1].Normal[0])
-	}
-	// SNC-on 8470 runs too (Fig. 9).
-	if _, _, err := FigureStoreRatio(t.Context(), Options{MachineName: "spr8470+s", Ranks: []int{1, 13, 26}}); err != nil {
-		t.Fatal(err)
+	// SNC-on 8470 runs too (Fig. 9), on every core count.
+	if tb := figure(t, "stores_spr8470+s"); len(tb.Rows) != 104 {
+		t.Errorf("spr8470+s store figure has %d rows, want 104", len(tb.Rows))
 	}
 }

@@ -73,8 +73,6 @@ type LoopInstance struct {
 	CallsPerStep float64
 	// Kernel is the owning hotspot function (for the Listing 2 profile).
 	Kernel string
-	// Hotspot marks the 22 Table I loops.
-	Hotspot bool
 }
 
 func rd(a *trace.Array, dj, dk int) trace.Access { return trace.Access{A: a, DJ: dj, DK: dk} }
@@ -109,117 +107,117 @@ func (t *TrafficChunk) HotspotLoops(optimizeLoops bool) []LoopInstance {
 		{Loop: &trace.Loop{Name: "am00", Eligible: true, FlopsPerIt: 4,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfy, 0, 0), rd(vfy, 0, 1), rd(vfx, 0, 0), rd(vfx, 1, 0)},
 			Writes: []trace.Write{wr(postV), wr(preV)},
-		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am01", Eligible: true, FlopsPerIt: 4,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfx, 0, 0), rd(vfx, 1, 0), rd(vfy, 0, 0), rd(vfy, 0, 1)},
 			Writes: []trace.Write{wr(postV), wr(preV)},
-		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am02", Eligible: true, FlopsPerIt: 2,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfy, 0, 0), rd(vfy, 0, 1)},
 			Writes: []trace.Write{wr(postV), wr(preV)},
-		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am03", Eligible: true, FlopsPerIt: 2,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfx, 0, 0), rd(vfx, 1, 0)},
 			Writes: []trace.Write{wr(postV), wr(preV)},
-		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 1, Kernel: "advec_mom_kernel"},
 
 		// ---- advec_mom x sweep (2 velocity components per step) ----
 		{Loop: &trace.Loop{Name: "am04", Eligible: true, FlopsPerIt: 4,
 			Reads:  []trace.Access{rd(mfx, 0, -1), rd(mfx, 0, 0), rd(mfx, 1, -1), rd(mfx, 1, 0)},
 			Writes: []trace.Write{wr(nf)},
 		}, Bounds: trace.Bounds{JLo: xm - 2, JHi: xM + 2, KLo: ym, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am05", Eligible: true, FlopsPerIt: 10,
 			Reads: []trace.Access{rd(d1, 0, -1), rd(d1, 0, 0), rd(d1, -1, -1), rd(d1, -1, 0),
 				rd(postV, 0, -1), rd(postV, 0, 0), rd(postV, -1, -1), rd(postV, -1, 0),
 				rd(nf, -1, 0), rd(nf, 0, 0)},
 			Writes: []trace.Write{wr(nmPost), wr(nmPre)},
 		}, Bounds: trace.Bounds{JLo: xm - 1, JHi: xM + 2, KLo: ym, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am06", Eligible: true, FlopsPerIt: 9,
 			Reads: []trace.Access{rd(nf, 0, 0), rd(nmPre, 0, 0), rd(nmPre, 1, 0),
 				rd(vel, -1, 0), rd(vel, 0, 0), rd(vel, 1, 0), rd(vel, 2, 0)},
 			Writes: []trace.Write{wr(mflux)},
 		}, Bounds: trace.Bounds{JLo: xm - 1, JHi: xM + 1, KLo: ym, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am07", Eligible: true, FlopsPerIt: 4,
 			Reads: []trace.Access{rd(vel, 0, 0), rd(nmPre, 0, 0),
 				rd(mflux, -1, 0), rd(mflux, 0, 0), rd(nmPost, 0, 0)},
 			Writes: []trace.Write{wrUpd(vel)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 1, KLo: ym, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 
 		// ---- advec_mom y sweep ----
 		{Loop: &trace.Loop{Name: "am08", Eligible: true, FlopsPerIt: 4,
 			Reads:  []trace.Access{rd(mfy, -1, 0), rd(mfy, 0, 0), rd(mfy, -1, 1), rd(mfy, 0, 1)},
 			Writes: []trace.Write{wr(nf)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 1, KLo: ym - 2, KHi: yM + 2},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am09", Eligible: true, FlopsPerIt: 10,
 			Reads: []trace.Access{rd(d1, 0, -1), rd(d1, 0, 0), rd(d1, -1, -1), rd(d1, -1, 0),
 				rd(postV, 0, -1), rd(postV, 0, 0), rd(postV, -1, -1), rd(postV, -1, 0),
 				rd(nf, 0, -1), rd(nf, 0, 0)},
 			Writes: []trace.Write{wr(nmPost), wr(nmPre)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 1, KLo: ym - 1, KHi: yM + 2},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am10", Eligible: true, FlopsPerIt: 8,
 			Reads: []trace.Access{rd(nf, 0, 0), rd(nmPre, 0, 0),
 				rd(vel, 0, 0), rd(vel, 0, 1), rd(vel, 0, 2)},
 			Writes: []trace.Write{wr(mflux)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 1, KLo: ym - 1, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 		{Loop: &trace.Loop{Name: "am11", Eligible: true, FlopsPerIt: 4,
 			Reads: []trace.Access{rd(vel, 0, 0), rd(nmPre, 0, 0),
 				rd(mflux, 0, -1), rd(mflux, 0, 0), rd(nmPost, 0, 0)},
 			Writes: []trace.Write{wrUpd(vel)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 1, KLo: ym, KHi: yM + 1},
-			CallsPerStep: 2, Kernel: "advec_mom_kernel", Hotspot: true},
+			CallsPerStep: 2, Kernel: "advec_mom_kernel"},
 
 		// ---- advec_cell x sweep ----
 		{Loop: &trace.Loop{Name: "ac00", Eligible: true, FlopsPerIt: 6,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfx, 0, 0), rd(vfx, 1, 0), rd(vfy, 0, 0), rd(vfy, 0, 1)},
 			Writes: []trace.Write{wr(preV), wr(postV)},
-		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac01", Eligible: optimizeLoops, FlopsPerIt: 2,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfx, 0, 0), rd(vfx, 1, 0)},
 			Writes: []trace.Write{wr(preV), wr(postV)},
-		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac02", Eligible: false, FlopsPerIt: 17,
 			Reads: []trace.Access{rd(vfx, 0, 0), rd(preV, -1, 0), rd(preV, 0, 0),
 				rd(d1, -2, 0), rd(d1, -1, 0), rd(d1, 0, 0), rd(d1, 1, 0),
 				rd(e1, -2, 0), rd(e1, -1, 0), rd(e1, 0, 0), rd(e1, 1, 0)},
 			Writes: []trace.Write{wr(mfx), wr(eflux)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM + 2, KLo: ym, KHi: yM},
-			CallsPerStep: 1, Kernel: "advec_cell_kernel", Hotspot: true},
+			CallsPerStep: 1, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac03", Eligible: true, FlopsPerIt: 10,
 			Reads: []trace.Access{rd(d1, 0, 0), rd(e1, 0, 0), rd(preV, 0, 0),
 				rd(mfx, 0, 0), rd(mfx, 1, 0), rd(eflux, 0, 0), rd(eflux, 1, 0),
 				rd(vfx, 0, 0), rd(vfx, 1, 0)},
 			Writes: []trace.Write{wrUpd(d1), wrUpd(e1)},
-		}, Bounds: inner, CallsPerStep: 1, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: inner, CallsPerStep: 1, Kernel: "advec_cell_kernel"},
 
 		// ---- advec_cell y sweep ----
 		{Loop: &trace.Loop{Name: "ac04", Eligible: true, FlopsPerIt: 6,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfy, 0, 0), rd(vfy, 0, 1), rd(vfx, 0, 0), rd(vfx, 1, 0)},
 			Writes: []trace.Write{wr(preV), wr(postV)},
-		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac05", Eligible: optimizeLoops, FlopsPerIt: 2,
 			Reads:  []trace.Access{rd(vol, 0, 0), rd(vfy, 0, 0), rd(vfy, 0, 1)},
 			Writes: []trace.Write{wr(preV), wr(postV)},
-		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: full, CallsPerStep: 0.5, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac06", Eligible: false, FlopsPerIt: 17,
 			Reads: []trace.Access{rd(vfy, 0, 0), rd(preV, 0, 0),
 				rd(d1, 0, -1), rd(d1, 0, 0), rd(d1, 0, 1),
 				rd(e1, 0, -1), rd(e1, 0, 0), rd(e1, 0, 1)},
 			Writes: []trace.Write{wr(mfy), wr(eflux)},
 		}, Bounds: trace.Bounds{JLo: xm, JHi: xM, KLo: ym, KHi: yM + 2},
-			CallsPerStep: 1, Kernel: "advec_cell_kernel", Hotspot: true},
+			CallsPerStep: 1, Kernel: "advec_cell_kernel"},
 		{Loop: &trace.Loop{Name: "ac07", Eligible: true, FlopsPerIt: 10,
 			Reads: []trace.Access{rd(d1, 0, 0), rd(e1, 0, 0), rd(preV, 0, 0),
 				rd(mfy, 0, 0), rd(mfy, 0, 1), rd(eflux, 0, 0), rd(eflux, 0, 1),
 				rd(vfy, 0, 0), rd(vfy, 0, 1)},
 			Writes: []trace.Write{wrUpd(d1), wrUpd(e1)},
-		}, Bounds: inner, CallsPerStep: 1, Kernel: "advec_cell_kernel", Hotspot: true},
+		}, Bounds: inner, CallsPerStep: 1, Kernel: "advec_cell_kernel"},
 
 		// ---- PdV predictor / corrector ----
 		{Loop: &trace.Loop{Name: "pdv00", Eligible: true, FlopsPerIt: 49,
@@ -230,7 +228,7 @@ func (t *TrafficChunk) HotspotLoops(optimizeLoops bool) []LoopInstance {
 				rd(xv0, 0, 0), rd(xv0, 0, 1), rd(xv0, 1, 0), rd(xv0, 1, 1),
 				rd(yv0, 0, 0), rd(yv0, 0, 1), rd(yv0, 1, 0), rd(yv0, 1, 1)},
 			Writes: []trace.Write{wr(d1), wr(e1)},
-		}, Bounds: inner, CallsPerStep: 1, Kernel: "pdv_kernel", Hotspot: true},
+		}, Bounds: inner, CallsPerStep: 1, Kernel: "pdv_kernel"},
 		{Loop: &trace.Loop{Name: "pdv01", Eligible: true, FlopsPerIt: 45,
 			Reads: []trace.Access{rd(xa, 0, 0), rd(xa, 1, 0),
 				rd(ya, 0, 0), rd(ya, 0, 1),
@@ -241,7 +239,7 @@ func (t *TrafficChunk) HotspotLoops(optimizeLoops bool) []LoopInstance {
 				rd(xv1, 0, 0), rd(xv1, 0, 1), rd(xv1, 1, 0), rd(xv1, 1, 1),
 				rd(yv1, 0, 0), rd(yv1, 0, 1), rd(yv1, 1, 0), rd(yv1, 1, 1)},
 			Writes: []trace.Write{wr(d1), wr(e1)},
-		}, Bounds: inner, CallsPerStep: 1, Kernel: "pdv_kernel", Hotspot: true},
+		}, Bounds: inner, CallsPerStep: 1, Kernel: "pdv_kernel"},
 	}
 	return loops
 }

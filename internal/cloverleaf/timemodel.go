@@ -189,14 +189,3 @@ func modelMPI(o TrafficOptions, latency, bandwidth, redLatency float64) MPITimes
 	t.Reduce = 0.1 * stages * redLatency  // occasional field summaries
 	return t
 }
-
-// ScalingPoint is one entry of the Fig. 2 curve (cloversim.Figure2Scaling).
-type ScalingPoint struct {
-	Ranks          int
-	Speedup        float64
-	BandwidthGBs   float64
-	StepSeconds    float64
-	MPISeconds     float64
-	Prime          bool
-	InnerDimension int
-}

@@ -4,12 +4,18 @@ import (
 	"testing"
 
 	"cloversim/internal/machine"
+	"cloversim/internal/trace"
 )
+
+// modelMemo is the loop memo every modelFor study shares, as the studies
+// of one campaign do: the tests ask for the same rank counts again, and
+// a loop replays once. It changes no result.
+var modelMemo = trace.NewMemo()
 
 func modelFor(t *testing.T, ranks int) *NodeModel {
 	t.Helper()
 	m, err := ModelNode(TrafficOptions{
-		Machine: machine.ICX8360Y(), Ranks: ranks, MaxRows: 24, AlignArrays: true,
+		Machine: machine.ICX8360Y(), Ranks: ranks, MaxRows: 24, AlignArrays: true, Memo: modelMemo,
 	})
 	if err != nil {
 		t.Fatal(err)

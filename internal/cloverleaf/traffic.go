@@ -53,7 +53,6 @@ func (o *TrafficOptions) defaults() {
 type LoopTraffic struct {
 	Name         string
 	Kernel       string
-	Hotspot      bool
 	CallsPerStep float64
 	FlopsPerIt   int
 	// Counts is the sum of the simulated counts of one call of the
@@ -221,7 +220,6 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 				lt = &LoopTraffic{
 					Name:         li.Loop.Name,
 					Kernel:       li.Kernel,
-					Hotspot:      li.Hotspot,
 					CallsPerStep: li.CallsPerStep,
 					FlopsPerIt:   li.Loop.FlopsPerIt,
 				}

@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -43,6 +45,23 @@ func (t *Table) Add(values ...interface{}) {
 		row[i] = formatCell(v)
 	}
 	t.Rows = append(t.Rows, row)
+}
+
+// Floats returns the named column parsed as numbers.
+func (t *Table) Floats(name string) ([]float64, error) {
+	i := slices.Index(t.Header, name)
+	if i < 0 {
+		return nil, fmt.Errorf("csvout: no column %q in %v", name, t.Header)
+	}
+	out := make([]float64, len(t.Rows))
+	for r, row := range t.Rows {
+		v, err := strconv.ParseFloat(row[i], 64)
+		if err != nil {
+			return nil, fmt.Errorf("csvout: column %q, row %d: %w", name, r+1, err)
+		}
+		out[r] = v
+	}
+	return out, nil
 }
 
 // WriteCSV writes the table to w in CSV format.

@@ -64,3 +64,19 @@ func TestMixedTypes(t *testing.T) {
 		t.Fatalf("row = %v", tb.Rows[0])
 	}
 }
+
+func TestFloats(t *testing.T) {
+	tb := New("ranks", "ratio", "loop")
+	tb.Add(1, 2.0, "am04")
+	tb.Add(72, 1.218, "ac01")
+	got, err := tb.Floats("ratio")
+	if err != nil || len(got) != 2 || got[0] != 2 || got[1] != 1.218 {
+		t.Fatalf("ratio column %v (%v)", got, err)
+	}
+	if _, err := tb.Floats("loop"); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Errorf("non-numeric column: err %v", err)
+	}
+	if _, err := tb.Floats("nope"); err == nil {
+		t.Error("missing column accepted")
+	}
+}

@@ -15,15 +15,21 @@ import (
 )
 
 // adaptivePlan builds the search plan of an -adaptive invocation over
-// the resolved grid from the -adaptive and -target flag values; modesSet
-// reports whether -modes was given. Every error is a usage error that
-// names the flag at fault.
+// the resolved grid from the -adaptive, -target, -tol and -max-rounds
+// flag values; modesSet reports whether -modes was given. Every error
+// is a usage error that names the flag at fault.
 func adaptivePlan(grid sweep.Grid, axisFlag, targetFlag string, modesSet bool, tol, maxRounds int) (*search.Plan, error) {
 	if axisFlag == "" {
 		return nil, errors.New("-target requires -adaptive")
 	}
 	if targetFlag == "" {
 		return nil, errors.New("-adaptive requires -target")
+	}
+	if tol < 1 {
+		return nil, fmt.Errorf("-tol %d: want an axis gap of at least 1", tol)
+	}
+	if maxRounds < 1 {
+		return nil, fmt.Errorf("-max-rounds %d: want at least 1 refinement wave", maxRounds)
 	}
 	axis, err := search.ParseAxis(axisFlag)
 	if err != nil {

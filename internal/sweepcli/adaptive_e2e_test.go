@@ -194,6 +194,10 @@ func TestE2EAdaptiveUsageErrors(t *testing.T) {
 		{"-target", []string{"-adaptive", "ranks", "-target", "sign:m"}},
 		{"-ranks", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-ranks", "4"}}, // one seed cannot bracket
 		{"-modes", []string{"-adaptive", "ranks", "-target", "delta:m:nt/baseline", "-ranks", "1,8", "-modes", "baseline"}},
+		{"-tol", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-tol", "0"}},
+		{"-tol", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-tol", "-7"}},
+		{"-max-rounds", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-max-rounds", "0"}},
+		{"-max-rounds", []string{"-adaptive", "ranks", "-target", "gt:m:0", "-max-rounds", "-4"}},
 	}
 	for _, c := range cases {
 		for _, fleet := range [][]string{nil, {"-workers", "127.0.0.1:1"}} {
