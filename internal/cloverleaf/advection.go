@@ -312,10 +312,3 @@ func (c *Chunk) AdvecMomY(vel1 *Field, momSweep int) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -95,48 +95,33 @@ func (r *Rank) Step(step int) (float64, error) {
 		return 0, err
 	}
 
-	// The exchange after the first cell sweep refreshes xvel1 and yvel1
-	// too: the first momentum sweep reads them two nodes into the halo
-	// (am06, am10), and the exchange after accelerate is one deep.
-	xFirst := step%2 == 1 // alternate sweep direction per step
-	if xFirst {
-		c.AdvecCellX(1)
+	// Advection sweeps x then y on odd steps, y then x on even steps.
+	// The exchange after each cell sweep refreshes xvel1 and yvel1 too:
+	// the first momentum sweep reads them two nodes into the halo (am06,
+	// am10), and the exchange after accelerate is one deep.
+	type direction struct {
+		cell     func(sweepNumber int)
+		mom      func(vel1 *Field, momSweep int)
+		massFlux HaloField
+		momSweep [2]int // advec_mom's sweep number when this direction goes first, second
+	}
+	dirs := [2]direction{
+		{c.AdvecCellX, c.AdvecMomX, HaloField{c.MassFluxX, KindFluxX}, [2]int{1, 3}},
+		{c.AdvecCellY, c.AdvecMomY, HaloField{c.MassFluxY, KindFluxY}, [2]int{2, 4}},
+	}
+	if step%2 == 0 {
+		dirs[0], dirs[1] = dirs[1], dirs[0]
+	}
+	for i, d := range dirs {
+		d.cell(i + 1)
 		if err := r.halo([]HaloField{
-			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxX, KindFluxX},
+			{c.Density1, KindCell}, {c.Energy1, KindCell}, d.massFlux,
 			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
 		}, 2); err != nil {
 			return 0, err
 		}
-		c.AdvecMomX(c.XVel1, 1)
-		c.AdvecMomX(c.YVel1, 1)
-		c.AdvecCellY(2)
-		if err := r.halo([]HaloField{
-			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxY, KindFluxY},
-			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
-		}, 2); err != nil {
-			return 0, err
-		}
-		c.AdvecMomY(c.XVel1, 4)
-		c.AdvecMomY(c.YVel1, 4)
-	} else {
-		c.AdvecCellY(1)
-		if err := r.halo([]HaloField{
-			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxY, KindFluxY},
-			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
-		}, 2); err != nil {
-			return 0, err
-		}
-		c.AdvecMomY(c.XVel1, 2)
-		c.AdvecMomY(c.YVel1, 2)
-		c.AdvecCellX(2)
-		if err := r.halo([]HaloField{
-			{c.Density1, KindCell}, {c.Energy1, KindCell}, {c.MassFluxX, KindFluxX},
-			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
-		}, 2); err != nil {
-			return 0, err
-		}
-		c.AdvecMomX(c.XVel1, 3)
-		c.AdvecMomX(c.YVel1, 3)
+		d.mom(c.XVel1, d.momSweep[i])
+		d.mom(c.YVel1, d.momSweep[i])
 	}
 
 	c.ResetField()

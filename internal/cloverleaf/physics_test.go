@@ -399,6 +399,36 @@ func TestRunSummaryDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunSummaryBits pins the summary bits of small one-, three- and
+// four-rank runs. The decomposition tests compare n ranks with one
+// rank, so a change to the step that both share passes them; this
+// test does not. The bits differ across rank counts because the
+// Allreduce sums the ranks' partial sums in rank order.
+func TestRunSummaryBits(t *testing.T) {
+	cases := []struct {
+		cells, np int
+		want      [5]uint64 // volume, mass, internal energy, kinetic energy, pressure
+	}{
+		{40, 1, [5]uint64{0x3f5a36e2eb1c428a, 0x3f3f75104d551dbd, 0x3f490a1f4dc3a264, 0x3eee614cee6beab3, 0x3f3408190b02e91b}},
+		{40, 3, [5]uint64{0x3f5a36e2eb1c4386, 0x3f3f75104d551db4, 0x3f490a1f4dc3a25c, 0x3eee614cee6beab4, 0x3f3408190b02e86d}},
+		{40, 4, [5]uint64{0x3f5a36e2eb1c4368, 0x3f3f75104d551d82, 0x3f490a1f4dc3a240, 0x3eee614cee6beab4, 0x3f3408190b02e82e}},
+		{41, 1, [5]uint64{0x3f5b8aa00192a675, 0x3f40426d62d9ea1c, 0x3f498e84e17ddb91, 0x3eef392766daaa31, 0x3f347203e797e3aa}},
+		{41, 3, [5]uint64{0x3f5b8aa00192a79a, 0x3f40426d62d9ea13, 0x3f498e84e17ddb83, 0x3eef392766daaa37, 0x3f347203e797e2f3}},
+		{41, 4, [5]uint64{0x3f5b8aa00192a77c, 0x3f40426d62d9e9f8, 0x3f498e84e17ddb6c, 0x3eef392766daaa34, 0x3f347203e797e2b0}},
+	}
+	for _, c := range cases {
+		s, err := Run(Small(c.cells, 16), c.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [5]uint64{math.Float64bits(s.Volume), math.Float64bits(s.Mass), math.Float64bits(s.InternalEnergy),
+			math.Float64bits(s.KineticEnergy), math.Float64bits(s.Pressure)}
+		if got != c.want {
+			t.Errorf("%d² x 16 steps on %d ranks: summary bits %#x, want %#x", c.cells, c.np, got, c.want)
+		}
+	}
+}
+
 // TestRunRejectsChunksNarrowerThanHalo: a rank count that leaves a
 // chunk narrower or shorter than the 2-cell halo fails before any rank
 // starts; counts whose chunks hold the halo run.

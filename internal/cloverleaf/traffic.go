@@ -142,25 +142,27 @@ var trafficGroupHook func(firstRank int, loops []LoopInstance)
 func simulateGroup(o TrafficOptions, s decomp.Subdomain, x *trace.Executor) groupResult {
 	// Simulated chunk: full x extent, truncated y extent.
 	t := NewTrafficChunk(1, s.XSpan(), 1, s.YSpan(), o.MaxRows, o.AlignArrays)
-	full := NewTrafficChunk(1, s.XSpan(), 1, s.YSpan(), 0, o.AlignArrays)
 
 	loops := t.HotspotLoops(o.OptimizeLoops)
-	fullLoops := full.HotspotLoops(o.OptimizeLoops)
 	if !o.HotspotOnly {
 		loops = append(loops, t.AuxLoops()...)
-		fullLoops = append(fullLoops, full.AuxLoops()...)
 	}
 	if trafficGroupHook != nil {
 		trafficGroupHook(s.Rank, loops)
 	}
 
+	// Every loop's KHi is the chunk's YMax plus a constant, and its KLo
+	// and x bounds do not depend on the y extent, so the loop over the
+	// full extent is the simulated loop with KHi raised by the cut rows.
+	cut := s.YSpan() - t.YMax
 	gr := groupResult{loops: loops}
-	for i, li := range loops {
+	for _, li := range loops {
 		c := x.Run(li.Loop, li.Bounds)
-		scale := float64(fullLoops[i].Bounds.Iterations()) / float64(li.Bounds.Iterations())
+		full := li.Bounds
+		full.KHi += cut
 		gr.counts = append(gr.counts, c)
-		gr.scales = append(gr.scales, scale)
-		gr.iters = append(gr.iters, float64(fullLoops[i].Bounds.Iterations()))
+		gr.scales = append(gr.scales, float64(full.Iterations())/float64(li.Bounds.Iterations()))
+		gr.iters = append(gr.iters, float64(full.Iterations()))
 	}
 	return gr
 }

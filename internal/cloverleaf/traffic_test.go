@@ -360,6 +360,30 @@ func TestAuxLoopsPresent(t *testing.T) {
 	}
 }
 
+// TestTruncatedLoopsDifferOnlyInKHi: a chunk cut to fewer rows builds
+// the same loops as the full chunk, with each KHi lower by the cut
+// rows. simulateGroup derives every loop's full iteration count from
+// this rule instead of building the full chunk.
+func TestTruncatedLoopsDifferOnlyInKHi(t *testing.T) {
+	const rows, maxRows = 64, 8
+	cut, full := NewTrafficChunk(1, 96, 1, rows, maxRows, true), NewTrafficChunk(1, 96, 1, rows, 0, true)
+	for _, opt := range []bool{false, true} {
+		got := append(cut.HotspotLoops(opt), cut.AuxLoops()...)
+		want := append(full.HotspotLoops(opt), full.AuxLoops()...)
+		if len(got) != len(want) {
+			t.Fatalf("optimize %v: %d loops on the cut chunk, %d on the full chunk", opt, len(got), len(want))
+		}
+		for i, li := range got {
+			b := li.Bounds
+			b.KHi += rows - maxRows
+			if li.Loop.Name != want[i].Loop.Name || b != want[i].Bounds {
+				t.Errorf("optimize %v: loop %s bounds %+v raised by %d rows give %+v, full chunk's %s has %+v",
+					opt, li.Loop.Name, li.Bounds, rows-maxRows, b, want[i].Loop.Name, want[i].Bounds)
+			}
+		}
+	}
+}
+
 // TestTrafficOptionValidation: bad inputs are rejected.
 func TestTrafficOptionValidation(t *testing.T) {
 	if _, err := RunTraffic(TrafficOptions{Ranks: 1}); err == nil {

@@ -40,24 +40,18 @@ func (o *Outcome) trackContext(t TrackResult) (machine, workload, mode, ranks, m
 // (kind=frontier) carry the bracketing endpoints and their
 // classifications, cell rows (kind=cell) carry every visited point in
 // grid order — track order first, axis value ascending within a track.
-// The model column is the surrogate's classification ("" when the
-// analytic hook could not answer).
 func (o *Outcome) Table() *csvout.Table {
 	t := csvout.New("kind", "machine", "workload", "mode", "ranks", "mesh", "threads",
-		"axis", "value", "class", "model", "lo", "hi", "lo_class", "hi_class", "ids")
+		"axis", "value", "class", "lo", "hi", "lo_class", "hi_class", "ids")
 	for _, tr := range o.Tracks {
 		machine, workload, mode, ranks, mesh, threads := o.trackContext(tr)
 		for _, iv := range tr.Intervals {
 			t.Add("frontier", machine, workload, mode, ranks, mesh, threads,
-				string(o.Axis), "", "", "",
+				string(o.Axis), "", "",
 				iv.Lo.format(o.Axis), iv.Hi.format(o.Axis),
 				iv.LoClass, iv.HiClass, "")
 		}
 		for _, p := range tr.Points {
-			model := ""
-			if p.Model != nil {
-				model = fmt.Sprintf("%t", *p.Model)
-			}
 			ids := ""
 			for i, r := range p.Results {
 				if i > 0 {
@@ -66,7 +60,7 @@ func (o *Outcome) Table() *csvout.Table {
 				ids += r.ID
 			}
 			t.Add("cell", machine, workload, mode, ranks, mesh, threads,
-				string(o.Axis), p.Value.format(o.Axis), p.Class, model,
+				string(o.Axis), p.Value.format(o.Axis), p.Class,
 				"", "", "", "", ids)
 		}
 	}
@@ -85,7 +79,6 @@ func (CSVEmitter) Emit(w io.Writer, o *Outcome) error { return o.Table().WriteCS
 type jsonCell struct {
 	Value string   `json:"value"`
 	Class bool     `json:"class"`
-	Model *bool    `json:"model,omitempty"`
 	IDs   []string `json:"ids"`
 }
 
@@ -148,7 +141,7 @@ func (JSONEmitter) Emit(w io.Writer, o *Outcome) error {
 			})
 		}
 		for _, p := range tr.Points {
-			jc := jsonCell{Value: p.Value.format(o.Axis), Class: p.Class, Model: p.Model, IDs: []string{}}
+			jc := jsonCell{Value: p.Value.format(o.Axis), Class: p.Class, IDs: []string{}}
 			for _, r := range p.Results {
 				jc.IDs = append(jc.IDs, r.ID)
 			}

@@ -14,9 +14,8 @@
 // one Engine.Run call — so the engine's store probe and
 // write-through, local and fleet backends, streaming progress and
 // cancellation semantics all apply unchanged — and then
-// only the intervals where the predicate changes sign, or where the
-// workload's cheap Analytic surrogate disagrees with simulation, are
-// bisected; everything else is pruned. Because refinement decisions are
+// only the intervals where the predicate changes sign are bisected;
+// everything else is pruned. Because refinement decisions are
 // made between waves from completed results only, the visited-cell set
 // and the refinement trajectory are bit-deterministic regardless of
 // backend parallelism, and because every result is a content-addressed
@@ -137,24 +136,18 @@ type Plan struct {
 	// MaxRounds bounds the number of refinement waves (default 16 —
 	// enough to bisect any int32-sized interval to unit resolution).
 	MaxRounds int
-	// Surrogate, when set, evaluates a scenario's cheap analytic model
-	// (workload.Analytic) without simulating. It classifies candidate
-	// points ahead of simulation: intervals whose endpoints the
-	// surrogate and the simulation classify identically and whose
-	// predicate does not flip are pruned; where the surrogate disagrees
-	// with simulation the model is untrustworthy and the interval is
-	// refined even without a sign change. TargetModel plans require it.
+	// Surrogate evaluates a scenario's analytic model
+	// (workload.Analytic) without simulating. Only TargetModel plans
+	// read it, to compare each simulated point against its model, and
+	// they require it.
 	Surrogate func(sweep.Scenario) (sweep.Metrics, bool)
 }
 
 // Point is one visited axis point of one track.
 type Point struct {
 	Value Value
-	// Class is the predicate's simulated classification.
+	// Class is the predicate's classification.
 	Class bool
-	// Model is the surrogate's classification, nil when the analytic
-	// hook could not answer for this predicate.
-	Model *bool
 	// Results are the probe results in probe order (TargetDelta:
 	// [ModeA, ModeB]).
 	Results []sweep.Result
@@ -210,11 +203,9 @@ func (o *Outcome) FrontierCount() int {
 
 // pointState is the driver's per-point bookkeeping.
 type pointState struct {
-	value    Value
-	class    bool
-	model    *bool
-	disagree bool // surrogate answered and disagrees with simulation
-	results  []sweep.Result
+	value   Value
+	class   bool
+	results []sweep.Result
 }
 
 // track is the driver's per-track state. Points are kept sorted by
@@ -421,21 +412,18 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 			if failed {
 				continue
 			}
-			analytic := make([]sweep.Metrics, probeN)
-			if p.Surrogate != nil {
-				for pi := range rs {
-					if m, ok := p.Surrogate(rs[pi].Scenario); ok {
-						analytic[pi] = m
-					}
+			var analytic sweep.Metrics
+			if p.Target.Kind == TargetModel {
+				if m, ok := p.Surrogate(rs[0].Scenario); ok {
+					analytic = m
 				}
 			}
-			class, model, cerr := p.Target.classify(sim, analytic)
+			class, cerr := p.Target.classify(sim, analytic)
 			if cerr != nil {
 				errs = append(errs, cerr)
 				continue
 			}
-			ps.class, ps.model = class, model
-			ps.disagree = model != nil && *model != class
+			ps.class = class
 			tracks[rf.track].insert(ps)
 		}
 		if interrupted {
@@ -448,13 +436,12 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 			break
 		}
 
-		// Refine: bisect intervals whose classification flips or whose
-		// endpoints the surrogate and the simulation disagree on; prune
+		// Refine: bisect intervals whose classification flips; prune
 		// everything else.
 		for ti, tr := range tracks {
 			for i := 0; i+1 < len(tr.points); i++ {
 				a, b := tr.points[i], tr.points[i+1]
-				if a.class == b.class && !a.disagree && !b.disagree {
+				if a.class == b.class {
 					continue
 				}
 				if gap(a.value, b.value) <= tol {
@@ -475,7 +462,7 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 	for _, tr := range tracks {
 		res := TrackResult{Base: tr.base}
 		for _, ps := range tr.points {
-			res.Points = append(res.Points, Point{Value: ps.value, Class: ps.class, Model: ps.model, Results: ps.results})
+			res.Points = append(res.Points, Point{Value: ps.value, Class: ps.class, Results: ps.results})
 		}
 		for i := 0; i+1 < len(tr.points); i++ {
 			a, b := tr.points[i], tr.points[i+1]

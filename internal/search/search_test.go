@@ -48,7 +48,7 @@ func exhaustiveFrontier(t *testing.T, eng *sweep.Engine, base sweep.Scenario, ax
 	var out []Interval
 	var prev *Point
 	for i, r := range c.Results {
-		class, _, err := target.classify([]sweep.Metrics{r.Metrics}, nil)
+		class, err := target.classify([]sweep.Metrics{r.Metrics}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,61 +317,42 @@ func TestMeshAxis(t *testing.T) {
 	}
 }
 
-// TestSurrogateDisagreementRefines: an interval with no predicate flip
-// is still refined where the analytic surrogate disagrees with
-// simulation — the model-mistrust half of the refinement rule.
-func TestSurrogateDisagreementRefines(t *testing.T) {
-	// Simulation: constant class (m always positive). Surrogate: agrees
-	// everywhere except at value 1 where it predicts the other class.
+// TestSurrogateOnlyForModelTargets: delta, lt and gt plans classify
+// from simulation alone; their surrogate is never called, and each
+// still brackets its frontier.
+func TestSurrogateOnlyForModelTargets(t *testing.T) {
 	run := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
+		// The mode-free and baseline probes cross zero between 20 and
+		// 21; nt stays at zero, so it beats baseline above 20.
 		var m sweep.Metrics
-		m.Add("m", 1.0)
+		if s.Mode.Name == "nt" {
+			m.Add("m", 0)
+		} else {
+			m.Add("m", float64(s.Ranks)-20.5)
+		}
 		return m, nil
 	}
-	surrogate := func(s sweep.Scenario) (sweep.Metrics, bool) {
-		var m sweep.Metrics
-		if s.Ranks == 1 {
-			m.Add("m", -1.0) // disagrees with simulation
-		} else {
-			m.Add("m", 1.0)
-		}
-		return m, true
-	}
-	mk := func(withSurrogate bool) *Outcome {
+	for _, target := range []string{"delta:m:nt/baseline", "lt:m:0", "gt:m:0"} {
 		plan := &Plan{
-			Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 9}},
+			Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 64}},
 			Axis:   AxisRanks,
-			Target: mustTarget(t, "gt:m:0"),
-		}
-		if withSurrogate {
-			plan.Surrogate = surrogate
+			Target: mustTarget(t, target),
+			Surrogate: func(s sweep.Scenario) (sweep.Metrics, bool) {
+				t.Errorf("%s: surrogate called for %s", target, s.Label())
+				return nil, false
+			},
 		}
 		out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", target, err)
 		}
-		return out
-	}
-	without := mk(false)
-	if without.Visited != 2 {
-		t.Fatalf("without surrogate: visited %d, want 2 (no flip, nothing refined)", without.Visited)
-	}
-	with := mk(true)
-	if with.Visited <= without.Visited {
-		t.Errorf("with disagreeing surrogate: visited %d, want > %d (disagreement refines)", with.Visited, without.Visited)
-	}
-	if with.FrontierCount() != 0 {
-		t.Errorf("frontier count %d, want 0 (the predicate never flips)", with.FrontierCount())
-	}
-	// The surrogate classification is surfaced per point.
-	var sawModel bool
-	for _, p := range with.Tracks[0].Points {
-		if p.Model != nil {
-			sawModel = true
+		if out.Interrupted {
+			t.Fatalf("%s: interrupted without cancellation", target)
 		}
-	}
-	if !sawModel {
-		t.Error("no point carries the surrogate classification")
+		tr := out.Tracks[0]
+		if len(tr.Intervals) != 1 || tr.Intervals[0].Lo.X != 20 || tr.Intervals[0].Hi.X != 21 {
+			t.Errorf("%s: intervals %+v, want one between 20 and 21", target, tr.Intervals)
+		}
 	}
 }
 

@@ -134,15 +134,12 @@ func ParseTarget(s string) (Target, error) {
 }
 
 // classify evaluates the predicate on one point's simulated probe
-// metrics (one entry per probe, TargetDelta order [ModeA, ModeB]) and,
-// when the analytic surrogate answered for the probes, on the surrogate
-// metrics too. model is nil when the surrogate could not classify the
-// point (no analytic hook, or the hook does not publish Metric); for
-// TargetModel the surrogate participates in the class itself and model
-// is always nil.
-func (t Target) classify(sim, analytic []sweep.Metrics) (class bool, model *bool, err error) {
+// metrics (one entry per probe, TargetDelta order [ModeA, ModeB]).
+// analytic is the surrogate's answer for the point's one probe, which
+// only TargetModel reads; nil when the surrogate could not answer.
+func (t Target) classify(sim []sweep.Metrics, analytic sweep.Metrics) (bool, error) {
 	if len(sim) != t.Probes() {
-		return false, nil, fmt.Errorf("search: target %s: point has %d probes, want %d", t, len(sim), t.Probes())
+		return false, fmt.Errorf("search: target %s: point has %d probes, want %d", t, len(sim), t.Probes())
 	}
 	get := func(ms sweep.Metrics, name, role string) (float64, error) {
 		v, ok := ms.Get(name)
@@ -151,56 +148,28 @@ func (t Target) classify(sim, analytic []sweep.Metrics) (class bool, model *bool
 		}
 		return v, nil
 	}
+	v, err := get(sim[0], t.Metric, "simulated")
+	if err != nil {
+		return false, err
+	}
 	switch t.Kind {
 	case TargetDelta:
-		a, err := get(sim[0], t.Metric, "simulated")
-		if err != nil {
-			return false, nil, err
-		}
 		b, err := get(sim[1], t.Metric, "simulated")
 		if err != nil {
-			return false, nil, err
+			return false, err
 		}
-		class = a < b
-		if len(analytic) == 2 && analytic[0] != nil && analytic[1] != nil {
-			ma, oka := analytic[0].Get(t.Metric)
-			mb, okb := analytic[1].Get(t.Metric)
-			if oka && okb {
-				m := ma < mb
-				model = &m
-			}
-		}
-		return class, model, nil
-	case TargetBelow, TargetAbove:
-		v, err := get(sim[0], t.Metric, "simulated")
-		if err != nil {
-			return false, nil, err
-		}
-		class = v < t.Threshold
-		if t.Kind == TargetAbove {
-			class = v > t.Threshold
-		}
-		if len(analytic) >= 1 && analytic[0] != nil {
-			if av, ok := analytic[0].Get(t.Metric); ok {
-				m := av < t.Threshold
-				if t.Kind == TargetAbove {
-					m = av > t.Threshold
-				}
-				model = &m
-			}
-		}
-		return class, model, nil
+		return v < b, nil
+	case TargetBelow:
+		return v < t.Threshold, nil
+	case TargetAbove:
+		return v > t.Threshold, nil
 	case TargetModel:
-		v, err := get(sim[0], t.Metric, "simulated")
-		if err != nil {
-			return false, nil, err
+		if analytic == nil {
+			return false, fmt.Errorf("search: target %s: workload has no analytic surrogate", t)
 		}
-		if len(analytic) < 1 || analytic[0] == nil {
-			return false, nil, fmt.Errorf("search: target %s: workload has no analytic surrogate", t)
-		}
-		av, err := get(analytic[0], t.AnalyticMetric, "analytic")
+		av, err := get(analytic, t.AnalyticMetric, "analytic")
 		if err != nil {
-			return false, nil, err
+			return false, err
 		}
 		diff := v - av
 		if diff < 0 {
@@ -210,7 +179,7 @@ func (t Target) classify(sim, analytic []sweep.Metrics) (class bool, model *bool
 		if bound < 0 {
 			bound = -bound
 		}
-		return diff > t.RelTol*bound, nil, nil
+		return diff > t.RelTol*bound, nil
 	}
-	return false, nil, fmt.Errorf("search: target %s: unknown kind %d", t, t.Kind)
+	return false, fmt.Errorf("search: target %s: unknown kind %d", t, t.Kind)
 }

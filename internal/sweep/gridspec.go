@@ -17,8 +17,8 @@ type GridSpec struct {
 	Seed      uint64
 }
 
-// Resolve validates the spec and builds its Grid. The machine and
-// workload axes live in registries this package cannot see
+// Resolve validates the spec and builds its Grid. The machine presets
+// and the workload table live in packages this one cannot see
 // (internal/workload imports sweep), so their validator is injected:
 // cmd/sweep passes workload.ValidateAxes.
 func (g GridSpec) Resolve(validateAxes func(machines, workloads []string) error) (Grid, error) {

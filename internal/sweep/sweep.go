@@ -133,7 +133,7 @@ func ParseMesh(s string) (Mesh, error) {
 // they stay zero in the canonical key so the hash is declaration-stable.
 type Scenario struct {
 	Machine  string // machine preset name (machine.ByName)
-	Workload string // workload name (internal/workload registry); "" = runner default
+	Workload string // workload name (internal/workload table); "" = runner default
 	Mode     Mode
 	Ranks    int  // MPI rank count; 0 = full node
 	Mesh     Mesh // global problem size; zero = workload default

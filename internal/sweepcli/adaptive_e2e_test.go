@@ -296,3 +296,56 @@ func TestE2EAdaptiveSharesStoreWithExhaustive(t *testing.T) {
 		t.Errorf("exhaustive run over visited cells simulated %d, want 0 (adaptive probes are ordinary store records)", sims.Load())
 	}
 }
+
+// TestE2EAdaptiveReadmeExamples runs README's two adaptive examples on
+// the real simulator and asserts the frontiers README quotes: where nt
+// stops beating baseline on jacobi as threads grow, and where jacobi's
+// layer condition breaks as rows grow. The mesh search runs on icx
+// only: each of its 16 rounds simulates rows of up to 131072 columns,
+// and spr8480's track would double the test's time.
+func TestE2EAdaptiveReadmeExamples(t *testing.T) {
+	cases := []struct {
+		args     []string
+		summary  string
+		frontier []string // machine:lo:hi of each frontier row
+	}{
+		{
+			args: []string{"-machines", "icx,spr8480", "-workloads", "jacobi", "-threads", "1,36",
+				"-adaptive", "threads", "-target", "delta:jacobi_ratio:nt/baseline"},
+			summary:  "rounds=6 visited=18 cells frontier=1 intervals",
+			frontier: []string{"icx:19:20"},
+		},
+		{
+			args: []string{"-machines", "icx", "-workloads", "jacobi", "-modes", "nt",
+				"-mesh", "16384x16,131072x16",
+				"-adaptive", "mesh", "-target", "model:jacobi_total_bpi:jacobi_bytes_lcf:0.25"},
+			summary:  "rounds=16 visited=17 cells frontier=1 intervals",
+			frontier: []string{"icx:79926x16:79930x16"},
+		},
+	}
+	for _, c := range cases {
+		out := filepath.Join(t.TempDir(), "out")
+		args := append([]string{"-q", "-out", out}, c.args...)
+		code, stdout, stderr := runCLI(t, args, cloversim.RunScenarioContext)
+		if code != ExitOK {
+			t.Fatalf("%v: exit %d, stderr:\n%s", c.args, code, stderr)
+		}
+		if !strings.Contains(string(stdout), c.summary) {
+			t.Errorf("%v: summary lacks %q:\n%s", c.args, c.summary, stdout)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "frontier.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(string(data), "\n") {
+			f := strings.Split(line, ",")
+			if f[0] == "frontier" {
+				got = append(got, f[1]+":"+f[10]+":"+f[11])
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(c.frontier, " ") {
+			t.Errorf("%v: frontier %v, want %v", c.args, got, c.frontier)
+		}
+	}
+}

@@ -7,20 +7,11 @@ import (
 	"cloversim/internal/sweep"
 )
 
-// cloverleafWL is the paper's subject: the patched CloverLeaf hydro
+// cloverleafRun runs the paper's subject: the patched CloverLeaf hydro
 // step traffic study plus time model at the scenario's rank count, and
 // the store/copy microbenchmarks at the scenario's thread count, all
 // under the scenario's evasion mode.
-type cloverleafWL struct{}
-
-func init() { Register(cloverleafWL{}) }
-
-func (cloverleafWL) Name() string { return "cloverleaf" }
-
-// DefaultMesh is the paper's 15360^2 global grid.
-func (cloverleafWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 15360, Y: 15360} }
-
-func (cloverleafWL) Run(c Config) (sweep.Metrics, error) {
+func cloverleafRun(c Config) (sweep.Metrics, error) {
 	maxRows := c.MaxRows
 	switch {
 	case maxRows == 0:
@@ -78,10 +69,11 @@ func (cloverleafWL) Run(c Config) (sweep.Metrics, error) {
 	return out, nil
 }
 
-// Analytic aggregates the Table I code-balance model over the hotspot
-// loops: the whole-step bytes per cell with layer conditions fulfilled,
-// without and with full write-allocates (the no-evasion bound).
-func (cloverleafWL) Analytic(Config) (sweep.Metrics, bool) {
+// cloverleafAnalytic aggregates the Table I code-balance model over
+// the hotspot loops: the whole-step bytes per cell with layer
+// conditions fulfilled, without and with full write-allocates (the
+// no-evasion bound).
+func cloverleafAnalytic(Config) (sweep.Metrics, bool) {
 	var min, wa float64
 	for _, r := range model.Table1 {
 		min += float64(r.BytesMin())

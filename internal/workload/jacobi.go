@@ -6,20 +6,6 @@ import (
 	"cloversim/internal/trace"
 )
 
-// jacobiWL models a 2D 5-point Jacobi sweep (b = c*(a[W]+a[E]+a[S]+
-// a[N])): the textbook stencil whose layer conditions (Sec. II-C) and
-// write-allocate behaviour the paper's analysis generalizes to. Mesh
-// semantics: X inner columns, Y inner rows, plus a one-cell halo.
-type jacobiWL struct{}
-
-func init() { Register(jacobiWL{}) }
-
-func (jacobiWL) Name() string { return "jacobi" }
-
-// DefaultMesh uses rows long enough that three of them still satisfy
-// the L2 layer condition, over enough rows to stream.
-func (jacobiWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 4096, Y: 48} }
-
 // jacobiLoop builds the stencil loop over a fresh arena.
 func jacobiLoop(c Config) (*trace.Loop, trace.Bounds) {
 	ar := trace.NewArena(true)
@@ -40,7 +26,11 @@ func jacobiLoop(c Config) (*trace.Loop, trace.Bounds) {
 	return l, trace.Bounds{JLo: 1, JHi: c.MeshX, KLo: 1, KHi: c.MeshY}
 }
 
-func (jacobiWL) Run(c Config) (sweep.Metrics, error) {
+// jacobiRun models a 2D 5-point Jacobi sweep (b = c*(a[W]+a[E]+a[S]+
+// a[N])): the textbook stencil whose layer conditions (Sec. II-C) and
+// write-allocate behaviour the paper's analysis generalizes to. Mesh
+// semantics: X inner columns, Y inner rows, plus a one-cell halo.
+func jacobiRun(c Config) (sweep.Metrics, error) {
 	l, b := jacobiLoop(c)
 	x := newKernelExecutor(c)
 	cnt, iters := x.Run(l, b), float64(b.Iterations())
@@ -54,10 +44,10 @@ func (jacobiWL) Run(c Config) (sweep.Metrics, error) {
 	return out, nil
 }
 
-// Analytic evaluates the layer conditions of the stencil for the
+// jacobiAnalytic evaluates the layer conditions of the stencil for the
 // config's row length on the config's machine: the innermost cache
 // level satisfying the LC and the resulting code-balance bounds.
-func (jacobiWL) Analytic(c Config) (sweep.Metrics, bool) {
+func jacobiAnalytic(c Config) (sweep.Metrics, bool) {
 	l, _ := jacobiLoop(c)
 	lc := model.AnalyzeLC(l, c.MeshX+2, c.Machine)
 	var out sweep.Metrics

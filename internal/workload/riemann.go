@@ -6,21 +6,6 @@ import (
 	"cloversim/internal/trace"
 )
 
-// riemannWL couples the exact Riemann solver (the repo's hydrodynamics
-// ground truth) with the store path: it solves the Sod problem, then
-// writes the sampled rho/u/p profiles out as three pure store streams —
-// the post-processing I/O shape of a solver, and the 3-stream
-// pure-store case of Fig. 5. Mesh semantics: X sample cells per
-// profile, Y profile rows (time snapshots).
-type riemannWL struct{}
-
-func init() { Register(riemannWL{}) }
-
-func (riemannWL) Name() string { return "riemann" }
-
-// DefaultMesh writes 4096-cell profiles for 32 snapshots.
-func (riemannWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 4096, Y: 32} }
-
 // riemannLoop builds the profile write-out loop: three store streams,
 // no reads (the sampled states come from registers/compute).
 func riemannLoop(c Config) (*trace.Loop, trace.Bounds) {
@@ -41,7 +26,13 @@ func riemannLoop(c Config) (*trace.Loop, trace.Bounds) {
 	return l, trace.Bounds{JLo: 1, JHi: c.MeshX, KLo: 1, KHi: c.MeshY}
 }
 
-func (riemannWL) Run(c Config) (sweep.Metrics, error) {
+// riemannRun couples the exact Riemann solver (the repo's
+// hydrodynamics ground truth) with the store path: it solves the Sod
+// problem, then writes the sampled rho/u/p profiles out as three pure
+// store streams — the post-processing I/O shape of a solver, and the
+// 3-stream pure-store case of Fig. 5. Mesh semantics: X sample cells
+// per profile, Y profile rows (time snapshots).
+func riemannRun(c Config) (sweep.Metrics, error) {
 	sol, err := riemann.Sod().Solve()
 	if err != nil {
 		return nil, err
@@ -65,9 +56,10 @@ func (riemannWL) Run(c Config) (sweep.Metrics, error) {
 	return out, nil
 }
 
-// Analytic returns the exact star state — the solver's own closed-form
-// ground truth — plus the store-traffic bounds of the write-out loop.
-func (riemannWL) Analytic(c Config) (sweep.Metrics, bool) {
+// riemannAnalytic returns the exact star state — the solver's own
+// closed-form ground truth — plus the store-traffic bounds of the
+// write-out loop.
+func riemannAnalytic(Config) (sweep.Metrics, bool) {
 	sol, err := riemann.Sod().Solve()
 	if err != nil {
 		return nil, false

@@ -6,21 +6,6 @@ import (
 	"cloversim/internal/trace"
 )
 
-// streamWL models the STREAM-style copy and triad kernels: the
-// canonical pure streaming workloads the paper's microbenchmarks
-// bracket. Copy (a = b) is the Fig. 6/8 shape; triad (a = b + s*c)
-// adds a second read stream. Mesh semantics: X elements per row, Y
-// rows, row-major — one contiguous stream per array.
-type streamWL struct{}
-
-func init() { Register(streamWL{}) }
-
-func (streamWL) Name() string { return "stream" }
-
-// DefaultMesh keeps each array at 2 MiB (8192 x 32 doubles): larger
-// than the private caches, small enough for fast campaigns.
-func (streamWL) DefaultMesh() sweep.Mesh { return sweep.Mesh{X: 8192, Y: 32} }
-
 // streamLoops builds the copy and triad loop definitions over a fresh
 // arena sized to the config's mesh.
 func streamLoops(c Config) (copyL, triadL *trace.Loop, b trace.Bounds) {
@@ -44,7 +29,12 @@ func streamLoops(c Config) (copyL, triadL *trace.Loop, b trace.Bounds) {
 	return copyL, triadL, trace.Bounds{JLo: 1, JHi: c.MeshX, KLo: 1, KHi: c.MeshY}
 }
 
-func (streamWL) Run(c Config) (sweep.Metrics, error) {
+// streamRun models the STREAM-style copy and triad kernels: the
+// canonical pure streaming workloads the paper's microbenchmarks
+// bracket. Copy (a = b) is the Fig. 6/8 shape; triad (a = b + s*c)
+// adds a second read stream. Mesh semantics: X elements per row, Y
+// rows, row-major — one contiguous stream per array.
+func streamRun(c Config) (sweep.Metrics, error) {
 	copyL, triadL, b := streamLoops(c)
 	var out sweep.Metrics
 
@@ -65,9 +55,9 @@ func (streamWL) Run(c Config) (sweep.Metrics, error) {
 	return out, nil
 }
 
-// Analytic returns the code-balance bounds of both kernels from the
-// loop models: minimum (no write-allocates) and with full WAs.
-func (streamWL) Analytic(c Config) (sweep.Metrics, bool) {
+// streamAnalytic returns the code-balance bounds of both kernels from
+// the loop models: minimum (no write-allocates) and with full WAs.
+func streamAnalytic(c Config) (sweep.Metrics, bool) {
 	copyL, triadL, _ := streamLoops(c)
 	var out sweep.Metrics
 	cm := model.FromLoop(copyL)

@@ -1,26 +1,25 @@
-// Package workload is the pluggable workload registry of the sweep
-// campaigns: every workload exposes the same four-method contract — its
-// Name, its DefaultMesh (mesh/size semantics), Run (a traffic generator
-// that replays the workload's memory accesses through the memsim
-// hierarchy and the write-allocate-evasion store engine) and Analytic
-// (an analytic-model hook) — so one campaign can cross machines x
-// evasion modes x workloads.
+// Package workload is the table of sweep campaign workloads. Each row
+// is a name, the mesh a scenario with a zero mesh axis runs (its
+// semantics are the workload's own), a run function that replays the
+// workload's memory accesses through the memsim hierarchy and the
+// write-allocate-evasion store engine, and an analytic function that
+// evaluates its traffic model without simulating. One campaign crosses
+// machines x evasion modes x workloads.
 //
 // The paper's claim is that write-allocate evasion effects generalize
-// beyond CloverLeaf to any streaming or stencil kernel; this registry
-// is where that generalization lives. Registered here: the CloverLeaf
-// hydro step (the paper's subject), STREAM-style copy/triad kernels,
-// a 2D Jacobi stencil, and a Riemann-solver profile writer.
+// beyond CloverLeaf to any streaming or stencil kernel; this table is
+// where that generalization lives: the CloverLeaf hydro step (the
+// paper's subject), STREAM-style copy/triad kernels, a 2D Jacobi
+// stencil, and a Riemann-solver profile writer.
 //
-// Adding a workload: implement Workload, call Register from an init
-// function, and it becomes addressable from cmd/sweep -workloads and
-// the root RunScenarioContext runner.
+// Adding a workload: write its run and analytic functions in a new
+// file and add a row to workloads; it becomes addressable from
+// cmd/sweep -workloads and the root RunScenarioContext runner, and it
+// joins cmd/sweep's default grid.
 package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"cloversim/internal/machine"
 	"cloversim/internal/sweep"
@@ -56,61 +55,54 @@ func (c Config) EffectiveSpec() *machine.Spec {
 	return &s
 }
 
-// Workload is one registered campaign workload.
-type Workload interface {
-	// Name is the registry key (cmd/sweep -workloads syntax).
-	Name() string
-	// DefaultMesh is the problem size used when the scenario leaves
-	// the mesh axis zero. Semantics are workload-defined: global grid
-	// for cloverleaf, elements-per-row x rows for the kernels.
-	DefaultMesh() sweep.Mesh
-	// Run simulates the workload under the config and returns its
-	// ordered metrics. Implementations must be deterministic in the
-	// config (campaign output is byte-compared across runs).
-	Run(Config) (sweep.Metrics, error)
-	// Analytic returns the workload's analytic traffic model (code
+// Workload is one row of the workload table.
+type Workload struct {
+	// name is the cmd/sweep -workloads key.
+	name string
+	// defaultMesh is the problem size of a scenario whose mesh axis is
+	// zero: the global grid for cloverleaf, elements per row x rows for
+	// the kernels.
+	defaultMesh sweep.Mesh
+	// run simulates the workload under the config and returns its
+	// ordered metrics. It must be deterministic in the config: campaign
+	// output is byte-compared across runs.
+	run func(Config) (sweep.Metrics, error)
+	// analytic returns the workload's analytic traffic model (code
 	// balances, layer-condition expectations) for the config, or
-	// ok=false when no analytic model exists. It never simulates.
-	Analytic(Config) (m sweep.Metrics, ok bool)
+	// ok=false when it cannot answer. It never simulates.
+	analytic func(Config) (m sweep.Metrics, ok bool)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Workload{}
-)
-
-// Register adds a workload to the registry; it panics on an empty or
-// duplicate name (registration is an init-time programming error).
-func Register(w Workload) {
-	name := w.Name()
-	if name == "" {
-		panic("workload: Register with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("workload: duplicate Register of " + name)
-	}
-	registry[name] = w
+// workloads is the workload table, sorted by name.
+var workloads = []Workload{
+	// The paper's 15360^2 global grid.
+	{name: "cloverleaf", defaultMesh: sweep.Mesh{X: 15360, Y: 15360}, run: cloverleafRun, analytic: cloverleafAnalytic},
+	// Rows long enough that three of them still satisfy the L2 layer
+	// condition, over enough rows to stream.
+	{name: "jacobi", defaultMesh: sweep.Mesh{X: 4096, Y: 48}, run: jacobiRun, analytic: jacobiAnalytic},
+	// 4096-cell profiles for 32 snapshots.
+	{name: "riemann", defaultMesh: sweep.Mesh{X: 4096, Y: 32}, run: riemannRun, analytic: riemannAnalytic},
+	// Each array at 2 MiB (8192 x 32 doubles): larger than the private
+	// caches, small enough for fast campaigns.
+	{name: "stream", defaultMesh: sweep.Mesh{X: 8192, Y: 32}, run: streamRun, analytic: streamAnalytic},
 }
 
-// ByName resolves a registered workload.
+// ByName returns the named row of the workload table.
 func ByName(name string) (Workload, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	w, ok := registry[name]
-	return w, ok
+	for _, w := range workloads {
+		if w.name == name {
+			return w, true
+		}
+	}
+	return Workload{}, false
 }
 
-// Names lists the registered workload names, sorted.
+// Names lists the workload names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(workloads))
+	for i, w := range workloads {
+		out[i] = w.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -118,16 +110,16 @@ func Names() []string {
 // runs: the paper's own subject.
 const DefaultName = "cloverleaf"
 
-// ValidateAxes checks machine and workload axis values against their
-// registries: the axis validator cmd/sweep's grid spec resolves with
-// (sweep.GridSpec.Resolve).
-func ValidateAxes(machines, workloads []string) error {
+// ValidateAxes checks machine and workload axis values against the
+// machine presets and the workload table: the axis validator
+// cmd/sweep's grid spec resolves with (sweep.GridSpec.Resolve).
+func ValidateAxes(machines, workloadNames []string) error {
 	for _, m := range machines {
 		if _, ok := machine.ByName(m); !ok {
 			return fmt.Errorf("unknown machine %q (have %v)", m, machine.Names())
 		}
 	}
-	for _, w := range workloads {
+	for _, w := range workloadNames {
 		if _, ok := ByName(w); !ok {
 			return fmt.Errorf("unknown workload %q (have %v)", w, Names())
 		}
@@ -146,11 +138,11 @@ func Resolve(s sweep.Scenario) (Workload, Config, error) {
 	}
 	w, ok := ByName(name)
 	if !ok {
-		return nil, Config{}, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
+		return Workload{}, Config{}, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
 	}
 	spec, ok := machine.ByName(s.Machine)
 	if !ok {
-		return nil, Config{}, fmt.Errorf("workload: unknown machine %q (have %v)", s.Machine, machine.Names())
+		return Workload{}, Config{}, fmt.Errorf("workload: unknown machine %q (have %v)", s.Machine, machine.Names())
 	}
 	cfg := Config{
 		Machine: spec,
@@ -169,19 +161,18 @@ func Resolve(s sweep.Scenario) (Workload, Config, error) {
 		cfg.Threads = spec.Cores()
 	}
 	if cfg.Ranks > spec.Cores() {
-		return nil, Config{}, fmt.Errorf("workload %s: rank count %d outside 1..%d on %s",
+		return Workload{}, Config{}, fmt.Errorf("workload %s: rank count %d outside 1..%d on %s",
 			name, cfg.Ranks, spec.Cores(), spec.Name)
 	}
 	if cfg.Threads > spec.Cores() {
-		return nil, Config{}, fmt.Errorf("workload %s: thread count %d outside 1..%d on %s",
+		return Workload{}, Config{}, fmt.Errorf("workload %s: thread count %d outside 1..%d on %s",
 			name, cfg.Threads, spec.Cores(), spec.Name)
 	}
 	if cfg.MeshX == 0 && cfg.MeshY == 0 {
-		m := w.DefaultMesh()
-		cfg.MeshX, cfg.MeshY = m.X, m.Y
+		cfg.MeshX, cfg.MeshY = w.defaultMesh.X, w.defaultMesh.Y
 	}
 	if cfg.MeshX <= 0 || cfg.MeshY <= 0 {
-		return nil, Config{}, fmt.Errorf("workload %s: non-positive mesh %dx%d", name, cfg.MeshX, cfg.MeshY)
+		return Workload{}, Config{}, fmt.Errorf("workload %s: non-positive mesh %dx%d", name, cfg.MeshX, cfg.MeshY)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5eed
@@ -197,18 +188,19 @@ func Run(s sweep.Scenario, memo *trace.Memo) (sweep.Metrics, error) {
 		return nil, err
 	}
 	cfg.Memo = memo
-	return w.Run(cfg)
+	return w.run(cfg)
 }
 
 // Analytic resolves a scenario and evaluates its workload's analytic
-// model without simulating — the cheap surrogate the adaptive search
-// driver (internal/search) uses to prune refinement intervals. It
-// answers ok=false when the scenario does not resolve or the workload
-// has no analytic model; like Run, it is deterministic in the scenario.
+// model without simulating: the surrogate that the adaptive search's
+// model targets (internal/search TargetModel) compare simulation
+// against. It answers ok=false when the scenario does not resolve or
+// the workload's model cannot answer; like Run, it is deterministic in
+// the scenario.
 func Analytic(s sweep.Scenario) (sweep.Metrics, bool) {
 	w, cfg, err := Resolve(s)
 	if err != nil {
 		return nil, false
 	}
-	return w.Analytic(cfg)
+	return w.analytic(cfg)
 }

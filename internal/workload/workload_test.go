@@ -9,18 +9,26 @@ import (
 	"cloversim/internal/sweep"
 )
 
+// TestRegistryCoversAllWorkloads checks the workload table: the four
+// workloads, sorted by name and unique, each row with a name, a run
+// function, an analytic function and a positive default mesh.
 func TestRegistryCoversAllWorkloads(t *testing.T) {
 	want := []string{"cloverleaf", "jacobi", "riemann", "stream"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v (sorted)", got, want)
 	}
-	for _, name := range want {
-		w, ok := ByName(name)
-		if !ok || w.Name() != name {
-			t.Errorf("workload %q does not round-trip", name)
+	for i, w := range workloads {
+		if w.name == "" || w.run == nil || w.analytic == nil {
+			t.Errorf("row %d (%q) lacks a name, a run function or an analytic function", i, w.name)
 		}
-		if m := w.DefaultMesh(); m.X <= 0 || m.Y <= 0 {
-			t.Errorf("workload %q default mesh %v not positive", name, m)
+		if m := w.defaultMesh; m.X <= 0 || m.Y <= 0 {
+			t.Errorf("workload %q default mesh %v not positive", w.name, m)
+		}
+		if i > 0 && workloads[i-1].name >= w.name {
+			t.Errorf("row %d: %q after %q, want names sorted and unique", i, w.name, workloads[i-1].name)
+		}
+		if got, ok := ByName(w.name); !ok || got.name != w.name {
+			t.Errorf("workload %q does not round-trip through ByName", w.name)
 		}
 	}
 }
@@ -30,8 +38,8 @@ func TestResolveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name() != DefaultName {
-		t.Errorf("empty workload resolved to %q, want %q", w.Name(), DefaultName)
+	if w.name != DefaultName {
+		t.Errorf("empty workload resolved to %q, want %q", w.name, DefaultName)
 	}
 	spec, _ := machine.ByName("icx")
 	if cfg.Ranks != spec.Cores() || cfg.Threads != spec.Cores() {
@@ -172,8 +180,8 @@ func TestWorkloadsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyticHooks: every registered workload must answer its analytic
-// hook with finite values.
+// TestAnalyticHooks: every workload must answer its analytic hook with
+// finite values.
 func TestAnalyticHooks(t *testing.T) {
 	for _, name := range Names() {
 		w, _ := ByName(name)
@@ -181,7 +189,7 @@ func TestAnalyticHooks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := w.Analytic(cfg)
+		m, ok := w.analytic(cfg)
 		if !ok {
 			t.Errorf("%s: no analytic model", name)
 			continue
@@ -206,7 +214,7 @@ func TestJacobiAnalyticLC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := w.Analytic(cfg)
+	m, _ := w.analytic(cfg)
 	if lvl := metric(t, m, "jacobi_lc_level"); lvl < 1 || lvl > 3 {
 		t.Errorf("default mesh LC level %v, want cache-resident (1..3)", lvl)
 	}

@@ -24,7 +24,7 @@ import (
 const PhysicsVersion = "p1"
 
 // RunScenarioContext executes one sweep scenario through the workload
-// registry: the scenario's workload (default: the CloverLeaf study)
+// table: the scenario's workload (default: the CloverLeaf study)
 // resolved by name, with runner defaults applied for unset axes. It
 // refuses to start a simulation once ctx has ended (the last check
 // before the workload runs — the engine's own dispatch and slot-acquire

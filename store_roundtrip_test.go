@@ -11,7 +11,7 @@ import (
 )
 
 // TestStoreRoundTripMatchesColdRun is the differential property behind
-// resumable campaigns: for EVERY registered workload under EVERY
+// resumable campaigns: for EVERY workload under EVERY
 // write-allocate-evasion mode, writing a cold RunScenarioContext result to
 // the persistent store, reopening the store from disk, and reading the
 // record back must reproduce the metrics bit-identically (names,
