@@ -18,7 +18,6 @@ import (
 	"cloversim/internal/machine"
 	"cloversim/internal/memsim"
 	"cloversim/internal/model"
-	"cloversim/internal/mpi"
 	"cloversim/internal/trace"
 )
 
@@ -157,22 +156,6 @@ func BenchmarkTraceReplayAm04(b *testing.B) {
 	b.ReportMetric(float64(c.TotalBytes())/float64(am04.Bounds.Iterations()), "byte/it")
 }
 
-// BenchmarkPhysicsStep times hydro steps of the serial run, the rank of
-// a one-rank world (its reductions complete locally, so it steps outside
-// World.Run).
-func BenchmarkPhysicsStep(b *testing.B) {
-	var r *cloverleaf.Rank
-	mpi.NewWorld(1).Run(func(c *mpi.Comm) { r = cloverleaf.NewRank(cloverleaf.Small(256, 1000000), c) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(i + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cells := float64(256 * 256)
-	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-}
-
 // BenchmarkAblationBaselineCLX contrasts the pre-SpecI2M Cascade Lake
 // baseline with ICX at matching occupancy.
 func BenchmarkAblationBaselineCLX(b *testing.B) {
@@ -191,32 +174,6 @@ func BenchmarkAblationBaselineCLX(b *testing.B) {
 			b.ReportMetric(ratio, "socket_st1_ratio")
 		})
 	}
-}
-
-func BenchmarkMPIAllreduce(b *testing.B) {
-	w := mpi.NewWorld(8)
-	b.ResetTimer()
-	w.Run(func(c *mpi.Comm) {
-		for i := 0; i < b.N; i++ {
-			c.AllreduceScalar(float64(i), mpi.OpMin)
-		}
-	})
-}
-
-func BenchmarkHaloExchange4Ranks(b *testing.B) {
-	cfg := cloverleaf.Small(128, 1)
-	mpi.NewWorld(4).Run(func(c *mpi.Comm) {
-		r := cloverleaf.NewRank(cfg, c)
-		fields := []cloverleaf.HaloField{
-			{F: r.Chunk.Density0, Kind: cloverleaf.KindCell},
-			{F: r.Chunk.XVel0, Kind: cloverleaf.KindNodeX},
-		}
-		for i := 0; i < b.N; i++ {
-			if err := r.Chunk.UpdateHalo(c, r.Nbr, fields, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkModelAnalytic measures the pure analytic model (no sim).

@@ -19,7 +19,7 @@
 //   - internal/trace    — loop replay
 //   - internal/cloverleaf — the hydro mini-app (physics + traffic specs)
 //   - internal/bench    — store/copy microbenchmarks
-//   - internal/mpi      — in-process message passing
+//   - internal/decomp   — CloverLeaf's domain decomposition
 package cloversim
 
 import (
@@ -36,21 +36,19 @@ type Options struct {
 	// MaxRows truncates each rank's y extent in traffic studies to at
 	// most this many rows. 0 selects the default of 32, for
 	// tractability; a negative value keeps the paper-faithful full
-	// extent (cmd/experiments -full passes -1).
+	// extent (cmd/experiments -full passes -1). cloverleaf.RowLimit
+	// applies the rule.
 	MaxRows int
 	// Ranks restricts scaling sweeps to these rank counts (default: all
 	// 1..cores). Every entry must lie in 1..cores of the machine.
 	Ranks []int
 }
 
-// resolve applies the defaults and looks up the machine, and rejects a
+// resolve applies the default machine and looks it up, and rejects a
 // Ranks entry outside 1..cores of it.
 func (o Options) resolve() (Options, *machine.Spec, error) {
 	if o.MachineName == "" {
 		o.MachineName = machine.NameICX8360Y
-	}
-	if o.MaxRows == 0 {
-		o.MaxRows = 32
 	}
 	spec, ok := machine.ByName(o.MachineName)
 	if !ok {

@@ -1,8 +1,8 @@
-// Command clvleaf runs the CloverLeaf mini-app: real hydrodynamics on an
-// in-process MPI world of -np ranks (-np 1 is the serial run), or with
-// -measure a simulated memory-traffic study (the likwid-perfctr
-// analogue). Flags mirror the paper's config.mk knobs where they affect
-// the traffic study.
+// Command clvleaf runs the CloverLeaf mini-app: real hydrodynamics on
+// -np in-process ranks (-np 1 is the serial run), or with -measure a
+// simulated memory-traffic study (the likwid-perfctr analogue). Flags
+// mirror the paper's config.mk knobs where they affect the traffic
+// study.
 //
 // Examples:
 //
@@ -26,14 +26,14 @@ func main() {
 		deck     = flag.String("deck", "", "clover.in input deck (overrides -cells/-steps)")
 		cells    = flag.Int("cells", 480, "grid cells per dimension (physics run)")
 		steps    = flag.Int("steps", 20, "number of hydro steps (physics run)")
-		np       = flag.Int("np", 1, "number of in-process MPI ranks (1 = serial run)")
+		np       = flag.Int("np", 1, "number of in-process ranks, one goroutine each (1 = serial run)")
 		measure  = flag.Bool("measure", false, "run the memory-traffic study instead of physics")
 		mach     = flag.String("machine", "icx", fmt.Sprintf("machine preset %v", machine.Names()))
 		nt       = flag.Bool("nt", false, "use non-temporal store directives (NT_STORE_DIR)")
 		optimize = flag.Bool("optimize-loops", false, "restructure ac01/ac05 for SpecI2M (OPTIMIZE_LOOPS)")
 		noI2M    = flag.Bool("no-speci2m", false, "disable the SpecI2M feature (MSR knob)")
 		unalign  = flag.Bool("unaligned", false, "skip 64-byte array alignment (ALIGN_ARRAYS=OFF)")
-		maxRows  = flag.Int("max-rows", 32, "truncated y extent for the traffic study (0 = full)")
+		maxRows  = flag.Int("max-rows", 0, "truncated y extent for the traffic study (0 = default 32, -1 = full extent)")
 	)
 	flag.Parse()
 
@@ -45,7 +45,7 @@ func main() {
 		res, err := cloverleaf.RunTraffic(cloverleaf.TrafficOptions{
 			Machine:       spec,
 			Ranks:         *np,
-			MaxRows:       *maxRows,
+			MaxRows:       cloverleaf.RowLimit(*maxRows),
 			AlignArrays:   !*unalign,
 			NTStores:      *nt,
 			OptimizeLoops: *optimize,

@@ -1,5 +1,5 @@
-// Quickstart: run a small CloverLeaf simulation on one in-process MPI
-// rank (the serial run) and on four, check that the two agree, then
+// Quickstart: run a small CloverLeaf simulation on one in-process rank
+// (the serial run) and on four, check that the two agree, then
 // reproduce the paper's Table I for a single core.
 package main
 

@@ -18,11 +18,14 @@ import (
 
 func TestOptionsDefaults(t *testing.T) {
 	o, spec, err := Options{}.resolve()
-	if err != nil || o.MachineName != "icx" || spec.Name != "icx" || o.MaxRows != 32 {
+	if err != nil || o.MachineName != "icx" || spec.Name != "icx" {
 		t.Fatalf("defaults: %+v %v", o, err)
 	}
-	if o, _, err := (Options{MaxRows: -1}).resolve(); err != nil || o.MaxRows != -1 {
-		t.Errorf("MaxRows -1 resolved to %d (%v), want -1: the full extent", o.MaxRows, err)
+	if to, err := (Options{}).trafficOpts(context.Background(), 1); err != nil || to.MaxRows != 32 {
+		t.Errorf("MaxRows 0 studies %d rows (%v), want the default 32", to.MaxRows, err)
+	}
+	if to, err := (Options{MaxRows: -1}).trafficOpts(context.Background(), 1); err != nil || to.MaxRows != 0 {
+		t.Errorf("MaxRows -1 studies %d rows (%v), want 0: the full extent", to.MaxRows, err)
 	}
 	if _, _, err := (Options{MachineName: "nope"}).resolve(); err == nil {
 		t.Error("unknown machine accepted")

@@ -5,16 +5,16 @@ import (
 	"math"
 
 	"cloversim/internal/decomp"
-	"cloversim/internal/mpi"
 )
 
-// Rank couples a chunk with its communicator and neighbor topology. A
-// serial run is a world of one rank: its chunk covers the whole mesh
-// and has no neighbors.
+// Rank couples a chunk with its world and neighbor topology. A serial
+// run is a world of one rank: its chunk covers the whole mesh and has
+// no neighbors.
 type Rank struct {
 	Chunk *Chunk
-	Comm  *mpi.Comm
 	Nbr   Neighbors
+	id    int
+	w     *world
 	// dt of the previous step, for the rise limiter.
 	dtOld float64
 	// simTime is the accumulated simulated time.
@@ -25,26 +25,6 @@ type Rank struct {
 // Time returns the accumulated simulated time.
 func (r *Rank) Time() float64 { return r.simTime }
 
-// NewRank builds comm's chunk of cfg's mesh, decomposed over the
-// world's ranks as CloverLeaf does.
-func NewRank(cfg Config, comm *mpi.Comm) *Rank {
-	s := decomp.Decompose(comm.Size(), cfg.GridX, cfg.GridY)[comm.Rank()]
-	cx, cy := decomp.Factorize(comm.Size(), cfg.GridX, cfg.GridY)
-	l, r, b, t := decomp.Neighbors(s, cx, cy)
-	return &Rank{
-		Chunk: NewChunk(cfg, s.XMin, s.XMax, s.YMin, s.YMax),
-		Comm:  comm,
-		Nbr:   Neighbors{l, r, b, t},
-		dtOld: cfg.DtInit,
-		cfg:   cfg,
-	}
-}
-
-// halo updates the fields' halos to the given depth.
-func (r *Rank) halo(fields []HaloField, depth int) error {
-	return r.Chunk.UpdateHalo(r.Comm, r.Nbr, fields, depth)
-}
-
 // Step advances one full hydro cycle and returns the timestep used.
 // The structure follows hydro.f90: timestep -> PdV(predict) -> accelerate
 // -> PdV(correct) -> flux_calc -> advection (direction-alternating
@@ -54,18 +34,14 @@ func (r *Rank) Step(step int) (float64, error) {
 
 	// --- timestep ---
 	c.IdealGas(false)
-	if err := r.halo([]HaloField{
+	r.halo([]HaloField{
 		{c.Pressure, KindCell}, {c.Energy0, KindCell}, {c.Density0, KindCell},
 		{c.XVel0, KindNodeX}, {c.YVel0, KindNodeY},
-	}, 2); err != nil {
-		return 0, err
-	}
+	}, 2)
 	c.CalcViscosity()
-	if err := r.halo([]HaloField{{c.Viscosity, KindCell}}, 1); err != nil {
-		return 0, err
-	}
+	r.halo([]HaloField{{c.Viscosity, KindCell}}, 1)
 	dt := math.Min(c.CalcDt(), math.Min(r.dtOld*r.cfg.DtRise, r.cfg.DtMax))
-	dt = r.Comm.AllreduceScalar(dt, mpi.OpMin)
+	dt = r.w.meet(r.id, []float64{dt}, math.Min)[0]
 	if dt <= 0 || math.IsNaN(dt) {
 		return 0, fmt.Errorf("cloverleaf: step %d produced invalid dt %g", step, dt)
 	}
@@ -77,23 +53,17 @@ func (r *Rank) Step(step int) (float64, error) {
 	// --- Lagrangian phase ---
 	c.PdV(true, dt)
 	c.IdealGas(true)
-	if err := r.halo([]HaloField{{c.Pressure, KindCell}}, 1); err != nil {
-		return 0, err
-	}
+	r.halo([]HaloField{{c.Pressure, KindCell}}, 1)
 	c.Accelerate(dt)
-	if err := r.halo([]HaloField{{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY}}, 1); err != nil {
-		return 0, err
-	}
+	r.halo([]HaloField{{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY}}, 1)
 	c.PdV(false, dt)
 
 	// --- advection phase ---
 	c.FluxCalc(dt)
-	if err := r.halo([]HaloField{
+	r.halo([]HaloField{
 		{c.VolFluxX, KindFluxX}, {c.VolFluxY, KindFluxY},
 		{c.Density1, KindCell}, {c.Energy1, KindCell},
-	}, 2); err != nil {
-		return 0, err
-	}
+	}, 2)
 
 	// Advection sweeps x then y on odd steps, y then x on even steps.
 	// The exchange after each cell sweep refreshes xvel1 and yvel1 too:
@@ -114,12 +84,10 @@ func (r *Rank) Step(step int) (float64, error) {
 	}
 	for i, d := range dirs {
 		d.cell(i + 1)
-		if err := r.halo([]HaloField{
+		r.halo([]HaloField{
 			{c.Density1, KindCell}, {c.Energy1, KindCell}, d.massFlux,
 			{c.XVel1, KindNodeX}, {c.YVel1, KindNodeY},
-		}, 2); err != nil {
-			return 0, err
-		}
+		}, 2)
 		d.mom(c.XVel1, d.momSweep[i])
 		d.mom(c.YVel1, d.momSweep[i])
 	}
@@ -147,14 +115,15 @@ func (r *Rank) Run() (Summary, error) {
 func (r *Rank) GlobalSummary() Summary {
 	r.Chunk.IdealGas(false)
 	s := r.Chunk.FieldSummary()
-	v := r.Comm.Allreduce([]float64{s.Volume, s.Mass, s.InternalEnergy, s.KineticEnergy, s.Pressure}, mpi.OpSum)
+	v := r.w.meet(r.id, []float64{s.Volume, s.Mass, s.InternalEnergy, s.KineticEnergy, s.Pressure},
+		func(a, b float64) float64 { return a + b })
 	return Summary{Volume: v[0], Mass: v[1], InternalEnergy: v[2], KineticEnergy: v[3], Pressure: v[4]}
 }
 
-// Run runs cfg on a world of n in-process ranks and returns the global
-// summary. n = 1 is the serial run. A rank count that leaves a chunk
-// narrower or shorter than the halo is an error: its neighbours'
-// exchanges would send halo cells it does not own.
+// Run runs cfg on a world of n ranks, one goroutine each, and returns
+// the global summary. n = 1 is the serial run. A rank count that leaves
+// a chunk narrower or shorter than the halo is an error: its neighbours
+// would copy halo cells it does not own.
 func Run(cfg Config, n int) (Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return Summary{}, err
@@ -170,9 +139,9 @@ func Run(cfg Config, n int) (Summary, error) {
 	}
 	var summary Summary
 	var firstErr error
-	mpi.NewWorld(n).Run(func(comm *mpi.Comm) {
-		s, err := NewRank(cfg, comm).Run()
-		if comm.Rank() == 0 {
+	newWorld(cfg, n).run(func(r *Rank) {
+		s, err := r.Run()
+		if r.id == 0 {
 			summary, firstErr = s, err
 		}
 	})

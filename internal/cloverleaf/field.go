@@ -9,11 +9,13 @@
 // which are replayed through internal/trace to reproduce the paper's
 // memory-traffic measurements.
 //
-// The hydro runs MPI-only, like the paper's code: Run(cfg, n) steps a
-// world of n in-process ranks (internal/mpi), and a serial run is the
-// world of one rank. Every rank computes its cells bit for bit as the
-// one-rank run does. The ranks move halo data and model no time; the
-// MPI time of Figs. 2 and 4 comes from the node time model (ModelNode).
+// The hydro is decomposed like the paper's MPI-only code: Run(cfg, n)
+// steps a world of n ranks, one goroutine each, over CloverLeaf's
+// chunks, and a serial run is the world of one rank. The ranks share
+// memory, so a halo update copies each halo cell from the chunk that
+// owns it, and every rank computes its cells bit for bit as the
+// one-rank run does. The ranks model no time; the MPI time of Figs. 2
+// and 4 comes from the node time model (ModelNode).
 package cloverleaf
 
 import "fmt"

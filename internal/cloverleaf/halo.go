@@ -1,9 +1,5 @@
 package cloverleaf
 
-import (
-	"cloversim/internal/mpi"
-)
-
 // FieldKind encodes staggering and reflection behaviour for halo updates
 // (update_halo_kernel).
 type FieldKind struct {
@@ -134,133 +130,73 @@ func (c *Chunk) reflect(hf HaloField, depth int, edges [4]bool) {
 // bottom, top], -1 at physical boundaries).
 type Neighbors [4]int
 
-// packColumns serializes `depth` columns starting at j0 (inclusive,
-// increasing) over the field's full k range into buf.
-func packColumns(f *Field, j0, depth int) []float64 {
-	rows := f.KHi - f.KLo + 1
-	buf := make([]float64, depth*rows)
-	i := 0
-	for k := f.KLo; k <= f.KHi; k++ {
-		for d := 0; d < depth; d++ {
-			buf[i] = f.At(j0+d, k)
-			i++
-		}
-	}
-	return buf
-}
-
-func unpackColumns(f *Field, j0, depth int, buf []float64) {
-	i := 0
-	for k := f.KLo; k <= f.KHi; k++ {
-		for d := 0; d < depth; d++ {
-			f.Set(j0+d, k, buf[i])
-			i++
-		}
-	}
-}
-
-func packRows(f *Field, k0, depth int) []float64 {
-	cols := f.JHi - f.JLo + 1
-	buf := make([]float64, depth*cols)
-	i := 0
-	for d := 0; d < depth; d++ {
-		for j := f.JLo; j <= f.JHi; j++ {
-			buf[i] = f.At(j, k0+d)
-			i++
-		}
-	}
-	return buf
-}
-
-func unpackRows(f *Field, k0, depth int, buf []float64) {
-	i := 0
-	for d := 0; d < depth; d++ {
-		for j := f.JLo; j <= f.JHi; j++ {
-			f.Set(j, k0+d, buf[i])
-			i++
-		}
-	}
-}
-
-// UpdateHalo exchanges halos with neighbor ranks and applies reflective
-// boundaries at physical edges. The x exchange completes before the y
-// exchange so corner halos propagate correctly. A chunk with no
-// neighbors (a one-rank world) reflects all four edges and exchanges
-// nothing.
-func (c *Chunk) UpdateHalo(comm *mpi.Comm, nbr Neighbors, fields []HaloField, depth int) error {
-	// Physical-boundary reflection first (y reflection of x halos is
-	// handled because the y pass sends full rows including x halos).
+// halo updates the fields' halos to the given depth. Walls reflect, and
+// every other halo cell is copied from the field of the neighbour that
+// owns it, at the same global index: the x halos over the field's full
+// column, then the y halos over its full row, so a corner cell reaches
+// a rank through its y neighbour's x halo. A rank with no neighbours
+// (a one-rank world) reflects all four edges and copies nothing.
+//
+// The ranks meet between the phases: no rank copies a neighbour's cells
+// before the neighbour has published its fields and reflected them, no
+// y halo is copied before every x halo is in place, and no rank returns
+// to write its fields before its neighbours have copied from them.
+func (r *Rank) halo(fields []HaloField, depth int) {
+	c, w, nbr := r.Chunk, r.w, r.Nbr
+	w.fields[r.id] = fields
 	for _, hf := range fields {
 		c.reflect(hf, depth, [4]bool{nbr[0] < 0, nbr[1] < 0, nbr[2] < 0, nbr[3] < 0})
 	}
+	w.meet(r.id, nil, nil)
 
-	for fi, hf := range fields {
-		f := hf.F
-		tagBase := fi * 8
-
-		// --- x direction ---
-		// Column conventions: cells XMin..XMax are mine; for x-staggered
-		// fields face XMax+1 is shared with the right neighbor (both
-		// compute it identically), so staggered exchanges shift by one:
-		// my right halo faces start at XMax+2 and come from the
-		// neighbor's faces XMin+1.., while the neighbor's left halo
-		// faces XMin-depth..XMin-1 are my faces XMax+1-depth..XMax.
-		sendLeft, sendRight := c.XMin, c.XMax-depth+1
-		recvLeftAt, recvRightAt := c.XMin-depth, c.XMax+1
+	// Cells XMin..XMax are mine. A staggered field's face XMax+1 is also
+	// the right neighbour's face XMin, which both ranks compute, so its
+	// right halo starts one face further out.
+	for i, hf := range fields {
+		right := c.XMax + 1
 		if hf.Kind.XNode {
-			sendLeft, sendRight = c.XMin+1, c.XMax+1-depth
-			recvRightAt = c.XMax + 2
+			right++
 		}
-		var reqs []*mpi.Request
-		var recvL, recvR []float64
 		if nbr[0] >= 0 {
-			recvL = make([]float64, depth*(f.KHi-f.KLo+1))
-			reqs = append(reqs, comm.Irecv(recvL, nbr[0], tagBase+0))
-			reqs = append(reqs, comm.Isend(packColumns(f, sendLeft, depth), nbr[0], tagBase+1))
+			copyColumns(hf.F, w.fields[nbr[0]][i].F, c.XMin-depth, depth)
 		}
 		if nbr[1] >= 0 {
-			recvR = make([]float64, depth*(f.KHi-f.KLo+1))
-			reqs = append(reqs, comm.Irecv(recvR, nbr[1], tagBase+1))
-			reqs = append(reqs, comm.Isend(packColumns(f, sendRight, depth), nbr[1], tagBase+0))
-		}
-		if err := comm.Waitall(reqs); err != nil {
-			return err
-		}
-		if recvL != nil {
-			unpackColumns(f, recvLeftAt, depth, recvL)
-		}
-		if recvR != nil {
-			unpackColumns(f, recvRightAt, depth, recvR)
-		}
-
-		// --- y direction ---
-		sendBottom, sendTop := c.YMin, c.YMax-depth+1
-		recvBottomAt, recvTopAt := c.YMin-depth, c.YMax+1
-		if hf.Kind.YNode {
-			sendBottom, sendTop = c.YMin+1, c.YMax+1-depth
-			recvTopAt = c.YMax + 2
-		}
-		reqs = reqs[:0]
-		var recvB, recvT []float64
-		if nbr[2] >= 0 {
-			recvB = make([]float64, depth*(f.JHi-f.JLo+1))
-			reqs = append(reqs, comm.Irecv(recvB, nbr[2], tagBase+2))
-			reqs = append(reqs, comm.Isend(packRows(f, sendBottom, depth), nbr[2], tagBase+3))
-		}
-		if nbr[3] >= 0 {
-			recvT = make([]float64, depth*(f.JHi-f.JLo+1))
-			reqs = append(reqs, comm.Irecv(recvT, nbr[3], tagBase+3))
-			reqs = append(reqs, comm.Isend(packRows(f, sendTop, depth), nbr[3], tagBase+2))
-		}
-		if err := comm.Waitall(reqs); err != nil {
-			return err
-		}
-		if recvB != nil {
-			unpackRows(f, recvBottomAt, depth, recvB)
-		}
-		if recvT != nil {
-			unpackRows(f, recvTopAt, depth, recvT)
+			copyColumns(hf.F, w.fields[nbr[1]][i].F, right, depth)
 		}
 	}
-	return nil
+	w.meet(r.id, nil, nil)
+
+	for i, hf := range fields {
+		top := c.YMax + 1
+		if hf.Kind.YNode {
+			top++
+		}
+		if nbr[2] >= 0 {
+			copyRows(hf.F, w.fields[nbr[2]][i].F, c.YMin-depth, depth)
+		}
+		if nbr[3] >= 0 {
+			copyRows(hf.F, w.fields[nbr[3]][i].F, top, depth)
+		}
+	}
+	w.meet(r.id, nil, nil)
+}
+
+// copyColumns copies the depth columns from j0 of src into f, over f's
+// full k range (a neighbour in x spans the same rows).
+func copyColumns(f, src *Field, j0, depth int) {
+	for k := f.KLo; k <= f.KHi; k++ {
+		for j := j0; j < j0+depth; j++ {
+			f.Set(j, k, src.At(j, k))
+		}
+	}
+}
+
+// copyRows copies the depth rows from k0 of src into f, over f's full j
+// range (a neighbour in y spans the same columns).
+func copyRows(f, src *Field, k0, depth int) {
+	for k := k0; k < k0+depth; k++ {
+		for j := f.JLo; j <= f.JHi; j++ {
+			f.Set(j, k, src.At(j, k))
+		}
+	}
 }

@@ -5,16 +5,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"cloversim/internal/mpi"
 )
 
 // oneRank builds the serial solver: the rank of a one-rank world. Its
-// reductions complete locally, so it runs outside World.Run.
+// meetings complete at once, so it runs outside world.run.
 func oneRank(cfg Config) *Rank {
-	var r *Rank
-	mpi.NewWorld(1).Run(func(c *mpi.Comm) { r = NewRank(cfg, c) })
-	return r
+	return newWorld(cfg, 1).rank(0)
 }
 
 func relDiff(a, b float64) float64 {
@@ -255,18 +251,17 @@ func runRanks(t *testing.T, cfg Config, n int) ([]*Rank, Summary) {
 	ranks := make([]*Rank, n)
 	sums := make([]Summary, n)
 	errs := make([]error, n)
-	mpi.NewWorld(n).Run(func(c *mpi.Comm) {
-		r := NewRank(cfg, c)
-		ranks[c.Rank()] = r
+	newWorld(cfg, n).run(func(r *Rank) {
+		ranks[r.id] = r
 		s, err := r.Run()
 		if err == nil {
 			fields := make([]HaloField, len(stateFields))
 			for i, sf := range stateFields {
 				fields[i] = HaloField{sf.of(r.Chunk), sf.kind}
 			}
-			err = r.halo(fields, 2)
+			r.halo(fields, 2)
 		}
-		sums[c.Rank()], errs[c.Rank()] = s, err
+		sums[r.id], errs[r.id] = s, err
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -304,7 +299,7 @@ func compareFields(t *testing.T, ranks []*Rank, ref *Chunk, halo bool) {
 						continue
 					}
 					if diff++; diff <= 3 {
-						t.Errorf("rank %d %s(%d,%d) = %.17g, one rank has %.17g", r.Comm.Rank(), sf.name, j, k, g, w)
+						t.Errorf("rank %d %s(%d,%d) = %.17g, one rank has %.17g", r.id, sf.name, j, k, g, w)
 					}
 				}
 			}
@@ -403,7 +398,7 @@ func TestRunSummaryDeterministic(t *testing.T) {
 // four-rank runs. The decomposition tests compare n ranks with one
 // rank, so a change to the step that both share passes them; this
 // test does not. The bits differ across rank counts because the
-// Allreduce sums the ranks' partial sums in rank order.
+// world sums the ranks' partial sums in rank order.
 func TestRunSummaryBits(t *testing.T) {
 	cases := []struct {
 		cells, np int
@@ -445,8 +440,8 @@ func TestRunRejectsChunksNarrowerThanHalo(t *testing.T) {
 	}
 }
 
-// TestRunMPIRankCount: fewer than one rank is an error, not a panic in
-// the MPI world.
+// TestRunMPIRankCount: fewer than one rank is an error, not a run of an
+// empty world.
 func TestRunMPIRankCount(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if _, err := Run(Small(16, 2), n); err == nil {
@@ -464,4 +459,18 @@ func TestSummaryPressureSigns(t *testing.T) {
 	if s.Pressure <= 0 || s.Volume <= 0 || s.Mass <= 0 || s.InternalEnergy <= 0 {
 		t.Fatalf("non-physical summary: %+v", s)
 	}
+}
+
+// BenchmarkPhysicsStep times hydro steps of the serial run, the rank of
+// a one-rank world.
+func BenchmarkPhysicsStep(b *testing.B) {
+	r := oneRank(Small(256, 1000000))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Step(i + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cells := float64(256 * 256)
+	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }

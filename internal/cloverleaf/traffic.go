@@ -19,7 +19,7 @@ type TrafficOptions struct {
 	GridX, GridY int
 	// MaxRows truncates each rank's y extent for speed (traffic per
 	// iteration is row-invariant once layer conditions are warm);
-	// 0 = full extent.
+	// 0 = full extent. RowLimit maps the front ends' setting to it.
 	MaxRows int
 	// Build knobs of the paper's patched CloverLeaf (config.mk).
 	AlignArrays   bool
@@ -35,6 +35,20 @@ type TrafficOptions struct {
 	// Memo is the campaign's loop memo, shared by every rank group; nil
 	// gives the study a memo of its own. It changes no result.
 	Memo *trace.Memo
+}
+
+// RowLimit maps the row setting of a front end (cmd/sweep -maxrows,
+// cmd/clvleaf -max-rows, cloversim.Options.MaxRows) to
+// TrafficOptions.MaxRows: 0 selects the default of 32 rows, a negative
+// value the paper-faithful full extent, and a positive value is kept.
+func RowLimit(rows int) int {
+	switch {
+	case rows == 0:
+		return 32
+	case rows < 0:
+		return 0
+	}
+	return rows
 }
 
 func (o *TrafficOptions) defaults() {
@@ -55,6 +69,9 @@ type LoopTraffic struct {
 	Kernel       string
 	CallsPerStep float64
 	FlopsPerIt   int
+	// Eligible reports whether SpecI2M can recognize the loop's stores
+	// in the study's build (trace.Loop.Eligible).
+	Eligible bool
 	// Counts is the sum of the simulated counts of one call of the
 	// loop over the rank groups, one replay each: neither weighted by
 	// the ranks in a group nor scaled to the full y extent, so it
@@ -224,6 +241,7 @@ func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
 					Kernel:       li.Kernel,
 					CallsPerStep: li.CallsPerStep,
 					FlopsPerIt:   li.Loop.FlopsPerIt,
+					Eligible:     li.Loop.Eligible,
 				}
 				res.Loops[li.Loop.Name] = lt
 			}

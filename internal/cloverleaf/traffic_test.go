@@ -384,6 +384,17 @@ func TestTruncatedLoopsDifferOnlyInKHi(t *testing.T) {
 	}
 }
 
+// TestRowLimit pins the front ends' one row rule: 0 is the default of
+// 32 rows, a negative setting the full extent (MaxRows 0), and a
+// positive setting is kept.
+func TestRowLimit(t *testing.T) {
+	for _, c := range []struct{ rows, want int }{{0, 32}, {-1, 0}, {-7, 0}, {1, 1}, {8, 8}, {512, 512}} {
+		if got := RowLimit(c.rows); got != c.want {
+			t.Errorf("RowLimit(%d) = %d, want %d", c.rows, got, c.want)
+		}
+	}
+}
+
 // TestTrafficOptionValidation: bad inputs are rejected.
 func TestTrafficOptionValidation(t *testing.T) {
 	if _, err := RunTraffic(TrafficOptions{Ranks: 1}); err == nil {

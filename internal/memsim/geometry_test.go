@@ -13,9 +13,6 @@ import (
 // direct-mapped, single-set and skewed-associativity corners no preset
 // has. Their run shapes (regular runs, self-evicting runs, mixed
 // residency, dirty sets) are the boundary cases of the line-run path.
-// TestAnalyticFallbackReasons and FuzzAnalyticRange keep names from a
-// closed-form range tier that no longer exists: their subtests and
-// committed fuzz corpus are tracked by name.
 
 // tinySpec builds a machine spec whose hierarchy has exactly the given
 // per-level sets x ways (sets must be powers of two, or setsOf rounds
@@ -88,11 +85,11 @@ func TestTinyGeometryDifferential(t *testing.T) {
 	}
 }
 
-// TestAnalyticFallbackReasons compares named run shapes on one tiny
+// TestTinyGeometryRunShapes compares named run shapes on one tiny
 // hierarchy with the oracle: regular runs, and the irregular ones
 // (prefetching, short runs, mixed residency, dirty private sets, runs
 // that evict their own lines from L1 or L2).
-func TestAnalyticFallbackReasons(t *testing.T) {
+func TestTinyGeometryRunShapes(t *testing.T) {
 	// L1 2 sets x 2 ways, L2 4x2, L3 4x4: 28 lines in all.
 	spec := tinySpec(2, 2, 4, 2, 4, 4)
 	cases := []struct {
@@ -138,8 +135,8 @@ func TestAnalyticFallbackReasons(t *testing.T) {
 	}
 }
 
-// fuzzGeoms are the hierarchies FuzzAnalyticRange rotates through: tiny
-// enough that every batch sweeps whole levels, shaped to hit
+// fuzzGeoms are the hierarchies FuzzTinyRangesVsOracle rotates through:
+// tiny enough that every batch sweeps whole levels, shaped to hit
 // direct-mapped, single-set and skewed-associativity corners.
 var fuzzGeoms = [4][6]int{
 	{2, 2, 4, 2, 4, 4},
@@ -178,11 +175,11 @@ func tinyTrace(seed uint64, batches int, l1w, cache int64) []pattern {
 	return out
 }
 
-// FuzzAnalyticRange fuzzes the comparison with the oracle, in whole
+// FuzzTinyRangesVsOracle fuzzes the comparison with the oracle, in whole
 // runs and in runs of one line, over tiny-geometry traces. The committed
 // corpus under testdata/fuzz seeds aliasing wraps, direct-mapped levels,
 // kind switches and run lengths at the associativity boundary.
-func FuzzAnalyticRange(f *testing.F) {
+func FuzzTinyRangesVsOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(8), false)
 	f.Add(uint64(0x5eed), uint8(24), true)
 	f.Add(uint64(0xA11A), uint8(40), false)

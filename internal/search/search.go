@@ -133,8 +133,10 @@ type Plan struct {
 	// (default 1, the integer resolution limit). For the mesh axis the
 	// gap is the larger componentwise distance.
 	Tol int
-	// MaxRounds bounds the number of refinement waves (default 16 —
-	// enough to bisect any int32-sized interval to unit resolution).
+	// MaxRounds bounds the number of waves (default 16). The first
+	// wave probes the seeds, so n waves bisect an interval at most n-1
+	// times: the default reaches Tol 1 on seed gaps up to 2^15 and
+	// stops wider brackets at the bound, a gap of 2^16 at 2 wide.
 	MaxRounds int
 	// Surrogate evaluates a scenario's analytic model
 	// (workload.Analytic) without simulating. Only TargetModel plans

@@ -317,6 +317,38 @@ func TestMeshAxis(t *testing.T) {
 	}
 }
 
+// TestDefaultRoundBound pins what the default of 16 waves resolves. The
+// first wave probes the seeds, so at most 15 bisections follow: a seed
+// gap of 2^15 halves to a unit interval in the 16th wave, and a gap of
+// 2^16 stops at the bound with a 2-wide interval. Both brackets start
+// at 1, so every bisection halves them exactly.
+func TestDefaultRoundBound(t *testing.T) {
+	const threshold = 1000.5
+	for _, c := range []struct{ gap, width int }{{1 << 15, 1}, {1 << 16, 2}} {
+		plan := &Plan{
+			Grid:   sweep.Grid{Machines: []string{"icx"}, Ranks: []int{1, 1 + c.gap}},
+			Axis:   AxisRanks,
+			Target: mustTarget(t, "gt:m:0"),
+		}
+		run := syntheticRunner(AxisRanks, map[string]float64{"icx": threshold}, nil)
+		out, err := plan.Run(context.Background(), sweep.NewEngine(2, run), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Rounds != 16 {
+			t.Errorf("seed gap %d: %d rounds, want 16", c.gap, out.Rounds)
+		}
+		ivs := out.Tracks[0].Intervals
+		if len(ivs) != 1 {
+			t.Fatalf("seed gap %d: %d intervals, want 1", c.gap, len(ivs))
+		}
+		iv := ivs[0]
+		if iv.Hi.X-iv.Lo.X != c.width || float64(iv.Lo.X) > threshold || float64(iv.Hi.X) < threshold {
+			t.Errorf("seed gap %d: interval %d..%d, want %d wide around %g", c.gap, iv.Lo.X, iv.Hi.X, c.width, threshold)
+		}
+	}
+}
+
 // TestSurrogateOnlyForModelTargets: delta, lt and gt plans classify
 // from simulation alone; their surrogate is never called, and each
 // still brackets its frontier.

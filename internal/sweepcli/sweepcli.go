@@ -92,7 +92,7 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		adaptive  = fs.String("adaptive", "", "adaptive frontier search along this numeric axis (ranks, threads or mesh) instead of the exhaustive cross product; needs -target and at least two axis values as the bracketing seeds")
 		target    = fs.String("target", "", "frontier predicate for -adaptive: delta:<metric>:<modeA>/<modeB>, lt:<metric>:<value>, gt:<metric>:<value>, or model:<metric>:<analytic-metric>:<reltol>")
 		tol       = fs.Int("tol", 1, "adaptive: stop refining an interval once its axis gap is at most this (mesh: larger componentwise distance)")
-		maxRounds = fs.Int("max-rounds", 16, "adaptive: refinement wave bound")
+		maxRounds = fs.Int("max-rounds", 16, "adaptive: wave bound, seed wave included (16 bisect a seed gap of up to 2^15 to -tol 1)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

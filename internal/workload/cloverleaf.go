@@ -12,20 +12,12 @@ import (
 // the store/copy microbenchmarks at the scenario's thread count, all
 // under the scenario's evasion mode.
 func cloverleafRun(c Config) (sweep.Metrics, error) {
-	maxRows := c.MaxRows
-	switch {
-	case maxRows == 0:
-		maxRows = 32 // tractable default; traffic/it is row-invariant
-	case maxRows < 0:
-		maxRows = 0 // paper-faithful full extent
-	}
-
 	to := cloverleaf.TrafficOptions{
 		Machine:       c.Machine,
 		Ranks:         c.Ranks,
 		GridX:         c.MeshX,
 		GridY:         c.MeshY,
-		MaxRows:       maxRows,
+		MaxRows:       cloverleaf.RowLimit(c.MaxRows),
 		AlignArrays:   true,
 		NTStores:      c.Mode.NTStores,
 		OptimizeLoops: c.Mode.OptimizeLoops,
