@@ -25,6 +25,7 @@ package cloversim
 import (
 	"fmt"
 
+	"cloversim/internal/cloverleaf"
 	"cloversim/internal/machine"
 )
 
@@ -35,9 +36,9 @@ type Options struct {
 	MachineName string
 	// MaxRows truncates each rank's y extent in traffic studies to at
 	// most this many rows. 0 selects the default of 32, for
-	// tractability; a negative value keeps the paper-faithful full
-	// extent (cmd/experiments -full passes -1). cloverleaf.RowLimit
-	// applies the rule.
+	// tractability; -1 keeps the paper-faithful full extent
+	// (cmd/experiments -full passes it), and a value below -1 is an
+	// error. cloverleaf.RowLimit applies the rule.
 	MaxRows int
 	// Ranks restricts scaling sweeps to these rank counts (default: all
 	// 1..cores). Every entry must lie in 1..cores of the machine.
@@ -45,8 +46,12 @@ type Options struct {
 }
 
 // resolve applies the default machine and looks it up, and rejects a
-// Ranks entry outside 1..cores of it.
+// MaxRows that cloverleaf.RowLimit refuses and a Ranks entry outside
+// 1..cores of the machine.
 func (o Options) resolve() (Options, *machine.Spec, error) {
+	if _, err := cloverleaf.RowLimit(o.MaxRows); err != nil {
+		return o, nil, err
+	}
 	if o.MachineName == "" {
 		o.MachineName = machine.NameICX8360Y
 	}

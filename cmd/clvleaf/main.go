@@ -36,6 +36,10 @@ func main() {
 		maxRows  = flag.Int("max-rows", 0, "truncated y extent for the traffic study (0 = default 32, -1 = full extent)")
 	)
 	flag.Parse()
+	rows, err := cloverleaf.RowLimit(*maxRows)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *measure {
 		spec, ok := machine.ByName(*mach)
@@ -45,7 +49,7 @@ func main() {
 		res, err := cloverleaf.RunTraffic(cloverleaf.TrafficOptions{
 			Machine:       spec,
 			Ranks:         *np,
-			MaxRows:       cloverleaf.RowLimit(*maxRows),
+			MaxRows:       rows,
 			AlignArrays:   !*unalign,
 			NTStores:      *nt,
 			OptimizeLoops: *optimize,

@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := cloversim.Options{MachineName: *mach}
 	if *full {
-		opts.MaxRows = -1 // negative disables truncation downstream
+		opts.MaxRows = -1 // the full extent (cloverleaf.RowLimit)
 	}
 	if *ranks != "" {
 		for _, s := range strings.Split(*ranks, ",") {

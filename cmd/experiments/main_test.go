@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +60,31 @@ func TestRunsOneExperiment(t *testing.T) {
 	}
 	if lines := strings.Count(string(csv), "\n"); lines != 3 {
 		t.Errorf("CSV has %d lines, want a header and 2 rows:\n%s", lines, csv)
+	}
+}
+
+// TestFigure4RanksFitTheMachine: Fig. 4's default ranks follow the
+// machine's topology, so -exp mpi runs on a64fx's 48 cores, and every
+// rank count in its CSV is one the machine has.
+func TestFigure4RanksFitTheMachine(t *testing.T) {
+	out := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "mpi", "-machine", "a64fx", "-q", "-out", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, &stderr)
+	}
+	csv, err := os.ReadFile(filepath.Join(out, "fig4_mpi_share.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("CSV has no rows:\n%s", csv)
+	}
+	for _, line := range lines[1:] {
+		ranks, err := strconv.Atoi(strings.Split(line, ",")[0])
+		if err != nil || ranks < 1 || ranks > 48 {
+			t.Errorf("row %q: rank count outside a64fx's 1..48 (%v)", line, err)
+		}
 	}
 }
 

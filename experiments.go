@@ -27,10 +27,11 @@ func (o Options) trafficOpts(ctx context.Context, ranks int) (cloverleaf.Traffic
 	if err != nil {
 		return cloverleaf.TrafficOptions{}, err
 	}
+	rows, _ := cloverleaf.RowLimit(o.MaxRows) // resolve refused the values RowLimit refuses
 	return cloverleaf.TrafficOptions{
 		Machine:     spec,
 		Ranks:       ranks,
-		MaxRows:     cloverleaf.RowLimit(o.MaxRows),
+		MaxRows:     rows,
 		AlignArrays: true,
 		Seed:        seed,
 		Memo:        trace.ContextMemo(ctx),
@@ -199,8 +200,11 @@ func Figure3CodeBalance(ctx context.Context, o Options) (*csvout.Table, error) {
 // E5 — Figure 4: relative MPI time distribution.
 // ---------------------------------------------------------------------
 
-// Figure4MPIShare models the serial/MPI runtime split in percent for
-// the paper's rank selection {2,17,18,19,37,38,71,72}.
+// Figure4MPIShare models the serial/MPI runtime split in percent. Its
+// default ranks follow the machine's topology as the paper's selection
+// {2,17,18,19,37,38,71,72} follows ICX's: 2, d-1, d, d+1, s+1, s+2, n-1
+// and n for d cores per ccNUMA domain, s per socket and n per node,
+// sorted, without repeats and within 1..n.
 func Figure4MPIShare(ctx context.Context, o Options) (*csvout.Table, error) {
 	to, err := o.trafficOpts(ctx, 1)
 	if err != nil {
@@ -208,7 +212,15 @@ func Figure4MPIShare(ctx context.Context, o Options) (*csvout.Table, error) {
 	}
 	ranks := o.Ranks
 	if len(ranks) == 0 {
-		ranks = []int{2, 17, 18, 19, 37, 38, 71, 72}
+		m := to.Machine
+		d, s, n := m.CoresPerDomain(), m.CoresPerSocket, m.Cores()
+		for _, r := range []int{2, d - 1, d, d + 1, s + 1, s + 2, n - 1, n} {
+			if r >= 1 && r <= n {
+				ranks = append(ranks, r)
+			}
+		}
+		slices.Sort(ranks)
+		ranks = slices.Compact(ranks)
 	}
 	t := csvout.New("ranks", "serial_pct", "waitall_pct", "allreduce_pct", "isend_pct", "reduce_pct")
 	for _, n := range ranks {

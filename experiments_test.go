@@ -27,6 +27,14 @@ func TestOptionsDefaults(t *testing.T) {
 	if to, err := (Options{MaxRows: -1}).trafficOpts(context.Background(), 1); err != nil || to.MaxRows != 0 {
 		t.Errorf("MaxRows -1 studies %d rows (%v), want 0: the full extent", to.MaxRows, err)
 	}
+	for _, rows := range []int{-2, -7, -32} {
+		if _, _, err := (Options{MaxRows: rows}).resolve(); err == nil {
+			t.Errorf("MaxRows %d accepted", rows)
+		}
+		if to, err := (Options{MaxRows: rows}).trafficOpts(context.Background(), 1); err == nil {
+			t.Errorf("MaxRows %d studies %d rows, want an error", rows, to.MaxRows)
+		}
+	}
 	if _, _, err := (Options{MachineName: "nope"}).resolve(); err == nil {
 		t.Error("unknown machine accepted")
 	}

@@ -15,8 +15,7 @@ import (
 // variants, and copy_avx; the classic STREAM kernels are included so the
 // library covers the usual bandwidth-characterization suite.
 type Kernel struct {
-	Name        string
-	Description string
+	Name string
 	// ReadStreams and WriteStreams per iteration chunk.
 	ReadStreams  int
 	WriteStreams int
@@ -30,19 +29,19 @@ type Kernel struct {
 
 // kernelTable mirrors likwid-bench's kernel registry.
 var kernelTable = []Kernel{
-	{"store", "1 store stream (store_avx512)", 0, 1, false, false, 0},
-	{"store2", "2 store streams", 0, 2, false, false, 0},
-	{"store3", "3 store streams", 0, 3, false, false, 0},
-	{"store_mem", "1 NT store stream (store_mem_avx512)", 0, 1, true, false, 0},
-	{"store2_mem", "2 NT store streams", 0, 2, true, false, 0},
-	{"store3_mem", "3 NT store streams", 0, 3, true, false, 0},
-	{"copy", "a(:) = b(:) (copy_avx)", 1, 1, false, false, 0},
-	{"copy_mem", "NT copy", 1, 1, true, false, 0},
-	{"stream", "STREAM triad a = b + s*c", 2, 1, false, false, 2},
-	{"stream_mem", "NT STREAM triad", 2, 1, true, false, 2},
-	{"update", "a = s*a (no write-allocate by construction)", 0, 1, false, true, 1},
-	{"daxpy", "a = a + s*b", 2, 1, false, true, 2},
-	{"sum", "reduction s += a(i) (read only)", 1, 0, false, false, 1},
+	{"store", 0, 1, false, false, 0},
+	{"store2", 0, 2, false, false, 0},
+	{"store3", 0, 3, false, false, 0},
+	{"store_mem", 0, 1, true, false, 0},
+	{"store2_mem", 0, 2, true, false, 0},
+	{"store3_mem", 0, 3, true, false, 0},
+	{"copy", 1, 1, false, false, 0},
+	{"copy_mem", 1, 1, true, false, 0},
+	{"stream", 2, 1, false, false, 2},
+	{"stream_mem", 2, 1, true, false, 2},
+	{"update", 0, 1, false, true, 1},
+	{"daxpy", 2, 1, false, true, 2},
+	{"sum", 1, 0, false, false, 1},
 }
 
 // KernelByName resolves a kernel name.

@@ -39,16 +39,19 @@ type TrafficOptions struct {
 
 // RowLimit maps the row setting of a front end (cmd/sweep -maxrows,
 // cmd/clvleaf -max-rows, cloversim.Options.MaxRows) to
-// TrafficOptions.MaxRows: 0 selects the default of 32 rows, a negative
-// value the paper-faithful full extent, and a positive value is kept.
-func RowLimit(rows int) int {
+// TrafficOptions.MaxRows: 0 selects the default of 32 rows, -1 the
+// paper-faithful full extent, and a positive value is kept. A value
+// below -1 is an error.
+func RowLimit(rows int) (int, error) {
 	switch {
 	case rows == 0:
-		return 32
-	case rows < 0:
-		return 0
+		return 32, nil
+	case rows == -1:
+		return 0, nil
+	case rows < -1:
+		return 0, fmt.Errorf("cloverleaf: max rows %d below -1 (0 is the default of 32 rows, -1 the full extent)", rows)
 	}
-	return rows
+	return rows, nil
 }
 
 func (o *TrafficOptions) defaults() {

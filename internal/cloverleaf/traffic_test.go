@@ -385,12 +385,19 @@ func TestTruncatedLoopsDifferOnlyInKHi(t *testing.T) {
 }
 
 // TestRowLimit pins the front ends' one row rule: 0 is the default of
-// 32 rows, a negative setting the full extent (MaxRows 0), and a
-// positive setting is kept.
+// 32 rows, -1 the full extent (MaxRows 0), a positive setting is kept,
+// and a setting below -1 is an error.
 func TestRowLimit(t *testing.T) {
-	for _, c := range []struct{ rows, want int }{{0, 32}, {-1, 0}, {-7, 0}, {1, 1}, {8, 8}, {512, 512}} {
-		if got := RowLimit(c.rows); got != c.want {
-			t.Errorf("RowLimit(%d) = %d, want %d", c.rows, got, c.want)
+	for _, c := range []struct {
+		rows, want int
+		ok         bool
+	}{
+		{0, 32, true}, {-1, 0, true}, {1, 1, true}, {8, 8, true}, {512, 512, true},
+		{-2, 0, false}, {-7, 0, false}, {-32, 0, false},
+	} {
+		got, err := RowLimit(c.rows)
+		if got != c.want || (err == nil) != c.ok {
+			t.Errorf("RowLimit(%d) = %d, %v; want %d, error %t", c.rows, got, err, c.want, !c.ok)
 		}
 	}
 }

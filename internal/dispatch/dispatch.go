@@ -14,9 +14,10 @@
 //     chunk of that many cells in flight per worker, so a big box
 //     naturally pulls more of the campaign than a laptop.
 //   - Retry with exclusion. A worker that fails at the transport or
-//     HTTP level is excluded for the rest of the batch and its
-//     in-flight cells are requeued for the survivors. Only when no
-//     live workers remain do the leftover cells fail.
+//     HTTP level, or sends a stream or record that fails the client's
+//     checks, is excluded for the rest of the batch and its in-flight
+//     cells are requeued for the survivors. Only when no live workers
+//     remain do the leftover cells fail.
 //   - Straggler re-dispatch. When the queue is drained but a chunk
 //     has been in flight longer than 30 s, an idle worker
 //     re-dispatches it. The first completion wins (the engine's report
@@ -32,9 +33,11 @@
 //     disagree with the client's physics version: results simulated
 //     under different physics must never merge into one campaign.
 //
-// Results come back bit-exact (IEEE-754 bits on the wire) and flow
-// through the engine's normal write-through, so a distributed campaign
-// is byte-identical to a local cold run and exactly as resumable.
+// Results come back as store records, which the client checks with the
+// store's own integrity gate (store.DecodeRecord), so their metric bits
+// are exact; they flow through the engine's normal write-through, so a
+// distributed campaign is byte-identical to a local cold run and
+// exactly as resumable.
 //
 // Each cell of a chunk reports the moment its frame arrives, so the
 // engine's progress sees remote completions in real time instead of at
@@ -43,10 +46,13 @@
 // re-simulated. Workers also advertise their per-request cell cap in
 // healthz, and chunks are clamped to it, so a big-capacity worker
 // behind a small -max-cells never sees its batches bounced with 400s.
+// A worker that advertises a capacity or cell cap below 1 is refused
+// at assembly.
 package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -57,21 +63,13 @@ import (
 
 const healthzTimeout = 10 * time.Second
 
-// worker is one fleet member: its typed client plus the capacity and
-// per-request cell cap it advertised at fleet assembly.
+// worker is one fleet member: its typed client, the capacity it
+// advertised at fleet assembly, and its chunk size: that capacity,
+// clamped to the largest expand request it accepts.
 type worker struct {
 	client   *sweepd.Client
 	capacity int
-	maxCells int // 0 = not advertised (pre-cap worker), no clamp
-}
-
-// chunk is the worker's effective chunk size: its capacity, clamped to
-// the largest expand request it accepts.
-func (w *worker) chunk() int {
-	if w.maxCells > 0 && w.capacity > w.maxCells {
-		return w.maxCells
-	}
-	return w.capacity
+	chunk    int
 }
 
 // Fleet shards scenario batches across sweepd workers. It implements
@@ -97,7 +95,8 @@ type Fleet struct {
 // an unreachable worker fails assembly (a fleet that silently starts
 // smaller than declared hides operator typos), and so does a worker
 // whose physics version differs from the client's — a mixed-physics
-// fleet would merge incomparable results into one campaign.
+// fleet would merge incomparable results into one campaign — or whose
+// capacity or max_cells is below 1.
 func New(ctx context.Context, urls []string, physics string) (*Fleet, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("dispatch: no workers given")
@@ -111,31 +110,27 @@ func New(ctx context.Context, urls []string, physics string) (*Fleet, error) {
 		wg.Add(1)
 		go func(i int, u string) {
 			defer wg.Done()
-			c := sweepd.NewClient(u)
+			// The client checks the physics of every stream and record
+			// too, so a worker restarted mid-campaign with another
+			// binary fails its batches and is excluded.
+			c := sweepd.NewClient(u, physics)
 			hctx, cancel := context.WithTimeout(ctx, healthzTimeout)
 			h, err := c.Healthz(hctx)
 			cancel()
 			switch {
 			case err != nil:
 				errs[i] = fmt.Errorf("dispatch: worker %s: %w", c.BaseURL, err)
-				return
 			case !h.OK:
 				errs[i] = fmt.Errorf("dispatch: worker %s reports not ok", c.BaseURL)
-				return
 			case h.Physics != physics:
 				errs[i] = fmt.Errorf("dispatch: worker %s runs physics %s, this client runs %s; refusing a mixed-physics fleet",
 					c.BaseURL, h.Physics, physics)
-				return
+			case h.Capacity < 1 || h.MaxCells < 1:
+				errs[i] = fmt.Errorf("dispatch: worker %s advertises capacity %d and max_cells %d; both must be at least 1",
+					c.BaseURL, h.Capacity, h.MaxCells)
+			default:
+				f.workers[i] = &worker{client: c, capacity: h.Capacity, chunk: min(h.Capacity, h.MaxCells)}
 			}
-			// Pin the version on the client too: a worker restarted with
-			// a different binary mid-campaign fails its batches (and is
-			// then excluded) instead of merging foreign-physics results.
-			c.Physics = physics
-			capacity := h.Capacity
-			if capacity < 1 {
-				capacity = 1
-			}
-			f.workers[i] = &worker{client: c, capacity: capacity, maxCells: h.MaxCells}
 		}(i, u)
 	}
 	wg.Wait()
@@ -216,27 +211,20 @@ func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board
 			}
 		}
 	}
-	// handle finalizes one cell's wire result against the board.
-	handle := func(i int, r sweepd.ExecResult) {
-		switch {
-		case r.Unstarted:
-			// The worker never simulated this cell (its expand
-			// deadline, a draining daemon): re-dispatchable.
+	// handle finalizes one cell's wire result against the board. A cell
+	// the worker never simulated (its expand deadline, a draining
+	// daemon) is re-dispatchable; a genuine simulation failure is
+	// deterministic in the scenario — retrying it elsewhere would just
+	// fail again.
+	handle := func(i int, m sweep.Metrics, err error) {
+		if errors.Is(err, sweep.ErrUnstarted) {
 			emit(b.release(wi, i, f.maxAttempts))
-		case r.Err != nil:
-			// A genuine simulation failure is deterministic in the
-			// scenario — retrying it elsewhere would just fail again.
-			if b.complete(i) {
-				report(i, nil, r.Err)
-			}
-		default:
-			if b.complete(i) {
-				report(i, r.Metrics, nil)
-			}
+		} else if b.complete(i) {
+			report(i, m, err)
 		}
 	}
 	for {
-		batch := b.take(dctx, wi, w.chunk(), f.stragglerAfter, f.maxAttempts)
+		batch := b.take(dctx, wi, w.chunk, f.stragglerAfter, f.maxAttempts)
 		if len(batch) == 0 {
 			return
 		}
@@ -249,9 +237,9 @@ func (f *Fleet) runWorker(ctx, dctx context.Context, wi int, w *worker, b *board
 		// remembers which cells were delivered so a mid-stream failure
 		// requeues only the rest.
 		surfaced := make([]bool, len(batch))
-		_, err := w.client.ExecuteScenarios(dctx, sub, func(k int, r sweepd.ExecResult) {
+		err := w.client.ExecuteScenarios(dctx, sub, func(k int, m sweep.Metrics, err error) {
 			surfaced[k] = true
-			handle(batch[k], r)
+			handle(batch[k], m, err)
 		})
 		if err != nil {
 			// Worker-level failure: exclude this worker for the rest of
@@ -334,9 +322,6 @@ func (b *board) broadcast() {
 // still executing, and returns nil when the batch is finished, the
 // context is cancelled, or nothing this worker may run remains.
 func (b *board) take(ctx context.Context, wi, n int, stragglerAfter time.Duration, maxAttempts int) []int {
-	if n < 1 {
-		n = 1
-	}
 	for {
 		b.mu.Lock()
 		if b.remaining == 0 || ctx.Err() != nil {

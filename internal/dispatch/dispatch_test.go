@@ -318,6 +318,25 @@ func TestFleetRefusesUnreachableWorker(t *testing.T) {
 	}
 }
 
+// TestFleetRefusesWorkerWithoutSlots: a worker whose healthz
+// advertises a capacity or max_cells below 1 (a build that predates
+// max_cells sends none) cannot take a chunk, so assembly refuses it.
+func TestFleetRefusesWorkerWithoutSlots(t *testing.T) {
+	for _, h := range []sweepd.Health{
+		{OK: true, Physics: testPhysics, Capacity: 0, MaxCells: 2},
+		{OK: true, Physics: testPhysics, Capacity: 2},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(h)
+		}))
+		_, err := New(context.Background(), []string{srv.URL}, testPhysics)
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "at least 1") {
+			t.Errorf("healthz %+v: assembly error %v, want a refusal", h, err)
+		}
+	}
+}
+
 // TestFleetAllWorkersDead: when the last live worker fails, the
 // remaining cells fail loudly (outside cancellation) instead of
 // hanging or vanishing.
@@ -348,7 +367,7 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: physics, Capacity: 2})
+		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: physics, Capacity: 2, MaxCells: 2})
 	})
 	mux.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
 		var spec struct{ Scenarios []string }
@@ -358,7 +377,6 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 		}
 		type res struct {
 			ID        string `json:"id"`
-			Key       string `json:"key"`
 			Unstarted bool   `json:"unstarted"`
 			Error     string `json:"error"`
 		}
@@ -370,7 +388,7 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 				return
 			}
 			results = append(results, res{
-				ID: s.ID(), Key: key, Unstarted: true,
+				ID: s.ID(), Unstarted: true,
 				Error: fmt.Sprintf("not started: %s", sweep.ErrUnstarted),
 			})
 		}
@@ -444,7 +462,7 @@ func (c finishedBoardCtx) Err() error {
 func TestFleetReportsTheFailureThatFinishesTheBoard(t *testing.T) {
 	dead := http.NewServeMux()
 	dead.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2})
+		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2, MaxCells: 2})
 	})
 	dead.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "worker down", http.StatusInternalServerError)
@@ -488,7 +506,7 @@ func TestFleetRejectsMidCampaignPhysicsSwap(t *testing.T) {
 	swapped := startWorker(t, 2, "pswapped", func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodGet {
-				json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2})
+				json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2, MaxCells: 2})
 				return
 			}
 			next.ServeHTTP(w, r)
@@ -506,6 +524,88 @@ func TestFleetRejectsMidCampaignPhysicsSwap(t *testing.T) {
 	}
 	if clientStore.Len() != 0 {
 		t.Errorf("client store holds %d foreign-physics records, want 0", clientStore.Len())
+	}
+}
+
+// forgedRecordWorker is a fake worker whose expands answer every cell
+// with a record that fails the store's gate: the record claims the
+// cell's ID, but its key hashes to another cell's. healthz reports a
+// healthy worker; expands counts the expand requests it answered.
+func forgedRecordWorker(t *testing.T, expands *atomic.Int64) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 2, MaxCells: 2})
+	})
+	mux.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
+		expands.Add(1)
+		var spec struct{ Scenarios []string }
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		enc := json.NewEncoder(w)
+		enc.Encode(map[string]any{"stream": map[string]any{"physics": testPhysics, "scenarios": len(spec.Scenarios)}})
+		for _, key := range spec.Scenarios {
+			sc, err := sweep.ParseKey(key)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			other := sc
+			other.Seed++
+			var m sweep.Metrics
+			m.Add("v", 1)
+			rec, err := store.EncodeRecord(testPhysics, other, m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rec = bytes.Replace(rec, []byte(other.ID()), []byte(sc.ID()), 1)
+			enc.Encode(map[string]any{"result": map[string]any{"id": sc.ID(), "record": json.RawMessage(rec)}})
+		}
+		enc.Encode(map[string]any{"summary": map[string]int{"scenarios": len(spec.Scenarios), "ok": len(spec.Scenarios)}})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestFleetExcludesWorkerWithForgedRecords: a worker whose records fail
+// the store's gate fails its first chunk as a worker, is excluded, and
+// its cells run on the survivor; the campaign is byte-identical to a
+// local run and no forged metric reaches the client store.
+func TestFleetExcludesWorkerWithForgedRecords(t *testing.T) {
+	var expands atomic.Int64
+	forged := forgedRecordWorker(t, &expands)
+	good := startWorker(t, 2, testPhysics, nil)
+	f, err := New(context.Background(), []string{forged.URL, good.srv.URL}, testPhysics)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scs := scenarios(12)
+	camp, clientStore := runCampaign(t, f, scs)
+	var localSims atomic.Int64
+	local := sweep.NewEngine(1, testRunner(&localSims)).Run(context.Background(), scs, nil)
+	var fleetJSON, localJSON bytes.Buffer
+	if err := (sweep.JSONEmitter{}).Emit(&fleetJSON, camp); err != nil {
+		t.Fatal(err)
+	}
+	if err := (sweep.JSONEmitter{}).Emit(&localJSON, local); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fleetJSON.Bytes(), localJSON.Bytes()) {
+		t.Errorf("fleet campaign differs from the local run:\n%s\nlocal:\n%s", &fleetJSON, &localJSON)
+	}
+	if n := expands.Load(); n != 1 {
+		t.Errorf("forged-record worker answered %d expands, want 1 before its exclusion", n)
+	}
+	if n := good.sims.Load(); n != int64(len(scs)) {
+		t.Errorf("survivor simulated %d cells, want all %d", n, len(scs))
+	}
+	if clientStore.Len() != len(scs) {
+		t.Errorf("client store holds %d records, want %d", clientStore.Len(), len(scs))
 	}
 }
 

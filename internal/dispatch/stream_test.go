@@ -83,7 +83,7 @@ func TestFleetClampsChunksToWorkerMaxCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.workers[0].chunk(); got != 2 {
+	if got := f.workers[0].chunk; got != 2 {
 		t.Fatalf("worker chunk = %d with capacity 8 and max_cells 2, want 2", got)
 	}
 	scs := scenarios(8)

@@ -35,15 +35,15 @@ func messyStore(t *testing.T, dir string) []Record {
 	// A fourth, hand-written segment: benign duplicate of live[0],
 	// conflicting duplicate of live[1], a stale p0 record, and garbage.
 	var extra bytes.Buffer
-	dup, err := encodeRecord("p1", live[0].Scenario, live[0].Metrics)
+	dup, err := EncodeRecord("p1", live[0].Scenario, live[0].Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conflict, err := encodeRecord("p1", live[1].Scenario, metrics(424242))
+	conflict, err := EncodeRecord("p1", live[1].Scenario, metrics(424242))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := encodeRecord("p0", scenario("spr", "stream", 77), metrics(7))
+	stale, err := EncodeRecord("p0", scenario("spr", "stream", 77), metrics(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func checkLive(t *testing.T, s *Store, live []Record) {
 		t.Fatalf("store holds %d records, want %d (%s)", s.Len(), len(live), s.Stats())
 	}
 	for _, want := range live {
-		got, ok := s.Lookup(want.ID)
+		got, ok := indexed(s, want.ID)
 		if !ok {
 			t.Fatalf("record %s lost", want.ID)
 		}
@@ -118,7 +118,7 @@ func TestCompactKeepsFirstRecordOnConflict(t *testing.T) {
 	}
 	// live[1] had a conflicting rival in a later segment; the original
 	// must have survived compaction byte-for-byte.
-	got, ok := s.Lookup(live[1].ID)
+	got, ok := indexed(s, live[1].ID)
 	if !ok {
 		t.Fatal("conflicted record lost")
 	}
@@ -298,7 +298,7 @@ func TestCompactCrashStates(t *testing.T) {
 // compact (or refuse) without panicking, and whatever survives must be
 // genuine records.
 func FuzzCompactionRecovery(f *testing.F) {
-	line, err := encodeRecord("p1", scenario("icx", "jacobi", 1), metrics(1))
+	line, err := EncodeRecord("p1", scenario("icx", "jacobi", 1), metrics(1))
 	if err != nil {
 		f.Fatal(err)
 	}

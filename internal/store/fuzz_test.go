@@ -23,7 +23,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	var m sweep.Metrics
 	m.Add("store_ratio", 1.3245)
 	m.Add("weird", math.NaN())
-	if line, err := encodeRecord("p1", seedScenario, m); err == nil {
+	if line, err := EncodeRecord("p1", seedScenario, m); err == nil {
 		f.Add(line)
 	}
 	f.Add([]byte(`{"id":"x","phys":"p1","key":"","metrics":null}`))
@@ -33,17 +33,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		rec, err := decodeRecord(line, "p1")
+		rec, err := DecodeRecord(line, "p1")
 		if err != nil {
 			return
 		}
 		// Accepted records must be canonical: re-encoding reproduces a
 		// decodable record with the same ID and bit-identical metrics.
-		line2, err := encodeRecord("p1", rec.Scenario, rec.Metrics)
+		line2, err := EncodeRecord("p1", rec.Scenario, rec.Metrics)
 		if err != nil {
 			t.Fatalf("accepted record %s does not re-encode: %v", rec.ID, err)
 		}
-		rec2, err := decodeRecord(line2, "p1")
+		rec2, err := DecodeRecord(line2, "p1")
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
@@ -70,7 +70,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 	sc := sweep.Scenario{Machine: "icx", Mode: nt, Seed: 1}
 	var m sweep.Metrics
 	m.Add("a", 1)
-	line, _ := encodeRecord("p1", sc, m)
+	line, _ := EncodeRecord("p1", sc, m)
 	f.Add(append([]byte("garbage\n"), line...))
 	f.Add(bytes.Repeat([]byte("x"), 4096))
 	f.Add([]byte("\n\n\n"))

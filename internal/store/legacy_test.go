@@ -63,8 +63,8 @@ func writeOldIndex(t *testing.T, seg string) string {
 		body := bytes.TrimSuffix(line, []byte("\n"))
 		var lr lineRecord
 		if json.Unmarshal(body, &lr) == nil {
-			if rec, err := decodeRecord(body, lr.Physics); err == nil {
-				canon, _ := encodeRecord(lr.Physics, rec.Scenario, rec.Metrics)
+			if rec, err := DecodeRecord(body, lr.Physics); err == nil {
+				canon, _ := EncodeRecord(lr.Physics, rec.Scenario, rec.Metrics)
 				h := fnv.New64a()
 				h.Write(bytes.TrimSuffix(canon, []byte("\n")))
 				fmt.Fprintf(&entries, "%s %d %d %016x %s\n", rec.ID, off, len(body), h.Sum64(), lr.Physics)
@@ -151,7 +151,7 @@ func TestSidecarRecoveryBitExact(t *testing.T) {
 	extra := scenario("spr", "stream", 40)
 	var second []byte
 	for _, rec := range []Record{live[0], {Scenario: extra, Metrics: metrics(40)}} {
-		line, err := encodeRecord("p1", rec.Scenario, rec.Metrics)
+		line, err := EncodeRecord("p1", rec.Scenario, rec.Metrics)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestSidecarSizeGuard(t *testing.T) {
 	writeOldIndex(t, seg)
 
 	extra := scenario("spr", "stream", 99)
-	line, err := encodeRecord("p1", extra, metrics(42))
+	line, err := EncodeRecord("p1", extra, metrics(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestSidecarServesForeignPhysics(t *testing.T) {
 	dir := t.TempDir()
 	seg := filepath.Join(dir, "seg-000001.jsonl")
 	scA, scB := scenario("icx", "jacobi", 1), scenario("icx", "stream", 2)
-	lineA, err := encodeRecord("p1", scA, metrics(1))
+	lineA, err := EncodeRecord("p1", scA, metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineB, err := encodeRecord("p2", scB, metrics(2))
+	lineB, err := EncodeRecord("p2", scB, metrics(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func TestSidecarDuplicateClassification(t *testing.T) {
 
 	// A second segment re-records the same scenario twice: once with
 	// identical bits (benign) and once with different bits (conflict).
-	same, err := encodeRecord("p1", sc, recs[0].Metrics)
+	same, err := EncodeRecord("p1", sc, recs[0].Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := encodeRecord("p1", sc, metrics(777))
+	diff, err := EncodeRecord("p1", sc, metrics(777))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 //     a single O_APPEND write, so a crash can only tear the final
 //     line, never an earlier record.
 //   - One recovery path. Open replays every segment line by line
-//     through decodeRecord into an in-memory index, and every read is
+//     through DecodeRecord into an in-memory index, and every read is
 //     served from that index. Open writes nothing into the directory,
 //     and files there other than segments are never read.
 //   - Corruption-tolerant recovery. The replay tolerates torn tails,
@@ -223,7 +223,7 @@ func (s *Store) scanSegment(path string, visit func(line []byte, rec Record, err
 	for {
 		line, err := readLine(r)
 		if len(line) > 0 {
-			rec, derr := decodeRecord(line, s.physics)
+			rec, derr := DecodeRecord(line, s.physics)
 			if verr := visit(line, rec, derr); verr != nil {
 				return verr
 			}
@@ -266,11 +266,11 @@ func (s *Store) noteDuplicateLocked(first, again Record) {
 // the same scenario and exact metric bits, regardless of cosmetic
 // differences in their on-disk JSON. Only a repeated ID pays for it.
 func sameRecord(physics string, a, b Record) bool {
-	la, err := encodeRecord(physics, a.Scenario, a.Metrics)
+	la, err := EncodeRecord(physics, a.Scenario, a.Metrics)
 	if err != nil {
 		return false
 	}
-	lb, err := encodeRecord(physics, b.Scenario, b.Metrics)
+	lb, err := EncodeRecord(physics, b.Scenario, b.Metrics)
 	return err == nil && bytes.Equal(la, lb)
 }
 
@@ -331,8 +331,10 @@ type lineMetric struct {
 	Value float64 `json:"value,omitempty"`
 }
 
-// encodeRecord renders one record as a JSONL line (newline included).
-func encodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, error) {
+// EncodeRecord renders one record as a JSONL line (newline included):
+// the line a segment holds and the record a sweepd success frame
+// carries.
+func EncodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, error) {
 	lr := lineRecord{
 		ID:      sc.ID(),
 		Physics: physics,
@@ -356,20 +358,21 @@ func encodeRecord(physics string, sc sweep.Scenario, m sweep.Metrics) ([]byte, e
 	return append(buf, '\n'), nil
 }
 
-// decodeRecord parses and verifies one JSONL line. It never panics on
-// arbitrary input. Beyond JSON well-formedness it enforces the store's
-// integrity invariants: the physics version must match (a mismatch is
-// the distinguished stale error), the key must parse as a canonical
+// DecodeRecord parses and verifies one record, a segment line or the
+// record of a sweepd success frame. It never panics on arbitrary input.
+// Beyond JSON well-formedness it enforces the store's integrity
+// invariants: the physics version must match (a mismatch is the
+// distinguished stale error), the key must parse as a canonical
 // scenario key, the scenario must hash back to the claimed ID, and
 // every metric must carry decodable bits under a non-empty name.
-func decodeRecord(line []byte, physics string) (Record, error) {
+func DecodeRecord(line []byte, physics string) (Record, error) {
 	var lr lineRecord
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&lr); err != nil {
 		return Record{}, fmt.Errorf("store: bad record line: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Record{}, fmt.Errorf("store: trailing data after record")
 	}
 	if lr.Physics != physics {
@@ -400,19 +403,11 @@ func decodeRecord(line []byte, physics string) (Record, error) {
 // (under this physics version) has never seen it. The returned metrics
 // are shared with the index: treat them as read-only.
 func (s *Store) Get(sc sweep.Scenario) (sweep.Metrics, bool) {
-	rec, ok := s.Lookup(sc.ID())
-	if !ok {
-		return nil, false
-	}
-	return rec.Metrics, true
-}
-
-// Lookup serves a stored record by its config hash.
-func (s *Store) Lookup(id string) (Record, bool) {
+	id := sc.ID()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rec, ok := s.index[id]
-	return rec, ok
+	return rec.Metrics, ok
 }
 
 // Put durably records one scenario result. Content addressing makes it
@@ -420,7 +415,7 @@ func (s *Store) Lookup(id string) (Record, bool) {
 // one, or a concurrent writer recovered at Open) is a successful
 // no-op, so the first write wins and the store never mutates a record.
 func (s *Store) Put(sc sweep.Scenario, m sweep.Metrics) error {
-	line, err := encodeRecord(s.physics, sc, m)
+	line, err := EncodeRecord(s.physics, sc, m)
 	if err != nil {
 		return err
 	}

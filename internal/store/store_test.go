@@ -44,6 +44,14 @@ func mustOpen(t *testing.T, dir, physics string) *Store {
 	return s
 }
 
+// indexed returns the record the store's index holds for id.
+func indexed(s *Store, id string) (Record, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, ok := s.index[id]
+	return rec, ok
+}
+
 // equalBits compares metrics for bit-exact equality (NaN == NaN, -0 != +0).
 func equalBits(t *testing.T, got, want sweep.Metrics) {
 	t.Helper()
@@ -93,9 +101,9 @@ func TestPutGetReopenBitExact(t *testing.T) {
 		t.Fatal("Get missed after reopen")
 	}
 	equalBits(t, got, m)
-	rec, ok := s2.Lookup(sc.ID())
+	rec, ok := indexed(s2, sc.ID())
 	if !ok || rec.Scenario != sc {
-		t.Fatalf("Lookup(%s) = %+v, %t; want original scenario back", sc.ID(), rec.Scenario, ok)
+		t.Fatalf("index[%s] = %+v, %t; want original scenario back", sc.ID(), rec.Scenario, ok)
 	}
 }
 
@@ -178,16 +186,21 @@ func TestRecoveryTolerance(t *testing.T) {
 	// Simulate a crash mid-append: tear the final record's line.
 	data = data[:len(data)-7]
 	// And a separate segment of assorted damage: garbage, a record
-	// whose key does not hash to its ID, an overlong line, and an
-	// unterminated tail.
+	// whose key does not hash to its ID, a record followed by a stray
+	// brace, an overlong line, and an unterminated tail.
 	evil := scenario("spr8480", "jacobi", 3)
-	evilLine, err := encodeRecord("p1", evil, metrics(9))
+	evilLine, err := EncodeRecord("p1", evil, metrics(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	forged := strings.Replace(string(evilLine), `"id":"`+evil.ID()+`"`, `"id":"000000000000"`, 1)
+	braced, err := EncodeRecord("p1", scenario("spr8480", "stream", 4), metrics(8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	damage := "not json at all\n" +
 		forged +
+		strings.TrimSpace(string(braced)) + "}\n" +
 		"{\"id\":\"deadbeef\"," + strings.Repeat("x", maxLineBytes+4096) + "\n" +
 		string(evilLine) +
 		"{\"id\":\"trunc" // torn tail, no newline
@@ -212,11 +225,11 @@ func TestRecoveryTolerance(t *testing.T) {
 	if _, ok := s2.Get(torn); ok {
 		t.Error("torn record served")
 	}
-	// Five corrupt lines: the torn tail of segment one, then garbage,
-	// the forged ID, the overlong line and the unterminated tail of the
-	// damage segment.
-	if st.Corrupt != 5 {
-		t.Errorf("stats report %s, want 5 corrupt", st)
+	// Six corrupt lines: the torn tail of segment one, then garbage,
+	// the forged ID, the braced record, the overlong line and the
+	// unterminated tail of the damage segment.
+	if st.Corrupt != 6 {
+		t.Errorf("stats report %s, want 6 corrupt", st)
 	}
 }
 
@@ -234,7 +247,7 @@ func TestDuplicateAcrossSegmentsFirstWins(t *testing.T) {
 	// A second writer (different process) records the same scenario
 	// with IDENTICAL bytes — the benign convergence case: first segment
 	// wins on recovery and the re-encounter is a duplicate, no alarm.
-	line, err := encodeRecord("p1", sc, metrics(1))
+	line, err := EncodeRecord("p1", sc, metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +275,7 @@ func TestDuplicateWithDifferentBitsIsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	line, err := encodeRecord("p1", sc, metrics(2)) // same ID, different bits
+	line, err := EncodeRecord("p1", sc, metrics(2)) // same ID, different bits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +304,11 @@ func TestDuplicateWithDifferentBitsIsConflict(t *testing.T) {
 func TestSegmentRolloverRecoveryOrder(t *testing.T) {
 	dir := t.TempDir()
 	sc := scenario("icx", "jacobi", 1)
-	older, err := encodeRecord("p1", sc, metrics(1))
+	older, err := EncodeRecord("p1", sc, metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newer, err := encodeRecord("p1", sc, metrics(2))
+	newer, err := EncodeRecord("p1", sc, metrics(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,11 +589,11 @@ func TestOpenFailsOnUnusableDir(t *testing.T) {
 }
 
 func TestStaleErrorMessage(t *testing.T) {
-	line, err := encodeRecord("p9", scenario("icx", "jacobi", 1), metrics(1))
+	line, err := EncodeRecord("p9", scenario("icx", "jacobi", 1), metrics(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, derr := decodeRecord(line[:len(line)-1], "p1")
+	_, derr := DecodeRecord(line[:len(line)-1], "p1")
 	if !isStale(derr) || !strings.Contains(derr.Error(), "p9") {
 		t.Fatalf("stale decode error = %v", derr)
 	}

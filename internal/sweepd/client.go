@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 
+	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 )
 
@@ -19,26 +19,24 @@ import (
 // half of the server's wire protocol, so the dispatch layer never
 // hand-rolls JSON against it. It is safe for concurrent use.
 type Client struct {
-	// BaseURL is the worker's root URL (e.g. "http://host:8075"). A
-	// bare host[:port] is promoted to http://.
+	// BaseURL is the worker's root URL (e.g. "http://host:8075").
 	BaseURL string
-	// Physics, when non-empty, makes ExecuteScenarios reject responses
-	// simulated under a different physics version. A fleet checks
-	// healthz at assembly, but a worker can be restarted with a newer
-	// binary (or swapped behind a load balancer) mid-campaign; the
-	// per-response check keeps foreign-physics results from ever
-	// merging into this campaign or its store.
-	Physics string
+	// physics is the version every expand stream and record must
+	// carry: a worker restarted mid-campaign with another build (or
+	// swapped behind a load balancer) cannot merge foreign-physics
+	// results into this campaign or its store.
+	physics string
 }
 
 // NewClient returns a client for one worker base URL, promoting a
-// scheme-less host[:port] to http://.
-func NewClient(base string) *Client {
+// scheme-less host[:port] to http://, that accepts results simulated
+// under physics only.
+func NewClient(base, physics string) *Client {
 	base = strings.TrimSuffix(strings.TrimSpace(base), "/")
 	if base != "" && !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &Client{BaseURL: base}
+	return &Client{BaseURL: base, physics: physics}
 }
 
 // maxHealthzBytes bounds a healthz body; maxExpandBytes bounds each
@@ -49,7 +47,7 @@ func NewClient(base string) *Client {
 // oversize path without generating 64 MiB.
 const maxHealthzBytes = int64(1 << 20)
 
-var maxExpandBytes = int64(64 << 20)
+var maxExpandBytes = 64 << 20
 
 // readBody reads a bounded response body, returning an explicit error
 // when the server sends more than limit bytes. It reads limit+1 so
@@ -65,34 +63,6 @@ func (c *Client) readBody(body io.Reader, limit int64, what string) ([]byte, err
 		return nil, fmt.Errorf("sweepd client: %s: %s exceeds %d-byte limit; refusing to parse a truncated body", c.BaseURL, what, limit)
 	}
 	return b, nil
-}
-
-// readFrameLine reads one NDJSON frame line (terminator stripped) from
-// a stream, bounding the FRAME at limit bytes — the stream itself may
-// be arbitrarily long. The bound is enforced while accumulating, so an
-// endless unterminated line fails at limit+1 bytes held instead of
-// ballooning memory first. io.EOF accompanies a final unterminated
-// frame (possibly empty); the caller decides whether that is truncation.
-func readFrameLine(r *bufio.Reader, limit int64) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		line = append(line, frag...)
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		if int64(len(line)) > limit {
-			return nil, fmt.Errorf("frame exceeds %d-byte limit", limit)
-		}
-		switch err {
-		case nil:
-			return line, nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return line, err
-		}
-	}
 }
 
 // errorBody extracts the server's {"error": ...} message from a non-200
@@ -132,160 +102,121 @@ func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	return h, nil
 }
 
-// ExecResult is one scenario outcome returned by ExecuteScenarios.
-// Exactly one of Metrics/Err is meaningful. Unstarted marks a cell the
-// worker was cancelled out of before simulating (its expand deadline,
-// a dying daemon): the cell is re-dispatchable, unlike a genuine
-// simulation failure.
-type ExecResult struct {
-	ID        string
-	Metrics   sweep.Metrics
-	Err       error
-	Unstarted bool
-}
-
-// decodeExecResult converts one wire result into an ExecResult,
-// reconstructing metric values from their IEEE-754 bits — the bits
-// field is authoritative; the decimal mirror cannot carry NaN/Inf and
-// is for humans.
-func (c *Client) decodeExecResult(r executeResult) (ExecResult, error) {
-	res := ExecResult{ID: r.ID, Unstarted: r.Unstarted}
-	if r.Error != "" {
-		res.Err = fmt.Errorf("worker %s: %s", c.BaseURL, r.Error)
-		return res, nil
-	}
-	m := make(sweep.Metrics, 0, len(r.Metrics))
-	for _, jm := range r.Metrics {
-		bits, err := strconv.ParseUint(jm.Bits, 16, 64)
-		if err != nil {
-			return ExecResult{}, fmt.Errorf("sweepd client: %s: result %s metric %s: bad bits %q", c.BaseURL, r.ID, jm.Name, jm.Bits)
-		}
-		m.Add(jm.Name, math.Float64frombits(bits))
-	}
-	res.Metrics = m
-	return res, nil
-}
-
 // ExecuteScenarios posts the scenarios' canonical keys to the worker's
-// /v1/expand and reads the NDJSON stream it answers with.
-// onResult (when non-nil) fires for each cell the moment its frame
-// arrives — in completion order, not request order — and the full
-// request-ordered result slice is returned at the end. Metric values
-// are reconstructed from their IEEE-754 bits, so they are bit-exact
-// with what the worker simulated.
+// /v1/expand and reads the NDJSON stream it answers with. onResult
+// fires for each cell the moment its frame arrives, in completion
+// order, with the cell's index in scenarios and its metrics or error;
+// the error of a cell the worker never started wraps
+// sweep.ErrUnstarted. The scenarios' IDs must be distinct, as the
+// engine hands a backend each ID once.
 //
-// A transport error, a non-200 status or a malformed, mismatched or
-// truncated stream is a worker-level error: the batch is unaccounted
-// for. onResult may already have fired for a prefix of cells; those
-// results are valid (they carry bit-exact metrics the worker really
-// produced), so callers tracking per-cell delivery can keep them and
-// re-dispatch only the rest. A stream that dies before its terminal
-// summary frame is reported as truncated, never silently treated as
-// complete.
-func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, r ExecResult)) ([]ExecResult, error) {
+// A transport error, a non-200 status, a malformed, mismatched or
+// truncated stream, and a success frame whose record fails
+// store.DecodeRecord under the client's physics or names another cell
+// are errors of the worker: the batch is unaccounted for. onResult may
+// already have fired for a prefix of cells; those results are valid,
+// so callers tracking per-cell delivery can keep them and re-dispatch
+// only the rest.
+func (c *Client) ExecuteScenarios(ctx context.Context, scenarios []sweep.Scenario, onResult func(i int, m sweep.Metrics, err error)) error {
 	keys := make([]string, len(scenarios))
+	pending := make(map[string]int, len(scenarios))
 	for i, sc := range scenarios {
 		keys[i] = sc.Key()
+		pending[sc.ID()] = i
 	}
 	reqBody, err := json.Marshal(expandRequest{Scenarios: keys})
 	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
+		return fmt.Errorf("sweepd client: %s: encoding request: %w", c.BaseURL, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/expand", bytes.NewReader(reqBody))
 	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
+		return fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
+		return fmt.Errorf("sweepd client: %s: %w", c.BaseURL, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, rerr := c.readBody(resp.Body, maxHealthzBytes, "expand error response")
 		if rerr != nil {
-			return nil, rerr
+			return rerr
 		}
-		return nil, fmt.Errorf("sweepd client: %s: expand status %d: %s", c.BaseURL, resp.StatusCode, errorBody(body))
+		return fmt.Errorf("sweepd client: %s: expand status %d: %s", c.BaseURL, resp.StatusCode, errorBody(body))
 	}
 
-	// Results arrive in completion order; match each frame to the
-	// earliest not-yet-delivered request index with its scenario ID
-	// (duplicate scenarios in one batch each get a frame — the server
-	// finalizes one result per requested cell).
-	pending := make(map[string][]int, len(scenarios))
-	for i, s := range scenarios {
-		id := s.ID()
-		pending[id] = append(pending[id], i)
-	}
-	out := make([]ExecResult, len(scenarios))
-	delivered := 0
-	// The limit bounds each FRAME, not the stream: a stream is as long
-	// as the batch demands (held memory stays one frame), while any
+	// The buffer cap bounds each FRAME, not the stream: a stream is as
+	// long as the batch demands (held memory stays one frame), while any
 	// single oversized line still fails loudly instead of ballooning.
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	lines := bufio.NewScanner(resp.Body)
+	lines.Buffer(nil, maxExpandBytes)
 	var sawHeader, sawSummary bool
-	for !sawSummary {
-		line, err := readFrameLine(br, maxExpandBytes)
-		if err == io.EOF && len(line) == 0 {
-			break
-		}
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("sweepd client: %s: bad expand stream: %w", c.BaseURL, err)
-		}
-		atEOF := err == io.EOF
+	for !sawSummary && lines.Scan() {
+		line := lines.Bytes()
 		if len(line) == 0 {
 			continue // tolerate blank keepalive lines
 		}
 		var f streamFrame
 		if err := json.Unmarshal(line, &f); err != nil {
-			return nil, fmt.Errorf("sweepd client: %s: bad expand stream: %w", c.BaseURL, err)
+			return fmt.Errorf("sweepd client: %s: bad expand stream: %w", c.BaseURL, err)
 		}
 		switch {
 		case f.Stream != nil:
 			if sawHeader {
-				return nil, fmt.Errorf("sweepd client: %s: duplicate stream header frame", c.BaseURL)
+				return fmt.Errorf("sweepd client: %s: duplicate stream header frame", c.BaseURL)
 			}
 			sawHeader = true
-			if c.Physics != "" && f.Stream.Physics != c.Physics {
-				return nil, fmt.Errorf("sweepd client: %s: stream simulated under physics %s, want %s", c.BaseURL, f.Stream.Physics, c.Physics)
+			if f.Stream.Physics != c.physics {
+				return fmt.Errorf("sweepd client: %s: stream simulated under physics %s, want %s", c.BaseURL, f.Stream.Physics, c.physics)
 			}
 			if f.Stream.Scenarios != len(scenarios) {
-				return nil, fmt.Errorf("sweepd client: %s: stream announces %d results for %d scenarios", c.BaseURL, f.Stream.Scenarios, len(scenarios))
+				return fmt.Errorf("sweepd client: %s: stream announces %d results for %d scenarios", c.BaseURL, f.Stream.Scenarios, len(scenarios))
 			}
 		case f.Result != nil:
 			if !sawHeader {
-				return nil, fmt.Errorf("sweepd client: %s: result frame before stream header", c.BaseURL)
+				return fmt.Errorf("sweepd client: %s: result frame before stream header", c.BaseURL)
 			}
-			q := pending[f.Result.ID]
-			if len(q) == 0 {
-				return nil, fmt.Errorf("sweepd client: %s: stream delivered unrequested (or extra) result %s", c.BaseURL, f.Result.ID)
+			r := f.Result
+			i, ok := pending[r.ID]
+			if !ok {
+				return fmt.Errorf("sweepd client: %s: stream delivered unrequested (or extra) result %s", c.BaseURL, r.ID)
 			}
-			i := q[0]
-			pending[f.Result.ID] = q[1:]
-			res, err := c.decodeExecResult(*f.Result)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-			delivered++
-			if onResult != nil {
-				onResult(i, res)
+			delete(pending, r.ID)
+			switch {
+			case r.Unstarted:
+				onResult(i, nil, fmt.Errorf("worker %s: %w: %s", c.BaseURL, sweep.ErrUnstarted, r.Error))
+			case r.Error != "":
+				onResult(i, nil, fmt.Errorf("worker %s: %s", c.BaseURL, r.Error))
+			case r.Record == nil:
+				return fmt.Errorf("sweepd client: %s: result %s: success frame carries no record", c.BaseURL, r.ID)
+			default:
+				rec, err := store.DecodeRecord(r.Record, c.physics)
+				if err == nil && rec.ID != r.ID {
+					err = fmt.Errorf("frame carries the record of %s", rec.ID)
+				}
+				if err != nil {
+					return fmt.Errorf("sweepd client: %s: result %s: %w", c.BaseURL, r.ID, err)
+				}
+				onResult(i, rec.Metrics, nil)
 			}
 		case f.Summary != nil:
 			sawSummary = true
 		default:
-			return nil, fmt.Errorf("sweepd client: %s: unrecognized expand stream frame", c.BaseURL)
+			return fmt.Errorf("sweepd client: %s: unrecognized expand stream frame", c.BaseURL)
 		}
-		if atEOF {
-			break
+	}
+	if err := lines.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			err = fmt.Errorf("frame exceeds %d-byte limit", maxExpandBytes)
 		}
+		return fmt.Errorf("sweepd client: %s: bad expand stream: %w", c.BaseURL, err)
 	}
 	if !sawSummary {
-		return nil, fmt.Errorf("sweepd client: %s: expand stream truncated before its summary frame; batch unaccounted for", c.BaseURL)
+		return fmt.Errorf("sweepd client: %s: expand stream truncated before its summary frame; batch unaccounted for", c.BaseURL)
 	}
-	if delivered != len(scenarios) {
-		return nil, fmt.Errorf("sweepd client: %s: stream delivered %d of %d results", c.BaseURL, delivered, len(scenarios))
+	if len(pending) > 0 {
+		return fmt.Errorf("sweepd client: %s: stream delivered %d of %d results", c.BaseURL, len(scenarios)-len(pending), len(scenarios))
 	}
-	return out, nil
+	return nil
 }

@@ -29,6 +29,23 @@ func execStore(t *testing.T) *store.Store {
 	return st
 }
 
+// cellResult is one cell's outcome as ExecuteScenarios reports it, and
+// how often its onResult fired.
+type cellResult struct {
+	m     sweep.Metrics
+	err   error
+	calls int
+}
+
+// execute runs scs on c and returns each cell's outcome in request order.
+func execute(c *Client, scs []sweep.Scenario) ([]cellResult, error) {
+	out := make([]cellResult, len(scs))
+	err := c.ExecuteScenarios(context.Background(), scs, func(i int, m sweep.Metrics, err error) {
+		out[i] = cellResult{m, err, out[i].calls + 1}
+	})
+	return out, err
+}
+
 func execScenarios(n int) []sweep.Scenario {
 	out := make([]sweep.Scenario, n)
 	for i := range out {
@@ -51,24 +68,18 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	st := execStore(t)
 	ts := httptest.NewServer(New(st, runner, 2).Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL, execPhysics)
 
 	scs := execScenarios(4)
-	res, err := c.ExecuteScenarios(context.Background(), scs, nil)
+	res, err := execute(c, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("%d results, want 4", len(res))
-	}
 	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("cell %d failed: %v", i, r.Err)
+		if r.err != nil {
+			t.Fatalf("cell %d failed: %v", i, r.err)
 		}
-		if want := scs[i].ID(); r.ID != want {
-			t.Errorf("result %d is %s, want %s (request order)", i, r.ID, want)
-		}
-		v, ok := r.Metrics.Get("v")
+		v, ok := r.m.Get("v")
 		if !ok || v != float64(scs[i].Ranks)/3.0 {
 			t.Errorf("cell %d metric v = %v, want bit-exact %v", i, v, float64(scs[i].Ranks)/3.0)
 		}
@@ -81,7 +92,7 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	}
 
 	// Warm repeat: served from the store, zero new simulations.
-	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err != nil {
+	if _, err := execute(c, scs); err != nil {
 		t.Fatal(err)
 	}
 	if sims.Load() != 4 {
@@ -105,20 +116,20 @@ func TestExpandExplicitNaNMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(1), nil)
+	res, err := execute(NewClient(ts.URL, execPhysics), execScenarios(1))
 	if err != nil {
 		t.Fatalf("NaN metrics broke the batch: %v", err)
 	}
-	if res[0].Err != nil {
-		t.Fatalf("cell failed: %v", res[0].Err)
+	if res[0].err != nil {
+		t.Fatalf("cell failed: %v", res[0].err)
 	}
-	if v, ok := res[0].Metrics.Get("nan"); !ok || !math.IsNaN(v) {
+	if v, ok := res[0].m.Get("nan"); !ok || !math.IsNaN(v) {
 		t.Errorf("nan metric = %v (present %t), want NaN", v, ok)
 	}
-	if v, ok := res[0].Metrics.Get("inf"); !ok || !math.IsInf(v, 1) {
+	if v, ok := res[0].m.Get("inf"); !ok || !math.IsInf(v, 1) {
 		t.Errorf("inf metric = %v (present %t), want +Inf", v, ok)
 	}
-	if v, _ := res[0].Metrics.Get("finite"); v != 0.5 {
+	if v, _ := res[0].m.Get("finite"); v != 0.5 {
 		t.Errorf("finite metric = %v, want 0.5", v)
 	}
 }
@@ -138,21 +149,21 @@ func TestExpandExplicitPerCellFailure(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(3), nil)
+	res, err := execute(NewClient(ts.URL, execPhysics), execScenarios(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
 		failed := i == 1 // ranks == 2
 		if failed {
-			if r.Err == nil || !strings.Contains(r.Err.Error(), "injected failure") {
-				t.Errorf("cell %d error %v, want the injected failure", i, r.Err)
+			if r.err == nil || !strings.Contains(r.err.Error(), "injected failure") {
+				t.Errorf("cell %d error %v, want the injected failure", i, r.err)
 			}
-			if r.Unstarted {
+			if errors.Is(r.err, sweep.ErrUnstarted) {
 				t.Errorf("cell %d marked unstarted; it genuinely failed", i)
 			}
-		} else if r.Err != nil {
-			t.Errorf("cell %d failed: %v", i, r.Err)
+		} else if r.err != nil {
+			t.Errorf("cell %d failed: %v", i, r.err)
 		}
 	}
 }
@@ -197,7 +208,7 @@ func TestHealthzCapacityAndInflight(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(execStore(t), runner, 3).Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL, execPhysics)
 
 	h, err := c.Healthz(context.Background())
 	if err != nil {
@@ -210,7 +221,7 @@ func TestHealthzCapacityAndInflight(t *testing.T) {
 	// Park one expand in the runner and observe it in healthz.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil)
+		_, err := execute(c, execScenarios(1))
 		done <- err
 	}()
 	select {
@@ -239,7 +250,7 @@ func TestClientPromotesSchemelessURLs(t *testing.T) {
 		"https://host":       "https://host",
 		" host.example.com ": "http://host.example.com",
 	} {
-		if got := NewClient(in).BaseURL; got != want {
+		if got := NewClient(in, execPhysics).BaseURL; got != want {
 			t.Errorf("NewClient(%q).BaseURL = %q, want %q", in, got, want)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cloversim"
+	"cloversim/internal/store"
 	"cloversim/internal/sweep"
 	"cloversim/internal/trace"
 )
@@ -77,13 +78,15 @@ func (coldStore) Get(sweep.Scenario) (sweep.Metrics, bool) { return nil, false }
 // cell simulated alone.
 func TestConcurrentExpandsShareLoopMemo(t *testing.T) {
 	cells := memoCells(t, "icx", "icx-snc0")
-	want := map[string][]jsonMetric{}
+	want := map[string][]byte{}
 	for _, sc := range cells {
 		m, err := cloversim.RunScenarioContext(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[sc.ID()] = toJSONMetrics(m)
+		if want[sc.ID()], err = store.EncodeRecord(cloversim.PhysicsVersion, sc, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var mu sync.Mutex
@@ -120,9 +123,9 @@ func TestConcurrentExpandsShareLoopMemo(t *testing.T) {
 	}
 }
 
-// checkBits posts one expand and compares every result frame's metric
-// bits with want.
-func checkBits(ts *httptest.Server, body []byte, want map[string][]jsonMetric, r int) error {
+// checkBits posts one expand and compares every result frame's record
+// with the record of want's bits.
+func checkBits(ts *httptest.Server, body []byte, want map[string][]byte, r int) error {
 	resp, err := ts.Client().Post(ts.URL+"/v1/expand", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -140,14 +143,8 @@ func checkBits(ts *httptest.Server, body []byte, want map[string][]jsonMetric, r
 		return fmt.Errorf("request %d: summary %+v, want %d ok", r, sum, len(want))
 	}
 	for _, res := range results {
-		w := want[res.ID]
-		if len(res.Metrics) != len(w) {
-			return fmt.Errorf("request %d: cell %s has %d metrics, want %d", r, res.ID, len(res.Metrics), len(w))
-		}
-		for i, m := range res.Metrics {
-			if m.Name != w[i].Name || m.Bits != w[i].Bits {
-				return fmt.Errorf("request %d: cell %s metric %s bits %s, want %s %s", r, res.ID, m.Name, m.Bits, w[i].Name, w[i].Bits)
-			}
+		if w := bytes.TrimSuffix(want[res.ID], []byte("\n")); !bytes.Equal(res.Record, w) {
+			return fmt.Errorf("request %d: cell %s carries record %s, want %s", r, res.ID, res.Record, w)
 		}
 	}
 	return nil

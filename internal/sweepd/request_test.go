@@ -88,7 +88,7 @@ func TestExpandRequestRoundTripsRefinedValues(t *testing.T) {
 	}, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	if _, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), want, nil); err != nil {
+	if _, err := execute(NewClient(ts.URL, execPhysics), want); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {

@@ -12,14 +12,20 @@
 //	POST /v1/admin/compact     merge the store's segments into one
 //
 // An expand body is {"scenarios": [<canonical key>, ...]} and nothing
-// else: any other field is a 400 that names this form. The response is
-// NDJSON, one JSON object per line, sending each cell's result the
-// moment it finalizes with its metrics as exact IEEE-754 bits. The
-// frames are a tagged union:
+// else: any other field, or any data after the object, is a 400 that
+// names this form. The response is NDJSON, one JSON object per line,
+// sending each cell's result the moment it finalizes. The frames are a
+// tagged union:
 //
 //	{"stream":{...}}    first line: physics + scenario count
 //	{"result":{...}}    one per cell, completion order
 //	{"summary":{...}}   last line: counts + incomplete/store status
+//
+// A success frame carries the cell's store record, the object
+// store.EncodeRecord writes for it (metrics as exact IEEE-754 bits), so
+// the client checks it with store.DecodeRecord, the gate every stored
+// record passes. A failure frame carries the error and whether the
+// cell never started.
 //
 // Headers leave with the first frame, so the summary carries the
 // completion and durability status. A stream that ends without a
@@ -46,8 +52,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -74,7 +80,6 @@ const keyBytes = 512
 // implements it.
 type ResultStore interface {
 	sweep.Cache
-	Lookup(id string) (store.Record, bool)
 	Len() int
 	Stats() store.Stats
 	Physics() string
@@ -215,34 +220,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jsonMetric mirrors the store's wire form: decimal value for humans,
-// IEEE-754 bits for clients that need the exact float.
-// The decimal mirror is best-effort — JSON cannot carry NaN/Inf, so
-// exactly those drop the value field (a pointer, so finite zeros stay)
-// and the bits alone are authoritative; encoding NaN as a number would
-// abort the whole response encode mid-body.
-type jsonMetric struct {
-	Name  string   `json:"name"`
-	Value *float64 `json:"value,omitempty"`
-	Bits  string   `json:"bits"`
-}
-
-// toJSONMetrics renders metrics in the wire form of the result frames.
-func toJSONMetrics(ms sweep.Metrics) []jsonMetric {
-	out := make([]jsonMetric, 0, len(ms))
-	for _, m := range ms {
-		jm := jsonMetric{
-			Name: m.Name,
-			Bits: fmt.Sprintf("%016x", math.Float64bits(m.Value)),
-		}
-		if v := m.Value; !math.IsNaN(v) && !math.IsInf(v, 0) {
-			jm.Value = &v
-		}
-		out = append(out, jm)
-	}
-	return out
-}
-
 // handleCompact is the admin trigger for store compaction. The daemon
 // owns its store directory exclusively, so this is the safe way to
 // compact a live store (cmd/sweep -store-compact is for offline ones).
@@ -295,6 +272,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.maxCells())*keyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
 	var scenarios []sweep.Scenario
 	if err == nil {
 		scenarios, err = req.scenarios()
@@ -331,7 +313,7 @@ func (s *Server) expand(ctx context.Context, w http.ResponseWriter, scenarios []
 	out := newNDJSONStream(w)
 	out.frame(streamFrame{Stream: &streamHeader{Physics: s.st.Physics(), Scenarios: len(scenarios)}})
 	c := s.eng.Run(trace.WithMemo(ctx, s.memo), scenarios, func(done, total int, res sweep.Result) {
-		er := toExecuteResult(res)
+		er := s.toExecuteResult(res)
 		out.frame(streamFrame{Result: &er})
 	})
 	sum := expandSummary{Scenarios: len(c.Results)}
@@ -381,7 +363,7 @@ func (s *Server) persist(c sweep.Campaign) error {
 		if res.Err != nil {
 			continue
 		}
-		if _, ok := s.st.Lookup(res.ID); ok {
+		if _, ok := s.st.Get(res.Scenario); ok {
 			continue
 		}
 		if perr := s.st.Put(res.Scenario, res.Metrics); perr != nil {
@@ -469,28 +451,26 @@ func (out *ndjsonStream) frame(f any) {
 	out.err = err
 }
 
-// executeResult is one cell of an expand. Metric values carry
-// their IEEE-754 bits so the dispatcher's merged campaign is bit-exact
-// with a local run; Unstarted distinguishes cells this worker was
-// cancelled out of (re-dispatchable) from genuine simulation failures
-// (final).
+// executeResult is one cell of an expand: a success carries the cell's
+// store record, a failure its error. Unstarted distinguishes cells this
+// worker was cancelled out of (re-dispatchable) from genuine simulation
+// failures (final).
 type executeResult struct {
-	ID        string       `json:"id"`
-	Key       string       `json:"key"`
-	Unstarted bool         `json:"unstarted,omitempty"`
-	Error     string       `json:"error,omitempty"`
-	Metrics   []jsonMetric `json:"metrics,omitempty"`
+	ID        string          `json:"id"`
+	Unstarted bool            `json:"unstarted,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Record    json.RawMessage `json:"record,omitempty"`
 }
 
-// toExecuteResult renders one finalized cell in the exact-bits wire
-// form.
-func toExecuteResult(res sweep.Result) executeResult {
-	er := executeResult{ID: res.ID, Key: res.Scenario.Key()}
+// toExecuteResult renders one finalized cell as a result frame.
+func (s *Server) toExecuteResult(res sweep.Result) executeResult {
+	er := executeResult{ID: res.ID}
+	if res.Err == nil {
+		er.Record, res.Err = store.EncodeRecord(s.st.Physics(), res.Scenario, res.Metrics)
+	}
 	if res.Err != nil {
 		er.Error = res.Err.Error()
 		er.Unstarted = errors.Is(res.Err, sweep.ErrUnstarted)
-	} else {
-		er.Metrics = toJSONMetrics(res.Metrics)
 	}
 	return er
 }

@@ -188,16 +188,22 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d records after expand, want 4", st.Len())
 	}
-	// Each frame carries the stored bits.
+	// Each frame carries the record of the stored bits.
 	for _, res := range cold {
-		stored, ok := st.Lookup(res.ID)
-		if !ok || len(res.Metrics) != len(stored.Metrics) {
-			t.Fatalf("frame %s: %d metrics, stored %d (present %t)", res.ID, len(res.Metrics), len(stored.Metrics), ok)
+		rec, err := store.DecodeRecord(res.Record, cloversim.PhysicsVersion)
+		if err != nil {
+			t.Fatalf("frame %s: %v", res.ID, err)
 		}
-		for i, m := range res.Metrics {
-			if want := fmt.Sprintf("%016x", math.Float64bits(stored.Metrics[i].Value)); m.Bits != want {
-				t.Errorf("frame %s metric %s bits %s, want %s", res.ID, m.Name, m.Bits, want)
-			}
+		stored, ok := st.Get(rec.Scenario)
+		if !ok {
+			t.Fatalf("frame %s: cell not in the store", res.ID)
+		}
+		want, err := store.EncodeRecord(cloversim.PhysicsVersion, rec.Scenario, stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = bytes.TrimSuffix(want, []byte("\n")); !bytes.Equal(res.Record, want) {
+			t.Errorf("frame %s carries record %s, want the stored %s", res.ID, res.Record, want)
 		}
 	}
 
@@ -445,7 +451,7 @@ func TestExpandServesResultsDespiteStoreFailure(t *testing.T) {
 	if sum.StoreError == "" {
 		t.Error("durability loss not flagged in the summary's store_error")
 	}
-	if sum.Scenarios != 1 || sum.OK != 1 || len(results) != 1 || len(results[0].Metrics) == 0 {
+	if sum.Scenarios != 1 || sum.OK != 1 || len(results) != 1 || results[0].Record == nil {
 		t.Fatalf("results lost alongside the store failure: %+v, %+v", sum, results)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,55 +35,46 @@ func streamTestRunner(_ context.Context, s sweep.Scenario) (sweep.Metrics, error
 }
 
 // TestExpandStreamRoundTrip: an explicit expand delivers one result per
-// requested cell (dups included), request-ordered in the returned
-// slice, with bit-exact metrics and per-cell errors intact, and
+// requested cell with bit-exact metrics and per-cell errors intact, and
 // onResult fires exactly once per cell. A warm repeat served from the
 // store agrees cell for cell.
 func TestExpandStreamRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-	c.Physics = execPhysics
+	c := NewClient(ts.URL, execPhysics)
 
 	scs := execScenarios(4)
-	scs = append(scs, scs[0]) // duplicate cell: one frame per requested index
-	var fired atomic.Int64
-	cold, err := c.ExecuteScenarios(context.Background(), scs, func(i int, r ExecResult) {
-		fired.Add(1)
-		if want := scs[i].ID(); r.ID != want {
-			t.Errorf("onResult index %d carries %s, want %s", i, r.ID, want)
-		}
-	})
+	cold, err := execute(c, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() != int64(len(scs)) {
-		t.Errorf("onResult fired %d times for %d cells", fired.Load(), len(scs))
-	}
-	warm, err := c.ExecuteScenarios(context.Background(), scs, nil)
+	warm, err := execute(c, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range scs {
 		s, b := cold[i], warm[i]
-		if s.ID != b.ID || s.Unstarted != b.Unstarted || (s.Err == nil) != (b.Err == nil) {
+		if s.calls != 1 || b.calls != 1 {
+			t.Errorf("cell %d: onResult fired %d times cold, %d warm", i, s.calls, b.calls)
+		}
+		if (s.err == nil) != (b.err == nil) || errors.Is(s.err, sweep.ErrUnstarted) != errors.Is(b.err, sweep.ErrUnstarted) {
 			t.Fatalf("cell %d: cold %+v vs warm %+v", i, s, b)
 		}
-		if s.Err != nil {
-			if !strings.Contains(s.Err.Error(), "injected failure") {
-				t.Errorf("cell %d error %v, want the injected failure", i, s.Err)
+		if s.err != nil {
+			if !strings.Contains(s.err.Error(), "injected failure") {
+				t.Errorf("cell %d error %v, want the injected failure", i, s.err)
 			}
 			continue
 		}
-		if len(s.Metrics) != len(b.Metrics) {
-			t.Fatalf("cell %d: %d cold metrics vs %d warm", i, len(s.Metrics), len(b.Metrics))
+		if len(s.m) != len(b.m) {
+			t.Fatalf("cell %d: %d cold metrics vs %d warm", i, len(s.m), len(b.m))
 		}
-		for j := range s.Metrics {
-			sb := math.Float64bits(s.Metrics[j].Value)
-			bb := math.Float64bits(b.Metrics[j].Value)
-			if s.Metrics[j].Name != b.Metrics[j].Name || sb != bb {
+		for j := range s.m {
+			sb := math.Float64bits(s.m[j].Value)
+			bb := math.Float64bits(b.m[j].Value)
+			if s.m[j].Name != b.m[j].Name || sb != bb {
 				t.Errorf("cell %d metric %d: cold %s/%016x vs warm %s/%016x",
-					i, j, s.Metrics[j].Name, sb, b.Metrics[j].Name, bb)
+					i, j, s.m[j].Name, sb, b.m[j].Name, bb)
 			}
 		}
 	}
@@ -113,18 +105,16 @@ func TestExpandStreamIncremental(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var once atomic.Bool
-	res, err := NewClient(ts.URL).ExecuteScenarios(ctx, execScenarios(2), func(i int, r ExecResult) {
-		if r.ID == execScenarios(1)[0].ID() && once.CompareAndSwap(false, true) {
+	err := NewClient(ts.URL, execPhysics).ExecuteScenarios(ctx, execScenarios(2), func(i int, _ sweep.Metrics, err error) {
+		if err != nil {
+			t.Errorf("cell %d failed: %v", i, err)
+		}
+		if i == 0 && once.CompareAndSwap(false, true) {
 			close(firstSeen)
 		}
 	})
 	if err != nil {
 		t.Fatalf("explicit expand failed (a buffered response would deadlock here): %v", err)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Errorf("cell %d failed: %v", i, r.Err)
-		}
 	}
 }
 
@@ -178,8 +168,9 @@ func TestExpandEncodingFollowsRequestForm(t *testing.T) {
 
 // TestExpandAcceptsOnlyExplicitForm: POST /v1/expand takes a list of
 // scenario keys and nothing else. A grid-shaped body, a key list mixed
-// with any grid axis, and an empty body each get a 400 that names the
-// explicit form; the read routes of a result server are not served.
+// with any grid axis, a key list followed by more data, and an empty
+// body each get a 400 that names the explicit form; the read routes of
+// a result server are not served.
 func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
 		t.Error("runner executed for a rejected body")
@@ -194,6 +185,9 @@ func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
 		"empty object":   `{}`,
 		"empty list":     `{"scenarios":[]}`,
 		"mixed machines": `{"scenarios":[` + key + `],"machines":["icx"]}`,
+		"trailing data":  `{"scenarios":[` + key + `]} trailing garbage`,
+		"second object":  `{"scenarios":[` + key + `]} {"scenarios":[` + key + `]}`,
+		"stray brace":    `{"scenarios":[` + key + `]}}`,
 	}
 	for axis, value := range map[string]string{
 		"workloads": `["stream"]`, "modes": `["baseline"]`, "ranks": `[4]`, "meshes": `["128x64"]`,
@@ -233,19 +227,24 @@ func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
 // batch is unaccounted for and must never pass as complete.
 func TestExpandStreamTruncated(t *testing.T) {
 	scs := execScenarios(2)
+	var one sweep.Metrics
+	one.Add("v", 1)
+	rec, err := store.EncodeRecord(execPhysics, scs[0], one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fmt.Fprintf(w, `{"stream":{"physics":%q,"scenarios":2}}`+"\n", execPhysics)
-		fmt.Fprintf(w, `{"result":{"id":%q,"key":%q,"metrics":[{"name":"v","bits":"3ff0000000000000"}]}}`+"\n",
-			scs[0].ID(), scs[0].Key())
+		fmt.Fprintf(w, `{"result":{"id":%q,"record":%s}}`+"\n", scs[0].ID(), bytes.TrimSpace(rec))
 		// No summary: the worker died mid-campaign.
 	}))
 	t.Cleanup(ts.Close)
 
 	var surfaced int
-	_, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), scs, func(i int, r ExecResult) {
+	err = NewClient(ts.URL, execPhysics).ExecuteScenarios(context.Background(), scs, func(i int, m sweep.Metrics, _ error) {
 		surfaced++
-		if v, ok := r.Metrics.Get("v"); !ok || v != 1.0 {
+		if v, ok := m.Get("v"); !ok || v != 1.0 {
 			t.Errorf("surfaced prefix cell carries v=%v, want 1", v)
 		}
 	})
@@ -262,10 +261,56 @@ func TestExpandStreamTruncated(t *testing.T) {
 func TestExpandStreamPhysicsMismatch(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-	c.Physics = "other-physics"
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "physics") {
+	if _, err := execute(NewClient(ts.URL, "other-physics"), execScenarios(1)); err == nil || !strings.Contains(err.Error(), "physics") {
 		t.Fatalf("foreign-physics stream error = %v, want physics mismatch", err)
+	}
+}
+
+// TestClientRejectsRecordsFailingTheGate: a success frame's record
+// passes store.DecodeRecord under the client's physics and belongs to
+// the frame's cell, or the whole call fails as an error of the worker,
+// naming it, and the cell is not delivered. One fake worker per case: a
+// missing record, a key that hashes to another ID, another cell's
+// record, a record of other physics, and bits that do not decode.
+func TestClientRejectsRecordsFailingTheGate(t *testing.T) {
+	scs := execScenarios(2)
+	sc, other := scs[0], scs[1]
+	var one sweep.Metrics
+	one.Add("v", 1)
+	record := func(physics string, of sweep.Scenario) string {
+		rec, err := store.EncodeRecord(physics, of, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(bytes.TrimSpace(rec))
+	}
+	replace := func(s, old, new string) string {
+		if !strings.Contains(s, old) {
+			t.Fatalf("%s holds no %s", s, old)
+		}
+		return strings.Replace(s, old, new, 1)
+	}
+	for name, frame := range map[string]string{
+		"missing record":           fmt.Sprintf(`{"id":%q}`, sc.ID()),
+		"key hashes to another ID": fmt.Sprintf(`{"id":%q,"record":%s}`, sc.ID(), replace(record(execPhysics, other), other.ID(), sc.ID())),
+		"record of another cell":   fmt.Sprintf(`{"id":%q,"record":%s}`, sc.ID(), record(execPhysics, other)),
+		"other physics":            fmt.Sprintf(`{"id":%q,"record":%s}`, sc.ID(), record("pother", sc)),
+		"undecodable bits":         fmt.Sprintf(`{"id":%q,"record":%s}`, sc.ID(), replace(record(execPhysics, sc), `"bits":"3ff0000000000000"`, `"bits":"3ff0zz"`)),
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintf(w, `{"stream":{"physics":%q,"scenarios":1}}`+"\n", execPhysics)
+			fmt.Fprintf(w, `{"result":%s}`+"\n", frame)
+			fmt.Fprintf(w, `{"summary":{"scenarios":1,"ok":1}}`+"\n")
+		}))
+		res, err := execute(NewClient(ts.URL, execPhysics), []sweep.Scenario{sc})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), ts.URL) {
+			t.Errorf("%s: error %v, want a worker-level error naming %s", name, err, ts.URL)
+		}
+		if res[0].calls != 0 {
+			t.Errorf("%s: cell delivered as %+v", name, res[0])
+		}
 	}
 }
 
@@ -280,7 +325,7 @@ func TestClientOversizedResponses(t *testing.T) {
 		fmt.Fprintf(w, `{"ok":true,"padding":%q}`, huge)
 	}))
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL, execPhysics)
 
 	if _, err := c.Healthz(context.Background()); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized healthz error = %v, want explicit limit report", err)
@@ -289,7 +334,7 @@ func TestClientOversizedResponses(t *testing.T) {
 	old := maxExpandBytes
 	maxExpandBytes = 256
 	t.Cleanup(func() { maxExpandBytes = old })
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := execute(c, execScenarios(1)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized expand error = %v, want explicit limit report", err)
 	}
 }
@@ -305,7 +350,7 @@ func TestMaxCellsConfigurable(t *testing.T) {
 	srv.MaxCells = 2
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL, execPhysics)
 
 	h, err := c.Healthz(context.Background())
 	if err != nil {
@@ -314,10 +359,10 @@ func TestMaxCellsConfigurable(t *testing.T) {
 	if h.MaxCells != 2 {
 		t.Errorf("healthz max_cells = %d, want 2", h.MaxCells)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(3), nil); err == nil || !strings.Contains(err.Error(), "limit 2") {
+	if _, err := execute(c, execScenarios(3)); err == nil || !strings.Contains(err.Error(), "limit 2") {
 		t.Errorf("3-cell expand against cap 2: err = %v, want limit rejection", err)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(2), nil); err != nil {
+	if _, err := execute(c, execScenarios(2)); err != nil {
 		t.Errorf("2-cell expand within cap failed: %v", err)
 	}
 
@@ -359,24 +404,18 @@ func TestMaxCellsConfigurable(t *testing.T) {
 // small frames totaling far past the cap must stream through.
 func TestStreamTotalBeyondFrameCap(t *testing.T) {
 	old := maxExpandBytes
-	maxExpandBytes = 600 // one result frame is ~150 bytes; 20 total far more
+	maxExpandBytes = 600 // one result frame is ~300 bytes; 20 total far more
 	t.Cleanup(func() { maxExpandBytes = old })
 
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-	c.Physics = execPhysics
 
-	scs := execScenarios(20)
-	out, err := c.ExecuteScenarios(context.Background(), scs, nil)
+	out, err := execute(NewClient(ts.URL, execPhysics), execScenarios(20))
 	if err != nil {
 		t.Fatalf("stream with total size beyond the per-frame cap failed: %v", err)
 	}
-	if len(out) != len(scs) {
-		t.Fatalf("delivered %d of %d results", len(out), len(scs))
-	}
 	for i, r := range out {
-		if r.Err == nil && r.Metrics == nil {
+		if r.err == nil && r.m == nil {
 			t.Fatalf("result %d empty", i)
 		}
 	}
@@ -394,13 +433,10 @@ func TestStreamOversizedFrameRejected(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fmt.Fprintf(w, `{"stream":{"physics":%q,"scenarios":1}}`+"\n", execPhysics)
-		fmt.Fprintf(w, `{"result":{"id":%q,"key":%q,"error":%q}}`+"\n",
-			scs[0].ID(), scs[0].Key(), strings.Repeat("x", int(maxExpandBytes)))
+		fmt.Fprintf(w, `{"result":{"id":%q,"error":%q}}`+"\n", scs[0].ID(), strings.Repeat("x", maxExpandBytes))
 	}))
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-	c.Physics = execPhysics
-	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err == nil ||
+	if _, err := execute(NewClient(ts.URL, execPhysics), scs); err == nil ||
 		!strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized frame error = %v, want explicit limit report", err)
 	}
@@ -411,7 +447,7 @@ func TestStreamOversizedFrameRejected(t *testing.T) {
 func TestHealthzDefaultMaxCells(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
-	h, err := NewClient(ts.URL).Healthz(context.Background())
+	h, err := NewClient(ts.URL, execPhysics).Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,20 +474,16 @@ func BenchmarkExpandStreaming(b *testing.B) {
 	b.Cleanup(func() { st.Close() })
 	ts := httptest.NewServer(New(st, runner, 4).Handler())
 	b.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL, execPhysics)
 	scs := execScenarios(n)
-	if _, err := c.ExecuteScenarios(context.Background(), scs, nil); err != nil {
+	if _, err := execute(c, scs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.ExecuteScenarios(context.Background(), scs, func(int, ExecResult) {})
-		if err != nil {
+		if err := c.ExecuteScenarios(context.Background(), scs, func(int, sweep.Metrics, error) {}); err != nil {
 			b.Fatal(err)
-		}
-		if len(res) != n {
-			b.Fatalf("%d results", len(res))
 		}
 	}
 }

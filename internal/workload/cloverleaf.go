@@ -12,12 +12,16 @@ import (
 // the store/copy microbenchmarks at the scenario's thread count, all
 // under the scenario's evasion mode.
 func cloverleafRun(c Config) (sweep.Metrics, error) {
+	rows, err := cloverleaf.RowLimit(c.MaxRows)
+	if err != nil {
+		return nil, err
+	}
 	to := cloverleaf.TrafficOptions{
 		Machine:       c.Machine,
 		Ranks:         c.Ranks,
 		GridX:         c.MeshX,
 		GridY:         c.MeshY,
-		MaxRows:       cloverleaf.RowLimit(c.MaxRows),
+		MaxRows:       rows,
 		AlignArrays:   true,
 		NTStores:      c.Mode.NTStores,
 		OptimizeLoops: c.Mode.OptimizeLoops,
