@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cloversim/internal/sweep"
@@ -203,27 +204,12 @@ func (o *Outcome) FrontierCount() int {
 	return n
 }
 
-// pointState is the driver's per-point bookkeeping.
-type pointState struct {
-	value   Value
-	class   bool
-	results []sweep.Result
-}
-
-// track is the driver's per-track state. Points are kept sorted by
-// axis value; membership is tracked in a keyed map but every
-// order-sensitive walk runs over the sorted slice, never the map.
-type track struct {
-	base   sweep.Scenario
-	points []*pointState // sorted ascending by value
-	seen   map[Value]bool
-}
-
-func (tr *track) insert(p *pointState) {
-	i := sort.Search(len(tr.points), func(i int) bool { return !tr.points[i].value.less(p.value) })
-	tr.points = append(tr.points, nil)
-	copy(tr.points[i+1:], tr.points[i:])
-	tr.points[i] = p
+// insert adds p to the track's points, keeping them ascending by
+// value: every order-sensitive walk runs over this slice, never over a
+// map.
+func (t *TrackResult) insert(p Point) {
+	i := sort.Search(len(t.Points), func(i int) bool { return !t.Points[i].Value.less(p.Value) })
+	t.Points = slices.Insert(t.Points, i, p)
 }
 
 // seedValues extracts, sorts and deduplicates the refinement axis's
@@ -342,17 +328,18 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 		maxRounds = 16
 	}
 	bases := tracksOf(p.Grid, p.Axis, p.Target.Kind == TargetDelta)
-	tracks := make([]*track, len(bases))
-	pending := make([][]Value, len(tracks))
+	out := &Outcome{Axis: p.Axis, Target: p.Target, Tracks: make([]TrackResult, len(bases))}
+	seen := make([]map[Value]bool, len(bases)) // per track: points visited or pending
+	pending := make([][]Value, len(bases))
 	for i, b := range bases {
-		tracks[i] = &track{base: b, seen: map[Value]bool{}}
+		out.Tracks[i].Base = b
+		seen[i] = map[Value]bool{}
 		pending[i] = append([]Value(nil), seeds...)
 		for _, v := range seeds {
-			tracks[i].seen[v] = true
+			seen[i][v] = true
 		}
 	}
 
-	out := &Outcome{Axis: p.Axis, Target: p.Target}
 	visited := map[string]bool{} // scenario ID -> scheduled (count only)
 	var errs []error
 	var cacheErrs []error
@@ -367,11 +354,11 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 		}
 		var refs []ref
 		var batch []sweep.Scenario
-		for ti, tr := range tracks {
+		for ti, tr := range out.Tracks {
 			sort.Slice(pending[ti], func(i, j int) bool { return pending[ti][i].less(pending[ti][j]) })
 			for _, v := range pending[ti] {
 				refs = append(refs, ref{ti, v})
-				batch = append(batch, p.probes(tr.base, v)...)
+				batch = append(batch, p.probes(tr.Base, v)...)
 			}
 			pending[ti] = nil
 		}
@@ -392,7 +379,6 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 		interrupted := false
 		for ri, rf := range refs {
 			rs := camp.Results[ri*probeN : ri*probeN+probeN]
-			ps := &pointState{value: rf.value, results: append([]sweep.Result(nil), rs...)}
 			var unstarted, failed bool
 			sim := make([]sweep.Metrics, probeN)
 			for pi, r := range rs {
@@ -425,8 +411,7 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 				errs = append(errs, cerr)
 				continue
 			}
-			ps.class = class
-			tracks[rf.track].insert(ps)
+			out.Tracks[rf.track].insert(Point{Value: rf.value, Class: class, Results: slices.Clone(rs)})
 		}
 		if interrupted {
 			out.Interrupted = true
@@ -440,20 +425,20 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 
 		// Refine: bisect intervals whose classification flips; prune
 		// everything else.
-		for ti, tr := range tracks {
-			for i := 0; i+1 < len(tr.points); i++ {
-				a, b := tr.points[i], tr.points[i+1]
-				if a.class == b.class {
+		for ti, tr := range out.Tracks {
+			for i := 0; i+1 < len(tr.Points); i++ {
+				a, b := tr.Points[i], tr.Points[i+1]
+				if a.Class == b.Class {
 					continue
 				}
-				if gap(a.value, b.value) <= tol {
+				if gap(a.Value, b.Value) <= tol {
 					continue
 				}
-				m := mid(a.value, b.value)
-				if m == a.value || m == b.value || tr.seen[m] {
+				m := mid(a.Value, b.Value)
+				if m == a.Value || m == b.Value || seen[ti][m] {
 					continue
 				}
-				tr.seen[m] = true
+				seen[ti][m] = true
 				pending[ti] = append(pending[ti], m)
 			}
 		}
@@ -461,20 +446,16 @@ func (p *Plan) Run(ctx context.Context, eng *sweep.Engine, progress func(done, t
 
 	out.Visited = len(visited)
 	out.CacheErr = errors.Join(cacheErrs...)
-	for _, tr := range tracks {
-		res := TrackResult{Base: tr.base}
-		for _, ps := range tr.points {
-			res.Points = append(res.Points, Point{Value: ps.value, Class: ps.class, Results: ps.results})
-		}
-		for i := 0; i+1 < len(tr.points); i++ {
-			a, b := tr.points[i], tr.points[i+1]
-			if a.class != b.class {
-				res.Intervals = append(res.Intervals, Interval{
-					Lo: a.value, Hi: b.value, LoClass: a.class, HiClass: b.class,
+	for ti := range out.Tracks {
+		tr := &out.Tracks[ti]
+		for i := 0; i+1 < len(tr.Points); i++ {
+			a, b := tr.Points[i], tr.Points[i+1]
+			if a.Class != b.Class {
+				tr.Intervals = append(tr.Intervals, Interval{
+					Lo: a.Value, Hi: b.Value, LoClass: a.Class, HiClass: b.Class,
 				})
 			}
 		}
-		out.Tracks = append(out.Tracks, res)
 	}
 	return out, errors.Join(errs...)
 }

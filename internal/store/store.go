@@ -382,7 +382,8 @@ func DecodeRecord(line []byte, physics string) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("store: record %s: %w", lr.ID, err)
 	}
-	if id := sc.ID(); id != lr.ID {
+	// ParseKey accepted only the key sc renders, so hashing it is sc.ID().
+	if id := sweep.KeyID(lr.Key); id != lr.ID {
 		return Record{}, fmt.Errorf("store: record claims ID %s but its key hashes to %s", lr.ID, id)
 	}
 	m := make(sweep.Metrics, 0, len(lr.Metrics))

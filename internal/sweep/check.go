@@ -2,51 +2,9 @@ package sweep
 
 import "fmt"
 
-// GridSpec is cmd/sweep's names-based declaration of a campaign: axes
-// carry machine/workload/mode/mesh values by name, and Resolve
-// validates them and builds the Grid they declare. Empty axes mean the
-// runner default, as in Grid.
-type GridSpec struct {
-	Machines  []string
-	Workloads []string
-	Modes     []string
-	Ranks     []int
-	Meshes    []string
-	Threads   []int
-	MaxRows   int
-	Seed      uint64
-}
-
-// Resolve validates the spec and builds its Grid. The machine presets
-// and the workload table live in packages this one cannot see
-// (internal/workload imports sweep), so their validator is injected:
-// cmd/sweep passes workload.ValidateAxes.
-func (g GridSpec) Resolve(validateAxes func(machines, workloads []string) error) (Grid, error) {
-	grid := Grid{
-		Machines:  g.Machines,
-		Workloads: g.Workloads,
-		Ranks:     g.Ranks,
-		Threads:   g.Threads,
-		MaxRows:   g.MaxRows,
-		Seed:      g.Seed,
-	}
-	if validateAxes != nil {
-		if err := validateAxes(g.Machines, g.Workloads); err != nil {
-			return Grid{}, err
-		}
-	}
-	if err := checkValues(g.Ranks, g.Threads, g.MaxRows); err != nil {
-		return Grid{}, err
-	}
-	var err error
-	if grid.Modes, err = ModesByName(g.Modes); err != nil {
-		return Grid{}, err
-	}
-	if grid.Meshes, err = ParseMeshes(g.Meshes); err != nil {
-		return Grid{}, err
-	}
-	return grid, nil
-}
+// Check rejects a grid whose numeric axis values no runner accepts
+// (checkValues); cmd/sweep checks its flags' grid with it.
+func (g Grid) Check() error { return checkValues(g.Ranks, g.Threads, g.MaxRows) }
 
 // CheckValues rejects a scenario whose values no runner accepts: a
 // mode that AllModes does not name, or whose knob fields differ from

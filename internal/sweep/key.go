@@ -25,73 +25,34 @@ var keyFields = []string{
 // whitespace or '=' — which registry names guarantee. ParseKey never
 // panics; malformed input returns an error.
 func ParseKey(key string) (Scenario, error) {
-	var s Scenario
-	tokens := strings.Split(key, " ")
-	if len(tokens) != len(keyFields) {
-		return Scenario{}, fmt.Errorf("sweep: key has %d fields, want %d", len(tokens), len(keyFields))
+	vals := strings.Split(key, " ")
+	if len(vals) != len(keyFields) {
+		return Scenario{}, fmt.Errorf("sweep: key has %d fields, want %d", len(vals), len(keyFields))
 	}
-	vals := make(map[string]string, len(keyFields))
-	for i, tok := range tokens {
+	for i, tok := range vals {
 		name, val, ok := strings.Cut(tok, "=")
 		if !ok || name != keyFields[i] {
 			return Scenario{}, fmt.Errorf("sweep: key field %d is %q, want %q=...", i, tok, keyFields[i])
 		}
-		vals[name] = val
+		vals[i] = val
 	}
-
-	s.Machine = vals["machine"]
-	s.Workload = vals["workload"]
-	s.Mode.Name = vals["mode"]
-	var err error
-	parseBool := func(field string, dst *bool) {
-		if err != nil {
-			return
-		}
-		v, e := strconv.ParseBool(vals[field])
-		if e != nil {
-			err = fmt.Errorf("sweep: key field %s=%q: %v", field, vals[field], e)
-			return
-		}
-		*dst = v
+	// Parse leniently, then accept only a key that the parsed scenario
+	// renders back to byte for byte. A value that does not parse, or
+	// another spelling of one that does (nt=1, ranks=+05, seed=0xAB,
+	// mesh=07x9), renders differently, so one scenario has one key and
+	// one ID.
+	s := Scenario{Machine: vals[0], Workload: vals[1], Mode: Mode{Name: vals[2],
+		NTStores: vals[3] == "true", OptimizeLoops: vals[4] == "true",
+		SpecI2MOff: vals[5] == "true", PFOff: vals[6] == "true"}}
+	s.Ranks, _ = strconv.Atoi(vals[7])
+	if vals[8] != "default" {
+		s.Mesh, _ = ParseMesh(vals[8])
 	}
-	parseInt := func(field string, dst *int) {
-		if err != nil {
-			return
-		}
-		v, e := strconv.Atoi(vals[field])
-		if e != nil {
-			err = fmt.Errorf("sweep: key field %s=%q: %v", field, vals[field], e)
-			return
-		}
-		*dst = v
+	s.Threads, _ = strconv.Atoi(vals[9])
+	s.MaxRows, _ = strconv.Atoi(vals[10])
+	s.Seed, _ = strconv.ParseUint(strings.TrimPrefix(vals[11], "0x"), 16, 64)
+	if s.Key() != key {
+		return Scenario{}, fmt.Errorf("sweep: key %q is not canonical (want %q)", key, s.Key())
 	}
-	parseBool("nt", &s.Mode.NTStores)
-	parseBool("opt", &s.Mode.OptimizeLoops)
-	parseBool("i2moff", &s.Mode.SpecI2MOff)
-	parseBool("pfoff", &s.Mode.PFOff)
-	parseInt("ranks", &s.Ranks)
-	parseInt("threads", &s.Threads)
-	parseInt("maxrows", &s.MaxRows)
-	if err != nil {
-		return Scenario{}, err
-	}
-
-	if mesh := vals["mesh"]; mesh != "default" {
-		m, e := ParseMesh(mesh)
-		if e != nil {
-			return Scenario{}, fmt.Errorf("sweep: key field mesh=%q: %v", mesh, e)
-		}
-		s.Mesh = m
-	}
-
-	seed := vals["seed"]
-	if !strings.HasPrefix(seed, "0x") {
-		return Scenario{}, fmt.Errorf("sweep: key field seed=%q: want 0x-prefixed hex", seed)
-	}
-	v, e := strconv.ParseUint(seed[2:], 16, 64)
-	if e != nil {
-		return Scenario{}, fmt.Errorf("sweep: key field seed=%q: %v", seed, e)
-	}
-	s.Seed = v
 	return s, nil
 }

@@ -34,6 +34,20 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// noncanonicalKeys spell a field's value another way than Key renders
+// it; each parses to a scenario whose Key differs from the input.
+var noncanonicalKeys = []string{
+	"machine=icx workload= mode=nt nt=1 opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=8 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=f i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=8 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=FALSE ranks=4 mesh=default threads=8 maxrows=8 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=+05 mesh=default threads=8 maxrows=8 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=-0 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=00 maxrows=8 seed=0x1",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=8 seed=0xAB",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=8 seed=0x00ab",
+	"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=07x9 threads=8 maxrows=8 seed=0x1",
+}
+
 func TestParseKeyRejectsMalformed(t *testing.T) {
 	nt, _ := ModeByName("nt")
 	valid := Scenario{Machine: "icx", Mode: nt, Seed: 1}.Key()
@@ -48,6 +62,7 @@ func TestParseKeyRejectsMalformed(t *testing.T) {
 		"machine=icx workload= mode=nt nt=true opt=false i2moff=false pfoff=false ranks=4 mesh=default threads=8 maxrows=8 seed=0xzz",
 		"ranks=4 workload= mode=nt nt=true opt=false i2moff=false pfoff=false machine=icx mesh=default threads=8 maxrows=8 seed=0x1", // reordered fields
 	}
+	bad = append(bad, noncanonicalKeys...)
 	for _, key := range bad {
 		if _, err := ParseKey(key); err == nil {
 			t.Errorf("ParseKey accepted malformed key %q", key)
@@ -56,8 +71,8 @@ func TestParseKeyRejectsMalformed(t *testing.T) {
 }
 
 // FuzzParseKey: arbitrary strings must never panic, and any key that
-// parses must be canonicalizable — re-keying the parsed scenario and
-// parsing again must reach a fixed point with an unchanged ID.
+// parses must be canonical — the parsed scenario renders back to the
+// same bytes — and reparse to the same scenario and ID.
 func FuzzParseKey(f *testing.F) {
 	f.Add(Scenario{Machine: "icx", Workload: "jacobi", Mode: Mode{Name: "nt", NTStores: true},
 		Ranks: 4, Mesh: Mesh{X: 1536, Y: 1536}, Threads: 8, MaxRows: 8, Seed: 0x5eed}.Key())
@@ -65,11 +80,17 @@ func FuzzParseKey(f *testing.F) {
 	f.Add("machine=icx workload= mode= nt=false opt=false i2moff=false pfoff=false ranks=0 mesh=default threads=0 maxrows=0 seed=0x0")
 	f.Add("not a key")
 	f.Add("machine= workload= mode= nt= opt= i2moff= pfoff= ranks= mesh= threads= maxrows= seed=")
+	for _, key := range noncanonicalKeys {
+		f.Add(key)
+	}
 
 	f.Fuzz(func(t *testing.T, key string) {
 		s, err := ParseKey(key)
 		if err != nil {
 			return
+		}
+		if s.Key() != key {
+			t.Fatalf("accepted key %q renders as %q", key, s.Key())
 		}
 		again, err := ParseKey(s.Key())
 		if err != nil {

@@ -75,8 +75,7 @@ func ModeByName(name string) (Mode, bool) {
 func ModeNames() []string { return modeNames }
 
 // ModesByName resolves a list of mode names into a fresh Mode slice:
-// the mode-axis validation of GridSpec.Resolve, behind cmd/sweep
-// -modes.
+// the mode-axis validation behind cmd/sweep -modes.
 func ModesByName(names []string) ([]Mode, error) {
 	var out []Mode
 	for _, name := range names {
@@ -90,7 +89,7 @@ func ModesByName(names []string) ([]Mode, error) {
 }
 
 // ParseMeshes parses a list of WxH strings: the mesh-axis validation
-// of GridSpec.Resolve, behind cmd/sweep -mesh.
+// behind cmd/sweep -mesh.
 func ParseMeshes(ss []string) ([]Mesh, error) {
 	var out []Mesh
 	for _, s := range ss {
@@ -153,10 +152,14 @@ func (s Scenario) Key() string {
 		s.Ranks, s.Mesh, s.Threads, s.MaxRows, s.Seed)
 }
 
-// ID is the stable config hash (12 hex chars of SHA-256 of Key): equal
-// across runs, processes and machines for equal configurations.
-func (s Scenario) ID() string {
-	h := sha256.Sum256([]byte(s.Key()))
+// ID is the stable config hash, KeyID of Key: equal across runs,
+// processes and machines for equal configurations.
+func (s Scenario) ID() string { return KeyID(s.Key()) }
+
+// KeyID hashes a canonical key to its scenario's ID: 12 hex chars of
+// its SHA-256.
+func KeyID(key string) string {
+	h := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(h[:6])
 }
 

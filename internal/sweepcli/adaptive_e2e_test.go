@@ -302,18 +302,23 @@ func TestE2EAdaptiveSharesStoreWithExhaustive(t *testing.T) {
 // stops beating baseline on jacobi as threads grow, and where jacobi's
 // layer condition breaks as rows grow. The mesh search runs on icx
 // only: each of its 16 rounds simulates rows of up to 131072 columns,
-// and spr8480's track would double the test's time.
+// and spr8480's track would double the test's time. The first
+// example's frontier.csv and frontier.json are compared byte for byte
+// with committed fixtures (testdata/e2e_frontier.*.golden, rewritten by
+// -update-golden).
 func TestE2EAdaptiveReadmeExamples(t *testing.T) {
 	cases := []struct {
 		args     []string
 		summary  string
 		frontier []string // machine:lo:hi of each frontier row
+		golden   bool
 	}{
 		{
 			args: []string{"-machines", "icx,spr8480", "-workloads", "jacobi", "-threads", "1,36",
 				"-adaptive", "threads", "-target", "delta:jacobi_ratio:nt/baseline"},
 			summary:  "rounds=6 visited=18 cells frontier=1 intervals",
 			frontier: []string{"icx:19:20"},
+			golden:   true,
 		},
 		{
 			args: []string{"-machines", "icx", "-workloads", "jacobi", "-modes", "nt",
@@ -346,6 +351,29 @@ func TestE2EAdaptiveReadmeExamples(t *testing.T) {
 		}
 		if strings.Join(got, " ") != strings.Join(c.frontier, " ") {
 			t.Errorf("%v: frontier %v, want %v", c.args, got, c.frontier)
+		}
+		if !c.golden {
+			continue
+		}
+		for _, name := range []string{"frontier.csv", "frontier.json"} {
+			got, err := os.ReadFile(filepath.Join(out, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", "e2e_"+name+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update-golden)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v: %s deviates from %s:\ngot:\n%s\nwant:\n%s", c.args, name, golden, got, want)
+			}
 		}
 	}
 }

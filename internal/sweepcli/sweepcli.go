@@ -20,6 +20,7 @@ import (
 	"syscall"
 
 	"cloversim"
+	"cloversim/internal/csvout"
 	"cloversim/internal/dispatch"
 	"cloversim/internal/machine"
 	"cloversim/internal/search"
@@ -126,33 +127,35 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		}
 	}
 
-	// The flags declare the grid by name; GridSpec validates and
-	// resolves them.
-	spec := sweep.GridSpec{
-		Machines:  machine.Names(),
-		Workloads: workload.Names(),
-		Modes:     sweep.ModeNames(),
-		MaxRows:   *maxRows,
-		Seed:      *seed,
-	}
+	// The flags declare the grid by name; each axis is validated as it
+	// resolves, before the engine, the fleet or the store exist.
+	grid := sweep.Grid{Machines: machine.Names(), Workloads: workload.Names(), MaxRows: *maxRows, Seed: *seed}
 	if *machines != "all" {
-		spec.Machines = splitList(*machines)
+		grid.Machines = splitList(*machines)
 	}
 	if *workloads != "all" {
-		spec.Workloads = splitList(*workloads)
+		grid.Workloads = splitList(*workloads)
 	}
+	modeNames := sweep.ModeNames()
 	if *modes != "all" {
-		spec.Modes = splitList(*modes)
+		modeNames = splitList(*modes)
 	}
-	spec.Meshes = splitList(*mesh)
 	var err error
-	if spec.Ranks, err = intList(*ranks); err != nil {
+	if grid.Ranks, err = intList(*ranks); err != nil {
 		return usage(stderr, err)
 	}
-	if spec.Threads, err = intList(*threads); err != nil {
+	if grid.Threads, err = intList(*threads); err != nil {
 		return usage(stderr, err)
 	}
-	grid, err := spec.Resolve(workload.ValidateAxes)
+	if err = workload.ValidateAxes(grid.Machines, grid.Workloads); err == nil {
+		err = grid.Check()
+	}
+	if err == nil {
+		grid.Modes, err = sweep.ModesByName(modeNames)
+	}
+	if err == nil {
+		grid.Meshes, err = sweep.ParseMeshes(splitList(*mesh))
+	}
 	if err != nil {
 		return usage(stderr, err)
 	}
@@ -195,9 +198,9 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		if err != nil {
 			return runtimeErr(stderr, err)
 		}
-		// Belt for the early-return paths below; the success path
-		// Closes explicitly (Close is idempotent) so sync errors reach
-		// the exit code.
+		// Belt for the early-return paths below; finish Closes
+		// explicitly (Close is idempotent) so sync errors reach the
+		// exit code.
 		defer st.Close()
 		if stats := st.Stats(); stats.Corrupt > 0 || stats.Conflicts > 0 {
 			// Corruption and conflicting records (one scenario stored
@@ -214,28 +217,16 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		}
 		eng.Cache = st
 	}
-	if plan != nil {
-		// Everything set up above — engine, loop memo, store probe and
-		// write-through, local or fleet backend — applies unchanged;
-		// only which cells run is decided wave by wave.
-		return runAdaptive(ctx, plan, adaptiveRun{
-			eng: eng, store: st,
-			out: *out, quiet: *quiet, liveProgress: *progress,
-			workersDesc: workersDesc,
-			stdout:      stdout, stderr: stderr,
-		})
-	}
-	if !*quiet {
-		fmt.Fprintf(stdout, "sweep: %d scenarios (%d machines x %d workloads x %d modes), %s\n",
-			grid.Size(), len(grid.Machines), len(grid.Workloads), len(grid.Modes), workersDesc)
-	}
+	// Both forms write into -out: a bad directory fails before anything
+	// simulates.
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return runtimeErr(stderr, err)
 	}
 
 	// The hook fires once per scenario — warm hits, in-campaign
 	// duplicates and never-started cells included — in completion
-	// order. -q without -progress installs none.
+	// order. A search runs one engine campaign per wave, so its counts
+	// restart each wave. -q without -progress installs none.
 	var hook func(done, total int, r sweep.Result)
 	if !*quiet || *progress {
 		failed := 0
@@ -253,75 +244,144 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 			}
 		}
 	}
-	c := eng.Run(ctx, grid.Expand(), hook)
+	// Everything set up above — engine, loop memo, store probe and
+	// write-through, local or fleet backend, hook — applies to both
+	// forms; a search only decides wave by wave which cells run.
+	var end ending
+	if plan == nil {
+		if !*quiet {
+			fmt.Fprintf(stdout, "sweep: %d scenarios (%d machines x %d workloads x %d modes), %s\n",
+				grid.Size(), len(grid.Machines), len(grid.Workloads), len(grid.Modes), workersDesc)
+		}
+		c := eng.Run(ctx, grid.Expand(), hook)
+		err = emit(stdout, *out, "campaign", *quiet, c, sweep.CSVEmitter{}.Emit, sweep.JSONEmitter{}.Emit,
+			sweep.Campaign.Table, sweep.SummaryEmitter{Metric: *plot}.Emit)
+		end = campaignEnding(c)
+	} else {
+		if !*quiet {
+			g := plan.Grid
+			tracks := len(g.Machines) * len(g.Workloads) * max(len(g.Modes), 1)
+			fmt.Fprintf(stdout, "sweep: adaptive %s search, target %s, %s\n", plan.Axis, plan.Target, workersDesc)
+			fmt.Fprintf(stdout, "sweep: %d tracks (%d machines x %d workloads), tol %d, max %d rounds\n",
+				tracks, len(g.Machines), len(g.Workloads), plan.Tol, plan.MaxRounds)
+		}
+		o, searchErr := plan.Run(ctx, eng, hook)
+		if o == nil {
+			return runtimeErr(stderr, searchErr)
+		}
+		err = emit(stdout, *out, "frontier", *quiet, o, search.CSVEmitter{}.Emit, search.JSONEmitter{}.Emit,
+			(*search.Outcome).Table, summaryLine)
+		end = ending{cacheErr: o.CacheErr, failed: searchErr}
+		if o.Interrupted {
+			end.interrupted = fmt.Sprintf("%d cells visited over %d rounds; partial frontier emitted", o.Visited, o.Rounds)
+		}
+	}
 	if *progress {
 		fmt.Fprintln(stderr) // terminate the carriage-returned line
 	}
-
-	csvPath := filepath.Join(*out, "campaign.csv")
-	jsonPath := filepath.Join(*out, "campaign.json")
-	if err := emitFile(csvPath, sweep.CSVEmitter{}.Emit, c); err != nil {
+	if err != nil {
 		return runtimeErr(stderr, err)
 	}
-	if err := emitFile(jsonPath, sweep.JSONEmitter{}.Emit, c); err != nil {
-		return runtimeErr(stderr, err)
-	}
+	return finish(stderr, st, end)
+}
 
-	if !*quiet {
-		fmt.Fprintf(stdout, "\n%s\n", c.Table().Format())
+// emit is the output step both forms share: it writes base.csv and
+// base.json into dir, then prints the table (unless quiet), the
+// summary and the wrote line.
+func emit[T any](stdout io.Writer, dir, base string, quiet bool, v T,
+	csv, json func(io.Writer, T) error, table func(T) *csvout.Table, summary func(io.Writer, T) error) error {
+	csvPath := filepath.Join(dir, base+".csv")
+	jsonPath := filepath.Join(dir, base+".json")
+	if err := emitFile(csvPath, csv, v); err != nil {
+		return err
 	}
-	if err := (sweep.SummaryEmitter{Metric: *plot}).Emit(stdout, c); err != nil {
-		return runtimeErr(stderr, err)
+	if err := emitFile(jsonPath, json, v); err != nil {
+		return err
 	}
-	fmt.Fprintf(stdout, "wrote %s and %s\n", csvPath, jsonPath)
+	if !quiet {
+		fmt.Fprintf(stdout, "\n%s\n", table(v).Format())
+	}
+	if err := summary(stdout, v); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(stdout, "wrote %s and %s\n", csvPath, jsonPath)
+	return err
+}
 
-	code := ExitOK
-	if c.CacheErr != nil {
-		// Results were computed and emitted, but the store did not
-		// durably record them: a resumed campaign would re-simulate.
-		// Scripts must see that.
-		fmt.Fprintln(stderr, "sweep: store writes failed:", c.CacheErr)
-		code = ExitRuntime
+// summaryLine prints a search's one-line digest.
+func summaryLine(w io.Writer, o *search.Outcome) error {
+	_, err := fmt.Fprintln(w, o.Summary())
+	return err
+}
+
+// ending is how a run of either form ended, the input of finish.
+type ending struct {
+	cacheErr    error  // store writes that failed during the run
+	failed      error  // scenario or probe failures
+	interrupted string // what a cancelled run completed; empty if it was not
+}
+
+// campaignEnding reads an exhaustive campaign's ending. An interrupted
+// campaign lists only its genuine failures: never-started cells are
+// what the interrupt message counts.
+func campaignEnding(c sweep.Campaign) ending {
+	end := ending{cacheErr: c.CacheErr, failed: c.Err()}
+	unstarted := len(c.Unstarted())
+	if unstarted == 0 {
+		return end
+	}
+	end.interrupted = fmt.Sprintf("%d of %d scenarios completed, %d not started",
+		len(c.Results)-unstarted, len(c.Results), unstarted)
+	end.failed = nil
+	for _, r := range c.Failed() {
+		if !errors.Is(r.Err, sweep.ErrUnstarted) {
+			end.failed = errors.Join(end.failed, fmt.Errorf("%s (%s): %w", r.Scenario.Label(), r.ID, r.Err))
+		}
+	}
+	return end
+}
+
+// finish closes the store and applies the exit-code contract to a run
+// of either form, after its output was written:
+//   - a durability failure (a store write, or the sync at Close) exits
+//     ExitRuntime, even when the run was also interrupted: the
+//     partial-results-persisted promise of ExitInterrupted would be a
+//     lie, and a resumed run would re-simulate;
+//   - an interrupted run otherwise exits ExitInterrupted, whatever
+//     failed: "partial results persisted" is the stronger signal for
+//     scripts, which re-run to finish either way;
+//   - a completed run with a failure exits ExitRuntime: error isolation
+//     completes the run and writes both files, but scripts still need
+//     a failure signal.
+func finish(stderr io.Writer, st *store.Store, end ending) int {
+	durable := true
+	if end.cacheErr != nil {
+		fmt.Fprintln(stderr, "sweep: store writes failed:", end.cacheErr)
+		durable = false
 	}
 	if st != nil {
-		// Explicit Close: a failed sync (EIO/ENOSPC surfacing at
-		// fsync) means the records are not durable, which breaks the
-		// resumability contract just like a failed Put.
 		if err := st.Close(); err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
-			code = ExitRuntime
+			durable = false
 		}
 	}
-	if unstarted := c.Unstarted(); len(unstarted) > 0 {
-		// The campaign was interrupted: completed cells were emitted
-		// (and, with -store, persisted and fsynced by the Close above),
-		// never-started cells carry ErrUnstarted. Genuine simulation
-		// failures among the completed cells still get reported, but
-		// the exit code stays ExitInterrupted unless durability broke
-		// (code is already ExitRuntime then): "interrupted, partial
-		// results persisted" is the stronger signal for scripts, which
-		// re-run the campaign to finish it either way.
-		completed := len(c.Results) - len(unstarted)
-		fmt.Fprintf(stderr, "sweep: interrupted: %d of %d scenarios completed, %d not started\n",
-			completed, len(c.Results), len(unstarted))
-		for _, r := range c.Failed() {
-			if !errors.Is(r.Err, sweep.ErrUnstarted) {
-				fmt.Fprintf(stderr, "sweep: %s (%s): %v\n", r.Scenario.Label(), r.ID, r.Err)
-			}
-		}
-		if code == ExitOK {
-			code = ExitInterrupted
-		}
-		return code
+	if end.interrupted != "" {
+		fmt.Fprintln(stderr, "sweep: interrupted:", end.interrupted)
 	}
-	// Error isolation means the campaign always completes and both
-	// files are written — but scripts still need a failure signal:
-	// any failed scenario makes the exit code non-zero.
-	if err := c.Err(); err != nil {
-		fmt.Fprintln(stderr, "sweep:", err)
-		code = ExitRuntime
+	if end.failed != nil {
+		for _, line := range strings.Split(end.failed.Error(), "\n") {
+			fmt.Fprintln(stderr, "sweep:", line)
+		}
 	}
-	return code
+	switch {
+	case !durable:
+		return ExitRuntime
+	case end.interrupted != "":
+		return ExitInterrupted
+	case end.failed != nil:
+		return ExitRuntime
+	}
+	return ExitOK
 }
 
 // runCompact is the -store-compact maintenance mode: open the store,

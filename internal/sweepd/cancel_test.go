@@ -30,20 +30,20 @@ func syntheticMetrics(s sweep.Scenario) sweep.Metrics {
 
 // wideScenarios are 30 cheap cells for cancellation tests.
 func wideScenarios(t *testing.T) []sweep.Scenario {
-	return scenariosOf(t, sweep.GridSpec{
+	return sweep.Grid{
 		Machines:  []string{"icx", "spr8480"},
 		Workloads: []string{"stream"},
-		Modes:     []string{"baseline", "nt", "pf-off"},
+		Modes:     modesOf(t, "baseline", "nt", "pf-off"),
 		Ranks:     []int{1, 2, 3, 4, 5},
 		Threads:   []int{8},
 		Seed:      900,
-	})
+	}.Expand()
 }
 
 // streamScenarios are cheap icx stream cells, one per rank count.
 func streamScenarios(t *testing.T, seed uint64, ranks ...int) []sweep.Scenario {
-	return scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline"}, Ranks: ranks, Threads: []int{8}, Seed: seed})
+	return sweep.Grid{Machines: []string{"icx"}, Workloads: []string{"stream"},
+		Modes: modesOf(t, "baseline"), Ranks: ranks, Threads: []int{8}, Seed: seed}.Expand()
 }
 
 // TestExpandClientDisconnectStopsSimulation is the tentpole's daemon

@@ -19,8 +19,8 @@ import (
 // full node icx-snc0 has icx's caches, so its cells replay exactly the
 // loops of the matching icx cells.
 func memoCells(t *testing.T, machines ...string) []sweep.Scenario {
-	return scenariosOf(t, sweep.GridSpec{Machines: machines, Workloads: []string{"cloverleaf"},
-		Modes: []string{"baseline", "speci2m-off"}, Meshes: []string{"768x768"}, MaxRows: 2})
+	return sweep.Grid{Machines: machines, Workloads: []string{"cloverleaf"},
+		Modes: modesOf(t, "baseline", "speci2m-off"), Meshes: []sweep.Mesh{{X: 768, Y: 768}}, MaxRows: 2}.Expand()
 }
 
 // memoRunner simulates with the production runner and counts the cells

@@ -349,8 +349,8 @@ func (s *Server) expand(ctx context.Context, w http.ResponseWriter, scenarios []
 // persist enforces durability before acknowledgement: a summary
 // without a store error asserts every result in the stream is durable.
 // A cell whose write-through failed in this request (CacheErr) was
-// streamed but is not in the store, so verify each successful cell is
-// indexed and, since the metrics are in hand, repair misses by
+// streamed but is not in the store, so verify each freshly simulated
+// cell is indexed and, since the metrics are in hand, repair misses by
 // retrying the Put (a transient disk-full must not condemn the cell to
 // a store error). Post-repair verification subsumes CacheErr: only a
 // cell that is STILL not persistable flags the loss. The Sync runs after
@@ -360,7 +360,9 @@ func (s *Server) expand(ctx context.Context, w http.ResponseWriter, scenarios []
 func (s *Server) persist(c sweep.Campaign) error {
 	var storeErr error
 	for _, res := range c.Results {
-		if res.Err != nil {
+		if res.Err != nil || res.Cached {
+			// A cached result came from the store, or copies a cell
+			// this loop checks.
 			continue
 		}
 		if _, ok := s.st.Get(res.Scenario); ok {

@@ -39,30 +39,29 @@ func startServer(t *testing.T, st ResultStore, runner sweep.Runner, workers int)
 	return ts
 }
 
-// scenariosOf expands an axis-form spec into the scenarios an expand
-// request carries as keys.
-func scenariosOf(t *testing.T, spec sweep.GridSpec) []sweep.Scenario {
+// modesOf resolves mode names for a test grid.
+func modesOf(t *testing.T, names ...string) []sweep.Mode {
 	t.Helper()
-	grid, err := spec.Resolve(nil)
+	modes, err := sweep.ModesByName(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grid.Expand()
+	return modes
 }
 
 // smallScenarios are fast real-physics cells: 2 machines x 2 modes,
 // tiny mesh.
 func smallScenarios(t *testing.T) []sweep.Scenario {
-	return scenariosOf(t, sweep.GridSpec{
+	return sweep.Grid{
 		Machines:  []string{"icx", "spr8480"},
 		Workloads: []string{"jacobi"},
-		Modes:     []string{"baseline", "nt"},
+		Modes:     modesOf(t, "baseline", "nt"),
 		Ranks:     []int{4},
 		Threads:   []int{8},
-		Meshes:    []string{"1536x1536"},
+		Meshes:    []sweep.Mesh{{X: 1536, Y: 1536}},
 		MaxRows:   8,
 		Seed:      7,
-	})
+	}.Expand()
 }
 
 // expandBody is the request body of an expand of scs.
@@ -302,8 +301,8 @@ func TestConcurrentHammer(t *testing.T) {
 	ts := startServer(t, st, slowRunner, 4)
 
 	// Seed a few warm records so fetchers have known-good targets.
-	warm := scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
-		Modes: []string{"baseline"}, Ranks: []int{1, 2, 3, 4}, Threads: []int{8}, Seed: 1})
+	warm := sweep.Grid{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
+		Modes: modesOf(t, "baseline"), Ranks: []int{1, 2, 3, 4}, Threads: []int{8}, Seed: 1}.Expand()
 	if _, sum := expandStream(t, ts, warm); sum.OK != 4 {
 		t.Fatalf("seed expand summary %+v, want 4 ok", sum)
 	}
@@ -311,9 +310,9 @@ func TestConcurrentHammer(t *testing.T) {
 
 	// All expanders request the SAME 30 cold cells: identical cells race
 	// through the engine and the store concurrently.
-	cold := expandBody(t, scenariosOf(t, sweep.GridSpec{Machines: []string{"icx", "spr8480"}, Workloads: []string{"stream"},
-		Modes: []string{"baseline", "nt", "pf-off"}, Ranks: []int{1, 2, 3, 4, 5},
-		Threads: []int{8}, Seed: 100}))
+	cold := expandBody(t, sweep.Grid{Machines: []string{"icx", "spr8480"}, Workloads: []string{"stream"},
+		Modes: modesOf(t, "baseline", "nt", "pf-off"), Ranks: []int{1, 2, 3, 4, 5},
+		Threads: []int{8}, Seed: 100}.Expand())
 
 	const fetchers = 120
 	const expanders = 4
@@ -445,9 +444,9 @@ func TestExpandServesResultsDespiteStoreFailure(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	ts := startServer(t, st, cloversim.RunScenarioContext, 2)
 
-	results, sum := expandStream(t, ts, scenariosOf(t, sweep.GridSpec{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
-		Modes: []string{"baseline"}, Ranks: []int{2}, Threads: []int{4},
-		Meshes: []string{"512x512"}, MaxRows: 4}))
+	results, sum := expandStream(t, ts, sweep.Grid{Machines: []string{"icx"}, Workloads: []string{"jacobi"},
+		Modes: modesOf(t, "baseline"), Ranks: []int{2}, Threads: []int{4},
+		Meshes: []sweep.Mesh{{X: 512, Y: 512}}, MaxRows: 4}.Expand())
 	if sum.StoreError == "" {
 		t.Error("durability loss not flagged in the summary's store_error")
 	}

@@ -179,6 +179,8 @@ func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	key := fmt.Sprintf("%q", execScenarios(1)[0].Key())
+	nt, _ := sweep.ModeByName("nt")
+	ntKey := sweep.Scenario{Machine: "m", Mode: nt, Ranks: 1, Seed: 3}.Key()
 	bodies := map[string]string{
 		"grid":           `{"machines":["icx"],"workloads":["stream"],"modes":["baseline"],"ranks":[4],"threads":[8]}`,
 		"no body":        ``,
@@ -188,6 +190,8 @@ func TestExpandAcceptsOnlyExplicitForm(t *testing.T) {
 		"trailing data":  `{"scenarios":[` + key + `]} trailing garbage`,
 		"second object":  `{"scenarios":[` + key + `]} {"scenarios":[` + key + `]}`,
 		"stray brace":    `{"scenarios":[` + key + `]}}`,
+		// Another spelling of a canonical key's value.
+		"noncanonical key": fmt.Sprintf(`{"scenarios":[%q]}`, strings.Replace(ntKey, " nt=true ", " nt=1 ", 1)),
 	}
 	for axis, value := range map[string]string{
 		"workloads": `["stream"]`, "modes": `["baseline"]`, "ranks": `[4]`, "meshes": `["128x64"]`,

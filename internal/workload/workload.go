@@ -111,8 +111,8 @@ func Names() []string {
 const DefaultName = "cloverleaf"
 
 // ValidateAxes checks machine and workload axis values against the
-// machine presets and the workload table: the axis validator
-// cmd/sweep's grid spec resolves with (sweep.GridSpec.Resolve).
+// machine presets and the workload table: the validation behind
+// cmd/sweep -machines and -workloads.
 func ValidateAxes(machines, workloadNames []string) error {
 	for _, m := range machines {
 		if _, ok := machine.ByName(m); !ok {
