@@ -262,6 +262,9 @@ func TestBenchValidation(t *testing.T) {
 	if _, err := RunStore(StoreOptions{Machine: icx, Cores: 1, BytesPerStream: -64}); err == nil {
 		t.Error("negative store size accepted")
 	}
+	if _, err := RunStore(StoreOptions{Machine: icx, Cores: 1, BytesPerStream: 1<<20 + 4}); err == nil {
+		t.Error("store size of a partial element accepted")
+	}
 	if _, err := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: -5}); err == nil {
 		t.Error("negative copy size accepted")
 	}

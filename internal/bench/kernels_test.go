@@ -39,23 +39,38 @@ func TestKernelClasses(t *testing.T) {
 	}
 }
 
+// TestRunKernelStoreMatchesRunStore: the table's store kernels are
+// RunStore and its copy kernels RunCopy with Inner 0, bit for bit in
+// every volume, although RunKernel works its streams 512 elements at a
+// time and the other two work each stream whole: at equal seed and
+// size, on every preset, at one, half and all cores, with the
+// prefetchers on and off.
 func TestRunKernelStoreMatchesRunStore(t *testing.T) {
-	// The registry "store" kernel and the dedicated RunStore harness must
-	// agree on the serial ratio.
-	icx := machine.ICX8360Y()
-	kr, err := RunKernel(KernelOptions{Machine: icx, Kernel: "store", Cores: 1, ElemsPerStream: 1 << 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(kr.StoreRatio()-2.0) > 0.02 {
-		t.Errorf("registry store serial ratio %.3f, want 2.0", kr.StoreRatio())
-	}
-	kr72, err := RunKernel(KernelOptions{Machine: icx, Kernel: "store", Cores: 72, ElemsPerStream: 1 << 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kr72.StoreRatio() < 1.15 || kr72.StoreRatio() > 1.3 {
-		t.Errorf("registry store node ratio %.3f, want ~1.22", kr72.StoreRatio())
+	const elems, seed = 1 << 13, 0x5eed
+	for _, spec := range machine.AllPresets() {
+		for _, cores := range []int{1, spec.Cores() / 2, spec.Cores()} {
+			for _, pfOff := range []bool{false, true} {
+				for _, name := range []string{"store", "store2", "store3", "store_mem", "store2_mem", "store3_mem", "copy", "copy_mem"} {
+					k, _ := KernelByName(name)
+					got, err := RunKernel(KernelOptions{Machine: spec, Kernel: name, Cores: cores, ElemsPerStream: elems, PFOff: pfOff, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want Result
+					if k.ReadStreams == 0 {
+						want, err = RunStore(StoreOptions{Machine: spec, Streams: k.WriteStreams, NT: k.NT, Cores: cores, BytesPerStream: elems * 8, PFOff: pfOff, Seed: seed})
+					} else {
+						want, err = RunCopy(CopyOptions{Machine: spec, Cores: cores, Elems: elems, NT: k.NT, PFOff: pfOff, Seed: seed})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.V != want.V {
+						t.Errorf("%s on %s, %d cores, pfoff=%v: RunKernel %+v, dedicated run %+v", name, spec.Name, cores, pfOff, got.V, want.V)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -64,8 +79,8 @@ func TestRunKernelNTStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(kr.StoreRatio()-1.0) > 0.02 {
-		t.Errorf("NT serial ratio %.3f, want 1.0", kr.StoreRatio())
+	if math.Abs(kr.Ratio()-1.0) > 0.02 {
+		t.Errorf("NT serial ratio %.3f, want 1.0", kr.Ratio())
 	}
 	if kr.V.NT == 0 {
 		t.Error("NT volume not recorded")
@@ -74,17 +89,18 @@ func TestRunKernelNTStore(t *testing.T) {
 
 func TestRunKernelUpdateNoWA(t *testing.T) {
 	// "update" reads its write target: write-allocates are free, so the
-	// total traffic equals read + write volume exactly (ratio of reads to
-	// the explicit read volume ~1).
-	kr, err := RunKernel(KernelOptions{Machine: machine.ICX8360Y(), Kernel: "update", Cores: 1, ElemsPerStream: 1 << 17})
+	// traffic is the stream read once and written once.
+	const elems = 1 << 17
+	kr, err := RunKernel(KernelOptions{Machine: machine.ICX8360Y(), Kernel: "update", Cores: 1, ElemsPerStream: elems})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := kr.V.Read / kr.ReadVolume; math.Abs(r-1.0) > 0.02 {
+	explicit := float64(elems) * 8 // the one stream's bytes
+	if r := kr.V.Read / explicit; math.Abs(r-1.0) > 0.02 {
 		t.Errorf("update excess read ratio %.3f, want 1.0 (one pass, no WA)", r)
 	}
-	if math.Abs(kr.V.Write/kr.WriteVolume-1.0) > 0.02 {
-		t.Errorf("update write traffic %.3f of explicit", kr.V.Write/kr.WriteVolume)
+	if math.Abs(kr.V.Write/explicit-1.0) > 0.02 {
+		t.Errorf("update write traffic %.3f of explicit", kr.V.Write/explicit)
 	}
 }
 
@@ -99,8 +115,8 @@ func TestRunKernelTriad(t *testing.T) {
 	if math.Abs(kr.V.Read/perStream-3.0) > 0.05 {
 		t.Errorf("triad reads %.2f streams, want 3 (b, c, WA of a)", kr.V.Read/perStream)
 	}
-	if kr.Flops != 2*float64(1<<17) {
-		t.Errorf("triad flops %g", kr.Flops)
+	if kr.Flops() != 2*float64(1<<17) {
+		t.Errorf("triad flops %g", kr.Flops())
 	}
 }
 
@@ -112,7 +128,7 @@ func TestRunKernelSumReadOnly(t *testing.T) {
 	if kr.V.Write != 0 {
 		t.Errorf("read-only kernel wrote %.0f bytes", kr.V.Write)
 	}
-	if kr.StoreRatio() != 0 {
+	if kr.Ratio() != 0 {
 		t.Error("store ratio should be undefined (0) for read-only kernels")
 	}
 }
@@ -129,10 +145,11 @@ func TestRunKernelErrors(t *testing.T) {
 // TestStreamPastSimulatedRangeIsAnError: a stream past memsim's 2^38-line
 // bound panics in every core group's replay. The run returns the lowest
 // group's panic as an error naming its first core, at once, instead of
-// killing the process hosting it.
+// killing the process hosting it. The copy's source, laid out first and
+// loaded whole, spans 2^39 lines, so its first load is out of range.
 func TestStreamPastSimulatedRangeIsAnError(t *testing.T) {
 	icx := machine.ICX8360Y()
-	_, copyErr := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: 1 << 40})
+	_, copyErr := RunCopy(CopyOptions{Machine: icx, Cores: 1, Elems: 1 << 42})
 	_, kernelErr := RunKernel(KernelOptions{Machine: icx, Kernel: "copy", Cores: 23, ElemsPerStream: 1 << 42})
 	for i, err := range []error{copyErr, kernelErr} {
 		if err == nil || !strings.Contains(err.Error(), "core group at core 0 panicked") || !strings.Contains(err.Error(), "outside the simulated range") {

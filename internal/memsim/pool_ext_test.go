@@ -29,14 +29,14 @@ func TestPoolBoundsConcurrentSimulations(t *testing.T) {
 		x := trace.Node{Spec: spec, Active: spec.Cores() / 2, PFOn: i%3 != 0, Seed: uint64(i + 1)}.Core(0)
 		return x.Run(loop, bounds)
 	}
-	store := func(spec *machine.Spec) bench.StoreResult {
+	store := func(spec *machine.Spec) bench.Result {
 		r, err := bench.RunStore(bench.StoreOptions{Machine: spec, Streams: 2, Cores: spec.Cores() - 3, BytesPerStream: 1 << 16})
 		if err != nil {
 			t.Error(err)
 		}
 		return r
 	}
-	copies := func(spec *machine.Spec) bench.CopyResult {
+	copies := func(spec *machine.Spec) bench.Result {
 		r, err := bench.RunCopy(bench.CopyOptions{Machine: spec, Cores: spec.Cores() - 5, Inner: 200, Halo: 8, Elems: 1 << 13})
 		if err != nil {
 			t.Error(err)
@@ -54,8 +54,7 @@ func TestPoolBoundsConcurrentSimulations(t *testing.T) {
 
 	memsim.PoolPeak()
 	gotReplay := make([]memsim.Counts, n)
-	var gotStore bench.StoreResult
-	var gotCopy bench.CopyResult
+	var gotStore, gotCopy bench.Result
 	var wg sync.WaitGroup
 	for i := range gotReplay {
 		wg.Add(1)

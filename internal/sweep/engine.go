@@ -96,13 +96,15 @@ func (c Campaign) Interrupted() bool { return len(c.Unstarted()) > 0 }
 
 // Err aggregates per-scenario failures (nil when everything succeeded).
 // Scenario errors are isolated — a campaign always completes — so this
-// is a summary, not an abort signal.
+// is a summary, not an abort signal. Its message starts with the count,
+// not with a "sweep:" prefix: cmd/sweep prints it as a line of its own
+// behind that prefix.
 func (c Campaign) Err() error {
 	failed := c.Failed()
 	if len(failed) == 0 {
 		return nil
 	}
-	return fmt.Errorf("sweep: %d of %d scenarios failed; first: %s (%s): %w",
+	return fmt.Errorf("%d of %d scenarios failed; first: %s (%s): %w",
 		len(failed), len(c.Results), failed[0].Scenario.Label(), failed[0].ID, failed[0].Err)
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // TestExitCodeContract: both forms apply one exit-code rule. A failure
 // exits 1; an interrupt exits 3, also when a cell failed before it. The
 // failing cell is the first one run, and it cancels the run when the
-// case interrupts, so the remaining cells never start.
+// case interrupts, so the remaining cells never start. A completed
+// exhaustive campaign's failure summary carries the command's prefix
+// once.
 func TestExitCodeContract(t *testing.T) {
 	forms := map[string]func(storeDir, outDir string) []string{
 		"exhaustive": func(storeDir, outDir string) []string {
@@ -56,6 +59,10 @@ func TestExitCodeContract(t *testing.T) {
 			cancel()
 			if code != c.want {
 				t.Errorf("%s %s: exit %d, want %d; stderr:\n%s", form, c.name, code, c.want, stderr.Bytes())
+			}
+			if form == "exhaustive" && c.name == "failure" &&
+				!strings.HasPrefix(stderr.String(), "sweep: 1 of 4 scenarios failed; first: ") {
+				t.Errorf("%s %s: stderr\n%s\nwant one line starting \"sweep: 1 of 4 scenarios failed; first: \"", form, c.name, stderr.Bytes())
 			}
 		}
 	}
